@@ -9,14 +9,13 @@
 
 #include "ast/Traversal.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
 using namespace hma;
 
 namespace {
-
-constexpr char Magic[4] = {'H', 'M', 'A', '1'};
 
 void putVarint(std::string &Out, uint64_t V) {
   while (V >= 0x80) {
@@ -30,55 +29,6 @@ void putZigzag(std::string &Out, int64_t V) {
   putVarint(Out, (static_cast<uint64_t>(V) << 1) ^
                      static_cast<uint64_t>(V >> 63));
 }
-
-/// Bounds-checked reader over the input bytes.
-class Reader {
-public:
-  explicit Reader(std::string_view Bytes) : Bytes(Bytes) {}
-
-  bool atEnd() const { return Pos == Bytes.size(); }
-  size_t position() const { return Pos; }
-
-  bool getByte(uint8_t &B) {
-    if (Pos >= Bytes.size())
-      return false;
-    B = static_cast<uint8_t>(Bytes[Pos++]);
-    return true;
-  }
-
-  bool getVarint(uint64_t &V) {
-    V = 0;
-    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-      uint8_t B;
-      if (!getByte(B))
-        return false;
-      V |= static_cast<uint64_t>(B & 0x7F) << Shift;
-      if (!(B & 0x80))
-        return true;
-    }
-    return false; // over-long varint
-  }
-
-  bool getZigzag(int64_t &V) {
-    uint64_t U;
-    if (!getVarint(U))
-      return false;
-    V = static_cast<int64_t>((U >> 1) ^ (0 - (U & 1)));
-    return true;
-  }
-
-  bool getBytes(size_t Len, std::string_view &Out) {
-    if (Bytes.size() - Pos < Len)
-      return false;
-    Out = Bytes.substr(Pos, Len);
-    Pos += Len;
-    return true;
-  }
-
-private:
-  std::string_view Bytes;
-  size_t Pos = 0;
-};
 
 } // namespace
 
@@ -101,7 +51,7 @@ std::string hma::serializeExpr(const ExprContext &Ctx, const Expr *Root) {
   });
 
   std::string Out;
-  Out.append(Magic, sizeof(Magic));
+  Out.append(serial::Magic, sizeof(serial::Magic));
   putVarint(Out, Names.size());
   for (Name N : Names) {
     std::string_view S = Ctx.names().spelling(N);
@@ -139,24 +89,68 @@ DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
     return R;
   };
 
-  Reader In(Bytes);
-  std::string_view Header;
-  if (!In.getBytes(sizeof(Magic), Header) ||
-      Header != std::string_view(Magic, sizeof(Magic)))
+  serial::Reader In(Bytes);
+  if (!In.getMagic())
     return Fail("bad magic", 0);
 
   uint64_t NameCount;
-  if (!In.getVarint(NameCount) || NameCount > Bytes.size())
+  if (!In.getNameCount(NameCount))
     return Fail("corrupt name table", In.position());
-  std::vector<Name> Names;
+
+  // Distinct-binder proof, part one: no spelling repeats in the table.
+  // A name the interner creates here cannot repeat an earlier entry; a
+  // name it already held repeats one iff it was created by this table or
+  // appears twice among the table's pre-existing names.
+  //
+  // Part two, on the preorder walk, tracks each local id's binder state:
+  // a binder must find its id Unseen; a Var may name an Unseen or Free id
+  // (a free variable) or an id whose binder is in scope. Anything else
+  // -- a repeated binder, a binder after a free use, a use in a let's
+  // bound expression or after the scope closed -- clears the flag.
+  enum BinderState : uint8_t { Unseen, Free, Pending, InScope, Closed };
+  struct LocalName {
+    Name N;
+    uint8_t State;
+  };
+  bool Distinct = true;
+  const Name FirstNew = static_cast<Name>(Ctx.names().size());
+  std::vector<LocalName> Names;
+  std::vector<Name> Existing;
   Names.reserve(NameCount);
   for (uint64_t I = 0; I != NameCount; ++I) {
-    uint64_t Len;
     std::string_view Spelling;
-    if (!In.getVarint(Len) || !In.getBytes(Len, Spelling))
+    if (!In.getSpelling(Spelling))
       return Fail("truncated name table", In.position());
-    Names.push_back(Ctx.name(Spelling));
+    const size_t Before = Ctx.names().size();
+    Name N = Ctx.name(Spelling);
+    if (Ctx.names().size() == Before) {
+      if (N >= FirstNew)
+        Distinct = false;
+      else
+        Existing.push_back(N);
+    }
+    Names.push_back({N, Unseen});
   }
+  if (Distinct && Existing.size() > 1) {
+    std::sort(Existing.begin(), Existing.end());
+    Distinct = std::adjacent_find(Existing.begin(), Existing.end()) ==
+               Existing.end();
+  }
+
+  auto bindAt = [&](uint64_t Id, uint8_t Next) {
+    uint8_t &S = Names[Id].State;
+    if (S != Unseen)
+      Distinct = false;
+    else
+      S = Next;
+  };
+  auto useAt = [&](uint64_t Id) {
+    uint8_t &S = Names[Id].State;
+    if (S == Unseen)
+      S = Free;
+    else if (S == Pending || S == Closed)
+      Distinct = false;
+  };
 
   // Iterative preorder reconstruction: frames collect children until
   // full, then fold upward.
@@ -164,6 +158,7 @@ DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
     ExprKind K;
     Name N;
     int64_t CVal;
+    uint64_t Id; ///< Local id of the name or binder.
     unsigned Need;
     unsigned Got;
     const Expr *Child[2];
@@ -171,11 +166,10 @@ DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
   std::vector<Frame> Stack;
   const Expr *Completed = nullptr;
 
-  auto readName = [&](Name &N) {
-    uint64_t Id;
-    if (!In.getVarint(Id) || Id >= Names.size())
+  auto readName = [&](Frame &F) {
+    if (!In.getVarint(F.Id) || F.Id >= Names.size())
       return false;
-    N = Names[Id];
+    F.N = Names[F.Id].N;
     return true;
   };
 
@@ -186,27 +180,30 @@ DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
     if (Tag > static_cast<uint8_t>(ExprKind::Const))
       return Fail("invalid node tag", In.position() - 1);
 
-    Frame F{static_cast<ExprKind>(Tag), InvalidName, 0, 0, 0, {}};
+    Frame F{static_cast<ExprKind>(Tag), InvalidName, 0, 0, 0, 0, {}};
     switch (F.K) {
     case ExprKind::Var:
-      if (!readName(F.N))
+      if (!readName(F))
         return Fail("bad name reference", In.position());
+      useAt(F.Id);
       break;
     case ExprKind::Const:
       if (!In.getZigzag(F.CVal))
         return Fail("truncated constant", In.position());
       break;
     case ExprKind::Lam:
-      if (!readName(F.N))
+      if (!readName(F))
         return Fail("bad binder reference", In.position());
+      bindAt(F.Id, InScope);
       F.Need = 1;
       break;
     case ExprKind::App:
       F.Need = 2;
       break;
     case ExprKind::Let:
-      if (!readName(F.N))
+      if (!readName(F))
         return Fail("bad binder reference", In.position());
+      bindAt(F.Id, Pending); // in scope once the bound expression is done
       F.Need = 2;
       break;
     }
@@ -226,6 +223,8 @@ DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
       Frame &Top = Stack.back();
       Top.Child[Top.Got++] = Node;
       if (Top.Got < Top.Need) {
+        if (Top.K == ExprKind::Let)
+          Names[Top.Id].State = InScope;
         Node = nullptr;
         break;
       }
@@ -243,6 +242,8 @@ DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
       case ExprKind::Const:
         return Fail("internal: leaf frame on stack", In.position());
       }
+      if (Top.K != ExprKind::App)
+        Names[Top.Id].State = Closed;
       Stack.pop_back();
     }
   } while (!Completed);
@@ -251,5 +252,6 @@ DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
     return Fail("trailing bytes after expression", In.position());
   DeserializeResult R;
   R.E = Completed;
+  R.DistinctBinders = Distinct;
   return R;
 }

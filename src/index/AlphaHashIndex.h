@@ -16,7 +16,8 @@
 ///
 ///  - **Bytes as truth.** A class is (hash, canonical `ast/Serialize`
 ///    bytes, count) -- nothing decoded is retained. The exact-verify
-///    fallback deserialises candidates on demand into a small reusable
+///    fallback walks a candidate's bytes in lockstep with the query
+///    (\ref verifyCandidateBytes) using a small reusable
 ///    \ref DecodeScratch (per shard for ingest, per worker for batch
 ///    reads), so retained memory is the canonical blobs plus a bounded
 ///    scratch, not every representative's arena. The same table is what
@@ -26,8 +27,8 @@
 ///
 ///  - **Hash-then-verify.** Theorem 6.7 bounds the collision probability
 ///    (<= 5(|e1|+|e2|)/2^b), but an interning service must be *correct*,
-///    not probably-correct: on a hash hit the index falls back to the
-///    exact \ref alphaEquivalent oracle before merging, and counts how
+///    not probably-correct: on a hash hit the index falls back to an
+///    exact alpha-equivalence check before merging, and counts how
 ///    often the fallback ran and how often it refuted a hash match (a
 ///    *verified collision*). At b=128 verified collisions are expected to
 ///    be zero forever; the b=16 instantiation exercises the machinery for
@@ -35,8 +36,8 @@
 ///
 ///  - **Cross-context ingest.** Expressions arrive from arbitrary
 ///    contexts (worker-thread contexts, deserialised corpora). Hash codes
-///    are stable across contexts with equal schema seeds, and
-///    \ref alphaEquivalent compares across contexts by spelling, so the
+///    are stable across contexts with equal schema seeds, and the exact
+///    check compares free names by spelling, so the
 ///    only cross-context copy needed is for a *new* class's canonical
 ///    representative, which is stored as its `ast/Serialize` bytes.
 ///
@@ -186,7 +187,10 @@ public:
       shardFor(H{}).bumpDecodeError();
       return std::nullopt;
     }
-    return insert(Ctx, R.E);
+    const Expr *Root = uniquifyDecoded(Ctx, R);
+    H Hash = AlphaHasher<H>(Ctx, Schema).hashRoot(Root);
+    insertHashed(Ctx, Root, Hash);
+    return Hash;
   }
 
   /// Intern a whole corpus of serialised expressions, hashing on
@@ -209,7 +213,7 @@ public:
               shardFor(H{}).bumpDecodeError();
               continue;
             }
-            const Expr *Root = uniquifyBinders(Ctx, R.E);
+            const Expr *Root = uniquifyDecoded(Ctx, R);
             insertHashed(Ctx, Root, Hasher.hashRoot(Root));
             ++W.Local.Ingested;
           }
@@ -228,17 +232,20 @@ public:
   // Queries
   //===--------------------------------------------------------------------===//
 
-  /// Find the class of \p Root, if it has been interned. Takes only a
-  /// shared (reader) lock on the owning stripe.
-  std::optional<LookupResult> lookup(ExprContext &Ctx,
-                                     const Expr *Root) override {
+  using IndexReader<H>::lookup;
+
+  /// Find the class of \p Root (binders distinct), if it has been
+  /// interned. Takes only a shared (reader) lock on the owning stripe.
+  std::optional<LookupResult> lookupDistinct(const ExprContext &Ctx,
+                                             const Expr *Root) override {
     AlphaHasher<H> Hasher(Ctx, Schema);
-    return lookup(Ctx, Root, Hasher);
+    DecodeScratch Scratch;
+    return lookupHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
   }
 
   /// \ref lookup with a caller-owned hasher (scratch reuse across many
   /// queries; see the matching \ref insert overload). The fallback's
-  /// decode scratch is per-call here; use the overload below to reuse it
+  /// verify scratch is per-call here; use the overload below to reuse it
   /// across a query stream too.
   std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
                                      AlphaHasher<H> &Hasher) {
@@ -247,7 +254,7 @@ public:
   }
 
   /// Fully scratch-reusing lookup: caller owns both the hasher and the
-  /// fallback decode scratch (the shape \ref lookupBatch gives each of
+  /// fallback verify scratch (the shape \ref lookupBatch gives each of
   /// its workers).
   std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
                                      AlphaHasher<H> &Hasher,
@@ -277,7 +284,7 @@ public:
             DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
             if (!R.ok())
               continue; // leave Results[I] empty; read path mutates no stats
-            const Expr *Root = uniquifyBinders(Ctx, R.E);
+            const Expr *Root = uniquifyDecoded(Ctx, R);
             Results[I] =
                 lookupHashed(Ctx, Root, Hasher.hashRoot(Root), W.Scratch);
           }
@@ -374,8 +381,7 @@ public:
   /// Bytes retained by class storage across all shards: the canonical
   /// `ast/Serialize` blobs. This is the whole per-class footprint modulo
   /// proportional table overhead -- shards keep no decoded
-  /// representatives (scratch memory is bounded and reported by
-  /// \ref scratchStats).
+  /// representatives.
   size_t retainedBytes() const override {
     size_t N = 0;
     for (unsigned I = 0; I != numShards(); ++I) {
@@ -383,21 +389,6 @@ public:
       N += ShardsArr[I].Store.retainedBytes();
     }
     return N;
-  }
-
-  /// Aggregate ingest-side \ref DecodeScratch counters across all shards
-  /// (the read path's scratches are caller-owned and not included).
-  /// Process-local diagnostics: not persisted, not part of \ref stats.
-  ScratchStats scratchStats() const {
-    ScratchStats Total;
-    for (unsigned I = 0; I != numShards(); ++I) {
-      const Shard &S = ShardsArr[I];
-      std::shared_lock<std::shared_mutex> Lock(S.Mu);
-      Total.Decodes += S.WriteScratch.decodes();
-      Total.Recycles += S.WriteScratch.recycles();
-      Total.ArenaBytes += S.WriteScratch.arenaBytes();
-    }
-    return Total;
   }
 
   /// Which shard \p Hash maps to (stable for a fixed shard count). Lets
@@ -431,7 +422,7 @@ public:
 
 private:
   /// One lock stripe: a reader-writer mutex, the byte-backed class store,
-  /// and the ingest-side decode scratch. The read path (lookup /
+  /// and the ingest-side verify scratch. The read path (lookup /
   /// lookupBatch / stats / snapshot) takes the mutex shared, supplies its
   /// own \ref DecodeScratch, and records its counters in atomics; only
   /// ingest and decode-error bumps take the mutex exclusive (which is
@@ -452,7 +443,7 @@ private:
 
   /// Per-worker accounting for the \ref detail::forEachHashedChunk batch
   /// drivers. The scratch serves lookupBatch's shared-lock fallback
-  /// decodes and, like the worker's hasher, persists across every chunk
+  /// verifies and, like the worker's hasher, persists across every chunk
   /// the worker pulls.
   struct BatchWorkerState {
     BatchResult Local;
@@ -465,7 +456,7 @@ private:
 
   /// Read-path probe: \p Root (owned by \p SrcCtx, binders distinct) with
   /// its already-computed alpha-hash, under a shared stripe lock. The
-  /// fallback decodes candidates into \p Scratch, which must be private
+  /// fallback verifies candidates with \p Scratch, which must be private
   /// to the calling thread (shard state is only read).
   std::optional<LookupResult> lookupHashed(const ExprContext &SrcCtx,
                                            const Expr *Root, H Hash,
@@ -485,7 +476,7 @@ private:
         "Exact-verify fallback runs on the shared-lock read path");
     static const obs::Counter ReadCollisions = obs::Counter::get(
         "hma_index_read_verified_collisions_total",
-        "Hash matches refuted by the exact oracle on the read path");
+        "Hash matches refuted by the exact check on the read path");
     const Shard &S = shardFor(Hash);
     const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
     std::shared_lock<std::shared_mutex> Lock(S.Mu);
@@ -525,7 +516,7 @@ private:
         "Exact-verify fallback runs on the ingest path");
     static const obs::Counter WriteCollisions = obs::Counter::get(
         "hma_index_write_verified_collisions_total",
-        "Hash matches refuted by the exact oracle during ingest");
+        "Hash matches refuted by the exact check during ingest");
     Shard &S = shardFor(Hash);
     const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
     std::lock_guard<std::shared_mutex> Lock(S.Mu);
@@ -534,7 +525,7 @@ private:
 
     // Hash hit: Theorem 6.7 says this is almost surely a duplicate, but
     // interning must not merge inequivalent terms -- the store verifies
-    // exactly, decoding candidates into the shard's write scratch.
+    // exactly, walking candidates with the shard's write scratch.
     uint64_t Checks = 0, Refuted = 0;
     size_t Id =
         S.Store.find(SrcCtx, Root, Hash, S.WriteScratch, Checks, Refuted);

@@ -146,10 +146,11 @@ template <typename H> struct HashedChunkItem {
   H Hash;           ///< Alpha-hash under the batch's schema.
 };
 
-/// Phase one of a two-phase chunk body: decode, binder-uniquify and hash
-/// blobs [\p Begin, \p End) into \p Out (cleared first; undecodable
-/// blobs are skipped, matching the "undecodable == miss" batch
-/// contract). Decoded roots live in \p Ctx for the rest of the chunk.
+/// Phase one of a two-phase chunk body: decode and hash blobs
+/// [\p Begin, \p End) into \p Out (cleared first; undecodable blobs are
+/// skipped, matching the "undecodable == miss" batch contract). A blob
+/// is binder-uniquified only when the decoder could not prove distinct
+/// binders. Decoded roots live in \p Ctx for the rest of the chunk.
 template <typename H>
 void decodeAndHashChunk(AlphaHasher<H> &Hasher, ExprContext &Ctx,
                         const std::vector<std::string> &Blobs, size_t Begin,
@@ -159,7 +160,7 @@ void decodeAndHashChunk(AlphaHasher<H> &Hasher, ExprContext &Ctx,
     DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
     if (!R.ok())
       continue;
-    const Expr *Root = uniquifyBinders(Ctx, R.E);
+    const Expr *Root = uniquifyDecoded(Ctx, R);
     Out.push_back(HashedChunkItem<H>{I, Root, Hasher.hashRoot(Root)});
   }
 }

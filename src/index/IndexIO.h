@@ -42,8 +42,8 @@
 ///
 /// Every record is fixed-width and every shard table is sorted, so a
 /// reader that mmaps the file can binary-search a shard's table by hash
-/// and follow (offset, length) to the candidate bytes -- decode-on-demand
-/// for the exact-verify fallback, nothing else touched. Offsets are
+/// and follow (offset, length) to the candidate bytes -- verified in
+/// place by the exact-verify fallback, nothing else touched. Offsets are
 /// absolute, so a table entry is meaningful without any rebasing.
 ///
 /// The v2 sidecar is derived data: it is a pure function of the shard
@@ -412,7 +412,7 @@ std::string saveIndexBytes(const AlphaHashIndex<H> &Index,
 
 /// Reconstruct an index from `HMAI` bytes. Classes, counts and stats are
 /// restored exactly as saved; no expression is decoded or re-hashed (the
-/// fallback decodes on demand at query time). \p OverrideShards != 0
+/// fallback walks the stored bytes at query time). \p OverrideShards != 0
 /// re-stripes the classes over a different shard count (placement is a
 /// pure function of the hash, so this is always safe); 0 keeps the
 /// file's.

@@ -35,6 +35,7 @@
 
 #include "ast/Expr.h"
 #include "ast/Serialize.h"
+#include "ast/Uniquify.h"
 #include "support/HashCode.h"
 #include "support/HashSchema.h"
 
@@ -231,20 +232,27 @@ public:
   /// Find the class of \p Root, if present. \p Ctx is mutable because
   /// hashing requires distinct binders, which may force a uniquifying
   /// rewrite.
-  virtual std::optional<LookupResult<H>> lookup(ExprContext &Ctx,
-                                                const Expr *Root) = 0;
+  std::optional<LookupResult<H>> lookup(ExprContext &Ctx, const Expr *Root) {
+    return lookupDistinct(Ctx, uniquifyBinders(Ctx, Root));
+  }
+
+  /// \ref lookup for a root that already has distinct binders (as
+  /// \ref hasDistinctBinders requires): the one probe every backend
+  /// implements.
+  virtual std::optional<LookupResult<H>> lookupDistinct(const ExprContext &Ctx,
+                                                        const Expr *Root) = 0;
 
   /// Membership query in `ast/Serialize` format: decode into a scratch
-  /// context and \ref lookup. One definition for every backend, so a
-  /// behavior change (e.g. how undecodable query blobs are reported)
-  /// cannot reach one read path and miss another.
-  virtual std::optional<LookupResult<H>> lookupSerialized(
-      std::string_view Bytes) {
+  /// context and probe, uniquifying only when the decoder could not prove
+  /// distinct binders. One definition for every backend, so a behavior
+  /// change (e.g. how undecodable query blobs are reported) cannot reach
+  /// one read path and miss another.
+  std::optional<LookupResult<H>> lookupSerialized(std::string_view Bytes) {
     ExprContext Ctx;
     DeserializeResult R = deserializeExpr(Ctx, Bytes);
     if (!R.ok())
       return std::nullopt;
-    return lookup(Ctx, R.E);
+    return lookupDistinct(Ctx, uniquifyDecoded(Ctx, R));
   }
 
   /// Bulk lookup of serialised expressions on \p Threads workers. Result

@@ -16,11 +16,11 @@
 ///  - **find is a lower-bound probe on the file**: hash the query, pick
 ///    the shard (\ref detail::shardIndexForHash -- the same pure
 ///    function of the hash the writer grouped by), lower-bound its
-///    table, and for each record under the hash decode the candidate
-///    blob *on demand* into a caller-owned bounded \ref DecodeScratch
-///    for the exact \ref alphaEquivalent fallback. No class vectors, no
-///    byte copies: the returned \ref LookupResult views the mapping
-///    itself.
+///    table, and for each record under the hash run the exact
+///    \ref verifyCandidateBytes walk over the candidate blob in place,
+///    with a caller-owned \ref DecodeScratch. Nothing is decoded, no
+///    class vectors, no byte copies: the returned \ref LookupResult
+///    views the mapping itself.
 ///  - **the lower bound has three engines** (\ref ProbeEngine), all
 ///    returning the same rank: `scalar`, the branchy binary search over
 ///    the record table (the only engine v1 files support); `eytzinger`,
@@ -59,7 +59,6 @@
 #ifndef HMA_INDEX_MAPPEDINDEX_H
 #define HMA_INDEX_MAPPEDINDEX_H
 
-#include "ast/AlphaEquivalence.h"
 #include "ast/Serialize.h"
 #include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
@@ -145,13 +144,11 @@ public:
     bool ok() const { return Reader != nullptr; }
   };
 
-  /// Aggregate read-side counters of one \ref lookupBatch call: scratch
-  /// reuse (Decodes vs Recycles) and worker-hasher pool allocations
-  /// (steady-state must be 0 -- the zero-allocation read pipeline).
+  /// Aggregate read-side counters of one \ref lookupBatch call: hits and
+  /// worker-hasher pool allocations (steady-state must be 0 -- the
+  /// zero-allocation read pipeline). Verifies are counted in \ref stats.
   struct ReadBatchStats {
     uint64_t Hits = 0;
-    uint64_t Decodes = 0;  ///< Fallback blob decodes across all workers.
-    uint64_t Recycles = 0; ///< Scratch context (re-)creations.
     uint64_t PoolNodesAllocated = 0;
     uint64_t SteadyPoolNodesAllocated = 0;
   };
@@ -382,15 +379,17 @@ public:
     return Top;
   }
 
-  std::optional<LookupResult> lookup(ExprContext &Ctx,
-                                     const Expr *Root) override {
+  using IndexReader<H>::lookup;
+
+  std::optional<LookupResult> lookupDistinct(const ExprContext &Ctx,
+                                             const Expr *Root) override {
     AlphaHasher<H> Hasher(Ctx, Schema);
     DecodeScratch Scratch;
-    return lookup(Ctx, Root, Hasher, Scratch);
+    return findHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
   }
 
   /// Fully scratch-reusing lookup: caller owns both the hasher and the
-  /// fallback decode scratch (what \ref lookupBatch gives each worker).
+  /// fallback verify scratch (what \ref lookupBatch gives each worker).
   std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
                                      AlphaHasher<H> &Hasher,
                                      DecodeScratch &Scratch) const {
@@ -418,8 +417,8 @@ public:
     return lookupBatch(Blobs, Threads, nullptr);
   }
 
-  /// \ref lookupBatch with read-side counters reported (scratch reuse
-  /// and steady-state allocation; see \ref ReadBatchStats).
+  /// \ref lookupBatch with read-side counters reported (hits and
+  /// steady-state allocation; see \ref ReadBatchStats).
   ///
   /// Every chunk runs the same two-phase shape regardless of engine --
   /// decode+hash everything, then probe everything, then resolve
@@ -473,10 +472,8 @@ public:
                                               W.Ranks[J], W.Scratch);
           }
         },
-        [&](WorkerState &W, uint64_t PoolNodes, uint64_t SteadyNodes) {
+        [&](WorkerState &, uint64_t PoolNodes, uint64_t SteadyNodes) {
           std::lock_guard<std::mutex> Lock(TotalMu);
-          Total.Decodes += W.Scratch.decodes();
-          Total.Recycles += W.Scratch.recycles();
           Total.PoolNodesAllocated += PoolNodes;
           Total.SteadyPoolNodesAllocated += SteadyNodes;
         });
@@ -490,7 +487,7 @@ public:
 
   /// Bulk hash-only probe: Out[i] = number of classes stored under
   /// exactly Hashes[i] (0 = definite miss; >0 = the candidate count the
-  /// exact-verify fallback would inspect). No blob is decoded and no
+  /// exact-verify fallback would inspect). No blob is read and no
   /// verification runs -- this is the raw probe engine, the measurement
   /// point of the bench ablation and a cheap pre-filter for callers that
   /// already hold alpha-hashes. Honors the selected \ref ProbeEngine.
@@ -782,7 +779,7 @@ private:
   }
 
   /// Candidate scan + exact verify from a lower-bound \p Rank: walk the
-  /// duplicate-hash run, decode each candidate blob on demand and accept
+  /// duplicate-hash run, verify each candidate blob in place and accept
   /// the first alpha-equivalent one. Reads the hash column first and the
   /// record tail only on a match, so every field is read exactly once
   /// per candidate. Shared by all engines -- this is what makes their
@@ -796,7 +793,7 @@ private:
         "Exact-verify fallback runs against mapped candidates");
     static const obs::Counter Collisions = obs::Counter::get(
         "hma_mapped_verified_collisions_total",
-        "Mapped hash matches refuted by the exact oracle");
+        "Mapped hash matches refuted by the exact check");
     uint64_t Checks = 0, Refuted = 0;
     std::optional<LookupResult> Result;
     for (uint64_t I = Rank; I != T.Count; ++I) {
@@ -804,9 +801,9 @@ private:
         break;
       ++Checks;
       const iio::RecordTail Tail = recordTail(T, I);
+      // An out-of-range blob is an empty view, which the verifier refutes.
       std::string_view Blob = blobRange(Tail.Offset, Tail.Length);
-      const Expr *Canon = Blob.data() ? Scratch.decode(Blob) : nullptr;
-      if (Canon && alphaEquivalent(SrcCtx, Root, Scratch.context(), Canon)) {
+      if (verifyCandidateBytes(SrcCtx, Root, Blob, Scratch)) {
         Result = LookupResult{Hash, Tail.Count, Blob};
         break;
       }
@@ -831,16 +828,15 @@ private:
   }
 
   /// Read-path probe: lower-bound the shard's sorted table for \p Hash
-  /// (scalar or Eytzinger engine), then decode-and-verify each candidate
-  /// under it. Lock-free; \p Scratch must be private to the calling
-  /// thread.
+  /// (scalar or Eytzinger engine), then verify each candidate under it.
+  /// Lock-free; \p Scratch must be private to the calling thread.
   std::optional<LookupResult> findHashed(const ExprContext &SrcCtx,
                                          const Expr *Root, H Hash,
                                          DecodeScratch &Scratch) const {
     static const obs::Histogram FindNs = obs::Histogram::get(
         "hma_mapped_find_ns",
         "Latency of one mapped-table probe (lower-bound search + "
-        "on-demand decode-verify), ns");
+        "exact verify of each candidate), ns");
     const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
     const ShardTable &T =
         Tables[detail::shardIndexForHash(Hash, ShardMask)];

@@ -174,9 +174,10 @@ SegmentAppendResult appendSegment(const std::string &Dir,
   R.DeltaClasses = Delta.numClasses();
 
   // Reconcile against the union: one probe per delta class. The
-  // snapshot's hash is authoritative (no re-hashing); only the decode +
-  // binder-uniquify of each delta representative is new work, and the
-  // probes run the segments' usual branchless engines.
+  // snapshot's hash is authoritative (no re-hashing); only the decode of
+  // each delta representative is new work (staged representatives were
+  // serialized uniquified, so the decoder proves their binders distinct),
+  // and the probes run the segments' usual branchless engines.
   IndexStats Stats = Delta.stats();
   ExprContext Ctx;
   DecodeScratch Scratch;
@@ -186,7 +187,7 @@ SegmentAppendResult appendSegment(const std::string &Dir,
       R.Error = "staged delta produced an undecodable canonical blob";
       return R;
     }
-    const Expr *Root = uniquifyBinders(Ctx, D.E);
+    const Expr *Root = uniquifyDecoded(Ctx, D);
     bool Known = false;
     for (const auto &S : Set.Set->segments())
       if (S->lookupHashed(Ctx, Root, C.Hash, Scratch)) {

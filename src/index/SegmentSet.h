@@ -41,8 +41,8 @@
 #ifndef HMA_INDEX_SEGMENTSET_H
 #define HMA_INDEX_SEGMENTSET_H
 
-#include "ast/AlphaEquivalence.h"
 #include "ast/Serialize.h"
+#include "ast/Uniquify.h"
 #include "index/BatchDriver.h"
 #include "index/IndexIO.h"
 #include "index/IndexReader.h"
@@ -66,7 +66,7 @@ namespace detail {
 /// by (hash, bytes)) into the union class table: alpha-equivalent
 /// classes collapse to one summary with the *oldest* representative and
 /// the saturating sum of counts. A linear k-way pass over the sorted
-/// streams; the exact-equivalence oracle runs only inside duplicate-hash
+/// streams; the exact-equivalence check runs only inside duplicate-hash
 /// runs (cross-segment repeats and forced collisions), never on the
 /// sorted bulk. Output is sorted by (hash, bytes) -- the canonical
 /// \ref IndexReader::snapshot order.
@@ -84,9 +84,12 @@ mergeClassSummaries(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
   // entry is the representative, later members only add counts.
   struct Group {
     ClassSummary<H> Summary;
-    const Expr *Root = nullptr; ///< Decoded representative (run-local ctx).
+    /// Decoded, binder-uniquified representative (run-local ctx), or null
+    /// for an undecodable blob.
+    const Expr *Root = nullptr;
   };
   std::vector<Group> Groups;
+  DecodeScratch Scratch;
 
   for (;;) {
     // The smallest unconsumed hash across all streams.
@@ -109,22 +112,14 @@ mergeClassSummaries(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
            ++Cur[S]) {
         const ClassSummary<H> &E = Streams[S][Cur[S]];
         Group *Home = nullptr;
-        const Expr *Root = nullptr;
         for (Group &G : Groups) {
-          // Byte-equal spellings are the same class without an oracle
-          // call; different spellings under one hash need the exact
-          // check (alpha-renamed duplicate vs genuine collision).
-          if (G.Summary.CanonicalBytes == E.CanonicalBytes) {
-            Home = &G;
-            break;
-          }
-          if (!Root) {
-            DeserializeResult R = deserializeExpr(RunCtx, E.CanonicalBytes);
-            if (!R.ok())
-              break; // undecodable blob: keep it as its own entry
-            Root = R.E;
-          }
-          if (G.Root && alphaEquivalent(RunCtx, Root, RunCtx, G.Root)) {
+          // Byte-equal spellings are the same class without a check;
+          // different spellings under one hash need the exact one
+          // (alpha-renamed duplicate vs genuine collision).
+          if (G.Summary.CanonicalBytes == E.CanonicalBytes ||
+              (G.Root &&
+               verifyCandidateBytes(RunCtx, G.Root, E.CanonicalBytes,
+                                    Scratch))) {
             Home = &G;
             break;
           }
@@ -133,11 +128,9 @@ mergeClassSummaries(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
           Home->Summary.Count = saturatingAdd(Home->Summary.Count, E.Count);
           continue;
         }
-        if (!Root) {
-          DeserializeResult R = deserializeExpr(RunCtx, E.CanonicalBytes);
-          Root = R.ok() ? R.E : nullptr;
-        }
-        Groups.push_back(Group{E, Root});
+        DeserializeResult R = deserializeExpr(RunCtx, E.CanonicalBytes);
+        Groups.push_back(
+            Group{E, R.ok() ? uniquifyDecoded(RunCtx, R) : nullptr});
       }
     }
     // Representatives came out in age order, not byte order; restore the
@@ -417,25 +410,38 @@ public:
     return Top;
   }
 
-  std::optional<LookupResult> lookup(ExprContext &Ctx,
-                                     const Expr *Root) override {
+  using IndexReader<H>::lookup;
+
+  std::optional<LookupResult> lookupDistinct(const ExprContext &Ctx,
+                                             const Expr *Root) override {
     AlphaHasher<H> Hasher(Ctx, Schema);
     DecodeScratch Scratch;
-    return lookup(Ctx, Root, Hasher, Scratch);
+    return lookupHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
   }
 
-  /// Scratch-reusing lookup (the serving path's shape, mirroring \ref
-  /// MappedIndex::lookup): hash once, probe every segment newest-first,
-  /// sum counts saturating, answer with the oldest segment's
-  /// representative.
-  std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
-                                     AlphaHasher<H> &Hasher,
-                                     DecodeScratch &Scratch) const {
-    assert(Hasher.schema().seed() == Schema.seed() &&
-           "hasher seed does not match the manifest");
-    Hasher.bindIfNeeded(Ctx);
-    Root = uniquifyBinders(Ctx, Root);
-    return findHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
+  /// Probe every segment, newest first, for an already-uniquified,
+  /// already-hashed query (the \ref MappedIndex::lookupHashed shape and
+  /// the serving path's entry point): sum counts saturating, answer with
+  /// the oldest segment's representative.
+  std::optional<LookupResult> lookupHashed(const ExprContext &Ctx,
+                                           const Expr *Root, H Hash,
+                                           DecodeScratch &Scratch) const {
+    std::optional<LookupResult> Answer;
+    for (const auto &S : Set->segments()) {
+      std::optional<LookupResult> R =
+          S->lookupHashed(Ctx, Root, Hash, Scratch);
+      if (!R)
+        continue;
+      if (!Answer) {
+        Answer = R;
+        continue;
+      }
+      // A hit in an older segment: it holds the earlier-ingested (hence
+      // canonical) representative, and its count joins the union sum.
+      Answer->Count = saturatingAdd(Answer->Count, R->Count);
+      Answer->CanonicalBytes = R->CanonicalBytes;
+    }
+    return Answer;
   }
 
   /// Chunked parallel batch over the union: each item is decoded and
@@ -456,35 +462,14 @@ public:
           detail::decodeAndHashChunk(Hasher, Ctx, Blobs, Begin, End,
                                      W.Items);
           for (const detail::HashedChunkItem<H> &It : W.Items)
-            Results[It.Index] = findHashed(Ctx, It.Root, It.Hash, W.Scratch);
+            Results[It.Index] =
+                lookupHashed(Ctx, It.Root, It.Hash, W.Scratch);
         },
         [](WorkerState &, uint64_t, uint64_t) {});
     return Results;
   }
 
 private:
-  /// Newest-first probe of every segment for one hashed query.
-  std::optional<LookupResult> findHashed(const ExprContext &Ctx,
-                                         const Expr *Root, H Hash,
-                                         DecodeScratch &Scratch) const {
-    std::optional<LookupResult> Answer;
-    for (const auto &S : Set->segments()) {
-      std::optional<LookupResult> R =
-          S->lookupHashed(Ctx, Root, Hash, Scratch);
-      if (!R)
-        continue;
-      if (!Answer) {
-        Answer = R;
-        continue;
-      }
-      // A hit in an older segment: it holds the earlier-ingested (hence
-      // canonical) representative, and its count joins the union sum.
-      Answer->Count = saturatingAdd(Answer->Count, R->Count);
-      Answer->CanonicalBytes = R->CanonicalBytes;
-    }
-    return Answer;
-  }
-
   template <typename Fn> std::vector<size_t> sumPerShard(Fn Get) const {
     std::vector<size_t> Sum;
     for (const auto &S : Set->segments()) {

@@ -5,24 +5,24 @@
 /// classes, keyed by alpha-hash, with the serialised canonical bytes as
 /// the *only* retained representation.
 ///
-/// The paper's hash-then-verify design (Theorem 6.7 plus the exact
-/// \ref alphaEquivalent fallback) means a shard is fully determined by
-/// its class table: (hash, canonical bytes, count). Earlier revisions
+/// The paper's hash-then-verify design (Theorem 6.7 plus an exact
+/// alpha-equivalence fallback) means a shard is fully determined by its
+/// class table: (hash, canonical bytes, count). Earlier revisions
 /// additionally kept every canonical representative *decoded* in a
 /// per-shard \ref ExprContext so the fallback could compare against live
 /// nodes -- which retained the arena of every class forever (measured at
 /// ~2 KiB/class on 64-node expressions, ~8 KiB/class on 256-node ones,
 /// versus ~0.3-1.2 KiB/class of canonical bytes). \ref ShardStore inverts
-/// that: classes hold bytes, and the exact-verify fallback deserialises a
-/// candidate *on demand* into a small reusable \ref DecodeScratch. Since
-/// fallbacks only run on hash hits -- genuine duplicates or (at narrow
-/// widths) verified collisions -- the decode cost is paid exactly where
-/// the paper's analysis says it is rare.
+/// that: classes hold bytes, and the exact-verify fallback,
+/// \ref verifyCandidateBytes, walks a candidate's bytes in lockstep with
+/// the query without decoding them, reusing the buffers of a small
+/// per-thread \ref DecodeScratch. The same verifier serves the mapped
+/// reader (index/MappedIndex.h), so every backend verifies identically.
 ///
 /// Bytes-as-truth is also what makes the store pluggable: the `HMAI`
 /// on-disk format (index/IndexIO.h) is little more than this table with a
-/// sorted fixed-width header per shard, and a future mmap-backed store
-/// can serve the same probe interface straight from the file.
+/// sorted fixed-width header per shard, and the mmap-backed reader serves
+/// the same probe interface straight from the file.
 ///
 /// Thread-safety: none here. \ref AlphaHashIndex wraps each store in its
 /// stripe lock; \ref find is `const` and writes only through the
@@ -34,10 +34,8 @@
 #ifndef HMA_INDEX_SHARDSTORE_H
 #define HMA_INDEX_SHARDSTORE_H
 
-#include "ast/AlphaEquivalence.h"
 #include "ast/Expr.h"
 #include "ast/Serialize.h"
-#include "obs/Metrics.h"
 #include "support/HashCode.h"
 
 #include <cstdint>
@@ -51,22 +49,20 @@
 
 namespace hma {
 
-/// A small reusable decode target for the exact-verify fallback.
+/// Per-thread scratch of the exact-verify fallback.
 ///
-/// Deserialising a candidate needs an \ref ExprContext, and contexts only
-/// ever grow; a fresh context per decode would make every fallback pay
-/// slab allocation, while one immortal context would slowly re-grow the
-/// very per-shard arenas this design removes. The scratch therefore
-/// reuses one context across decodes and recycles it (drops and
-/// reconstructs) only when its arena crosses a threshold, so steady-state
-/// verification allocates nothing beyond the decoded nodes themselves and
-/// retained scratch memory stays bounded by the threshold.
+/// Its main job is to hold the buffers \ref verifyCandidateBytes reuses
+/// across candidates, so steady-state verification allocates nothing.
+/// It also offers a bounded decode target, \ref decode, for callers that
+/// want a candidate as an \ref Expr (benches and diagnostics; the index
+/// read and write paths never decode). Contexts only ever grow, so the
+/// decode target reuses one context and recycles it (drops and
+/// reconstructs) only when its arena crosses a threshold: retained
+/// scratch memory stays bounded by the threshold plus one expression.
 class DecodeScratch {
 public:
-  /// Default arena-byte threshold above which the context is recycled
-  /// before the next decode. Canonical blobs are typically a few hundred
-  /// bytes (~2 KiB decoded), so the default sustains hundreds of decodes
-  /// per recycle while capping retained scratch at well under a MiB.
+  /// Default arena-byte threshold above which the decode context is
+  /// recycled before the next decode.
   static constexpr size_t DefaultRecycleBytes = 256 * 1024;
 
   explicit DecodeScratch(size_t RecycleBytes = DefaultRecycleBytes)
@@ -76,21 +72,8 @@ public:
   /// malformed blob. The returned expression (and \ref context()) stays
   /// valid until the *next* decode call, which may recycle the context.
   const Expr *decode(std::string_view Bytes) {
-    static const obs::Histogram DecodeNs = obs::Histogram::get(
-        "hma_fallback_decode_ns",
-        "Latency of one on-demand candidate decode for the exact-verify "
-        "fallback, ns");
-    static const obs::Counter DecodedBytes = obs::Counter::get(
-        "hma_fallback_decoded_bytes_total",
-        "Candidate blob bytes decoded on demand by the exact-verify "
-        "fallback (live and mapped read paths)");
-    obs::ScopedTimer Timer(DecodeNs);
-    DecodedBytes.add(Bytes.size());
-    if (!Ctx || Ctx->arena().bytesAllocated() > RecycleBytes) {
+    if (!Ctx || Ctx->arena().bytesAllocated() > RecycleBytes)
       Ctx = std::make_unique<ExprContext>();
-      ++NumRecycles;
-    }
-    ++NumDecodes;
     DeserializeResult R = deserializeExpr(*Ctx, Bytes);
     return R.ok() ? R.E : nullptr;
   }
@@ -99,35 +82,63 @@ public:
   /// after a decode.
   const ExprContext &context() const { return *Ctx; }
 
-  /// Total decode calls served.
-  uint64_t decodes() const { return NumDecodes; }
-
-  /// Context re-creations, first use included. `decodes() >> recycles()`
-  /// is the steady-state-reuse claim (asserted in tests).
-  uint64_t recycles() const { return NumRecycles; }
-
-  /// Arena bytes currently retained by the scratch context (<= threshold
+  /// Arena bytes currently retained by the decode context (<= threshold
   /// plus one decoded expression).
   size_t arenaBytes() const {
     return Ctx ? Ctx->arena().bytesAllocated() : 0;
   }
 
 private:
+  friend bool verifyCandidateBytes(const ExprContext &QueryCtx,
+                                   const Expr *Query,
+                                   std::string_view Candidate,
+                                   DecodeScratch &Scratch);
+
+  /// One entry of the candidate's name table.
+  struct CandidateName {
+    std::string_view Spelling;
+    uint32_t Canon;     ///< First local id with the same spelling.
+    uint32_t BinderPos; ///< Position of the innermost binder in scope.
+    Name FreeMatch;     ///< Query name its free uses matched, if any.
+  };
+  /// One slot of the query's binder table: open addressing keyed by
+  /// name, live only when stamped with the current walk's epoch.
+  struct QueryBinder {
+    Name N;
+    uint32_t Pos;
+    uint32_t Stamp;
+  };
+  /// One pending step of the lockstep walk: visit query node \p E, or,
+  /// when E is null, set candidate name \p Id's binder position to \p Pos.
+  struct WalkStep {
+    const Expr *E;
+    uint32_t Id;
+    uint32_t Pos;
+  };
+
   std::unique_ptr<ExprContext> Ctx;
   size_t RecycleBytes;
-  uint64_t NumDecodes = 0;
-  uint64_t NumRecycles = 0;
+  std::vector<CandidateName> Names;
+  std::vector<uint32_t> SpellingSlots;
+  /// Sized by the largest query walked, never by its context's names.
+  std::vector<QueryBinder> QueryBinders;
+  uint32_t Epoch = 0;
+  std::vector<WalkStep> Steps;
 };
 
-/// Aggregated \ref DecodeScratch counters (see
-/// \ref AlphaHashIndex::scratchStats). Process-local operational metrics:
-/// deliberately *not* part of \ref IndexStats, so they neither round-trip
-/// through `HMAI` files nor participate in snapshot equality.
-struct ScratchStats {
-  uint64_t Decodes = 0;    ///< Fallback deserialisations served.
-  uint64_t Recycles = 0;   ///< Scratch context re-creations.
-  uint64_t ArenaBytes = 0; ///< Currently retained scratch arena bytes.
-};
+/// The exact-verify fallback: true iff \p Candidate is a well-formed
+/// `ast/Serialize` blob whose expression is alpha-equivalent to \p Query
+/// (owned by \p QueryCtx, binders distinct as \ref hasDistinctBinders
+/// requires). This is exactly `deserializeExpr(Candidate).ok() &&
+/// alphaEquivalent(...)` (differential-tested), but nothing is decoded:
+/// the bytes are read once, in lockstep with the query's preorder walk,
+/// and two variables correspond when both are bound by binders at the
+/// same preorder position, or both are free with equal spellings. The
+/// candidate may shadow binders and may repeat a spelling in its name
+/// table; repeats are merged exactly as the decoder merges them. Any
+/// malformed byte refutes, as a failed decode does.
+bool verifyCandidateBytes(const ExprContext &QueryCtx, const Expr *Query,
+                          std::string_view Candidate, DecodeScratch &Scratch);
 
 /// One shard's classes: a hash-to-entries table over byte-backed
 /// \ref ShardStore::Class records.
@@ -155,13 +166,13 @@ public:
 
   /// Probe for a class alpha-equivalent to \p Root (owned by \p SrcCtx,
   /// binders distinct) among the entries stored under \p Hash. Each
-  /// candidate costs one decode into \p Scratch plus one exact
-  /// \ref alphaEquivalent check; \p Checks counts the checks run and
-  /// \p Refuted the hash matches the oracle rejected (verified
-  /// collisions). A candidate whose bytes fail to decode -- impossible
-  /// for classes interned by this process, conceivable for a corrupted
-  /// `HMAI` file loaded unverified -- is counted as refuted rather than
-  /// trusted. Returns the class index or \ref npos.
+  /// candidate costs one \ref verifyCandidateBytes walk with \p Scratch;
+  /// \p Checks counts the checks run and \p Refuted the hash matches the
+  /// check rejected (verified collisions). A candidate whose bytes are
+  /// malformed -- impossible for classes interned by this process,
+  /// conceivable for a corrupted `HMAI` file loaded unverified -- is
+  /// counted as refuted rather than trusted. Returns the class index or
+  /// \ref npos.
   size_t find(const ExprContext &SrcCtx, const Expr *Root, H Hash,
               DecodeScratch &Scratch, uint64_t &Checks,
               uint64_t &Refuted) const {
@@ -171,8 +182,7 @@ public:
     for (uint32_t Id : It->second) {
       const Class &C = Classes[Id];
       ++Checks;
-      const Expr *Canon = Scratch.decode(C.Bytes);
-      if (Canon && alphaEquivalent(SrcCtx, Root, Scratch.context(), Canon))
+      if (verifyCandidateBytes(SrcCtx, Root, C.Bytes, Scratch))
         return Id;
       ++Refuted;
     }
@@ -194,8 +204,7 @@ public:
 
   /// Bytes retained by class storage: the canonical blobs themselves.
   /// (Table overhead -- deque blocks, bucket vectors -- is proportional
-  /// and small; scratch memory is reported separately via
-  /// \ref DecodeScratch::arenaBytes.)
+  /// and small.)
   size_t retainedBytes() const { return RetainedBytes; }
 
 private:

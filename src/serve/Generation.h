@@ -35,6 +35,7 @@
 #ifndef HMA_SERVE_GENERATION_H
 #define HMA_SERVE_GENERATION_H
 
+#include "ast/Uniquify.h"
 #include "index/MappedIndex.h"
 #include "index/SegmentManifest.h"
 #include "index/SegmentSet.h"
@@ -65,14 +66,21 @@ struct Generation {
   std::string Path;     ///< File or directory this generation came from.
 
   /// The scratch-reusing lookup the request path needs (not part of the
-  /// \ref IndexReader surface): dispatch to whichever backend is live.
+  /// \ref IndexReader surface): uniquify the decoded query only if the
+  /// decoder could not prove distinct binders, hash it with the caller's
+  /// warm hasher, and probe whichever backend is live.
   std::optional<LookupResult<Hash128>>
-  lookup(ExprContext &Ctx, const Expr *Root, AlphaHasher<Hash128> &Hasher,
-         DecodeScratch &Scratch) const {
+  lookup(ExprContext &Ctx, const DeserializeResult &Query,
+         AlphaHasher<Hash128> &Hasher, DecodeScratch &Scratch) const {
     assert(Index && "generation published without a backend");
+    assert(Hasher.schema().seed() == Index->schema().seed() &&
+           "hasher seed does not match the generation");
+    const Expr *Root = uniquifyDecoded(Ctx, Query);
+    Hasher.bindIfNeeded(Ctx);
+    const Hash128 Hash = Hasher.hashRoot(Root);
     if (Mapped)
-      return Mapped->lookup(Ctx, Root, Hasher, Scratch);
-    return Segmented->lookup(Ctx, Root, Hasher, Scratch);
+      return Mapped->lookupHashed(Ctx, Root, Hash, Scratch);
+    return Segmented->lookupHashed(Ctx, Root, Hash, Scratch);
   }
 };
 
@@ -184,16 +192,18 @@ public:
       delete P;
     });
     {
+      // Copy the number while the lock is held: once it drops, a
+      // concurrent reload may replace Cur and free G.
       std::lock_guard<std::mutex> Lock(Mu);
       G->Number = NextNumber++;
+      Out.Number = G->Number;
       Cur = std::move(Next);
     }
     Success.add(1);
     LoadsOk.fetch_add(1, std::memory_order_relaxed);
-    GenNumber.set(static_cast<int64_t>(G->Number));
+    GenNumber.set(static_cast<int64_t>(Out.Number));
     Out.Ok = true;
-    Out.Number = G->Number;
-    Out.Message = "serving generation " + std::to_string(G->Number) + ": " +
+    Out.Message = "serving generation " + std::to_string(Out.Number) + ": " +
                   std::to_string(Out.Classes) + " classes from '" + Path +
                   "'";
     return Out;

@@ -150,7 +150,7 @@ struct Conn {
   bool CloseAfterFlush = false;
 };
 
-/// Per-worker request scratch: the warm hasher + decode scratch the
+/// Per-worker request scratch: the warm hasher + verify scratch the
 /// batch driver would give one worker, kept across requests. The hasher
 /// is recreated only when a reload changes the schema seed.
 struct ReqScratch {
@@ -945,7 +945,7 @@ struct Server::Impl {
     DeserializeResult D = deserializeExpr(Ctx, Blob);
     if (D.ok()) {
       std::optional<LookupResult<Hash128>> Hit =
-          Gen.lookup(Ctx, D.E, Hasher, Scratch.Scratch);
+          Gen.lookup(Ctx, D, Hasher, Scratch.Scratch);
       if (Hit) {
         R.Present = true;
         R.Hash = Hit->Hash;

@@ -11,9 +11,11 @@
 #include "ast/Expr.h"
 #include "ast/Parser.h"
 #include "index/IndexReader.h"
+#include "support/Random.h"
 
 #include "gtest/gtest.h"
 
+#include <string>
 #include <vector>
 
 namespace hma {
@@ -25,6 +27,57 @@ inline const Expr *parseT(ExprContext &Ctx, std::string_view Src) {
                       << R.Error << "\n  in: " << Src;
   return R.E;
 }
+
+/// A random term of about \p Size nodes whose every variable and binder
+/// is drawn from a pool of \p PoolSize names ("v0", "v1", ...): Lam and
+/// Let binders repeat, shadow each other and clash with free uses, which
+/// is what the distinct-binder and exact-verify differentials need.
+inline const Expr *genShadowHeavy(ExprContext &Ctx, Rng &R, unsigned Size,
+                                  unsigned PoolSize) {
+  auto Pick = [&] {
+    return Ctx.name("v" + std::to_string(R.below(PoolSize)));
+  };
+  if (Size <= 1)
+    return R.below(5) == 0 ? Ctx.intConst(R.range(-2, 2)) : Ctx.var(Pick());
+  switch (R.below(3)) {
+  case 0:
+    return Ctx.lam(Pick(), genShadowHeavy(Ctx, R, Size - 1, PoolSize));
+  case 1: {
+    unsigned Left = 1 + static_cast<unsigned>(R.below(Size - 1));
+    return Ctx.app(genShadowHeavy(Ctx, R, Left, PoolSize),
+                   genShadowHeavy(Ctx, R, Size - Left, PoolSize));
+  }
+  default: {
+    if (Size < 3)
+      return Ctx.lam(Pick(), genShadowHeavy(Ctx, R, Size - 1, PoolSize));
+    unsigned Bound = 1 + static_cast<unsigned>(R.below(Size - 2));
+    return Ctx.let(Pick(), genShadowHeavy(Ctx, R, Bound, PoolSize),
+                   genShadowHeavy(Ctx, R, Size - 1 - Bound, PoolSize));
+  }
+  }
+}
+
+/// Hand-build an `ast/Serialize` blob: header, the given name table, then
+/// \p Body (node tags and varint payloads, each a single byte here).
+inline std::string handBlob(const std::vector<std::string> &Names,
+                            const std::vector<uint8_t> &Body) {
+  std::string Bytes = "HMA1";
+  Bytes.push_back(static_cast<char>(Names.size()));
+  for (const std::string &N : Names) {
+    Bytes.push_back(static_cast<char>(N.size()));
+    Bytes += N;
+  }
+  for (uint8_t B : Body)
+    Bytes.push_back(static_cast<char>(B));
+  return Bytes;
+}
+
+/// Node tags of the serialized format, for \ref handBlob bodies.
+constexpr uint8_t TagVar = uint8_t(ExprKind::Var),
+                  TagLam = uint8_t(ExprKind::Lam),
+                  TagApp = uint8_t(ExprKind::App),
+                  TagLet = uint8_t(ExprKind::Let),
+                  TagConst = uint8_t(ExprKind::Const);
 
 /// Field-by-field equality of two aggregated index stats blocks.
 /// The differential contract of the live/loaded/mapped index backends

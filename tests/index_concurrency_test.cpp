@@ -238,9 +238,6 @@ TEST(MappedIndexConcurrency, MixedFindAndBatchAnswersMatchSingleThreaded) {
   const unsigned Threads = 8;
   std::atomic<unsigned> Mismatches{0};
   std::atomic<uint64_t> BatchSteadyAllocs{0};
-  std::atomic<uint64_t> BatchRecycles{0};
-  std::atomic<uint64_t> FindRecycles{0};
-  std::atomic<uint64_t> FindDecodes{0};
 
   auto SameAsBaseline = [&](size_t I,
                             const std::optional<LookupResult<Hash128>> &R) {
@@ -264,7 +261,6 @@ TEST(MappedIndexConcurrency, MixedFindAndBatchAnswersMatchSingleThreaded) {
           if (!SameAsBaseline(I, Results[I]))
             ++Mismatches;
         BatchSteadyAllocs += BS.SteadyPoolNodesAllocated;
-        BatchRecycles += BS.Recycles;
       } else {
         // Single-find reader: long-lived private hasher + scratch, one
         // query at a time.
@@ -281,8 +277,6 @@ TEST(MappedIndexConcurrency, MixedFindAndBatchAnswersMatchSingleThreaded) {
           if (!SameAsBaseline(I, Mapped.lookup(Ctx, D.E, Hasher, Scratch)))
             ++Mismatches;
         }
-        FindRecycles += Scratch.recycles();
-        FindDecodes += Scratch.decodes();
       }
     });
   }
@@ -291,18 +285,13 @@ TEST(MappedIndexConcurrency, MixedFindAndBatchAnswersMatchSingleThreaded) {
 
   EXPECT_EQ(Mismatches.load(), 0u);
 
-  // Steady-state decode allocations: zero. Each batch worker's hasher
+  // Steady-state hashing allocations: zero. Each batch worker's hasher
   // warms up on its first chunk and allocates nothing afterwards.
   EXPECT_EQ(BatchSteadyAllocs.load(), 0u);
-  // Scratch contexts are created once per worker and *reused* across
-  // decodes, recycled only on the (rare) arena-threshold crossing --
-  // never one context per decode.
-  EXPECT_GT(FindDecodes.load(), uint64_t(Threads / 2) * BaselineHits / 2);
-  EXPECT_LE(FindRecycles.load(), uint64_t(Threads / 2) * 4);
-  EXPECT_LE(BatchRecycles.load(), uint64_t((Threads + 1) / 2) * 2 * 4);
 
   // The shared counters aggregated exactly: every hit on every thread
-  // ran at least one fallback check (b=128: exactly one per hit).
+  // ran one exact verify (b=128: exactly one candidate per hit), and
+  // no thread's private verify scratch leaked into another's answer.
   uint64_t ExpectedChecks = uint64_t(Threads + 1) * BaselineHits;
   EXPECT_EQ(Mapped.stats().FallbackChecks - Live.stats().FallbackChecks,
             ExpectedChecks);

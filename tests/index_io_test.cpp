@@ -9,7 +9,7 @@
 /// index running the exact-verify fallback against *file-restored*
 /// canonical bytes. Also pins the memory-diet claims of the byte-backed
 /// \ref ShardStore: no retained arenas beyond the canonical blobs, and
-/// steady-state scratch reuse in the decode-on-demand fallback.
+/// one byte-walk verify per duplicate in the exact-verify fallback.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,8 +89,8 @@ TEST(IndexIO, ReopenedIndexKeepsIngestingAndMergesDuplicates) {
   IndexLoadResult<Hash128> R = loadIndexBytes<Hash128>(saveIndexBytes(Live));
   ASSERT_TRUE(R.ok()) << R.Error;
 
-  // A renamed copy must merge into the restored class, verified by
-  // decoding the file-restored canonical bytes on demand.
+  // A renamed copy must merge into the restored class, verified against
+  // the file-restored canonical bytes.
   const Expr *Renamed = parseT(Ctx, "(lam (p q) (p (q p)))");
   R.Index->insert(Ctx, Renamed);
   EXPECT_EQ(R.Index->numClasses(), 1u);
@@ -381,8 +381,8 @@ TEST(IndexIOVersions, V1FilesOpenServeAndResaveBitIdentically) {
 }
 
 //===----------------------------------------------------------------------===//
-// The memory diet: bytes are the only per-class retention; the fallback's
-// scratch is reused in steady state
+// The memory diet: bytes are the only per-class retention; the fallback
+// verifies stored bytes without decoding them
 //===----------------------------------------------------------------------===//
 
 TEST(IndexMemory, RetainedBytesAreExactlyTheCanonicalBlobs) {
@@ -395,18 +395,13 @@ TEST(IndexMemory, RetainedBytesAreExactlyTheCanonicalBlobs) {
   // No per-representative arenas: class storage retains the canonical
   // bytes and nothing else.
   EXPECT_EQ(Index.retainedBytes(), SumBlobBytes);
-
-  // Ingest-side scratch memory is bounded by the recycle threshold (plus
-  // one decoded expression), regardless of how many classes exist.
-  EXPECT_LE(Index.scratchStats().ArenaBytes,
-            uint64_t(Index.numShards()) * DecodeScratch::DefaultRecycleBytes);
 }
 
-TEST(IndexMemory, SteadyStateFallbackReusesOneScratchContext) {
+TEST(IndexMemory, IngestVerifiesEachDuplicateOnce) {
   // Hammer ONE class with renamed duplicates on a single-shard index:
-  // every insert after the first runs exactly one fallback check, i.e.
-  // one decode into the shard's write scratch. Steady state must reuse
-  // that scratch, not create a context per decode.
+  // every insert after the first runs exactly one fallback check -- one
+  // byte walk over the stored representative -- and every check
+  // confirms the duplicate.
   AlphaHashIndex<> Index({/*Shards=*/1, HashSchema::DefaultSeed});
   ExprContext Ctx;
   Rng R(9);
@@ -418,15 +413,8 @@ TEST(IndexMemory, SteadyStateFallbackReusesOneScratchContext) {
   EXPECT_EQ(Index.numClasses(), 1u);
   IndexStats S = Index.stats();
   EXPECT_EQ(S.FallbackChecks, uint64_t(N - 1));
-
-  ScratchStats Scratch = Index.scratchStats();
-  // One decode per fallback check...
-  EXPECT_EQ(Scratch.Decodes, uint64_t(N - 1));
-  // ...but (almost) no context churn: the first decode creates the
-  // scratch, and these small expressions stay far below the recycle
-  // threshold. Allow one extra recycle so the bound is about *reuse*,
-  // not about the exact threshold crossing.
-  EXPECT_LE(Scratch.Recycles, 2u);
+  EXPECT_EQ(S.Duplicates, uint64_t(N - 1));
+  EXPECT_EQ(S.VerifiedCollisions, 0u);
 }
 
 TEST(IndexMemory, DecodeScratchRecyclesOnceOverThreshold) {
@@ -436,24 +424,27 @@ TEST(IndexMemory, DecodeScratchRecyclesOnceOverThreshold) {
   std::string Small = serializeExpr(Ctx, parseT(Ctx, "(lam (x) x)"));
 
   // A tiny threshold forces a recycle before every decode once the first
-  // big expression lands in the arena.
+  // big expression lands in the arena: the context never holds more
+  // than the latest expression.
   DecodeScratch Tight(/*RecycleBytes=*/64);
+  ASSERT_NE(Tight.decode(Big), nullptr);
+  const size_t OneBig = Tight.arenaBytes();
   for (int I = 0; I != 5; ++I)
     ASSERT_NE(Tight.decode(Big), nullptr);
-  EXPECT_EQ(Tight.decodes(), 5u);
-  EXPECT_EQ(Tight.recycles(), 5u);
+  EXPECT_EQ(Tight.arenaBytes(), OneBig);
 
-  // The default threshold sustains many small decodes on one context.
+  // The default threshold sustains many small decodes on one context,
+  // whose retained arena stays under the threshold.
   DecodeScratch Roomy;
+  ASSERT_NE(Roomy.decode(Small), nullptr);
+  const uint64_t First = Roomy.context().epoch();
   for (int I = 0; I != 100; ++I)
     ASSERT_NE(Roomy.decode(Small), nullptr);
-  EXPECT_EQ(Roomy.decodes(), 100u);
-  EXPECT_EQ(Roomy.recycles(), 1u);
+  EXPECT_EQ(Roomy.context().epoch(), First);
   EXPECT_LE(Roomy.arenaBytes(), DecodeScratch::DefaultRecycleBytes);
 
-  // Malformed bytes are a nullptr, counted as a decode, never UB.
+  // Malformed bytes are a nullptr, never UB.
   EXPECT_EQ(Roomy.decode("garbage"), nullptr);
-  EXPECT_EQ(Roomy.decodes(), 101u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,7 +11,9 @@
 #include "index/AlphaHashIndex.h"
 
 #include "ast/AlphaEquivalence.h"
+#include "ast/Printer.h"
 #include "ast/Serialize.h"
+#include "ast/Uniquify.h"
 #include "gen/RandomExpr.h"
 #include "index/CorpusIO.h"
 
@@ -392,4 +394,199 @@ TEST(AlphaHashIndex, SharedHasherSurvivesContextRecreationAtSameAddress) {
     const Expr *E = uniquifyBinders(Ctx, parseT(Ctx, Sources[I]));
     EXPECT_EQ(Inserted[I], AlphaHasher<Hash128>(Ctx).hashRoot(E));
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The exact verifier: the byte walk against decode + alphaEquivalent
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// What \ref verifyCandidateBytes must equal: the candidate decodes and
+/// the oracle accepts it.
+bool decodeThenOracle(const ExprContext &QCtx, const Expr *Q,
+                      std::string_view Bytes) {
+  ExprContext Ctx;
+  DeserializeResult D = deserializeExpr(Ctx, Bytes);
+  return D.ok() && alphaEquivalent(QCtx, Q, Ctx, D.E);
+}
+
+/// Rebuild \p E with the preorder node numbered \p K renamed (a Var's
+/// name or a binder, drawn from the same v0..v{Pool-1} pool) or, for a
+/// constant, bumped: near misses, and sometimes accidental equivalents.
+const Expr *mutateOne(ExprContext &Ctx, Rng &R, const Expr *E, int64_t &K,
+                      unsigned Pool) {
+  const bool Hit = K-- == 0;
+  auto Pick = [&](Name Old) {
+    return Hit ? Ctx.name("v" + std::to_string(R.below(Pool))) : Old;
+  };
+  switch (E->kind()) {
+  case ExprKind::Var:
+    return Ctx.var(Pick(E->varName()));
+  case ExprKind::Const:
+    return Ctx.intConst(E->constValue() + (Hit ? 1 : 0));
+  case ExprKind::Lam: {
+    Name B = Pick(E->lamBinder());
+    return Ctx.lam(B, mutateOne(Ctx, R, E->lamBody(), K, Pool));
+  }
+  case ExprKind::App: {
+    const Expr *F = mutateOne(Ctx, R, E->appFun(), K, Pool);
+    return Ctx.app(F, mutateOne(Ctx, R, E->appArg(), K, Pool));
+  }
+  case ExprKind::Let: {
+    Name B = Pick(E->letBinder());
+    const Expr *Bound = mutateOne(Ctx, R, E->letBound(), K, Pool);
+    return Ctx.let(B, Bound, mutateOne(Ctx, R, E->letBody(), K, Pool));
+  }
+  }
+  return E;
+}
+
+} // namespace
+
+TEST(VerifyCandidateBytes, AgreesWithDecodeAndOracleOnRandomPairs) {
+  // Queries are uniquified shadow-heavy terms; candidates are the
+  // shadowed original (equivalent), a one-node mutation of it (near
+  // miss), or an unrelated term of the same size. Half the queries live
+  // in a second context whose name ids are skewed, and one scratch
+  // serves every case, so stale per-walk state would show up.
+  Rng R(77);
+  DecodeScratch Scratch;
+  uint64_t Accepted = 0, Refuted = 0;
+  for (unsigned I = 0; I != 30000; ++I) {
+    ExprContext Ctx;
+    const unsigned Pool = 2 + static_cast<unsigned>(R.below(5));
+    const unsigned Size = 1 + static_cast<unsigned>(R.below(24));
+    const Expr *T = genShadowHeavy(Ctx, R, Size, Pool);
+    const Expr *C = T;
+    if (I % 3 == 1) {
+      int64_t K = static_cast<int64_t>(R.below(T->treeSize()));
+      C = mutateOne(Ctx, R, T, K, Pool);
+    } else if (I % 3 == 2) {
+      C = genShadowHeavy(Ctx, R, Size, Pool);
+    }
+    const std::string Bytes = serializeExpr(Ctx, C);
+
+    ExprContext Skewed;
+    for (unsigned N = 0; N != I % 7; ++N)
+      Skewed.name("w" + std::to_string(N));
+    ExprContext &QCtx = I % 2 ? Skewed : Ctx;
+    const Expr *Q = uniquifyBinders(Ctx, T);
+    if (&QCtx != &Ctx) {
+      DeserializeResult D = deserializeExpr(QCtx, serializeExpr(Ctx, Q));
+      ASSERT_TRUE(D.ok());
+      Q = uniquifyDecoded(QCtx, D);
+    }
+    const bool Want = decodeThenOracle(QCtx, Q, Bytes);
+    ASSERT_EQ(verifyCandidateBytes(QCtx, Q, Bytes, Scratch), Want)
+        << printExpr(QCtx, Q) << " vs " << printExpr(Ctx, C);
+    (Want ? Accepted : Refuted) += 1;
+  }
+  EXPECT_GT(Accepted, 10000u);
+  EXPECT_GT(Refuted, 10000u);
+}
+
+TEST(VerifyCandidateBytes, LetScopingAndShadowing) {
+  const std::pair<const char *, const char *> Pairs[] = {
+      {"(let (y x) y)", "(let (x x) x)"},       // bound x is the free x
+      {"(let (y x) x)", "(let (x x) x)"},       // body x is the binder
+      {"(let (y (f y0)) y)", "(let (x (f x)) x)"},
+      {"(lam (a b) b)", "(lam (x x) x)"},       // inner binder wins
+      {"(lam (a b) a)", "(lam (x x) x)"},
+      {"(lam (a) (f (lam (b) b) a))", "(lam (x) (f (lam (x) x) x))"},
+      {"(lam (a) (f (lam (b) a) a))", "(lam (x) (f (lam (x) x) x))"},
+      {"(f (lam (a) a) x)", "(f (lam (x) x) x)"}, // x free after scope
+      {"(f (lam (a) a) a)", "(f (lam (x) x) x)"},
+      {"(let (a 1) (let (b a) b))", "(let (x 1) (let (x x) x))"},
+      {"(let (a 1) (let (b a) a))", "(let (x 1) (let (x x) x))"},
+  };
+  DecodeScratch Scratch;
+  for (const auto &[QSrc, CSrc] : Pairs) {
+    ExprContext Ctx;
+    const Expr *Q = uniquifyBinders(Ctx, parseT(Ctx, QSrc));
+    const std::string Bytes = serializeExpr(Ctx, parseT(Ctx, CSrc));
+    EXPECT_EQ(verifyCandidateBytes(Ctx, Q, Bytes, Scratch),
+              decodeThenOracle(Ctx, Q, Bytes))
+        << QSrc << " vs " << CSrc;
+  }
+  // Spot-check the oracle's verdicts themselves on the tricky rows.
+  ExprContext Ctx;
+  EXPECT_TRUE(verifyCandidateBytes(
+      Ctx, parseT(Ctx, "(let (y x) y)"),
+      serializeExpr(Ctx, parseT(Ctx, "(let (x x) x)")), Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(
+      Ctx, parseT(Ctx, "(lam (a b) a)"),
+      serializeExpr(Ctx, parseT(Ctx, "(lam (x x) x)")), Scratch));
+}
+
+TEST(VerifyCandidateBytes, RepeatedSpellingsMergeAsTheDecoderMerges) {
+  // Names {a, a}: both ids are one name, so `lam 0 (lam 1 (var 0))` is
+  // (lam (a) (lam (a) a)) -- the variable is the *inner* binder's.
+  DecodeScratch Scratch;
+  ExprContext Ctx;
+  const std::string Nested =
+      handBlob({"a", "a"}, {TagLam, 0, TagLam, 1, TagVar, 0});
+  EXPECT_TRUE(
+      verifyCandidateBytes(Ctx, parseT(Ctx, "(lam (p q) q)"), Nested, Scratch));
+  EXPECT_FALSE(
+      verifyCandidateBytes(Ctx, parseT(Ctx, "(lam (p q) p)"), Nested, Scratch));
+  // Free uses of two ids with one spelling are one free variable.
+  const std::string Free = handBlob({"f", "f"}, {TagApp, TagVar, 0, TagVar, 1});
+  EXPECT_TRUE(verifyCandidateBytes(Ctx, parseT(Ctx, "(f f)"), Free, Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(Ctx, parseT(Ctx, "(f g)"), Free, Scratch));
+  // A binder on one id captures uses of the other.
+  const std::string Capture =
+      handBlob({"x", "x"}, {TagApp, TagLam, 0, TagVar, 1, TagVar, 1});
+  EXPECT_TRUE(verifyCandidateBytes(Ctx, parseT(Ctx, "((lam (p) p) x)"),
+                                   Capture, Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(Ctx, parseT(Ctx, "((lam (p) x) x)"),
+                                    Capture, Scratch));
+  for (const char *Src : {"(lam (p q) q)", "(lam (p q) p)", "(f f)", "(f g)",
+                          "((lam (p) p) x)", "((lam (p) x) x)"}) {
+    const Expr *Q = parseT(Ctx, Src);
+    for (const std::string *Blob : {&Nested, &Free, &Capture})
+      EXPECT_EQ(verifyCandidateBytes(Ctx, Q, *Blob, Scratch),
+                decodeThenOracle(Ctx, Q, *Blob))
+          << Src;
+  }
+}
+
+TEST(VerifyCandidateBytes, MalformedCandidatesAreRefuted) {
+  ExprContext Ctx;
+  const Expr *Q =
+      uniquifyBinders(Ctx, parseT(Ctx, "(let (k 7) (lam (x y) (f x k y)))"));
+  const std::string Good = serializeExpr(Ctx, Q);
+  DecodeScratch Scratch;
+  ASSERT_TRUE(verifyCandidateBytes(Ctx, Q, Good, Scratch));
+
+  std::vector<std::pair<std::string, std::string>> Bad;
+  for (size_t Len = 0; Len != Good.size(); ++Len)
+    Bad.push_back({"truncated to " + std::to_string(Len), Good.substr(0, Len)});
+  Bad.push_back({"trailing byte", Good + '\0'});
+  Bad.push_back({"empty view", std::string()});
+  // Out-of-range id and bad tag, on a blob whose only other defect they
+  // are: (lam 0 (var 0)) with one name.
+  Bad.push_back({"out-of-range id", handBlob({"x"}, {TagLam, 0, TagVar, 1})});
+  Bad.push_back(
+      {"out-of-range binder", handBlob({"x"}, {TagLam, 3, TagVar, 0})});
+  Bad.push_back({"bad tag", handBlob({"x"}, {TagLam, 0, 0x7F})});
+  Bad.push_back({"over-long varint",
+                 handBlob({"x"}, {TagLam, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                  0x80, 0x80, 0x80, 0x80, TagVar, 0})});
+  Bad.push_back({"truncated constant", handBlob({}, {TagConst, 0x80})});
+  Bad.push_back({"name count past the end", handBlob({}, {}) + "\x7F"});
+  for (const auto &[What, Bytes] : Bad) {
+    ExprContext D;
+    EXPECT_FALSE(deserializeExpr(D, Bytes).ok()) << What;
+    EXPECT_FALSE(verifyCandidateBytes(Ctx, Q, Bytes, Scratch)) << What;
+  }
+  // The same malformed ids refute against a query they would otherwise
+  // match: (lam (p) p) vs lam 0 (var 1) with one name.
+  const Expr *Id = parseT(Ctx, "(lam (p) p)");
+  EXPECT_TRUE(verifyCandidateBytes(
+      Ctx, Id, handBlob({"x"}, {TagLam, 0, TagVar, 0}), Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(
+      Ctx, Id, handBlob({"x"}, {TagLam, 0, TagVar, 1}), Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(
+      Ctx, Id, handBlob({"x"}, {TagLam, 0, TagVar, 0, TagVar}), Scratch));
 }

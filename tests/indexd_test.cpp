@@ -48,9 +48,14 @@
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <mutex>
+#include <string>
 #include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -179,7 +184,7 @@ TEST(GenerationSwap, ConcurrentReadersNeverSeeWrongAnswersAcross100Swaps) {
         ExprContext Ctx;
         DeserializeResult D = deserializeExpr(Ctx, Blob);
         ASSERT_TRUE(D.ok());
-        auto Hit = Gen->lookup(Ctx, D.E, Hasher, Scratch);
+        auto Hit = Gen->lookup(Ctx, D, Hasher, Scratch);
         const auto &Want = Expect[I % Corpus.size()];
         if (!Hit || !Want || Hit->Hash != Want->Hash ||
             Hit->Count != Want->Count ||
@@ -223,6 +228,43 @@ TEST(GenerationSwap, ConcurrentReadersNeverSeeWrongAnswersAcross100Swaps) {
 
   std::remove(PathA.c_str());
   std::remove(PathB.c_str());
+}
+
+TEST(GenerationSwap, ConcurrentLoadsEachReportTheirOwnNumber) {
+  // load() must read the number it published while it holds the cell
+  // lock: once the lock drops, a racing load may replace and free that
+  // generation (ThreadSanitizer reports the race). Every outcome must
+  // name exactly the number it published.
+  std::vector<std::string> Corpus = makeCorpus(10, 78);
+  const std::string Path = "indexd_test_gen_race.hmai";
+  writeIndexFileFor(Corpus, Path);
+
+  GenerationCell Cell;
+  constexpr int Loaders = 4, LoadsEach = 25;
+  std::mutex Mu;
+  std::vector<uint64_t> Numbers;
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != Loaders; ++T)
+    Threads.emplace_back([&] {
+      for (int I = 0; I != LoadsEach; ++I) {
+        LoadOutcome R = Cell.load(Path);
+        ASSERT_TRUE(R.Ok) << R.Message;
+        EXPECT_EQ(R.Message.find("serving generation " +
+                                 std::to_string(R.Number) + ":"),
+                  0u)
+            << R.Message;
+        std::lock_guard<std::mutex> Lock(Mu);
+        Numbers.push_back(R.Number);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  std::sort(Numbers.begin(), Numbers.end());
+  ASSERT_EQ(Numbers.size(), size_t(Loaders * LoadsEach));
+  for (size_t I = 0; I != Numbers.size(); ++I)
+    EXPECT_EQ(Numbers[I], 1 + I);
+  EXPECT_EQ(Cell.currentNumber(), uint64_t(Loaders * LoadsEach));
+  std::remove(Path.c_str());
 }
 
 TEST(GenerationSwap, PinnedReferenceOutlivesCellAndSwaps) {
@@ -475,6 +517,8 @@ TEST(Indexd, ConcurrentReloadHammerStaysLinearizable) {
   constexpr int Hammers = 4;
   constexpr int ReloadsEach = 10;
   std::atomic<int> Admitted{0};
+  std::mutex NumbersMu;
+  std::vector<uint64_t> Numbers; // as each reload's reply reported it
   std::vector<std::thread> Threads;
   for (int T = 0; T != Hammers; ++T) {
     Threads.emplace_back([&] {
@@ -482,8 +526,13 @@ TEST(Indexd, ConcurrentReloadHammerStaysLinearizable) {
       std::string Error;
       for (int I = 0; I != ReloadsEach; ++I) {
         Reply R;
-        if (C.reload("", R, &Error) && R.ok())
+        if (C.reload("", R, &Error) && R.ok()) {
           Admitted.fetch_add(1);
+          std::lock_guard<std::mutex> Lock(NumbersMu);
+          Numbers.push_back(std::strtoull(
+              R.Body.c_str() + std::strlen("serving generation "), nullptr,
+              10));
+        }
       }
     });
   }
@@ -510,6 +559,13 @@ TEST(Indexd, ConcurrentReloadHammerStaysLinearizable) {
   // is exactly initial + admitted, monotonic throughout.
   EXPECT_EQ(D.Srv.generations().currentNumber(),
             1u + static_cast<uint64_t>(Admitted.load()));
+  // Each reload reports the number it published -- read under that lock,
+  // never from a generation a racing reload may already have freed -- so
+  // the replies name 2..1+admitted exactly once each.
+  std::sort(Numbers.begin(), Numbers.end());
+  ASSERT_EQ(Numbers.size(), static_cast<size_t>(Admitted.load()));
+  for (size_t I = 0; I != Numbers.size(); ++I)
+    EXPECT_EQ(Numbers[I], 2 + I);
 
   std::remove(Path.c_str());
 }

@@ -230,7 +230,7 @@ TEST(MappedIndex16, ForcedCollisionsResolveIdenticallyToTheLoadedReader) {
 // The zero-copy claims themselves
 //===----------------------------------------------------------------------===//
 
-TEST(MappedIndex, ResultsViewTheImageAndBatchReadsReuseScratch) {
+TEST(MappedIndex, ResultsViewTheImageAndBatchReadsVerifyOncePerHit) {
   AlphaHashIndex<> Live;
   std::vector<std::string> Corpus = dupCorpus(50, 11);
   Live.insertBatch(Corpus, 1);
@@ -252,18 +252,20 @@ TEST(MappedIndex, ResultsViewTheImageAndBatchReadsReuseScratch) {
   EXPECT_LE(Data + Hit->CanonicalBytes.size(),
             ImageView.data() + ImageView.size());
 
-  // Batch reads: one decode per fallback check, scratch contexts created
-  // once per worker (not per decode), and zero steady-state pool
+  // Batch reads: one exact verify per hit, and zero steady-state pool
   // allocations once each worker is past its first chunk.
   MappedIndex<Hash128>::ReadBatchStats BS;
+  const uint64_t ChecksBefore = Mapped.Reader->stats().FallbackChecks;
   auto Results = Mapped.Reader->lookupBatch(Corpus, /*Threads=*/1, &BS);
   uint64_t Hits = 0;
   for (const auto &R : Results)
     Hits += R.has_value();
   EXPECT_EQ(Hits, Corpus.size()); // every member is present
   EXPECT_EQ(BS.Hits, Hits);
-  EXPECT_EQ(BS.Decodes, Hits); // b=128: exactly one candidate per probe
-  EXPECT_LE(BS.Recycles, 1u);  // one scratch context for the whole batch
+  // b=128: exactly one candidate per probe, none refuted.
+  EXPECT_EQ(Mapped.Reader->stats().FallbackChecks - ChecksBefore, Hits);
+  EXPECT_EQ(Mapped.Reader->stats().VerifiedCollisions,
+            Live.stats().VerifiedCollisions);
   EXPECT_EQ(BS.SteadyPoolNodesAllocated, 0u)
       << "hashing in steady state must not allocate";
   // (PoolNodesAllocated may legitimately be 0: the adaptive small-map

@@ -10,6 +10,8 @@
 
 #include "ast/AlphaEquivalence.h"
 #include "ast/Printer.h"
+#include "ast/Traversal.h"
+#include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
 #include "gen/MLModels.h"
 #include "gen/RandomExpr.h"
@@ -127,4 +129,98 @@ TEST(Serialize, BadNameReferenceRejected) {
   DeserializeResult R = deserializeExpr(Ctx, Bytes);
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.Error.find("name"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The decoder's distinct-binder flag
+//===----------------------------------------------------------------------===//
+
+TEST(SerializeDistinctBinders, FlagMatchesPropertyOnShadowHeavyTerms) {
+  // Terms over 2-6 names with Lam and Let binders that repeat, shadow and
+  // clash with free uses; a quarter are uniquified so both outcomes are
+  // common. For serializer output the flag must equal the property: set
+  // only when it holds (sound) and whenever it holds (complete). Blobs
+  // are decoded both into a fresh context and into one shared context
+  // that already interned every pool name (the batch-chunk situation).
+  Rng R(2024);
+  ExprContext Shared;
+  uint64_t Distinct = 0, Shadowed = 0;
+  for (unsigned I = 0; I != 20000; ++I) {
+    ExprContext Ctx;
+    const unsigned Pool = 2 + static_cast<unsigned>(R.below(5));
+    const Expr *E =
+        genShadowHeavy(Ctx, R, 1 + static_cast<unsigned>(R.below(24)), Pool);
+    if (I % 4 == 0)
+      E = uniquifyBinders(Ctx, E);
+    const bool Has = hasDistinctBinders(Ctx, E);
+    const std::string Bytes = serializeExpr(Ctx, E);
+    for (ExprContext *Into : {static_cast<ExprContext *>(nullptr), &Shared}) {
+      ExprContext Fresh;
+      ExprContext &Out = Into ? *Into : Fresh;
+      DeserializeResult D = deserializeExpr(Out, Bytes);
+      ASSERT_TRUE(D.ok()) << D.Error;
+      if (D.DistinctBinders) {
+        ASSERT_TRUE(hasDistinctBinders(Out, D.E)) << printExpr(Out, D.E);
+      }
+      ASSERT_EQ(D.DistinctBinders, Has) << printExpr(Ctx, E);
+    }
+    (Has ? Distinct : Shadowed) += 1;
+  }
+  EXPECT_GT(Distinct, 5000u);
+  EXPECT_GT(Shadowed, 5000u);
+}
+
+TEST(SerializeDistinctBinders, HandPickedShapes) {
+  struct Case {
+    const char *Src;
+    bool Flag;
+  };
+  const Case Cases[] = {
+      {"(lam (x y) (x y))", true},
+      {"(f (lam (x) x))", true},
+      {"(lam (x) (lam (x) x))", false},       // repeated binder
+      {"(f (lam (x) x) (lam (x) x))", false}, // repeated in siblings
+      {"(f x (lam (x) x))", false},           // free use, then binder
+      {"(f (lam (x) x) x)", false},           // binder, then free use
+      {"(let (x x) x)", false},               // use in its own bound
+      {"(let (x 1) (f x))", true},
+      {"(let (x (lam (y) y)) (x y))", false}, // y free after its scope
+  };
+  for (const Case &C : Cases) {
+    ExprContext Ctx;
+    DeserializeResult D =
+        deserializeExpr(Ctx, serializeExpr(Ctx, parseT(Ctx, C.Src)));
+    ASSERT_TRUE(D.ok()) << C.Src;
+    EXPECT_EQ(D.DistinctBinders, C.Flag) << C.Src;
+  }
+}
+
+TEST(SerializeDistinctBinders, RepeatedSpellingLeavesFlagUnset) {
+  // Names {a, a}: both local ids intern to one name, so `lam 0 (var 1)`
+  // decodes to (lam (a) a) -- distinct binders, yet the flag is unset:
+  // unset means "unknown", and a repeated spelling is never proven.
+  const std::string Blob = handBlob({"a", "a"}, {TagLam, 0, TagVar, 1});
+  for (bool Preinterned : {false, true}) {
+    ExprContext Ctx;
+    if (Preinterned)
+      Ctx.name("a");
+    DeserializeResult D = deserializeExpr(Ctx, Blob);
+    ASSERT_TRUE(D.ok()) << D.Error;
+    EXPECT_EQ(printExpr(Ctx, D.E), printExpr(Ctx, parseT(Ctx, "(lam (a) a)")));
+    EXPECT_TRUE(hasDistinctBinders(Ctx, D.E));
+    EXPECT_FALSE(D.DistinctBinders);
+  }
+  // Distinct spellings that were already interned keep the flag.
+  ExprContext Ctx;
+  Ctx.name("b");
+  Ctx.name("a");
+  DeserializeResult D = deserializeExpr(
+      Ctx, handBlob({"a", "b"}, {TagApp, TagLam, 0, TagVar, 0, TagLet, 1,
+                                 TagVar, 0, TagVar, 1}));
+  ASSERT_TRUE(D.ok()) << D.Error;
+  EXPECT_FALSE(D.DistinctBinders) << "a is used free after its lam";
+  D = deserializeExpr(Ctx, handBlob({"a", "b"}, {TagLam, 0, TagLet, 1, TagVar,
+                                                 0, TagVar, 1}));
+  ASSERT_TRUE(D.ok()) << D.Error;
+  EXPECT_TRUE(D.DistinctBinders);
 }
