@@ -9,7 +9,6 @@
 
 #include "ast/Traversal.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -81,177 +80,104 @@ std::string hma::serializeExpr(const ExprContext &Ctx, const Expr *Root) {
   return Out;
 }
 
+bool serial::firstSpellings(const std::vector<std::string_view> &Spellings,
+                            std::vector<uint32_t> &Canon,
+                            std::vector<uint32_t> &Slots) {
+  constexpr uint32_t EmptySlot = ~0u;
+  const uint32_t Count = static_cast<uint32_t>(Spellings.size());
+  Canon.resize(Count);
+  for (uint32_t I = 0; I != Count; ++I)
+    Canon[I] = I;
+  if (Count < 2)
+    return true;
+  // Open addressing over the spellings, at most half full: FNV-1a, then
+  // the top bits of a Fibonacci multiply pick the home slot.
+  unsigned Bits = 1;
+  while ((uint64_t(1) << Bits) < 2 * uint64_t(Count))
+    ++Bits;
+  Slots.assign(size_t(1) << Bits, EmptySlot);
+  const size_t Mask = Slots.size() - 1;
+  bool Distinct = true;
+  for (uint32_t I = 0; I != Count; ++I) {
+    uint64_t H = 0xcbf29ce484222325ull;
+    for (char C : Spellings[I]) {
+      H ^= static_cast<uint8_t>(C);
+      H *= 0x100000001b3ull;
+    }
+    for (size_t Slot = (H * 0x9E3779B97F4A7C15ull) >> (64 - Bits);;
+         Slot = (Slot + 1) & Mask) {
+      if (Slots[Slot] == EmptySlot) {
+        Slots[Slot] = I;
+        break;
+      }
+      if (Spellings[Slots[Slot]] == Spellings[I]) {
+        Canon[I] = Slots[Slot];
+        Distinct = false;
+        break;
+      }
+    }
+  }
+  return Distinct;
+}
+
 DeserializeResult hma::deserializeExpr(ExprContext &Ctx,
                                        std::string_view Bytes) {
+  serial::Reader In(Bytes);
   auto Fail = [&](const char *Message, size_t Pos) {
     DeserializeResult R;
     R.Error = std::string(Message) + " at byte " + std::to_string(Pos);
     return R;
   };
 
-  serial::Reader In(Bytes);
   if (!In.getMagic())
     return Fail("bad magic", 0);
-
-  uint64_t NameCount;
-  if (!In.getNameCount(NameCount))
+  std::vector<std::string_view> Spellings;
+  if (!serial::getNameTable(In, Spellings))
     return Fail("corrupt name table", In.position());
+  serial::BinderProof Proof;
+  Proof.reset(Spellings);
+  std::vector<Name> Names;
+  Names.reserve(Spellings.size());
+  for (std::string_view S : Spellings)
+    Names.push_back(Ctx.name(S));
 
-  // Distinct-binder proof, part one: no spelling repeats in the table.
-  // A name the interner creates here cannot repeat an earlier entry; a
-  // name it already held repeats one iff it was created by this table or
-  // appears twice among the table's pre-existing names.
-  //
-  // Part two, on the preorder walk, tracks each local id's binder state:
-  // a binder must find its id Unseen; a Var may name an Unseen or Free id
-  // (a free variable) or an id whose binder is in scope. Anything else
-  // -- a repeated binder, a binder after a free use, a use in a let's
-  // bound expression or after the scope closed -- clears the flag.
-  enum BinderState : uint8_t { Unseen, Free, Pending, InScope, Closed };
-  struct LocalName {
-    Name N;
-    uint8_t State;
-  };
-  bool Distinct = true;
-  const Name FirstNew = static_cast<Name>(Ctx.names().size());
-  std::vector<LocalName> Names;
-  std::vector<Name> Existing;
-  Names.reserve(NameCount);
-  for (uint64_t I = 0; I != NameCount; ++I) {
-    std::string_view Spelling;
-    if (!In.getSpelling(Spelling))
-      return Fail("truncated name table", In.position());
-    const size_t Before = Ctx.names().size();
-    Name N = Ctx.name(Spelling);
-    if (Ctx.names().size() == Before) {
-      if (N >= FirstNew)
-        Distinct = false;
-      else
-        Existing.push_back(N);
+  // Leaves push a node; a finished interior node pops its children and
+  // pushes itself, so the stack ends holding exactly the root.
+  struct Builder {
+    ExprContext &Ctx;
+    const std::vector<Name> &Names;
+    std::vector<const Expr *> Values;
+
+    bool var(uint32_t Id) {
+      Values.push_back(Ctx.var(Names[Id]));
+      return true;
     }
-    Names.push_back({N, Unseen});
-  }
-  if (Distinct && Existing.size() > 1) {
-    std::sort(Existing.begin(), Existing.end());
-    Distinct = std::adjacent_find(Existing.begin(), Existing.end()) ==
-               Existing.end();
-  }
-
-  auto bindAt = [&](uint64_t Id, uint8_t Next) {
-    uint8_t &S = Names[Id].State;
-    if (S != Unseen)
-      Distinct = false;
-    else
-      S = Next;
-  };
-  auto useAt = [&](uint64_t Id) {
-    uint8_t &S = Names[Id].State;
-    if (S == Unseen)
-      S = Free;
-    else if (S == Pending || S == Closed)
-      Distinct = false;
-  };
-
-  // Iterative preorder reconstruction: frames collect children until
-  // full, then fold upward.
-  struct Frame {
-    ExprKind K;
-    Name N;
-    int64_t CVal;
-    uint64_t Id; ///< Local id of the name or binder.
-    unsigned Need;
-    unsigned Got;
-    const Expr *Child[2];
-  };
-  std::vector<Frame> Stack;
-  const Expr *Completed = nullptr;
-
-  auto readName = [&](Frame &F) {
-    if (!In.getVarint(F.Id) || F.Id >= Names.size())
-      return false;
-    F.N = Names[F.Id].N;
-    return true;
-  };
-
-  do {
-    uint8_t Tag;
-    if (!In.getByte(Tag))
-      return Fail("truncated body", In.position());
-    if (Tag > static_cast<uint8_t>(ExprKind::Const))
-      return Fail("invalid node tag", In.position() - 1);
-
-    Frame F{static_cast<ExprKind>(Tag), InvalidName, 0, 0, 0, 0, {}};
-    switch (F.K) {
-    case ExprKind::Var:
-      if (!readName(F))
-        return Fail("bad name reference", In.position());
-      useAt(F.Id);
-      break;
-    case ExprKind::Const:
-      if (!In.getZigzag(F.CVal))
-        return Fail("truncated constant", In.position());
-      break;
-    case ExprKind::Lam:
-      if (!readName(F))
-        return Fail("bad binder reference", In.position());
-      bindAt(F.Id, InScope);
-      F.Need = 1;
-      break;
-    case ExprKind::App:
-      F.Need = 2;
-      break;
-    case ExprKind::Let:
-      if (!readName(F))
-        return Fail("bad binder reference", In.position());
-      bindAt(F.Id, Pending); // in scope once the bound expression is done
-      F.Need = 2;
-      break;
+    bool constant(int64_t V) {
+      Values.push_back(Ctx.intConst(V));
+      return true;
     }
-
-    if (F.Need != 0) {
-      Stack.push_back(F);
-      continue;
-    }
-    // Leaf: build and fold into pending frames.
-    const Expr *Node = F.K == ExprKind::Var ? Ctx.var(F.N)
-                                            : Ctx.intConst(F.CVal);
-    for (;;) {
-      if (Stack.empty()) {
-        Completed = Node;
-        break;
+    bool open(const serial::WalkFrame &) { return true; }
+    void letBody(const serial::WalkFrame &) {}
+    bool close(const serial::WalkFrame &F, uint64_t) {
+      const Expr *Last = Values.back();
+      if (F.Kind == ExprKind::Lam) {
+        Values.back() = Ctx.lam(Names[F.Id], Last);
+        return true;
       }
-      Frame &Top = Stack.back();
-      Top.Child[Top.Got++] = Node;
-      if (Top.Got < Top.Need) {
-        if (Top.K == ExprKind::Let)
-          Names[Top.Id].State = InScope;
-        Node = nullptr;
-        break;
-      }
-      switch (Top.K) {
-      case ExprKind::Lam:
-        Node = Ctx.lam(Top.N, Top.Child[0]);
-        break;
-      case ExprKind::App:
-        Node = Ctx.app(Top.Child[0], Top.Child[1]);
-        break;
-      case ExprKind::Let:
-        Node = Ctx.let(Top.N, Top.Child[0], Top.Child[1]);
-        break;
-      case ExprKind::Var:
-      case ExprKind::Const:
-        return Fail("internal: leaf frame on stack", In.position());
-      }
-      if (Top.K != ExprKind::App)
-        Names[Top.Id].State = Closed;
-      Stack.pop_back();
+      Values.pop_back();
+      const Expr *First = Values.back();
+      Values.back() = F.Kind == ExprKind::App
+                          ? Ctx.app(First, Last)
+                          : Ctx.let(Names[F.Id], First, Last);
+      return true;
     }
-  } while (!Completed);
-
-  if (!In.atEnd())
-    return Fail("trailing bytes after expression", In.position());
+  } B{Ctx, Names, {}};
+  std::vector<serial::WalkFrame> Stack;
+  if (const char *Error =
+          serial::walkBody(In, Spellings.size(), Stack, &Proof, B))
+    return Fail(Error, In.position());
   DeserializeResult R;
-  R.E = Completed;
-  R.DistinctBinders = Distinct;
+  R.E = B.Values.back();
+  R.DistinctBinders = Proof.holds();
   return R;
 }

@@ -25,6 +25,21 @@
 /// Decoding is defensive: truncated or corrupt input yields an error,
 /// never UB.
 ///
+/// Readers that do not build an \ref Expr share the decoder's parsing
+/// and its judgements through the `serial` helpers below:
+///
+///  - \ref serial::walkBody is the one preorder walk of a body: it
+///    checks every byte, keeps the frame stack, counts subtree sizes and
+///    hands each node to a visitor. The decoder, the alpha-hasher's byte
+///    driver (core/AlphaHasher.h) and the index's exact verifier
+///    (index/ShardStore.h) are all visitors of it.
+///  - \ref serial::BinderProof is the one statement of the
+///    distinct-binder proof behind \ref DeserializeResult::DistinctBinders.
+///    The decoder reports it; the byte driver hashes a blob only when it
+///    holds, so the two cannot disagree on which blobs are proven.
+///  - \ref serial::firstSpellings merges repeated name-table spellings
+///    exactly as the decoder's interning does.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HMA_AST_SERIALIZE_H
@@ -35,6 +50,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace hma {
 
@@ -47,12 +63,13 @@ struct DeserializeResult {
   std::string Error; ///< Empty on success.
   /// Set only when the decoded term provably has \ref hasDistinctBinders'
   /// property: no binder is repeated, no binder name occurs free, and no
-  /// spelling is repeated in the name table. The decoder learns this on
-  /// its preorder walk at no extra pass, so a set flag lets a caller skip
-  /// \ref uniquifyBinders. The meaning is conservative: unset means
-  /// "unknown", not "shadowed" (a repeated but unused spelling, for
-  /// instance, leaves it unset). Every term the serializer writes from a
-  /// distinct-binder expression decodes with the flag set (tested).
+  /// spelling is repeated in the name table (\ref serial::BinderProof).
+  /// The decoder learns this on its preorder walk at no extra pass, so a
+  /// set flag lets a caller skip \ref uniquifyBinders. The meaning is
+  /// conservative: unset means "unknown", not "shadowed" (a repeated but
+  /// unused spelling, for instance, leaves it unset). Every term the
+  /// serializer writes from a distinct-binder expression decodes with the
+  /// flag set (tested).
   bool DistinctBinders = false;
 
   bool ok() const { return E != nullptr; }
@@ -121,9 +138,11 @@ public:
   }
 
   /// Read the name-table count. A count above the input size is rejected
-  /// (each entry takes at least one byte).
+  /// (each entry takes at least one byte), and so is one that would not
+  /// fit a 32-bit local id.
   bool getNameCount(uint64_t &NameCount) {
-    return getVarint(NameCount) && NameCount <= Bytes.size();
+    return getVarint(NameCount) && NameCount <= Bytes.size() &&
+           NameCount <= UINT32_MAX;
   }
 
   /// Read one length-prefixed name-table spelling.
@@ -136,6 +155,185 @@ private:
   std::string_view Bytes;
   size_t Pos = 0;
 };
+
+/// Read the name table that follows the magic: the count and every
+/// spelling, into \p Spellings (cleared first; views into the input).
+/// False on any malformed byte.
+inline bool getNameTable(Reader &In, std::vector<std::string_view> &Spellings) {
+  uint64_t NameCount;
+  if (!In.getNameCount(NameCount))
+    return false;
+  Spellings.clear();
+  for (uint64_t I = 0; I != NameCount; ++I) {
+    std::string_view S;
+    if (!In.getSpelling(S))
+      return false;
+    Spellings.push_back(S);
+  }
+  return true;
+}
+
+/// Map every name-table entry to the first entry with the same spelling,
+/// as the decoder's interning merges them: afterwards Canon[I] == I
+/// exactly for first occurrences. Returns true iff no spelling repeats.
+/// \p Slots is scratch, reused across calls.
+bool firstSpellings(const std::vector<std::string_view> &Spellings,
+                    std::vector<uint32_t> &Canon, std::vector<uint32_t> &Slots);
+
+/// The distinct-binder proof (paper Section 2.2), written once for every
+/// reader that needs it. A blob is proven to have \ref
+/// hasDistinctBinders' property when
+///
+///  - no spelling repeats in its name table, and
+///  - on the preorder walk, every local id's binder state obeys these
+///    rules: a binder must find its id Unseen; a Var may name an Unseen
+///    or Free id (a free variable) or an id whose binder is in scope.
+///    Anything else -- a repeated binder, a binder after a free use, a use
+///    in a let's bound expression or after the scope closed -- refutes.
+///
+/// The proof is conservative: refuted means "unknown", not "shadowed" (a
+/// repeated but unused spelling, for instance, refutes a term that has
+/// the property). \ref walkBody drives the per-node rules; its callers
+/// only \ref reset the proof and read \ref holds.
+class BinderProof {
+public:
+  /// Start a proof over a name table; a repeated spelling refutes at once.
+  void reset(const std::vector<std::string_view> &Spellings) {
+    States.assign(Spellings.size(), Unseen);
+    Holds = firstSpellings(Spellings, Canon, Slots);
+  }
+
+  bool holds() const { return Holds; }
+
+  void use(uint32_t Id) {
+    uint8_t &S = States[Id];
+    if (S == Unseen)
+      S = Free;
+    else if (S == Pending || S == Closed)
+      Holds = false;
+  }
+  void lamBinder(uint32_t Id) { bind(Id, InScope); }
+  /// A let binder enters scope only once its bound expression is done.
+  void letBinder(uint32_t Id) { bind(Id, Pending); }
+  void letBody(uint32_t Id) { States[Id] = InScope; }
+  void scopeEnd(uint32_t Id) { States[Id] = Closed; }
+
+private:
+  enum : uint8_t { Unseen, Free, Pending, InScope, Closed };
+
+  void bind(uint32_t Id, uint8_t Next) {
+    uint8_t &S = States[Id];
+    if (S != Unseen)
+      Holds = false;
+    else
+      S = Next;
+  }
+
+  std::vector<uint8_t> States;
+  std::vector<uint32_t> Canon;
+  std::vector<uint32_t> Slots;
+  bool Holds = true;
+};
+
+/// An interior node the preorder walk has entered but not yet finished.
+struct WalkFrame {
+  ExprKind Kind;
+  uint8_t Got;    ///< Children finished so far.
+  uint32_t Id;    ///< Local id of a Lam or Let binder (0 for App).
+  uint64_t Start; ///< Preorder index of the node (the root is 0).
+};
+
+/// What \ref walkBody returns when a visitor callback declined.
+inline constexpr const char *VisitorDeclined = "declined by the reader";
+
+/// Walk the body of a serialized expression -- everything after the name
+/// table of \p NameCount entries -- in preorder, checking every byte.
+/// \p V receives, in stream order:
+///
+///   bool var(uint32_t Id)          a Var leaf naming local id Id
+///   bool constant(int64_t Value)   a Const leaf
+///   bool open(const WalkFrame &F)  a Lam, App or Let, before its children
+///   void letBody(const WalkFrame &F)  a Let's bound expression is done
+///   bool close(const WalkFrame &F, uint64_t Size)
+///                                  all of F's children are done; Size
+///                                  counts the nodes of F's subtree
+///
+/// A callback returning false stops the walk. \p Proof, when non-null,
+/// sees every binder and use before the visitor does. Returns nullptr
+/// when the body is well formed and ends exactly at the end of the
+/// input, \ref VisitorDeclined when a callback stopped the walk, and a
+/// message naming the defect otherwise. Iterative: nesting depth is
+/// bounded by \p Stack, not the call stack.
+template <typename Visitor>
+const char *walkBody(Reader &In, uint64_t NameCount,
+                     std::vector<WalkFrame> &Stack, BinderProof *Proof,
+                     Visitor &V) {
+  Stack.clear();
+  uint64_t Nodes = 0;
+  for (;;) {
+    uint8_t Tag;
+    if (!In.getByte(Tag))
+      return "truncated body";
+    if (Tag > static_cast<uint8_t>(ExprKind::Const))
+      return "invalid node tag";
+    const ExprKind K = static_cast<ExprKind>(Tag);
+    const uint64_t Pos = Nodes++;
+    uint64_t Id = 0;
+    if (K == ExprKind::Var || K == ExprKind::Lam || K == ExprKind::Let) {
+      if (!In.getVarint(Id) || Id >= NameCount)
+        return K == ExprKind::Var ? "bad name reference"
+                                  : "bad binder reference";
+    }
+    switch (K) {
+    case ExprKind::Var:
+      if (Proof)
+        Proof->use(static_cast<uint32_t>(Id));
+      if (!V.var(static_cast<uint32_t>(Id)))
+        return VisitorDeclined;
+      break;
+    case ExprKind::Const: {
+      int64_t Value;
+      if (!In.getZigzag(Value))
+        return "truncated constant";
+      if (!V.constant(Value))
+        return VisitorDeclined;
+      break;
+    }
+    case ExprKind::Lam:
+    case ExprKind::App:
+    case ExprKind::Let:
+      if (Proof && K == ExprKind::Lam)
+        Proof->lamBinder(static_cast<uint32_t>(Id));
+      else if (Proof && K == ExprKind::Let)
+        Proof->letBinder(static_cast<uint32_t>(Id));
+      Stack.push_back({K, 0, static_cast<uint32_t>(Id), Pos});
+      if (!V.open(Stack.back()))
+        return VisitorDeclined;
+      continue;
+    }
+    // A leaf is done: finish every frame it completes.
+    for (;;) {
+      if (Stack.empty())
+        return In.atEnd() ? nullptr : "trailing bytes after expression";
+      WalkFrame &Top = Stack.back();
+      ++Top.Got;
+      if (Top.Got == 1 && Top.Kind != ExprKind::Lam) {
+        if (Top.Kind == ExprKind::Let) {
+          if (Proof)
+            Proof->letBody(Top.Id);
+          V.letBody(Top);
+        }
+        break;
+      }
+      const WalkFrame F = Top;
+      Stack.pop_back();
+      if (Proof && F.Kind != ExprKind::App)
+        Proof->scopeEnd(F.Id);
+      if (!V.close(F, Nodes - F.Start))
+        return VisitorDeclined;
+    }
+  }
+}
 
 } // namespace serial
 

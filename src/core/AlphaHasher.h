@@ -40,15 +40,44 @@
 ///  - \ref AvlVarMapPolicy: the paper's plain balanced-tree maps, kept
 ///    for ablation benchmarks (bench/hash_throughput.cpp).
 ///
+/// **One fold kernel, two drivers.** The paper's hash is one bottom-up
+/// fold. Per node it needs only the kind, the binder or variable key,
+/// the subtree size and the hash of a name's spelling, so the five
+/// per-node cases are written once, as step functions over a value
+/// stack, keyed by a name key and a subtree size. Two drivers feed them:
+///
+///  - the *Expr driver* (\ref hashAll, \ref hashAllInto, \ref hashRoot)
+///    walks an \ref Expr tree in postorder; keys are the context's
+///    interned names;
+///  - the *byte driver* (\ref hashSerialized) walks an `ast/Serialize`
+///    blob's preorder stream with \ref serial::walkBody, which closes
+///    each interior node once its children are done (postorder again) and
+///    counts its size. Keys are the blob's local name ids, and each
+///    name-table spelling is hashed once per call. Nothing is decoded: no
+///    \ref ExprContext, no interning, no \ref Expr nodes.
+///
+/// Both produce bit-identical hashes for the same term. Both compute the
+/// top-level summary pair only where it is observed: at every node when
+/// \ref hashAll asks for per-node output, otherwise at the root only.
+///
 /// A hasher owns reusable scratch -- the map-node pool, the postorder
-/// worklist and the value stack persist across calls -- so a long-lived
-/// hasher reaches a steady state where hashing an expression performs
-/// *zero* heap allocations (see poolAllocatedNodes()). Batch ingest
-/// pipelines hold one hasher per worker thread and \ref rebind it as
-/// their expression contexts are recycled.
+/// worklist, the value stack and the byte driver's name table and frame
+/// stack persist across calls -- so a long-lived hasher reaches a steady
+/// state where hashing an expression performs *zero* heap allocations
+/// (see poolAllocatedNodes()). Batch ingest pipelines hold one hasher
+/// per worker thread and \ref rebind it as their expression contexts are
+/// recycled.
 ///
 /// Precondition (Section 2.2): every binder in the input is distinct.
-/// Establish it with \ref uniquifyBinders; debug builds assert it.
+/// Where it is established differs by driver:
+///
+///  - the Expr driver trusts its caller (\ref uniquifyBinders, or a
+///    decoder that set \ref DeserializeResult::DistinctBinders); debug
+///    builds assert \ref hasDistinctBinders on every root;
+///  - the byte driver proves it itself, with the decoder's own rules
+///    (\ref serial::BinderProof), and fails on any blob it cannot prove
+///    -- or that is malformed -- instead of hashing it. Debug builds
+///    cross-check every byte-driver result against decode + Expr driver.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,12 +86,15 @@
 
 #include "adt/SmallVarMap.h"
 #include "ast/Expr.h"
+#include "ast/Serialize.h"
 #include "ast/Traversal.h"
+#include "ast/Uniquify.h"
 #include "obs/Metrics.h"
 #include "support/HashSchema.h"
 
 #include <cassert>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 namespace hma {
@@ -87,7 +119,11 @@ public:
   /// hasher is \ref rebind -ed to another context).
   explicit AlphaHasher(const ExprContext &Ctx,
                        const HashSchema &Schema = HashSchema())
-      : Ctx(&Ctx), CtxEpoch(Ctx.epoch()), Schema(Schema) {}
+      : Ctx(&Ctx), CtxEpoch(Ctx.epoch()), Schema(Schema),
+        HereHash(this->Schema.template combineWords<H>(CombinerTag::PosHere,
+                                                       0)),
+        VarStruct(this->Schema.template combineWords<H>(
+            CombinerTag::StructVar, 1)) {} // |d| salt
 
   /// Point the hasher at a different context, keeping the reusable
   /// scratch (map-node pool, worklist, value stack) warm. The per-name
@@ -138,6 +174,23 @@ public:
   /// Hash \p Root only (same pass, no per-node output vector).
   H hashRoot(const Expr *Root) { return run(Root, nullptr); }
 
+  /// The byte driver: hash the term serialized in \p Bytes
+  /// (`ast/Serialize` format) without decoding it. Equal to \ref hashRoot
+  /// of the decoded term, bit for bit. Fails (std::nullopt) unless the
+  /// blob is well-formed *and* \ref serial::BinderProof proves its
+  /// binders distinct -- exactly when \ref deserializeExpr would set
+  /// \ref DeserializeResult::DistinctBinders. Callers canonicalize a
+  /// blob that fails (decode, \ref uniquifyBinders, re-serialize) and
+  /// hash the result; a malformed blob fails that decode too. Independent
+  /// of the bound context.
+  std::optional<H> hashSerialized(std::string_view Bytes) {
+    std::optional<H> Hash = runSerialized(Bytes);
+#ifndef NDEBUG
+    crossCheckSerialized(Bytes, Hash);
+#endif
+    return Hash;
+  }
+
   /// Counters accumulated over all calls since construction/reset.
   const AlphaHashStats &stats() const { return Stats; }
   void resetStats() { Stats = AlphaHashStats(); }
@@ -165,12 +218,6 @@ public:
     return NameHashes[N];
   }
 
-  /// hash of a (variable, position-tree) pair -- `entryHash` of
-  /// Section 5.2.
-  H entryHash(Name V, H Pos) {
-    return Schema.combine<H>(CombinerTag::VarMapEntry, nameHash(V), Pos);
-  }
-
   const HashSchema &schema() const { return Schema; }
 
 private:
@@ -194,19 +241,40 @@ private:
     Entry(H Struct, Pool &P) : Struct(Struct), Vars(P) {}
   };
 
+  /// Name-key hashing of the Expr driver: keys are interned names,
+  /// their spelling hashes cached per context.
+  struct ContextNames {
+    AlphaHasher *A;
+    H operator()(Name N) const { return A->nameHash(N); }
+  };
+  /// Name-key hashing of the byte driver: keys are the blob's local ids,
+  /// their spelling hashes computed once per call.
+  struct LocalNames {
+    const H *Hashes;
+    H operator()(Name Id) const { return Hashes[Id]; }
+  };
+
   const ExprContext *Ctx;
   uint64_t CtxEpoch;
   HashSchema Schema;
+  H HereHash;  ///< mkPTHere, the position tree of a lone variable.
+  H VarStruct; ///< The structure of every Var leaf.
   AlphaHashStats Stats;
   std::vector<H> NameHashes;
   std::vector<uint8_t> NameHashValid;
 
   // Reusable scratch: the pool must outlive the value stack (entries
   // recycle their map nodes into it on destruction), so it is declared
-  // first. All three retain their capacity across run() calls.
+  // first. All of it retains its capacity across calls.
   Pool P;
   std::vector<Entry> Values;
   PostorderWorklist Work;
+  /// The byte driver's scratch: the blob's name table, the spelling hash
+  /// of each local id, the walk's frame stack and its binder proof.
+  std::vector<std::string_view> BlobSpellings;
+  std::vector<H> BlobNameHashes;
+  std::vector<serial::WalkFrame> BlobFrames;
+  serial::BinderProof BlobProof;
 
   /// Grow the name cache to cover \p N. Sized to the next power of two
   /// past both the interner's current size and N itself: names interned
@@ -223,92 +291,191 @@ private:
     NameHashValid.resize(Cap, false);
   }
 
+  /// The Expr driver: a postorder walk of \p Root feeding the kernel,
+  /// writing every node's hash into \p Out when it is non-null.
   H run(const Expr *Root, std::vector<H> *Out) {
     assert(Root && "nothing to hash");
     assert(hasDistinctBinders(*Ctx, Root) &&
            "hashing requires distinct binders; run uniquifyBinders first");
     assert(Values.empty() && "hasher is not reentrant");
 
-    const H HereHash = Schema.combineWords<H>(CombinerTag::PosHere, 0);
-    H NodeHash{};
-
+    const ContextNames Keys{this};
     Work.reset(Root);
     while (const Expr *E = Work.next()) {
-      // Every case below edits the value stack IN PLACE: a Lam rewrites
-      // the top slot, an App/Let folds the top slot into the one below
-      // and pops. Entries (which embed the inline small-map storage) are
-      // never shuffled through temporaries -- on small expressions the
-      // stack traffic, not the map operations, is the dominant cost.
       switch (E->kind()) {
-      case ExprKind::Var: {
-        // summariseExpr (Var v) = ESummary mkSVar (singletonVM v mkPTHere)
-        Entry &Slot = Values.emplace_back(
-            Schema.combineWords<H>(CombinerTag::StructVar, 1), // |d| salt
-            P);
-        Slot.Vars.M.set(E->varName(), HereHash);
-        Slot.Vars.Agg = entryHash(E->varName(), HereHash);
-        ++Stats.MapSingletons;
+      case ExprKind::Var:
+        stepVar(E->varName(), Keys);
+        break;
+      case ExprKind::Const:
+        stepConst(E->constValue());
+        break;
+      case ExprKind::Lam:
+        stepLam(E->lamBinder(), E->treeSize(), Keys);
+        break;
+      case ExprKind::App:
+        stepApp(E->treeSize(), Keys);
+        break;
+      case ExprKind::Let:
+        stepLet(E->letBinder(), E->treeSize(), Keys);
         break;
       }
-
-      case ExprKind::Const: {
-        H CH = Schema.combineWords<H>(CombinerTag::ConstLeaf,
-                                      static_cast<uint64_t>(E->constValue()));
-        Values.emplace_back(Schema.combine<H>(CombinerTag::StructConst, CH),
-                            P);
-        break;
-      }
-
-      case ExprKind::Lam: {
-        // summariseExpr (Lam x e): remove x from the body's map; its
-        // position-tree hash becomes part of the structure.
-        Entry &Body = Values.back();
-        std::optional<H> Pos = vmRemove(Body.Vars, E->lamBinder());
-        uint64_t Size = E->treeSize();
-        Body.Struct =
-            Pos ? Schema.combine<H>(CombinerTag::StructLamSome,
-                                    sizeSalt(Size), *Pos, Body.Struct)
-                : Schema.combine<H>(CombinerTag::StructLamNone,
-                                    sizeSalt(Size), Body.Struct);
-        break;
-      }
-
-      case ExprKind::App: {
-        // Stack: [..., Fun, Arg]. Combine into Fun's slot, pop Arg.
-        Entry &Arg = Values.back();
-        Entry &Fun = Values[Values.size() - 2];
-        combineBinary(E, Fun, Arg, std::nullopt, CombinerTag::StructApp,
-                      CombinerTag::StructApp);
-        Values.pop_back();
-        break;
-      }
-
-      case ExprKind::Let: {
-        // Stack: [..., Bound, Body]. Combine into Bound's slot, pop Body.
-        Entry &Body = Values.back();
-        Entry &Bound = Values[Values.size() - 2];
-        // The binder scopes over the body only: take its occurrences out
-        // before the merge (they are positions within the body).
-        std::optional<H> Pos = vmRemove(Body.Vars, E->letBinder());
-        combineBinary(E, Bound, Body, Pos, CombinerTag::StructLetNone,
-                      CombinerTag::StructLetSome);
-        Values.pop_back();
-        break;
-      }
-      }
-
-      // hashESummary: pair up the structure hash and the map hash.
-      Entry &Top = Values.back();
-      NodeHash = Schema.combine<H>(CombinerTag::SummaryPair, Top.Struct,
-                                   Top.Vars.Agg);
       if (Out)
-        (*Out)[E->id()] = NodeHash;
+        (*Out)[E->id()] = summary(Values.back());
     }
+    return finish();
+  }
+
+  /// The byte driver: \ref serial::walkBody over \p Bytes feeding the
+  /// kernel, stopping at the first node that refutes the binder proof.
+  std::optional<H> runSerialized(std::string_view Bytes) {
+    assert(Values.empty() && "hasher is not reentrant");
+    serial::Reader In(Bytes);
+    if (!In.getMagic() || !serial::getNameTable(In, BlobSpellings))
+      return std::nullopt;
+    BlobProof.reset(BlobSpellings);
+    if (!BlobProof.holds())
+      return std::nullopt;
+    BlobNameHashes.clear();
+    for (std::string_view S : BlobSpellings)
+      BlobNameHashes.push_back(
+          Schema.hashBytes<H>(CombinerTag::NameLeaf, S.data(), S.size()));
+
+    struct Fold {
+      AlphaHasher &A;
+      const LocalNames Keys;
+
+      bool var(uint32_t Id) {
+        if (!A.BlobProof.holds())
+          return false;
+        A.stepVar(Id, Keys);
+        return true;
+      }
+      bool constant(int64_t V) {
+        A.stepConst(V);
+        return true;
+      }
+      bool open(const serial::WalkFrame &) { return A.BlobProof.holds(); }
+      void letBody(const serial::WalkFrame &) {}
+      bool close(const serial::WalkFrame &F, uint64_t Size) {
+        switch (F.Kind) {
+        case ExprKind::Lam:
+          A.stepLam(F.Id, Size, Keys);
+          break;
+        case ExprKind::App:
+          A.stepApp(Size, Keys);
+          break;
+        case ExprKind::Let:
+          A.stepLet(F.Id, Size, Keys);
+          break;
+        case ExprKind::Var:
+        case ExprKind::Const:
+          break;
+        }
+        return true;
+      }
+    } V{*this, LocalNames{BlobNameHashes.data()}};
+    if (serial::walkBody(In, BlobSpellings.size(), BlobFrames, &BlobProof,
+                         V) ||
+        !BlobProof.holds()) {
+      Values.clear(); // recycle the partial fold's map nodes
+      return std::nullopt;
+    }
+    return finish();
+  }
+
+#ifndef NDEBUG
+  /// The byte driver must succeed exactly when the decoder proves
+  /// distinct binders, and then agree with the Expr driver bit for bit.
+  void crossCheckSerialized(std::string_view Bytes,
+                            const std::optional<H> &Hash) const {
+    ExprContext DecodeCtx;
+    DeserializeResult D = deserializeExpr(DecodeCtx, Bytes);
+    assert(Hash.has_value() == (D.ok() && D.DistinctBinders) &&
+           "byte driver and decoder disagree on the binder proof");
+    if (Hash) {
+      AlphaHasher<H, MapPolicy> Reference(DecodeCtx, Schema);
+      assert(*Hash == Reference.hashRoot(uniquifyDecoded(DecodeCtx, D)) &&
+             "byte driver and Expr driver disagree");
+    }
+  }
+#endif
+
+  /// hashESummary: pair up the structure hash and the map hash.
+  H summary(const Entry &E) const {
+    return Schema.combine<H>(CombinerTag::SummaryPair, E.Struct, E.Vars.Agg);
+  }
+
+  /// The root's summary, after a driver's last step.
+  H finish() {
     assert(Values.size() == 1 && "postorder fold must yield one summary");
+    const H Root = summary(Values.back());
     // Recycle the root summary's map nodes (the root's free variables)
     // into the pool; the stack keeps its capacity for the next call.
     Values.clear();
-    return NodeHash;
+    return Root;
+  }
+
+  //===--------------------------------------------------------------------===//
+  // The fold kernel: one step per node, in postorder. Every step edits
+  // the value stack IN PLACE: a Lam rewrites the top slot, an App/Let
+  // folds the top slot into the one below and pops. Entries (which embed
+  // the inline small-map storage) are never shuffled through temporaries
+  // -- on small expressions the stack traffic, not the map operations, is
+  // the dominant cost. \p Keys maps a name key to its spelling hash.
+  //===--------------------------------------------------------------------===//
+
+  /// summariseExpr (Var v) = ESummary mkSVar (singletonVM v mkPTHere)
+  template <typename KeyHash> void stepVar(Name V, const KeyHash &Keys) {
+    Entry &Slot = Values.emplace_back(VarStruct, P);
+    Slot.Vars.M.set(V, HereHash);
+    Slot.Vars.Agg = entryHash(Keys(V), HereHash);
+    ++Stats.MapSingletons;
+  }
+
+  void stepConst(int64_t Value) {
+    H CH = Schema.combineWords<H>(CombinerTag::ConstLeaf,
+                                  static_cast<uint64_t>(Value));
+    Values.emplace_back(Schema.combine<H>(CombinerTag::StructConst, CH), P);
+  }
+
+  /// summariseExpr (Lam x e): remove x from the body's map; its
+  /// position-tree hash becomes part of the structure.
+  template <typename KeyHash>
+  void stepLam(Name Binder, uint64_t Size, const KeyHash &Keys) {
+    Entry &Body = Values.back();
+    std::optional<H> Pos = vmRemove(Body.Vars, Binder, Keys);
+    Body.Struct = Pos ? Schema.combine<H>(CombinerTag::StructLamSome,
+                                          sizeSalt(Size), *Pos, Body.Struct)
+                      : Schema.combine<H>(CombinerTag::StructLamNone,
+                                          sizeSalt(Size), Body.Struct);
+  }
+
+  /// Stack: [..., Fun, Arg]. Combine into Fun's slot, pop Arg.
+  template <typename KeyHash> void stepApp(uint64_t Size, const KeyHash &Keys) {
+    Entry &Arg = Values.back();
+    Entry &Fun = Values[Values.size() - 2];
+    combineBinary(Size, Fun, Arg, std::nullopt, CombinerTag::StructApp,
+                  CombinerTag::StructApp, Keys);
+    Values.pop_back();
+  }
+
+  /// Stack: [..., Bound, Body]. Combine into Bound's slot, pop Body.
+  template <typename KeyHash>
+  void stepLet(Name Binder, uint64_t Size, const KeyHash &Keys) {
+    Entry &Body = Values.back();
+    Entry &Bound = Values[Values.size() - 2];
+    // The binder scopes over the body only: take its occurrences out
+    // before the merge (they are positions within the body).
+    std::optional<H> Pos = vmRemove(Body.Vars, Binder, Keys);
+    combineBinary(Size, Bound, Body, Pos, CombinerTag::StructLetNone,
+                  CombinerTag::StructLetSome, Keys);
+    Values.pop_back();
+  }
+
+  /// hash of a (variable, position-tree) pair -- `entryHash` of
+  /// Section 5.2 -- from the variable's spelling hash.
+  H entryHash(H NameH, H Pos) const {
+    return Schema.combine<H>(CombinerTag::VarMapEntry, NameH, Pos);
   }
 
   /// Lemma 6.6 salts every combiner call with the size |d| of the object
@@ -326,11 +493,11 @@ private:
   /// variable map merge (Section 4.8). The result is written into
   /// \p Left (the stack slot that survives); \p Right is left empty for
   /// the caller to pop.
-  void combineBinary(const Expr *E, Entry &Left, Entry &Right,
+  template <typename KeyHash>
+  void combineBinary(uint64_t Size, Entry &Left, Entry &Right,
                      std::optional<H> BinderPos, CombinerTag NoneTag,
-                     CombinerTag SomeTag) {
+                     CombinerTag SomeTag, const KeyHash &Keys) {
     bool LeftBigger = Left.Vars.M.size() >= Right.Vars.M.size();
-    uint64_t Size = E->treeSize();
 
     H St;
     if (BinderPos)
@@ -353,7 +520,7 @@ private:
     // wrapping it in a tagged PTJoin hash. Work here is proportional to
     // the *smaller* map only -- the crux of Lemma 6.1.
     Small.M.forEach([&](Name V, const H &SmallPos) {
-      vmAlter(Big, V, [&](const H *BigPos) {
+      vmAlter(Big, V, Keys(V), [&](const H *BigPos) {
         return BigPos ? Schema.combine<H>(CombinerTag::PosJoinSome,
                                           hashFromWord(Tag), *BigPos,
                                           SmallPos)
@@ -369,23 +536,26 @@ private:
   }
 
   /// alterVM with XOR bookkeeping (Section 5.2).
-  template <typename F> void vmAlter(VM &Vars, Name V, F &&MakeNew) {
+  /// \p NameH is \p V's spelling hash.
+  template <typename F>
+  void vmAlter(VM &Vars, Name V, H NameH, F &&MakeNew) {
     ++Stats.MapAlters;
     Vars.M.alter(V, [&](H *Old) {
       H NewPos = MakeNew(static_cast<const H *>(Old));
       if (Old)
-        Vars.Agg ^= entryHash(V, *Old);
-      Vars.Agg ^= entryHash(V, NewPos);
+        Vars.Agg ^= entryHash(NameH, *Old);
+      Vars.Agg ^= entryHash(NameH, NewPos);
       return NewPos;
     });
   }
 
   /// removeFromVM with XOR bookkeeping (Section 5.2).
-  std::optional<H> vmRemove(VM &Vars, Name V) {
+  template <typename KeyHash>
+  std::optional<H> vmRemove(VM &Vars, Name V, const KeyHash &Keys) {
     ++Stats.MapRemoves;
     std::optional<H> Old = Vars.M.remove(V);
     if (Old)
-      Vars.Agg ^= entryHash(V, *Old);
+      Vars.Agg ^= entryHash(Keys(V), *Old);
     return Old;
   }
 };

@@ -202,26 +202,26 @@ public:
                           unsigned Threads) {
     BatchResult Result;
     std::mutex ResultMu;
-    detail::forEachHashedChunk<H, BatchWorkerState>(
+    detail::forEachHashedChunk<H, BatchResult>(
         Schema, Blobs.size(), Threads, "ingest",
         [&](AlphaHasher<H> &Hasher, ExprContext &Ctx, size_t Begin,
-            size_t End, BatchWorkerState &W) {
+            size_t End, BatchResult &W) {
           for (size_t I = Begin; I != End; ++I) {
             DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
             if (!R.ok()) {
-              ++W.Local.DecodeErrors;
+              ++W.DecodeErrors;
               shardFor(H{}).bumpDecodeError();
               continue;
             }
             const Expr *Root = uniquifyDecoded(Ctx, R);
             insertHashed(Ctx, Root, Hasher.hashRoot(Root));
-            ++W.Local.Ingested;
+            ++W.Ingested;
           }
         },
-        [&](BatchWorkerState &W, uint64_t PoolNodes, uint64_t SteadyNodes) {
+        [&](BatchResult &W, uint64_t PoolNodes, uint64_t SteadyNodes) {
           std::lock_guard<std::mutex> Lock(ResultMu);
-          Result.Ingested += W.Local.Ingested;
-          Result.DecodeErrors += W.Local.DecodeErrors;
+          Result.Ingested += W.Ingested;
+          Result.DecodeErrors += W.DecodeErrors;
           Result.PoolNodesAllocated += PoolNodes;
           Result.SteadyPoolNodesAllocated += SteadyNodes;
         });
@@ -233,15 +233,6 @@ public:
   //===--------------------------------------------------------------------===//
 
   using IndexReader<H>::lookup;
-
-  /// Find the class of \p Root (binders distinct), if it has been
-  /// interned. Takes only a shared (reader) lock on the owning stripe.
-  std::optional<LookupResult> lookupDistinct(const ExprContext &Ctx,
-                                             const Expr *Root) override {
-    AlphaHasher<H> Hasher(Ctx, Schema);
-    DecodeScratch Scratch;
-    return lookupHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
-  }
 
   /// \ref lookup with a caller-owned hasher (scratch reuse across many
   /// queries; see the matching \ref insert overload). The fallback's
@@ -263,34 +254,80 @@ public:
            "hasher seed does not match the index");
     Hasher.bindIfNeeded(Ctx);
     Root = uniquifyBinders(Ctx, Root);
-    return lookupHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
+    return lookupHashed(QueryView(Ctx, Root), Hasher.hashRoot(Root), Scratch);
   }
 
   /// Look up a whole corpus of serialised expressions on \p Threads
   /// workers: the read-mostly mirror of \ref insertBatch (ROADMAP's bulk
   /// `lookupBatch`). Result i corresponds to blob i; a blob that fails to
-  /// decode yields std::nullopt, same as a miss. Workers hash outside any
-  /// lock and probe their stripes under shared locks, so batch queries
-  /// neither block each other nor serialise against concurrent readers.
+  /// decode yields std::nullopt, same as a miss. Workers hash each blob
+  /// from its bytes outside any lock and probe their stripes under
+  /// shared locks, so batch queries neither block each other nor
+  /// serialise against concurrent readers.
   std::vector<std::optional<LookupResult>>
   lookupBatch(const std::vector<std::string> &Blobs,
               unsigned Threads) override {
     std::vector<std::optional<LookupResult>> Results(Blobs.size());
-    detail::forEachHashedChunk<H, BatchWorkerState>(
+    using WorkerState = detail::LookupWorker<H>;
+    detail::forEachHashedChunk<H, WorkerState>(
         Schema, Blobs.size(), Threads, "query_live",
-        [&](AlphaHasher<H> &Hasher, ExprContext &Ctx, size_t Begin,
-            size_t End, BatchWorkerState &W) {
-          for (size_t I = Begin; I != End; ++I) {
-            DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
-            if (!R.ok())
-              continue; // leave Results[I] empty; read path mutates no stats
-            const Expr *Root = uniquifyDecoded(Ctx, R);
-            Results[I] =
-                lookupHashed(Ctx, Root, Hasher.hashRoot(Root), W.Scratch);
-          }
+        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
+            WorkerState &W) {
+          // Read path: mutates no stats, even for undecodable blobs.
+          detail::hashChunk(Hasher, Blobs, Begin, End, W.Items, W.Canonical);
+          for (const detail::HashedChunkItem<H> &It : W.Items)
+            Results[It.Index] =
+                lookupHashed(QueryView(It.Query), It.Hash, W.Scratch);
         },
-        [](BatchWorkerState &, uint64_t, uint64_t) {});
+        [](WorkerState &, uint64_t, uint64_t) {});
     return Results;
+  }
+
+  /// Read-path probe for an already-hashed query, under a shared stripe
+  /// lock. The fallback verifies candidates with \p Scratch, which must
+  /// be private to the calling thread (shard state is only read).
+  std::optional<LookupResult>
+  lookupHashed(const QueryView &Query, H Hash,
+               DecodeScratch &Scratch) const override {
+    static const obs::Histogram LockWaitNs = obs::Histogram::get(
+        "hma_index_read_lock_wait_ns",
+        "Time a reader waited to acquire its shard's shared lock, ns");
+    static const obs::Histogram LockHoldNs = obs::Histogram::get(
+        "hma_index_read_lock_hold_ns",
+        "Time a reader held its shard's shared lock, ns");
+    static const obs::Histogram VerifyNs = obs::Histogram::get(
+        "hma_index_verify_ns",
+        "Latency of a probe that ran the exact alpha-equivalence "
+        "fallback at least once, ns");
+    static const obs::Counter ReadVerifies = obs::Counter::get(
+        "hma_index_read_fallback_checks_total",
+        "Exact-verify fallback runs on the shared-lock read path");
+    static const obs::Counter ReadCollisions = obs::Counter::get(
+        "hma_index_read_verified_collisions_total",
+        "Hash matches refuted by the exact check on the read path");
+    const Shard &S = shardFor(Hash);
+    const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
+    std::shared_lock<std::shared_mutex> Lock(S.Mu);
+    const uint64_t T1 = obs::Enabled ? obs::nowNanos() : 0;
+    uint64_t Checks = 0, Refuted = 0;
+    size_t Id = S.Store.find(Query, Hash, Scratch, Checks, Refuted);
+    if (obs::Enabled) {
+      const uint64_t T2 = obs::nowNanos();
+      LockWaitNs.record(T1 - T0);
+      LockHoldNs.record(T2 - T1);
+      if (Checks)
+        VerifyNs.record(T2 - T1);
+    }
+    if (Checks) {
+      S.ReadFallbackChecks.fetch_add(Checks, std::memory_order_relaxed);
+      S.ReadVerifiedCollisions.fetch_add(Refuted, std::memory_order_relaxed);
+      ReadVerifies.add(Checks);
+      ReadCollisions.add(Refuted);
+    }
+    if (Id == ShardStore<H>::npos)
+      return std::nullopt;
+    const auto &C = S.Store.at(Id);
+    return LookupResult{Hash, C.Count, C.Bytes};
   }
 
   bool contains(ExprContext &Ctx, const Expr *Root) {
@@ -441,66 +478,10 @@ private:
     }
   };
 
-  /// Per-worker accounting for the \ref detail::forEachHashedChunk batch
-  /// drivers. The scratch serves lookupBatch's shared-lock fallback
-  /// verifies and, like the worker's hasher, persists across every chunk
-  /// the worker pulls.
-  struct BatchWorkerState {
-    BatchResult Local;
-    DecodeScratch Scratch;
-  };
-
   Shard &shardFor(H Hash) const {
     return ShardsArr[detail::shardIndexForHash(Hash, ShardMask)];
   }
 
-  /// Read-path probe: \p Root (owned by \p SrcCtx, binders distinct) with
-  /// its already-computed alpha-hash, under a shared stripe lock. The
-  /// fallback verifies candidates with \p Scratch, which must be private
-  /// to the calling thread (shard state is only read).
-  std::optional<LookupResult> lookupHashed(const ExprContext &SrcCtx,
-                                           const Expr *Root, H Hash,
-                                           DecodeScratch &Scratch) const {
-    static const obs::Histogram LockWaitNs = obs::Histogram::get(
-        "hma_index_read_lock_wait_ns",
-        "Time a reader waited to acquire its shard's shared lock, ns");
-    static const obs::Histogram LockHoldNs = obs::Histogram::get(
-        "hma_index_read_lock_hold_ns",
-        "Time a reader held its shard's shared lock, ns");
-    static const obs::Histogram VerifyNs = obs::Histogram::get(
-        "hma_index_verify_ns",
-        "Latency of a probe that ran the exact alpha-equivalence "
-        "fallback at least once, ns");
-    static const obs::Counter ReadVerifies = obs::Counter::get(
-        "hma_index_read_fallback_checks_total",
-        "Exact-verify fallback runs on the shared-lock read path");
-    static const obs::Counter ReadCollisions = obs::Counter::get(
-        "hma_index_read_verified_collisions_total",
-        "Hash matches refuted by the exact check on the read path");
-    const Shard &S = shardFor(Hash);
-    const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
-    std::shared_lock<std::shared_mutex> Lock(S.Mu);
-    const uint64_t T1 = obs::Enabled ? obs::nowNanos() : 0;
-    uint64_t Checks = 0, Refuted = 0;
-    size_t Id = S.Store.find(SrcCtx, Root, Hash, Scratch, Checks, Refuted);
-    if (obs::Enabled) {
-      const uint64_t T2 = obs::nowNanos();
-      LockWaitNs.record(T1 - T0);
-      LockHoldNs.record(T2 - T1);
-      if (Checks)
-        VerifyNs.record(T2 - T1);
-    }
-    if (Checks) {
-      S.ReadFallbackChecks.fetch_add(Checks, std::memory_order_relaxed);
-      S.ReadVerifiedCollisions.fetch_add(Refuted, std::memory_order_relaxed);
-      ReadVerifies.add(Checks);
-      ReadCollisions.add(Refuted);
-    }
-    if (Id == ShardStore<H>::npos)
-      return std::nullopt;
-    const auto &C = S.Store.at(Id);
-    return LookupResult{Hash, C.Count, C.Bytes};
-  }
 
   /// Core ingest: \p Root (owned by \p SrcCtx, binders distinct) with its
   /// already-computed alpha-hash. Returns true if a new class was created.
@@ -527,8 +508,8 @@ private:
     // interning must not merge inequivalent terms -- the store verifies
     // exactly, walking candidates with the shard's write scratch.
     uint64_t Checks = 0, Refuted = 0;
-    size_t Id =
-        S.Store.find(SrcCtx, Root, Hash, S.WriteScratch, Checks, Refuted);
+    size_t Id = S.Store.find(QueryView(SrcCtx, Root), Hash, S.WriteScratch,
+                             Checks, Refuted);
     S.Stats.FallbackChecks += Checks;
     S.Stats.VerifiedCollisions += Refuted;
     if (Checks) {

@@ -13,13 +13,15 @@
 ///    batch, so its scratch (map-node pool, worklist, value stack, name
 ///    cache) stays warm across chunks -- the zero-allocation pipeline;
 ///  - each *chunk* gets a fresh \ref ExprContext (arena growth stays
-///    bounded) and the hasher is \ref AlphaHasher::rebind -ed to it;
+///    bounded) and the hasher is \ref AlphaHasher::rebind -ed to it.
+///    Ingest decodes into it; lookup chunks hash and verify their query
+///    bytes directly (\ref hashChunk) and leave it empty;
 ///  - per-worker pool-allocation counters are split into total and
 ///    post-warm-up ("steady") so callers can assert the steady-state
 ///    allocation count is zero.
 ///
 /// The driver knows nothing about what a chunk *does*: the body callback
-/// decodes/hashes/probes however its backend requires, accumulating into
+/// hashes/probes however its backend requires, accumulating into
 /// a caller-defined per-worker state that the finish callback merges.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,9 +30,9 @@
 #define HMA_INDEX_BATCHDRIVER_H
 
 #include "ast/Expr.h"
-#include "ast/Serialize.h"
-#include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
+#include "index/IndexReader.h"
+#include "index/ShardStore.h"
 #include "index/ThreadPool.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -40,7 +42,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hma::detail {
@@ -69,7 +74,8 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
                         FinishFn Finish) {
   static const obs::Histogram ChunkNs = obs::Histogram::get(
       "hma_batch_chunk_ns",
-      "Latency of one batch-worker chunk (decode+hash+probe), ns");
+      "Latency of one batch-worker chunk (ingest: decode+hash+insert; "
+      "lookups: hash+probe+verify from bytes), ns");
   static const obs::Counter Chunks = obs::Counter::get(
       "hma_batch_chunks_total", "Batch-worker chunks processed");
   static const obs::Counter PoolNodes = obs::Counter::get(
@@ -134,36 +140,54 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
   Pool.wait();
 }
 
-/// One decoded-and-hashed element of a batch chunk: the unit of the
-/// two-phase chunk shape (decode+hash everything, then probe
-/// everything). Splitting the phases is what lets \ref
-/// MappedIndex::lookupBatch run its interleaved multi-probe engine --
-/// the probe loop sees only (index, root, hash) triples with no decode
-/// stalls between probe steps, so several descents can stay in flight.
+/// One hashed element of a lookup chunk: the unit of the two-phase
+/// chunk shape (hash everything, then probe everything). Splitting the
+/// phases is what lets \ref MappedIndex::lookupBatch run its interleaved
+/// multi-probe engine -- the probe loop sees only (index, query, hash)
+/// triples with no hashing stalls between probe steps, so several
+/// descents can stay in flight.
 template <typename H> struct HashedChunkItem {
-  size_t Index;     ///< Position in the batch's blob vector.
-  const Expr *Root; ///< Binder-uniquified root, owned by the chunk's Ctx.
-  H Hash;           ///< Alpha-hash under the batch's schema.
+  size_t Index;           ///< Position in the batch's blob vector.
+  std::string_view Query; ///< Proven distinct-binder bytes to verify with.
+  H Hash;                 ///< Alpha-hash under the batch's schema.
 };
 
-/// Phase one of a two-phase chunk body: decode and hash blobs
-/// [\p Begin, \p End) into \p Out (cleared first; undecodable blobs are
-/// skipped, matching the "undecodable == miss" batch contract). A blob
-/// is binder-uniquified only when the decoder could not prove distinct
-/// binders. Decoded roots live in \p Ctx for the rest of the chunk.
+/// Phase one of a two-phase lookup chunk: hash blobs [\p Begin, \p End)
+/// straight from their bytes into \p Out (cleared first), with
+/// \ref hashQuery. A blob the byte driver cannot prove distinct-binder
+/// is canonicalized into \p Canonical (cleared first; a deque, so its
+/// strings never move), which must outlive the chunk's resolve phase.
+/// Malformed blobs are skipped, matching the "undecodable == miss" batch
+/// contract.
 template <typename H>
-void decodeAndHashChunk(AlphaHasher<H> &Hasher, ExprContext &Ctx,
-                        const std::vector<std::string> &Blobs, size_t Begin,
-                        size_t End, std::vector<HashedChunkItem<H>> &Out) {
+void hashChunk(AlphaHasher<H> &Hasher, const std::vector<std::string> &Blobs,
+               size_t Begin, size_t End, std::vector<HashedChunkItem<H>> &Out,
+               std::deque<std::string> &Canonical) {
   Out.clear();
+  Canonical.clear();
+  std::string Copy;
   for (size_t I = Begin; I != End; ++I) {
-    DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
-    if (!R.ok())
+    std::string_view Query = Blobs[I];
+    std::optional<H> Hash = hashQuery(Hasher, Query, Copy);
+    if (!Hash)
       continue;
-    const Expr *Root = uniquifyDecoded(Ctx, R);
-    Out.push_back(HashedChunkItem<H>{I, Root, Hasher.hashRoot(Root)});
+    if (!Copy.empty()) {
+      Canonical.push_back(std::move(Copy));
+      Query = Canonical.back(); // the move may relocate short strings
+    }
+    Out.push_back(HashedChunkItem<H>{I, Query, *Hash});
   }
+  recordCanonicalized(Canonical.size());
 }
+
+/// Per-worker state of a byte-path lookup batch: the verify scratch and
+/// the current chunk's items and canonical copies. All of it persists
+/// across the worker's chunks, so steady-state chunks allocate nothing.
+template <typename H> struct LookupWorker {
+  DecodeScratch Scratch;
+  std::vector<HashedChunkItem<H>> Items;
+  std::deque<std::string> Canonical;
+};
 
 } // namespace hma::detail
 

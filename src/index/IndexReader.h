@@ -36,10 +36,14 @@
 #include "ast/Expr.h"
 #include "ast/Serialize.h"
 #include "ast/Uniquify.h"
+#include "core/AlphaHasher.h"
+#include "index/ShardStore.h"
+#include "obs/Metrics.h"
 #include "support/HashCode.h"
 #include "support/HashSchema.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -47,6 +51,45 @@
 #include <vector>
 
 namespace hma {
+
+namespace detail {
+
+/// Count query blobs the byte read path had to canonicalize. Callers add
+/// once per batch chunk or per request, never per node.
+inline void recordCanonicalized(uint64_t N) {
+  static const obs::Counter Canonicalized = obs::Counter::get(
+      "hma_query_canonicalized_total",
+      "Query blobs the byte read path could not prove distinct-binder and "
+      "canonicalized (decode, uniquify, re-serialize) before hashing");
+  if (N)
+    Canonicalized.add(N);
+}
+
+/// Hash a query blob for the byte read path and leave \p Query viewing
+/// the bytes the probe must verify with. When the byte driver proves the
+/// blob's binders distinct, that is the blob itself. Otherwise the blob
+/// is canonicalized once -- decoded, binder-uniquified, re-serialized
+/// into \p Canonical, which must outlive the probe -- and the copy takes
+/// the same byte path. Returns std::nullopt for a malformed blob (a
+/// miss); \p Canonical is non-empty exactly when the fallback ran.
+template <typename H>
+std::optional<H> hashQuery(AlphaHasher<H> &Hasher, std::string_view &Query,
+                           std::string &Canonical) {
+  Canonical.clear();
+  if (std::optional<H> Hash = Hasher.hashSerialized(Query))
+    return Hash;
+  ExprContext Ctx;
+  DeserializeResult R = deserializeExpr(Ctx, Query);
+  if (!R.ok())
+    return std::nullopt;
+  Canonical = serializeExpr(Ctx, uniquifyBinders(Ctx, R.E));
+  Query = Canonical;
+  std::optional<H> Hash = Hasher.hashSerialized(Query);
+  assert(Hash && "a uniquified term must serialize to a proven blob");
+  return Hash;
+}
+
+} // namespace detail
 
 /// Aggregated ingest/collision counters for an index (live or mapped).
 struct IndexStats {
@@ -233,26 +276,47 @@ public:
   /// hashing requires distinct binders, which may force a uniquifying
   /// rewrite.
   std::optional<LookupResult<H>> lookup(ExprContext &Ctx, const Expr *Root) {
-    return lookupDistinct(Ctx, uniquifyBinders(Ctx, Root));
+    Root = uniquifyBinders(Ctx, Root);
+    AlphaHasher<H> Hasher(Ctx, schema());
+    DecodeScratch Scratch;
+    return lookupHashed(QueryView(Ctx, Root), Hasher.hashRoot(Root), Scratch);
   }
 
-  /// \ref lookup for a root that already has distinct binders (as
-  /// \ref hasDistinctBinders requires): the one probe every backend
-  /// implements.
-  virtual std::optional<LookupResult<H>> lookupDistinct(const ExprContext &Ctx,
-                                                        const Expr *Root) = 0;
+  /// The one probe every backend implements: find the class of \p Query,
+  /// whose alpha-hash under \ref schema is \p Hash, verifying candidates
+  /// with \p Scratch (private to the calling thread).
+  virtual std::optional<LookupResult<H>>
+  lookupHashed(const QueryView &Query, H Hash,
+               DecodeScratch &Scratch) const = 0;
 
-  /// Membership query in `ast/Serialize` format: decode into a scratch
-  /// context and probe, uniquifying only when the decoder could not prove
-  /// distinct binders. One definition for every backend, so a behavior
-  /// change (e.g. how undecodable query blobs are reported) cannot reach
-  /// one read path and miss another.
-  std::optional<LookupResult<H>> lookupSerialized(std::string_view Bytes) {
-    ExprContext Ctx;
-    DeserializeResult R = deserializeExpr(Ctx, Bytes);
-    if (!R.ok())
+  /// Membership query in `ast/Serialize` format, on the byte read path:
+  /// hashed and verified straight from its bytes (\ref
+  /// detail::hashQuery), canonicalized first only when the byte driver
+  /// cannot prove distinct binders. One definition for every backend and
+  /// for the daemon, so a behavior change (e.g. how undecodable query
+  /// blobs are reported) cannot reach one read path and miss another.
+  std::optional<LookupResult<H>>
+  lookupSerialized(std::string_view Bytes) const {
+    ExprContext Boot;
+    AlphaHasher<H> Hasher(Boot, schema());
+    DecodeScratch Scratch;
+    return lookupSerialized(Bytes, Hasher, Scratch);
+  }
+
+  /// \ref lookupSerialized with a caller-owned hasher (any bound context;
+  /// the byte driver reads none) and verify scratch, reused across a
+  /// query stream.
+  std::optional<LookupResult<H>>
+  lookupSerialized(std::string_view Bytes, AlphaHasher<H> &Hasher,
+                   DecodeScratch &Scratch) const {
+    assert(Hasher.schema().seed() == schema().seed() &&
+           "hasher seed does not match the index");
+    std::string Canonical;
+    std::optional<H> Hash = detail::hashQuery(Hasher, Bytes, Canonical);
+    detail::recordCanonicalized(!Canonical.empty());
+    if (!Hash)
       return std::nullopt;
-    return lookupDistinct(Ctx, uniquifyDecoded(Ctx, R));
+    return lookupHashed(QueryView(Bytes), *Hash, Scratch);
   }
 
   /// Bulk lookup of serialised expressions on \p Threads workers. Result

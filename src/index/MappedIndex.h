@@ -381,15 +381,8 @@ public:
 
   using IndexReader<H>::lookup;
 
-  std::optional<LookupResult> lookupDistinct(const ExprContext &Ctx,
-                                             const Expr *Root) override {
-    AlphaHasher<H> Hasher(Ctx, Schema);
-    DecodeScratch Scratch;
-    return findHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
-  }
-
   /// Fully scratch-reusing lookup: caller owns both the hasher and the
-  /// fallback verify scratch (what \ref lookupBatch gives each worker).
+  /// fallback verify scratch.
   std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
                                      AlphaHasher<H> &Hasher,
                                      DecodeScratch &Scratch) const {
@@ -397,18 +390,25 @@ public:
            "hasher seed does not match the index file");
     Hasher.bindIfNeeded(Ctx);
     Root = uniquifyBinders(Ctx, Root);
-    return findHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
+    return findHashed(QueryView(Ctx, Root), Hasher.hashRoot(Root), Scratch);
   }
 
-  /// Probe this image for an already-uniquified, already-hashed query:
-  /// the per-segment entry point of \ref SegmentedIndex, which hashes a
-  /// query once and then probes every segment of a segmented index with
-  /// the same (root, hash) pair. Engine selection, candidate scan and
-  /// counters are exactly those of \ref lookup.
+  /// Probe this image for an already-hashed query: the per-segment entry
+  /// point of \ref SegmentedIndex, which hashes a query once and then
+  /// probes every segment of a segmented index with the same (query,
+  /// hash) pair. Engine selection, candidate scan and counters are
+  /// exactly those of \ref lookup.
+  std::optional<LookupResult>
+  lookupHashed(const QueryView &Query, H Hash,
+               DecodeScratch &Scratch) const override {
+    return findHashed(Query, Hash, Scratch);
+  }
+
+  /// \ref lookupHashed for an already-uniquified query tree.
   std::optional<LookupResult> lookupHashed(const ExprContext &Ctx,
                                            const Expr *Root, H Hash,
                                            DecodeScratch &Scratch) const {
-    return findHashed(Ctx, Root, Hash, Scratch);
+    return findHashed(QueryView(Ctx, Root), Hash, Scratch);
   }
 
   std::vector<std::optional<LookupResult>>
@@ -421,7 +421,7 @@ public:
   /// steady-state allocation; see \ref ReadBatchStats).
   ///
   /// Every chunk runs the same two-phase shape regardless of engine --
-  /// decode+hash everything, then probe everything, then resolve
+  /// hash everything from its bytes, then probe everything, then resolve
   /// candidates in item order -- so the per-item answers (and the
   /// ReadBatchStats accounting) are byte-identical across engines; the
   /// interleaved engine only changes *how* the probe phase walks the
@@ -432,22 +432,20 @@ public:
     std::vector<std::optional<LookupResult>> Results(Blobs.size());
     ReadBatchStats Total;
     std::mutex TotalMu;
-    struct WorkerState {
-      DecodeScratch Scratch;
-      std::vector<detail::HashedChunkItem<H>> Items;
+    struct WorkerState : detail::LookupWorker<H> {
       std::vector<H> Hashes;
       std::vector<uint64_t> Ranks;
     };
     const bool Interleave = batchInterleaved();
     detail::forEachHashedChunk<H, WorkerState>(
         Schema, Blobs.size(), Threads, "query_mapped",
-        [&](AlphaHasher<H> &Hasher, ExprContext &Ctx, size_t Begin,
-            size_t End, WorkerState &W) {
-          detail::decodeAndHashChunk(Hasher, Ctx, Blobs, Begin, End, W.Items);
+        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
+            WorkerState &W) {
+          detail::hashChunk(Hasher, Blobs, Begin, End, W.Items, W.Canonical);
           if (!Interleave) {
             for (const detail::HashedChunkItem<H> &It : W.Items)
               Results[It.Index] =
-                  findHashed(Ctx, It.Root, It.Hash, W.Scratch);
+                  findHashed(QueryView(It.Query), It.Hash, W.Scratch);
             return;
           }
           static const obs::Histogram BatchProbeNs = obs::Histogram::get(
@@ -468,8 +466,8 @@ public:
             const detail::HashedChunkItem<H> &It = W.Items[J];
             const ShardTable &T =
                 Tables[detail::shardIndexForHash(It.Hash, ShardMask)];
-            Results[It.Index] = resolveAtRank(Ctx, It.Root, It.Hash, T,
-                                              W.Ranks[J], W.Scratch);
+            Results[It.Index] = resolveAtRank(QueryView(It.Query), It.Hash,
+                                              T, W.Ranks[J], W.Scratch);
           }
         },
         [&](WorkerState &, uint64_t PoolNodes, uint64_t SteadyNodes) {
@@ -784,8 +782,7 @@ private:
   /// record tail only on a match, so every field is read exactly once
   /// per candidate. Shared by all engines -- this is what makes their
   /// answers identical by construction.
-  std::optional<LookupResult> resolveAtRank(const ExprContext &SrcCtx,
-                                            const Expr *Root, H Hash,
+  std::optional<LookupResult> resolveAtRank(const QueryView &Query, H Hash,
                                             const ShardTable &T, uint64_t Rank,
                                             DecodeScratch &Scratch) const {
     static const obs::Counter Verifies = obs::Counter::get(
@@ -803,7 +800,7 @@ private:
       const iio::RecordTail Tail = recordTail(T, I);
       // An out-of-range blob is an empty view, which the verifier refutes.
       std::string_view Blob = blobRange(Tail.Offset, Tail.Length);
-      if (verifyCandidateBytes(SrcCtx, Root, Blob, Scratch)) {
+      if (Query.verify(Blob, Scratch)) {
         Result = LookupResult{Hash, Tail.Count, Blob};
         break;
       }
@@ -830,8 +827,7 @@ private:
   /// Read-path probe: lower-bound the shard's sorted table for \p Hash
   /// (scalar or Eytzinger engine), then verify each candidate under it.
   /// Lock-free; \p Scratch must be private to the calling thread.
-  std::optional<LookupResult> findHashed(const ExprContext &SrcCtx,
-                                         const Expr *Root, H Hash,
+  std::optional<LookupResult> findHashed(const QueryView &Query, H Hash,
                                          DecodeScratch &Scratch) const {
     static const obs::Histogram FindNs = obs::Histogram::get(
         "hma_mapped_find_ns",
@@ -845,7 +841,7 @@ private:
         Eytz ? eytzLowerBound(T, Hash) : scalarLowerBound(T, Hash);
     countProbes(Eytz ? ProbeEngine::Eytzinger : ProbeEngine::Scalar, 1);
     std::optional<LookupResult> Result =
-        resolveAtRank(SrcCtx, Root, Hash, T, Rank, Scratch);
+        resolveAtRank(Query, Hash, T, Rank, Scratch);
     if (obs::Enabled)
       FindNs.record(obs::nowNanos() - T0);
     return Result;

@@ -412,24 +412,16 @@ public:
 
   using IndexReader<H>::lookup;
 
-  std::optional<LookupResult> lookupDistinct(const ExprContext &Ctx,
-                                             const Expr *Root) override {
-    AlphaHasher<H> Hasher(Ctx, Schema);
-    DecodeScratch Scratch;
-    return lookupHashed(Ctx, Root, Hasher.hashRoot(Root), Scratch);
-  }
-
-  /// Probe every segment, newest first, for an already-uniquified,
-  /// already-hashed query (the \ref MappedIndex::lookupHashed shape and
-  /// the serving path's entry point): sum counts saturating, answer with
-  /// the oldest segment's representative.
-  std::optional<LookupResult> lookupHashed(const ExprContext &Ctx,
-                                           const Expr *Root, H Hash,
-                                           DecodeScratch &Scratch) const {
+  /// Probe every segment, newest first, for an already-hashed query (the
+  /// \ref MappedIndex::lookupHashed shape and the serving path's entry
+  /// point): sum counts saturating, answer with the oldest segment's
+  /// representative.
+  std::optional<LookupResult>
+  lookupHashed(const QueryView &Query, H Hash,
+               DecodeScratch &Scratch) const override {
     std::optional<LookupResult> Answer;
     for (const auto &S : Set->segments()) {
-      std::optional<LookupResult> R =
-          S->lookupHashed(Ctx, Root, Hash, Scratch);
+      std::optional<LookupResult> R = S->lookupHashed(Query, Hash, Scratch);
       if (!R)
         continue;
       if (!Answer) {
@@ -444,26 +436,22 @@ public:
     return Answer;
   }
 
-  /// Chunked parallel batch over the union: each item is decoded and
-  /// hashed once, then probed through every segment (the single-lookup
-  /// shape, fanned out by \ref detail::forEachHashedChunk).
+  /// Chunked parallel batch over the union: each item is hashed once
+  /// from its bytes, then probed through every segment (the
+  /// single-lookup shape, fanned out by \ref detail::forEachHashedChunk).
   std::vector<std::optional<LookupResult>>
   lookupBatch(const std::vector<std::string> &Blobs,
               unsigned Threads) override {
     std::vector<std::optional<LookupResult>> Results(Blobs.size());
-    struct WorkerState {
-      DecodeScratch Scratch;
-      std::vector<detail::HashedChunkItem<H>> Items;
-    };
+    using WorkerState = detail::LookupWorker<H>;
     detail::forEachHashedChunk<H, WorkerState>(
         Schema, Blobs.size(), Threads, "query_segmented",
-        [&](AlphaHasher<H> &Hasher, ExprContext &Ctx, size_t Begin,
-            size_t End, WorkerState &W) {
-          detail::decodeAndHashChunk(Hasher, Ctx, Blobs, Begin, End,
-                                     W.Items);
+        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
+            WorkerState &W) {
+          detail::hashChunk(Hasher, Blobs, Begin, End, W.Items, W.Canonical);
           for (const detail::HashedChunkItem<H> &It : W.Items)
             Results[It.Index] =
-                lookupHashed(Ctx, It.Root, It.Hash, W.Scratch);
+                lookupHashed(QueryView(It.Query), It.Hash, W.Scratch);
         },
         [](WorkerState &, uint64_t, uint64_t) {});
     return Results;

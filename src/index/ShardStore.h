@@ -49,6 +49,8 @@
 
 namespace hma {
 
+class ByteVerifier;
+
 /// Per-thread scratch of the exact-verify fallback.
 ///
 /// Its main job is to hold the buffers \ref verifyCandidateBytes reuses
@@ -89,41 +91,38 @@ public:
   }
 
 private:
-  friend bool verifyCandidateBytes(const ExprContext &QueryCtx,
-                                   const Expr *Query,
-                                   std::string_view Candidate,
-                                   DecodeScratch &Scratch);
+  friend class ByteVerifier;
 
-  /// One entry of the candidate's name table.
+  /// Per-id state of the candidate's name table during one walk.
   struct CandidateName {
-    std::string_view Spelling;
-    uint32_t Canon;     ///< First local id with the same spelling.
     uint32_t BinderPos; ///< Position of the innermost binder in scope.
-    Name FreeMatch;     ///< Query name its free uses matched, if any.
+    uint32_t FreeMatch; ///< Query key its free uses matched, if any.
   };
-  /// One slot of the query's binder table: open addressing keyed by
+  /// One slot of an Expr query's binder table: open addressing keyed by
   /// name, live only when stamped with the current walk's epoch.
   struct QueryBinder {
     Name N;
     uint32_t Pos;
     uint32_t Stamp;
   };
-  /// One pending step of the lockstep walk: visit query node \p E, or,
-  /// when E is null, set candidate name \p Id's binder position to \p Pos.
-  struct WalkStep {
-    const Expr *E;
-    uint32_t Id;
-    uint32_t Pos;
-  };
 
   std::unique_ptr<ExprContext> Ctx;
   size_t RecycleBytes;
-  std::vector<CandidateName> Names;
+  // The candidate side of the walk.
+  std::vector<std::string_view> Spellings;
+  std::vector<uint32_t> Canon;
   std::vector<uint32_t> SpellingSlots;
-  /// Sized by the largest query walked, never by its context's names.
+  std::vector<CandidateName> Names;
+  std::vector<uint32_t> SavedPos; ///< Binder positions shadowed by scopes.
+  std::vector<serial::WalkFrame> Frames;
+  // An Expr query: its preorder stack and its binder table, sized by the
+  // largest query walked, never by its context's names.
+  std::vector<const Expr *> QueryStack;
   std::vector<QueryBinder> QueryBinders;
   uint32_t Epoch = 0;
-  std::vector<WalkStep> Steps;
+  // A blob query: its name table and the binder position of each id.
+  std::vector<std::string_view> QuerySpellings;
+  std::vector<uint32_t> QueryBinderPos;
 };
 
 /// The exact-verify fallback: true iff \p Candidate is a well-formed
@@ -139,6 +138,38 @@ private:
 /// malformed byte refutes, as a failed decode does.
 bool verifyCandidateBytes(const ExprContext &QueryCtx, const Expr *Query,
                           std::string_view Candidate, DecodeScratch &Scratch);
+
+/// The same verifier for a serialized query: \p Query must be a blob
+/// whose binders \ref AlphaHasher::hashSerialized proved distinct (it
+/// succeeded on it). Its binder positions live in an array indexed by
+/// local id and its free spellings come from its own name table, so the
+/// query is never decoded either. Answers exactly as the \ref Expr form
+/// does on the decoded query (differential-tested).
+bool verifyCandidateBytes(std::string_view Query, std::string_view Candidate,
+                          DecodeScratch &Scratch);
+
+/// A lookup query as the exact verifier sees it: a distinct-binder
+/// \ref Expr with its context, or a serialized blob proven to have
+/// distinct binders. Every probe in the index layer takes one, so the
+/// byte read path and the Expr paths (ingest, the segment merge, Expr
+/// lookups) share every line below the hash.
+class QueryView {
+public:
+  /// \p Root is owned by \p Ctx and has distinct binders.
+  QueryView(const ExprContext &Ctx, const Expr *Root) : Ctx(&Ctx), Root(Root) {}
+  /// \p ProvenBytes passed \ref AlphaHasher::hashSerialized.
+  explicit QueryView(std::string_view ProvenBytes) : Bytes(ProvenBytes) {}
+
+  bool verify(std::string_view Candidate, DecodeScratch &Scratch) const {
+    return Root ? verifyCandidateBytes(*Ctx, Root, Candidate, Scratch)
+                : verifyCandidateBytes(Bytes, Candidate, Scratch);
+  }
+
+private:
+  const ExprContext *Ctx = nullptr;
+  const Expr *Root = nullptr;
+  std::string_view Bytes;
+};
 
 /// One shard's classes: a hash-to-entries table over byte-backed
 /// \ref ShardStore::Class records.
@@ -164,25 +195,24 @@ public:
       F(C);
   }
 
-  /// Probe for a class alpha-equivalent to \p Root (owned by \p SrcCtx,
-  /// binders distinct) among the entries stored under \p Hash. Each
-  /// candidate costs one \ref verifyCandidateBytes walk with \p Scratch;
+  /// Probe for a class alpha-equivalent to \p Query among the entries
+  /// stored under \p Hash. Each candidate costs one
+  /// \ref verifyCandidateBytes walk with \p Scratch;
   /// \p Checks counts the checks run and \p Refuted the hash matches the
   /// check rejected (verified collisions). A candidate whose bytes are
   /// malformed -- impossible for classes interned by this process,
   /// conceivable for a corrupted `HMAI` file loaded unverified -- is
   /// counted as refuted rather than trusted. Returns the class index or
   /// \ref npos.
-  size_t find(const ExprContext &SrcCtx, const Expr *Root, H Hash,
-              DecodeScratch &Scratch, uint64_t &Checks,
-              uint64_t &Refuted) const {
+  size_t find(const QueryView &Query, H Hash, DecodeScratch &Scratch,
+              uint64_t &Checks, uint64_t &Refuted) const {
     auto It = ByHash.find(Hash);
     if (It == ByHash.end())
       return npos;
     for (uint32_t Id : It->second) {
       const Class &C = Classes[Id];
       ++Checks;
-      if (verifyCandidateBytes(SrcCtx, Root, C.Bytes, Scratch))
+      if (Query.verify(C.Bytes, Scratch))
         return Id;
       ++Refuted;
     }

@@ -35,7 +35,6 @@
 #ifndef HMA_SERVE_GENERATION_H
 #define HMA_SERVE_GENERATION_H
 
-#include "ast/Uniquify.h"
 #include "index/MappedIndex.h"
 #include "index/SegmentManifest.h"
 #include "index/SegmentSet.h"
@@ -65,23 +64,6 @@ struct Generation {
   uint64_t Number = 0;  ///< Strictly monotonic across swaps.
   std::string Path;     ///< File or directory this generation came from.
 
-  /// The scratch-reusing lookup the request path needs (not part of the
-  /// \ref IndexReader surface): uniquify the decoded query only if the
-  /// decoder could not prove distinct binders, hash it with the caller's
-  /// warm hasher, and probe whichever backend is live.
-  std::optional<LookupResult<Hash128>>
-  lookup(ExprContext &Ctx, const DeserializeResult &Query,
-         AlphaHasher<Hash128> &Hasher, DecodeScratch &Scratch) const {
-    assert(Index && "generation published without a backend");
-    assert(Hasher.schema().seed() == Index->schema().seed() &&
-           "hasher seed does not match the generation");
-    const Expr *Root = uniquifyDecoded(Ctx, Query);
-    Hasher.bindIfNeeded(Ctx);
-    const Hash128 Hash = Hasher.hashRoot(Root);
-    if (Mapped)
-      return Mapped->lookupHashed(Ctx, Root, Hash, Scratch);
-    return Segmented->lookupHashed(Ctx, Root, Hash, Scratch);
-  }
 };
 
 using GenerationRef = std::shared_ptr<const Generation>;

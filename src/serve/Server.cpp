@@ -152,7 +152,8 @@ struct Conn {
 
 /// Per-worker request scratch: the warm hasher + verify scratch the
 /// batch driver would give one worker, kept across requests. The hasher
-/// is recreated only when a reload changes the schema seed.
+/// is recreated only when a reload changes the schema seed; it stays
+/// bound to the boot context, because the byte read path reads none.
 struct ReqScratch {
   ExprContext Boot;
   std::unique_ptr<AlphaHasher<Hash128>> Hasher;
@@ -165,13 +166,6 @@ struct ReqScratch {
       Seed = Schema.seed();
     }
     return *Hasher;
-  }
-
-  /// Park the hasher back on the boot context so it never dangles into a
-  /// dead per-request context.
-  void park() {
-    if (Hasher)
-      Hasher->rebind(Boot);
   }
 };
 
@@ -940,22 +934,17 @@ struct Server::Impl {
   /// query's problem, not the connection's.
   void answerOne(const Generation &Gen, std::string_view Blob,
                  ReqScratch &Scratch, WireLookup &R) {
-    AlphaHasher<Hash128> &Hasher = Scratch.hasherFor(Gen.Index->schema());
-    ExprContext Ctx;
-    DeserializeResult D = deserializeExpr(Ctx, Blob);
-    if (D.ok()) {
-      std::optional<LookupResult<Hash128>> Hit =
-          Gen.lookup(Ctx, D, Hasher, Scratch.Scratch);
-      if (Hit) {
-        R.Present = true;
-        R.Hash = Hit->Hash;
-        R.Count = Hit->Count;
-        // Copy while the generation is pinned: the reply must never
-        // view a mapping a swap could unmap.
-        R.CanonicalBytes.assign(Hit->CanonicalBytes);
-      }
+    // The byte read path, with the worker's warm hasher and scratch.
+    std::optional<LookupResult<Hash128>> Hit = Gen.Index->lookupSerialized(
+        Blob, Scratch.hasherFor(Gen.Index->schema()), Scratch.Scratch);
+    if (Hit) {
+      R.Present = true;
+      R.Hash = Hit->Hash;
+      R.Count = Hit->Count;
+      // Copy while the generation is pinned: the reply must never view a
+      // mapping a swap could unmap.
+      R.CanonicalBytes.assign(Hit->CanonicalBytes);
     }
-    Scratch.park(); // Ctx dies at return; the hasher must not point at it.
   }
 
   std::string statsText(const Generation &Gen) {

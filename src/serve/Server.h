@@ -17,10 +17,10 @@
 ///  - a small **worker pool**: each worker runs a poll(2) loop over its
 ///    own connections plus a wake pipe. All I/O is non-blocking and
 ///    EINTR-safe; SIGPIPE is ignored process-wide. Each worker owns one
-///    warm \ref AlphaHasher and one \ref DecodeScratch, rebound per
-///    request exactly as the batch driver rebinds per chunk, so the
-///    steady-state request path allocates like an in-process
-///    `lookupBatch` worker.
+///    warm \ref AlphaHasher and one \ref DecodeScratch, and answers a
+///    lookup on the same byte read path as an in-process `lookupBatch`
+///    worker (\ref IndexReader::lookupSerialized), so the steady-state
+///    request path allocates like one.
 ///  - requests pin the serving generation
 ///    (\ref GenerationCell::acquire) only while the reply is being
 ///    built; replies copy canonical bytes, so nothing on a connection

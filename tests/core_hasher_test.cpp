@@ -12,6 +12,8 @@
 #include "core/AlphaHasher.h"
 
 #include "ast/AlphaEquivalence.h"
+#include "ast/Printer.h"
+#include "ast/Serialize.h"
 #include "ast/Uniquify.h"
 #include "eqclass/EquivClasses.h"
 #include "gen/MLModels.h"
@@ -335,4 +337,124 @@ TEST(AlphaHasher, RebindInvalidatesTheNameCache) {
   // Round-trip back to C1: cache is rebuilt, hashes stay stable.
   H.rebind(C1);
   EXPECT_EQ(H.hashRoot(E1), H1);
+}
+
+//===----------------------------------------------------------------------===//
+// The byte driver (hashSerialized) against decode + the Expr driver
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// \p Blob with name-table entry 1 respelled as entry 0, when both are
+/// two-byte spellings (every v0..v5 pool name): a repeated-spelling
+/// table, which the serializer never writes and the decoder merges.
+std::string repeatFirstSpelling(std::string Blob) {
+  // "HMA1", count, then (length, spelling) entries.
+  if (Blob.size() < 11 || Blob[4] < 2 || Blob[5] != 2 || Blob[8] != 2)
+    return std::string();
+  Blob[9] = Blob[6];
+  Blob[10] = Blob[7];
+  return Blob;
+}
+
+} // namespace
+
+template <typename H> class HashSerializedTest : public ::testing::Test {};
+using DriverWidths = ::testing::Types<Hash128, Hash16>;
+TYPED_TEST_SUITE(HashSerializedTest, DriverWidths);
+
+TYPED_TEST(HashSerializedTest, AgreesWithDecodeThenHashRoot) {
+  // Shadow-heavy terms over 2-6 names with Lam, Let and Const binders
+  // that repeat, shadow and clash with free uses; a quarter are
+  // uniquified, and some get a repeated-spelling name table. The byte
+  // driver must succeed exactly when the decoder proves distinct binders
+  // and then equal hashRoot(uniquifyDecoded(decode)) bit for bit; a blob
+  // it refuses must hash, once canonicalized, to that same value. Blobs
+  // are decoded into a fresh context and into one that pre-interned
+  // every pool name, and one hasher serves every blob, so stale byte
+  // driver scratch would show.
+  using H = TypeParam;
+  Rng R(4242);
+  ExprContext Shared;
+  for (unsigned N = 0; N != 6; ++N)
+    Shared.name("v" + std::to_string(N));
+  ExprContext Boot;
+  AlphaHasher<H> Bytes(Boot);
+  uint64_t Proven = 0, Refused = 0, Respelled = 0;
+  for (unsigned I = 0; I != 20000; ++I) {
+    ExprContext Ctx;
+    const unsigned Pool = 2 + static_cast<unsigned>(R.below(5));
+    const Expr *E =
+        genShadowHeavy(Ctx, R, 1 + static_cast<unsigned>(R.below(24)), Pool);
+    if (I % 4 == 0)
+      E = uniquifyBinders(Ctx, E);
+    std::string Blob = serializeExpr(Ctx, E);
+    if (I % 8 == 3) {
+      std::string Repeated = repeatFirstSpelling(Blob);
+      if (!Repeated.empty()) {
+        Blob = std::move(Repeated);
+        ++Respelled;
+      }
+    }
+    const std::optional<H> Got = Bytes.hashSerialized(Blob);
+    for (ExprContext *Into : {static_cast<ExprContext *>(nullptr), &Shared}) {
+      ExprContext Fresh;
+      ExprContext &Out = Into ? *Into : Fresh;
+      DeserializeResult D = deserializeExpr(Out, Blob);
+      ASSERT_TRUE(D.ok()) << D.Error;
+      ASSERT_EQ(Got.has_value(), D.DistinctBinders) << printExpr(Out, D.E);
+      const Expr *Root = uniquifyDecoded(Out, D);
+      const H Want = AlphaHasher<H>(Out).hashRoot(Root);
+      if (Got) {
+        ASSERT_EQ(*Got, Want) << printExpr(Out, D.E);
+      }
+      const std::optional<H> Canonical =
+          Bytes.hashSerialized(serializeExpr(Out, Root));
+      ASSERT_TRUE(Canonical.has_value()) << printExpr(Out, Root);
+      ASSERT_EQ(*Canonical, Want) << printExpr(Out, Root);
+    }
+    (Got ? Proven : Refused) += 1;
+  }
+  EXPECT_GT(Proven, 5000u);
+  EXPECT_GT(Refused, 5000u);
+  EXPECT_GT(Respelled, 1000u);
+}
+
+TYPED_TEST(HashSerializedTest, AgreesOnLargeTermsAndModels) {
+  // Big balanced and unbalanced terms exercise the smaller-into-bigger
+  // merge at depth; the ML models bring Let-heavy sharing.
+  using H = TypeParam;
+  ExprContext Ctx;
+  Rng R(99);
+  std::vector<const Expr *> Terms = {
+      genBalanced(Ctx, R, 4096), genUnbalanced(Ctx, R, 4096),
+      buildMnistCnn(Ctx), buildGmm(Ctx)};
+  AlphaHasher<H> Tree(Ctx);
+  ExprContext Boot;
+  AlphaHasher<H> Bytes(Boot);
+  for (const Expr *E : Terms) {
+    E = uniquifyBinders(Ctx, E);
+    const std::optional<H> Got = Bytes.hashSerialized(serializeExpr(Ctx, E));
+    ASSERT_TRUE(Got.has_value());
+    EXPECT_EQ(*Got, Tree.hashRoot(E));
+  }
+}
+
+TEST(HashSerialized, ScratchIsReusedWithoutPoolGrowth) {
+  // Once warmed on a workload's largest term, the byte driver hashes
+  // further blobs without carving a single new map node.
+  ExprContext Ctx;
+  Rng R(7);
+  std::vector<std::string> Blobs;
+  for (int I = 0; I != 200; ++I)
+    Blobs.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 64)));
+  ExprContext Boot;
+  AlphaHasher<Hash128> Bytes(Boot);
+  for (const std::string &B : Blobs)
+    ASSERT_TRUE(Bytes.hashSerialized(B).has_value());
+  const size_t Warm = Bytes.poolAllocatedNodes();
+  for (const std::string &B : Blobs)
+    ASSERT_TRUE(Bytes.hashSerialized(B).has_value());
+  EXPECT_EQ(Bytes.poolAllocatedNodes(), Warm);
+  EXPECT_EQ(Bytes.poolLiveNodes(), 0u);
 }

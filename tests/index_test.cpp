@@ -590,3 +590,162 @@ TEST(VerifyCandidateBytes, MalformedCandidatesAreRefuted) {
   EXPECT_FALSE(verifyCandidateBytes(
       Ctx, Id, handBlob({"x"}, {TagLam, 0, TagVar, 0, TagVar}), Scratch));
 }
+
+//===----------------------------------------------------------------------===//
+// The blob-query verifier against the Expr-query verifier and the oracle
+//===----------------------------------------------------------------------===//
+
+TEST(VerifyCandidateBytes, BlobQueryAgreesWithExprQueryAndOracle) {
+  // The random-pair battery above, with every query also given as the
+  // proven blob the byte read path verifies with. Both query forms must
+  // agree with each other and with decode + alphaEquivalent on every
+  // pair; one scratch serves both forms, so state leaking from one form
+  // into the other would show.
+  Rng R(2105);
+  DecodeScratch Scratch;
+  ExprContext Boot;
+  AlphaHasher<Hash64> Prover(Boot);
+  uint64_t Accepted = 0, Refuted = 0;
+  for (unsigned I = 0; I != 32000; ++I) {
+    ExprContext Ctx;
+    const unsigned Pool = 2 + static_cast<unsigned>(R.below(5));
+    const unsigned Size = 1 + static_cast<unsigned>(R.below(24));
+    const Expr *T = genShadowHeavy(Ctx, R, Size, Pool);
+    const Expr *C = T;
+    if (I % 3 == 1) {
+      int64_t K = static_cast<int64_t>(R.below(T->treeSize()));
+      C = mutateOne(Ctx, R, T, K, Pool);
+    } else if (I % 3 == 2) {
+      C = genShadowHeavy(Ctx, R, Size, Pool);
+    }
+    const std::string Bytes = serializeExpr(Ctx, C);
+    const Expr *Q = uniquifyBinders(Ctx, T);
+    const std::string QueryBlob = serializeExpr(Ctx, Q);
+    ASSERT_TRUE(Prover.hashSerialized(QueryBlob).has_value());
+
+    const bool Want = decodeThenOracle(Ctx, Q, Bytes);
+    ASSERT_EQ(verifyCandidateBytes(Ctx, Q, Bytes, Scratch), Want)
+        << printExpr(Ctx, Q) << " vs " << printExpr(Ctx, C);
+    ASSERT_EQ(verifyCandidateBytes(QueryBlob, Bytes, Scratch), Want)
+        << printExpr(Ctx, Q) << " vs " << printExpr(Ctx, C);
+    ASSERT_EQ(QueryView(QueryBlob).verify(Bytes, Scratch), Want);
+    (Want ? Accepted : Refuted) += 1;
+  }
+  EXPECT_GT(Accepted, 10000u);
+  EXPECT_GT(Refuted, 10000u);
+}
+
+TEST(VerifyCandidateBytes, BlobQueryLetScopingSpellingsAndMalformedBytes) {
+  const std::pair<const char *, const char *> Pairs[] = {
+      {"(let (y x) y)", "(let (x x) x)"},
+      {"(let (y x) x)", "(let (x x) x)"},
+      {"(let (y (f y0)) y)", "(let (x (f x)) x)"},
+      {"(lam (a b) b)", "(lam (x x) x)"},
+      {"(lam (a b) a)", "(lam (x x) x)"},
+      {"(f (lam (a) a) x)", "(f (lam (x) x) x)"},
+      {"(f (lam (a) a) a)", "(f (lam (x) x) x)"},
+      {"(let (a 1) (let (b a) b))", "(let (x 1) (let (x x) x))"},
+      {"(let (a 1) (let (b a) a))", "(let (x 1) (let (x x) x))"},
+      {"(f f)", "(f g)"},
+      {"(lam (p) (p 3))", "(lam (q) (q -3))"},
+  };
+  DecodeScratch Scratch;
+  for (const auto &[QSrc, CSrc] : Pairs) {
+    ExprContext Ctx;
+    const Expr *Q = uniquifyBinders(Ctx, parseT(Ctx, QSrc));
+    const std::string QueryBlob = serializeExpr(Ctx, Q);
+    const std::string Bytes = serializeExpr(Ctx, parseT(Ctx, CSrc));
+    EXPECT_EQ(verifyCandidateBytes(QueryBlob, Bytes, Scratch),
+              decodeThenOracle(Ctx, Q, Bytes))
+        << QSrc << " vs " << CSrc;
+  }
+  // Repeated candidate spellings merge as the decoder merges them.
+  ExprContext Ctx;
+  auto Blob = [&](const char *Src) {
+    return serializeExpr(Ctx, uniquifyBinders(Ctx, parseT(Ctx, Src)));
+  };
+  const std::string Nested =
+      handBlob({"a", "a"}, {TagLam, 0, TagLam, 1, TagVar, 0});
+  EXPECT_TRUE(verifyCandidateBytes(Blob("(lam (p q) q)"), Nested, Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(Blob("(lam (p q) p)"), Nested, Scratch));
+  const std::string Free = handBlob({"f", "f"}, {TagApp, TagVar, 0, TagVar, 1});
+  EXPECT_TRUE(verifyCandidateBytes(Blob("(f f)"), Free, Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(Blob("(f g)"), Free, Scratch));
+
+  // Malformed candidates refute against a query they would otherwise
+  // match.
+  const std::string Query = Blob("(let (k 7) (lam (x y) (f x k y)))");
+  ASSERT_TRUE(verifyCandidateBytes(Query, Query, Scratch));
+  for (size_t Len = 0; Len != Query.size(); ++Len)
+    EXPECT_FALSE(verifyCandidateBytes(Query, Query.substr(0, Len), Scratch))
+        << "truncated to " << Len;
+  EXPECT_FALSE(verifyCandidateBytes(Query, Query + '\0', Scratch));
+  const std::string Id = Blob("(lam (p) p)");
+  EXPECT_TRUE(verifyCandidateBytes(
+      Id, handBlob({"x"}, {TagLam, 0, TagVar, 0}), Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(
+      Id, handBlob({"x"}, {TagLam, 0, TagVar, 1}), Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(
+      Id, handBlob({"x"}, {TagLam, 0, 0x7F}), Scratch));
+}
+
+//===----------------------------------------------------------------------===//
+// The byte read path at b=16: same verdicts, same counters
+//===----------------------------------------------------------------------===//
+
+TEST(AlphaHashIndex16, ByteReadPathRunsTheSameChecksAsTheExprPath) {
+  // Buckets genuinely collide at 16 bits, so many queries verify several
+  // candidates. The byte path (lookupBatch, lookupSerialized) must answer
+  // each query as the Expr path (per-query lookup on the decoded root)
+  // does, and run exactly as many fallback checks with exactly as many
+  // verified collisions -- including for queries it canonicalized.
+  ExprContext Ctx;
+  Rng R(1729);
+  std::vector<std::string> Corpus, Queries;
+  for (int I = 0; I != 2000; ++I)
+    Corpus.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 40)));
+  for (size_t I = 0; I != Corpus.size(); ++I) {
+    DeserializeResult D = deserializeExpr(Ctx, Corpus[I]);
+    ASSERT_TRUE(D.ok());
+    const Expr *E = alphaRename(Ctx, R, D.E);
+    if (I % 3 == 1) // shadow a binder: a non-proven blob
+      E = Ctx.lam(Ctx.name("s"), Ctx.lam(Ctx.name("s"), E));
+    Queries.push_back(serializeExpr(Ctx, E));
+  }
+  for (int I = 0; I != 500; ++I)
+    Queries.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 40)));
+
+  auto Build = [&] {
+    auto Index = std::make_unique<AlphaHashIndex<Hash16>>(
+        AlphaHashIndex<Hash16>::Options{4, HashSchema::DefaultSeed});
+    Index->insertBatch(Corpus, 1);
+    return Index;
+  };
+  auto ByBytes = Build();
+  auto ByExpr = Build();
+  const IndexStats Before = ByBytes->stats();
+  expectStatsEq(Before, ByExpr->stats());
+
+  // Two passes on each side: batch and single lookups on the byte path,
+  // two per-query Expr lookups on the reference.
+  auto Batch = ByBytes->lookupBatch(Queries, 3);
+  std::vector<std::optional<LookupResult<Hash16>>> Single, Reference;
+  for (int Pass = 0; Pass != 2; ++Pass) {
+    Reference.clear();
+    for (const std::string &Q : Queries) {
+      ExprContext QCtx;
+      DeserializeResult D = deserializeExpr(QCtx, Q);
+      ASSERT_TRUE(D.ok());
+      Reference.push_back(ByExpr->lookup(QCtx, D.E));
+    }
+  }
+  for (const std::string &Q : Queries)
+    Single.push_back(ByBytes->lookupSerialized(Q));
+  expectSameLookupAnswers(Batch, Reference, "batch vs expr");
+  expectSameLookupAnswers(Single, Reference, "single vs expr");
+  const IndexStats A = ByBytes->stats(), B = ByExpr->stats();
+  EXPECT_GT(B.FallbackChecks - Before.FallbackChecks, Queries.size() / 2);
+  EXPECT_GT(B.VerifiedCollisions - Before.VerifiedCollisions, 0u);
+  EXPECT_EQ(A.FallbackChecks, B.FallbackChecks);
+  EXPECT_EQ(A.VerifiedCollisions, B.VerifiedCollisions);
+}

@@ -44,6 +44,7 @@
 #include "index/MappedIndex.h"
 #include "index/SegmentCompactor.h"
 #include "index/SegmentManifest.h"
+#include "obs/Metrics.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
@@ -181,16 +182,12 @@ TEST(GenerationSwap, ConcurrentReadersNeverSeeWrongAnswersAcross100Swaps) {
         GenerationRef Gen = Cell.acquire();
         ASSERT_NE(Gen, nullptr);
         const std::string &Blob = Corpus[I % Corpus.size()];
-        ExprContext Ctx;
-        DeserializeResult D = deserializeExpr(Ctx, Blob);
-        ASSERT_TRUE(D.ok());
-        auto Hit = Gen->lookup(Ctx, D, Hasher, Scratch);
+        auto Hit = Gen->Index->lookupSerialized(Blob, Hasher, Scratch);
         const auto &Want = Expect[I % Corpus.size()];
         if (!Hit || !Want || Hit->Hash != Want->Hash ||
             Hit->Count != Want->Count ||
             Hit->CanonicalBytes != Want->CanonicalBytes)
           WrongAnswers.fetch_add(1);
-        Hasher.rebind(Boot); // Ctx dies now; never dangle into it.
         Checked.fetch_add(1);
         ++I;
       }
@@ -880,6 +877,177 @@ TEST(Indexd, SighupReloadRacesCompactorManifestSwap) {
     EXPECT_EQ(Got.CanonicalBytes, Truth[I].CanonicalBytes);
   }
 
+  removeDirTree(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// Layer 5: the byte read path's canonicalization fallback, on every backend
+//===----------------------------------------------------------------------===//
+
+TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
+  // A corpus of three kinds of query blob: proven (alpha-renamed
+  // members, fresh terms), non-proven (shadowed binders, a binder name
+  // used free, repeated name-table spellings) and malformed. The byte
+  // read path proves the first kind and canonicalizes the second; every
+  // backend and the wire must answer each query byte-identically to the
+  // Expr path -- per-query lookup(Ctx, Root) on the decoded query -- with
+  // malformed blobs as misses.
+  ExprContext Ctx;
+  Rng R(2026);
+  std::vector<std::string> Base, Delta;
+  for (int I = 0; I != 40; ++I)
+    Base.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 20)));
+  for (int I = 0; I != 20; ++I) {
+    const Expr *E = genShadowHeavy(Ctx, R, 12, 3);
+    (I % 2 ? Base : Delta).push_back(serializeExpr(Ctx, E));
+  }
+  for (int I = 0; I != 10; ++I)
+    Delta.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 20)));
+  // Tiny members, so the repeated-spelling queries below hit: their
+  // canonical copies are short enough for the small-string buffer.
+  for (const char *Src : {"(lam (x) x)", "(lam (p q) q)", "(f f)"})
+    Base.push_back(serializeExpr(Ctx, parseT(Ctx, Src)));
+  // Shadowed members: an outer binder the inner one hides.
+  auto Shadowed = [&](const Expr *E) {
+    return Ctx.lam(Ctx.name("s"), Ctx.lam(Ctx.name("s"), E));
+  };
+  for (size_t I = 0; I != 10; ++I) {
+    DeserializeResult D = deserializeExpr(Ctx, Base[I]);
+    ASSERT_TRUE(D.ok());
+    Delta.push_back(serializeExpr(Ctx, Shadowed(D.E)));
+  }
+  std::vector<std::string> All = Base;
+  All.insert(All.end(), Delta.begin(), Delta.end());
+
+  std::vector<std::string> Queries;
+  for (const std::string &B : All) {
+    DeserializeResult D = deserializeExpr(Ctx, B);
+    ASSERT_TRUE(D.ok());
+    const Expr *E = alphaRename(Ctx, R, D.E);
+    Queries.push_back(serializeExpr(Ctx, E));
+    Queries.push_back(serializeExpr(Ctx, Shadowed(E)));
+    // A binder name that also occurs free.
+    Queries.push_back(serializeExpr(
+        Ctx, Ctx.app(Ctx.lam(Ctx.name("u"), E), Ctx.var(Ctx.name("u")))));
+  }
+  // Repeated spellings: (lam (a) a), (lam (a) (lam (a) a)) and (f f)
+  // with two table entries for one spelling.
+  Queries.push_back(handBlob({"a", "a"}, {TagLam, 0, TagVar, 1}));
+  Queries.push_back(handBlob({"a", "a"}, {TagLam, 0, TagLam, 1, TagVar, 0}));
+  Queries.push_back(handBlob({"f", "f"}, {TagApp, TagVar, 0, TagVar, 1}));
+  for (int I = 0; I != 10; ++I)
+    Queries.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 20)));
+  // Malformed.
+  Queries.push_back(Base.front().substr(0, Base.front().size() - 1));
+  Queries.push_back(Base.front() + '\0');
+  Queries.push_back(handBlob({"x"}, {TagLam, 0, TagVar, 1}));
+  Queries.push_back("HMA1");
+  Queries.emplace_back();
+
+  // The reference on each backend: the Expr path, per query.
+  using Answers = std::vector<std::optional<LookupResult<Hash128>>>;
+  auto ExprPath = [&](IndexReader<Hash128> &Index) {
+    Answers Out;
+    for (const std::string &Q : Queries) {
+      ExprContext QCtx;
+      DeserializeResult D = deserializeExpr(QCtx, Q);
+      Out.push_back(D.ok() ? Index.lookup(QCtx, D.E) : std::nullopt);
+    }
+    return Out;
+  };
+  AlphaHashIndex<> Live({8, HashSchema::DefaultSeed});
+  Live.insertBatch(All, 1);
+  const Answers Expect = ExprPath(Live);
+  size_t NonProven = 0, NonProvenHits = 0, Malformed = 0, Hits = 0;
+  for (size_t I = 0; I != Queries.size(); ++I) {
+    ExprContext QCtx;
+    DeserializeResult D = deserializeExpr(QCtx, Queries[I]);
+    Malformed += !D.ok();
+    Hits += Expect[I].has_value();
+    if (D.ok() && !D.DistinctBinders) {
+      ++NonProven;
+      NonProvenHits += Expect[I].has_value();
+    }
+  }
+  EXPECT_EQ(Malformed, 5u);
+  EXPECT_GE(Hits, All.size());
+  EXPECT_GE(NonProvenHits, 13u);
+  EXPECT_GE(NonProven, All.size() + 3);
+
+  const auto Canonicalized = [] {
+    const obs::Snapshot S = obs::Registry::global().snapshot();
+    const obs::CounterRow *C = S.counter("hma_query_canonicalized_total");
+    return C ? C->Value : 0;
+  };
+  const uint64_t Before = Canonicalized();
+  expectSameLookupAnswers(Live.lookupBatch(Queries, 3), Expect, "live batch");
+  if (obs::Enabled) {
+    EXPECT_EQ(Canonicalized() - Before, NonProven);
+  }
+  for (size_t I = 0; I != Queries.size(); ++I) {
+    std::vector<std::optional<LookupResult<Hash128>>> One = {
+        Live.lookupSerialized(Queries[I])};
+    expectSameLookupAnswers(One, {Expect[I]},
+                            "live single " + std::to_string(I));
+  }
+
+  // Mapped: one HMAI file of the same corpus, ingested the same way, so
+  // even the representatives' bytes match the live index.
+  const std::string Path = "indexd_test_fallback.hmai";
+  writeIndexFileFor(All, Path, 8);
+  auto Mapped = MappedIndex<Hash128>::open(Path);
+  ASSERT_TRUE(Mapped.ok()) << Mapped.Error;
+  expectSameLookupAnswers(ExprPath(*Mapped.Reader), Expect, "mapped expr");
+  expectSameLookupAnswers(Mapped.Reader->lookupBatch(Queries, 3), Expect,
+                          "mapped batch");
+
+  // Segmented: the base and the delta as two segments.
+  const std::string Dir = "indexd_test_fallback.segidx";
+  removeDirTree(Dir);
+  {
+    AlphaHashIndex<> BaseIdx({8, HashSchema::DefaultSeed});
+    BaseIdx.insertBatch(Base, 1);
+    ASSERT_TRUE(createSegmentDir(Dir, BaseIdx).Ok);
+    SegmentAppendOptions AOpts;
+    AOpts.Shards = 4;
+    ASSERT_TRUE(appendSegment<Hash128>(Dir, Delta, AOpts).Ok);
+  }
+  // The delta was uniquified in its own staging context, so a class it
+  // introduced may carry other fresh binder names than the live index's
+  // representative: the segmented reference is its own Expr path.
+  auto Seg = SegmentedIndex<Hash128>::open(Dir);
+  ASSERT_TRUE(Seg.ok()) << Seg.Error;
+  ASSERT_EQ(Seg.Reader->set().numSegments(), 2u);
+  const Answers SegExpect = ExprPath(*Seg.Reader);
+  expectSameLookupAnswers(Seg.Reader->lookupBatch(Queries, 3), SegExpect,
+                          "segmented batch");
+
+  // Over the wire, from both the file and the directory.
+  for (const std::string &Served : {Path, Dir}) {
+    const Answers &Want = Served == Path ? Expect : SegExpect;
+    const std::string Sock = "indexd_test_fallback.sock";
+    DaemonGuard D(testOpts(Served, Sock));
+    ASSERT_TRUE(D.Started);
+    Client C(testClientOpts(Sock));
+    std::string Error;
+    std::vector<WireLookup> Got;
+    ASSERT_TRUE(C.lookupBatch(Queries, Got, &Error)) << Error;
+    ASSERT_EQ(Got.size(), Expect.size());
+    for (size_t I = 0; I != Got.size(); ++I) {
+      WireLookup One;
+      ASSERT_TRUE(C.lookup(Queries[I], One, &Error)) << Error;
+      for (const WireLookup &W : {Got[I], One}) {
+        ASSERT_EQ(W.Present, Want[I].has_value()) << Served << " query " << I;
+        if (!W.Present)
+          continue;
+        EXPECT_EQ(W.Hash, Want[I]->Hash) << Served << " query " << I;
+        EXPECT_EQ(W.Count, Want[I]->Count) << Served << " query " << I;
+        EXPECT_EQ(W.CanonicalBytes, std::string(Want[I]->CanonicalBytes))
+            << Served << " query " << I;
+      }
+    }
+  }
+  std::remove(Path.c_str());
   removeDirTree(Dir);
 }
 

@@ -224,3 +224,139 @@ TEST(SerializeDistinctBinders, RepeatedSpellingLeavesFlagUnset) {
   ASSERT_TRUE(D.ok()) << D.Error;
   EXPECT_TRUE(D.DistinctBinders);
 }
+
+//===----------------------------------------------------------------------===//
+// Hostile bytes through every reader of the format
+//===----------------------------------------------------------------------===//
+
+TEST(SerializeHostileBytes, EveryReaderFailsCleanly) {
+  // Every truncation, a trailing byte, out-of-range ids, a bad tag and
+  // over-long varints: the decoder must reject each one, and so must the
+  // alpha-hasher's byte driver -- returning no hash rather than reading
+  // past the input (the ASan job runs this). The same hasher must then
+  // still hash the good blob to the same value: a failed walk leaves no
+  // stale scratch behind.
+  ExprContext Ctx;
+  const Expr *E = uniquifyBinders(
+      Ctx, parseT(Ctx, "(let (k 7) (lam (x y) (f x (let (z -3) (y z)) k)))"));
+  const std::string Good = serializeExpr(Ctx, E);
+  ExprContext Boot;
+  AlphaHasher<Hash128> Bytes(Boot);
+  const std::optional<Hash128> Want = Bytes.hashSerialized(Good);
+  ASSERT_TRUE(Want.has_value());
+  ASSERT_EQ(*Want, AlphaHasher<Hash128>(Ctx).hashRoot(E));
+
+  std::vector<std::pair<std::string, std::string>> Bad;
+  for (size_t Len = 0; Len != Good.size(); ++Len)
+    Bad.push_back({"truncated to " + std::to_string(Len), Good.substr(0, Len)});
+  Bad.push_back({"trailing byte", Good + '\0'});
+  Bad.push_back({"trailing node", Good + char(TagVar) + '\0'});
+  Bad.push_back(
+      {"out-of-range var id", handBlob({"x"}, {TagLam, 0, TagVar, 1})});
+  Bad.push_back(
+      {"out-of-range binder", handBlob({"x"}, {TagLam, 3, TagVar, 0})});
+  Bad.push_back({"out-of-range let binder",
+                 handBlob({"x"}, {TagLet, 1, TagConst, 2, TagVar, 0})});
+  Bad.push_back({"bad tag", handBlob({"x"}, {TagLam, 0, 0x7F})});
+  Bad.push_back({"bad root tag", handBlob({}, {0x05})});
+  Bad.push_back({"over-long id varint",
+                 handBlob({"x"}, {TagLam, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                                  0x80, 0x80, 0x80, 0x80, TagVar, 0})});
+  Bad.push_back({"over-long constant",
+                 handBlob({}, {TagConst, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                               0xFF, 0xFF, 0xFF, 0xFF, 0x01})});
+  Bad.push_back({"truncated constant", handBlob({}, {TagConst, 0x80})});
+  Bad.push_back({"name count past the end", handBlob({}, {}) + "\x7F"});
+  Bad.push_back({"spelling past the end", std::string("HMA1\x01\x05xy", 8)});
+  Bad.push_back({"bad magic", "HMA2" + Good.substr(4)});
+  Bad.push_back({"empty body", handBlob({"x"}, {})});
+  for (const auto &[What, Blob] : Bad) {
+    ExprContext D;
+    EXPECT_FALSE(deserializeExpr(D, Blob).ok()) << What;
+    EXPECT_FALSE(Bytes.hashSerialized(Blob).has_value()) << What;
+    const std::optional<Hash128> Again = Bytes.hashSerialized(Good);
+    ASSERT_TRUE(Again.has_value()) << What;
+    EXPECT_EQ(*Again, *Want) << What;
+  }
+  EXPECT_EQ(Bytes.poolLiveNodes(), 0u);
+}
+
+TEST(SerializeHostileBytes, RandomCorruptionNeverMisreads) {
+  // Random byte flips of random blobs: whatever the decoder makes of the
+  // bytes, the byte driver hashes them iff the decoder proves distinct
+  // binders, and then to the decoded term's hash.
+  Rng R(31337);
+  ExprContext Boot;
+  AlphaHasher<Hash64> Bytes(Boot);
+  uint64_t Decoded = 0, Rejected = 0;
+  for (unsigned I = 0; I != 5000; ++I) {
+    ExprContext Ctx;
+    std::string Blob = serializeExpr(
+        Ctx, genShadowHeavy(Ctx, R, 1 + static_cast<unsigned>(R.below(16)),
+                            2 + static_cast<unsigned>(R.below(4))));
+    for (unsigned Flips = 1 + static_cast<unsigned>(R.below(3)); Flips--;)
+      Blob[R.below(Blob.size())] = static_cast<char>(R.below(256));
+    ExprContext D;
+    DeserializeResult Dec = deserializeExpr(D, Blob);
+    const std::optional<Hash64> Got = Bytes.hashSerialized(Blob);
+    ASSERT_EQ(Got.has_value(), Dec.ok() && Dec.DistinctBinders);
+    if (Got) {
+      ASSERT_EQ(*Got, AlphaHasher<Hash64>(D).hashRoot(Dec.E));
+    }
+    (Dec.ok() ? Decoded : Rejected) += 1;
+  }
+  EXPECT_GT(Decoded, 250u);
+  EXPECT_GT(Rejected, 500u);
+}
+
+TEST(SerializeWalk, FirstSpellingsMergesRepeatsOntoTheFirstEntry) {
+  std::vector<uint32_t> Canon, Slots;
+  std::vector<std::string_view> Names = {"a", "b", "a", "", "b", "", "c"};
+  EXPECT_FALSE(serial::firstSpellings(Names, Canon, Slots));
+  EXPECT_EQ(Canon, (std::vector<uint32_t>{0, 1, 0, 3, 1, 3, 6}));
+  Names = {"x", "y", "xy", "yx"};
+  EXPECT_TRUE(serial::firstSpellings(Names, Canon, Slots));
+  EXPECT_EQ(Canon, (std::vector<uint32_t>{0, 1, 2, 3}));
+  Names = {};
+  EXPECT_TRUE(serial::firstSpellings(Names, Canon, Slots));
+  EXPECT_TRUE(Canon.empty());
+}
+
+TEST(SerializeWalk, FramesCloseInPostorderWithSubtreeSizes) {
+  // (let (k 7) (lam (x) (f x k))): every interior node closes after its
+  // children, with its subtree's node count.
+  ExprContext Ctx;
+  const std::string Blob =
+      serializeExpr(Ctx, parseT(Ctx, "(let (k 7) (lam (x) (f x k)))"));
+  struct Recorder {
+    std::string Events;
+    bool var(uint32_t Id) {
+      Events += "v" + std::to_string(Id) + " ";
+      return true;
+    }
+    bool constant(int64_t V) {
+      Events += "c" + std::to_string(V) + " ";
+      return true;
+    }
+    bool open(const serial::WalkFrame &F) {
+      Events += "(" + std::to_string(unsigned(F.Kind)) + " ";
+      return true;
+    }
+    void letBody(const serial::WalkFrame &) { Events += "| "; }
+    bool close(const serial::WalkFrame &F, uint64_t Size) {
+      Events += ")" + std::to_string(F.Start) + ":" + std::to_string(Size) +
+                " ";
+      return true;
+    }
+  } V;
+  serial::Reader In(Blob);
+  std::vector<std::string_view> Spellings;
+  ASSERT_TRUE(In.getMagic() && serial::getNameTable(In, Spellings));
+  std::vector<serial::WalkFrame> Stack;
+  serial::BinderProof Proof;
+  Proof.reset(Spellings);
+  EXPECT_EQ(serial::walkBody(In, Spellings.size(), Stack, &Proof, V), nullptr);
+  EXPECT_TRUE(Proof.holds());
+  // Names in first-use order: k=0, x=1, f=2. Kinds: Lam=1, App=2, Let=3.
+  EXPECT_EQ(V.Events, "(3 c7 | (1 (2 (2 v2 v1 )4:3 v0 )3:5 )2:6 )0:8 ");
+}
