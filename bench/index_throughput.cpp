@@ -32,14 +32,11 @@
 /// the mapped and the materialized reader. The mapped-vs-load open
 /// speedup and both query latencies land in the `CSV,index_reopen` row.
 ///
-///   HMA_BENCH_FULL=1   10x corpus size; >= 1M-class probe ablation
+///   HMA_BENCH_FULL=1   10x corpus size
 ///   --lookup-only      skip everything except one 1-thread ingest and
 ///                      the `CSV,lookup_throughput` row per family (the
 ///                      fast mode CI's obs-overhead gate interleaves
-///                      across the instrumented and HMA_OBS_OFF builds;
-///                      no ablation rows appear in this mode)
-///   --probe            run ONLY the probe-engine ablation and the
-///                      forced-collision microbench (CI's probe gate)
+///                      across the instrumented and HMA_OBS_OFF builds)
 ///   --segment          run ONLY the segmented-append-vs-rewrite
 ///                      measurement and the `CSV,segment_update` row
 ///                      (CI's segment gate)
@@ -48,9 +45,7 @@
 ///   CSV,env,<hardware_concurrency>,<single_core>,<obs_enabled>
 ///   CSV,index_throughput,<family>,<threads>,<exprs>,<sec>,<exprs_per_sec>,<alloc_per_expr>,<steady_alloc_per_expr>
 ///   CSV,index_reopen,<family>,<classes>,<file_bytes>,<reopen_sec>,<rebuild_sec>,<retained_bytes_per_class>,<mmap_open_sec>,<mmap_batch_sec>,<load_batch_sec>
-///   CSV,lookup_throughput,<family>,<queries>,<sec>,<queries_per_sec>,<obs_enabled>,<engine>,<mode>
-///   CSV,probe_scaling,<engine>,<threads>,<queries>,<sec>,<queries_per_sec>
-///   CSV,collision_probe,b16,<engine>,<queries>,<sec>,<queries_per_sec>,<verified_collisions>
+///   CSV,lookup_throughput,<family>,<queries>,<sec>,<queries_per_sec>,<obs_enabled>
 ///   CSV,segment_update,<classes>,<delta>,<append_sec>,<rewrite_sec>,<speedup>,<fresh>,<compact_sec>,<diff_ok>
 ///   CSV,obs_hist,<name>,<count>,<p50_ns>,<p90_ns>,<p99_ns>,<max_ns>
 ///
@@ -59,16 +54,8 @@
 /// `CSV,lookup_throughput` is a median-of-reps steady-state read-path
 /// measurement: CI's overhead smoke diffs its queries_per_sec between a
 /// default build and an `-DHMA_OBS_OFF=ON` build and requires the
-/// instrumented run within 5%. Fields after the obs flag are appends
-/// (the overhead gate indexes field 6): <engine> is the probe engine
-/// that served the row (`hashtable` for the live index) and <mode> is
-/// `warm` (hot mmap + caches) or `cold` (fresh mmap per rep, LLC
-/// thrashed -- the mode where interleaved probing hides page-touch
-/// latency). The probe-ablation rows use family `probe` (hash-only
-/// probes via probeHashCounts: the engines' intrinsic cost, undiluted
-/// by decode+verify) and `probe_full` (full lookupBatch). `CSV,obs_hist`
-/// dumps every non-empty obs histogram the run populated (absent under
-/// HMA_OBS_OFF).
+/// instrumented run within 5%. `CSV,obs_hist` dumps every non-empty obs
+/// histogram the run populated (absent under HMA_OBS_OFF).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,13 +88,9 @@ namespace {
 
 /// Best-of-reps steady-state lookupBatch throughput over \p Index, as
 /// the `CSV,lookup_throughput` row. The number CI's obs-overhead gate
-/// compares across builds, so it uses timeMin (see BenchUtil.h). Works
-/// through the IndexReader surface so the probe ablation can reuse it
-/// per engine; the engine label and warm/cold mode land after the obs
-/// flag (appends -- the overhead gate indexes field 6).
+/// compares across builds, so it uses timeMin (see BenchUtil.h).
 void measureLookup(const char *Family, IndexReader<Hash128> &Index,
-                   const std::vector<std::string> &Corpus,
-                   const char *Mode = "warm") {
+                   const std::vector<std::string> &Corpus) {
   size_t Hits = 0;
   double LookupSec = timeMin([&] {
     Hits = 0;
@@ -117,15 +100,14 @@ void measureLookup(const char *Family, IndexReader<Hash128> &Index,
   double LookupRate =
       LookupSec > 0 ? static_cast<double>(Corpus.size()) / LookupSec : 0.0;
   std::printf("%8s steady lookup %s for %zu queries (%.0f queries/sec, "
-              "probe %s, obs %s)\n",
+              "obs %s)\n",
               "", fmtSeconds(LookupSec).c_str(), Corpus.size(), LookupRate,
-              Index.probeEngineName(), obs::Enabled ? "on" : "off");
+              obs::Enabled ? "on" : "off");
   if (Hits != Corpus.size())
     std::printf("ERROR: steady lookup hit %zu/%zu queries\n", Hits,
                 Corpus.size());
-  std::printf("CSV,lookup_throughput,%s,%zu,%.6f,%.0f,%d,%s,%s\n", Family,
-              Corpus.size(), LookupSec, LookupRate, obs::Enabled ? 1 : 0,
-              Index.probeEngineName(), Mode);
+  std::printf("CSV,lookup_throughput,%s,%zu,%.6f,%.0f,%d\n", Family,
+              Corpus.size(), LookupSec, LookupRate, obs::Enabled ? 1 : 0);
 }
 
 /// A corpus of \p Count serialised expressions, one third of which are
@@ -271,230 +253,6 @@ void runFamilyLookupOnly(const char *Family, size_t Count, uint32_t Size) {
   AlphaHashIndex<> Index;
   Index.insertBatch(Corpus, 1);
   measureLookup(Family, Index, Corpus);
-}
-
-//===----------------------------------------------------------------------===//
-// Probe-engine ablation: scalar vs eytzinger vs interleaved, warm & cold
-//===----------------------------------------------------------------------===//
-
-/// Write-sweep a buffer far larger than any LLC so the probe tables'
-/// cache lines are gone before a cold rep.
-void thrashCaches() {
-  static std::vector<uint64_t> Buf((size_t(64) << 20) / sizeof(uint64_t));
-  for (size_t I = 0; I < Buf.size(); I += 8)
-    Buf[I] += I | 1;
-}
-
-/// Open \p Path fresh and pin \p E; exits loudly on failure (the file
-/// was just written by this process).
-std::unique_ptr<MappedIndex<Hash128>> openWithEngine(const std::string &Path,
-                                                     ProbeEngine E) {
-  auto R = MappedIndex<Hash128>::open(Path);
-  if (!R.ok() || !R.Reader->setProbeEngine(E)) {
-    std::printf("ERROR: cannot open %s with engine %s: %s\n", Path.c_str(),
-                probeEngineLabel(E), R.Error.c_str());
-    return nullptr;
-  }
-  return std::move(R.Reader);
-}
-
-/// The tentpole's measurement: per-engine hash-only probe throughput
-/// over a large mapped index, warm (hot mmap and caches: the branchless
-/// Eytzinger descent itself) and cold (fresh mmap per rep + LLC thrash:
-/// the regime where the interleaved engine's memory-level parallelism
-/// hides page-touch latency). Hash-only (\ref
-/// MappedIndex::probeHashCounts) isolates the probe from decode+verify,
-/// which dominate full lookups and would dilute the ablation; a
-/// `probe_full` full-lookup row per engine is emitted as well so the
-/// end-to-end effect is on record. In full mode (HMA_BENCH_FULL=1) the
-/// index holds >= 1M classes, far beyond LLC capacity.
-void runProbeAblation() {
-  const size_t Count = fullMode() ? 1300000 : 60000;
-  std::printf("\n-- probe-engine ablation --\n");
-  std::vector<std::string> Corpus;
-  Corpus.reserve(Count);
-  {
-    ExprContext Ctx;
-    Rng R(9151);
-    for (size_t I = 0; I != Count; ++I)
-      Corpus.push_back(
-          serializeExpr(Ctx, genBalanced(Ctx, R, 14 + I % 17)));
-  }
-  AlphaHashIndex<> Index({/*Shards=*/64, HashSchema::DefaultSeed});
-  double IngestSec = timeOnce([&] {
-    Index.insertBatch(Corpus, std::thread::hardware_concurrency());
-  });
-  const std::string Path = "index_throughput.probe.hmai.tmp";
-  std::string Image = saveIndexBytes(Index);
-  std::string WriteError;
-  if (!writeFileReplacing(Path, Image, &WriteError)) {
-    std::printf("ERROR: cannot write %s: %s\n", Path.c_str(),
-                WriteError.c_str());
-    return;
-  }
-  std::printf("%8s %zu classes ingested in %s; image %zu bytes "
-              "(tables+sidecar far beyond LLC in full mode)\n",
-              "", Index.numClasses(), fmtSeconds(IngestSec).c_str(),
-              Image.size());
-
-  // Query hashes: every class hash plus ~10% misses, shuffled so probes
-  // stride shards and tree paths unpredictably.
-  std::vector<Hash128> Hashes;
-  {
-    ExprContext Ctx;
-    AlphaHasher<Hash128> H(Ctx, Index.schema());
-    Rng R(77);
-    for (const auto &C : Index.snapshot())
-      Hashes.push_back(C.Hash);
-    for (size_t I = 0; I != Count / 10; ++I)
-      Hashes.push_back(H.hashRoot(genBalanced(Ctx, R, 12)));
-    for (size_t I = Hashes.size(); I > 1; --I)
-      std::swap(Hashes[I - 1], Hashes[R.next() % I]);
-  }
-  const size_t N = Hashes.size();
-
-  const ProbeEngine Engines[] = {ProbeEngine::Scalar, ProbeEngine::Eytzinger,
-                                 ProbeEngine::Interleaved};
-  uint64_t ScalarHits = 0;
-  std::vector<uint32_t> Counts;
-  for (ProbeEngine E : Engines) {
-    // Warm: one mapping, one warm-up pass, then best-of-reps.
-    auto Reader = openWithEngine(Path, E);
-    if (!Reader)
-      return;
-    Reader->probeHashCounts(Hashes, Counts); // warm-up
-    double WarmSec = timeMin(
-        [&] { Reader->probeHashCounts(Hashes, Counts); }, /*Reps=*/3);
-    uint64_t Hits = 0;
-    for (uint32_t C : Counts)
-      Hits += C != 0;
-    if (E == ProbeEngine::Scalar)
-      ScalarHits = Hits;
-    else if (Hits != ScalarHits)
-      std::printf("ERROR: %s probe hits %llu != scalar %llu\n",
-                  probeEngineLabel(E),
-                  static_cast<unsigned long long>(Hits),
-                  static_cast<unsigned long long>(ScalarHits));
-
-    // Cold: a fresh mapping per rep (new page tables, minor faults on
-    // every table touch) with the LLC thrashed on top; min over reps.
-    double ColdSec = -1;
-    for (int Rep = 0; Rep != 3; ++Rep) {
-      auto ColdReader = openWithEngine(Path, E);
-      if (!ColdReader)
-        return;
-      thrashCaches();
-      double Sec =
-          timeOnce([&] { ColdReader->probeHashCounts(Hashes, Counts); });
-      ColdSec = ColdSec < 0 ? Sec : std::min(ColdSec, Sec);
-    }
-
-    std::printf("%8s %-11s warm %s (%.0f probes/sec)  cold %s "
-                "(%.0f probes/sec)\n",
-                "", probeEngineLabel(E), fmtSeconds(WarmSec).c_str(),
-                WarmSec > 0 ? N / WarmSec : 0.0,
-                fmtSeconds(ColdSec).c_str(),
-                ColdSec > 0 ? N / ColdSec : 0.0);
-    std::printf("CSV,lookup_throughput,probe,%zu,%.6f,%.0f,%d,%s,warm\n", N,
-                WarmSec, WarmSec > 0 ? N / WarmSec : 0.0,
-                obs::Enabled ? 1 : 0, probeEngineLabel(E));
-    std::printf("CSV,lookup_throughput,probe,%zu,%.6f,%.0f,%d,%s,cold\n", N,
-                ColdSec, ColdSec > 0 ? N / ColdSec : 0.0,
-                obs::Enabled ? 1 : 0, probeEngineLabel(E));
-  }
-
-  // End-to-end (decode+hash+probe+verify) per engine, on a corpus slice
-  // big enough to measure but small enough to keep the ablation quick.
-  std::vector<std::string> Slice(
-      Corpus.begin(),
-      Corpus.begin() +
-          static_cast<ptrdiff_t>(std::min<size_t>(Corpus.size(), 50000)));
-  for (ProbeEngine E : Engines) {
-    auto Reader = openWithEngine(Path, E);
-    if (!Reader)
-      return;
-    measureLookup("probe_full", *Reader, Slice);
-  }
-
-  // Thread scaling of the full batch path: meaningless on one hardware
-  // thread, so say so instead of printing a fake 1.0x column.
-  unsigned HW = std::thread::hardware_concurrency();
-  if (HW <= 1) {
-    std::printf("%8s probe thread scaling: SKIPPED "
-                "(hardware_concurrency=1)\n",
-                "");
-  } else {
-    for (ProbeEngine E : {ProbeEngine::Scalar, ProbeEngine::Interleaved}) {
-      for (unsigned Threads : {1u, std::min(8u, HW)}) {
-        auto Reader = openWithEngine(Path, E);
-        if (!Reader)
-          return;
-        double Sec =
-            timeOnce([&] { Reader->lookupBatch(Slice, Threads); });
-        std::printf("CSV,probe_scaling,%s,%u,%zu,%.6f,%.0f\n",
-                    probeEngineLabel(E), Threads, Slice.size(), Sec,
-                    Sec > 0 ? Slice.size() / Sec : 0.0);
-      }
-    }
-  }
-  std::remove(Path.c_str());
-}
-
-/// Forced-collision microbench (b=16): thousands of classes share 16-bit
-/// hashes, so every probe lands in a duplicate-hash run and the
-/// candidate scan + exact-verify fallback dominate. This is the row that
-/// tracks the record-decode split in the resolve path (hash compared
-/// first; offset/length/count read only for the matching candidate --
-/// previously every candidate in the run re-decoded all four fields).
-void runCollisionMicrobench() {
-  const size_t Count = fullMode() ? 20000 : 5000;
-  std::printf("\n-- forced-collision microbench (b=16) --\n");
-  std::vector<std::string> Corpus;
-  Corpus.reserve(Count);
-  {
-    ExprContext Ctx;
-    Rng R(6023);
-    for (size_t I = 0; I != Count; ++I)
-      Corpus.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 12 + I % 9)));
-  }
-  AlphaHashIndex<Hash16> Index({/*Shards=*/4, HashSchema::DefaultSeed});
-  Index.insertBatch(Corpus, 1);
-  std::string Image = saveIndexBytes(Index);
-  const std::string Path = "index_throughput.b16.hmai.tmp";
-  std::string WriteError;
-  if (!writeFileReplacing(Path, Image, &WriteError)) {
-    std::printf("ERROR: cannot write %s: %s\n", Path.c_str(),
-                WriteError.c_str());
-    return;
-  }
-  for (ProbeEngine E : {ProbeEngine::Scalar, ProbeEngine::Interleaved}) {
-    auto R = MappedIndex<Hash16>::open(Path);
-    if (!R.ok() || !R.Reader->setProbeEngine(E)) {
-      std::printf("ERROR: cannot open %s: %s\n", Path.c_str(),
-                  R.Error.c_str());
-      return;
-    }
-    size_t Hits = 0;
-    double Sec = timeMin([&] {
-      Hits = 0;
-      for (const auto &Ans : R.Reader->lookupBatch(Corpus, 1))
-        Hits += Ans.has_value();
-    });
-    uint64_t Refuted = R.Reader->stats().VerifiedCollisions;
-    if (Hits != Corpus.size())
-      std::printf("ERROR: collision bench hit %zu/%zu queries\n", Hits,
-                  Corpus.size());
-    std::printf("%8s %-11s %s for %zu colliding-prone queries (%.0f "
-                "queries/sec, %llu refuted candidates)\n",
-                "", probeEngineLabel(E), fmtSeconds(Sec).c_str(),
-                Corpus.size(), Sec > 0 ? Corpus.size() / Sec : 0.0,
-                static_cast<unsigned long long>(Refuted));
-    std::printf("CSV,collision_probe,b16,%s,%zu,%.6f,%.0f,%llu\n",
-                probeEngineLabel(E), Corpus.size(), Sec,
-                Sec > 0 ? Corpus.size() / Sec : 0.0,
-                static_cast<unsigned long long>(Refuted));
-  }
-  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -644,24 +402,21 @@ void runSegmentUpdate() {
 
 int main(int Argc, char **Argv) {
   bool LookupOnly = false;
-  bool ProbeOnly = false;
   bool SegmentOnly = false;
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--lookup-only") == 0)
       LookupOnly = true;
-    else if (std::strcmp(Argv[I], "--probe") == 0)
-      ProbeOnly = true;
     else if (std::strcmp(Argv[I], "--segment") == 0)
       SegmentOnly = true;
     else {
-      std::fprintf(stderr, "usage: %s [--lookup-only | --probe | --segment]\n",
+      std::fprintf(stderr, "usage: %s [--lookup-only | --segment]\n",
                    Argv[0]);
       return 2;
     }
   }
-  if (LookupOnly + ProbeOnly + SegmentOnly > 1) {
-    std::fprintf(stderr, "error: --lookup-only, --probe and --segment are "
-                         "mutually exclusive\n");
+  if (LookupOnly && SegmentOnly) {
+    std::fprintf(stderr, "error: --lookup-only and --segment are mutually "
+                         "exclusive\n");
     return 2;
   }
   size_t Count = fullMode() ? 100000 : 10000;
@@ -675,19 +430,12 @@ int main(int Argc, char **Argv) {
     runFamilyLookupOnly("unbalanced", Count / 4, 256);
     return 0;
   }
-  if (ProbeOnly) {
-    runProbeAblation();
-    runCollisionMicrobench();
-    return 0;
-  }
   if (SegmentOnly) {
     runSegmentUpdate();
     return 0;
   }
   runFamily("balanced", Count, 64);
   runFamily("unbalanced", Count / 4, 256);
-  runProbeAblation();
-  runCollisionMicrobench();
   runSegmentUpdate();
 
   // Every obs histogram the run populated, as log2-bucket summaries.

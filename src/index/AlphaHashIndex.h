@@ -42,14 +42,15 @@
 ///    representative, which is stored as its `ast/Serialize` bytes.
 ///
 ///  - **Batch ingest and batch query.** \ref insertBatch and
-///    \ref lookupBatch fan a corpus of serialised expressions out over a
-///    \ref ThreadPool. Each worker keeps ONE long-lived \ref AlphaHasher
-///    whose scratch (map-node pool, worklist, value stack) persists
-///    across the whole batch, \ref AlphaHasher::rebind -ing it as the
-///    worker's private context is recycled every chunk: once warmed up on
-///    its first chunk, a worker hashes thousands of expressions with zero
-///    pool allocations (BatchResult reports the counters). The resulting
-///    class set is independent of the thread count (tested).
+///    \ref IndexReader::lookupBatch fan a corpus of serialised
+///    expressions out over a \ref ThreadPool. Each worker keeps ONE
+///    long-lived \ref AlphaHasher whose scratch (map-node pool,
+///    worklist, value stack) persists across the whole batch, \ref
+///    AlphaHasher::rebind -ing it as the worker's private context is
+///    recycled every chunk: once warmed up on its first chunk, a worker
+///    hashes thousands of expressions with zero pool allocations
+///    (BatchResult and ReadBatchStats report the counters). The
+///    resulting class set is independent of the thread count (tested).
 ///
 /// The class is templated over the hash code type with the same rationale
 /// as \ref AlphaHasher: collision handling must be exercised by running
@@ -245,8 +246,7 @@ public:
   }
 
   /// Fully scratch-reusing lookup: caller owns both the hasher and the
-  /// fallback verify scratch (the shape \ref lookupBatch gives each of
-  /// its workers).
+  /// fallback verify scratch.
   std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
                                      AlphaHasher<H> &Hasher,
                                      DecodeScratch &Scratch) {
@@ -255,32 +255,6 @@ public:
     Hasher.bindIfNeeded(Ctx);
     Root = uniquifyBinders(Ctx, Root);
     return lookupHashed(QueryView(Ctx, Root), Hasher.hashRoot(Root), Scratch);
-  }
-
-  /// Look up a whole corpus of serialised expressions on \p Threads
-  /// workers: the read-mostly mirror of \ref insertBatch (ROADMAP's bulk
-  /// `lookupBatch`). Result i corresponds to blob i; a blob that fails to
-  /// decode yields std::nullopt, same as a miss. Workers hash each blob
-  /// from its bytes outside any lock and probe their stripes under
-  /// shared locks, so batch queries neither block each other nor
-  /// serialise against concurrent readers.
-  std::vector<std::optional<LookupResult>>
-  lookupBatch(const std::vector<std::string> &Blobs,
-              unsigned Threads) override {
-    std::vector<std::optional<LookupResult>> Results(Blobs.size());
-    using WorkerState = detail::LookupWorker<H>;
-    detail::forEachHashedChunk<H, WorkerState>(
-        Schema, Blobs.size(), Threads, "query_live",
-        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
-            WorkerState &W) {
-          // Read path: mutates no stats, even for undecodable blobs.
-          detail::hashChunk(Hasher, Blobs, Begin, End, W.Items, W.Canonical);
-          for (const detail::HashedChunkItem<H> &It : W.Items)
-            Results[It.Index] =
-                lookupHashed(QueryView(It.Query), It.Hash, W.Scratch);
-        },
-        [](WorkerState &, uint64_t, uint64_t) {});
-    return Results;
   }
 
   /// Read-path probe for an already-hashed query, under a shared stripe

@@ -1,11 +1,11 @@
 //===- index/BatchDriver.h - Shared chunked batch-worker driver -------------===//
 ///
 /// \file
-/// The worker-loop driver behind every batch entry point in the index
-/// layer: \ref AlphaHashIndex::insertBatch / lookupBatch and \ref
-/// MappedIndex::lookupBatch all fan a corpus of serialised expressions
-/// out over a \ref ThreadPool with exactly the same shape, so the shape
-/// lives here once:
+/// The worker-loop driver behind both batch entry points in the index
+/// layer: \ref AlphaHashIndex::insertBatch and \ref
+/// IndexReader::lookupBatch (the one batch read path of every backend)
+/// fan a corpus of serialised expressions out over a \ref ThreadPool
+/// with exactly the same shape, so the shape lives here once:
 ///
 ///  - split [0, Count) into chunks; workers pull chunk indices from an
 ///    atomic counter (work stealing without a queue);
@@ -15,14 +15,15 @@
 ///  - each *chunk* gets a fresh \ref ExprContext (arena growth stays
 ///    bounded) and the hasher is \ref AlphaHasher::rebind -ed to it.
 ///    Ingest decodes into it; lookup chunks hash and verify their query
-///    bytes directly (\ref hashChunk) and leave it empty;
+///    bytes directly (\ref IndexReader::lookupSerialized) and leave it
+///    empty;
 ///  - per-worker pool-allocation counters are split into total and
 ///    post-warm-up ("steady") so callers can assert the steady-state
 ///    allocation count is zero.
 ///
 /// The driver knows nothing about what a chunk *does*: the body callback
-/// hashes/probes however its backend requires, accumulating into
-/// a caller-defined per-worker state that the finish callback merges.
+/// ingests or looks up, accumulating into a caller-defined per-worker
+/// state that the finish callback merges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,8 +32,6 @@
 
 #include "ast/Expr.h"
 #include "core/AlphaHasher.h"
-#include "index/IndexReader.h"
-#include "index/ShardStore.h"
 #include "index/ThreadPool.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -42,20 +41,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace hma::detail {
 
 /// Run \p Body over chunks of [0, \p Count) on up to \p Threads workers
 /// (<= 1 means inline on the caller).
 ///
-/// \p OpName is a string literal naming the operation ("ingest",
-/// "query_live", "query_mapped"): it labels the per-worker chunk spans
-/// in the trace layer. The driver also owns the batch-level metrics --
+/// \p OpName is a string literal naming the operation ("ingest" or
+/// "query"): it labels the per-worker chunk spans in the trace layer.
+/// The driver also owns the batch-level metrics --
 /// chunk-latency histogram, chunk counter, and the fold of each worker's
 /// hasher pool-allocation counters into the registry -- so every batch
 /// entry point reports them identically.
@@ -139,55 +133,6 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
     Pool.run(Worker);
   Pool.wait();
 }
-
-/// One hashed element of a lookup chunk: the unit of the two-phase
-/// chunk shape (hash everything, then probe everything). Splitting the
-/// phases is what lets \ref MappedIndex::lookupBatch run its interleaved
-/// multi-probe engine -- the probe loop sees only (index, query, hash)
-/// triples with no hashing stalls between probe steps, so several
-/// descents can stay in flight.
-template <typename H> struct HashedChunkItem {
-  size_t Index;           ///< Position in the batch's blob vector.
-  std::string_view Query; ///< Proven distinct-binder bytes to verify with.
-  H Hash;                 ///< Alpha-hash under the batch's schema.
-};
-
-/// Phase one of a two-phase lookup chunk: hash blobs [\p Begin, \p End)
-/// straight from their bytes into \p Out (cleared first), with
-/// \ref hashQuery. A blob the byte driver cannot prove distinct-binder
-/// is canonicalized into \p Canonical (cleared first; a deque, so its
-/// strings never move), which must outlive the chunk's resolve phase.
-/// Malformed blobs are skipped, matching the "undecodable == miss" batch
-/// contract.
-template <typename H>
-void hashChunk(AlphaHasher<H> &Hasher, const std::vector<std::string> &Blobs,
-               size_t Begin, size_t End, std::vector<HashedChunkItem<H>> &Out,
-               std::deque<std::string> &Canonical) {
-  Out.clear();
-  Canonical.clear();
-  std::string Copy;
-  for (size_t I = Begin; I != End; ++I) {
-    std::string_view Query = Blobs[I];
-    std::optional<H> Hash = hashQuery(Hasher, Query, Copy);
-    if (!Hash)
-      continue;
-    if (!Copy.empty()) {
-      Canonical.push_back(std::move(Copy));
-      Query = Canonical.back(); // the move may relocate short strings
-    }
-    Out.push_back(HashedChunkItem<H>{I, Query, *Hash});
-  }
-  recordCanonicalized(Canonical.size());
-}
-
-/// Per-worker state of a byte-path lookup batch: the verify scratch and
-/// the current chunk's items and canonical copies. All of it persists
-/// across the worker's chunks, so steady-state chunks allocate nothing.
-template <typename H> struct LookupWorker {
-  DecodeScratch Scratch;
-  std::vector<HashedChunkItem<H>> Items;
-  std::deque<std::string> Canonical;
-};
 
 } // namespace hma::detail
 

@@ -5,19 +5,29 @@
 ///
 /// The paper's hash-then-verify design means "an index" is observably
 /// nothing but a class table -- (alpha-hash, canonical bytes, count) --
-/// plus a way to probe it exactly. Two backends provide that table:
+/// plus a way to probe it exactly. Three backends provide that table:
 ///
 ///  - \ref AlphaHashIndex: the live, mutable, sharded in-memory store
 ///    (whether built by ingest or materialized from an `HMAI` file by
 ///    `index/IndexIO.h`);
 ///  - \ref MappedIndex: a read-only, zero-copy view over an mmap'd
-///    `HMAI` file that binary-searches the on-disk tables directly.
+///    `HMAI` file that binary-searches the on-disk tables directly;
+///  - \ref SegmentedIndex: the union of several mapped `HMAI` segments
+///    under one manifest (`index/SegmentSet.h`).
 ///
 /// \ref IndexReader is the surface they share: single and batch lookups,
 /// the stats/diagnostics the CLI prints, and the canonical snapshot
 /// export. Serving code (`hma index open`, the future `hma indexd`)
 /// programs against this interface and does not care whether classes are
 /// resident or paged.
+///
+/// There is one read path. A backend implements only the probe, \ref
+/// IndexReader::lookupHashed; the byte path on top of it is defined here
+/// once: \ref IndexReader::lookupSerialized hashes and verifies one blob
+/// straight from its bytes, and \ref IndexReader::lookupBatch is a
+/// parallel loop of it (\ref detail::forEachHashedChunk). The live,
+/// mapped and segmented backends and the daemon therefore cannot answer
+/// a blob differently.
 ///
 /// The shared result types live here too. \ref LookupResult returns the
 /// canonical representative as a *view* (`std::string_view`): the live
@@ -37,6 +47,7 @@
 #include "ast/Serialize.h"
 #include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
+#include "index/BatchDriver.h"
 #include "index/ShardStore.h"
 #include "obs/Metrics.h"
 #include "support/HashCode.h"
@@ -45,6 +56,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -55,7 +67,7 @@ namespace hma {
 namespace detail {
 
 /// Count query blobs the byte read path had to canonicalize. Callers add
-/// once per batch chunk or per request, never per node.
+/// once per request, never per node.
 inline void recordCanonicalized(uint64_t N) {
   static const obs::Counter Canonicalized = obs::Counter::get(
       "hma_query_canonicalized_total",
@@ -110,42 +122,6 @@ struct IndexStats {
     return *this;
   }
 };
-
-/// Probe-engine selection for the mapped read path. The engines answer
-/// identically (same lower bound, same candidate scan, same exact
-/// verify) and differ only in how they walk the on-disk tables; \ref
-/// MappedIndex picks the fastest available one under `Auto` and falls
-/// back to `Scalar` for v1 files that carry no Eytzinger sidecar.
-enum class ProbeEngine : uint8_t {
-  Auto,        ///< Best available: interleaved batches, Eytzinger singles.
-  Scalar,      ///< Branchy binary search over the record table (v1 path).
-  Eytzinger,   ///< Branchless BFS-layout descent over the v2 sidecar.
-  Interleaved, ///< Eytzinger with K concurrent descents per batch worker.
-};
-
-/// Stable lowercase label of \p E ("auto", "scalar", ...).
-inline const char *probeEngineLabel(ProbeEngine E) {
-  switch (E) {
-  case ProbeEngine::Auto:
-    return "auto";
-  case ProbeEngine::Scalar:
-    return "scalar";
-  case ProbeEngine::Eytzinger:
-    return "eytzinger";
-  case ProbeEngine::Interleaved:
-    return "interleaved";
-  }
-  return "auto";
-}
-
-/// Parse a \ref probeEngineLabel back into an engine (CLI `--probe=`).
-inline std::optional<ProbeEngine> parseProbeEngine(std::string_view Name) {
-  for (ProbeEngine E : {ProbeEngine::Auto, ProbeEngine::Scalar,
-                        ProbeEngine::Eytzinger, ProbeEngine::Interleaved})
-    if (Name == probeEngineLabel(E))
-      return E;
-  return std::nullopt;
-}
 
 /// Result of a membership query. \p CanonicalBytes is a zero-copy view
 /// into the answering backend (see the file comment for lifetime rules).
@@ -243,13 +219,6 @@ public:
   /// read path itself has run.
   virtual IndexStats stats() const = 0;
 
-  /// Name of the probe algorithm the batch read path would use:
-  /// "hashtable" for the live in-memory store; "scalar" / "eytzinger" /
-  /// "interleaved" for the mapped reader (see \ref ProbeEngine).
-  /// Surfaced by `hma index ... stats` so ablation runs are
-  /// self-describing.
-  virtual const char *probeEngineName() const { return "hashtable"; }
-
   /// Number of classes per shard (for load-balance diagnostics).
   virtual std::vector<size_t> shardLoads() const = 0;
 
@@ -319,11 +288,46 @@ public:
     return lookupHashed(QueryView(Bytes), *Hash, Scratch);
   }
 
-  /// Bulk lookup of serialised expressions on \p Threads workers. Result
-  /// i answers blob i; undecodable blobs yield std::nullopt, same as a
-  /// miss.
-  virtual std::vector<std::optional<LookupResult<H>>>
-  lookupBatch(const std::vector<std::string> &Blobs, unsigned Threads) = 0;
+  /// Aggregate read-side counters of one \ref lookupBatch call: hits and
+  /// worker-hasher pool allocations (steady-state must be 0 -- the
+  /// zero-allocation read pipeline). Verifies are counted in \ref stats.
+  struct ReadBatchStats {
+    uint64_t Hits = 0;
+    uint64_t PoolNodesAllocated = 0;
+    uint64_t SteadyPoolNodesAllocated = 0;
+  };
+
+  /// Bulk lookup of serialised expressions on \p Threads workers: the one
+  /// batch read path of every backend. Each worker owns a hasher and a
+  /// verify scratch for the whole batch and runs \ref lookupSerialized
+  /// per blob, so a batch answers exactly like a loop of single lookups.
+  /// Result i answers blob i; undecodable blobs yield std::nullopt, same
+  /// as a miss. \p StatsOut, if non-null, receives \ref ReadBatchStats.
+  std::vector<std::optional<LookupResult<H>>>
+  lookupBatch(const std::vector<std::string> &Blobs, unsigned Threads,
+              ReadBatchStats *StatsOut = nullptr) const {
+    std::vector<std::optional<LookupResult<H>>> Results(Blobs.size());
+    ReadBatchStats Total;
+    std::mutex TotalMu;
+    detail::forEachHashedChunk<H, DecodeScratch>(
+        schema(), Blobs.size(), Threads, "query",
+        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
+            DecodeScratch &Scratch) {
+          for (size_t I = Begin; I != End; ++I)
+            Results[I] = lookupSerialized(Blobs[I], Hasher, Scratch);
+        },
+        [&](DecodeScratch &, uint64_t PoolNodes, uint64_t SteadyNodes) {
+          std::lock_guard<std::mutex> Lock(TotalMu);
+          Total.PoolNodesAllocated += PoolNodes;
+          Total.SteadyPoolNodesAllocated += SteadyNodes;
+        });
+    if (StatsOut) {
+      for (const std::optional<LookupResult<H>> &R : Results)
+        Total.Hits += R.has_value();
+      *StatsOut = Total;
+    }
+    return Results;
+  }
 };
 
 } // namespace hma

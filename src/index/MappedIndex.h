@@ -21,21 +21,16 @@
 ///    with a caller-owned \ref DecodeScratch. Nothing is decoded, no
 ///    class vectors, no byte copies: the returned \ref LookupResult
 ///    views the mapping itself.
-///  - **the lower bound has three engines** (\ref ProbeEngine), all
-///    returning the same rank: `scalar`, the branchy binary search over
-///    the record table (the only engine v1 files support); `eytzinger`,
-///    a branchless descent of the v2 sidecar's BFS-ordered hash array --
-///    one cache line covers ~4 tree levels near the leaves, a per-shard
-///    resident fence array (the sorted top \ref FenceSlots sidecar
-///    slots) skips the top \ref FenceLevels levels outright, and
-///    software prefetch runs two levels ahead of the compare; and
-///    `interleaved`, used by \ref lookupBatch, which keeps \ref
-///    InterleaveWidth independent descents in flight per worker in a
-///    round-robin state machine so one probe's cache/page miss overlaps
-///    the others' compares (memory-level parallelism -- this is where
-///    cold mmap'd page latency actually gets hidden). `Auto` (default)
-///    selects interleaved for batches and eytzinger for single lookups
-///    whenever the file carries the sidecar, scalar otherwise.
+///  - **the file format picks the lower bound**: a v2 file carries the
+///    Eytzinger sidecar, so its probe is a branchless descent of the
+///    sidecar's BFS-ordered hash array -- one cache line covers ~4 tree
+///    levels near the leaves, a per-shard resident fence array (the
+///    sorted top \ref FenceSlots sidecar slots) skips the top \ref
+///    FenceLevels levels outright, and software prefetch runs two levels
+///    ahead of the compare. A v1 file has no sidecar and takes the
+///    branchy binary search over the record table. Both return the same
+///    rank, and the candidate scan after it is shared, so the two
+///    formats answer identically.
 ///  - **reads are defensively bounds-checked**: every record-designated
 ///    blob range is validated against the mapping before any byte is
 ///    touched, so a corrupt (unverified) file can mis-answer but never
@@ -62,7 +57,6 @@
 #include "ast/Serialize.h"
 #include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
-#include "index/BatchDriver.h"
 #include "index/IndexIO.h"
 #include "index/IndexReader.h"
 #include "index/ShardStore.h"
@@ -77,7 +71,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -85,7 +78,7 @@
 #include <vector>
 
 /// Portable wrapper over the builtin prefetch hint (a no-op where the
-/// compiler has none); the probe engines below issue it two tree levels
+/// compiler has none); the Eytzinger probe below issues it two tree levels
 /// ahead of the compare so the line is in flight while the branchless
 /// descent works through the levels in between.
 #if defined(__GNUC__) || defined(__clang__)
@@ -144,15 +137,6 @@ public:
     bool ok() const { return Reader != nullptr; }
   };
 
-  /// Aggregate read-side counters of one \ref lookupBatch call: hits and
-  /// worker-hasher pool allocations (steady-state must be 0 -- the
-  /// zero-allocation read pipeline). Verifies are counted in \ref stats.
-  struct ReadBatchStats {
-    uint64_t Hits = 0;
-    uint64_t PoolNodesAllocated = 0;
-    uint64_t SteadyPoolNodesAllocated = 0;
-  };
-
   /// Open \p Path: mmap where available, buffered read otherwise (or
   /// when \p ForceBuffered). O(shards): no per-class work, no blob
   /// reads.
@@ -196,7 +180,7 @@ public:
   std::string_view imageBytes() const { return Bytes; }
 
   //===--------------------------------------------------------------------===//
-  // Probe-engine selection
+  // Probe layout
   //===--------------------------------------------------------------------===//
 
   /// Eytzinger levels the per-shard fence array skips (the top
@@ -210,36 +194,10 @@ public:
   /// be a pure re-encoding of the skipped comparisons.
   static constexpr uint64_t FenceMinCount =
       (uint64_t(1) << (FenceLevels + 1)) - 1;
-  /// Independent descents one batch worker keeps in flight.
-  static constexpr size_t InterleaveWidth = 8;
 
-  /// True when the image carries the v2 Eytzinger probe sidecar.
+  /// True when the image carries the v2 Eytzinger probe sidecar (and so
+  /// probes with \ref eytzLowerBound rather than \ref scalarLowerBound).
   bool hasProbeSidecar() const { return Info.hasSidecar(); }
-
-  /// Select the probe engine. `Auto` (the default) uses the interleaved
-  /// engine for batches and the Eytzinger engine for single lookups when
-  /// the sidecar is present, scalar otherwise. Returns false -- engine
-  /// unchanged -- when \p E requires a sidecar the file does not carry
-  /// (v1 images serve scalar only). Not thread-safe against concurrent
-  /// lookups; select before serving.
-  bool setProbeEngine(ProbeEngine E) {
-    if (E != ProbeEngine::Auto && E != ProbeEngine::Scalar &&
-        !hasProbeSidecar())
-      return false;
-    Engine = E;
-    return true;
-  }
-  ProbeEngine probeEngine() const { return Engine; }
-
-  /// Effective batch engine under the current selection (what \ref
-  /// lookupBatch will run; single lookups use eytzinger whenever this
-  /// says interleaved).
-  const char *probeEngineName() const override {
-    if (batchInterleaved())
-      return probeEngineLabel(ProbeEngine::Interleaved);
-    return probeEngineLabel(singleUsesEytzinger() ? ProbeEngine::Eytzinger
-                                                  : ProbeEngine::Scalar);
-  }
 
   /// Deep integrity check, O(classes): per-shard sort order, every blob
   /// range, and (v2) the probe sidecar -- each shard's BFS hash array
@@ -396,8 +354,8 @@ public:
   /// Probe this image for an already-hashed query: the per-segment entry
   /// point of \ref SegmentedIndex, which hashes a query once and then
   /// probes every segment of a segmented index with the same (query,
-  /// hash) pair. Engine selection, candidate scan and counters are
-  /// exactly those of \ref lookup.
+  /// hash) pair. Probe, candidate scan and counters are exactly those of
+  /// \ref lookup.
   std::optional<LookupResult>
   lookupHashed(const QueryView &Query, H Hash,
                DecodeScratch &Scratch) const override {
@@ -411,107 +369,19 @@ public:
     return findHashed(QueryView(Ctx, Root), Hash, Scratch);
   }
 
-  std::vector<std::optional<LookupResult>>
-  lookupBatch(const std::vector<std::string> &Blobs,
-              unsigned Threads) override {
-    return lookupBatch(Blobs, Threads, nullptr);
-  }
-
-  /// \ref lookupBatch with read-side counters reported (hits and
-  /// steady-state allocation; see \ref ReadBatchStats).
-  ///
-  /// Every chunk runs the same two-phase shape regardless of engine --
-  /// hash everything from its bytes, then probe everything, then resolve
-  /// candidates in item order -- so the per-item answers (and the
-  /// ReadBatchStats accounting) are byte-identical across engines; the
-  /// interleaved engine only changes *how* the probe phase walks the
-  /// sidecar (\ref probeRanksInterleaved).
-  std::vector<std::optional<LookupResult>>
-  lookupBatch(const std::vector<std::string> &Blobs, unsigned Threads,
-              ReadBatchStats *StatsOut) const {
-    std::vector<std::optional<LookupResult>> Results(Blobs.size());
-    ReadBatchStats Total;
-    std::mutex TotalMu;
-    struct WorkerState : detail::LookupWorker<H> {
-      std::vector<H> Hashes;
-      std::vector<uint64_t> Ranks;
-    };
-    const bool Interleave = batchInterleaved();
-    detail::forEachHashedChunk<H, WorkerState>(
-        Schema, Blobs.size(), Threads, "query_mapped",
-        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
-            WorkerState &W) {
-          detail::hashChunk(Hasher, Blobs, Begin, End, W.Items, W.Canonical);
-          if (!Interleave) {
-            for (const detail::HashedChunkItem<H> &It : W.Items)
-              Results[It.Index] =
-                  findHashed(QueryView(It.Query), It.Hash, W.Scratch);
-            return;
-          }
-          static const obs::Histogram BatchProbeNs = obs::Histogram::get(
-              "hma_mapped_batch_probe_ns",
-              "Latency of one interleaved multi-probe phase over a batch "
-              "chunk, ns");
-          W.Hashes.clear();
-          for (const detail::HashedChunkItem<H> &It : W.Items)
-            W.Hashes.push_back(It.Hash);
-          W.Ranks.resize(W.Items.size());
-          {
-            obs::ScopedTimer Timer(BatchProbeNs);
-            probeRanksInterleaved(W.Hashes.data(), W.Hashes.size(),
-                                  W.Ranks.data());
-          }
-          countProbes(ProbeEngine::Interleaved, W.Items.size());
-          for (size_t J = 0; J != W.Items.size(); ++J) {
-            const detail::HashedChunkItem<H> &It = W.Items[J];
-            const ShardTable &T =
-                Tables[detail::shardIndexForHash(It.Hash, ShardMask)];
-            Results[It.Index] = resolveAtRank(QueryView(It.Query), It.Hash,
-                                              T, W.Ranks[J], W.Scratch);
-          }
-        },
-        [&](WorkerState &, uint64_t PoolNodes, uint64_t SteadyNodes) {
-          std::lock_guard<std::mutex> Lock(TotalMu);
-          Total.PoolNodesAllocated += PoolNodes;
-          Total.SteadyPoolNodesAllocated += SteadyNodes;
-        });
-    if (StatsOut) {
-      for (const std::optional<LookupResult> &R : Results)
-        Total.Hits += R.has_value();
-      *StatsOut = Total;
-    }
-    return Results;
-  }
-
   /// Bulk hash-only probe: Out[i] = number of classes stored under
   /// exactly Hashes[i] (0 = definite miss; >0 = the candidate count the
   /// exact-verify fallback would inspect). No blob is read and no
-  /// verification runs -- this is the raw probe engine, the measurement
-  /// point of the bench ablation and a cheap pre-filter for callers that
-  /// already hold alpha-hashes. Honors the selected \ref ProbeEngine.
+  /// verification runs -- this is the raw probe, the per-layer
+  /// measurement point of the benchmark and a cheap pre-filter for
+  /// callers that already hold alpha-hashes.
   void probeHashCounts(const std::vector<H> &Hashes,
                        std::vector<uint32_t> &Out) const {
     Out.assign(Hashes.size(), 0);
-    if (batchInterleaved()) {
-      std::vector<uint64_t> Ranks(Hashes.size());
-      probeRanksInterleaved(Hashes.data(), Hashes.size(), Ranks.data());
-      countProbes(ProbeEngine::Interleaved, Hashes.size());
-      for (size_t I = 0; I != Hashes.size(); ++I) {
-        const ShardTable &T =
-            Tables[detail::shardIndexForHash(Hashes[I], ShardMask)];
-        Out[I] = countAtRank(T, Hashes[I], Ranks[I]);
-      }
-      return;
-    }
-    const bool Eytz = singleUsesEytzinger();
-    countProbes(Eytz ? ProbeEngine::Eytzinger : ProbeEngine::Scalar,
-                Hashes.size());
     for (size_t I = 0; I != Hashes.size(); ++I) {
       const ShardTable &T =
           Tables[detail::shardIndexForHash(Hashes[I], ShardMask)];
-      const uint64_t Rank =
-          Eytz ? eytzLowerBound(T, Hashes[I]) : scalarLowerBound(T, Hashes[I]);
-      Out[I] = countAtRank(T, Hashes[I], Rank);
+      Out[I] = countAtRank(T, Hashes[I], lowerBound(T, Hashes[I]));
     }
   }
 
@@ -615,36 +485,18 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Probe engines (lower bound by hash; all engines return the same rank)
+  // Lower bound by hash (both probes return the same rank)
   //===--------------------------------------------------------------------===//
 
-  bool singleUsesEytzinger() const {
-    return Info.hasSidecar() && Engine != ProbeEngine::Scalar;
-  }
-  bool batchInterleaved() const {
-    return Info.hasSidecar() &&
-           (Engine == ProbeEngine::Auto || Engine == ProbeEngine::Interleaved);
-  }
-
-  static void countProbes(ProbeEngine E, uint64_t N) {
-    static const obs::Counter Scalar = obs::Counter::get(
-        "hma_mapped_probe_scalar_total",
-        "Mapped-table probes answered by the scalar binary-search engine");
-    static const obs::Counter Eytzinger = obs::Counter::get(
-        "hma_mapped_probe_eytzinger_total",
-        "Mapped-table probes answered by the branchless Eytzinger engine");
-    static const obs::Counter Interleaved = obs::Counter::get(
-        "hma_mapped_probe_interleaved_total",
-        "Mapped-table probes answered by the interleaved multi-probe "
-        "batch engine");
-    (E == ProbeEngine::Scalar
-         ? Scalar
-         : E == ProbeEngine::Eytzinger ? Eytzinger : Interleaved)
-        .add(N);
+  /// The probe the file format allows: Eytzinger over the v2 sidecar,
+  /// scalar binary search over a v1 file's record table.
+  uint64_t lowerBound(const ShardTable &T, H Hash) const {
+    return Info.hasSidecar() ? eytzLowerBound(T, Hash)
+                             : scalarLowerBound(T, Hash);
   }
 
-  /// Scalar engine: branchy binary search over the record table (the
-  /// only engine a sidecar-free v1 file supports).
+  /// Scalar probe: branchy binary search over the record table (the
+  /// only probe a sidecar-free v1 file supports).
   uint64_t scalarLowerBound(const ShardTable &T, H Hash) const {
     uint64_t Lo = 0, Hi = T.Count;
     while (Lo != Hi) {
@@ -704,7 +556,7 @@ private:
     return Rank < T.Count ? Rank : T.Count;
   }
 
-  /// Eytzinger engine: branchless descent of the shard's BFS hash
+  /// Eytzinger probe: branchless descent of the shard's BFS hash
   /// array. Each level's next slot is `2K + (hash < Hash)` -- no
   /// mispredictable branch -- and the grandchildren's cache line is
   /// prefetched two levels ahead so it is in flight while this level
@@ -720,68 +572,12 @@ private:
     return restoreRank(T, K);
   }
 
-  /// Interleaved engine: resolve the lower-bound rank of \p Count
-  /// hashes with up to \ref InterleaveWidth independent Eytzinger
-  /// descents in flight. Round-robin state machine: every live slot
-  /// advances one tree level per turn and prefetches its next touch, so
-  /// one descent's cache/page miss overlaps the other slots' compares
-  /// instead of stalling the worker -- memory-level parallelism, the
-  /// piece that actually hides cold mmap'd page latency. Answers are
-  /// written to \p Ranks in input order and are identical to per-item
-  /// \ref eytzLowerBound calls.
-  void probeRanksInterleaved(const H *Hashes, size_t Count,
-                             uint64_t *Ranks) const {
-    struct Slot {
-      const ShardTable *T;
-      uint64_t K;
-      H Hash;
-      size_t Out;
-    };
-    std::array<Slot, InterleaveWidth> Slots;
-    size_t Live = 0, Next = 0;
-    auto Load = [&](Slot &S) -> bool {
-      if (Next == Count)
-        return false;
-      S.Hash = Hashes[Next];
-      S.T = &Tables[detail::shardIndexForHash(S.Hash, ShardMask)];
-      S.Out = Next++;
-      S.K = probeStart(*S.T, S.Hash);
-      if (S.K <= S.T->Count)
-        prefetchEytz(*S.T, S.K);
-      return true;
-    };
-    while (Live != InterleaveWidth && Load(Slots[Live]))
-      ++Live;
-    while (Live) {
-      for (size_t I = 0; I < Live;) {
-        Slot &S = Slots[I];
-        if (S.K <= S.T->Count) {
-          S.K = 2 * S.K + (eytzHashAt(*S.T, S.K) < S.Hash ? 1 : 0);
-          if (S.K <= S.T->Count)
-            prefetchEytz(*S.T, S.K);
-          ++I;
-          continue;
-        }
-        const uint64_t Rank = restoreRank(*S.T, S.K);
-        Ranks[S.Out] = Rank;
-        if (Rank != S.T->Count)
-          // The resolve phase reads this record next; get it moving.
-          HMA_PREFETCH(Bytes.data() + S.T->Offset +
-                       Rank * iio::recordSize<H>());
-        if (Load(S))
-          ++I; // fresh descent occupies the slot
-        else
-          Slots[I] = Slots[--Live]; // compact; re-run index I
-      }
-    }
-  }
-
   /// Candidate scan + exact verify from a lower-bound \p Rank: walk the
   /// duplicate-hash run, verify each candidate blob in place and accept
   /// the first alpha-equivalent one. Reads the hash column first and the
   /// record tail only on a match, so every field is read exactly once
-  /// per candidate. Shared by all engines -- this is what makes their
-  /// answers identical by construction.
+  /// per candidate. Shared by both probes -- this is what makes v1 and
+  /// v2 answers identical by construction.
   std::optional<LookupResult> resolveAtRank(const QueryView &Query, H Hash,
                                             const ShardTable &T, uint64_t Rank,
                                             DecodeScratch &Scratch) const {
@@ -825,7 +621,7 @@ private:
   }
 
   /// Read-path probe: lower-bound the shard's sorted table for \p Hash
-  /// (scalar or Eytzinger engine), then verify each candidate under it.
+  /// (\ref lowerBound), then verify each candidate under it.
   /// Lock-free; \p Scratch must be private to the calling thread.
   std::optional<LookupResult> findHashed(const QueryView &Query, H Hash,
                                          DecodeScratch &Scratch) const {
@@ -836,12 +632,8 @@ private:
     const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
     const ShardTable &T =
         Tables[detail::shardIndexForHash(Hash, ShardMask)];
-    const bool Eytz = singleUsesEytzinger();
-    const uint64_t Rank =
-        Eytz ? eytzLowerBound(T, Hash) : scalarLowerBound(T, Hash);
-    countProbes(Eytz ? ProbeEngine::Eytzinger : ProbeEngine::Scalar, 1);
     std::optional<LookupResult> Result =
-        resolveAtRank(Query, Hash, T, Rank, Scratch);
+        resolveAtRank(Query, Hash, T, lowerBound(T, Hash), Scratch);
     if (obs::Enabled)
       FindNs.record(obs::nowNanos() - T0);
     return Result;
@@ -854,7 +646,6 @@ private:
   unsigned ShardMask = 0;
   size_t BytesStart = 0;
   size_t BytesEnd = 0; ///< End of blob space (v2: sidecar start).
-  ProbeEngine Engine = ProbeEngine::Auto;
   std::vector<ShardTable> Tables;
   mutable std::atomic<uint64_t> ReadFallbackChecks{0};
   mutable std::atomic<uint64_t> ReadVerifiedCollisions{0};

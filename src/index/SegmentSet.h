@@ -27,10 +27,10 @@
 ///    to a single-file index built from the same corpus in the same
 ///    order (the differential contract pinned by tests/segment_test.cpp).
 ///
-/// Probing is newest-first through each segment's existing \ref
-/// MappedIndex engine (one hash computation per query, one
-/// \ref MappedIndex::lookupHashed per segment); segments the query
-/// misses cost one branchless lower-bound each. Stats and snapshots
+/// Probing is newest-first through each segment's \ref MappedIndex
+/// probe (one hash computation per query, one \ref
+/// MappedIndex::lookupHashed per segment); segments the query misses
+/// cost one lower bound each. Stats and snapshots
 /// aggregate the same way: saturating field-wise sums, and a snapshot
 /// that merges alpha-equivalent classes across segments (oldest
 /// representative, summed counts) so it equals the snapshot of the
@@ -43,7 +43,6 @@
 
 #include "ast/Serialize.h"
 #include "ast/Uniquify.h"
-#include "index/BatchDriver.h"
 #include "index/IndexIO.h"
 #include "index/IndexReader.h"
 #include "index/MappedIndex.h"
@@ -51,7 +50,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -260,16 +258,6 @@ public:
   /// (crash-window leftovers; see `hma index gc`).
   const std::vector<std::string> &orphans() const { return Orphans; }
 
-  /// Select the probe engine on every segment (false -- engines
-  /// unchanged on the remaining segments -- if any refuses, e.g. a v1
-  /// segment asked for eytzinger).
-  bool setProbeEngine(ProbeEngine E) {
-    for (const auto &S : Segments)
-      if (!S->setProbeEngine(E))
-        return false;
-    return true;
-  }
-
 private:
   SegmentSet() = default;
 
@@ -322,8 +310,6 @@ public:
     return Set->verify(Error, ErrorPos);
   }
 
-  bool setProbeEngine(ProbeEngine E) { return Set->setProbeEngine(E); }
-
   //===--------------------------------------------------------------------===//
   // IndexReader surface
   //===--------------------------------------------------------------------===//
@@ -361,10 +347,6 @@ public:
       Sum.DecodeErrors = saturatingAdd(Sum.DecodeErrors, SS.DecodeErrors);
     }
     return Sum;
-  }
-
-  const char *probeEngineName() const override {
-    return Set->segments().front()->probeEngineName();
   }
 
   /// Per-shard class totals summed across segments (diagnostics only:
@@ -434,27 +416,6 @@ public:
       Answer->CanonicalBytes = R->CanonicalBytes;
     }
     return Answer;
-  }
-
-  /// Chunked parallel batch over the union: each item is hashed once
-  /// from its bytes, then probed through every segment (the
-  /// single-lookup shape, fanned out by \ref detail::forEachHashedChunk).
-  std::vector<std::optional<LookupResult>>
-  lookupBatch(const std::vector<std::string> &Blobs,
-              unsigned Threads) override {
-    std::vector<std::optional<LookupResult>> Results(Blobs.size());
-    using WorkerState = detail::LookupWorker<H>;
-    detail::forEachHashedChunk<H, WorkerState>(
-        Schema, Blobs.size(), Threads, "query_segmented",
-        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
-            WorkerState &W) {
-          detail::hashChunk(Hasher, Blobs, Begin, End, W.Items, W.Canonical);
-          for (const detail::HashedChunkItem<H> &It : W.Items)
-            Results[It.Index] =
-                lookupHashed(QueryView(It.Query), It.Hash, W.Scratch);
-        },
-        [](WorkerState &, uint64_t, uint64_t) {});
-    return Results;
   }
 
 private:

@@ -20,7 +20,6 @@ std::string hma::renderIndexStatsJson(const IndexReader<Hash128> &Index) {
 
   IndexStats S = Index.stats();
   Add("{\n  \"backend\": \"%s\",\n", Index.backendName());
-  Add("  \"probe_engine\": \"%s\",\n", Index.probeEngineName());
   Add("  \"schema_seed\": \"0x%016llx\",\n",
       static_cast<unsigned long long>(Index.schema().seed()));
   Add("  \"hash_bits\": %u,\n", HashWidth<Hash128>::Bits);
@@ -76,32 +75,9 @@ std::string hma::renderIndexStatsJson(const IndexReader<Hash128> &Index) {
   return J;
 }
 
-namespace {
-
-/// Numeric code for the probe-engine gauge: the exposition layer has no
-/// label support, so the engine is published as a small enum documented
-/// in tools/README.md (0 hashtable/live, 1 scalar, 2 eytzinger,
-/// 3 interleaved).
-double probeEngineCode(const IndexReader<Hash128> &Index) {
-  const std::string_view Name = Index.probeEngineName();
-  if (Name == "scalar")
-    return 1;
-  if (Name == "eytzinger")
-    return 2;
-  if (Name == "interleaved")
-    return 3;
-  return 0;
-}
-
-} // namespace
-
 std::string hma::renderIndexStatsProm(const IndexReader<Hash128> &Index) {
   IndexStats S = Index.stats();
   std::vector<obs::PromSample> Extras = {
-      {"hma_index_probe_engine",
-       "Probe engine of the batch read path (0 hashtable, 1 scalar, "
-       "2 eytzinger, 3 interleaved)",
-       false, probeEngineCode(Index)},
       {"hma_index_classes", "Distinct alpha-equivalence classes", false,
        static_cast<double>(Index.numClasses())},
       {"hma_index_shards", "Lock stripes / table groups", false,

@@ -354,20 +354,17 @@ TEST(IndexIOVersions, V1FilesOpenServeAndResaveBitIdentically) {
   expectSnapshotEq(Live, *L.Index);
   expectStatsEq(Live.stats(), L.Index->stats());
 
-  // The mapped reader opens v1, verifies it, reports the scalar
-  // fallback, and refuses sidecar-dependent engines.
+  // The mapped reader opens v1 and verifies it; with no sidecar it
+  // probes by scalar search, while the v2 image carries the sidecar.
   auto M = MappedIndex<Hash128>::openBytes(V1);
   ASSERT_TRUE(M.ok()) << M.Error;
   EXPECT_TRUE(M.Reader->verify());
   EXPECT_FALSE(M.Reader->hasProbeSidecar());
-  EXPECT_STREQ(M.Reader->probeEngineName(), "scalar");
-  EXPECT_FALSE(M.Reader->setProbeEngine(ProbeEngine::Eytzinger));
-  EXPECT_FALSE(M.Reader->setProbeEngine(ProbeEngine::Interleaved));
-  EXPECT_TRUE(M.Reader->setProbeEngine(ProbeEngine::Scalar));
-
-  // v1 answers == v2 answers, query for query.
   auto M2 = MappedIndex<Hash128>::openBytes(V2);
   ASSERT_TRUE(M2.ok()) << M2.Error;
+  EXPECT_TRUE(M2.Reader->hasProbeSidecar());
+
+  // v1 answers == v2 answers, query for query.
   std::vector<std::string> Queries = dupHeavyCorpus(612);
   expectSameLookupAnswers(M.Reader->lookupBatch(Queries, 2),
                           M2.Reader->lookupBatch(Queries, 2),

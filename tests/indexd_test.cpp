@@ -891,7 +891,8 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
   // read path proves the first kind and canonicalizes the second; every
   // backend and the wire must answer each query byte-identically to the
   // Expr path -- per-query lookup(Ctx, Root) on the decoded query -- with
-  // malformed blobs as misses.
+  // malformed blobs as misses. Every backend's batch also reports
+  // ReadBatchStats on the one batch read path.
   ExprContext Ctx;
   Rng R(2026);
   std::vector<std::string> Base, Delta;
@@ -943,6 +944,13 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
   Queries.push_back(handBlob({"x"}, {TagLam, 0, TagVar, 1}));
   Queries.push_back("HMA1");
   Queries.emplace_back();
+  // The largest term first (a proven miss), so a batch worker's first
+  // chunk warms its hasher for every later query.
+  {
+    Rng Big(77);
+    Queries.insert(Queries.begin(),
+                   serializeExpr(Ctx, genBalanced(Ctx, Big, 400)));
+  }
 
   // The reference on each backend: the Expr path, per query.
   using Answers = std::vector<std::optional<LookupResult<Hash128>>>;
@@ -970,6 +978,7 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
     }
   }
   EXPECT_EQ(Malformed, 5u);
+  EXPECT_FALSE(Expect.front().has_value());
   EXPECT_GE(Hits, All.size());
   EXPECT_GE(NonProvenHits, 13u);
   EXPECT_GE(NonProven, All.size() + 3);
@@ -979,10 +988,33 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
     const obs::CounterRow *C = S.counter("hma_query_canonicalized_total");
     return C ? C->Value : 0;
   };
+  // One batch path for every backend: answers as expected, hits counted
+  // from them, and no pool allocation past a worker's first chunk (on
+  // one worker, whose first chunk holds the largest term).
+  auto ExpectBatch = [&](const IndexReader<Hash128> &Index,
+                         const Answers &Want, const std::string &What) {
+    for (unsigned Threads : {1u, 3u}) {
+      const std::string Tag = What + " batch, threads=" +
+                              std::to_string(Threads);
+      IndexReader<Hash128>::ReadBatchStats BS;
+      const Answers Got = Index.lookupBatch(Queries, Threads, &BS);
+      expectSameLookupAnswers(Got, Want, Tag);
+      uint64_t GotHits = 0;
+      for (const auto &A : Got)
+        GotHits += A.has_value();
+      EXPECT_EQ(BS.Hits, GotHits) << Tag;
+      if (Threads == 1) {
+        // The largest term's maps do reach the pool, so a steady count
+        // of 0 means the warm-up covered every later query.
+        EXPECT_GT(BS.PoolNodesAllocated, 0u) << Tag;
+        EXPECT_EQ(BS.SteadyPoolNodesAllocated, 0u) << Tag;
+      }
+    }
+  };
   const uint64_t Before = Canonicalized();
-  expectSameLookupAnswers(Live.lookupBatch(Queries, 3), Expect, "live batch");
+  ExpectBatch(Live, Expect, "live");
   if (obs::Enabled) {
-    EXPECT_EQ(Canonicalized() - Before, NonProven);
+    EXPECT_EQ(Canonicalized() - Before, 2 * NonProven); // two batches
   }
   for (size_t I = 0; I != Queries.size(); ++I) {
     std::vector<std::optional<LookupResult<Hash128>>> One = {
@@ -998,8 +1030,7 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
   auto Mapped = MappedIndex<Hash128>::open(Path);
   ASSERT_TRUE(Mapped.ok()) << Mapped.Error;
   expectSameLookupAnswers(ExprPath(*Mapped.Reader), Expect, "mapped expr");
-  expectSameLookupAnswers(Mapped.Reader->lookupBatch(Queries, 3), Expect,
-                          "mapped batch");
+  ExpectBatch(*Mapped.Reader, Expect, "mapped");
 
   // Segmented: the base and the delta as two segments.
   const std::string Dir = "indexd_test_fallback.segidx";
@@ -1019,8 +1050,7 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
   ASSERT_TRUE(Seg.ok()) << Seg.Error;
   ASSERT_EQ(Seg.Reader->set().numSegments(), 2u);
   const Answers SegExpect = ExprPath(*Seg.Reader);
-  expectSameLookupAnswers(Seg.Reader->lookupBatch(Queries, 3), SegExpect,
-                          "segmented batch");
+  ExpectBatch(*Seg.Reader, SegExpect, "segmented");
 
   // Over the wire, from both the file and the directory.
   for (const std::string &Served : {Path, Dir}) {

@@ -378,59 +378,69 @@ TEST(MappedIndex, SingleClassIndexRoundTripsBothReadPaths) {
 }
 
 //===----------------------------------------------------------------------===//
-// Probe-engine differential battery: scalar vs eytzinger vs interleaved
+// Probe differential battery: v1 (scalar) vs v2 (Eytzinger) vs live
 //
-// The engines must be *byte-identical* oracles of each other: same
-// hits, same misses, same canonical-byte views, same collision
-// fallbacks -- on every table shape that stresses a different part of
-// the descent (empty shards, single-record shards, duplicate-hash runs,
-// fence-sized shards) and under a multi-threaded mixed batch.
+// The file format picks the probe: a v1 image has no sidecar and runs
+// the scalar binary search, a v2 image runs the Eytzinger descent with
+// fences. Both images of one live index must be *byte-identical* oracles
+// of each other and of the live index: same hits, same misses, same
+// canonical bytes, same collision fallbacks -- on every table shape that
+// stresses a different part of the descent (empty shards, single-record
+// shards, duplicate-hash runs, fence-sized shards) and under a
+// multi-threaded mixed batch.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Open \p Image, force probe engine \p E, and return its batch answers.
+/// Open \p Live's image at format \p Version and check that the format
+/// picked the expected probe (v2 carries the sidecar, v1 does not).
 template <typename H>
-std::vector<std::optional<LookupResult<H>>>
-answersUnder(const std::string &Image, ProbeEngine E,
-             const std::vector<std::string> &Queries, unsigned Threads) {
+typename MappedIndex<H>::OpenResult
+openAtVersion(const AlphaHashIndex<H> &Live, std::string &Image,
+              uint32_t Version) {
+  Image = saveIndexBytes(Live, Version);
   auto M = MappedIndex<H>::openBytes(Image);
   EXPECT_TRUE(M.ok()) << M.Error;
-  EXPECT_TRUE(M.Reader->setProbeEngine(E));
-  EXPECT_STREQ(M.Reader->probeEngineName(), probeEngineLabel(E));
-  return M.Reader->lookupBatch(Queries, Threads);
+  if (M.ok()) {
+    EXPECT_TRUE(M.Reader->verify());
+    EXPECT_EQ(M.Reader->hasProbeSidecar(), Version == 2);
+  }
+  return M;
 }
 
-/// Drive \p Queries through all three engines over \p Image and demand
-/// byte-identical answers, single- and 8-threaded.
+/// Drive \p Queries through \p Live and its v1 and v2 images and demand
+/// byte-identical answers, single- and 8-threaded; the exact-verify
+/// counters of the two images must agree after the identical streams.
 template <typename H>
-void expectEnginesAgree(const std::string &Image,
-                        const std::vector<std::string> &Queries,
-                        const std::string &What) {
+void expectProbesAgree(const AlphaHashIndex<H> &Live,
+                       const std::vector<std::string> &Queries,
+                       const std::string &What) {
+  std::string V1Image, V2Image;
+  auto V1 = openAtVersion(Live, V1Image, 1);
+  auto V2 = openAtVersion(Live, V2Image, 2);
+  ASSERT_TRUE(V1.ok() && V2.ok());
   for (unsigned Threads : {1u, 8u}) {
-    auto Scalar = answersUnder<H>(Image, ProbeEngine::Scalar, Queries, Threads);
-    auto Eytz =
-        answersUnder<H>(Image, ProbeEngine::Eytzinger, Queries, Threads);
-    auto Inter =
-        answersUnder<H>(Image, ProbeEngine::Interleaved, Queries, Threads);
+    auto FromLive = Live.lookupBatch(Queries, Threads);
+    auto Scalar = V1.Reader->lookupBatch(Queries, Threads);
+    auto Eytz = V2.Reader->lookupBatch(Queries, Threads);
     std::string Tag = What + " (threads=" + std::to_string(Threads) + ")";
-    expectSameLookupAnswers(Scalar, Eytz, Tag + " scalar-vs-eytzinger");
-    expectSameLookupAnswers(Scalar, Inter, Tag + " scalar-vs-interleaved");
+    expectSameLookupAnswers(Scalar, Eytz, Tag + " v1-vs-v2");
+    expectSameLookupAnswers(FromLive, Eytz, Tag + " live-vs-v2");
   }
+  expectStatsEq(V1.Reader->stats(), V2.Reader->stats());
 }
 
 } // namespace
 
-TEST(MappedIndexProbe, EnginesAgreeOnEmptyAndSingleRecordShards) {
+TEST(MappedIndexProbe, V1AndV2AgreeOnEmptyAndSingleRecordShards) {
   // Empty index: every shard's tree is empty, every descent terminates
   // immediately.
   {
     AlphaHashIndex<> Live({/*Shards=*/8, HashSchema::DefaultSeed});
-    std::string Image = saveIndexBytes(Live);
     ExprContext Ctx;
     std::vector<std::string> Queries = {
         serializeExpr(Ctx, parseT(Ctx, "(lam (x) (x x))")), "garbage"};
-    expectEnginesAgree<Hash128>(Image, Queries, "empty index");
+    expectProbesAgree(Live, Queries, "empty index");
   }
 
   // 8 classes over 16 shards: shards hold zero or one record, the
@@ -448,8 +458,7 @@ TEST(MappedIndexProbe, EnginesAgreeOnEmptyAndSingleRecordShards) {
     }
     Queries.push_back(serializeExpr(Gen, genBalanced(Gen, R, 50)));
     Queries.push_back("garbage");
-    expectEnginesAgree<Hash128>(saveIndexBytes(Live), Queries,
-                                "single-record shards");
+    expectProbesAgree(Live, Queries, "single-record shards");
   }
 }
 
@@ -463,24 +472,15 @@ TEST(MappedIndexProbe, FenceSkipEngagesOnLargeShardsAndStaysExact) {
   Live.insertBatch(Corpus, 1);
   ASSERT_GE(Live.numClasses(), MappedIndex<Hash128>::FenceMinCount);
 
-  std::string Image = saveIndexBytes(Live);
-  {
-    auto M = MappedIndex<Hash128>::openBytes(Image);
-    ASSERT_TRUE(M.ok()) << M.Error;
-    ASSERT_TRUE(M.Reader->hasProbeSidecar());
-    EXPECT_TRUE(M.Reader->verify());
-    // Auto on a sidecar file resolves to the interleaved batch engine.
-    EXPECT_STREQ(M.Reader->probeEngineName(), "interleaved");
-  }
-  expectEnginesAgree<Hash128>(Image, queriesOver(Corpus, 9),
-                              "fence-active single shard");
+  expectProbesAgree(Live, queriesOver(Corpus, 9),
+                    "fence-active single shard");
 }
 
-TEST(MappedIndexProbe16, EnginesAgreeOnDuplicateHashRunsAndCollisions) {
+TEST(MappedIndexProbe16, V1AndV2AgreeOnDuplicateHashRunsAndCollisions) {
   // b=16 with a forced collision and hundreds of random classes: the
   // record tables carry duplicate-hash runs, so the lower bound must
   // land on the *first* record of a run for the candidate scan (and the
-  // collision fallback) to see candidates in file order on every engine.
+  // collision fallback) to see candidates in file order on both probes.
   ExprContext Ctx;
   Rng R(4242);
   AlphaHashIndex<Hash16> Live({/*Shards=*/4, HashSchema::DefaultSeed});
@@ -504,26 +504,23 @@ TEST(MappedIndexProbe16, EnginesAgreeOnDuplicateHashRunsAndCollisions) {
   }
   Queries.push_back("garbage");
 
-  std::string Image = saveIndexBytes(Live);
-  expectEnginesAgree<Hash16>(Image, Queries, "b=16 dup runs");
-
-  // Engines see identical candidate lists, so even the *stats* agree
-  // after identical streams: same fallback checks, same refutations.
-  auto MScalar = MappedIndex<Hash16>::openBytes(Image);
-  auto MInter = MappedIndex<Hash16>::openBytes(Image);
-  ASSERT_TRUE(MScalar.ok() && MInter.ok());
-  ASSERT_TRUE(MScalar.Reader->setProbeEngine(ProbeEngine::Scalar));
-  ASSERT_TRUE(MInter.Reader->setProbeEngine(ProbeEngine::Interleaved));
-  MScalar.Reader->lookupBatch(Queries, 2);
-  MInter.Reader->lookupBatch(Queries, 2);
-  expectStatsEq(MScalar.Reader->stats(), MInter.Reader->stats());
+  // Both probes see identical candidate lists, so even the *stats*
+  // agree after identical streams (checked by expectProbesAgree): same
+  // fallback checks, same refutations -- and some of each.
+  expectProbesAgree(Live, Queries, "b=16 dup runs");
+  std::string Image;
+  auto M = openAtVersion(Live, Image, 2);
+  ASSERT_TRUE(M.ok());
+  const IndexStats Before = M.Reader->stats();
+  M.Reader->lookupBatch(Queries, 2);
+  EXPECT_GT(M.Reader->stats().FallbackChecks, Before.FallbackChecks);
+  EXPECT_GT(M.Reader->stats().VerifiedCollisions, Before.VerifiedCollisions);
 }
 
-TEST(MappedIndexProbe, ProbeHashCountsHonorsEveryEngineIdentically) {
+TEST(MappedIndexProbe, ProbeHashCountsAgreeBetweenV1AndV2) {
   AlphaHashIndex<> Live({/*Shards=*/4, HashSchema::DefaultSeed});
   std::vector<std::string> Corpus = dupCorpus(80, 13);
   Live.insertBatch(Corpus, 1);
-  std::string Image = saveIndexBytes(Live);
 
   // Member hashes (counts >= 1, duplicates > 1), plus misses.
   ExprContext Ctx;
@@ -535,27 +532,19 @@ TEST(MappedIndexProbe, ProbeHashCountsHonorsEveryEngineIdentically) {
   for (int I = 0; I != 20; ++I)
     Hashes.push_back(H.hashRoot(genBalanced(Ctx, R, 33)));
 
-  std::vector<uint32_t> Expected;
-  {
-    auto M = MappedIndex<Hash128>::openBytes(Image);
-    ASSERT_TRUE(M.ok());
-    ASSERT_TRUE(M.Reader->setProbeEngine(ProbeEngine::Scalar));
-    M.Reader->probeHashCounts(Hashes, Expected);
-  }
-  ASSERT_EQ(Expected.size(), Hashes.size());
-  // b=128: every stored class hash probes to exactly its own record.
-  for (size_t I = 0; I != Live.numClasses(); ++I)
-    EXPECT_EQ(Expected[I], 1u) << "class hash " << I;
-
-  for (ProbeEngine E : {ProbeEngine::Eytzinger, ProbeEngine::Interleaved,
-                        ProbeEngine::Auto}) {
-    auto M = MappedIndex<Hash128>::openBytes(Image);
-    ASSERT_TRUE(M.ok());
-    ASSERT_TRUE(M.Reader->setProbeEngine(E));
-    std::vector<uint32_t> Got;
-    M.Reader->probeHashCounts(Hashes, Got);
-    EXPECT_EQ(Got, Expected) << "engine " << probeEngineLabel(E);
-  }
+  std::string V1Image, V2Image;
+  auto V1 = openAtVersion(Live, V1Image, 1);
+  auto V2 = openAtVersion(Live, V2Image, 2);
+  ASSERT_TRUE(V1.ok() && V2.ok());
+  std::vector<uint32_t> Scalar, Eytz;
+  V1.Reader->probeHashCounts(Hashes, Scalar);
+  V2.Reader->probeHashCounts(Hashes, Eytz);
+  ASSERT_EQ(Scalar.size(), Hashes.size());
+  // b=128: every stored class hash probes to exactly its own record, and
+  // the fresh hashes to nothing.
+  for (size_t I = 0; I != Hashes.size(); ++I)
+    EXPECT_EQ(Scalar[I], I < Live.numClasses() ? 1u : 0u) << "hash " << I;
+  EXPECT_EQ(Eytz, Scalar);
 }
 
 //===----------------------------------------------------------------------===//

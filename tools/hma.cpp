@@ -65,8 +65,12 @@
 #include <csignal>
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -113,7 +117,6 @@ int usage() {
       "             stats`)\n"
       "  index open <file> [stats | query [--expr E | --expr-file F |\n"
       "             --batch FILE]] [--mmap | --load] [--no-verify]\n"
-      "             [--probe auto|scalar|eytzinger|interleaved]\n"
       "             [--shards S] [--out FILE]\n"
       "             reopen an HMAI index file (no re-ingest) and print\n"
       "             its summary, full stats, or serve queries from it.\n"
@@ -122,11 +125,7 @@ int usage() {
       "             check for an open independent of index size; reads\n"
       "             stay bounds-checked); --load materializes the index\n"
       "             instead, which --shards (re-stripe) and --out\n"
-      "             (re-save) also imply. --probe pins the mapped\n"
-      "             reader's probe engine (default auto: interleaved\n"
-      "             batches + eytzinger singles when the file carries\n"
-      "             the v2 sidecar, scalar otherwise); the engines\n"
-      "             answer identically and differ only in speed\n"
+      "             (re-save) also imply\n"
       "  index update <file|dir> <corpus> [--threads T] [--out FILE]\n"
       "             [--json] [--auto-compact N] [--crash-after-segment]\n"
       "             single HMAI file: reopen, ingest the corpus, rewrite\n"
@@ -195,6 +194,28 @@ int usage() {
       "Expressions are read from [file] or stdin. A corpus is one\n"
       "expression per line, or a binary HMAC container.\n");
   return 2;
+}
+
+/// Parse \p Arg, the value of \p Flag, as a whole unsigned decimal in
+/// [\p Min, \p Max]. Text that is not entirely digits (`abc`, `4x`,
+/// `-1`, empty) is an error, never a silent 0 or numeric prefix: a
+/// misread `--min-age-seconds` would disable gc's in-flight guard.
+/// Prints the flag's error and returns false when \p Arg does not parse.
+template <typename T>
+bool parseUnsigned(const char *Flag, const char *Arg, uint64_t Min,
+                   uint64_t Max, T &Out) {
+  errno = 0;
+  char *End = nullptr;
+  const unsigned long long V = std::strtoull(Arg, &End, 10);
+  if (!std::isdigit(static_cast<unsigned char>(Arg[0])) || *End != '\0' ||
+      errno == ERANGE || V < Min || V > Max) {
+    std::fprintf(stderr, "error: %s must be an integer in [%llu, %llu]\n",
+                 Flag, static_cast<unsigned long long>(Min),
+                 static_cast<unsigned long long>(Max));
+    return false;
+  }
+  Out = static_cast<T>(V);
+  return true;
 }
 
 bool readInput(const char *Path, std::string &Out) {
@@ -299,18 +320,17 @@ int cmdGen(ExprContext &, int Argc, char **Argv) {
     };
     if (Want("--family"))
       Family = Argv[++I];
-    else if (Want("--size"))
-      Size = static_cast<uint32_t>(std::atoll(Argv[++I]));
-    else if (Want("--seed"))
-      Seed = static_cast<uint64_t>(std::atoll(Argv[++I]));
-    else if (Want("--count"))
-      Count = static_cast<uint64_t>(std::atoll(Argv[++I]));
-    else
+    else if (Want("--size")) {
+      if (!parseUnsigned("--size", Argv[++I], 0, UINT32_MAX, Size))
+        return 2;
+    } else if (Want("--seed")) {
+      if (!parseUnsigned("--seed", Argv[++I], 0, UINT64_MAX, Seed))
+        return 2;
+    } else if (Want("--count")) {
+      if (!parseUnsigned("--count", Argv[++I], 1, INT64_MAX, Count))
+        return 2;
+    } else
       return usage();
-  }
-  if (Count == 0 || static_cast<int64_t>(Count) < 0) {
-    std::fprintf(stderr, "error: --count must be a positive integer\n");
-    return 2;
   }
   Rng R(Seed);
   for (uint64_t K = 0; K != Count; ++K) {
@@ -351,8 +371,6 @@ struct IndexArgs {
   bool ForceMmap = false; ///< --mmap: insist on the zero-copy reader.
   bool ForceLoad = false; ///< --load: insist on the materializing loader.
   bool NoVerify = false;  ///< --no-verify: skip the mapped table check.
-  ProbeEngine Probe = ProbeEngine::Auto; ///< --probe: mapped probe engine.
-  bool ProbeSet = false;  ///< --probe given explicitly.
   bool Segmented = false; ///< --segmented: build a segment directory.
   unsigned AutoCompact = 0; ///< --auto-compact: compact at N segments.
   bool CrashAfterSegment = false; ///< --crash-after-segment: stop an
@@ -382,15 +400,9 @@ struct IndexArgs {
 /// Parse `--threads/--shards/--out/--expr/--expr-file/--batch` starting
 /// at Argv[\p First].
 bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
-  auto Positive = [](const char *Flag, const char *Arg, long long Max,
+  auto Positive = [](const char *Flag, const char *Arg, uint64_t Max,
                      unsigned &Out) {
-    long long V = std::atoll(Arg);
-    if (V < 1 || V > Max) {
-      std::fprintf(stderr, "error: %s must be in [1, %lld]\n", Flag, Max);
-      return false;
-    }
-    Out = static_cast<unsigned>(V);
-    return true;
+    return parseUnsigned(Flag, Arg, 1, Max, Out);
   };
   for (int I = First; I < Argc; ++I) {
     auto Want = [&](const char *Flag) {
@@ -410,16 +422,6 @@ bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
       A.ForceLoad = true;
     else if (std::strcmp(Argv[I], "--no-verify") == 0)
       A.NoVerify = true;
-    else if (Want("--probe")) {
-      std::optional<ProbeEngine> E = parseProbeEngine(Argv[++I]);
-      if (!E) {
-        std::fprintf(stderr, "error: --probe must be auto, scalar, "
-                             "eytzinger, or interleaved\n");
-        return false;
-      }
-      A.Probe = *E;
-      A.ProbeSet = true;
-    }
     else if (std::strcmp(Argv[I], "--segmented") == 0)
       A.Segmented = true;
     else if (Want("--auto-compact")) {
@@ -432,14 +434,9 @@ bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
     else if (Want("--min-age-seconds")) {
       // 0 is meaningful here (disable the in-flight guard), so this
       // flag cannot go through Positive.
-      long long V = std::atoll(Argv[++I]);
-      if (V < 0 || V > 86400LL * 365) {
-        std::fprintf(stderr,
-                     "error: --min-age-seconds must be in [0, %lld]\n",
-                     86400LL * 365);
+      if (!parseUnsigned("--min-age-seconds", Argv[++I], 0, 86400 * 365,
+                         A.GcMinAge))
         return false;
-      }
-      A.GcMinAge = static_cast<unsigned>(V);
       A.GcMinAgeSet = true;
     }
     else if (std::strcmp(Argv[I], "--json") == 0)
@@ -699,7 +696,6 @@ int cmdIndexQuery(const IndexArgs &A) {
 /// mapped).
 void printStatsReport(const IndexReader<Hash128> &Index) {
   printSchema(Index);
-  std::printf("probe engine:        %s\n", Index.probeEngineName());
   IndexStats S = Index.stats();
   std::printf("fallback checks:     %llu\n",
               static_cast<unsigned long long>(S.FallbackChecks));
@@ -814,31 +810,22 @@ std::unique_ptr<MappedIndex<Hash128>> openMappedIndex(const IndexArgs &A) {
       return nullptr;
     }
   }
-  if (!R.Reader->setProbeEngine(A.Probe)) {
-    std::fprintf(stderr,
-                 "index error: --probe=%s requires the v2 Eytzinger "
-                 "sidecar, which '%s' does not carry; re-save it (e.g. "
-                 "`hma index open %s --load --out %s`) to upgrade\n",
-                 probeEngineLabel(A.Probe), A.Path, A.Path, A.Path);
-    return nullptr;
-  }
   auto End = std::chrono::steady_clock::now();
   std::fprintf(A.narrate(),
                "opened %s (%s): %zu classes, %llu members, %u shards, "
-               "%.6f s (%s, %s, probe %s)\n",
+               "%.6f s (%s, %s)\n",
                A.Path, R.Reader->backendName(), R.Reader->numClasses(),
                static_cast<unsigned long long>(R.Reader->stats().Inserted),
                R.Reader->numShards(),
                std::chrono::duration<double>(End - Start).count(),
                R.Reader->isFileMapped() ? "zero-copy" : "buffered copy",
-               A.NoVerify ? "tables unverified" : "tables verified",
-               R.Reader->probeEngineName());
+               A.NoVerify ? "tables unverified" : "tables verified");
   return std::move(R.Reader);
 }
 
 /// Open a segment directory over \ref SegmentedIndex, mirroring \ref
-/// openMappedIndex: deep-verify by default, probe-engine selection, one
-/// open summary line, orphans reported (never silently).
+/// openMappedIndex: deep-verify by default, one open summary line,
+/// orphans reported (never silently).
 std::unique_ptr<SegmentedIndex<Hash128>>
 openSegmentedIndex(const IndexArgs &A) {
   auto Start = std::chrono::steady_clock::now();
@@ -857,22 +844,13 @@ openSegmentedIndex(const IndexArgs &A) {
       return nullptr;
     }
   }
-  if (!R.Reader->setProbeEngine(A.Probe)) {
-    std::fprintf(stderr,
-                 "index error: --probe=%s requires the v2 Eytzinger "
-                 "sidecar on every segment of '%s'\n",
-                 probeEngineLabel(A.Probe), A.Path);
-    return nullptr;
-  }
   auto End = std::chrono::steady_clock::now();
   std::fprintf(A.narrate(),
-               "opened %s (%s): %zu classes, %zu segments, %.6f s (%s, "
-               "probe %s)\n",
+               "opened %s (%s): %zu classes, %zu segments, %.6f s (%s)\n",
                A.Path, R.Reader->backendName(), R.Reader->numClasses(),
                R.Reader->set().numSegments(),
                std::chrono::duration<double>(End - Start).count(),
-               A.NoVerify ? "tables unverified" : "tables verified",
-               R.Reader->probeEngineName());
+               A.NoVerify ? "tables unverified" : "tables verified");
   for (const std::string &Orphan : R.Reader->set().orphans())
     std::fprintf(stderr,
                  "warning: unreferenced segment file '%s' (crash "
@@ -942,14 +920,6 @@ int cmdIndexOpen(const IndexArgs &A) {
     std::fprintf(stderr, "error: --no-verify applies to the mapped reader "
                          "and cannot be combined with --load/--shards/"
                          "--out\n");
-    return 2;
-  }
-  if (A.ProbeSet) {
-    // The materialized index probes its hash table; silently ignoring an
-    // explicit engine request would fake an ablation data point.
-    std::fprintf(stderr, "error: --probe selects the mapped reader's probe "
-                         "engine and cannot be combined with --load/"
-                         "--shards/--out\n");
     return 2;
   }
   auto Index = openIndexFile(A);
@@ -1277,14 +1247,9 @@ int cmdIndexd(int Argc, char **Argv) {
     return usage();
   serve::ServerOptions O;
   O.IndexPath = Argv[2];
-  auto Positive = [](const char *Flag, const char *Arg, long long Max,
+  auto Positive = [](const char *Flag, const char *Arg, uint64_t Max,
                      long long &Out) {
-    Out = std::atoll(Arg);
-    if (Out < 1 || Out > Max) {
-      std::fprintf(stderr, "error: %s must be in [1, %lld]\n", Flag, Max);
-      return false;
-    }
-    return true;
+    return parseUnsigned(Flag, Arg, 1, Max, Out);
   };
   for (int I = 3; I < Argc; ++I) {
     auto Want = [&](const char *Flag) {
@@ -1315,7 +1280,7 @@ int cmdIndexd(int Argc, char **Argv) {
       O.DrainTimeoutMs = static_cast<int>(V);
     } else if (Want("--max-frame-bytes")) {
       if (!Positive("--max-frame-bytes", Argv[++I],
-                    static_cast<long long>(serve::FrameBytesCeiling), V))
+                    serve::FrameBytesCeiling, V))
         return 2;
       O.MaxFrameBytes = static_cast<size_t>(V);
     } else if (Want("--reload-retry-base-ms")) {
@@ -1329,12 +1294,8 @@ int cmdIndexd(int Argc, char **Argv) {
     } else if (Want("--reload-retry-limit")) {
       // 0 is meaningful: disable automatic retries (degraded mode then
       // persists until an operator reload succeeds).
-      V = std::atoll(Argv[++I]);
-      if (V < 0 || V > 1000000) {
-        std::fprintf(stderr,
-                     "error: --reload-retry-limit must be in [0, 1000000]\n");
+      if (!parseUnsigned("--reload-retry-limit", Argv[++I], 0, 1000000, V))
         return 2;
-      }
       O.ReloadRetryLimit = static_cast<unsigned>(V);
     } else if (std::strcmp(Argv[I], "--no-verify") == 0)
       O.VerifyOnLoad = false;
@@ -1393,10 +1354,10 @@ int cmdIndex(int Argc, char **Argv) {
   }
   // The read-path flags only mean something to `open`; anywhere else
   // they must not be silently swallowed.
-  if ((A.ForceMmap || A.ForceLoad || A.NoVerify || A.ProbeSet) &&
+  if ((A.ForceMmap || A.ForceLoad || A.NoVerify) &&
       std::strcmp(A.Sub, "open") != 0) {
     std::fprintf(stderr,
-                 "error: --mmap/--load/--no-verify/--probe apply to "
+                 "error: --mmap/--load/--no-verify apply to "
                  "`index open` only\n");
     return 2;
   }
