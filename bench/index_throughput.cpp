@@ -19,18 +19,17 @@
 /// claim of the scratch-reuse pipeline is that the latter is ~0.
 ///
 /// After the thread sweep, each family measures the persistence path:
-/// the single-thread index is saved to `HMAI` bytes and reopened, and
-/// the reopen time is compared against the rebuild (1-thread ingest)
-/// time. The memory-diet column `retained/class` is the canonical-blob
-/// bytes each class keeps resident (the byte-backed ShardStore retains
-/// nothing else; before the refactor every class additionally pinned a
-/// ~2-8 KiB decoded arena in its shard's context).
-///
-/// Finally the zero-copy read path: the image is written to a real file,
-/// opened with `MappedIndex` (mmap, O(shards) -- open time independent
-/// of index size), and the whole corpus is batch-queried against both
-/// the mapped and the materialized reader. The mapped-vs-load open
-/// speedup and both query latencies land in the `CSV,index_reopen` row.
+/// the single-thread index is saved to `HMAI` bytes, written to a real
+/// file and reopened the way every file open works -- `MappedIndex`
+/// (mmap, O(shards): open time independent of index size) plus the
+/// O(classes) `verify` -- and the reopen (open + verify) time is compared
+/// against the rebuild (1-thread ingest) time. The whole corpus is then
+/// batch-queried through the mapped reader. The memory-diet column
+/// `retained/class` is the canonical-blob bytes each class keeps
+/// resident (the byte-backed ShardStore retains nothing else; before the
+/// refactor every class additionally pinned a ~2-8 KiB decoded arena in
+/// its shard's context). Open, reopen and query times land in the
+/// `CSV,index_reopen` row.
 ///
 ///   HMA_BENCH_FULL=1   10x corpus size
 ///   --lookup-only      skip everything except one 1-thread ingest and
@@ -44,7 +43,7 @@
 /// Output: a human table plus machine-readable `CSV,...` rows
 ///   CSV,env,<hardware_concurrency>,<single_core>,<obs_enabled>
 ///   CSV,index_throughput,<family>,<threads>,<exprs>,<sec>,<exprs_per_sec>,<alloc_per_expr>,<steady_alloc_per_expr>
-///   CSV,index_reopen,<family>,<classes>,<file_bytes>,<reopen_sec>,<rebuild_sec>,<retained_bytes_per_class>,<mmap_open_sec>,<mmap_batch_sec>,<load_batch_sec>
+///   CSV,index_reopen,<family>,<classes>,<file_bytes>,<reopen_sec>,<rebuild_sec>,<retained_bytes_per_class>,<mmap_open_sec>,<mmap_batch_sec>
 ///   CSV,lookup_throughput,<family>,<queries>,<sec>,<queries_per_sec>,<obs_enabled>
 ///   CSV,segment_update,<classes>,<delta>,<append_sec>,<rewrite_sec>,<speedup>,<fresh>,<compact_sec>,<diff_ok>
 ///   CSV,obs_hist,<name>,<count>,<p50_ns>,<p90_ns>,<p99_ns>,<max_ns>
@@ -174,74 +173,64 @@ void runFamily(const char *Family, size_t Count, uint32_t Size) {
     }
   }
 
-  // Persistence: reopening the saved HMAI image restores classes, counts
-  // and stats without re-hashing anything -- compare against the 1-thread
-  // rebuild above.
-  std::unique_ptr<AlphaHashIndex<>> Reopened;
-  double ReopenSec = timeOnce([&] {
-    auto R = loadIndexBytes<Hash128>(SavedIndex);
-    Reopened = std::move(R.Index);
-  });
+  // Persistence: write the saved HMAI image to a real file and reopen it
+  // the way every file open works -- mmap (O(shards), no per-class work)
+  // plus the O(classes) table verify -- and compare against the 1-thread
+  // rebuild above. Then batch-query the whole corpus through the mapped
+  // reader: every member must be present.
+  double MmapOpenSec = -1, ReopenSec = -1, MmapBatchSec = -1;
   double PerClass =
       Classes ? static_cast<double>(RetainedBytes) / Classes : 0.0;
-  std::printf("%8s reopen %s vs rebuild %s (%.0fx); file %zu B; "
-              "retained %.1f B/class\n",
-              "", fmtSeconds(ReopenSec).c_str(), fmtSeconds(Base).c_str(),
-              ReopenSec > 0 ? Base / ReopenSec : 0.0, SavedIndex.size(),
-              PerClass);
-  if (!Reopened || Reopened->numClasses() != Classes)
-    std::printf("ERROR: reopened index does not match (classes %zu != %zu)\n",
-                Reopened ? Reopened->numClasses() : 0, Classes);
-
-  // Zero-copy read path: write the image to a real file, mmap-open it
-  // (O(shards) -- no per-class work), and batch-query the whole corpus
-  // through the mapped reader vs the materialized one. The two must
-  // report identical hit counts; only the latency may differ.
-  double MmapOpenSec = -1, MmapBatchSec = -1, LoadBatchSec = -1;
   const std::string MappedPath =
       std::string("index_throughput.") + Family + ".hmai.tmp";
   std::string WriteError;
   std::unique_ptr<MappedIndex<Hash128>> Mapped;
+  std::unique_ptr<AlphaHashIndex<>> Restored;
   if (writeFileReplacing(MappedPath, SavedIndex, &WriteError)) {
-    MmapOpenSec = timeOnce([&] {
-      auto R = MappedIndex<Hash128>::open(MappedPath);
-      Mapped = std::move(R.Reader);
-    });
-    if (Mapped && Reopened) {
-      size_t MappedHits = 0, LoadedHits = 0;
+    MmapOpenSec = timeOnce(
+        [&] { Mapped = MappedIndex<Hash128>::open(MappedPath).Reader; });
+    bool Verified = false;
+    double VerifySec = timeOnce([&] { Verified = Mapped && Mapped->verify(); });
+    ReopenSec = MmapOpenSec + VerifySec;
+    if (Verified && Mapped->numClasses() == Classes) {
+      size_t MappedHits = 0;
       MmapBatchSec = timeOnce([&] {
         for (const auto &R : Mapped->lookupBatch(Corpus, 1))
           MappedHits += R.has_value();
       });
-      LoadBatchSec = timeOnce([&] {
-        for (const auto &R : Reopened->lookupBatch(Corpus, 1))
-          LoadedHits += R.has_value();
-      });
-      std::printf("%8s mmap-open %s (%.0fx vs load-reopen, %s); corpus "
-                  "query mapped %s vs loaded %s\n",
-                  "", fmtSeconds(MmapOpenSec).c_str(),
-                  MmapOpenSec > 0 ? ReopenSec / MmapOpenSec : 0.0,
-                  Mapped->backendName(), fmtSeconds(MmapBatchSec).c_str(),
-                  fmtSeconds(LoadBatchSec).c_str());
-      if (MappedHits != LoadedHits)
-        std::printf("ERROR: mapped/loaded hit counts differ (%zu != %zu)\n",
-                    MappedHits, LoadedHits);
-    } else if (!Mapped) {
-      std::printf("ERROR: mmap open failed\n");
+      std::printf("%8s reopen (open + verify) %s vs rebuild %s (%.0fx); "
+                  "mmap-open %s (%s); corpus query %s; file %zu B; "
+                  "retained %.1f B/class\n",
+                  "", fmtSeconds(ReopenSec).c_str(), fmtSeconds(Base).c_str(),
+                  ReopenSec > 0 ? Base / ReopenSec : 0.0,
+                  fmtSeconds(MmapOpenSec).c_str(), Mapped->backendName(),
+                  fmtSeconds(MmapBatchSec).c_str(), SavedIndex.size(),
+                  PerClass);
+      if (MappedHits != Corpus.size())
+        std::printf("ERROR: mapped reader hit %zu/%zu corpus members\n",
+                    MappedHits, Corpus.size());
+      Restored = AlphaHashIndex<>::restore(
+          {Mapped->numShards(), Mapped->schema().seed()}, Mapped->snapshot(),
+          Mapped->stats());
+    } else {
+      std::printf("ERROR: reopened index does not open, verify and match "
+                  "(%zu classes)\n",
+                  Classes);
     }
     std::remove(MappedPath.c_str());
   } else {
     std::printf("ERROR: cannot write %s: %s\n", MappedPath.c_str(),
                 WriteError.c_str());
   }
-  std::printf("CSV,index_reopen,%s,%zu,%zu,%.6f,%.6f,%.1f,%.6f,%.6f,%.6f\n",
+  std::printf("CSV,index_reopen,%s,%zu,%zu,%.6f,%.6f,%.1f,%.6f,%.6f\n",
               Family, Classes, SavedIndex.size(), ReopenSec, Base, PerClass,
-              MmapOpenSec, MmapBatchSec, LoadBatchSec);
+              MmapOpenSec, MmapBatchSec);
 
-  // Steady-state read-path throughput (see measureLookup: best-of-reps
-  // so the number is stable enough for CI's 5% obs-overhead gate).
-  if (Reopened)
-    measureLookup(Family, *Reopened, Corpus);
+  // Steady-state read-path throughput on the live copy restored from the
+  // verified reader (see measureLookup: best-of-reps so the number is
+  // stable enough for CI's 5% obs-overhead gate).
+  if (Restored)
+    measureLookup(Family, *Restored, Corpus);
 }
 
 /// `--lookup-only`: one 1-thread ingest then the lookup_throughput row,
@@ -275,11 +264,12 @@ bool snapshotsEqual(const std::vector<ClassSummary<Hash128>> &A,
 /// The tentpole's measurement: a 1% delta applied to a >= 100k-class
 /// index, as a segmented append (stage delta + reconcile + manifest
 /// swap; O(delta)) vs the single-file rewrite `hma index update`
-/// performs (load + ingest + save; O(index)). Both paths start from the
-/// *same* base image and ingest the *same* delta single-threaded, so
-/// their final class tables must be byte-identical -- checked against
-/// the rewritten file both before and after compacting the directory,
-/// and reported as the CSV row's diff_ok field:
+/// performs (open + verify + restore + ingest + save; O(index)). Both
+/// paths start from the *same* base image and ingest the *same* delta
+/// single-threaded, so their final class tables must be byte-identical
+/// -- checked against the rewritten file both before and after
+/// compacting the directory, and reported as the CSV row's diff_ok
+/// field:
 ///
 ///   CSV,segment_update,<classes>,<delta>,<append_sec>,<rewrite_sec>,
 ///       <speedup>,<fresh>,<compact_sec>,<diff_ok>
@@ -334,23 +324,29 @@ void runSegmentUpdate() {
   }
 
   // The rewrite: what `hma index update` does to a single HMAI file --
-  // materialize everything, ingest the delta, serialise everything.
+  // open and verify it, restore every class into a live index, ingest
+  // the delta, serialise everything.
   double RewriteSec = timeOnce([&] {
-    auto L = loadIndexFile<Hash128>(File);
-    if (!L.ok())
+    auto M = MappedIndex<Hash128>::open(File);
+    if (!M.ok() || !M.Reader->verify())
       return;
-    L.Index->insertBatch(Delta, 1);
-    saveIndexFile(*L.Index, File);
+    auto Index = AlphaHashIndex<>::restore(
+        {M.Reader->numShards(), M.Reader->schema().seed()},
+        M.Reader->snapshot(), M.Reader->stats());
+    M.Reader.reset();
+    Index->insertBatch(Delta, 1);
+    saveIndexFile(*Index, File);
   });
 
   // After the rewrite, File holds base+delta: the single-file reference
   // the segmented answers must match byte-identically.
-  auto Ref = loadIndexFile<Hash128>(File);
-  bool DiffOk = Ref.ok();
+  auto Ref = MappedIndex<Hash128>::open(File);
+  bool DiffOk = Ref.ok() && Ref.Reader->verify();
+  std::vector<ClassSummary<Hash128>> RefClasses;
   if (DiffOk) {
+    RefClasses = Ref.Reader->snapshot();
     auto Seg = SegmentedIndex<Hash128>::open(Dir);
-    DiffOk = Seg.ok() &&
-             snapshotsEqual(Seg.Reader->snapshot(), Ref.Index->snapshot());
+    DiffOk = Seg.ok() && snapshotsEqual(Seg.Reader->snapshot(), RefClasses);
   }
 
   double CompactSec = timeOnce([&] {
@@ -361,7 +357,7 @@ void runSegmentUpdate() {
   if (DiffOk) {
     auto Seg = SegmentedIndex<Hash128>::open(Dir);
     DiffOk = Seg.ok() && Seg.Reader->set().numSegments() == 1 &&
-             snapshotsEqual(Seg.Reader->snapshot(), Ref.Index->snapshot());
+             snapshotsEqual(Seg.Reader->snapshot(), RefClasses);
   }
 
   double Speedup = AppendSec > 0 ? RewriteSec / AppendSec : 0.0;

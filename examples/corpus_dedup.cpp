@@ -23,6 +23,7 @@
 #include "ast/Serialize.h"
 #include "index/CorpusIO.h"
 #include "index/IndexIO.h"
+#include "index/MappedIndex.h"
 
 #include <cstdio>
 
@@ -100,19 +101,21 @@ int main() {
               static_cast<unsigned long long>(S.VerifiedCollisions));
 
   // Persist the whole index -- classes, counts, stats -- as HMAI bytes
-  // and reopen it: the restored service answers the same queries without
-  // re-ingesting (or even re-hashing) anything. On disk this is what
-  // `hma index build --out` writes and `hma index open` serves from.
+  // and reopen them over the zero-copy reader (tables verified): the
+  // reopened service answers the same queries without re-ingesting (or
+  // even re-hashing) anything. On disk this is what `hma index build
+  // --out` writes and `hma index open` serves from.
   std::string Image = saveIndexBytes(Index);
-  IndexLoadResult<Hash128> Reopened = loadIndexBytes<Hash128>(Image);
-  if (!Reopened.ok()) {
-    std::fprintf(stderr, "reopen failed: %s\n", Reopened.Error.c_str());
+  auto Reopened = MappedIndex<Hash128>::openBytes(Image);
+  std::string Error = Reopened.Error;
+  if (!Reopened.ok() || !Reopened.Reader->verify(&Error)) {
+    std::fprintf(stderr, "reopen failed: %s\n", Error.c_str());
     return 1;
   }
-  auto Again = Reopened.Index->lookup(Ctx, Fresh);
+  auto Again = Reopened.Reader->lookup(Ctx, Fresh);
   std::printf("\nsaved %zu B HMAI image; reopened: %zu classes, "
               "twice-lookup %s (count=%llu)\n",
-              Image.size(), Reopened.Index->numClasses(),
+              Image.size(), Reopened.Reader->numClasses(),
               Again ? "present" : "absent",
               static_cast<unsigned long long>(Again ? Again->Count : 0));
   return 0;

@@ -22,8 +22,7 @@
 ///    reads), so retained memory is the canonical blobs plus a bounded
 ///    scratch, not every representative's arena. The same table is what
 ///    `index/IndexIO.h` persists as the `HMAI` on-disk format; \ref
-///    restoreClass / \ref restoreStats rebuild an index from it without
-///    re-hashing anything.
+///    restore rebuilds an index from it without re-hashing anything.
 ///
 ///  - **Hash-then-verify.** Theorem 6.7 bounds the collision probability
 ///    (<= 5(|e1|+|e2|)/2^b), but an interning service must be *correct*,
@@ -408,27 +407,25 @@ public:
     return static_cast<unsigned>(&shardFor(Hash) - ShardsArr.get());
   }
 
-  /// Restore one class exactly as exported by \ref snapshot -- no
-  /// hashing, no equivalence probe, no stats mutation. Trusted input: \p
-  /// Bytes must be the valid `ast/Serialize` form of an expression whose
-  /// alpha-hash under this index's schema is \p Hash, and no equivalent
-  /// class may already be present. The `HMAI` load path
-  /// (index/IndexIO.h) is the intended caller.
-  void restoreClass(H Hash, std::string Bytes, uint64_t Count) {
-    Shard &S = shardFor(Hash);
-    std::lock_guard<std::shared_mutex> Lock(S.Mu);
-    S.Store.addClass(Hash, std::move(Bytes), Count);
-  }
-
-  /// Restore aggregate counters saved alongside a class table, so a
-  /// reopened index reports the same \ref stats as the one that was
-  /// saved. Folds the whole aggregate into one shard -- per-shard
-  /// attribution is not observable through the public API and is not
-  /// preserved. Intended for freshly constructed (empty-stats) indexes.
-  void restoreStats(const IndexStats &Total) {
-    Shard &S = ShardsArr[0];
-    std::lock_guard<std::shared_mutex> Lock(S.Mu);
-    S.Stats = Total;
+  /// Rebuild an index from a class table exactly as exported by \ref
+  /// snapshot (any order) plus the aggregate counters saved alongside it
+  /// -- no hashing, no equivalence probe. Trusted input: each class's
+  /// bytes must be the valid `ast/Serialize` form of an expression whose
+  /// alpha-hash under \p Opts' schema is its hash, and no two classes may
+  /// be alpha-equivalent; a verified \ref MappedIndex (its snapshot and
+  /// stats) and a segment merge are the intended sources. Placement is a
+  /// pure function of the hash, so \p Opts may re-stripe the classes over
+  /// any shard count. The stats are folded into one shard (per-shard
+  /// attribution is not observable through the public API), so the
+  /// result reports exactly \p Stats.
+  static std::unique_ptr<AlphaHashIndex>
+  restore(Options Opts, std::vector<ClassSummary> Classes, IndexStats Stats) {
+    auto Index = std::make_unique<AlphaHashIndex>(Opts);
+    for (ClassSummary &C : Classes)
+      Index->shardFor(C.Hash).Store.addClass(
+          C.Hash, std::move(C.CanonicalBytes), C.Count);
+    Index->ShardsArr[0].Stats = Stats;
+    return Index;
   }
 
 private:

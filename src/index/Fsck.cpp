@@ -3,6 +3,7 @@
 #include "index/Fsck.h"
 
 #include "index/IndexIO.h"
+#include "index/MappedIndex.h"
 #include "index/SegmentCompactor.h"
 #include "index/SegmentManifest.h"
 
@@ -19,12 +20,15 @@ using namespace hma;
 namespace {
 
 /// Full record/sidecar validation of one `HMAI` image at the width its
-/// own header declares. Returns the loader's diagnostic, empty on
-/// success. (The eager loader is the strictest reader we have -- fsck
-/// accepts a file iff every read path would.)
+/// own header declares: the same `open` + `verify` every read path runs,
+/// so fsck accepts a file iff every reader would. Returns the
+/// diagnostic, empty on success.
 template <typename H> std::string deepValidate(std::string_view Bytes) {
-  IndexLoadResult<H> R = loadIndexBytes<H>(Bytes);
-  return R.ok() ? std::string() : R.Error;
+  typename MappedIndex<H>::OpenResult R = MappedIndex<H>::openBytes(Bytes);
+  if (!R.ok())
+    return R.Error;
+  std::string Error;
+  return R.Reader->verify(&Error) ? std::string() : Error;
 }
 
 std::string deepValidateAtWidth(unsigned HashBits, std::string_view Bytes) {

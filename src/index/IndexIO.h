@@ -50,7 +50,16 @@
 /// tables (so a deterministic save stays deterministic) and exists only
 /// to let \ref MappedIndex probe a shard with the branchless Eytzinger
 /// engine instead of a scalar binary search. Readers that ignore it lose
-/// nothing but speed; the eager loader validates it and drops it.
+/// nothing but speed; \ref MappedIndex::verify checks it against the
+/// tables all the same.
+///
+/// Validation: this header owns the format's layout and the O(shards)
+/// envelope check (\ref probeIndexBytes). The per-record checks -- sort
+/// order, blob ranges, sidecar content -- live in one place, \ref
+/// MappedIndex::verify, and every file open goes through it: a caller
+/// that wants a live \ref AlphaHashIndex opens and verifies the file,
+/// then rebuilds from the verified reader with \ref
+/// AlphaHashIndex::restore.
 ///
 /// Versioning: the magic and the version field are stable forever; all
 /// layout after them is owned by the version. Readers must reject
@@ -72,7 +81,6 @@
 #include "support/IoEnv.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -97,15 +105,6 @@ struct IndexFileInfo {
 
 /// True if \p Bytes starts with the index magic "HMAI".
 bool isIndexFile(std::string_view Bytes);
-
-/// Outcome of loading an index: the reopened index or a diagnostic.
-template <typename H> struct IndexLoadResult {
-  std::unique_ptr<AlphaHashIndex<H>> Index;
-  std::string Error;   ///< Empty on success.
-  size_t ErrorPos = 0; ///< Byte offset of the failure.
-
-  bool ok() const { return Index != nullptr; }
-};
 
 /// Decode and validate the header only (magic, version, widths, and that
 /// the directory/tables/bytes regions lie within the file). On failure
@@ -174,20 +173,6 @@ template <typename H> constexpr size_t recordSize() {
   return HashWidth<H>::Bits / 8 + 24; // hash + offset + length + count
 }
 
-/// Reject a file whose hash width does not match the reader's
-/// instantiation. Returns the diagnostic (empty on a match); the
-/// position is always byte 16 (the header's hash-bits field). Shared by
-/// the eager loader and \ref MappedIndex::open so their error surfaces
-/// cannot drift.
-template <typename H> std::string checkWidth(const IndexFileInfo &Info) {
-  if (Info.HashBits == HashWidth<H>::Bits)
-    return std::string();
-  return "index file is b=" + std::to_string(Info.HashBits) +
-         " but the reader is instantiated at b=" +
-         std::to_string(HashWidth<H>::Bits);
-}
-constexpr size_t WidthErrorPos = 16;
-
 /// One decoded shard-table record.
 template <typename H> struct Record {
   H Hash{};
@@ -229,71 +214,9 @@ template <typename H> RecordTail readRecordTail(const char *Rec) {
 /// Sorted rank of every Eytzinger slot for a table of \p Count records:
 /// element k-1 is the in-order position of node k in the complete binary
 /// tree rooted at slot 1 (the order a branchless BFS descent compares
-/// against). Pure layout function -- the writer emits it, validators
-/// recompute it.
+/// against). Pure layout function -- the writer emits it, \ref
+/// MappedIndex::verify recomputes it.
 std::vector<uint32_t> eytzingerRanks(uint64_t Count);
-
-/// Validate one record against the image envelope and its shard's sort
-/// order: the blob range must lie inside the bytes region -- an offset
-/// below \p BytesStart aliases the header/directory/tables, one ending
-/// past \p BytesEnd runs off the file (v1) or into the sidecar (v2);
-/// both are in-file but never something the writer emits -- and hashes
-/// must be non-decreasing. Returns the diagnostic, empty on success.
-/// Shared by the eager loader and \ref MappedIndex::verify so the two
-/// read paths cannot drift apart on what counts as a well-formed file
-/// (their acceptance parity is pinned by tests/index_io_test.cpp).
-template <typename H>
-std::string checkRecord(const Record<H> &R, H PrevHash, bool First,
-                        uint64_t BytesEnd, uint64_t BytesStart, unsigned Shard,
-                        uint64_t I) {
-  auto At = [&](const char *What) {
-    return "shard " + std::to_string(Shard) + " record " + std::to_string(I) +
-           ": " + What;
-  };
-  if (R.Offset > BytesEnd || R.Length > BytesEnd - R.Offset)
-    return At("blob overruns the bytes region");
-  if (R.Offset < BytesStart)
-    return At("blob offset points outside the bytes region");
-  if (!First && R.Hash < PrevHash)
-    return "shard " + std::to_string(Shard) + " table is not sorted by hash";
-  return std::string();
-}
-
-/// Validate one shard's sidecar block against its record table: slot k's
-/// rank must be the Eytzinger in-order position and slot k's hash must
-/// equal the table hash at that rank. \p HashAt maps a sorted rank to
-/// the shard's record hash. Shared by the eager loader and \ref
-/// MappedIndex::verify (same acceptance-parity contract as checkRecord).
-template <typename H, typename HashAtFn>
-std::string checkSidecarShard(const char *Eytz, const char *Ranks,
-                              uint64_t Count, HashAtFn &&HashAt,
-                              unsigned Shard) {
-  constexpr unsigned HashBytes = HashWidth<H>::Bits / 8;
-  const std::vector<uint32_t> Want = eytzingerRanks(Count);
-  for (uint64_t K = 0; K != Count; ++K) {
-    const uint64_t Rank = getWordLE(Ranks + K * RankEntrySize, RankEntrySize);
-    if (Rank != Want[K])
-      return "shard " + std::to_string(Shard) + " sidecar slot " +
-             std::to_string(K + 1) + ": rank " + std::to_string(Rank) +
-             " is not the Eytzinger in-order position " +
-             std::to_string(Want[K]);
-    H Got{};
-    getHashLE(Eytz + K * HashBytes, Got);
-    if (!(Got == HashAt(Rank)))
-      return "shard " + std::to_string(Shard) + " sidecar slot " +
-             std::to_string(K + 1) + ": hash does not match table rank " +
-             std::to_string(Rank);
-  }
-  return std::string();
-}
-
-template <typename H>
-IndexLoadResult<H> loadFail(std::string Error, size_t Pos) {
-  IndexLoadResult<H> R;
-  R.Error = std::move(Error);
-  R.ErrorPos = Pos;
-  return R;
-}
 
 } // namespace iio
 
@@ -306,7 +229,7 @@ IndexLoadResult<H> loadFail(std::string Error, size_t Pos) {
 ///
 /// The index must be quiescent (no concurrent ingest) for the duration
 /// of the call: the class table and the stats are read under separate
-/// per-shard locks, so a save racing an insertBatch yields a loadable
+/// per-shard locks, so a save racing an insertBatch yields a readable
 /// image whose stats may not correspond to exactly the captured class
 /// set.
 ///
@@ -410,96 +333,6 @@ std::string saveIndexBytes(const AlphaHashIndex<H> &Index,
   return Out;
 }
 
-/// Reconstruct an index from `HMAI` bytes. Classes, counts and stats are
-/// restored exactly as saved; no expression is decoded or re-hashed (the
-/// fallback walks the stored bytes at query time). \p OverrideShards != 0
-/// re-stripes the classes over a different shard count (placement is a
-/// pure function of the hash, so this is always safe); 0 keeps the
-/// file's.
-template <typename H>
-IndexLoadResult<H> loadIndexBytes(std::string_view Bytes,
-                                  unsigned OverrideShards = 0) {
-  static const obs::Histogram LoadNs = obs::Histogram::get(
-      "hma_index_load_ns",
-      "Latency of materializing a live index from HMAI bytes (validation "
-      "included), ns");
-  static const obs::Counter LoadedBytes = obs::Counter::get(
-      "hma_index_loaded_bytes_total", "HMAI image bytes consumed by loads");
-  obs::ScopedTrace Span("index_load", "io",
-                        static_cast<int64_t>(Bytes.size()));
-  obs::ScopedTimer Timer(LoadNs);
-  LoadedBytes.add(Bytes.size());
-  IndexFileInfo Info;
-  std::string Error;
-  size_t ErrorPos = 0;
-  if (!probeIndexBytes(Bytes, Info, &Error, &ErrorPos))
-    return iio::loadFail<H>(std::move(Error), ErrorPos);
-  if (std::string WidthError = iio::checkWidth<H>(Info); !WidthError.empty())
-    return iio::loadFail<H>(std::move(WidthError), iio::WidthErrorPos);
-
-  IndexLoadResult<H> R;
-  R.Index = std::make_unique<AlphaHashIndex<H>>(typename AlphaHashIndex<
-      H>::Options{OverrideShards ? OverrideShards : Info.Shards, Info.Seed});
-
-  const size_t RecSize = iio::recordSize<H>();
-  const size_t DirStart = iio::headerSize(Info.Version);
-  const uint64_t BytesStart = DirStart +
-                              uint64_t(Info.Shards) * iio::DirEntrySize +
-                              Info.NumClasses * RecSize;
-  // Blobs may run to the end of the file (v1) or only up to the probe
-  // sidecar (v2).
-  const uint64_t BytesEnd =
-      Info.hasSidecar() ? Info.SidecarOffset : Bytes.size();
-  uint64_t Restored = 0;
-  uint64_t SidecarPos = Info.SidecarOffset; // walks per-shard blocks (v2)
-  std::vector<H> ShardHashes;
-  for (unsigned S = 0; S != Info.Shards; ++S) {
-    const char *Dir = Bytes.data() + DirStart + S * iio::DirEntrySize;
-    const uint64_t TableOffset = iio::getWordLE(Dir, 8);
-    const uint64_t Count = iio::getWordLE(Dir + 8, 8);
-    H Prev{};
-    ShardHashes.clear();
-    for (uint64_t I = 0; I != Count; ++I) {
-      const size_t RecPos = TableOffset + I * RecSize;
-      iio::Record<H> Rec = iio::readRecord<H>(Bytes.data() + RecPos);
-      std::string RecError =
-          iio::checkRecord(Rec, Prev, I == 0, BytesEnd, BytesStart, S, I);
-      if (!RecError.empty())
-        return iio::loadFail<H>(std::move(RecError), RecPos);
-      Prev = Rec.Hash;
-      if (Info.hasSidecar())
-        ShardHashes.push_back(Rec.Hash);
-      R.Index->restoreClass(Rec.Hash,
-                            std::string(Bytes.substr(Rec.Offset, Rec.Length)),
-                            Rec.Count);
-      ++Restored;
-    }
-    if (Info.hasSidecar()) {
-      // The sidecar is derived data the loader drops, but a corrupt
-      // block must still be rejected so acceptance parity with
-      // MappedIndex::open + verify holds.
-      const char *Eytz = Bytes.data() + SidecarPos;
-      const char *Ranks = Eytz + Count * (HashWidth<H>::Bits / 8);
-      std::string SidecarError = iio::checkSidecarShard<H>(
-          Eytz, Ranks, Count,
-          [&](uint64_t Rank) { return ShardHashes[Rank]; }, S);
-      if (!SidecarError.empty())
-        return iio::loadFail<H>(std::move(SidecarError), SidecarPos);
-      SidecarPos += Count * iio::sidecarEntrySize(HashWidth<H>::Bits);
-    }
-  }
-  if (Restored != Info.NumClasses) {
-    R.Index.reset();
-    return iio::loadFail<H>("header declares " +
-                                std::to_string(Info.NumClasses) +
-                                " classes but tables hold " +
-                                std::to_string(Restored),
-                            24);
-  }
-  R.Index->restoreStats(Info.Stats);
-  return R;
-}
-
 /// Write \p Index to \p Path (via a sibling temporary file renamed into
 /// place, so a crash mid-write never leaves a torn index). Returns false
 /// with \p Error set (errno text included) on I/O failure; the partial
@@ -509,17 +342,6 @@ bool saveIndexFile(const AlphaHashIndex<H> &Index, const std::string &Path,
                    std::string *Error = nullptr,
                    IoEnv &Env = IoEnv::system()) {
   return writeFileReplacing(Path, saveIndexBytes(Index), Error, Env);
-}
-
-/// Read \p Path and reconstruct the index it holds.
-template <typename H>
-IndexLoadResult<H> loadIndexFile(const std::string &Path,
-                                 unsigned OverrideShards = 0) {
-  std::string Bytes;
-  std::string Error;
-  if (!readFileBytes(Path, Bytes, &Error))
-    return iio::loadFail<H>(std::move(Error), 0);
-  return loadIndexBytes<H>(Bytes, OverrideShards);
 }
 
 } // namespace hma

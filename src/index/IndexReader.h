@@ -8,8 +8,8 @@
 /// plus a way to probe it exactly. Three backends provide that table:
 ///
 ///  - \ref AlphaHashIndex: the live, mutable, sharded in-memory store
-///    (whether built by ingest or materialized from an `HMAI` file by
-///    `index/IndexIO.h`);
+///    (whether built by ingest or restored from a verified `HMAI` file
+///    with \ref AlphaHashIndex::restore);
 ///  - \ref MappedIndex: a read-only, zero-copy view over an mmap'd
 ///    `HMAI` file that binary-searches the on-disk tables directly;
 ///  - \ref SegmentedIndex: the union of several mapped `HMAI` segments

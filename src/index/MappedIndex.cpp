@@ -4,6 +4,9 @@
 
 #include "index/IndexIO.h"
 
+#include <cerrno>
+#include <cstring>
+
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -26,7 +29,7 @@ std::unique_ptr<MappedBytes> MappedBytes::openFile(const std::string &Path,
     int Fd = ::open(Path.c_str(), O_RDONLY);
     if (Fd < 0) {
       if (Error)
-        *Error = "cannot open '" + Path + "'";
+        *Error = "cannot open '" + Path + "': " + std::strerror(errno);
       return nullptr;
     }
     struct stat St;

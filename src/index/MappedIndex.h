@@ -11,8 +11,9 @@
 ///
 ///  - **open is O(shards), not O(classes)**: decode the fixed header,
 ///    walk the directory, done -- open time is independent of index
-///    size. Contrast `loadIndexBytes`, which copies every class into a
-///    live \ref AlphaHashIndex.
+///    size. A caller that needs a live \ref AlphaHashIndex (to ingest
+///    into it, or to re-stripe it) rebuilds one from the verified reader
+///    with \ref AlphaHashIndex::restore.
 ///  - **find is a lower-bound probe on the file**: hash the query, pick
 ///    the shard (\ref detail::shardIndexForHash -- the same pure
 ///    function of the hash the writer grouped by), lower-bound its
@@ -34,10 +35,12 @@
 ///  - **reads are defensively bounds-checked**: every record-designated
 ///    blob range is validated against the mapping before any byte is
 ///    touched, so a corrupt (unverified) file can mis-answer but never
-///    read out of bounds. \ref verify runs the loader's full O(classes)
-///    integrity check (sort order, blob ranges) on demand for untrusted
-///    files; `loadIndexBytes(image).ok()` iff `open` + `verify` succeed
-///    (asserted by the adversarial sweep in tests/index_io_test.cpp).
+///    read out of bounds. \ref verify runs the full O(classes) integrity
+///    check (sort order, blob ranges, sidecar content) on demand for
+///    untrusted files. It is the format's only deep validator: `hma
+///    index open`, `index update`, fsck's deep check and the daemon's
+///    reload gate all run `open` + `verify` (the adversarial sweep in
+///    tests/index_io_test.cpp pins what it rejects).
 ///
 /// Concurrency: the mapping is immutable, so any number of threads may
 /// query one MappedIndex concurrently -- no locks anywhere on the read
@@ -127,8 +130,7 @@ public:
   using LookupResult = hma::LookupResult<H>;
   using ClassSummary = hma::ClassSummary<H>;
 
-  /// Outcome of opening an image: the reader or a diagnostic (same shape
-  /// as \ref IndexLoadResult).
+  /// Outcome of opening an image: the reader or a diagnostic.
   struct OpenResult {
     std::unique_ptr<MappedIndex> Reader;
     std::string Error;   ///< Empty on success.
@@ -206,7 +208,8 @@ public:
   /// scalar search would. \ref open is O(shards) by design, so
   /// table-level corruption in an untrusted file is caught either here
   /// or -- harmlessly, as a miss/refutation -- by the bounds-checked
-  /// read path. Mirrors `loadIndexBytes`' validation exactly.
+  /// read path. On failure \p Error names the shard and record (or
+  /// sidecar slot) and \p ErrorPos is its byte offset.
   bool verify(std::string *Error = nullptr, size_t *ErrorPos = nullptr) const {
     static const obs::Histogram VerifyNs = obs::Histogram::get(
         "hma_mapped_verify_ns",
@@ -215,37 +218,66 @@ public:
     obs::ScopedTrace Span("mapped_verify", "io",
                           static_cast<int64_t>(Info.NumClasses));
     obs::ScopedTimer Timer(VerifyNs);
+    auto Fail = [&](std::string Message, uint64_t Pos) {
+      if (Error)
+        *Error = std::move(Message);
+      if (ErrorPos)
+        *ErrorPos = static_cast<size_t>(Pos);
+      return false;
+    };
+    constexpr unsigned HashBytes = HashWidth<H>::Bits / 8;
     const size_t RecSize = iio::recordSize<H>();
     for (size_t S = 0; S != Tables.size(); ++S) {
       const ShardTable &T = Tables[S];
+      // Diagnostics are spelled only on failure: this loop is the
+      // O(classes) part of every verified open.
+      auto At = [S](const char *What, uint64_t I) {
+        return "shard " + std::to_string(S) + What + std::to_string(I);
+      };
       H Prev{};
       for (uint64_t I = 0; I != T.Count; ++I) {
+        // A blob must lie inside the bytes region: an offset below
+        // BytesStart aliases the header/directory/tables, one ending past
+        // BytesEnd runs off the file (v1) or into the sidecar (v2); both
+        // are in-file but never something the writer emits.
         const size_t RecPos = static_cast<size_t>(T.Offset) + I * RecSize;
         iio::Record<H> Rec = iio::readRecord<H>(Bytes.data() + RecPos);
-        std::string RecError =
-            iio::checkRecord(Rec, Prev, I == 0, BytesEnd, BytesStart,
-                             static_cast<unsigned>(S), I);
-        if (!RecError.empty()) {
-          if (Error)
-            *Error = std::move(RecError);
-          if (ErrorPos)
-            *ErrorPos = RecPos;
-          return false;
-        }
+        if (Rec.Offset > BytesEnd || Rec.Length > BytesEnd - Rec.Offset)
+          return Fail(At(" record ", I) + ": blob overruns the bytes region",
+                      RecPos);
+        if (Rec.Offset < BytesStart)
+          return Fail(At(" record ", I) +
+                          ": blob offset points outside the bytes region",
+                      RecPos);
+        if (I != 0 && Rec.Hash < Prev)
+          return Fail("shard " + std::to_string(S) +
+                          " table is not sorted by hash",
+                      RecPos);
         Prev = Rec.Hash;
       }
-      if (Info.hasSidecar()) {
-        std::string SidecarError = iio::checkSidecarShard<H>(
-            Bytes.data() + T.EytzOffset, Bytes.data() + T.RankOffset, T.Count,
-            [&](uint64_t Rank) { return hashAt(T, Rank); },
-            static_cast<unsigned>(S));
-        if (!SidecarError.empty()) {
-          if (Error)
-            *Error = std::move(SidecarError);
-          if (ErrorPos)
-            *ErrorPos = static_cast<size_t>(T.EytzOffset);
-          return false;
-        }
+      if (!Info.hasSidecar())
+        continue;
+      // Slot k's rank must be the Eytzinger in-order position and slot
+      // k's hash must equal the table hash at that rank.
+      const std::vector<uint32_t> Want = iio::eytzingerRanks(T.Count);
+      const char *Eytz = Bytes.data() + T.EytzOffset;
+      const char *Ranks = Bytes.data() + T.RankOffset;
+      for (uint64_t K = 0; K != T.Count; ++K) {
+        const uint64_t Rank =
+            iio::getWordLE(Ranks + K * iio::RankEntrySize, iio::RankEntrySize);
+        if (Rank != Want[K])
+          return Fail(At(" sidecar slot ", K + 1) + ": rank " +
+                          std::to_string(Rank) +
+                          " is not the Eytzinger in-order position " +
+                          std::to_string(Want[K]),
+                      T.EytzOffset);
+        H Got{};
+        iio::getHashLE(Eytz + K * HashBytes, Got);
+        if (!(Got == hashAt(T, Rank)))
+          return Fail(At(" sidecar slot ", K + 1) +
+                          ": hash does not match table rank " +
+                          std::to_string(Rank),
+                      T.EytzOffset);
       }
     }
     return true;
@@ -442,10 +474,11 @@ private:
     IndexFileInfo Info;
     if (!probeIndexBytes(Bytes, Info, &R.Error, &R.ErrorPos))
       return R;
-    if (std::string WidthError = iio::checkWidth<H>(Info);
-        !WidthError.empty()) {
-      R.Error = std::move(WidthError);
-      R.ErrorPos = iio::WidthErrorPos;
+    if (Info.HashBits != HashWidth<H>::Bits) {
+      R.Error = "index file is b=" + std::to_string(Info.HashBits) +
+                " but the reader is instantiated at b=" +
+                std::to_string(HashWidth<H>::Bits);
+      R.ErrorPos = 16; // the header's hash-bits field
       return R;
     }
     R.Reader.reset(new MappedIndex(Bytes, Info, std::move(Storage)));

@@ -28,7 +28,7 @@
 /// compactSegments merges the per-shard sorted tables with a linear
 /// k-way pass (\ref detail::mergeClassSummaries: oldest representative,
 /// saturating counts), rebuilds one index via the no-rehash
-/// \ref AlphaHashIndex::restoreClass path, writes it as a new segment,
+/// \ref AlphaHashIndex::restore path, writes it as a new segment,
 /// swaps the manifest, and only then deletes the replaced segment
 /// files. Readers that opened the old generation keep serving: their
 /// mappings pin the deleted files' bytes until they close (POSIX unlink
@@ -285,12 +285,6 @@ SegmentCompactResult compactSegments(const std::string &Dir,
       detail::mergeClassSummaries<H>(Streams);
   Streams.clear();
 
-  typename AlphaHashIndex<H>::Options IxOpts;
-  IxOpts.Shards = Segments.front()->numShards();
-  IxOpts.Seed = Old.Seed;
-  AlphaHashIndex<H> Compacted(IxOpts);
-  for (ClassSummary<H> &C : Merged)
-    Compacted.restoreClass(C.Hash, std::move(C.CanonicalBytes), C.Count);
   // Header stats of the compacted segment: the saturating union of the
   // inputs' headers, same aggregation the segmented reader reports.
   IndexStats Sum;
@@ -304,7 +298,8 @@ SegmentCompactResult compactSegments(const std::string &Dir,
         saturatingAdd(Sum.VerifiedCollisions, SS.VerifiedCollisions);
     Sum.DecodeErrors = saturatingAdd(Sum.DecodeErrors, SS.DecodeErrors);
   }
-  Compacted.restoreStats(Sum);
+  std::unique_ptr<AlphaHashIndex<H>> Compacted = AlphaHashIndex<H>::restore(
+      {Segments.front()->numShards(), Old.Seed}, std::move(Merged), Sum);
 
   SegmentManifest New;
   New.Seed = Old.Seed;
@@ -312,12 +307,12 @@ SegmentCompactResult compactSegments(const std::string &Dir,
   New.NextId = Old.NextId + 1;
   SegmentEntry E;
   E.Name = segmentFileName(Old.NextId);
-  const std::string Image = saveIndexBytes(Compacted);
+  const std::string Image = saveIndexBytes(*Compacted);
   if (!writeFileReplacing(Dir + "/" + E.Name, Image, &R.Error, Env))
     return R;
   E.FileBytes = Image.size();
-  E.Classes = Compacted.numClasses();
-  E.Fresh = Compacted.numClasses(); // sole segment: everything is fresh
+  E.Classes = Compacted->numClasses();
+  E.Fresh = Compacted->numClasses(); // sole segment: everything is fresh
   New.Segments.push_back(std::move(E));
   if (!writeManifestReplacing(Dir, New, &R.Error, Env))
     return R;

@@ -168,7 +168,7 @@ public:
   /// segment is rejected; *unreferenced* segment files are ignored and
   /// reported via \ref orphans (the crash-window contract: the manifest
   /// is the single source of truth).
-  static OpenResult open(const std::string &Dir, bool ForceBuffered = false) {
+  static OpenResult open(const std::string &Dir) {
     OpenResult R;
     std::string ManifestBytes;
     std::string Error;
@@ -197,7 +197,7 @@ public:
     Set->Manifest = std::move(M);
     for (const SegmentEntry &E : Set->Manifest.Segments) {
       typename MappedIndex<H>::OpenResult S =
-          MappedIndex<H>::open(Dir + "/" + E.Name, ForceBuffered);
+          MappedIndex<H>::open(Dir + "/" + E.Name);
       if (!S.ok()) {
         R.Error = "segment '" + E.Name + "': " + S.Error;
         R.ErrorPos = S.ErrorPos;
@@ -286,10 +286,9 @@ public:
   };
 
   /// Open \p Dir via \ref SegmentSet::open.
-  static OpenResult open(const std::string &Dir, bool ForceBuffered = false) {
+  static OpenResult open(const std::string &Dir) {
     OpenResult R;
-    typename SegmentSet<H>::OpenResult S =
-        SegmentSet<H>::open(Dir, ForceBuffered);
+    typename SegmentSet<H>::OpenResult S = SegmentSet<H>::open(Dir);
     if (!S.ok()) {
       R.Error = std::move(S.Error);
       R.ErrorPos = S.ErrorPos;

@@ -95,7 +95,7 @@ public:
   ///
   /// The gate is `MappedIndex::open` (header/envelope/width) plus the
   /// deep O(classes) `verify()` table check when \p Verify is set: the
-  /// same acceptance the materializing loader applies, so an unverified
+  /// same acceptance every other file open applies, so an unverified
   /// corrupt file can never become the serving generation.
   LoadOutcome load(const std::string &Path, bool Verify = true) {
     static const obs::Counter Success = obs::Counter::get(

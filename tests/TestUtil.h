@@ -11,11 +11,14 @@
 #include "ast/Expr.h"
 #include "ast/Parser.h"
 #include "index/IndexReader.h"
+#include "index/MappedIndex.h"
 #include "support/Random.h"
 
 #include "gtest/gtest.h"
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hma {
@@ -80,7 +83,7 @@ constexpr uint8_t TagVar = uint8_t(ExprKind::Var),
                   TagConst = uint8_t(ExprKind::Const);
 
 /// Field-by-field equality of two aggregated index stats blocks.
-/// The differential contract of the live/loaded/mapped index backends
+/// The differential contract of the live/restored/mapped index backends
 /// lives in these helpers (and the two below) so every suite asserts
 /// the same identity.
 inline void expectStatsEq(const IndexStats &A, const IndexStats &B) {
@@ -121,6 +124,25 @@ void expectSameLookupAnswers(const ResultVec &A, const ResultVec &B,
     EXPECT_EQ(A[I]->CanonicalBytes, B[I]->CanonicalBytes)
         << What << " query " << I;
   }
+}
+
+/// A live copy of an `HMAI` image, built the one way a file becomes a
+/// live index: `MappedIndex::openBytes`, `verify`, then
+/// `AlphaHashIndex::restore` from the verified reader (re-striped over
+/// \p Shards when nonzero). Null, with a test failure recorded, when the
+/// image does not open and verify.
+template <typename H>
+std::unique_ptr<AlphaHashIndex<H>> restoreVerified(std::string_view Image,
+                                                   unsigned Shards = 0) {
+  typename MappedIndex<H>::OpenResult M = MappedIndex<H>::openBytes(Image);
+  std::string Error = M.Error;
+  if (!M.ok() || !M.Reader->verify(&Error)) {
+    ADD_FAILURE() << "image does not open and verify: " << Error;
+    return nullptr;
+  }
+  return AlphaHashIndex<H>::restore(
+      {Shards ? Shards : M.Reader->numShards(), M.Reader->schema().seed()},
+      M.Reader->snapshot(), M.Reader->stats());
 }
 
 } // namespace hma

@@ -197,10 +197,11 @@ std::string batteryString(const std::string &Path) {
     return fingerprintClasses(
         detail::mergeClassSummaries<Hash128>(Streams));
   }
-  IndexLoadResult<Hash128> R = loadIndexFile<Hash128>(Path);
-  if (!R.ok())
-    return "<unloadable: " + R.Error + ">";
-  return fingerprintClasses(R.Index->snapshot());
+  auto R = MappedIndex<Hash128>::open(Path);
+  std::string Error = R.Error;
+  if (!R.ok() || !R.Reader->verify(&Error))
+    return "<unreadable: " + Error + ">";
+  return fingerprintClasses(R.Reader->snapshot());
 }
 
 //===----------------------------------------------------------------------===//

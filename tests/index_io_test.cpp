@@ -18,6 +18,7 @@
 #include "ast/AlphaEquivalence.h"
 #include "ast/Serialize.h"
 #include "gen/RandomExpr.h"
+#include "index/Fsck.h"
 #include "index/MappedIndex.h"
 #include "index/ShardStore.h"
 
@@ -67,17 +68,17 @@ TEST(IndexIO, SaveReopenRoundTripsSnapshotAndStatsAtB128) {
   std::string Bytes = saveIndexBytes(Live);
   ASSERT_TRUE(isIndexFile(Bytes));
 
-  IndexLoadResult<Hash128> R = loadIndexBytes<Hash128>(Bytes);
-  ASSERT_TRUE(R.ok()) << R.Error << " at byte " << R.ErrorPos;
-  EXPECT_EQ(R.Index->numShards(), Live.numShards());
-  EXPECT_EQ(R.Index->schema().seed(), Live.schema().seed());
-  EXPECT_EQ(R.Index->numClasses(), Live.numClasses());
-  expectSnapshotEq(Live, *R.Index);
-  expectStatsEq(Live.stats(), R.Index->stats());
+  auto Re = restoreVerified<Hash128>(Bytes);
+  ASSERT_NE(Re, nullptr);
+  EXPECT_EQ(Re->numShards(), Live.numShards());
+  EXPECT_EQ(Re->schema().seed(), Live.schema().seed());
+  EXPECT_EQ(Re->numClasses(), Live.numClasses());
+  expectSnapshotEq(Live, *Re);
+  expectStatsEq(Live.stats(), Re->stats());
 
   // Saving the reopened index reproduces the file bit-for-bit: the
   // format is a deterministic function of the class table.
-  EXPECT_EQ(saveIndexBytes(*R.Index), Bytes);
+  EXPECT_EQ(saveIndexBytes(*Re), Bytes);
 }
 
 TEST(IndexIO, ReopenedIndexKeepsIngestingAndMergesDuplicates) {
@@ -86,39 +87,38 @@ TEST(IndexIO, ReopenedIndexKeepsIngestingAndMergesDuplicates) {
   const Expr *E = parseT(Ctx, "(lam (x y) (x (y x)))");
   Live.insert(Ctx, E);
 
-  IndexLoadResult<Hash128> R = loadIndexBytes<Hash128>(saveIndexBytes(Live));
-  ASSERT_TRUE(R.ok()) << R.Error;
+  auto Re = restoreVerified<Hash128>(saveIndexBytes(Live));
+  ASSERT_NE(Re, nullptr);
 
   // A renamed copy must merge into the restored class, verified against
   // the file-restored canonical bytes.
   const Expr *Renamed = parseT(Ctx, "(lam (p q) (p (q p)))");
-  R.Index->insert(Ctx, Renamed);
-  EXPECT_EQ(R.Index->numClasses(), 1u);
-  auto Hit = R.Index->lookup(Ctx, E);
+  Re->insert(Ctx, Renamed);
+  EXPECT_EQ(Re->numClasses(), 1u);
+  auto Hit = Re->lookup(Ctx, E);
   ASSERT_TRUE(Hit.has_value());
   EXPECT_EQ(Hit->Count, 2u);
-  IndexStats S = R.Index->stats();
+  IndexStats S = Re->stats();
   EXPECT_EQ(S.Inserted, 2u);
   EXPECT_EQ(S.Duplicates, 1u);
   EXPECT_EQ(S.VerifiedCollisions, 0u);
 }
 
-TEST(IndexIO, LoadCanReShardBecausePlacementIsAFunctionOfTheHash) {
+TEST(IndexIO, RestoreCanReShardBecausePlacementIsAFunctionOfTheHash) {
   AlphaHashIndex<> Live({/*Shards=*/64, HashSchema::DefaultSeed});
   Live.insertBatch(dupHeavyCorpus(99), 1);
   std::string Bytes = saveIndexBytes(Live);
 
-  IndexLoadResult<Hash128> R =
-      loadIndexBytes<Hash128>(Bytes, /*OverrideShards=*/4);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(R.Index->numShards(), 4u);
-  expectSnapshotEq(Live, *R.Index);
+  auto Re = restoreVerified<Hash128>(Bytes, /*Shards=*/4);
+  ASSERT_NE(Re, nullptr);
+  EXPECT_EQ(Re->numShards(), 4u);
+  expectSnapshotEq(Live, *Re);
 
   ExprContext Ctx;
   for (const auto &C : Live.snapshot()) {
     DeserializeResult D = deserializeExpr(Ctx, C.CanonicalBytes);
     ASSERT_TRUE(D.ok());
-    auto Hit = R.Index->lookup(Ctx, D.E);
+    auto Hit = Re->lookup(Ctx, D.E);
     ASSERT_TRUE(Hit.has_value());
     EXPECT_EQ(Hit->Count, C.Count);
   }
@@ -166,15 +166,15 @@ TEST(IndexIO16, RoundTripPreservesCollidingClassesAndStats) {
   IndexStats LiveStats = Live.stats();
   ASSERT_GE(LiveStats.VerifiedCollisions, 1u);
 
-  IndexLoadResult<Hash16> Re = loadIndexBytes<Hash16>(saveIndexBytes(Live));
-  ASSERT_TRUE(Re.ok()) << Re.Error << " at byte " << Re.ErrorPos;
-  expectSnapshotEq(Live, *Re.Index);
-  expectStatsEq(LiveStats, Re.Index->stats());
+  auto Re = restoreVerified<Hash16>(saveIndexBytes(Live));
+  ASSERT_NE(Re, nullptr);
+  expectSnapshotEq(Live, *Re);
+  expectStatsEq(LiveStats, Re->stats());
 
   // The two colliding classes resolve separately on the reopened index:
   // the fallback decodes the *restored* bytes and refuses the merge.
-  auto HitA = Re.Index->lookup(Ctx, A);
-  auto HitB = Re.Index->lookup(Ctx, B);
+  auto HitA = Re->lookup(Ctx, A);
+  auto HitB = Re->lookup(Ctx, B);
   ASSERT_TRUE(HitA.has_value());
   ASSERT_TRUE(HitB.has_value());
   EXPECT_EQ(HitA->Hash, HitB->Hash);
@@ -183,10 +183,10 @@ TEST(IndexIO16, RoundTripPreservesCollidingClassesAndStats) {
   EXPECT_NE(HitA->CanonicalBytes, HitB->CanonicalBytes);
 
   // And re-inserting either member merges into the right class.
-  Re.Index->insert(Ctx, alphaRename(Ctx, R, B));
-  EXPECT_EQ(Re.Index->lookup(Ctx, B)->Count, 2u);
-  EXPECT_EQ(Re.Index->lookup(Ctx, A)->Count, 2u);
-  EXPECT_EQ(Re.Index->numClasses(), Live.numClasses());
+  Re->insert(Ctx, alphaRename(Ctx, R, B));
+  EXPECT_EQ(Re->lookup(Ctx, B)->Count, 2u);
+  EXPECT_EQ(Re->lookup(Ctx, A)->Count, 2u);
+  EXPECT_EQ(Re->numClasses(), Live.numClasses());
 }
 
 //===----------------------------------------------------------------------===//
@@ -206,8 +206,8 @@ TEST(IndexIO, OpenQueryBatchMatchesLiveIndexExactly) {
 
   AlphaHashIndex<> Live;
   Live.insertBatch(Corpus, 1);
-  IndexLoadResult<Hash128> Re = loadIndexBytes<Hash128>(saveIndexBytes(Live));
-  ASSERT_TRUE(Re.ok()) << Re.Error;
+  auto Re = restoreVerified<Hash128>(saveIndexBytes(Live));
+  ASSERT_NE(Re, nullptr);
 
   // Queries: renamed members (hits modulo alpha), fresh expressions
   // (misses), and an undecodable blob.
@@ -226,7 +226,7 @@ TEST(IndexIO, OpenQueryBatchMatchesLiveIndexExactly) {
 
   for (unsigned Threads : {1u, 4u}) {
     auto FromLive = Live.lookupBatch(Queries, Threads);
-    auto FromFile = Re.Index->lookupBatch(Queries, Threads);
+    auto FromFile = Re->lookupBatch(Queries, Threads);
     ASSERT_EQ(FromLive.size(), FromFile.size());
     for (size_t I = 0; I != FromLive.size(); ++I) {
       ASSERT_EQ(FromLive[I].has_value(), FromFile[I].has_value())
@@ -252,63 +252,63 @@ std::string validIndexBytes() {
   return saveIndexBytes(Live);
 }
 
+/// The validator's verdict on \p Bytes read at width H: `open`, then
+/// `verify`. Empty when both pass, else the diagnostic (and, if
+/// non-null, its byte offset in \p Pos).
+template <typename H>
+std::string validatorError(std::string_view Bytes, size_t *Pos = nullptr) {
+  typename MappedIndex<H>::OpenResult M = MappedIndex<H>::openBytes(Bytes);
+  std::string Error = M.Error;
+  size_t ErrorPos = M.ErrorPos;
+  if (M.ok() && M.Reader->verify(&Error, &ErrorPos))
+    return std::string();
+  if (Pos)
+    *Pos = ErrorPos;
+  return Error;
+}
+
 } // namespace
 
 TEST(IndexIO, MalformedFilesAreRejectedWithDiagnostics) {
   std::string Good = validIndexBytes();
-  ASSERT_TRUE(loadIndexBytes<Hash128>(Good).ok());
+  ASSERT_EQ(validatorError<Hash128>(Good), "");
 
-  {
-    auto R = loadIndexBytes<Hash128>("");
-    ASSERT_FALSE(R.ok());
-    EXPECT_NE(R.Error.find("magic"), std::string::npos) << R.Error;
-  }
-  {
-    auto R = loadIndexBytes<Hash128>("HMACnope");
-    ASSERT_FALSE(R.ok());
-    EXPECT_NE(R.Error.find("magic"), std::string::npos) << R.Error;
-  }
-  {
-    auto R = loadIndexBytes<Hash128>(std::string_view(Good).substr(0, 40));
-    ASSERT_FALSE(R.ok());
-    EXPECT_NE(R.Error.find("truncated header"), std::string::npos) << R.Error;
-  }
+  EXPECT_NE(validatorError<Hash128>("").find("magic"), std::string::npos);
+  EXPECT_NE(validatorError<Hash128>("HMACnope").find("magic"),
+            std::string::npos);
+  EXPECT_NE(validatorError<Hash128>(std::string_view(Good).substr(0, 40))
+                .find("truncated header"),
+            std::string::npos);
   {
     std::string Bad = Good;
     Bad[4] = 99; // version
-    auto R = loadIndexBytes<Hash128>(Bad);
-    ASSERT_FALSE(R.ok());
-    EXPECT_NE(R.Error.find("unsupported index version"), std::string::npos)
-        << R.Error;
-    EXPECT_EQ(R.ErrorPos, 4u);
+    size_t Pos = 0;
+    std::string Error = validatorError<Hash128>(Bad, &Pos);
+    EXPECT_NE(Error.find("unsupported index version"), std::string::npos)
+        << Error;
+    EXPECT_EQ(Pos, 4u);
   }
   {
     std::string Bad = Good;
     Bad[20] = 3; // shard count: not a power of two
-    auto R = loadIndexBytes<Hash128>(Bad);
-    ASSERT_FALSE(R.ok());
-    EXPECT_NE(R.Error.find("power of two"), std::string::npos) << R.Error;
+    std::string Error = validatorError<Hash128>(Bad);
+    EXPECT_NE(Error.find("power of two"), std::string::npos) << Error;
   }
   {
     std::string Bad = Good;
     ++Bad[24]; // total class count no longer matches the directory
-    auto R = loadIndexBytes<Hash128>(Bad);
-    ASSERT_FALSE(R.ok());
-    EXPECT_NE(R.Error.find("directory sums"), std::string::npos) << R.Error;
+    std::string Error = validatorError<Hash128>(Bad);
+    EXPECT_NE(Error.find("directory sums"), std::string::npos) << Error;
   }
-  {
-    // Chop the file inside the tables: some shard's table overruns.
-    auto R = loadIndexBytes<Hash128>(
-        std::string_view(Good).substr(0, Good.size() / 2));
-    ASSERT_FALSE(R.ok());
-    EXPECT_FALSE(R.Error.empty());
-  }
+  // Chop the file inside the tables: some shard's table overruns.
+  EXPECT_FALSE(
+      validatorError<Hash128>(std::string_view(Good).substr(0, Good.size() / 2))
+          .empty());
   {
     // Width mismatch: a b=128 file read by a b=64 instantiation.
-    auto R = loadIndexBytes<Hash64>(Good);
-    ASSERT_FALSE(R.ok());
-    EXPECT_NE(R.Error.find("b=128"), std::string::npos) << R.Error;
-    EXPECT_NE(R.Error.find("b=64"), std::string::npos) << R.Error;
+    std::string Error = validatorError<Hash64>(Good);
+    EXPECT_NE(Error.find("b=128"), std::string::npos) << Error;
+    EXPECT_NE(Error.find("b=64"), std::string::npos) << Error;
   }
 }
 
@@ -348,12 +348,6 @@ TEST(IndexIOVersions, V1FilesOpenServeAndResaveBitIdentically) {
   EXPECT_EQ(Info.Version, 1u);
   EXPECT_FALSE(Info.hasSidecar());
 
-  // The eager loader accepts v1 and restores the identical index.
-  IndexLoadResult<Hash128> L = loadIndexBytes<Hash128>(V1);
-  ASSERT_TRUE(L.ok()) << L.Error;
-  expectSnapshotEq(Live, *L.Index);
-  expectStatsEq(Live.stats(), L.Index->stats());
-
   // The mapped reader opens v1 and verifies it; with no sidecar it
   // probes by scalar search, while the v2 image carries the sidecar.
   auto M = MappedIndex<Hash128>::openBytes(V1);
@@ -370,11 +364,17 @@ TEST(IndexIOVersions, V1FilesOpenServeAndResaveBitIdentically) {
                           M2.Reader->lookupBatch(Queries, 2),
                           "v1 scalar vs v2 sidecar");
 
+  // The index restored from the verified v1 reader is the saved one.
+  auto L = restoreVerified<Hash128>(V1);
+  ASSERT_NE(L, nullptr);
+  expectSnapshotEq(Live, *L);
+  expectStatsEq(Live.stats(), L->stats());
+
   // Round-trips are bit-identical within each version, and upgrading a
-  // v1 file (load, save at the default version) reproduces the direct
+  // v1 file (restore, save at the default version) reproduces the direct
   // v2 image -- the sidecar is a pure function of the class table.
-  EXPECT_EQ(saveIndexBytes(*L.Index, /*FormatVersion=*/1), V1);
-  EXPECT_EQ(saveIndexBytes(*L.Index), V2);
+  EXPECT_EQ(saveIndexBytes(*L, /*FormatVersion=*/1), V1);
+  EXPECT_EQ(saveIndexBytes(*L), V2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -445,65 +445,61 @@ TEST(IndexMemory, DecodeScratchRecyclesOnceOverThreshold) {
 }
 
 //===----------------------------------------------------------------------===//
-// Adversarial battery: deterministic corruption sweep over both read
-// paths
+// Adversarial battery: deterministic corruption sweep over the validator
 //
-// The loader (`loadIndexBytes`, O(classes) validation up front) and the
-// mapped reader (`MappedIndex::open`, O(shards) probe + `verify()` deep
-// check + defensively bounds-checked reads) must agree on every image:
-//
-//     loadIndexBytes(image).ok()  ==  open(image).ok() && verify()
-//
-// and a rejection must be clean (diagnostic + position, no OOB). For
-// images that survive -- including semantically corrupt but structurally
-// valid ones (stats/seed flips, overlapping blob ranges) -- both paths
-// must also *answer identically* and never read out of bounds, which the
-// HMA_SANITIZE CI job enforces with ASan.
+// Every file open runs one validator: `MappedIndex::open` (O(shards)
+// envelope probe) then `verify()` (O(classes) record and sidecar check).
+// A structurally corrupt image must fail one of the two with a non-empty
+// diagnostic. Every image that opens -- including a deep corruption the
+// O(shards) probe cannot see -- must serve lookups, stats and snapshots
+// without reading out of bounds (the HMA_SANITIZE CI job enforces this
+// with ASan). An image that passes `verify` -- semantically corrupt but
+// structurally valid ones included (stats/seed flips, overlapping blob
+// ranges) -- must answer exactly like the live copy restored from it.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Drive one (possibly corrupted) image through both read paths and
-/// enforce the acceptance-parity contract above. \p MustReject upgrades
-/// "both agree" to "both reject".
-void expectPathsAgreeOn(const std::string &Image,
-                        const std::vector<std::string> &Queries,
-                        bool MustReject, const std::string &What) {
-  IndexLoadResult<Hash128> L = loadIndexBytes<Hash128>(Image);
-  MappedIndex<Hash128>::OpenResult M = MappedIndex<Hash128>::openBytes(Image);
-  std::string VerifyError;
-  size_t VerifyPos = 0;
-  bool MappedOk = M.ok() && M.Reader->verify(&VerifyError, &VerifyPos);
-  EXPECT_EQ(L.ok(), MappedOk)
-      << What << ": loader says " << (L.ok() ? "ok" : L.Error)
-      << "; mapped says "
-      << (M.ok() ? (MappedOk ? "ok" : VerifyError) : M.Error);
-  if (MustReject) {
-    EXPECT_FALSE(L.ok()) << What;
-    EXPECT_FALSE(MappedOk) << What;
-  }
-  if (!L.ok()) {
-    EXPECT_FALSE(L.Error.empty()) << What;
-  }
-  if (M.ok() && !MappedOk) {
-    EXPECT_FALSE(VerifyError.empty()) << What;
-  }
+/// What the validator must make of a corrupted image.
+enum class Expect {
+  Reject, ///< `open` or `verify` refuses it.
+  Accept, ///< Structurally valid: `open` and `verify` pass.
+  Either, ///< Depends on the bytes; only the read-path contract holds.
+};
 
-  // Whatever was accepted -- or merely *opened*, for a deep corruption
-  // the O(shards) probe cannot see -- must serve queries, stats and
-  // snapshots without reading out of bounds. When both paths accept,
-  // they must also answer identically.
-  std::vector<std::optional<LookupResult<Hash128>>> FromLoaded, FromMapped;
-  if (L.ok())
-    FromLoaded = L.Index->lookupBatch(Queries, 2);
-  if (M.ok()) {
-    FromMapped = M.Reader->lookupBatch(Queries, 2);
-    M.Reader->snapshot();
-    M.Reader->stats();
-    M.Reader->shardLoads();
+/// Drive one (possibly corrupted) image through the validator and the
+/// read path and enforce the contract above.
+void expectValidatorVerdict(const std::string &Image,
+                            const std::vector<std::string> &Queries,
+                            Expect Want, const std::string &What) {
+  MappedIndex<Hash128>::OpenResult M = MappedIndex<Hash128>::openBytes(Image);
+  std::string Error = M.Error;
+  const bool Accepted = M.ok() && M.Reader->verify(&Error);
+  if (Want == Expect::Reject) {
+    EXPECT_FALSE(Accepted) << What;
   }
-  if (L.ok() && M.ok())
-    expectSameLookupAnswers(FromLoaded, FromMapped, What);
+  if (Want == Expect::Accept) {
+    EXPECT_TRUE(Accepted) << What << ": " << Error;
+  }
+  if (!Accepted) {
+    EXPECT_FALSE(Error.empty()) << What;
+  }
+  if (!M.ok())
+    return;
+
+  // Opened, verified or not: the bounds-checked read path must stay in
+  // bounds.
+  auto FromMapped = M.Reader->lookupBatch(Queries, 2);
+  M.Reader->snapshot();
+  M.Reader->stats();
+  M.Reader->shardLoads();
+  if (!Accepted)
+    return;
+  auto Restored = AlphaHashIndex<Hash128>::restore(
+      {M.Reader->numShards(), M.Reader->schema().seed()},
+      M.Reader->snapshot(), M.Reader->stats());
+  expectSameLookupAnswers(Restored->lookupBatch(Queries, 2), FromMapped,
+                          What + " (restored vs mapped)");
 }
 
 /// A small single-shard index image with known record layout, plus a
@@ -547,9 +543,21 @@ std::string patchWord64(std::string Image, size_t Pos, uint64_t V) {
   return Image;
 }
 
+/// \p F's image with the low bit of sidecar slot \p Slot's rank word
+/// flipped: the rank now names a different, in-range record.
+std::string flipSidecarRank(const AdversarialFixture &F, size_t Slot) {
+  std::string Bad = F.Image;
+  const size_t RankPos = F.SidecarStart +
+                         F.NumRecords * (HashWidth<Hash128>::Bits / 8) +
+                         Slot * iio::RankEntrySize;
+  Bad[RankPos] =
+      static_cast<char>(static_cast<unsigned char>(Bad[RankPos]) ^ 0x01);
+  return Bad;
+}
+
 } // namespace
 
-TEST(IndexIOAdversarial, TruncationAtEveryRegionBoundaryRejectsBothPaths) {
+TEST(IndexIOAdversarial, TruncationAtEveryRegionBoundaryRejects) {
   AdversarialFixture F = singleShardFixture();
   const size_t Size = F.Image.size();
   ASSERT_GT(F.BytesStart, 0u);
@@ -579,13 +587,12 @@ TEST(IndexIOAdversarial, TruncationAtEveryRegionBoundaryRejectsBothPaths) {
                               Size - 1};
   for (size_t Cut : Cuts) {
     ASSERT_LT(Cut, Size);
-    expectPathsAgreeOn(F.Image.substr(0, Cut), F.Queries,
-                       /*MustReject=*/true,
-                       "truncated at byte " + std::to_string(Cut));
+    expectValidatorVerdict(F.Image.substr(0, Cut), F.Queries, Expect::Reject,
+                           "truncated at byte " + std::to_string(Cut));
   }
 }
 
-TEST(IndexIOAdversarial, HeaderBitFlipSweepKeepsBothPathsInAgreement) {
+TEST(IndexIOAdversarial, HeaderBitFlipSweepRejectsExactlyTheStructuralFields) {
   AdversarialFixture F = singleShardFixture();
   for (size_t Pos = 0; Pos != iio::headerSize(iio::Version); ++Pos) {
     for (unsigned char Bit : {0x01, 0x80}) {
@@ -593,13 +600,14 @@ TEST(IndexIOAdversarial, HeaderBitFlipSweepKeepsBothPathsInAgreement) {
       Bad[Pos] = static_cast<char>(static_cast<unsigned char>(Bad[Pos]) ^ Bit);
       // Structural fields must reject; the seed ([8,16): a different --
       // valid -- hash family) and the stats ([32,80): counters) yield
-      // well-formed images that must survive and stay in agreement. The
-      // sidecar offset/length ([80,96)) are structural again: the
-      // sidecar must be the exact tail of the file.
+      // well-formed images that must be accepted and serve. The sidecar
+      // offset/length ([80,96)) are structural again: the sidecar must
+      // be the exact tail of the file.
       bool Structural = Pos < 8 || (Pos >= 16 && Pos < 32) || Pos >= 80;
-      expectPathsAgreeOn(Bad, F.Queries, /*MustReject=*/Structural,
-                         "header byte " + std::to_string(Pos) + " ^ " +
-                             std::to_string(Bit));
+      expectValidatorVerdict(Bad, F.Queries,
+                             Structural ? Expect::Reject : Expect::Accept,
+                             "header byte " + std::to_string(Pos) + " ^ " +
+                                 std::to_string(Bit));
     }
   }
 }
@@ -613,25 +621,25 @@ TEST(IndexIOAdversarial, TableFieldCorruptionsRejectOrStaySafe) {
   auto OffsetPos = [&](size_t I) { return RecPos(I) + HashBytes; };
   auto LengthPos = [&](size_t I) { return RecPos(I) + HashBytes + 8; };
   auto CountPos = [&](size_t I) { return RecPos(I) + HashBytes + 16; };
+  auto Reject = [&](const std::string &Bad, const std::string &What) {
+    expectValidatorVerdict(Bad, F.Queries, Expect::Reject, What);
+  };
 
-  // Out-of-bounds blob ranges: every variant must reject on both paths.
-  expectPathsAgreeOn(patchWord64(F.Image, OffsetPos(1), 0), F.Queries,
-                     /*MustReject=*/true, "blob offset -> header");
-  expectPathsAgreeOn(patchWord64(F.Image, OffsetPos(1), F.TablesStart),
-                     F.Queries, true, "blob offset -> tables region");
-  expectPathsAgreeOn(patchWord64(F.Image, OffsetPos(1), Size), F.Queries,
-                     true, "blob offset -> EOF");
-  expectPathsAgreeOn(patchWord64(F.Image, OffsetPos(1), ~uint64_t(0)),
-                     F.Queries, true, "blob offset -> u64 max");
-  expectPathsAgreeOn(patchWord64(F.Image, LengthPos(1), Size), F.Queries,
-                     true, "blob length -> file size");
-  expectPathsAgreeOn(patchWord64(F.Image, LengthPos(1), ~uint64_t(0)),
-                     F.Queries, true, "blob length -> u64 max (overflow)");
+  // Out-of-bounds blob ranges: every variant must reject.
+  Reject(patchWord64(F.Image, OffsetPos(1), 0), "blob offset -> header");
+  Reject(patchWord64(F.Image, OffsetPos(1), F.TablesStart),
+         "blob offset -> tables region");
+  Reject(patchWord64(F.Image, OffsetPos(1), Size), "blob offset -> EOF");
+  Reject(patchWord64(F.Image, OffsetPos(1), ~uint64_t(0)),
+         "blob offset -> u64 max");
+  Reject(patchWord64(F.Image, LengthPos(1), Size), "blob length -> file size");
+  Reject(patchWord64(F.Image, LengthPos(1), ~uint64_t(0)),
+         "blob length -> u64 max (overflow)");
   // Offset+length arithmetic must not wrap around.
   {
     std::string Bad = patchWord64(F.Image, OffsetPos(1), Size - 1);
     Bad = patchWord64(std::move(Bad), LengthPos(1), ~uint64_t(0) - 2);
-    expectPathsAgreeOn(Bad, F.Queries, true, "offset+length wraps");
+    Reject(Bad, "offset+length wraps");
   }
 
   // An unsorted table: swap two adjacent records. (b=128 hashes are
@@ -640,36 +648,35 @@ TEST(IndexIOAdversarial, TableFieldCorruptionsRejectOrStaySafe) {
     std::string Bad = F.Image;
     for (size_t B = 0; B != F.RecSize; ++B)
       std::swap(Bad[RecPos(0) + B], Bad[RecPos(1) + B]);
-    expectPathsAgreeOn(Bad, F.Queries, true, "swapped records 0 and 1");
+    Reject(Bad, "swapped records 0 and 1");
   }
 
   // Overlapping blob ranges -- record 1 re-pointed at record 0's blob --
-  // are structurally valid: both paths must accept, answer identically
+  // are structurally valid: accepted, answering like the restored copy
   // (the aliased class simply fails exact verification for its old
-  // members), and never read out of bounds.
+  // members), and never reading out of bounds.
   {
     uint64_t Off0 = iio::getWordLE(F.Image.data() + OffsetPos(0), 8);
     uint64_t Len0 = iio::getWordLE(F.Image.data() + LengthPos(0), 8);
     std::string Bad = patchWord64(F.Image, OffsetPos(1), Off0);
     Bad = patchWord64(std::move(Bad), LengthPos(1), Len0);
-    expectPathsAgreeOn(Bad, F.Queries, /*MustReject=*/false,
-                       "record 1 aliases record 0's blob");
+    expectValidatorVerdict(Bad, F.Queries, Expect::Accept,
+                           "record 1 aliases record 0's blob");
   }
 
-  // A flipped member count is semantically wrong but structurally fine:
-  // accepted by both, in agreement.
-  expectPathsAgreeOn(patchWord64(F.Image, CountPos(2), 41), F.Queries,
-                     /*MustReject=*/false, "count patched");
+  // A flipped member count is semantically wrong but structurally fine.
+  expectValidatorVerdict(patchWord64(F.Image, CountPos(2), 41), F.Queries,
+                         Expect::Accept, "count patched");
 
   // A flipped low hash byte either breaks sortedness (reject) or yields
   // a sorted-but-wrong table (accept; queries for the original class
-  // miss identically on both paths). Either way the paths agree.
+  // miss on the mapped reader and the restored copy alike).
   for (size_t I = 0; I != F.NumRecords; ++I) {
     std::string Bad = F.Image;
     Bad[RecPos(I)] =
         static_cast<char>(static_cast<unsigned char>(Bad[RecPos(I)]) ^ 0x01);
-    expectPathsAgreeOn(Bad, F.Queries, /*MustReject=*/false,
-                       "hash bit flip in record " + std::to_string(I));
+    expectValidatorVerdict(Bad, F.Queries, Expect::Either,
+                           "hash bit flip in record " + std::to_string(I));
   }
 }
 
@@ -678,25 +685,24 @@ TEST(IndexIOAdversarial, DirectoryCorruptionsReject) {
   const size_t DirPos = iio::headerSize(iio::Version);
   const size_t Size = F.Image.size();
   // Table offset past EOF / count too large for the remaining bytes.
-  expectPathsAgreeOn(patchWord64(F.Image, DirPos, Size + 1), F.Queries, true,
-                     "table offset past EOF");
-  expectPathsAgreeOn(patchWord64(F.Image, DirPos + 8, F.NumRecords + 1000),
-                     F.Queries, true, "table count overruns");
+  expectValidatorVerdict(patchWord64(F.Image, DirPos, Size + 1), F.Queries,
+                         Expect::Reject, "table offset past EOF");
+  expectValidatorVerdict(patchWord64(F.Image, DirPos + 8, F.NumRecords + 1000),
+                         F.Queries, Expect::Reject, "table count overruns");
   // Count lowered: directory no longer sums to the header's class count.
-  expectPathsAgreeOn(patchWord64(F.Image, DirPos + 8, F.NumRecords - 1),
-                     F.Queries, true, "table count undercounts");
+  expectValidatorVerdict(patchWord64(F.Image, DirPos + 8, F.NumRecords - 1),
+                         F.Queries, Expect::Reject, "table count undercounts");
   // Table re-pointed at the blob region: record fields decode as noise;
-  // both paths must agree on the outcome and stay in bounds.
-  expectPathsAgreeOn(patchWord64(F.Image, DirPos, F.BytesStart), F.Queries,
-                     /*MustReject=*/false, "table aliases bytes region");
+  // whatever the verdict, the read path stays in bounds.
+  expectValidatorVerdict(patchWord64(F.Image, DirPos, F.BytesStart), F.Queries,
+                         Expect::Either, "table aliases bytes region");
 }
 
-TEST(IndexIOAdversarial, SidecarContentCorruptionsRejectBothPaths) {
+TEST(IndexIOAdversarial, SidecarContentCorruptionsReject) {
   // The sidecar is derived data -- any slot whose BFS hash or rank word
-  // disagrees with the shard's record table must reject on both paths
-  // (the loader validates per shard; the mapped reader's verify() runs
-  // the same check), or the Eytzinger engine would answer differently
-  // from the scalar one.
+  // disagrees with the shard's record table must be rejected by
+  // verify(), or the Eytzinger probe would answer differently from the
+  // scalar one.
   AdversarialFixture F = singleShardFixture();
   const unsigned HashBytes = HashWidth<Hash128>::Bits / 8;
   const size_t RanksStart = F.SidecarStart + F.NumRecords * HashBytes;
@@ -707,23 +713,46 @@ TEST(IndexIOAdversarial, SidecarContentCorruptionsRejectBothPaths) {
     size_t HashPos = F.SidecarStart + Slot * HashBytes;
     BadHash[HashPos] = static_cast<char>(
         static_cast<unsigned char>(BadHash[HashPos]) ^ 0x01);
-    expectPathsAgreeOn(BadHash, F.Queries, /*MustReject=*/true,
-                       "sidecar hash flip in slot " + std::to_string(Slot));
+    expectValidatorVerdict(BadHash, F.Queries, Expect::Reject,
+                           "sidecar hash flip in slot " + std::to_string(Slot));
 
     // Point the slot's rank word at a different (in-range) record.
-    std::string BadRank = F.Image;
-    size_t RankPos = RanksStart + Slot * iio::RankEntrySize;
-    BadRank[RankPos] = static_cast<char>(
-        static_cast<unsigned char>(BadRank[RankPos]) ^ 0x01);
-    expectPathsAgreeOn(BadRank, F.Queries, /*MustReject=*/true,
-                       "sidecar rank flip in slot " + std::to_string(Slot));
+    expectValidatorVerdict(flipSidecarRank(F, Slot), F.Queries, Expect::Reject,
+                           "sidecar rank flip in slot " + std::to_string(Slot));
   }
 
   // A rank word far out of range must also reject cleanly (and must
   // never index out of bounds even through the unverified open path).
-  expectPathsAgreeOn(
-      patchWord64(F.Image, RanksStart, ~uint64_t(0)), F.Queries,
-      /*MustReject=*/true, "sidecar ranks 0 and 1 -> u32 max");
+  expectValidatorVerdict(patchWord64(F.Image, RanksStart, ~uint64_t(0)),
+                         F.Queries, Expect::Reject,
+                         "sidecar ranks 0 and 1 -> u32 max");
+}
+
+TEST(IndexIOAdversarial, FsckDeepCheckAndVerifyRejectTheSameSidecarRank) {
+  // fsck's deep check is open + verify over the file's bytes: a v2 file
+  // with one corrupted sidecar rank is damage to both.
+  AdversarialFixture F = singleShardFixture();
+  const std::string Bad = flipSidecarRank(F, F.NumRecords / 2);
+  size_t Pos = 0;
+  const std::string VerifyError = validatorError<Hash128>(Bad, &Pos);
+  EXPECT_NE(VerifyError.find("is not the Eytzinger in-order position"),
+            std::string::npos)
+      << VerifyError;
+  EXPECT_GE(Pos, F.SidecarStart);
+
+  const std::string Path = "index_io_test_fsck_rank.hmai";
+  std::string Error;
+  ASSERT_TRUE(writeFileReplacing(Path, Bad, &Error)) << Error;
+  FsckReport R = fsckIndex(Path);
+  std::remove(Path.c_str());
+  EXPECT_FALSE(R.Serviceable);
+  EXPECT_FALSE(R.Healthy);
+  ASSERT_EQ(R.Issues.size(), 1u) << R.render(Path);
+  EXPECT_EQ(R.Issues[0].Kind, FsckIssueKind::CorruptSegment);
+  EXPECT_STREQ(fsckIssueKindName(R.Issues[0].Kind), "corrupt-segment");
+  EXPECT_EQ(R.Issues[0].Detail, VerifyError);
+  EXPECT_NE(R.render(Path).find("damaged"), std::string::npos)
+      << R.render(Path);
 }
 
 //===----------------------------------------------------------------------===//
@@ -791,7 +820,9 @@ TEST(IndexIODurability, CrashWindowGarbageTmpNeverShadowsCommittedFile) {
   ASSERT_TRUE(Reopened.ok()) << Reopened.Error;
   EXPECT_TRUE(Reopened.Reader->verify());
   EXPECT_EQ(Reopened.Reader->numClasses(), Live.numClasses());
-  EXPECT_EQ(saveIndexBytes(*loadIndexFile<Hash128>(Path).Index), Image);
+  EXPECT_EQ(saveIndexBytes(*restoreVerified<Hash128>(
+                Reopened.Reader->imageBytes())),
+            Image);
 
   // And the *next* successful write clears the debris as a side effect.
   ASSERT_TRUE(writeFileReplacing(Path, Image, &Error)) << Error;

@@ -1,10 +1,11 @@
 //===- tests/mapped_index_test.cpp - Zero-copy mapped read path -------------===//
 ///
 /// \file
-/// The differential contract of the three `HMAI` read paths: the same
+/// The differential contract of the three `HMAI` backends: the same
 /// query stream driven through (1) the live \ref AlphaHashIndex that was
-/// saved, (2) the index materialized back by `loadIndexBytes`, and (3)
-/// the zero-copy \ref MappedIndex over the same image must produce
+/// saved, (2) the live copy restored from the verified image
+/// (`AlphaHashIndex::restore`), and (3) the zero-copy \ref MappedIndex
+/// over the same image must produce
 /// byte-identical answers -- hits, misses, forced b=16 collision
 /// fallbacks, batch and single-shot -- and matching stats. Also pins the
 /// zero-copy claims themselves: results view the image (no blob copies),
@@ -70,7 +71,7 @@ std::vector<std::string> queriesOver(const std::vector<std::string> &Corpus,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Differential: live vs loaded vs mapped, b=128
+// Differential: live vs restored vs mapped, b=128
 //===----------------------------------------------------------------------===//
 
 TEST(MappedIndex, DifferentialAnswersAcrossAllThreeReadPathsAtB128) {
@@ -80,36 +81,36 @@ TEST(MappedIndex, DifferentialAnswersAcrossAllThreeReadPathsAtB128) {
   ASSERT_GT(Live.stats().Duplicates, 0u);
 
   std::string Image = saveIndexBytes(Live);
-  IndexLoadResult<Hash128> Loaded = loadIndexBytes<Hash128>(Image);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.Error;
+  auto Restored = restoreVerified<Hash128>(Image);
+  ASSERT_NE(Restored, nullptr);
   auto Mapped = MappedIndex<Hash128>::openBytes(Image);
   ASSERT_TRUE(Mapped.ok()) << Mapped.Error << " at byte " << Mapped.ErrorPos;
   EXPECT_TRUE(Mapped.Reader->verify());
 
   // The class tables agree before any query runs.
   expectClassSummariesEq<Hash128>(Live.snapshot(), Mapped.Reader->snapshot());
-  expectClassSummariesEq<Hash128>(Loaded.Index->snapshot(),
-                            Mapped.Reader->snapshot());
+  expectClassSummariesEq<Hash128>(Restored->snapshot(),
+                                  Mapped.Reader->snapshot());
   EXPECT_EQ(Live.retainedBytes(), Mapped.Reader->retainedBytes());
   EXPECT_EQ(Live.shardLoads(), Mapped.Reader->shardLoads());
 
   // The top-N selection (what `stats` prints) agrees across all three
   // backends, winners' blobs included.
   auto TopLive = Live.largestClasses(5);
-  auto TopLoaded = Loaded.Index->largestClasses(5);
+  auto TopRestored = Restored->largestClasses(5);
   auto TopMapped = Mapped.Reader->largestClasses(5);
   ASSERT_EQ(TopLive.size(), 5u);
   EXPECT_GT(TopLive.front().Count, 1u);
   expectClassSummariesEq<Hash128>(TopLive, TopMapped);
-  expectClassSummariesEq<Hash128>(TopLoaded, TopMapped);
+  expectClassSummariesEq<Hash128>(TopRestored, TopMapped);
 
   std::vector<std::string> Queries = queriesOver(Corpus, 7);
   for (unsigned Threads : {1u, 4u}) {
     auto FromLive = Live.lookupBatch(Queries, Threads);
-    auto FromLoaded = Loaded.Index->lookupBatch(Queries, Threads);
+    auto FromRestored = Restored->lookupBatch(Queries, Threads);
     auto FromMapped = Mapped.Reader->lookupBatch(Queries, Threads);
     expectSameLookupAnswers(FromLive, FromMapped, "live-vs-mapped");
-    expectSameLookupAnswers(FromLoaded, FromMapped, "loaded-vs-mapped");
+    expectSameLookupAnswers(FromRestored, FromMapped, "restored-vs-mapped");
     size_t Hits = 0;
     for (const auto &R : FromMapped)
       Hits += R.has_value();
@@ -122,7 +123,7 @@ TEST(MappedIndex, DifferentialAnswersAcrossAllThreeReadPathsAtB128) {
   // meaningful.)
   for (const std::string &Q : Queries) {
     auto L = Live.lookupSerialized(Q);
-    auto D = Loaded.Index->lookupSerialized(Q);
+    auto D = Restored->lookupSerialized(Q);
     auto M = Mapped.Reader->lookupSerialized(Q);
     ASSERT_EQ(L.has_value(), M.has_value());
     ASSERT_EQ(D.has_value(), M.has_value());
@@ -138,7 +139,7 @@ TEST(MappedIndex, DifferentialAnswersAcrossAllThreeReadPathsAtB128) {
   // stats (at b=128 every bucket holds one candidate, so even the
   // fallback-check counts cannot depend on probe order).
   expectStatsEq(Live.stats(), Mapped.Reader->stats());
-  expectStatsEq(Loaded.Index->stats(), Mapped.Reader->stats());
+  expectStatsEq(Restored->stats(), Mapped.Reader->stats());
 }
 
 //===----------------------------------------------------------------------===//
@@ -166,7 +167,7 @@ std::pair<const Expr *, const Expr *> findColliding16(ExprContext &Ctx,
 
 } // namespace
 
-TEST(MappedIndex16, ForcedCollisionsResolveIdenticallyToTheLoadedReader) {
+TEST(MappedIndex16, ForcedCollisionsResolveIdenticallyToTheRestoredIndex) {
   ExprContext Ctx;
   Rng R(4242);
   AlphaHashIndex<Hash16> Live({/*Shards=*/4, HashSchema::DefaultSeed});
@@ -181,8 +182,6 @@ TEST(MappedIndex16, ForcedCollisionsResolveIdenticallyToTheLoadedReader) {
     Live.insert(Ctx, genBalanced(Ctx, R, 24));
 
   std::string Image = saveIndexBytes(Live);
-  IndexLoadResult<Hash16> Loaded = loadIndexBytes<Hash16>(Image);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.Error;
   auto Mapped = MappedIndex<Hash16>::openBytes(Image);
   ASSERT_TRUE(Mapped.ok()) << Mapped.Error;
   EXPECT_TRUE(Mapped.Reader->verify());
@@ -201,7 +200,7 @@ TEST(MappedIndex16, ForcedCollisionsResolveIdenticallyToTheLoadedReader) {
   EXPECT_GE(Mapped.Reader->stats().VerifiedCollisions,
             Live.stats().VerifiedCollisions + 1);
 
-  // Loaded and mapped probe candidates in the same (file) order, so
+  // Restored and mapped probe candidates in the same (file) order, so
   // their stats agree exactly after identical query streams; answers
   // agree with the live index as well.
   std::vector<std::string> Queries;
@@ -215,15 +214,15 @@ TEST(MappedIndex16, ForcedCollisionsResolveIdenticallyToTheLoadedReader) {
   // already bumped them.
   auto Mapped2 = MappedIndex<Hash16>::openBytes(Image);
   ASSERT_TRUE(Mapped2.ok());
-  IndexLoadResult<Hash16> Loaded2 = loadIndexBytes<Hash16>(Image);
-  ASSERT_TRUE(Loaded2.ok());
+  auto Restored = restoreVerified<Hash16>(Image);
+  ASSERT_NE(Restored, nullptr);
 
-  auto FromLoaded = Loaded2.Index->lookupBatch(Queries, 2);
+  auto FromRestored = Restored->lookupBatch(Queries, 2);
   auto FromMapped = Mapped2.Reader->lookupBatch(Queries, 2);
   auto FromLive = Live.lookupBatch(Queries, 2);
-  expectSameLookupAnswers(FromLoaded, FromMapped, "loaded-vs-mapped");
+  expectSameLookupAnswers(FromRestored, FromMapped, "restored-vs-mapped");
   expectSameLookupAnswers(FromLive, FromMapped, "live-vs-mapped");
-  expectStatsEq(Loaded2.Index->stats(), Mapped2.Reader->stats());
+  expectStatsEq(Restored->stats(), Mapped2.Reader->stats());
 }
 
 //===----------------------------------------------------------------------===//
@@ -302,22 +301,26 @@ TEST(MappedIndex, FileOpenMmapAndBufferedFallbackAnswerIdentically) {
                              Live.lookupBatch(Queries, 2), "mmap-vs-live");
 
   std::remove(Path.c_str());
+  // A missing file's diagnostic carries the errno text, not just the name.
   auto Missing = MappedIndex<Hash128>::open(Path);
   EXPECT_FALSE(Missing.ok());
-  EXPECT_NE(Missing.Error.find("cannot open"), std::string::npos)
+  EXPECT_NE(Missing.Error.find("cannot open '" + Path +
+                               "': No such file or directory"),
+            std::string::npos)
       << Missing.Error;
 }
 
 //===----------------------------------------------------------------------===//
-// Empty and single-class indexes round-trip through both read paths
+// Empty and single-class indexes round-trip through the mapped reader
+// and the restored copy
 //===----------------------------------------------------------------------===//
 
-TEST(MappedIndex, EmptyIndexServesBothReadPaths) {
+TEST(MappedIndex, EmptyIndexServesMappedAndRestored) {
   AlphaHashIndex<> Live({/*Shards=*/8, HashSchema::DefaultSeed});
   std::string Image = saveIndexBytes(Live); // header + directory only
 
-  IndexLoadResult<Hash128> Loaded = loadIndexBytes<Hash128>(Image);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.Error;
+  auto Restored = restoreVerified<Hash128>(Image);
+  ASSERT_NE(Restored, nullptr);
   auto Mapped = MappedIndex<Hash128>::openBytes(Image);
   ASSERT_TRUE(Mapped.ok()) << Mapped.Error;
   EXPECT_TRUE(Mapped.Reader->verify());
@@ -329,25 +332,25 @@ TEST(MappedIndex, EmptyIndexServesBothReadPaths) {
   ExprContext Ctx;
   const Expr *Q = parseT(Ctx, "(lam (x) (x x))");
   EXPECT_FALSE(Mapped.Reader->lookup(Ctx, Q).has_value());
-  EXPECT_FALSE(Loaded.Index->lookup(Ctx, Q).has_value());
+  EXPECT_FALSE(Restored->lookup(Ctx, Q).has_value());
 
-  // Batch queries against an empty index: all absent, on both paths, at
-  // both thread counts; an empty *query list* is also fine.
+  // Batch queries against an empty index: all absent, on both backends,
+  // at both thread counts; an empty *query list* is also fine.
   std::vector<std::string> Queries;
   Queries.push_back(serializeExpr(Ctx, Q));
   Queries.push_back("garbage");
   for (unsigned Threads : {1u, 4u}) {
     for (const auto &R : Mapped.Reader->lookupBatch(Queries, Threads))
       EXPECT_FALSE(R.has_value());
-    for (const auto &R : Loaded.Index->lookupBatch(Queries, Threads))
+    for (const auto &R : Restored->lookupBatch(Queries, Threads))
       EXPECT_FALSE(R.has_value());
     EXPECT_TRUE(Mapped.Reader->lookupBatch({}, Threads).empty());
-    EXPECT_TRUE(Loaded.Index->lookupBatch({}, Threads).empty());
+    EXPECT_TRUE(Restored->lookupBatch({}, Threads).empty());
   }
-  expectStatsEq(Loaded.Index->stats(), Mapped.Reader->stats());
+  expectStatsEq(Restored->stats(), Mapped.Reader->stats());
 }
 
-TEST(MappedIndex, SingleClassIndexRoundTripsBothReadPaths) {
+TEST(MappedIndex, SingleClassIndexRoundTripsMappedAndRestored) {
   ExprContext Ctx;
   Rng R(77);
   AlphaHashIndex<> Live;
@@ -355,8 +358,8 @@ TEST(MappedIndex, SingleClassIndexRoundTripsBothReadPaths) {
   Live.insert(Ctx, E);
   std::string Image = saveIndexBytes(Live);
 
-  IndexLoadResult<Hash128> Loaded = loadIndexBytes<Hash128>(Image);
-  ASSERT_TRUE(Loaded.ok()) << Loaded.Error;
+  auto Restored = restoreVerified<Hash128>(Image);
+  ASSERT_NE(Restored, nullptr);
   auto Mapped = MappedIndex<Hash128>::openBytes(Image);
   ASSERT_TRUE(Mapped.ok()) << Mapped.Error;
   EXPECT_EQ(Mapped.Reader->numClasses(), 1u);
@@ -366,15 +369,15 @@ TEST(MappedIndex, SingleClassIndexRoundTripsBothReadPaths) {
   Queries.push_back(serializeExpr(Ctx, alphaRename(Ctx, R, E)));
   Queries.push_back(serializeExpr(Ctx, parseT(Ctx, "(lam (z) z)")));
   Queries.push_back("garbage");
-  auto FromLoaded = Loaded.Index->lookupBatch(Queries, 2);
+  auto FromRestored = Restored->lookupBatch(Queries, 2);
   auto FromMapped = Mapped.Reader->lookupBatch(Queries, 2);
-  expectSameLookupAnswers(FromLoaded, FromMapped, "loaded-vs-mapped");
+  expectSameLookupAnswers(FromRestored, FromMapped, "restored-vs-mapped");
   ASSERT_TRUE(FromMapped[0].has_value());
   ASSERT_TRUE(FromMapped[1].has_value()); // hit modulo alpha
   EXPECT_FALSE(FromMapped[2].has_value());
   EXPECT_FALSE(FromMapped[3].has_value());
   EXPECT_EQ(FromMapped[0]->Count, 1u);
-  expectStatsEq(Loaded.Index->stats(), Mapped.Reader->stats());
+  expectStatsEq(Restored->stats(), Mapped.Reader->stats());
 }
 
 //===----------------------------------------------------------------------===//

@@ -461,15 +461,10 @@ TEST(SegmentedIndex, AnswersIdenticalToSingleFileRebuildAtB128) {
   // reproduces the table bytes exactly (the header's stats block alone
   // may differ -- FallbackChecks/VerifiedCollisions are probe-time
   // counters the reconcile probes legitimately bump).
-  {
-    typename AlphaHashIndex<Hash128>::Options Opts;
-    Opts.Shards = 8;
-    AlphaHashIndex<Hash128> Restored(Opts);
-    for (ClassSummary<Hash128> &C : Compacted.Reader->snapshot())
-      Restored.restoreClass(C.Hash, std::move(C.CanonicalBytes), C.Count);
-    Restored.restoreStats(Ref->stats());
-    EXPECT_EQ(saveIndexBytes(Restored), saveIndexBytes(*Ref));
-  }
+  EXPECT_EQ(saveIndexBytes(*AlphaHashIndex<Hash128>::restore(
+                {/*Shards=*/8, HashSchema::DefaultSeed},
+                Compacted.Reader->snapshot(), Ref->stats())),
+            saveIndexBytes(*Ref));
 
   // Compacting a single segment is a no-op success.
   SegmentCompactResult Again = compactSegments<Hash128>(D.Dir);
@@ -666,17 +661,17 @@ TEST(SegmentedIndex, CrossSegmentCountsSaturateInsteadOfWrapping) {
   const Hash128 Hash = H.hashRoot(Root);
   const std::string Bytes = serializeExpr(Ctx, Root);
 
-  // Segment 1: the class with a near-overflow count (restoreClass is the
-  // no-rehash path save/load uses, so the hash is authoritative).
-  AlphaHashIndex<> Old({/*Shards=*/4, HashSchema::DefaultSeed});
-  Old.restoreClass(Hash, Bytes, UINT64_MAX - 5);
-  ASSERT_TRUE(createSegmentDir(D.Dir, Old).Ok);
+  // Segment 1: the class with a near-overflow count (restore is the
+  // no-rehash path file reopens use, so the hash is authoritative).
+  auto Old = AlphaHashIndex<>::restore({/*Shards=*/4, HashSchema::DefaultSeed},
+                                       {{Hash, UINT64_MAX - 5, Bytes}}, {});
+  ASSERT_TRUE(createSegmentDir(D.Dir, *Old).Ok);
 
   // Segment 2: the same class again, enough to overflow. Hand-written
   // (append's blob ingest can only add one member per blob).
-  AlphaHashIndex<> New({/*Shards=*/4, HashSchema::DefaultSeed});
-  New.restoreClass(Hash, Bytes, 100);
-  std::string Image = saveIndexBytes(New);
+  auto New = AlphaHashIndex<>::restore({/*Shards=*/4, HashSchema::DefaultSeed},
+                                       {{Hash, 100, Bytes}}, {});
+  std::string Image = saveIndexBytes(*New);
   ASSERT_TRUE(writeFileReplacing(D.Dir + "/" + segmentFileName(2), Image,
                                  nullptr));
   std::string MBytes;

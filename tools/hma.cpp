@@ -14,7 +14,7 @@
 ///   hma index build <corpus> [--threads T] [--shards S] [--out FILE]
 ///   hma index query <corpus> [--expr E | --expr-file F | --batch FILE]
 ///   hma index stats <corpus> [--threads T] [--shards S]
-///   hma index open <file> [stats | query ...] [--mmap | --load]
+///   hma index open <file> [stats | query ...] [--out FILE [--shards S]]
 ///   hma index update <file|dir> <corpus> [--threads T] [--out FILE]
 ///   hma index compact <dir>
 ///   hma index gc <dir> [--min-age-seconds N]
@@ -24,10 +24,10 @@
 /// either a text file with one expression per line or a binary "HMAC"
 /// container. `index build --out` writes a binary "HMAI" *index* file
 /// (classes + counts + stats); `index open` serves queries from it
-/// without re-ingesting anything -- by default over the zero-copy
-/// mmap'd reader (`MappedIndex`; `--load` forces the materializing
-/// loader, which `--shards`/`--out` re-sharding also requires) -- and
-/// `index update` appends a corpus to it and rewrites the file. Exit
+/// without re-ingesting anything, over the zero-copy mmap'd reader
+/// (`MappedIndex`, tables verified up front), and `index update`
+/// appends a corpus to it and rewrites the file. Both rebuild a live
+/// index only from a verified reader (`AlphaHashIndex::restore`). Exit
 /// status is non-zero on parse/usage errors, with a byte-offset
 /// diagnostic.
 ///
@@ -116,16 +116,15 @@ int usage() {
       "             exposition; both also work after `index open <file>\n"
       "             stats`)\n"
       "  index open <file> [stats | query [--expr E | --expr-file F |\n"
-      "             --batch FILE]] [--mmap | --load] [--no-verify]\n"
-      "             [--shards S] [--out FILE]\n"
+      "             --batch FILE]] [--no-verify] [--out FILE [--shards S]]\n"
       "             reopen an HMAI index file (no re-ingest) and print\n"
-      "             its summary, full stats, or serve queries from it.\n"
-      "             Default: the zero-copy mmap'd reader, table\n"
-      "             integrity checked up front (--no-verify skips the\n"
-      "             check for an open independent of index size; reads\n"
-      "             stay bounds-checked); --load materializes the index\n"
-      "             instead, which --shards (re-stripe) and --out\n"
-      "             (re-save) also imply\n"
+      "             its summary, full stats, or serve queries from it\n"
+      "             over the zero-copy mmap'd reader, table integrity\n"
+      "             checked up front (--no-verify skips the check for an\n"
+      "             open independent of index size; reads stay\n"
+      "             bounds-checked). --out rebuilds the verified file at\n"
+      "             FILE first (the current format version; --shards\n"
+      "             re-stripes it)\n"
       "  index update <file|dir> <corpus> [--threads T] [--out FILE]\n"
       "             [--json] [--auto-compact N] [--crash-after-segment]\n"
       "             single HMAI file: reopen, ingest the corpus, rewrite\n"
@@ -190,7 +189,7 @@ int usage() {
       "             stdin without a file; used by CI on --prom output)\n"
       "Every `index` subcommand also accepts --trace-out FILE: collect\n"
       "Chrome trace_event JSON (chrome://tracing, Perfetto) over the\n"
-      "whole command -- batch chunk spans, save/load/open/verify phases.\n"
+      "whole command -- batch chunk spans, save/open/verify phases.\n"
       "Expressions are read from [file] or stdin. A corpus is one\n"
       "expression per line, or a binary HMAC container.\n");
   return 2;
@@ -366,10 +365,8 @@ struct IndexArgs {
   const char *BatchFile = nullptr;
   unsigned Threads = std::max(1u, std::thread::hardware_concurrency());
   unsigned Shards = 64;
-  bool ShardsSet = false; ///< --shards given explicitly (open/update
-                          ///< re-stripe a loaded file only on request).
-  bool ForceMmap = false; ///< --mmap: insist on the zero-copy reader.
-  bool ForceLoad = false; ///< --load: insist on the materializing loader.
+  bool ShardsSet = false; ///< --shards given explicitly (open --out and
+                          ///< update re-stripe a file only on request).
   bool NoVerify = false;  ///< --no-verify: skip the mapped table check.
   bool Segmented = false; ///< --segmented: build a segment directory.
   unsigned AutoCompact = 0; ///< --auto-compact: compact at N segments.
@@ -416,11 +413,7 @@ bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
                     AlphaHashIndex<Hash128>::MaxShards, A.Shards))
         return false;
       A.ShardsSet = true;
-    } else if (std::strcmp(Argv[I], "--mmap") == 0)
-      A.ForceMmap = true;
-    else if (std::strcmp(Argv[I], "--load") == 0)
-      A.ForceLoad = true;
-    else if (std::strcmp(Argv[I], "--no-verify") == 0)
+    } else if (std::strcmp(Argv[I], "--no-verify") == 0)
       A.NoVerify = true;
     else if (std::strcmp(Argv[I], "--segmented") == 0)
       A.Segmented = true;
@@ -764,35 +757,11 @@ int cmdIndexStats(const IndexArgs &A) {
   return 0;
 }
 
-/// Reopen an HMAI file (re-striping over `--shards` if given explicitly;
-/// placement is a pure function of the hash, so that is always safe). On
-/// success prints the one-line reopen summary.
-std::unique_ptr<AlphaHashIndex<Hash128>> openIndexFile(const IndexArgs &A) {
-  auto Start = std::chrono::steady_clock::now();
-  IndexLoadResult<Hash128> R =
-      loadIndexFile<Hash128>(A.Path, A.ShardsSet ? A.Shards : 0);
-  auto End = std::chrono::steady_clock::now();
-  if (!R.ok()) {
-    std::fprintf(stderr, "index error: %s (byte %zu)\n", R.Error.c_str(),
-                 R.ErrorPos);
-    return nullptr;
-  }
-  std::fprintf(A.narrate(),
-               "opened %s: %zu classes, %llu members, %u shards, %.3f s "
-               "(no re-ingest)\n",
-               A.Path, R.Index->numClasses(),
-               static_cast<unsigned long long>(R.Index->stats().Inserted),
-               R.Index->numShards(),
-               std::chrono::duration<double>(End - Start).count());
-  return std::move(R.Index);
-}
-
 /// Open \p A.Path over the zero-copy mapped reader, printing the
-/// one-line open summary (the mirror of \ref openIndexFile). The CLI
-/// runs the O(classes) `verify()` table check by default so a corrupt
-/// file is rejected up front, exactly as the materializing loader would
-/// reject it; `--no-verify` skips it for the O(shards) open the serving
-/// path uses (reads stay bounds-checked either way).
+/// one-line open summary. The CLI runs the O(classes) `verify()` table
+/// check by default so a corrupt file is rejected up front; `--no-verify`
+/// skips it for the O(shards) open the serving path uses (reads stay
+/// bounds-checked either way).
 std::unique_ptr<MappedIndex<Hash128>> openMappedIndex(const IndexArgs &A) {
   auto Start = std::chrono::steady_clock::now();
   MappedIndex<Hash128>::OpenResult R = MappedIndex<Hash128>::open(A.Path);
@@ -821,6 +790,17 @@ std::unique_ptr<MappedIndex<Hash128>> openMappedIndex(const IndexArgs &A) {
                R.Reader->isFileMapped() ? "zero-copy" : "buffered copy",
                A.NoVerify ? "tables unverified" : "tables verified");
   return std::move(R.Reader);
+}
+
+/// Rebuild a live index from a verified mapped reader, re-striped over
+/// `--shards` if given explicitly (placement is a pure function of the
+/// hash, so that is always safe): how `open --out` re-saves a file and
+/// `update` gets an index it can ingest into.
+std::unique_ptr<AlphaHashIndex<Hash128>>
+restoreIndex(const IndexArgs &A, const MappedIndex<Hash128> &Reader) {
+  return AlphaHashIndex<Hash128>::restore(
+      {A.ShardsSet ? A.Shards : Reader.numShards(), Reader.schema().seed()},
+      Reader.snapshot(), Reader.stats());
 }
 
 /// Open a segment directory over \ref SegmentedIndex, mirroring \ref
@@ -872,21 +852,18 @@ int cmdIndexOpen(const IndexArgs &A) {
                  "<file> query ...`\n");
     return 2;
   }
-  if (A.ForceMmap && A.ForceLoad) {
-    std::fprintf(stderr, "error: --mmap and --load are mutually exclusive\n");
+  if (A.ShardsSet && !A.OutPath) {
+    // A served file keeps its own striping; re-striping only means
+    // something for the file --out writes.
+    std::fprintf(stderr, "error: --shards re-stripes the file written by "
+                         "--out; give --out FILE\n");
     return 2;
   }
-  // Re-striping (--shards) and re-saving (--out) need a materialized
-  // index; everything else defaults to the zero-copy mapped reader.
-  const bool NeedsLoad = A.OutPath || A.ShardsSet;
-  if (A.ForceMmap && NeedsLoad) {
-    std::fprintf(stderr,
-                 "error: --shards/--out re-shard a materialized index and "
-                 "cannot be combined with --mmap\n");
+  if (A.NoVerify && A.OutPath) {
+    std::fprintf(stderr, "error: --out rebuilds from the verified reader "
+                         "and cannot be combined with --no-verify\n");
     return 2;
   }
-  // Both backends serve the same IndexReader surface once opened, so the
-  // stats/query/schema dispatch below is backend-agnostic.
   auto Serve = [&](IndexReader<Hash128> &Index) {
     if (IsStats)
       emitStatsReport(A, Index);
@@ -897,39 +874,26 @@ int cmdIndexOpen(const IndexArgs &A) {
     return 0;
   };
   if (isSegmentDir(A.Path)) {
-    // A segment directory always serves through the mapped segments; the
-    // materializing loader and its re-shard/re-save tools are
-    // single-file operations (compact first to get one).
-    if (A.ForceLoad || NeedsLoad) {
+    // Re-saving is a single-file operation (compact first to get one).
+    if (A.OutPath) {
       std::fprintf(stderr,
-                   "error: --load/--shards/--out do not apply to a "
-                   "segmented index; `hma index compact %s` first\n",
+                   "error: --shards/--out do not apply to a segmented "
+                   "index; `hma index compact %s` first\n",
                    A.Path);
       return 2;
     }
     auto Seg = openSegmentedIndex(A);
     return Seg ? Serve(*Seg) : 1;
   }
-  if (!A.ForceLoad && !NeedsLoad) {
-    auto Mapped = openMappedIndex(A);
-    return Mapped ? Serve(*Mapped) : 1;
-  }
-  if (A.NoVerify) {
-    // The loader always validates; silently accepting the flag would
-    // promise a fast open it does not deliver.
-    std::fprintf(stderr, "error: --no-verify applies to the mapped reader "
-                         "and cannot be combined with --load/--shards/"
-                         "--out\n");
-    return 2;
-  }
-  auto Index = openIndexFile(A);
-  if (!Index)
+  auto Mapped = openMappedIndex(A);
+  if (!Mapped)
     return 1;
-  // `open F --shards 8 --out G` is the re-shard tool: reopen re-striped,
-  // then persist the result.
-  if (A.OutPath && !writeIndexFile(A, *Index, A.OutPath))
+  // `open F --shards 8 --out G` is the re-shard tool, and `open old.hmai
+  // --out old.hmai` upgrades a v1 file in place: rebuild from the
+  // verified reader and persist, then serve F as usual.
+  if (A.OutPath && !writeIndexFile(A, *restoreIndex(A, *Mapped), A.OutPath))
     return 1;
-  return Serve(*Index);
+  return Serve(*Mapped);
 }
 
 /// `update --json`'s machine summary: one JSON object on stdout (all
@@ -1008,9 +972,11 @@ int cmdIndexUpdateSegmented(const IndexArgs &A) {
 int cmdIndexUpdate(const IndexArgs &A) {
   if (isSegmentDir(A.Path))
     return cmdIndexUpdateSegmented(A);
-  auto Index = openIndexFile(A);
-  if (!Index)
+  auto Mapped = openMappedIndex(A);
+  if (!Mapped)
     return 1;
+  auto Index = restoreIndex(A, *Mapped);
+  Mapped.reset(); // the live index owns copies of every class
   CorpusLoadResult Corpus;
   if (!readCorpus(A.CorpusPath, Corpus))
     return 1;
@@ -1352,13 +1318,10 @@ int cmdIndex(int Argc, char **Argv) {
                          "`index ctl`, and `index chaos` only\n");
     return 2;
   }
-  // The read-path flags only mean something to `open`; anywhere else
-  // they must not be silently swallowed.
-  if ((A.ForceMmap || A.ForceLoad || A.NoVerify) &&
-      std::strcmp(A.Sub, "open") != 0) {
-    std::fprintf(stderr,
-                 "error: --mmap/--load/--no-verify apply to "
-                 "`index open` only\n");
+  // --no-verify only means something to `open`; anywhere else it must
+  // not be silently swallowed.
+  if (A.NoVerify && std::strcmp(A.Sub, "open") != 0) {
+    std::fprintf(stderr, "error: --no-verify applies to `index open` only\n");
     return 2;
   }
   // --json/--prom reshape the stats report (and `update` emits a --json
