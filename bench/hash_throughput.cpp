@@ -5,10 +5,8 @@
 /// the paper's O(n (log n)^2) algorithm, and emits machine-readable JSON
 /// so successive PRs can record a performance trajectory (BENCH_*.json).
 ///
-/// Three sections:
-///
-///  1. **hash**: nodes/sec of alpha-hashing the fig2 expression families
-///     under the four pipeline configurations:
+/// The **hash** section: nodes/sec of alpha-hashing the fig2 expression
+/// families under the four pipeline configurations:
 ///       avl_fresh       AVL-only maps, new hasher per expression
 ///                       (the pre-optimisation baseline)
 ///       avl_reuse       AVL-only maps, one hasher reused across calls
@@ -17,12 +15,8 @@
 ///                       (the production pipeline)
 ///     All four produce identical hash values (asserted).
 ///
-///  2. **ingest**: AlphaHashIndex::insertBatch exprs/sec at 1 and 8
-///     threads, with the worker pool-allocation counters (steady-state
-///     allocations per expression should read ~0).
-///
-///  3. **query**: AlphaHashIndex::lookupBatch queries/sec at 1 and 8
-///     threads over the shared-lock read path.
+/// Index ingest and query rates are measured end to end by perfbench's
+/// `lookup_mapped` and `segment_churn` workloads, not here.
 ///
 /// Flags:
 ///   --quick      smaller corpora (the CI smoke configuration)
@@ -43,9 +37,7 @@
 #include "BenchUtil.h"
 
 #include "adt/SmallVarMap.h"
-#include "ast/Serialize.h"
 #include "gen/RandomExpr.h"
-#include "index/AlphaHashIndex.h"
 #include "obs/Metrics.h"
 
 #include <cassert>
@@ -152,58 +144,6 @@ void runHashSection(const Workload &W, const ExprContext &Ctx,
   }
 }
 
-std::vector<std::string> serializeAll(const ExprContext &Ctx,
-                                      const Workload &W) {
-  std::vector<std::string> Blobs;
-  Blobs.reserve(W.Exprs.size());
-  for (const Expr *E : W.Exprs)
-    Blobs.push_back(serializeExpr(Ctx, E));
-  return Blobs;
-}
-
-struct BatchRow {
-  std::string Op;
-  unsigned Threads = 0;
-  uint64_t Items = 0;
-  double Sec = 0;
-  double ItemsPerSec = 0;
-  double AllocPerExpr = 0;
-  double SteadyAllocPerExpr = 0;
-};
-
-void runBatchSections(const std::vector<std::string> &Blobs,
-                      std::vector<BatchRow> &Rows) {
-  std::printf("\n-- index: %zu serialised exprs --\n", Blobs.size());
-  std::printf("%8s %8s %12s %14s %12s %12s\n", "op", "threads", "time",
-              "items/sec", "alloc/expr", "steady/expr");
-
-  for (unsigned Threads : {1u, 8u}) {
-    AlphaHashIndex<> Index;
-    AlphaHashIndex<>::BatchResult Batch;
-    double Sec = timeOnce([&] { Batch = Index.insertBatch(Blobs, Threads); });
-    double Rate = static_cast<double>(Blobs.size()) / Sec;
-    auto [Alloc, Steady] = allocsPerExpr(Batch);
-    std::printf("%8s %8u %12s %14.0f %12.3f %12.3f\n", "ingest", Threads,
-                fmtSeconds(Sec).c_str(), Rate, Alloc, Steady);
-    Rows.push_back({"ingest", Threads, Blobs.size(), Sec, Rate, Alloc,
-                    Steady});
-
-    double QSec = timeOnce([&] {
-      auto Results = Index.lookupBatch(Blobs, Threads);
-      uint64_t Hits = 0;
-      for (auto &R : Results)
-        Hits += R.has_value();
-      if (Hits != Blobs.size())
-        std::fprintf(stderr, "warning: %llu/%zu batch queries hit\n",
-                     static_cast<unsigned long long>(Hits), Blobs.size());
-    });
-    double QRate = static_cast<double>(Blobs.size()) / QSec;
-    std::printf("%8s %8u %12s %14.0f %12s %12s\n", "query", Threads,
-                fmtSeconds(QSec).c_str(), QRate, "-", "-");
-    Rows.push_back({"query", Threads, Blobs.size(), QSec, QRate, 0, 0});
-  }
-}
-
 void appendJsonHashRows(std::string &J, const std::vector<HashRow> &Rows) {
   J += "  \"hash\": [\n";
   for (size_t I = 0; I != Rows.size(); ++I) {
@@ -219,68 +159,6 @@ void appendJsonHashRows(std::string &J, const std::vector<HashRow> &Rows) {
     J += Buf;
   }
   J += "  ],\n";
-}
-
-void appendJsonBatchRows(std::string &J, const std::vector<BatchRow> &Rows) {
-  J += "  \"index\": [\n";
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "    {\"op\": \"%s\", \"threads\": %u, \"items\": %llu, "
-                  "\"seconds\": %.6f, \"items_per_sec\": %.0f, "
-                  "\"alloc_per_expr\": %.4f, \"steady_alloc_per_expr\": "
-                  "%.4f}%s\n",
-                  Rows[I].Op.c_str(), Rows[I].Threads,
-                  static_cast<unsigned long long>(Rows[I].Items), Rows[I].Sec,
-                  Rows[I].ItemsPerSec, Rows[I].AllocPerExpr,
-                  Rows[I].SteadyAllocPerExpr, I + 1 == Rows.size() ? "" : ",");
-    J += Buf;
-  }
-  J += "  ],\n";
-}
-
-/// The obs snapshot as a JSON section: selected counters plus a summary
-/// of every non-empty histogram. Empty arrays under HMA_OBS_OFF, so
-/// trajectory tooling can key off "obs_enabled" without special-casing.
-void appendJsonObs(std::string &J) {
-  obs::Snapshot Snap = obs::Registry::global().snapshot();
-  J += "  \"obs\": {\n    \"counters\": [\n";
-  size_t Live = 0;
-  for (const obs::CounterRow &C : Snap.Counters)
-    Live += C.Value != 0;
-  size_t Emitted = 0;
-  for (const obs::CounterRow &C : Snap.Counters) {
-    if (!C.Value)
-      continue;
-    char Buf[192];
-    std::snprintf(Buf, sizeof(Buf),
-                  "      {\"name\": \"%s\", \"value\": %llu}%s\n",
-                  C.Name.c_str(), static_cast<unsigned long long>(C.Value),
-                  ++Emitted == Live ? "" : ",");
-    J += Buf;
-  }
-  J += "    ],\n    \"histograms\": [\n";
-  Live = 0;
-  for (const obs::HistogramRow &H : Snap.Histograms)
-    Live += H.Data.Count != 0;
-  Emitted = 0;
-  for (const obs::HistogramRow &H : Snap.Histograms) {
-    if (!H.Data.Count)
-      continue;
-    char Buf[256];
-    std::snprintf(Buf, sizeof(Buf),
-                  "      {\"name\": \"%s\", \"count\": %llu, "
-                  "\"p50\": %.0f, \"p90\": %.0f, \"p99\": %.0f, "
-                  "\"max\": %llu}%s\n",
-                  H.Name.c_str(),
-                  static_cast<unsigned long long>(H.Data.Count),
-                  H.Data.percentile(0.5), H.Data.percentile(0.9),
-                  H.Data.percentile(0.99),
-                  static_cast<unsigned long long>(H.Data.Max),
-                  ++Emitted == Live ? "" : ",");
-    J += Buf;
-  }
-  J += "    ]\n  },\n";
 }
 
 /// Aggregate nodes/sec of one config across all hash rows.
@@ -333,9 +211,6 @@ int main(int Argc, char **Argv) {
   runHashSection(Unbalanced, UnbCtx, HashRows);
   runHashSection(BigBalanced, BigCtx, HashRows);
 
-  std::vector<BatchRow> BatchRows;
-  runBatchSections(serializeAll(BalCtx, Balanced), BatchRows);
-
   double AvlReuse = aggregateRate(HashRows, "avl_reuse");
   double AvlFresh = aggregateRate(HashRows, "avl_fresh");
   double Adaptive = aggregateRate(HashRows, "adaptive_reuse");
@@ -359,8 +234,6 @@ int main(int Argc, char **Argv) {
     J += Buf;
   }
   appendJsonHashRows(J, HashRows);
-  appendJsonBatchRows(J, BatchRows);
-  appendJsonObs(J);
   {
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),

@@ -263,8 +263,8 @@ bool snapshotsEqual(const std::vector<ClassSummary<Hash128>> &A,
 
 /// The tentpole's measurement: a 1% delta applied to a >= 100k-class
 /// index, as a segmented append (stage delta + reconcile + manifest
-/// swap; O(delta)) vs the single-file rewrite `hma index update`
-/// performs (open + verify + restore + ingest + save; O(index)). Both
+/// swap; O(delta)) vs rewriting a single HMAI file through library
+/// calls (open + verify + restore + ingest + save; O(index)). Both
 /// paths start from the *same* base image and ingest the *same* delta
 /// single-threaded, so their final class tables must be byte-identical
 /// -- checked against the rewritten file both before and after
@@ -323,9 +323,9 @@ void runSegmentUpdate() {
     return;
   }
 
-  // The rewrite: what `hma index update` does to a single HMAI file --
-  // open and verify it, restore every class into a live index, ingest
-  // the delta, serialise everything.
+  // The rewrite of a single HMAI file: open and verify it, restore
+  // every class into a live index, ingest the delta, serialise
+  // everything.
   double RewriteSec = timeOnce([&] {
     auto M = MappedIndex<Hash128>::open(File);
     if (!M.ok() || !M.Reader->verify())

@@ -2,6 +2,7 @@
 
 #include "index/IndexIO.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstring>
@@ -30,7 +31,7 @@ uint64_t hma::iio::getWordLE(const char *P, unsigned NumBytes) {
 
 std::string hma::iio::encodeHeader(const IndexFileInfo &Info) {
   std::string Out;
-  Out.reserve(headerSize(Info.Version));
+  Out.reserve(HeaderSize);
   Out.append(Magic, sizeof(Magic));
   putWordLE(Out, Info.Version, 4);
   putWordLE(Out, Info.Seed, 8);
@@ -43,11 +44,9 @@ std::string hma::iio::encodeHeader(const IndexFileInfo &Info) {
   putWordLE(Out, Info.Stats.FallbackChecks, 8);
   putWordLE(Out, Info.Stats.VerifiedCollisions, 8);
   putWordLE(Out, Info.Stats.DecodeErrors, 8);
-  if (Info.Version >= 2) {
-    putWordLE(Out, Info.SidecarOffset, 8);
-    putWordLE(Out, Info.SidecarLength, 8);
-  }
-  assert(Out.size() == headerSize(Info.Version) && "header layout drifted");
+  putWordLE(Out, Info.SidecarOffset, 8);
+  putWordLE(Out, Info.SidecarLength, 8);
+  assert(Out.size() == HeaderSize && "header layout drifted");
   return Out;
 }
 
@@ -97,14 +96,11 @@ bool hma::probeIndexBytes(std::string_view Bytes, IndexFileInfo &Info,
 
   const char *P = Bytes.data();
   Info.Version = static_cast<uint32_t>(getWordLE(P + 4, 4));
-  if (Info.Version < MinVersion || Info.Version > Version)
+  if (Info.Version != Version)
     return probeFail("unsupported index version " +
                          std::to_string(Info.Version) + " (reader speaks " +
-                         std::to_string(MinVersion) + ".." +
                          std::to_string(Version) + ")",
                      4, Error, ErrorPos);
-  if (Bytes.size() < headerSize(Info.Version))
-    return probeFail("truncated header", Bytes.size(), Error, ErrorPos);
   Info.Seed = getWordLE(P + 8, 8);
   Info.HashBits = static_cast<unsigned>(getWordLE(P + 16, 4));
   Info.Shards = static_cast<unsigned>(getWordLE(P + 20, 4));
@@ -115,10 +111,8 @@ bool hma::probeIndexBytes(std::string_view Bytes, IndexFileInfo &Info,
   Info.Stats.FallbackChecks = getWordLE(P + 56, 8);
   Info.Stats.VerifiedCollisions = getWordLE(P + 64, 8);
   Info.Stats.DecodeErrors = getWordLE(P + 72, 8);
-  if (Info.Version >= 2) {
-    Info.SidecarOffset = getWordLE(P + 80, 8);
-    Info.SidecarLength = getWordLE(P + 88, 8);
-  }
+  Info.SidecarOffset = getWordLE(P + 80, 8);
+  Info.SidecarLength = getWordLE(P + 88, 8);
 
   if (Info.HashBits != 16 && Info.HashBits != 32 && Info.HashBits != 64 &&
       Info.HashBits != 128)
@@ -132,23 +126,20 @@ bool hma::probeIndexBytes(std::string_view Bytes, IndexFileInfo &Info,
                      20, Error, ErrorPos);
 
   // Envelope: the directory and every shard table must lie within the
-  // file (for v2, within the region preceding the sidecar), and the
-  // declared class count must match the tables. (Blob offsets are
-  // validated record-by-record at load time.)
-  const size_t DirStart = headerSize(Info.Version);
-  const size_t DirEnd = DirStart + size_t(Info.Shards) * DirEntrySize;
+  // region preceding the sidecar, and the declared class count must
+  // match the tables. (Blob offsets are validated record-by-record by
+  // MappedIndex::verify.)
+  const size_t DirEnd = HeaderSize + size_t(Info.Shards) * DirEntrySize;
   if (DirEnd > Bytes.size())
-    return probeFail("shard directory overruns the file", DirStart, Error,
+    return probeFail("shard directory overruns the file", HeaderSize, Error,
                      ErrorPos);
-  // v2: tables and blobs live strictly before the sidecar.
-  const uint64_t TableLimit =
-      Info.Version >= 2 && Info.SidecarOffset < Bytes.size()
-          ? Info.SidecarOffset
-          : Bytes.size();
+  // Tables and blobs live strictly before the sidecar.
+  const uint64_t TableLimit = std::min<uint64_t>(Info.SidecarOffset,
+                                                 Bytes.size());
   const size_t RecSize = Info.HashBits / 8 + 24;
   uint64_t Total = 0;
   for (unsigned S = 0; S != Info.Shards; ++S) {
-    const size_t DirPos = DirStart + size_t(S) * DirEntrySize;
+    const size_t DirPos = HeaderSize + size_t(S) * DirEntrySize;
     const uint64_t TableOffset = getWordLE(P + DirPos, 8);
     const uint64_t Count = getWordLE(P + DirPos + 8, 8);
     if (TableOffset > TableLimit || Count > (TableLimit - TableOffset) / RecSize)
@@ -163,22 +154,19 @@ bool hma::probeIndexBytes(std::string_view Bytes, IndexFileInfo &Info,
                          std::to_string(Total),
                      24, Error, ErrorPos);
 
-  // v2: the sidecar is the file's final region, sized exactly for one
-  // (BFS hash, rank) pair per class. Content is validated at load /
-  // verify time; here only the envelope.
-  if (Info.Version >= 2) {
-    if (Info.SidecarOffset > Bytes.size() ||
-        Info.SidecarLength != Bytes.size() - Info.SidecarOffset)
-      return probeFail("probe sidecar does not span the file tail", 80, Error,
-                       ErrorPos);
-    if (Info.SidecarLength !=
-        Info.NumClasses * sidecarEntrySize(Info.HashBits))
-      return probeFail("probe sidecar length does not match the class count",
-                       88, Error, ErrorPos);
-    if (Info.SidecarOffset < DirEnd + Info.NumClasses * RecSize)
-      return probeFail("probe sidecar overlaps the tables/bytes region", 80,
-                       Error, ErrorPos);
-  }
+  // The sidecar is the file's final region, sized exactly for one
+  // (BFS hash, rank) pair per class. Content is validated by verify;
+  // here only the envelope.
+  if (Info.SidecarOffset > Bytes.size() ||
+      Info.SidecarLength != Bytes.size() - Info.SidecarOffset)
+    return probeFail("probe sidecar does not span the file tail", 80, Error,
+                     ErrorPos);
+  if (Info.SidecarLength != Info.NumClasses * sidecarEntrySize(Info.HashBits))
+    return probeFail("probe sidecar length does not match the class count",
+                     88, Error, ErrorPos);
+  if (Info.SidecarOffset < DirEnd + Info.NumClasses * RecSize)
+    return probeFail("probe sidecar overlaps the tables/bytes region", 80,
+                     Error, ErrorPos);
   return true;
 }
 

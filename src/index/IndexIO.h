@@ -10,16 +10,15 @@
 /// anything* and for a future reader to serve lookups straight from an
 /// mmap without materializing classes:
 ///
-///   header    80 bytes (v1) / 96 bytes (v2), fixed-width little-endian:
+///   header    96 bytes, fixed-width little-endian:
 ///               magic       "HMAI"
-///               version     u32 (1 or 2)
+///               version     u32 (2)
 ///               seed        u64 hash-schema seed
 ///               hash bits   u32 (16 / 32 / 64 / 128)
 ///               shards      u32 (power of two)
 ///               classes     u64 total class count
 ///               stats       6 x u64 (IndexStats, field order)
-///             v2 appends two fields describing the probe sidecar:
-///               sidecar offset  u64 absolute file offset
+///               sidecar offset  u64 absolute file offset of the sidecar
 ///               sidecar length  u64 (== file size - sidecar offset)
 ///   directory shards x { u64 table offset, u64 class count }
 ///   tables    per shard: classes x fixed-width records, sorted by
@@ -29,7 +28,7 @@
 ///               length      u64 blob length in bytes
 ///               count       u64 member count
 ///   bytes     the canonical blobs, back to back
-///   sidecar   (v2 only) per shard, in shard order:
+///   sidecar   per shard, in shard order:
 ///               eytz hashes classes x bits/8 bytes -- the shard's sorted
 ///                           hashes rewritten in Eytzinger (BFS) order:
 ///                           slot k (1-indexed, stored at byte (k-1) *
@@ -46,12 +45,10 @@
 /// place by the exact-verify fallback, nothing else touched. Offsets are
 /// absolute, so a table entry is meaningful without any rebasing.
 ///
-/// The v2 sidecar is derived data: it is a pure function of the shard
+/// The sidecar is derived data: it is a pure function of the shard
 /// tables (so a deterministic save stays deterministic) and exists only
 /// to let \ref MappedIndex probe a shard with the branchless Eytzinger
-/// engine instead of a scalar binary search. Readers that ignore it lose
-/// nothing but speed; \ref MappedIndex::verify checks it against the
-/// tables all the same.
+/// descent; \ref MappedIndex::verify checks it against the tables.
 ///
 /// Validation: this header owns the format's layout and the O(shards)
 /// envelope check (\ref probeIndexBytes). The per-record checks -- sort
@@ -63,11 +60,16 @@
 ///
 /// Versioning: the magic and the version field are stable forever; all
 /// layout after them is owned by the version. Readers must reject
-/// versions (and hash widths) they do not understand; this reader speaks
-/// v1 and v2, and \ref MappedIndex falls back to the scalar probe on v1
-/// files (no sidecar). The seed and bit width identify the hash function
-/// family: two files are hash-compatible iff both match (surface-checked
-/// by `hma index stats` / `hma index open`).
+/// versions (and hash widths) they do not understand; this reader and
+/// writer speak v2 only (the sidecar-free v1 layout is retired -- `hma
+/// index open F --out F` with an older build upgrades a stray v1 file).
+/// The seed and bit width identify the hash function family: two files
+/// are hash-compatible iff both match (surface-checked by `hma index
+/// stats` / `hma index open`).
+///
+/// A single file is a read-only build output: nothing updates it in
+/// place. An index that has to grow is a segment directory
+/// (index/SegmentCompactor.h), whose segments are files of this format.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -96,11 +98,8 @@ struct IndexFileInfo {
   unsigned Shards = 0;
   uint64_t NumClasses = 0;
   IndexStats Stats;
-  uint64_t SidecarOffset = 0; ///< v2: absolute offset of the probe sidecar.
-  uint64_t SidecarLength = 0; ///< v2: sidecar bytes (to end of file).
-
-  /// True if the image carries the Eytzinger probe sidecar.
-  bool hasSidecar() const { return Version >= 2; }
+  uint64_t SidecarOffset = 0; ///< Absolute offset of the probe sidecar.
+  uint64_t SidecarLength = 0; ///< Sidecar bytes (to end of file).
 };
 
 /// True if \p Bytes starts with the index magic "HMAI".
@@ -129,17 +128,10 @@ bool writeFileReplacing(const std::string &Path, std::string_view Bytes,
 namespace iio {
 
 constexpr char Magic[4] = {'H', 'M', 'A', 'I'};
-constexpr uint32_t MinVersion = 1; ///< Oldest version this reader accepts.
-constexpr uint32_t Version = 2;    ///< Version the writer emits by default.
-constexpr size_t HeaderSize = 80;   ///< v1 header; also the v2 header prefix.
-constexpr size_t HeaderSizeV2 = 96; ///< v1 header + sidecar offset/length.
+constexpr uint32_t Version = 2;   ///< The one version read and written.
+constexpr size_t HeaderSize = 96; ///< Directory start.
 constexpr size_t DirEntrySize = 16;
 constexpr size_t RankEntrySize = 4; ///< Sidecar rank width (u32).
-
-/// Directory start for a given header version.
-constexpr size_t headerSize(uint32_t V) {
-  return V >= 2 ? HeaderSizeV2 : HeaderSize;
-}
 
 /// Bytes one class contributes to the sidecar (BFS hash + sorted rank).
 constexpr size_t sidecarEntrySize(unsigned HashBits) {
@@ -221,11 +213,9 @@ std::vector<uint32_t> eytzingerRanks(uint64_t Count);
 } // namespace iio
 
 /// Serialise \p Index to the `HMAI` byte format. The result is a
-/// deterministic function of the index's class table, stats, shard count
-/// and \p FormatVersion (canonical tie-breaks aside, the same corpus
-/// yields the same file regardless of ingest thread count). The default
-/// version writes the v2 probe sidecar; pass 1 for a sidecar-free image
-/// older readers accept.
+/// deterministic function of the index's class table, stats and shard
+/// count (canonical tie-breaks aside, the same corpus yields the same
+/// file regardless of ingest thread count).
 ///
 /// The index must be quiescent (no concurrent ingest) for the duration
 /// of the call: the class table and the stats are read under separate
@@ -241,7 +231,6 @@ std::vector<uint32_t> eytzingerRanks(uint64_t Count);
 /// the delta was staged in.
 template <typename H>
 std::string saveIndexBytes(const AlphaHashIndex<H> &Index,
-                           uint32_t FormatVersion = iio::Version,
                            const IndexStats *StatsOverride = nullptr) {
   static const obs::Histogram SaveNs = obs::Histogram::get(
       "hma_index_save_ns", "Latency of serialising an index to HMAI, ns");
@@ -262,10 +251,8 @@ std::string saveIndexBytes(const AlphaHashIndex<H> &Index,
     TotalBlobBytes += C.CanonicalBytes.size();
   }
 
-  assert((FormatVersion == 1 || FormatVersion == 2) &&
-         "writer speaks HMAI v1 and v2");
   IndexFileInfo Info;
-  Info.Version = FormatVersion;
+  Info.Version = iio::Version;
   Info.Seed = Index.schema().seed();
   Info.HashBits = HashWidth<H>::Bits;
   Info.Shards = Shards;
@@ -273,21 +260,16 @@ std::string saveIndexBytes(const AlphaHashIndex<H> &Index,
   Info.Stats = StatsOverride ? *StatsOverride : Index.stats();
 
   const size_t RecSize = iio::recordSize<H>();
-  const size_t DirStart = iio::headerSize(FormatVersion);
-  const size_t TablesStart = DirStart + size_t(Shards) * iio::DirEntrySize;
+  const size_t TablesStart =
+      iio::HeaderSize + size_t(Shards) * iio::DirEntrySize;
   const size_t BytesStart = TablesStart + Classes.size() * RecSize;
-  const size_t SidecarLength =
-      Info.hasSidecar()
-          ? Classes.size() * iio::sidecarEntrySize(HashWidth<H>::Bits)
-          : 0;
-  if (Info.hasSidecar()) {
-    Info.SidecarOffset = BytesStart + TotalBlobBytes;
-    Info.SidecarLength = SidecarLength;
-  }
+  Info.SidecarOffset = BytesStart + TotalBlobBytes;
+  Info.SidecarLength =
+      Classes.size() * iio::sidecarEntrySize(HashWidth<H>::Bits);
 
   std::string Out = iio::encodeHeader(Info);
   // The whole image, one allocation.
-  Out.reserve(BytesStart + TotalBlobBytes + SidecarLength);
+  Out.reserve(Info.SidecarOffset + Info.SidecarLength);
 
   // Directory.
   size_t TableOffset = TablesStart;
@@ -314,21 +296,19 @@ std::string saveIndexBytes(const AlphaHashIndex<H> &Index,
     for (const Summary *C : PerShard[S])
       Out += C->CanonicalBytes;
 
-  // Probe sidecar (v2): per shard, the hashes rewritten in Eytzinger
-  // (BFS) order followed by each slot's sorted rank. Derived purely from
-  // the (already deterministic) shard tables.
-  if (Info.hasSidecar()) {
-    for (unsigned S = 0; S != Shards; ++S) {
-      const std::vector<uint32_t> Ranks =
-          iio::eytzingerRanks(PerShard[S].size());
-      for (uint32_t Rank : Ranks)
-        iio::putHashLE(Out, PerShard[S][Rank]->Hash);
-      for (uint32_t Rank : Ranks)
-        iio::putWordLE(Out, Rank, iio::RankEntrySize);
-    }
-    assert(Out.size() == Info.SidecarOffset + Info.SidecarLength &&
-           "sidecar layout drifted");
+  // Probe sidecar: per shard, the hashes rewritten in Eytzinger (BFS)
+  // order followed by each slot's sorted rank. Derived purely from the
+  // (already deterministic) shard tables.
+  for (unsigned S = 0; S != Shards; ++S) {
+    const std::vector<uint32_t> Ranks =
+        iio::eytzingerRanks(PerShard[S].size());
+    for (uint32_t Rank : Ranks)
+      iio::putHashLE(Out, PerShard[S][Rank]->Hash);
+    for (uint32_t Rank : Ranks)
+      iio::putWordLE(Out, Rank, iio::RankEntrySize);
   }
+  assert(Out.size() == Info.SidecarOffset + Info.SidecarLength &&
+         "sidecar layout drifted");
   SavedBytes.add(Out.size());
   return Out;
 }

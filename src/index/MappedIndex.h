@@ -22,23 +22,21 @@
 ///    with a caller-owned \ref DecodeScratch. Nothing is decoded, no
 ///    class vectors, no byte copies: the returned \ref LookupResult
 ///    views the mapping itself.
-///  - **the file format picks the lower bound**: a v2 file carries the
-///    Eytzinger sidecar, so its probe is a branchless descent of the
+///  - **the lower bound is an Eytzinger descent**: every file carries the
+///    probe sidecar, so the probe is a branchless descent of the
 ///    sidecar's BFS-ordered hash array -- one cache line covers ~4 tree
 ///    levels near the leaves, a per-shard resident fence array (the
 ///    sorted top \ref FenceSlots sidecar slots) skips the top \ref
 ///    FenceLevels levels outright, and software prefetch runs two levels
-///    ahead of the compare. A v1 file has no sidecar and takes the
-///    branchy binary search over the record table. Both return the same
-///    rank, and the candidate scan after it is shared, so the two
-///    formats answer identically.
+///    ahead of the compare. The rank array maps the descent back to the
+///    sorted record table, where the candidate scan runs.
 ///  - **reads are defensively bounds-checked**: every record-designated
 ///    blob range is validated against the mapping before any byte is
 ///    touched, so a corrupt (unverified) file can mis-answer but never
 ///    read out of bounds. \ref verify runs the full O(classes) integrity
 ///    check (sort order, blob ranges, sidecar content) on demand for
 ///    untrusted files. It is the format's only deep validator: `hma
-///    index open`, `index update`, fsck's deep check and the daemon's
+///    index open`, segment opens, fsck's deep check and the daemon's
 ///    reload gate all run `open` + `verify` (the adversarial sweep in
 ///    tests/index_io_test.cpp pins what it rejects).
 ///
@@ -197,15 +195,11 @@ public:
   static constexpr uint64_t FenceMinCount =
       (uint64_t(1) << (FenceLevels + 1)) - 1;
 
-  /// True when the image carries the v2 Eytzinger probe sidecar (and so
-  /// probes with \ref eytzLowerBound rather than \ref scalarLowerBound).
-  bool hasProbeSidecar() const { return Info.hasSidecar(); }
-
   /// Deep integrity check, O(classes): per-shard sort order, every blob
-  /// range, and (v2) the probe sidecar -- each shard's BFS hash array
-  /// and rank array must be exactly the Eytzinger re-encoding of its
-  /// record table, so a verified file's branchless descents land where a
-  /// scalar search would. \ref open is O(shards) by design, so
+  /// range, and the probe sidecar -- each shard's BFS hash array and
+  /// rank array must be exactly the Eytzinger re-encoding of its record
+  /// table, so a verified file's branchless descents land where a binary
+  /// search of the table would. \ref open is O(shards) by design, so
   /// table-level corruption in an untrusted file is caught either here
   /// or -- harmlessly, as a miss/refutation -- by the bounds-checked
   /// read path. On failure \p Error names the shard and record (or
@@ -238,8 +232,8 @@ public:
       for (uint64_t I = 0; I != T.Count; ++I) {
         // A blob must lie inside the bytes region: an offset below
         // BytesStart aliases the header/directory/tables, one ending past
-        // BytesEnd runs off the file (v1) or into the sidecar (v2); both
-        // are in-file but never something the writer emits.
+        // BytesEnd runs into the sidecar; both are in-file but never
+        // something the writer emits.
         const size_t RecPos = static_cast<size_t>(T.Offset) + I * RecSize;
         iio::Record<H> Rec = iio::readRecord<H>(Bytes.data() + RecPos);
         if (Rec.Offset > BytesEnd || Rec.Length > BytesEnd - Rec.Offset)
@@ -255,8 +249,6 @@ public:
                       RecPos);
         Prev = Rec.Hash;
       }
-      if (!Info.hasSidecar())
-        continue;
       // Slot k's rank must be the Eytzinger in-order position and slot
       // k's hash must equal the table hash at that rank.
       const std::vector<uint32_t> Want = iio::eytzingerRanks(T.Count);
@@ -329,8 +321,8 @@ public:
     return Out;
   }
 
-  /// Size of the mapped bytes region (blobs only -- the v2 probe sidecar
-  /// is excluded): for a well-formed image, exactly the canonical-blob
+  /// Size of the mapped bytes region (blobs only -- the probe sidecar is
+  /// excluded): for a well-formed image, exactly the canonical-blob
   /// bytes a live index would retain on heap.
   size_t retainedBytes() const override {
     return BytesEnd > BytesStart ? BytesEnd - BytesStart : 0;
@@ -413,7 +405,7 @@ public:
     for (size_t I = 0; I != Hashes.size(); ++I) {
       const ShardTable &T =
           Tables[detail::shardIndexForHash(Hashes[I], ShardMask)];
-      Out[I] = countAtRank(T, Hashes[I], lowerBound(T, Hashes[I]));
+      Out[I] = countAtRank(T, Hashes[I], eytzLowerBound(T, Hashes[I]));
     }
   }
 
@@ -421,8 +413,8 @@ private:
   struct ShardTable {
     uint64_t Offset = 0; ///< Absolute file offset of the shard's table.
     uint64_t Count = 0;  ///< Records in the table.
-    uint64_t EytzOffset = 0; ///< v2: offset of the BFS hash array.
-    uint64_t RankOffset = 0; ///< v2: offset of the slot->rank array.
+    uint64_t EytzOffset = 0; ///< Offset of the BFS hash array.
+    uint64_t RankOffset = 0; ///< Offset of the slot->rank array.
     bool UseFences = false;  ///< Count >= FenceMinCount (skip top levels).
     /// Sorted copy of the top FenceLevels sidecar levels (slots
     /// 1..FenceSlots). Resident and tiny, so the first FenceLevels
@@ -436,33 +428,29 @@ private:
       : Storage(std::move(Storage)), Bytes(Bytes), Info(Info),
         Schema(Info.Seed), ShardMask(Info.Shards - 1) {
     const size_t RecSize = iio::recordSize<H>();
-    const size_t DirStart = iio::headerSize(Info.Version);
     // Canonical start of the bytes region; every blob range is checked
     // against it (an offset below aliases the header/directory/tables).
-    BytesStart = DirStart + size_t(Info.Shards) * iio::DirEntrySize +
+    BytesStart = iio::HeaderSize + size_t(Info.Shards) * iio::DirEntrySize +
                  static_cast<size_t>(Info.NumClasses) * RecSize;
-    // ... and its end: the probe sidecar (v2) is not blob space.
-    BytesEnd = Info.hasSidecar() ? static_cast<size_t>(Info.SidecarOffset)
-                                 : Bytes.size();
+    // ... and its end: the probe sidecar is not blob space.
+    BytesEnd = static_cast<size_t>(Info.SidecarOffset);
     Tables.reserve(Info.Shards);
     uint64_t SidecarPos = Info.SidecarOffset;
     for (unsigned S = 0; S != Info.Shards; ++S) {
-      const char *Dir = Bytes.data() + DirStart + S * iio::DirEntrySize;
+      const char *Dir = Bytes.data() + iio::HeaderSize + S * iio::DirEntrySize;
       ShardTable T;
       T.Offset = iio::getWordLE(Dir, 8);
       T.Count = iio::getWordLE(Dir + 8, 8);
-      if (Info.hasSidecar()) {
-        T.EytzOffset = SidecarPos;
-        T.RankOffset = SidecarPos + T.Count * (HashWidth<H>::Bits / 8);
-        SidecarPos += T.Count * iio::sidecarEntrySize(HashWidth<H>::Bits);
-        if (T.Count >= FenceMinCount) {
-          for (uint64_t F = 0; F != FenceSlots; ++F)
-            iio::getHashLE(Bytes.data() + T.EytzOffset +
-                               F * (HashWidth<H>::Bits / 8),
-                           T.Fences[F]);
-          std::sort(T.Fences.begin(), T.Fences.end());
-          T.UseFences = true;
-        }
+      T.EytzOffset = SidecarPos;
+      T.RankOffset = SidecarPos + T.Count * (HashWidth<H>::Bits / 8);
+      SidecarPos += T.Count * iio::sidecarEntrySize(HashWidth<H>::Bits);
+      if (T.Count >= FenceMinCount) {
+        for (uint64_t F = 0; F != FenceSlots; ++F)
+          iio::getHashLE(Bytes.data() + T.EytzOffset +
+                             F * (HashWidth<H>::Bits / 8),
+                         T.Fences[F]);
+        std::sort(T.Fences.begin(), T.Fences.end());
+        T.UseFences = true;
       }
       Tables.push_back(T);
     }
@@ -518,29 +506,8 @@ private:
   }
 
   //===--------------------------------------------------------------------===//
-  // Lower bound by hash (both probes return the same rank)
+  // Lower bound by hash: the Eytzinger descent over the sidecar
   //===--------------------------------------------------------------------===//
-
-  /// The probe the file format allows: Eytzinger over the v2 sidecar,
-  /// scalar binary search over a v1 file's record table.
-  uint64_t lowerBound(const ShardTable &T, H Hash) const {
-    return Info.hasSidecar() ? eytzLowerBound(T, Hash)
-                             : scalarLowerBound(T, Hash);
-  }
-
-  /// Scalar probe: branchy binary search over the record table (the
-  /// only probe a sidecar-free v1 file supports).
-  uint64_t scalarLowerBound(const ShardTable &T, H Hash) const {
-    uint64_t Lo = 0, Hi = T.Count;
-    while (Lo != Hi) {
-      uint64_t Mid = Lo + (Hi - Lo) / 2;
-      if (hashAt(T, Mid) < Hash)
-        Lo = Mid + 1;
-      else
-        Hi = Mid;
-    }
-    return Lo;
-  }
 
   H eytzHashAt(const ShardTable &T, uint64_t K) const {
     H V;
@@ -609,8 +576,7 @@ private:
   /// duplicate-hash run, verify each candidate blob in place and accept
   /// the first alpha-equivalent one. Reads the hash column first and the
   /// record tail only on a match, so every field is read exactly once
-  /// per candidate. Shared by both probes -- this is what makes v1 and
-  /// v2 answers identical by construction.
+  /// per candidate.
   std::optional<LookupResult> resolveAtRank(const QueryView &Query, H Hash,
                                             const ShardTable &T, uint64_t Rank,
                                             DecodeScratch &Scratch) const {
@@ -654,7 +620,7 @@ private:
   }
 
   /// Read-path probe: lower-bound the shard's sorted table for \p Hash
-  /// (\ref lowerBound), then verify each candidate under it.
+  /// (\ref eytzLowerBound), then verify each candidate under it.
   /// Lock-free; \p Scratch must be private to the calling thread.
   std::optional<LookupResult> findHashed(const QueryView &Query, H Hash,
                                          DecodeScratch &Scratch) const {
@@ -666,7 +632,7 @@ private:
     const ShardTable &T =
         Tables[detail::shardIndexForHash(Hash, ShardMask)];
     std::optional<LookupResult> Result =
-        resolveAtRank(Query, Hash, T, lowerBound(T, Hash), Scratch);
+        resolveAtRank(Query, Hash, T, eytzLowerBound(T, Hash), Scratch);
     if (obs::Enabled)
       FindNs.record(obs::nowNanos() - T0);
     return Result;
@@ -678,7 +644,7 @@ private:
   HashSchema Schema;
   unsigned ShardMask = 0;
   size_t BytesStart = 0;
-  size_t BytesEnd = 0; ///< End of blob space (v2: sidecar start).
+  size_t BytesEnd = 0; ///< End of blob space (the sidecar start).
   std::vector<ShardTable> Tables;
   mutable std::atomic<uint64_t> ReadFallbackChecks{0};
   mutable std::atomic<uint64_t> ReadVerifiedCollisions{0};

@@ -73,9 +73,11 @@ namespace hma {
 /// Tuning and testing knobs for \ref appendSegment.
 struct SegmentAppendOptions {
   unsigned Threads = 1; ///< Ingest parallelism for staging the delta.
-  /// Shard count for the new segment (independent of older segments;
-  /// each segment file carries its own directory).
-  unsigned Shards = 64;
+  /// Shard count for the new segment (each segment file carries its own
+  /// directory). 0 keeps the newest segment's striping, which is also
+  /// what compaction inherits, so an append never re-stripes the index
+  /// by accident.
+  unsigned Shards = 0;
   /// Crash-window simulation: return (successfully, with \ref
   /// SegmentAppendResult::Aborted set) after the segment file is written
   /// but *before* the manifest swap -- the exact state a crash between
@@ -167,7 +169,8 @@ SegmentAppendResult appendSegment(const std::string &Dir,
 
   // Stage the delta in a scratch index under the manifest's schema.
   typename AlphaHashIndex<H>::Options IxOpts;
-  IxOpts.Shards = Opts.Shards;
+  IxOpts.Shards =
+      Opts.Shards ? Opts.Shards : Set.Set->segments().front()->numShards();
   IxOpts.Seed = M.Seed;
   AlphaHashIndex<H> Delta(IxOpts);
   Delta.insertBatch(DeltaBlobs, Opts.Threads);
@@ -206,7 +209,7 @@ SegmentAppendResult appendSegment(const std::string &Dir,
 
   IoEnv &Env = Opts.Env ? *Opts.Env : IoEnv::system();
   R.SegmentName = segmentFileName(M.NextId);
-  const std::string Image = saveIndexBytes(Delta, iio::Version, &Stats);
+  const std::string Image = saveIndexBytes(Delta, &Stats);
   if (!writeFileReplacing(Dir + "/" + R.SegmentName, Image, &R.Error, Env))
     return R;
   if (Opts.AbortAfterSegmentWrite) {

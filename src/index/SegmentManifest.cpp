@@ -76,10 +76,9 @@ bool SegmentManifest::decode(std::string_view Bytes, SegmentManifest &Out,
 
   const char *P = Bytes.data();
   Out.Version = static_cast<uint32_t>(iio::getWordLE(P + 4, 4));
-  if (Out.Version < smf::MinVersion || Out.Version > smf::Version)
+  if (Out.Version != smf::Version)
     return decodeFail("unsupported manifest version " +
                           std::to_string(Out.Version) + " (reader speaks " +
-                          std::to_string(smf::MinVersion) + ".." +
                           std::to_string(smf::Version) + ")",
                       4, Error, ErrorPos);
   Out.Seed = iio::getWordLE(P + 8, 8);

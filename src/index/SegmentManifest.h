@@ -4,15 +4,16 @@
 /// The manifest of a *segmented* index: a directory holding immutable
 /// `HMAI` segment files plus one `MANIFEST` file naming them.
 ///
-/// Why segments exist: `hma index update` on a single `HMAI` file is
-/// O(index) -- reopen everything, ingest the delta, rewrite everything.
-/// A segmented index turns an update into an O(delta) append: the delta
+/// Why segments exist: a single `HMAI` file is a read-only build output
+/// -- growing it means reopening everything, ingesting the delta and
+/// rewriting everything, O(index). A segmented index is the index that
+/// grows: an update is an O(delta) append: the delta
 /// is ingested into a fresh in-memory index, written as one new (small)
 /// segment file, and the manifest is atomically rewritten to list it.
 /// Reads probe the segments newest-first (\ref SegmentedIndex); a
 /// compactor (\ref index/SegmentCompactor.h) merges segments back into
 /// one and swaps the manifest again. The segment files themselves are
-/// plain `HMAI` v2 images -- nothing in the per-file format changes.
+/// plain `HMAI` images -- nothing in the per-file format changes.
 ///
 /// `MANIFEST` layout (fixed-width little-endian, like `HMAI`):
 ///
@@ -71,8 +72,7 @@ namespace hma {
 namespace smf {
 
 constexpr char Magic[4] = {'H', 'M', 'A', 'S'};
-constexpr uint32_t Version = 1;     ///< Version this writer emits.
-constexpr uint32_t MinVersion = 1;  ///< Oldest version this reader accepts.
+constexpr uint32_t Version = 1; ///< The one version read and written.
 constexpr size_t FixedHeaderSize = 32; ///< Bytes before the entry list.
 constexpr size_t ChecksumSize = 8;
 

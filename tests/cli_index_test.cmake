@@ -5,69 +5,15 @@
 #   cmake -DHMA=<path to hma> -DWORK=<scratch dir> -P cli_index_test.cmake
 #
 # (ctest registers it as `cli_index_test`). Covers the single-file
-# build / stats / open / query / update flow, and the two tools that
-# rebuild a file from the verified mapped reader: the re-shard
-# (`open F --shards S --out G`) and the in-place rewrite (`open F --out
-# F`). Every `open` serves the mapped reader; the retired `--load` and
-# `--mmap` flags must be refused.
+# build / stats / open / query flow, the two tools that rebuild a file
+# from the verified mapped reader -- the re-shard (`open F --shards S
+# --out G`) and the byte-identical re-save (`open F --out F`) -- and
+# that a single file is read-only: `update` refuses it. Every `open`
+# serves the mapped reader; the retired `--load` and `--mmap` flags must
+# be refused.
 
-cmake_minimum_required(VERSION 3.19) # string(JSON)
-
-if(NOT HMA OR NOT WORK)
-  message(FATAL_ERROR "usage: cmake -DHMA=<hma> -DWORK=<dir> -P ${CMAKE_CURRENT_LIST_FILE}")
-endif()
-file(REMOVE_RECURSE "${WORK}")
-file(MAKE_DIRECTORY "${WORK}")
-
-# Run hma with ARGN in WORK; RC_VAR gets the exit code, OUT_VAR stdout
-# and ERR_VAR stderr.
-function(run_hma RC_VAR OUT_VAR ERR_VAR)
-  execute_process(COMMAND "${HMA}" ${ARGN}
-                  WORKING_DIRECTORY "${WORK}"
-                  RESULT_VARIABLE RC OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR)
-  set(${RC_VAR} "${RC}" PARENT_SCOPE)
-  set(${OUT_VAR} "${OUT}" PARENT_SCOPE)
-  set(${ERR_VAR} "${ERR}" PARENT_SCOPE)
-endfunction()
-
-# hma ARGN must exit 0; OUT_VAR gets stdout.
-function(expect_ok OUT_VAR)
-  run_hma(RC OUT ERR ${ARGN})
-  if(NOT RC EQUAL 0)
-    message(FATAL_ERROR "hma ${ARGN}: exit ${RC}, expected 0:\n${ERR}")
-  endif()
-  set(${OUT_VAR} "${OUT}" PARENT_SCOPE)
-endfunction()
-
-# hma ARGN must exit non-zero with NEEDLE on stderr.
-function(expect_fail NEEDLE)
-  run_hma(RC OUT ERR ${ARGN})
-  if(RC EQUAL 0)
-    message(FATAL_ERROR "hma ${ARGN}: exit 0, expected a failure")
-  endif()
-  string(FIND "${ERR}" "${NEEDLE}" POS)
-  if(POS EQUAL -1)
-    message(FATAL_ERROR "hma ${ARGN}: stderr lacks '${NEEDLE}':\n${ERR}")
-  endif()
-endfunction()
-
-# Write hma gen ARGN to FILE in WORK.
-function(gen FILE)
-  execute_process(COMMAND "${HMA}" gen ${ARGN}
-                  OUTPUT_FILE "${WORK}/${FILE}" RESULT_VARIABLE RC)
-  if(NOT RC EQUAL 0)
-    message(FATAL_ERROR "hma gen ${ARGN}: exit ${RC}")
-  endif()
-endfunction()
-
-# The numbered answer lines of `open INDEX query --batch queries.txt`
-# (the timing summary line dropped), into OUT_VAR.
-function(batch_answers OUT_VAR INDEX)
-  expect_ok(OUT index open ${INDEX} query --batch queries.txt --threads 2)
-  string(REPLACE "\n" ";" LINES "${OUT}")
-  list(FILTER LINES INCLUDE REGEX "^[0-9]+ (present|absent)")
-  set(${OUT_VAR} "${LINES}" PARENT_SCOPE)
-endfunction()
+cmake_minimum_required(VERSION 3.16)
+include("${CMAKE_CURRENT_LIST_DIR}/cli_util.cmake")
 
 gen(corpus.txt --family balanced --size 32 --count 600 --seed 42)
 gen(fresh.txt --family balanced --size 32 --count 100 --seed 43)
@@ -78,7 +24,7 @@ list(APPEND CORPUS_LINES ${FRESH_LINES})
 list(JOIN CORPUS_LINES "\n" QUERIES)
 file(WRITE "${WORK}/queries.txt" "${QUERIES}\n")
 
-# The single-file flow: build, stats, open, query, update.
+# The single-file flow: build, stats, open, query.
 expect_ok(OUT index build corpus.txt --threads 2 --out index.hmai)
 expect_ok(OUT index stats corpus.txt --threads 2)
 expect_ok(OUT index open index.hmai stats)
@@ -89,14 +35,12 @@ run_hma(RC OUT ERR index query corpus.txt --expr "(lam (x) x)")
 if(NOT RC EQUAL 0 AND NOT RC EQUAL 1)
   message(FATAL_ERROR "index query --expr: exit ${RC}:\n${ERR}")
 endif()
-batch_answers(ORIGINAL index.hmai)
+batch_answers(ORIGINAL index.hmai queries.txt)
 list(LENGTH ORIGINAL N)
 if(NOT N EQUAL 250)
   message(FATAL_ERROR "expected 250 batch answers, got ${N}")
 endif()
-set(HIT_LINES "${ORIGINAL}")
-list(FILTER HIT_LINES INCLUDE REGEX " present ")
-list(LENGTH HIT_LINES HITS)
+count_hits(HITS "${ORIGINAL}")
 if(HITS EQUAL 0 OR HITS EQUAL 250)
   message(FATAL_ERROR "expected both hits and misses, got ${HITS} hits")
 endif()
@@ -104,18 +48,14 @@ endif()
 # Re-shard: the rebuilt file answers exactly like the original, over
 # the requested striping.
 expect_ok(OUT index open index.hmai --shards 4 --out resharded.hmai)
-batch_answers(RESHARDED resharded.hmai)
+batch_answers(RESHARDED resharded.hmai queries.txt)
 if(NOT RESHARDED STREQUAL ORIGINAL)
   message(FATAL_ERROR "re-sharded answers differ from the original's")
 endif()
 expect_ok(OUT index open resharded.hmai stats)
-string(FIND "${OUT}" "/4 occupied" POS)
-if(POS EQUAL -1)
-  message(FATAL_ERROR "resharded.hmai is not striped over 4 shards:\n${OUT}")
-endif()
+expect_contains("${OUT}" "/4 occupied" "stats of resharded.hmai")
 
-# In-place rewrite (the v1 -> v2 upgrade recipe): a current-format file
-# comes back byte-identical.
+# In-place re-save: a file comes back byte-identical.
 file(SHA256 "${WORK}/index.hmai" BEFORE)
 expect_ok(OUT index open index.hmai --out index.hmai)
 file(SHA256 "${WORK}/index.hmai" AFTER)
@@ -136,20 +76,25 @@ endif()
 expect_fail("cannot open 'missing.hmai': No such file or directory"
             index open missing.hmai)
 
-# update rewrites the file; --json puts one machine summary on stdout.
-expect_ok(OUT index update index.hmai more.txt --threads 2 --json)
-string(JSON MODE GET "${OUT}" mode)
-string(JSON BEFORE_N GET "${OUT}" classes_before)
-string(JSON AFTER_N GET "${OUT}" classes_after)
-if(NOT MODE STREQUAL "rewrite" OR AFTER_N LESS_EQUAL BEFORE_N)
-  message(FATAL_ERROR "update --json: unexpected summary ${OUT}")
+# A single file is read-only: update exits 2, points at a segment
+# directory, and leaves the file's bytes alone. (--out belongs to build
+# and open only.)
+file(SHA256 "${WORK}/index.hmai" BEFORE)
+run_hma(RC OUT ERR index update index.hmai more.txt --threads 2)
+if(NOT RC EQUAL 2)
+  message(FATAL_ERROR "update on a single file: exit ${RC}, expected 2:\n${ERR}")
 endif()
-expect_ok(OUT index open index.hmai stats)
-# fsck's deep check (open + verify) calls the rewritten file healthy.
+expect_contains("${ERR}" "--segmented" "stderr of update on a single file")
+expect_fail("--out applies to" index update index.hmai more.txt --out copy.hmai)
+file(SHA256 "${WORK}/index.hmai" AFTER)
+if(NOT BEFORE STREQUAL AFTER)
+  message(FATAL_ERROR "a refused update changed index.hmai")
+endif()
+if(EXISTS "${WORK}/copy.hmai")
+  message(FATAL_ERROR "a refused update still wrote copy.hmai")
+endif()
+# fsck's deep check (open + verify) calls the file healthy.
 expect_ok(OUT index fsck index.hmai)
-string(FIND "${OUT}" "state: healthy" POS)
-if(POS EQUAL -1)
-  message(FATAL_ERROR "fsck of the rewritten file:\n${OUT}")
-endif()
+expect_contains("${OUT}" "state: healthy" "fsck of index.hmai")
 
 file(REMOVE_RECURSE "${WORK}")

@@ -252,6 +252,32 @@ std::string validIndexBytes() {
   return saveIndexBytes(Live);
 }
 
+/// \p V2 rewritten in the retired v1 layout: the 80-byte header without
+/// the sidecar fields, every absolute offset 16 bytes lower, and no
+/// sidecar.
+std::string asV1Image(const std::string &V2) {
+  IndexFileInfo Info;
+  EXPECT_TRUE(probeIndexBytes(V2, Info));
+  constexpr size_t V1HeaderSize = 80;
+  constexpr size_t Shift = iio::HeaderSize - V1HeaderSize;
+  std::string V1 =
+      V2.substr(0, V1HeaderSize) +
+      V2.substr(iio::HeaderSize, Info.SidecarOffset - iio::HeaderSize);
+  V1[4] = 1;
+  auto Lower = [&](size_t Pos) {
+    const uint64_t V = iio::getWordLE(V1.data() + Pos, 8) - Shift;
+    for (unsigned I = 0; I != 8; ++I)
+      V1[Pos + I] = static_cast<char>((V >> (8 * I)) & 0xFF);
+  };
+  const size_t TablesStart = V1HeaderSize + Info.Shards * iio::DirEntrySize;
+  for (unsigned S = 0; S != Info.Shards; ++S)
+    Lower(V1HeaderSize + S * iio::DirEntrySize); // table offset
+  const size_t RecSize = Info.HashBits / 8 + 24;
+  for (uint64_t I = 0; I != Info.NumClasses; ++I)
+    Lower(TablesStart + I * RecSize + Info.HashBits / 8); // blob offset
+  return V1;
+}
+
 /// The validator's verdict on \p Bytes read at width H: `open`, then
 /// `verify`. Empty when both pass, else the diagnostic (and, if
 /// non-null, its byte offset in \p Pos).
@@ -289,6 +315,24 @@ TEST(IndexIO, MalformedFilesAreRejectedWithDiagnostics) {
     EXPECT_EQ(Pos, 4u);
   }
   {
+    // The retired sidecar-free v1 layout is refused at the version
+    // field, by the validator and by fsck alike.
+    const std::string V1 = asV1Image(Good);
+    size_t Pos = 0;
+    std::string Error = validatorError<Hash128>(V1, &Pos);
+    EXPECT_NE(Error.find("unsupported index version 1"), std::string::npos)
+        << Error;
+    EXPECT_EQ(Pos, 4u);
+    const std::string Path = "index_io_test_v1.hmai";
+    std::string WriteError;
+    ASSERT_TRUE(writeFileReplacing(Path, V1, &WriteError)) << WriteError;
+    FsckReport R = fsckIndex(Path);
+    std::remove(Path.c_str());
+    EXPECT_FALSE(R.Serviceable);
+    ASSERT_EQ(R.Issues.size(), 1u) << R.render(Path);
+    EXPECT_EQ(R.Issues[0].Detail, Error);
+  }
+  {
     std::string Bad = Good;
     Bad[20] = 3; // shard count: not a power of two
     std::string Error = validatorError<Hash128>(Bad);
@@ -323,58 +367,10 @@ TEST(IndexIO, ProbeReportsCompatibilitySurfaceWithoutLoading) {
   EXPECT_EQ(Info.Shards, 8u);
   EXPECT_EQ(Info.NumClasses, 40u);
   EXPECT_GT(Info.Stats.Inserted, 0u);
-  // The default save carries the probe sidecar as the file's tail
-  // region: one (BFS hash, rank) pair per class.
-  ASSERT_TRUE(Info.hasSidecar());
+  // The probe sidecar is the file's tail region: one (BFS hash, rank)
+  // pair per class.
   EXPECT_EQ(Info.SidecarLength, Info.NumClasses * iio::sidecarEntrySize(128));
   EXPECT_EQ(Info.SidecarOffset + Info.SidecarLength, Good.size());
-}
-
-//===----------------------------------------------------------------------===//
-// v1 <-> v2: sidecar-free files serve via scalar fallback; both
-// versions re-save bit-identically
-//===----------------------------------------------------------------------===//
-
-TEST(IndexIOVersions, V1FilesOpenServeAndResaveBitIdentically) {
-  AlphaHashIndex<> Live({/*Shards=*/8, HashSchema::DefaultSeed});
-  Live.insertBatch(dupHeavyCorpus(612), 1);
-  std::string V1 = saveIndexBytes(Live, /*FormatVersion=*/1);
-  std::string V2 = saveIndexBytes(Live);
-  ASSERT_LT(V1.size(), V2.size()); // v2 = v1 + 16 header bytes + sidecar
-
-  IndexFileInfo Info;
-  std::string Error;
-  ASSERT_TRUE(probeIndexBytes(V1, Info, &Error)) << Error;
-  EXPECT_EQ(Info.Version, 1u);
-  EXPECT_FALSE(Info.hasSidecar());
-
-  // The mapped reader opens v1 and verifies it; with no sidecar it
-  // probes by scalar search, while the v2 image carries the sidecar.
-  auto M = MappedIndex<Hash128>::openBytes(V1);
-  ASSERT_TRUE(M.ok()) << M.Error;
-  EXPECT_TRUE(M.Reader->verify());
-  EXPECT_FALSE(M.Reader->hasProbeSidecar());
-  auto M2 = MappedIndex<Hash128>::openBytes(V2);
-  ASSERT_TRUE(M2.ok()) << M2.Error;
-  EXPECT_TRUE(M2.Reader->hasProbeSidecar());
-
-  // v1 answers == v2 answers, query for query.
-  std::vector<std::string> Queries = dupHeavyCorpus(612);
-  expectSameLookupAnswers(M.Reader->lookupBatch(Queries, 2),
-                          M2.Reader->lookupBatch(Queries, 2),
-                          "v1 scalar vs v2 sidecar");
-
-  // The index restored from the verified v1 reader is the saved one.
-  auto L = restoreVerified<Hash128>(V1);
-  ASSERT_NE(L, nullptr);
-  expectSnapshotEq(Live, *L);
-  expectStatsEq(Live.stats(), L->stats());
-
-  // Round-trips are bit-identical within each version, and upgrading a
-  // v1 file (restore, save at the default version) reproduces the direct
-  // v2 image -- the sidecar is a pure function of the class table.
-  EXPECT_EQ(saveIndexBytes(*L, /*FormatVersion=*/1), V1);
-  EXPECT_EQ(saveIndexBytes(*L), V2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -528,7 +524,7 @@ AdversarialFixture singleShardFixture() {
   F.Queries.push_back("garbage");
   F.Image = saveIndexBytes(Live);
   F.NumRecords = Live.numClasses();
-  F.TablesStart = iio::headerSize(iio::Version) + iio::DirEntrySize; // 1 shard
+  F.TablesStart = iio::HeaderSize + iio::DirEntrySize; // 1 shard
   F.RecSize = iio::recordSize<Hash128>();
   F.BytesStart = F.TablesStart + F.NumRecords * F.RecSize;
   F.SidecarStart =
@@ -571,8 +567,6 @@ TEST(IndexIOAdversarial, TruncationAtEveryRegionBoundaryRejects) {
                               sizeof(iio::Magic),
                               iio::HeaderSize - 1,
                               iio::HeaderSize,
-                              iio::HeaderSizeV2 - 1,
-                              iio::HeaderSizeV2,
                               F.TablesStart - 1,
                               F.TablesStart,
                               F.TablesStart + F.RecSize - 1,
@@ -594,7 +588,7 @@ TEST(IndexIOAdversarial, TruncationAtEveryRegionBoundaryRejects) {
 
 TEST(IndexIOAdversarial, HeaderBitFlipSweepRejectsExactlyTheStructuralFields) {
   AdversarialFixture F = singleShardFixture();
-  for (size_t Pos = 0; Pos != iio::headerSize(iio::Version); ++Pos) {
+  for (size_t Pos = 0; Pos != iio::HeaderSize; ++Pos) {
     for (unsigned char Bit : {0x01, 0x80}) {
       std::string Bad = F.Image;
       Bad[Pos] = static_cast<char>(static_cast<unsigned char>(Bad[Pos]) ^ Bit);
@@ -682,7 +676,7 @@ TEST(IndexIOAdversarial, TableFieldCorruptionsRejectOrStaySafe) {
 
 TEST(IndexIOAdversarial, DirectoryCorruptionsReject) {
   AdversarialFixture F = singleShardFixture();
-  const size_t DirPos = iio::headerSize(iio::Version);
+  const size_t DirPos = iio::HeaderSize;
   const size_t Size = F.Image.size();
   // Table offset past EOF / count too large for the remaining bytes.
   expectValidatorVerdict(patchWord64(F.Image, DirPos, Size + 1), F.Queries,
@@ -729,7 +723,7 @@ TEST(IndexIOAdversarial, SidecarContentCorruptionsReject) {
 }
 
 TEST(IndexIOAdversarial, FsckDeepCheckAndVerifyRejectTheSameSidecarRank) {
-  // fsck's deep check is open + verify over the file's bytes: a v2 file
+  // fsck's deep check is open + verify over the file's bytes: a file
   // with one corrupted sidecar rank is damage to both.
   AdversarialFixture F = singleShardFixture();
   const std::string Bad = flipSidecarRank(F, F.NumRecords / 2);

@@ -24,6 +24,7 @@
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -381,61 +382,59 @@ TEST(MappedIndex, SingleClassIndexRoundTripsMappedAndRestored) {
 }
 
 //===----------------------------------------------------------------------===//
-// Probe differential battery: v1 (scalar) vs v2 (Eytzinger) vs live
+// Probe differential battery: the Eytzinger descent vs the live index
 //
-// The file format picks the probe: a v1 image has no sidecar and runs
-// the scalar binary search, a v2 image runs the Eytzinger descent with
-// fences. Both images of one live index must be *byte-identical* oracles
-// of each other and of the live index: same hits, same misses, same
-// canonical bytes, same collision fallbacks -- on every table shape that
-// stresses a different part of the descent (empty shards, single-record
-// shards, duplicate-hash runs, fence-sized shards) and under a
-// multi-threaded mixed batch.
+// Every image carries the probe sidecar, so every mapped lookup runs the
+// Eytzinger descent with fences. An image must be a byte-identical
+// oracle of the live index it was saved from: same hits, same misses,
+// same canonical bytes, same collision fallbacks -- on every table shape
+// that stresses a different part of the descent (empty shards,
+// single-record shards, duplicate-hash runs, fence-sized shards) and
+// under a multi-threaded mixed batch.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Open \p Live's image at format \p Version and check that the format
-/// picked the expected probe (v2 carries the sidecar, v1 does not).
+/// Save \p Live into \p Image and open and verify it.
 template <typename H>
-typename MappedIndex<H>::OpenResult
-openAtVersion(const AlphaHashIndex<H> &Live, std::string &Image,
-              uint32_t Version) {
-  Image = saveIndexBytes(Live, Version);
+typename MappedIndex<H>::OpenResult openImage(const AlphaHashIndex<H> &Live,
+                                              std::string &Image) {
+  Image = saveIndexBytes(Live);
   auto M = MappedIndex<H>::openBytes(Image);
   EXPECT_TRUE(M.ok()) << M.Error;
-  if (M.ok()) {
-    EXPECT_TRUE(M.Reader->verify());
-    EXPECT_EQ(M.Reader->hasProbeSidecar(), Version == 2);
-  }
+  EXPECT_TRUE(M.ok() && M.Reader->verify());
   return M;
 }
 
-/// Drive \p Queries through \p Live and its v1 and v2 images and demand
-/// byte-identical answers, single- and 8-threaded; the exact-verify
-/// counters of the two images must agree after the identical streams.
+/// Drive \p Queries through \p Live and its image and demand
+/// byte-identical answers, single- and 8-threaded. The live copy
+/// restored from the image walks each duplicate-hash run in the same
+/// (file) order as the mapped reader, so after identical streams their
+/// exact-verify counters agree too -- which they only do if every
+/// descent lands on the first record of its run.
 template <typename H>
 void expectProbesAgree(const AlphaHashIndex<H> &Live,
                        const std::vector<std::string> &Queries,
                        const std::string &What) {
-  std::string V1Image, V2Image;
-  auto V1 = openAtVersion(Live, V1Image, 1);
-  auto V2 = openAtVersion(Live, V2Image, 2);
-  ASSERT_TRUE(V1.ok() && V2.ok());
+  std::string Image;
+  auto M = openImage(Live, Image);
+  ASSERT_TRUE(M.ok());
+  auto Restored = restoreVerified<H>(Image);
+  ASSERT_NE(Restored, nullptr);
   for (unsigned Threads : {1u, 8u}) {
-    auto FromLive = Live.lookupBatch(Queries, Threads);
-    auto Scalar = V1.Reader->lookupBatch(Queries, Threads);
-    auto Eytz = V2.Reader->lookupBatch(Queries, Threads);
+    auto FromMapped = M.Reader->lookupBatch(Queries, Threads);
     std::string Tag = What + " (threads=" + std::to_string(Threads) + ")";
-    expectSameLookupAnswers(Scalar, Eytz, Tag + " v1-vs-v2");
-    expectSameLookupAnswers(FromLive, Eytz, Tag + " live-vs-v2");
+    expectSameLookupAnswers(Live.lookupBatch(Queries, Threads), FromMapped,
+                            Tag + " live-vs-mapped");
+    expectSameLookupAnswers(Restored->lookupBatch(Queries, Threads),
+                            FromMapped, Tag + " restored-vs-mapped");
   }
-  expectStatsEq(V1.Reader->stats(), V2.Reader->stats());
+  expectStatsEq(Restored->stats(), M.Reader->stats());
 }
 
 } // namespace
 
-TEST(MappedIndexProbe, V1AndV2AgreeOnEmptyAndSingleRecordShards) {
+TEST(MappedIndexProbe, EmptyAndSingleRecordShardsAnswerLikeTheLiveIndex) {
   // Empty index: every shard's tree is empty, every descent terminates
   // immediately.
   {
@@ -479,11 +478,11 @@ TEST(MappedIndexProbe, FenceSkipEngagesOnLargeShardsAndStaysExact) {
                     "fence-active single shard");
 }
 
-TEST(MappedIndexProbe16, V1AndV2AgreeOnDuplicateHashRunsAndCollisions) {
+TEST(MappedIndexProbe16, DuplicateHashRunsAndCollisionsAnswerLikeTheLiveIndex) {
   // b=16 with a forced collision and hundreds of random classes: the
   // record tables carry duplicate-hash runs, so the lower bound must
   // land on the *first* record of a run for the candidate scan (and the
-  // collision fallback) to see candidates in file order on both probes.
+  // collision fallback) to see candidates in file order.
   ExprContext Ctx;
   Rng R(4242);
   AlphaHashIndex<Hash16> Live({/*Shards=*/4, HashSchema::DefaultSeed});
@@ -507,12 +506,13 @@ TEST(MappedIndexProbe16, V1AndV2AgreeOnDuplicateHashRunsAndCollisions) {
   }
   Queries.push_back("garbage");
 
-  // Both probes see identical candidate lists, so even the *stats*
-  // agree after identical streams (checked by expectProbesAgree): same
-  // fallback checks, same refutations -- and some of each.
+  // The mapped and restored readers see identical candidate lists, so
+  // even the *stats* agree after identical streams (checked by
+  // expectProbesAgree): same fallback checks, same refutations -- and
+  // some of each.
   expectProbesAgree(Live, Queries, "b=16 dup runs");
   std::string Image;
-  auto M = openAtVersion(Live, Image, 2);
+  auto M = openImage(Live, Image);
   ASSERT_TRUE(M.ok());
   const IndexStats Before = M.Reader->stats();
   M.Reader->lookupBatch(Queries, 2);
@@ -520,34 +520,45 @@ TEST(MappedIndexProbe16, V1AndV2AgreeOnDuplicateHashRunsAndCollisions) {
   EXPECT_GT(M.Reader->stats().VerifiedCollisions, Before.VerifiedCollisions);
 }
 
-TEST(MappedIndexProbe, ProbeHashCountsAgreeBetweenV1AndV2) {
-  AlphaHashIndex<> Live({/*Shards=*/4, HashSchema::DefaultSeed});
-  std::vector<std::string> Corpus = dupCorpus(80, 13);
-  Live.insertBatch(Corpus, 1);
-
-  // Member hashes (counts >= 1, duplicates > 1), plus misses.
+TEST(MappedIndexProbe16, ProbeHashCountsMatchTheSortedSnapshot) {
+  // b=16 over few shards: many hashes carry duplicate-hash runs, so each
+  // count is the length of a run, not just 0 or 1.
   ExprContext Ctx;
-  AlphaHasher<Hash128> H(Ctx, Live.schema());
   Rng R(21);
-  std::vector<Hash128> Hashes;
+  AlphaHashIndex<Hash16> Live({/*Shards=*/4, HashSchema::DefaultSeed});
+  AlphaHasher<Hash16> H(Ctx, Live.schema());
+  for (int I = 0; I != 3000; ++I)
+    Live.insert(Ctx, genBalanced(Ctx, R, 12 + I % 20));
+
+  // Reference: std::equal_range over the snapshot's sorted hashes.
+  std::vector<Hash16> Sorted;
   for (const auto &C : Live.snapshot())
-    Hashes.push_back(C.Hash);
-  for (int I = 0; I != 20; ++I)
+    Sorted.push_back(C.Hash);
+  ASSERT_TRUE(std::is_sorted(Sorted.begin(), Sorted.end()));
+  // Every stored hash (so every run), plus fresh hashes that mostly miss.
+  std::vector<Hash16> Hashes = Sorted;
+  for (int I = 0; I != 200; ++I)
     Hashes.push_back(H.hashRoot(genBalanced(Ctx, R, 33)));
 
-  std::string V1Image, V2Image;
-  auto V1 = openAtVersion(Live, V1Image, 1);
-  auto V2 = openAtVersion(Live, V2Image, 2);
-  ASSERT_TRUE(V1.ok() && V2.ok());
-  std::vector<uint32_t> Scalar, Eytz;
-  V1.Reader->probeHashCounts(Hashes, Scalar);
-  V2.Reader->probeHashCounts(Hashes, Eytz);
-  ASSERT_EQ(Scalar.size(), Hashes.size());
-  // b=128: every stored class hash probes to exactly its own record, and
-  // the fresh hashes to nothing.
-  for (size_t I = 0; I != Hashes.size(); ++I)
-    EXPECT_EQ(Scalar[I], I < Live.numClasses() ? 1u : 0u) << "hash " << I;
-  EXPECT_EQ(Eytz, Scalar);
+  std::string Image;
+  auto M = openImage(Live, Image);
+  ASSERT_TRUE(M.ok());
+  std::vector<uint32_t> Counts;
+  M.Reader->probeHashCounts(Hashes, Counts);
+  ASSERT_EQ(Counts.size(), Hashes.size());
+  size_t Runs = 0, Misses = 0;
+  uint64_t StoredRecords = 0; // each run counted once, at its first hash
+  for (size_t I = 0; I != Hashes.size(); ++I) {
+    auto [Lo, Hi] = std::equal_range(Sorted.begin(), Sorted.end(), Hashes[I]);
+    EXPECT_EQ(Counts[I], static_cast<uint32_t>(Hi - Lo)) << "hash " << I;
+    Runs += Counts[I] > 1;
+    Misses += Counts[I] == 0;
+    if (I < Sorted.size() && (I == 0 || Sorted[I - 1] != Sorted[I]))
+      StoredRecords += Counts[I];
+  }
+  EXPECT_EQ(StoredRecords, Live.numClasses());
+  EXPECT_GT(Runs, 0u);   // some duplicate-hash runs...
+  EXPECT_GT(Misses, 0u); // ...and some definite misses
 }
 
 //===----------------------------------------------------------------------===//

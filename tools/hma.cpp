@@ -15,7 +15,7 @@
 ///   hma index query <corpus> [--expr E | --expr-file F | --batch FILE]
 ///   hma index stats <corpus> [--threads T] [--shards S]
 ///   hma index open <file> [stats | query ...] [--out FILE [--shards S]]
-///   hma index update <file|dir> <corpus> [--threads T] [--out FILE]
+///   hma index update <dir> <corpus> [--threads T] [--shards S]
 ///   hma index compact <dir>
 ///   hma index gc <dir> [--min-age-seconds N]
 ///   hma index fsck <path> [--repair]
@@ -25,11 +25,11 @@
 /// container. `index build --out` writes a binary "HMAI" *index* file
 /// (classes + counts + stats); `index open` serves queries from it
 /// without re-ingesting anything, over the zero-copy mmap'd reader
-/// (`MappedIndex`, tables verified up front), and `index update`
-/// appends a corpus to it and rewrites the file. Both rebuild a live
-/// index only from a verified reader (`AlphaHashIndex::restore`). Exit
-/// status is non-zero on parse/usage errors, with a byte-offset
-/// diagnostic.
+/// (`MappedIndex`, tables verified up front). A single file is a
+/// read-only build output; an index that grows is a segment directory
+/// (`index build --segmented`), which `index update` appends to and
+/// `index compact` merges. Exit status is non-zero on parse/usage
+/// errors, with a byte-offset diagnostic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,14 +123,15 @@ int usage() {
       "             checked up front (--no-verify skips the check for an\n"
       "             open independent of index size; reads stay\n"
       "             bounds-checked). --out rebuilds the verified file at\n"
-      "             FILE first (the current format version; --shards\n"
-      "             re-stripes it)\n"
-      "  index update <file|dir> <corpus> [--threads T] [--out FILE]\n"
+      "             FILE first (--shards re-stripes it)\n"
+      "  index update <dir> <corpus> [--threads T] [--shards S]\n"
       "             [--json] [--auto-compact N] [--crash-after-segment]\n"
-      "             single HMAI file: reopen, ingest the corpus, rewrite\n"
-      "             in place (--out: write elsewhere). Segment\n"
-      "             directory: append the delta as one new segment --\n"
-      "             O(delta), existing segments untouched.\n"
+      "             append the corpus to a segment directory as one new\n"
+      "             segment -- O(delta), existing segments untouched;\n"
+      "             striped like the newest segment unless --shards is\n"
+      "             given. A single HMAI file is read-only: rebuild it\n"
+      "             with `index build`, or grow a `build --segmented`\n"
+      "             directory instead.\n"
       "             --auto-compact N compacts when the directory reaches\n"
       "             N segments; --json emits a machine summary on\n"
       "             stdout (narrative goes to stderr);\n"
@@ -366,7 +367,7 @@ struct IndexArgs {
   unsigned Threads = std::max(1u, std::thread::hardware_concurrency());
   unsigned Shards = 64;
   bool ShardsSet = false; ///< --shards given explicitly (open --out and
-                          ///< update re-stripe a file only on request).
+                          ///< update re-stripe only on request).
   bool NoVerify = false;  ///< --no-verify: skip the mapped table check.
   bool Segmented = false; ///< --segmented: build a segment directory.
   unsigned AutoCompact = 0; ///< --auto-compact: compact at N segments.
@@ -532,12 +533,12 @@ bool readCorpus(const char *Path, CorpusLoadResult &Corpus) {
   return true;
 }
 
-/// Ingest \p Corpus, printing the one-line build summary. The duplicate
-/// count is for *this* ingest only (an opened index may carry restored
-/// duplicates from previous runs in its cumulative stats).
-void ingestCorpus(const IndexArgs &A, AlphaHashIndex<Hash128> &Index,
-                  const CorpusLoadResult &Corpus) {
-  uint64_t DupesBefore = Index.stats().Duplicates;
+/// Load + ingest a corpus into a fresh index, printing the one-line
+/// build summary.
+bool buildIndex(const IndexArgs &A, AlphaHashIndex<Hash128> &Index) {
+  CorpusLoadResult Corpus;
+  if (!readCorpus(A.Path, Corpus))
+    return false;
   auto Start = std::chrono::steady_clock::now();
   auto Batch = Index.insertBatch(Corpus.Blobs, A.Threads);
   auto End = std::chrono::steady_clock::now();
@@ -548,20 +549,12 @@ void ingestCorpus(const IndexArgs &A, AlphaHashIndex<Hash128> &Index,
                "%zu expressions -> %zu classes (%llu duplicates merged, "
                "%llu decode errors)\n",
                Corpus.Blobs.size(), Index.numClasses(),
-               static_cast<unsigned long long>(S.Duplicates - DupesBefore),
+               static_cast<unsigned long long>(S.Duplicates),
                static_cast<unsigned long long>(Batch.DecodeErrors));
   std::fprintf(A.narrate(),
                "ingest: %u threads, %u shards, %.3f s, %.0f exprs/sec\n",
                A.Threads, Index.numShards(), Sec,
                Sec > 0 ? static_cast<double>(Batch.Ingested) / Sec : 0.0);
-}
-
-/// Load + ingest a corpus, printing the one-line build summary.
-bool buildIndex(const IndexArgs &A, AlphaHashIndex<Hash128> &Index) {
-  CorpusLoadResult Corpus;
-  if (!readCorpus(A.Path, Corpus))
-    return false;
-  ingestCorpus(A, Index, Corpus);
   return true;
 }
 
@@ -794,8 +787,7 @@ std::unique_ptr<MappedIndex<Hash128>> openMappedIndex(const IndexArgs &A) {
 
 /// Rebuild a live index from a verified mapped reader, re-striped over
 /// `--shards` if given explicitly (placement is a pure function of the
-/// hash, so that is always safe): how `open --out` re-saves a file and
-/// `update` gets an index it can ingest into.
+/// hash, so that is always safe): how `open --out` re-saves a file.
 std::unique_ptr<AlphaHashIndex<Hash128>>
 restoreIndex(const IndexArgs &A, const MappedIndex<Hash128> &Reader) {
   return AlphaHashIndex<Hash128>::restore(
@@ -888,8 +880,7 @@ int cmdIndexOpen(const IndexArgs &A) {
   auto Mapped = openMappedIndex(A);
   if (!Mapped)
     return 1;
-  // `open F --shards 8 --out G` is the re-shard tool, and `open old.hmai
-  // --out old.hmai` upgrades a v1 file in place: rebuild from the
+  // `open F --shards 8 --out G` is the re-shard tool: rebuild from the
   // verified reader and persist, then serve F as usual.
   if (A.OutPath && !writeIndexFile(A, *restoreIndex(A, *Mapped), A.OutPath))
     return 1;
@@ -899,25 +890,27 @@ int cmdIndexOpen(const IndexArgs &A) {
 /// `update --json`'s machine summary: one JSON object on stdout (all
 /// narrative goes to stderr), so scripted pipelines can parse the
 /// outcome without scraping prose.
-void emitUpdateJson(uint64_t Before, uint64_t After, const char *Mode,
-                    const SegmentAppendResult *Seg) {
+void emitUpdateJson(const SegmentAppendResult &R) {
   std::printf("{\"classes_before\":%llu,\"classes_after\":%llu,"
-              "\"mode\":\"%s\"",
-              static_cast<unsigned long long>(Before),
-              static_cast<unsigned long long>(After), Mode);
-  if (Seg)
-    std::printf(",\"segment\":\"%s\",\"delta_classes\":%llu,\"fresh\":%llu",
-                Seg->SegmentName.c_str(),
-                static_cast<unsigned long long>(Seg->DeltaClasses),
-                static_cast<unsigned long long>(Seg->Fresh));
-  std::printf("}\n");
+              "\"mode\":\"segmented\",\"segment\":\"%s\","
+              "\"delta_classes\":%llu,\"fresh\":%llu}\n",
+              static_cast<unsigned long long>(R.ClassesBefore),
+              static_cast<unsigned long long>(R.ClassesAfter),
+              R.SegmentName.c_str(),
+              static_cast<unsigned long long>(R.DeltaClasses),
+              static_cast<unsigned long long>(R.Fresh));
 }
 
-/// `update` on a segment directory: O(delta) append, never a rewrite.
-int cmdIndexUpdateSegmented(const IndexArgs &A) {
-  if (A.OutPath) {
-    std::fprintf(stderr, "error: --out applies to single-file updates; a "
-                         "segmented update appends in place\n");
+/// `update` appends to a segment directory: O(delta), never a rewrite.
+/// A single HMAI file is a read-only build output and is refused.
+int cmdIndexUpdate(const IndexArgs &A) {
+  if (!isSegmentDir(A.Path)) {
+    std::fprintf(stderr,
+                 "error: '%s' is not a segment directory; a single HMAI "
+                 "file is read-only (rebuild it with `hma index build`, or "
+                 "create a growable index with `hma index build <corpus> "
+                 "--segmented --out DIR`)\n",
+                 A.Path);
     return 2;
   }
   CorpusLoadResult Corpus;
@@ -925,7 +918,7 @@ int cmdIndexUpdateSegmented(const IndexArgs &A) {
     return 1;
   SegmentAppendOptions Opts;
   Opts.Threads = A.Threads;
-  Opts.Shards = A.Shards;
+  Opts.Shards = A.ShardsSet ? A.Shards : 0; // 0: the newest segment's
   Opts.AbortAfterSegmentWrite = A.CrashAfterSegment;
   auto Start = std::chrono::steady_clock::now();
   SegmentAppendResult R = appendSegment<Hash128>(A.Path, Corpus.Blobs, Opts);
@@ -965,33 +958,7 @@ int cmdIndexUpdateSegmented(const IndexArgs &A) {
     }
   }
   if (A.Json)
-    emitUpdateJson(R.ClassesBefore, R.ClassesAfter, "segmented", &R);
-  return 0;
-}
-
-int cmdIndexUpdate(const IndexArgs &A) {
-  if (isSegmentDir(A.Path))
-    return cmdIndexUpdateSegmented(A);
-  auto Mapped = openMappedIndex(A);
-  if (!Mapped)
-    return 1;
-  auto Index = restoreIndex(A, *Mapped);
-  Mapped.reset(); // the live index owns copies of every class
-  CorpusLoadResult Corpus;
-  if (!readCorpus(A.CorpusPath, Corpus))
-    return 1;
-  size_t Before = Index->numClasses();
-  ingestCorpus(A, *Index, Corpus);
-  // Narrative, not machine output: under --json stdout carries only the
-  // JSON summary below.
-  std::fprintf(A.narrate(), "update: %zu -> %zu classes\n", Before,
-               Index->numClasses());
-  // Rewrite in place by default; --out redirects to a new file and
-  // leaves the original untouched.
-  if (!writeIndexFile(A, *Index, A.OutPath ? A.OutPath : A.Path))
-    return 1;
-  if (A.Json)
-    emitUpdateJson(Before, Index->numClasses(), "rewrite", nullptr);
+    emitUpdateJson(R);
   return 0;
 }
 
@@ -1322,6 +1289,15 @@ int cmdIndex(int Argc, char **Argv) {
   // not be silently swallowed.
   if (A.NoVerify && std::strcmp(A.Sub, "open") != 0) {
     std::fprintf(stderr, "error: --no-verify applies to `index open` only\n");
+    return 2;
+  }
+  // Only `build` and `open` write a file; a segmented `update` appends
+  // in place, and a single file is never updated.
+  if (A.OutPath && std::strcmp(A.Sub, "build") != 0 &&
+      std::strcmp(A.Sub, "open") != 0) {
+    std::fprintf(stderr,
+                 "error: --out applies to `index build` and `index open` "
+                 "only\n");
     return 2;
   }
   // --json/--prom reshape the stats report (and `update` emits a --json
