@@ -150,18 +150,6 @@ inline void hashAllWith(Algo A, const ExprContext &Ctx, const Expr *E) {
   }
 }
 
-/// Pool-allocation counters of an index BatchResult, normalised per
-/// ingested expression (0 when nothing was ingested). Shared by the
-/// ingest benchmarks so their alloc/expr columns cannot drift apart.
-template <typename BatchResult>
-std::pair<double, double> allocsPerExpr(const BatchResult &Batch) {
-  if (!Batch.Ingested)
-    return {0.0, 0.0};
-  double N = static_cast<double>(Batch.Ingested);
-  return {static_cast<double>(Batch.PoolNodesAllocated) / N,
-          static_cast<double>(Batch.SteadyPoolNodesAllocated) / N};
-}
-
 /// Pretty seconds: "123 ns" / "4.56 ms" / "7.89 s".
 inline std::string fmtSeconds(double S) {
   char Buf[32];

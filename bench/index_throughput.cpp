@@ -1,60 +1,30 @@
-//===- bench/index_throughput.cpp - Index ingest throughput ------------------===//
+//===- bench/index_throughput.cpp - Segment and obs-overhead gates -------===//
 ///
 /// \file
-/// Exprs/sec of \ref AlphaHashIndex batch ingest, single- vs
-/// multi-threaded, on generated workloads.
+/// The two CI gates that read an index bench row:
 ///
-/// The per-expression work (deserialise, uniquify, alpha-hash) is
-/// embarrassingly parallel; only the per-shard critical sections
-/// (hash-table probe + possible canonicalisation) serialise. On a
-/// multi-core machine the 8-thread row should therefore sit >= 2x above
-/// the 1-thread row; on a single hardware thread the ratio degrades to
-/// ~1x (the harness prints the machine's concurrency so readers can judge
-/// the speedup column).
+///   (default)          the segmented append against a single-file
+///                      rewrite of the same 1% delta, and the
+///                      `CSV,segment_update` row CI's segment gate reads
+///                      (>= 10x, diff_ok=1)
+///   --lookup-only      one 1-thread ingest per family and its
+///                      `CSV,lookup_throughput` row: the fast mode CI's
+///                      obs-overhead gate interleaves across the
+///                      instrumented and HMA_OBS_OFF builds (>= 0.95)
 ///
-/// Each row also reports the worker hashers' pool-allocation counters:
-/// `alloc/expr` is map nodes carved from arenas per ingested expression
-/// (warm-up included), `steady/expr` the same metric counting only
-/// allocations after each worker's first chunk -- the zero-allocation
-/// claim of the scratch-reuse pipeline is that the latter is ~0.
+/// Ingest and query rates, open times and per-layer costs come from
+/// perfbench (`perfbench/run.py`).
 ///
-/// After the thread sweep, each family measures the persistence path:
-/// the single-thread index is saved to `HMAI` bytes, written to a real
-/// file and reopened the way every file open works -- `MappedIndex`
-/// (mmap, O(shards): open time independent of index size) plus the
-/// O(classes) `verify` -- and the reopen (open + verify) time is compared
-/// against the rebuild (1-thread ingest) time. The whole corpus is then
-/// batch-queried through the mapped reader. The memory-diet column
-/// `retained/class` is the canonical-blob bytes each class keeps
-/// resident (the byte-backed ShardStore retains nothing else; before the
-/// refactor every class additionally pinned a ~2-8 KiB decoded arena in
-/// its shard's context). Open, reopen and query times land in the
-/// `CSV,index_reopen` row.
-///
-///   HMA_BENCH_FULL=1   10x corpus size
-///   --lookup-only      skip everything except one 1-thread ingest and
-///                      the `CSV,lookup_throughput` row per family (the
-///                      fast mode CI's obs-overhead gate interleaves
-///                      across the instrumented and HMA_OBS_OFF builds)
-///   --segment          run ONLY the segmented-append-vs-rewrite
-///                      measurement and the `CSV,segment_update` row
-///                      (CI's segment gate)
-///
-/// Output: a human table plus machine-readable `CSV,...` rows
+/// Output: a human line per measurement plus machine-readable rows
 ///   CSV,env,<hardware_concurrency>,<single_core>,<obs_enabled>
-///   CSV,index_throughput,<family>,<threads>,<exprs>,<sec>,<exprs_per_sec>,<alloc_per_expr>,<steady_alloc_per_expr>
-///   CSV,index_reopen,<family>,<classes>,<file_bytes>,<reopen_sec>,<rebuild_sec>,<retained_bytes_per_class>,<mmap_open_sec>,<mmap_batch_sec>
 ///   CSV,lookup_throughput,<family>,<queries>,<sec>,<queries_per_sec>,<obs_enabled>
 ///   CSV,segment_update,<classes>,<delta>,<append_sec>,<rewrite_sec>,<speedup>,<fresh>,<compact_sec>,<diff_ok>
-///   CSV,obs_hist,<name>,<count>,<p50_ns>,<p90_ns>,<p99_ns>,<max_ns>
 ///
-/// `CSV,env` records the machine (a single hardware thread makes the
-/// speedup column meaningless) and whether the obs layer is compiled in.
-/// `CSV,lookup_throughput` is a median-of-reps steady-state read-path
+/// `CSV,env` records the machine and whether the obs layer is compiled
+/// in. `CSV,lookup_throughput` is a best-of-reps steady-state read-path
 /// measurement: CI's overhead smoke diffs its queries_per_sec between a
 /// default build and an `-DHMA_OBS_OFF=ON` build and requires the
-/// instrumented run within 5%. `CSV,obs_hist` dumps every non-empty obs
-/// histogram the run populated (absent under HMA_OBS_OFF).
+/// instrumented run within 5%.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,7 +41,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -131,106 +100,6 @@ std::vector<std::string> makeCorpus(const char *Family, size_t Count,
     Blobs.push_back(serializeExpr(Ctx, E));
   }
   return Blobs;
-}
-
-void runFamily(const char *Family, size_t Count, uint32_t Size) {
-  std::vector<std::string> Corpus = makeCorpus(Family, Count, Size, 2024);
-
-  std::printf("\n-- %s corpus: %zu expressions of ~%u nodes --\n", Family,
-              Corpus.size(), Size);
-  std::printf("%8s %12s %14s %10s %12s %12s\n", "threads", "time",
-              "exprs/sec", "speedup", "alloc/expr", "steady/expr");
-
-  double Base = 0;
-  std::string SavedIndex; // HMAI bytes of the 1-thread index
-  size_t Classes = 0;
-  size_t RetainedBytes = 0;
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    AlphaHashIndex<> Index;
-    AlphaHashIndex<>::BatchResult Batch;
-    double Sec = timeOnce([&] { Batch = Index.insertBatch(Corpus, Threads); });
-    double Rate = static_cast<double>(Corpus.size()) / Sec;
-    auto [PerExpr, SteadyPerExpr] = allocsPerExpr(Batch);
-    if (Threads == 1)
-      Base = Sec;
-    std::printf("%8u %12s %14.0f %9.2fx %12.3f %12.3f\n", Threads,
-                fmtSeconds(Sec).c_str(), Rate, Base / Sec, PerExpr,
-                SteadyPerExpr);
-    std::printf("CSV,index_throughput,%s,%u,%zu,%.6f,%.0f,%.4f,%.4f\n",
-                Family, Threads, Corpus.size(), Sec, Rate, PerExpr,
-                SteadyPerExpr);
-
-    if (Threads == 1) {
-      // Sanity line: dedup must actually have happened.
-      IndexStats S = Index.stats();
-      std::printf("%8s classes=%zu duplicates=%llu collisions=%llu\n", "",
-                  Index.numClasses(),
-                  static_cast<unsigned long long>(S.Duplicates),
-                  static_cast<unsigned long long>(S.VerifiedCollisions));
-      Classes = Index.numClasses();
-      RetainedBytes = Index.retainedBytes();
-      SavedIndex = saveIndexBytes(Index);
-    }
-  }
-
-  // Persistence: write the saved HMAI image to a real file and reopen it
-  // the way every file open works -- mmap (O(shards), no per-class work)
-  // plus the O(classes) table verify -- and compare against the 1-thread
-  // rebuild above. Then batch-query the whole corpus through the mapped
-  // reader: every member must be present.
-  double MmapOpenSec = -1, ReopenSec = -1, MmapBatchSec = -1;
-  double PerClass =
-      Classes ? static_cast<double>(RetainedBytes) / Classes : 0.0;
-  const std::string MappedPath =
-      std::string("index_throughput.") + Family + ".hmai.tmp";
-  std::string WriteError;
-  std::unique_ptr<MappedIndex<Hash128>> Mapped;
-  std::unique_ptr<AlphaHashIndex<>> Restored;
-  if (writeFileReplacing(MappedPath, SavedIndex, &WriteError)) {
-    MmapOpenSec = timeOnce(
-        [&] { Mapped = MappedIndex<Hash128>::open(MappedPath).Reader; });
-    bool Verified = false;
-    double VerifySec = timeOnce([&] { Verified = Mapped && Mapped->verify(); });
-    ReopenSec = MmapOpenSec + VerifySec;
-    if (Verified && Mapped->numClasses() == Classes) {
-      size_t MappedHits = 0;
-      MmapBatchSec = timeOnce([&] {
-        for (const auto &R : Mapped->lookupBatch(Corpus, 1))
-          MappedHits += R.has_value();
-      });
-      std::printf("%8s reopen (open + verify) %s vs rebuild %s (%.0fx); "
-                  "mmap-open %s (%s); corpus query %s; file %zu B; "
-                  "retained %.1f B/class\n",
-                  "", fmtSeconds(ReopenSec).c_str(), fmtSeconds(Base).c_str(),
-                  ReopenSec > 0 ? Base / ReopenSec : 0.0,
-                  fmtSeconds(MmapOpenSec).c_str(), Mapped->backendName(),
-                  fmtSeconds(MmapBatchSec).c_str(), SavedIndex.size(),
-                  PerClass);
-      if (MappedHits != Corpus.size())
-        std::printf("ERROR: mapped reader hit %zu/%zu corpus members\n",
-                    MappedHits, Corpus.size());
-      Restored = AlphaHashIndex<>::restore(
-          {Mapped->numShards(), Mapped->schema().seed()}, Mapped->snapshot(),
-          Mapped->stats());
-    } else {
-      std::printf("ERROR: reopened index does not open, verify and match "
-                  "(%zu classes)\n",
-                  Classes);
-    }
-    std::remove(MappedPath.c_str());
-  } else {
-    std::printf("ERROR: cannot write %s: %s\n", MappedPath.c_str(),
-                WriteError.c_str());
-  }
-  std::printf("CSV,index_reopen,%s,%zu,%zu,%.6f,%.6f,%.1f,%.6f,%.6f\n",
-              Family, Classes, SavedIndex.size(), ReopenSec, Base, PerClass,
-              MmapOpenSec, MmapBatchSec);
-
-  // Steady-state read-path throughput on the live copy restored from the
-  // verified reader (see measureLookup: best-of-reps so the number is
-  // stable enough for CI's 5% obs-overhead gate).
-  if (Restored)
-    measureLookup(Family, *Restored, Corpus);
 }
 
 /// `--lookup-only`: one 1-thread ingest then the lookup_throughput row,
@@ -398,53 +267,25 @@ void runSegmentUpdate() {
 
 int main(int Argc, char **Argv) {
   bool LookupOnly = false;
-  bool SegmentOnly = false;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--lookup-only") == 0)
+    if (std::strcmp(Argv[I], "--lookup-only") == 0) {
       LookupOnly = true;
-    else if (std::strcmp(Argv[I], "--segment") == 0)
-      SegmentOnly = true;
-    else {
-      std::fprintf(stderr, "usage: %s [--lookup-only | --segment]\n",
-                   Argv[0]);
+    } else {
+      std::fprintf(stderr, "usage: %s [--lookup-only]\n", Argv[0]);
       return 2;
     }
   }
-  if (LookupOnly && SegmentOnly) {
-    std::fprintf(stderr, "error: --lookup-only and --segment are mutually "
-                         "exclusive\n");
-    return 2;
-  }
-  size_t Count = fullMode() ? 100000 : 10000;
   unsigned HW = std::thread::hardware_concurrency();
-  std::printf("index ingest throughput (hardware_concurrency=%u, obs %s)\n",
-              HW, obs::Enabled ? "on" : "off");
+  std::printf("index gates (hardware_concurrency=%u, obs %s)\n", HW,
+              obs::Enabled ? "on" : "off");
   std::printf("CSV,env,%u,%d,%d\n", HW, HW <= 1 ? 1 : 0,
               obs::Enabled ? 1 : 0);
   if (LookupOnly) {
+    size_t Count = fullMode() ? 100000 : 10000;
     runFamilyLookupOnly("balanced", Count, 64);
     runFamilyLookupOnly("unbalanced", Count / 4, 256);
     return 0;
   }
-  if (SegmentOnly) {
-    runSegmentUpdate();
-    return 0;
-  }
-  runFamily("balanced", Count, 64);
-  runFamily("unbalanced", Count / 4, 256);
   runSegmentUpdate();
-
-  // Every obs histogram the run populated, as log2-bucket summaries.
-  // Nothing is printed under HMA_OBS_OFF (the snapshot is empty).
-  obs::Snapshot Snap = obs::Registry::global().snapshot();
-  for (const obs::HistogramRow &H : Snap.Histograms) {
-    if (!H.Data.Count)
-      continue;
-    std::printf("CSV,obs_hist,%s,%llu,%.0f,%.0f,%.0f,%llu\n", H.Name.c_str(),
-                static_cast<unsigned long long>(H.Data.Count),
-                H.Data.percentile(0.5), H.Data.percentile(0.9),
-                H.Data.percentile(0.99),
-                static_cast<unsigned long long>(H.Data.Max));
-  }
   return 0;
 }

@@ -7,12 +7,16 @@
 /// \ref AlphaHashIndex, which deduplicates modulo alpha-equivalence,
 /// answers membership queries, and exports the canonical corpus.
 ///
-/// The ingest loop holds ONE long-lived \ref AlphaHasher and passes it to
-/// every insert, so the hasher's scratch is reused across the stream. The
-/// per-line `+N pool nodes` column prints how many map nodes each ingest
-/// carved out of the pool arena: for functions this small the adaptive
-/// variable maps stay inline and the answer is zero for every single
-/// expression -- the zero-allocation pipeline at its best.
+/// The corpus goes in as one \ref AlphaHashIndex::insertBatch of
+/// serialized blobs, whose worker keeps ONE long-lived hasher for the
+/// whole batch. Its \ref AlphaHashIndex::BatchResult reports how many map
+/// nodes the hasher carved out of its pool arena: for functions this
+/// small the adaptive variable maps stay inline and the answer is zero --
+/// the zero-allocation pipeline at its best.
+///
+/// Exits 1 if an answer is wrong: the renamed `twice` must be found, the
+/// eta-expanded variant must not, and the reopened index must find
+/// `twice` again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +25,7 @@
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 #include "ast/Serialize.h"
+#include "ast/Uniquify.h"
 #include "index/CorpusIO.h"
 #include "index/IndexIO.h"
 #include "index/MappedIndex.h"
@@ -47,19 +52,18 @@ int main() {
 
   AlphaHashIndex<> Index;
   ExprContext Ctx;
-  // One hasher for the whole stream: its pool, worklist and value stack
-  // persist across inserts instead of being re-allocated per expression.
   AlphaHasher<Hash128> Hasher(Ctx, Index.schema());
+  std::vector<std::string> Blobs;
   for (const char *Src : Corpus) {
-    const Expr *E = parseOrDie(Ctx, Src);
-    size_t Before = Hasher.poolAllocatedNodes();
-    Hash128 H = Index.insert(Ctx, E, Hasher);
-    std::printf("ingest %s  +%zu pool nodes  %s\n", H.toHex().c_str(),
-                Hasher.poolAllocatedNodes() - Before, Src);
+    const Expr *E = uniquifyBinders(Ctx, parseOrDie(Ctx, Src));
+    std::printf("ingest %s  %s\n", Hasher.hashRoot(E).toHex().c_str(), Src);
+    Blobs.push_back(serializeExpr(Ctx, E));
   }
-  std::printf("(scratch reuse: %zu pool nodes total; steady-state ingest "
-              "allocates none)\n",
-              Hasher.poolAllocatedNodes());
+  AlphaHashIndex<>::BatchResult Batch = Index.insertBatch(Blobs, 1);
+  std::printf("(scratch reuse: %llu pool nodes total, %llu after the "
+              "first chunk)\n",
+              static_cast<unsigned long long>(Batch.PoolNodesAllocated),
+              static_cast<unsigned long long>(Batch.SteadyPoolNodesAllocated));
 
   std::printf("\n%zu submissions -> %zu distinct functions\n",
               std::size(Corpus), Index.numClasses());
@@ -68,14 +72,19 @@ int main() {
   // present; an eta-expanded variant is genuinely new.
   const Expr *Fresh = parseOrDie(Ctx, "(lam (w) (lam (z) (w (w z))))");
   const Expr *Eta = parseOrDie(Ctx, "(lam (f) (lam (x) (f (f (f x)))))");
-  auto Hit = Index.lookup(Ctx, Fresh, Hasher);
+  auto Hit = Index.lookup(Ctx, Fresh);
   std::printf("\n(lam (w) (lam (z) (w (w z)))) -> %s\n",
               Hit ? "already interned" : "new");
   if (Hit)
     std::printf("  %llu copies seen so far\n",
                 static_cast<unsigned long long>(Hit->Count));
+  const bool EtaFound = Index.lookup(Ctx, Eta).has_value();
   std::printf("(lam (f) (lam (x) (f (f (f x))))) -> %s\n",
-              Index.contains(Ctx, Eta) ? "already interned" : "new");
+              EtaFound ? "already interned" : "new");
+  if (!Hit || EtaFound) {
+    std::fprintf(stderr, "wrong membership answer\n");
+    return 1;
+  }
 
   // Export the deduplicated corpus: one canonical representative per
   // class, in a stable order, as a binary container.
@@ -118,5 +127,5 @@ int main() {
               Image.size(), Reopened.Reader->numClasses(),
               Again ? "present" : "absent",
               static_cast<unsigned long long>(Again ? Again->Count : 0));
-  return 0;
+  return Again ? 0 : 1;
 }

@@ -254,8 +254,7 @@ public:
   /// A process-unique id for this context instance. Pointer comparison
   /// alone cannot tell a context apart from a destroyed-and-recreated one
   /// at the same address (the classic ABA hazard for anything caching
-  /// per-context state, e.g. AlphaHasher's name-hash cache); the epoch
-  /// can.
+  /// per-context state); the epoch can.
   uint64_t epoch() const { return Epoch; }
 
 private:

@@ -24,10 +24,19 @@ void putVarint(std::string &Out, uint64_t V) {
   Out.push_back(static_cast<char>(V));
 }
 
-void putZigzag(std::string &Out, int64_t V) {
-  putVarint(Out, (static_cast<uint64_t>(V) << 1) ^
-                     static_cast<uint64_t>(V >> 63));
+/// Bytes \ref putVarint writes for \p V: the minimal encoding.
+size_t varintSize(uint64_t V) {
+  size_t N = 1;
+  for (; V >= 0x80; V >>= 7)
+    ++N;
+  return N;
 }
+
+uint64_t zigzag(int64_t V) {
+  return (static_cast<uint64_t>(V) << 1) ^ static_cast<uint64_t>(V >> 63);
+}
+
+void putZigzag(std::string &Out, int64_t V) { putVarint(Out, zigzag(V)); }
 
 } // namespace
 
@@ -118,6 +127,49 @@ bool serial::firstSpellings(const std::vector<std::string_view> &Spellings,
     }
   }
   return Distinct;
+}
+
+bool serial::inSerializerForm(std::string_view Bytes) {
+  Reader In(Bytes);
+  std::vector<std::string_view> Spellings;
+  std::vector<uint32_t> Canon, Slots;
+  if (!In.getMagic() || !getNameTable(In, Spellings) ||
+      !firstSpellings(Spellings, Canon, Slots))
+    return false;
+  // The length the serializer would write, every varint minimal: a blob
+  // of exactly this length has no over-long varint.
+  size_t Want = sizeof(Magic) + varintSize(Spellings.size());
+  for (std::string_view S : Spellings)
+    Want += varintSize(S.size()) + S.size();
+  struct Check {
+    size_t &Want;
+    uint32_t Next = 0; ///< Entries first used so far.
+
+    // A name's first use must take the next table entry.
+    bool use(uint32_t Id) {
+      Want += varintSize(Id);
+      if (Id < Next)
+        return true;
+      return Id == Next++;
+    }
+    bool var(uint32_t Id) {
+      Want += 1;
+      return use(Id);
+    }
+    bool constant(int64_t Value) {
+      Want += 1 + varintSize(zigzag(Value));
+      return true;
+    }
+    bool open(const WalkFrame &F) {
+      Want += 1;
+      return F.Kind == ExprKind::App || use(F.Id);
+    }
+    void letBody(const WalkFrame &) {}
+    bool close(const WalkFrame &, uint64_t) { return true; }
+  } V{Want};
+  std::vector<WalkFrame> Frames;
+  return walkBody(In, Spellings.size(), Frames, nullptr, V) == nullptr &&
+         V.Next == Spellings.size() && Want == Bytes.size();
 }
 
 DeserializeResult hma::deserializeExpr(ExprContext &Ctx,

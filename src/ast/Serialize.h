@@ -39,6 +39,8 @@
 ///    holds, so the two cannot disagree on which blobs are proven.
 ///  - \ref serial::firstSpellings merges repeated name-table spellings
 ///    exactly as the decoder's interning does.
+///  - \ref serial::inSerializerForm tells whether a blob is exactly what
+///    \ref serializeExpr writes for its term.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -179,6 +181,13 @@ inline bool getNameTable(Reader &In, std::vector<std::string_view> &Spellings) {
 /// \p Slots is scratch, reused across calls.
 bool firstSpellings(const std::vector<std::string_view> &Spellings,
                     std::vector<uint32_t> &Canon, std::vector<uint32_t> &Slots);
+
+/// True iff \p Bytes is exactly what \ref serializeExpr writes for the
+/// term they decode to: well formed, every varint minimal, and a name
+/// table that lists each name the body uses once, in first-use
+/// (preorder) order, with no spelling repeated. One walk, no decode.
+/// Index ingest stores a blob in this form as it came.
+bool inSerializerForm(std::string_view Bytes);
 
 /// The distinct-binder proof (paper Section 2.2), written once for every
 /// reader that needs it. A blob is proven to have \ref

@@ -20,7 +20,6 @@
 #define HMA_AST_UNIQUIFY_H
 
 #include "ast/Expr.h"
-#include "ast/Serialize.h"
 
 namespace hma {
 
@@ -28,16 +27,6 @@ namespace hma {
 /// and from every free variable. Returns the (possibly new) root; returns
 /// \p Root itself when it already satisfies the invariant.
 const Expr *uniquifyBinders(ExprContext &Ctx, const Expr *Root);
-
-/// The hashable root of a successful decode: \p R's expression itself
-/// when the decoder proved distinct binders
-/// (\ref DeserializeResult::DistinctBinders), else \ref uniquifyBinders
-/// of it. Every path that starts from serialized bytes goes through here,
-/// so only terms that might need a rewrite pay for the check.
-inline const Expr *uniquifyDecoded(ExprContext &Ctx,
-                                   const DeserializeResult &R) {
-  return R.DistinctBinders ? R.E : uniquifyBinders(Ctx, R.E);
-}
 
 } // namespace hma
 

@@ -64,9 +64,9 @@
 /// worklist, the value stack and the byte driver's name table and frame
 /// stack persist across calls -- so a long-lived hasher reaches a steady
 /// state where hashing an expression performs *zero* heap allocations
-/// (see poolAllocatedNodes()). Batch ingest pipelines hold one hasher
-/// per worker thread and \ref rebind it as their expression contexts are
-/// recycled.
+/// (see poolAllocatedNodes()). The index's batch paths hold one hasher
+/// per worker thread and feed it blobs through the byte driver; Expr
+/// callers that recycle contexts \ref rebind it.
 ///
 /// Precondition (Section 2.2): every binder in the input is distinct.
 /// Where it is established differs by driver:
@@ -119,7 +119,7 @@ public:
   /// hasher is \ref rebind -ed to another context).
   explicit AlphaHasher(const ExprContext &Ctx,
                        const HashSchema &Schema = HashSchema())
-      : Ctx(&Ctx), CtxEpoch(Ctx.epoch()), Schema(Schema),
+      : Ctx(&Ctx), Schema(Schema),
         HereHash(this->Schema.template combineWords<H>(CombinerTag::PosHere,
                                                        0)),
         VarStruct(this->Schema.template combineWords<H>(
@@ -131,26 +131,16 @@ public:
   /// but its capacity is retained, so a worker that recycles contexts
   /// every chunk stays allocation-free once warmed up.
   void rebind(const ExprContext &NewCtx) {
-    // Rebinds happen at chunk granularity (never per expression), so a
-    // registry bump here is free relative to the work it brackets.
+    // A rebind brackets a whole context's worth of hashing (never one
+    // node), so a registry bump here is free relative to that work.
     static const obs::Counter Rebinds = obs::Counter::get(
         "hma_hasher_rebinds_total",
-        "Hasher rebinds to a recycled context (chunk granularity)");
+        "Hasher rebinds to a recycled context (Expr callers; the batch "
+        "paths hash bytes and never rebind)");
     Rebinds.add(1);
     Ctx = &NewCtx;
-    CtxEpoch = NewCtx.epoch();
     NameHashes.clear();
     NameHashValid.clear();
-  }
-
-  /// \ref rebind unless the hasher is already bound to exactly this
-  /// context *instance*. Identity is (address, epoch), not address alone:
-  /// a destroyed-and-recreated context at the same address (e.g. a
-  /// loop-local ExprContext) must not be mistaken for the cached one --
-  /// stale name ids would resolve to the wrong spelling hashes.
-  void bindIfNeeded(const ExprContext &NewCtx) {
-    if (Ctx != &NewCtx || CtxEpoch != NewCtx.epoch())
-      rebind(NewCtx);
   }
 
   /// The context the hasher currently reads names and node ids from.
@@ -255,7 +245,6 @@ private:
   };
 
   const ExprContext *Ctx;
-  uint64_t CtxEpoch;
   HashSchema Schema;
   H HereHash;  ///< mkPTHere, the position tree of a lone variable.
   H VarStruct; ///< The structure of every Var leaf.
@@ -394,7 +383,7 @@ private:
            "byte driver and decoder disagree on the binder proof");
     if (Hash) {
       AlphaHasher<H, MapPolicy> Reference(DecodeCtx, Schema);
-      assert(*Hash == Reference.hashRoot(uniquifyDecoded(DecodeCtx, D)) &&
+      assert(*Hash == Reference.hashRoot(D.E) &&
              "byte driver and Expr driver disagree");
     }
   }

@@ -15,8 +15,12 @@
 ///    locks that never block each other (see "read path" in README.md).
 ///
 ///  - **Bytes as truth.** A class is (hash, canonical `ast/Serialize`
-///    bytes, count) -- nothing decoded is retained. The exact-verify
-///    fallback walks a candidate's bytes in lockstep with the query
+///    bytes, count) -- nothing decoded is retained. Ingest takes the read
+///    path's per-blob step (\ref detail::hashQuery): the byte driver
+///    hashes each blob and proves its binders distinct, and only a blob
+///    it cannot prove is canonicalized (decoded, uniquified,
+///    re-serialized). The exact-verify fallback walks a candidate's bytes
+///    in lockstep with the proven query bytes
 ///    (\ref verifyCandidateBytes) using a small reusable
 ///    \ref DecodeScratch (per shard for ingest, per worker for batch
 ///    reads), so retained memory is the canonical blobs plus a bounded
@@ -33,23 +37,23 @@
 ///    be zero forever; the b=16 instantiation exercises the machinery for
 ///    real (see tests/index_test.cpp).
 ///
-///  - **Cross-context ingest.** Expressions arrive from arbitrary
-///    contexts (worker-thread contexts, deserialised corpora). Hash codes
-///    are stable across contexts with equal schema seeds, and the exact
-///    check compares free names by spelling, so the
-///    only cross-context copy needed is for a *new* class's canonical
-///    representative, which is stored as its `ast/Serialize` bytes.
+///  - **The stored representative.** A new class stores exactly what
+///    \ref serializeExpr writes for its first member's uniquified term.
+///    A proven blob is almost always already in that form
+///    (\ref serial::inSerializerForm) and is copied as it came; any other
+///    is decoded and re-serialized. Free names compare by spelling, so
+///    the bytes mean the same in every context.
 ///
 ///  - **Batch ingest and batch query.** \ref insertBatch and
 ///    \ref IndexReader::lookupBatch fan a corpus of serialised
 ///    expressions out over a \ref ThreadPool. Each worker keeps ONE
-///    long-lived \ref AlphaHasher whose scratch (map-node pool,
-///    worklist, value stack) persists across the whole batch, \ref
-///    AlphaHasher::rebind -ing it as the worker's private context is
-///    recycled every chunk: once warmed up on its first chunk, a worker
-///    hashes thousands of expressions with zero pool allocations
-///    (BatchResult and ReadBatchStats report the counters). The
-///    resulting class set is independent of the thread count (tested).
+///    long-lived \ref AlphaHasher whose scratch (map-node pool, value
+///    stack, the byte driver's buffers) persists across the whole batch:
+///    once warmed up on its first chunk, a worker hashes thousands of
+///    blobs with zero pool allocations (BatchResult and ReadBatchStats
+///    report the counters). The resulting class set is independent of
+///    the thread count (tested); which member of a class becomes its
+///    representative is not, above one thread.
 ///
 /// The class is templated over the hash code type with the same rationale
 /// as \ref AlphaHasher: collision handling must be exercised by running
@@ -68,7 +72,6 @@
 
 #include "ast/Expr.h"
 #include "ast/Serialize.h"
-#include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
 #include "index/BatchDriver.h"
 #include "index/IndexReader.h"
@@ -152,70 +155,41 @@ public:
   // Ingest
   //===--------------------------------------------------------------------===//
 
-  /// Intern \p Root (owned by \p Ctx). Returns its alpha-hash. \p Ctx is
-  /// mutable because hashing requires distinct binders, which may force a
-  /// uniquifying rewrite. Thread-safe with respect to the index, but
-  /// callers must not share \p Ctx across threads.
-  H insert(ExprContext &Ctx, const Expr *Root) {
-    AlphaHasher<H> Hasher(Ctx, Schema);
-    return insert(Ctx, Root, Hasher);
-  }
-
-  /// Intern \p Root, hashing with a caller-owned \p Hasher so its scratch
-  /// (pool, stacks, name cache) is reused across many inserts. The hasher
-  /// must have been constructed with this index's schema seed; it is
-  /// rebound to \p Ctx if currently pointed elsewhere.
-  H insert(ExprContext &Ctx, const Expr *Root, AlphaHasher<H> &Hasher) {
-    assert(Hasher.schema().seed() == Schema.seed() &&
-           "hasher seed does not match the index");
-    Hasher.bindIfNeeded(Ctx);
-    Root = uniquifyBinders(Ctx, Root);
-    H Hash = Hasher.hashRoot(Root);
-    insertHashed(Ctx, Root, Hash);
-    return Hash;
+  /// Intern \p Root (owned by \p Ctx) and return its alpha-hash: an
+  /// adapter that serializes the term and takes the byte path.
+  H insert(const ExprContext &Ctx, const Expr *Root) {
+    return *insertSerialized(serializeExpr(Ctx, Root));
   }
 
   /// Intern one expression in `ast/Serialize` format. Returns the hash,
-  /// or std::nullopt (with \p Error set, if non-null) on a decode error.
-  std::optional<H> insertSerialized(std::string_view Bytes,
-                                    std::string *Error = nullptr) {
-    ExprContext Ctx;
-    DeserializeResult R = deserializeExpr(Ctx, Bytes);
-    if (!R.ok()) {
-      if (Error)
-        *Error = R.Error;
-      shardFor(H{}).bumpDecodeError();
-      return std::nullopt;
-    }
-    const Expr *Root = uniquifyDecoded(Ctx, R);
-    H Hash = AlphaHasher<H>(Ctx, Schema).hashRoot(Root);
-    insertHashed(Ctx, Root, Hash);
-    return Hash;
+  /// or std::nullopt for a malformed blob (counted in
+  /// IndexStats::DecodeErrors).
+  std::optional<H> insertSerialized(std::string_view Bytes) {
+    ExprContext Boot;
+    AlphaHasher<H> Hasher(Boot, Schema);
+    std::string Canonical;
+    return ingest(Hasher, Bytes, Canonical);
   }
 
   /// Intern a whole corpus of serialised expressions, hashing on
   /// \p Threads workers (<= 1 means inline on the caller). The resulting
-  /// class set, counts and stats (other than scheduling-dependent
-  /// tie-breaks of which member became canonical) do not depend on
-  /// \p Threads.
+  /// class set, counts and stats do not depend on \p Threads; above one
+  /// thread, which member of a class becomes its representative is a
+  /// scheduling race.
   BatchResult insertBatch(const std::vector<std::string> &Blobs,
                           unsigned Threads) {
     BatchResult Result;
     std::mutex ResultMu;
     detail::forEachHashedChunk<H, BatchResult>(
         Schema, Blobs.size(), Threads, "ingest",
-        [&](AlphaHasher<H> &Hasher, ExprContext &Ctx, size_t Begin,
-            size_t End, BatchResult &W) {
+        [&](AlphaHasher<H> &Hasher, size_t Begin, size_t End,
+            BatchResult &W) {
+          std::string Canonical;
           for (size_t I = Begin; I != End; ++I) {
-            DeserializeResult R = deserializeExpr(Ctx, Blobs[I]);
-            if (!R.ok()) {
+            if (ingest(Hasher, Blobs[I], Canonical))
+              ++W.Ingested;
+            else
               ++W.DecodeErrors;
-              shardFor(H{}).bumpDecodeError();
-              continue;
-            }
-            const Expr *Root = uniquifyDecoded(Ctx, R);
-            insertHashed(Ctx, Root, Hasher.hashRoot(Root));
-            ++W.Ingested;
           }
         },
         [&](BatchResult &W, uint64_t PoolNodes, uint64_t SteadyNodes) {
@@ -232,35 +206,11 @@ public:
   // Queries
   //===--------------------------------------------------------------------===//
 
-  using IndexReader<H>::lookup;
-
-  /// \ref lookup with a caller-owned hasher (scratch reuse across many
-  /// queries; see the matching \ref insert overload). The fallback's
-  /// verify scratch is per-call here; use the overload below to reuse it
-  /// across a query stream too.
-  std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
-                                     AlphaHasher<H> &Hasher) {
-    DecodeScratch Scratch;
-    return lookup(Ctx, Root, Hasher, Scratch);
-  }
-
-  /// Fully scratch-reusing lookup: caller owns both the hasher and the
-  /// fallback verify scratch.
-  std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
-                                     AlphaHasher<H> &Hasher,
-                                     DecodeScratch &Scratch) {
-    assert(Hasher.schema().seed() == Schema.seed() &&
-           "hasher seed does not match the index");
-    Hasher.bindIfNeeded(Ctx);
-    Root = uniquifyBinders(Ctx, Root);
-    return lookupHashed(QueryView(Ctx, Root), Hasher.hashRoot(Root), Scratch);
-  }
-
   /// Read-path probe for an already-hashed query, under a shared stripe
   /// lock. The fallback verifies candidates with \p Scratch, which must
   /// be private to the calling thread (shard state is only read).
   std::optional<LookupResult>
-  lookupHashed(const QueryView &Query, H Hash,
+  lookupHashed(std::string_view Query, H Hash,
                DecodeScratch &Scratch) const override {
     static const obs::Histogram LockWaitNs = obs::Histogram::get(
         "hma_index_read_lock_wait_ns",
@@ -301,10 +251,6 @@ public:
       return std::nullopt;
     const auto &C = S.Store.at(Id);
     return LookupResult{Hash, C.Count, C.Bytes};
-  }
-
-  bool contains(ExprContext &Ctx, const Expr *Root) {
-    return lookup(Ctx, Root).has_value();
   }
 
   /// Number of distinct alpha-equivalence classes interned.
@@ -453,10 +399,36 @@ private:
     return ShardsArr[detail::shardIndexForHash(Hash, ShardMask)];
   }
 
+  /// The per-blob ingest step: hash \p Blob on the byte path (\ref
+  /// detail::hashQuery, canonicalizing into \p Canonical only when the
+  /// byte driver cannot prove it) and intern the proven bytes. A
+  /// malformed blob is counted as a decode error and yields nullopt.
+  std::optional<H> ingest(AlphaHasher<H> &Hasher, std::string_view Blob,
+                          std::string &Canonical) {
+    std::optional<H> Hash = detail::hashQuery(Hasher, Blob, Canonical);
+    if (Hash)
+      insertHashed(Blob, *Hash);
+    else
+      shardFor(H{}).bumpDecodeError();
+    return Hash;
+  }
 
-  /// Core ingest: \p Root (owned by \p SrcCtx, binders distinct) with its
-  /// already-computed alpha-hash. Returns true if a new class was created.
-  bool insertHashed(const ExprContext &SrcCtx, const Expr *Root, H Hash) {
+  /// What a class founded by the proven blob \p Proven stores: what
+  /// \ref serializeExpr writes for its term. That is almost always the
+  /// blob itself; otherwise it is decoded with \p Scratch and
+  /// re-serialized. Its binders are proven distinct, so the decoded term
+  /// needs no uniquify.
+  static std::string storedBytes(std::string_view Proven,
+                                 DecodeScratch &Scratch) {
+    if (serial::inSerializerForm(Proven))
+      return std::string(Proven);
+    const Expr *Root = Scratch.decode(Proven);
+    return serializeExpr(Scratch.context(), Root);
+  }
+
+  /// Core ingest: the proven blob \p Proven (see \ref detail::hashQuery)
+  /// with its alpha-hash.
+  void insertHashed(std::string_view Proven, H Hash) {
     static const obs::Histogram LockWaitNs = obs::Histogram::get(
         "hma_index_write_lock_wait_ns",
         "Time ingest waited to acquire its shard's exclusive lock, ns");
@@ -479,28 +451,25 @@ private:
     // interning must not merge inequivalent terms -- the store verifies
     // exactly, walking candidates with the shard's write scratch.
     uint64_t Checks = 0, Refuted = 0;
-    size_t Id = S.Store.find(QueryView(SrcCtx, Root), Hash, S.WriteScratch,
-                             Checks, Refuted);
+    size_t Id = S.Store.find(Proven, Hash, S.WriteScratch, Checks, Refuted);
     S.Stats.FallbackChecks += Checks;
     S.Stats.VerifiedCollisions += Refuted;
     if (Checks) {
       WriteVerifies.add(Checks);
       WriteCollisions.add(Refuted);
     }
-    bool NewClass = Id == ShardStore<H>::npos;
-    if (!NewClass) {
+    if (Id != ShardStore<H>::npos) {
       S.Store.bumpCount(Id);
       ++S.Stats.Duplicates;
     } else {
-      // New class: only the serialised canonical representative is kept.
-      S.Store.addClass(Hash, serializeExpr(SrcCtx, Root), /*Count=*/1);
+      S.Store.addClass(Hash, storedBytes(Proven, S.WriteScratch),
+                       /*Count=*/1);
       ++S.Stats.NewClasses;
     }
     if (obs::Enabled) {
       LockWaitNs.record(T1 - T0);
       LockHoldNs.record(obs::nowNanos() - T1);
     }
-    return NewClass;
   }
 
   Options Opts;

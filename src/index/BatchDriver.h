@@ -10,13 +10,12 @@
 ///  - split [0, Count) into chunks; workers pull chunk indices from an
 ///    atomic counter (work stealing without a queue);
 ///  - each worker owns ONE long-lived \ref AlphaHasher for the whole
-///    batch, so its scratch (map-node pool, worklist, value stack, name
-///    cache) stays warm across chunks -- the zero-allocation pipeline;
-///  - each *chunk* gets a fresh \ref ExprContext (arena growth stays
-///    bounded) and the hasher is \ref AlphaHasher::rebind -ed to it.
-///    Ingest decodes into it; lookup chunks hash and verify their query
-///    bytes directly (\ref IndexReader::lookupSerialized) and leave it
-///    empty;
+///    batch, so its scratch (map-node pool, value stack, the byte
+///    driver's name table and frame stack) stays warm across chunks --
+///    the zero-allocation pipeline. Both bodies hash each blob from its
+///    bytes (\ref detail::hashQuery), which reads no \ref ExprContext,
+///    so the hasher stays bound to one empty context for the whole
+///    batch;
 ///  - per-worker pool-allocation counters are split into total and
 ///    post-warm-up ("steady") so callers can assert the steady-state
 ///    allocation count is zero.
@@ -54,9 +53,9 @@ namespace hma::detail {
 /// hasher pool-allocation counters into the registry -- so every batch
 /// entry point reports them identically.
 ///
-/// \p Body is `void(AlphaHasher<H>&, ExprContext&, size_t Begin,
-/// size_t End, WorkerState&)`, called once per chunk with the worker's
-/// hasher already rebound to the chunk's fresh context. \p Finish is
+/// \p Body is `void(AlphaHasher<H>&, size_t Begin, size_t End,
+/// WorkerState&)`, called once per chunk with the worker's hasher. \p
+/// Finish is
 /// `void(WorkerState&, uint64_t PoolNodes, uint64_t SteadyPoolNodes)`,
 /// called once per worker after its last chunk with the hasher's total
 /// and post-first-chunk pool-allocation counts; it typically locks a
@@ -68,8 +67,8 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
                         FinishFn Finish) {
   static const obs::Histogram ChunkNs = obs::Histogram::get(
       "hma_batch_chunk_ns",
-      "Latency of one batch-worker chunk (ingest: decode+hash+insert; "
-      "lookups: hash+probe+verify from bytes), ns");
+      "Latency of one batch-worker chunk (hash+probe+verify from bytes; "
+      "ingest also stores new classes), ns");
   static const obs::Counter Chunks = obs::Counter::get(
       "hma_batch_chunks_total", "Batch-worker chunks processed");
   static const obs::Counter PoolNodes = obs::Counter::get(
@@ -93,10 +92,7 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
 
   auto Worker = [&] {
     WorkerState W;
-    // The hasher outlives every per-chunk context; it is rebound before
-    // each use, so the briefly-dangling context pointer between chunks
-    // is never dereferenced.
-    ExprContext BootCtx;
+    ExprContext BootCtx; // the byte driver reads no context
     AlphaHasher<H> Hasher(BootCtx, Schema);
     bool Warmed = false;
     uint64_t WarmMark = 0;
@@ -107,10 +103,7 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
       obs::ScopedTrace Span(OpName, "chunk",
                             static_cast<int64_t>(End - Begin));
       const uint64_t T0 = obs::Enabled ? obs::nowNanos() : 0;
-      ExprContext Ctx;
-      Hasher.rebind(Ctx);
-      Body(Hasher, Ctx, Begin, End, W);
-      Hasher.rebind(BootCtx);
+      Body(Hasher, Begin, End, W);
       if (obs::Enabled) {
         ChunkNs.record(obs::nowNanos() - T0);
         Chunks.add(1);

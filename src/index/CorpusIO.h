@@ -16,8 +16,9 @@
 /// materialized, so a truncated container fails fast with a
 /// member-indexed diagnostic instead of a generic decode error deep in
 /// the ingest loop. Member blob *contents* are not re-validated -- each
-/// is checked by `deserializeExpr` at ingest time, so a corpus with one
-/// corrupt member still yields the other members.
+/// is checked by ingest's byte path, so a corpus with one corrupt member
+/// still yields the other members (the corrupt one counts as a decode
+/// error).
 ///
 /// For interop with `hma gen` and hand-written inputs there is also a
 /// text loader: one S-expression per non-empty line (`;` comments and

@@ -21,13 +21,15 @@
 /// programs against this interface and does not care whether classes are
 /// resident or paged.
 ///
-/// There is one read path. A backend implements only the probe, \ref
-/// IndexReader::lookupHashed; the byte path on top of it is defined here
-/// once: \ref IndexReader::lookupSerialized hashes and verifies one blob
-/// straight from its bytes, and \ref IndexReader::lookupBatch is a
-/// parallel loop of it (\ref detail::forEachHashedChunk). The live,
-/// mapped and segmented backends and the daemon therefore cannot answer
-/// a blob differently.
+/// There is one read path and one query form. A backend implements only
+/// the probe, \ref IndexReader::lookupHashed, which takes a proven query
+/// blob; the byte path on top of it is defined here once: \ref
+/// IndexReader::lookupSerialized hashes and verifies one blob straight
+/// from its bytes (\ref detail::hashQuery, which live ingest uses too),
+/// and \ref IndexReader::lookupBatch is a parallel loop of it (\ref
+/// detail::forEachHashedChunk). The live, mapped and segmented backends
+/// and the daemon therefore cannot answer a blob differently. An \ref
+/// Expr lookup is an adapter that serializes the term first.
 ///
 /// The shared result types live here too. \ref LookupResult returns the
 /// canonical representative as a *view* (`std::string_view`): the live
@@ -77,13 +79,14 @@ inline void recordCanonicalized(uint64_t N) {
     Canonicalized.add(N);
 }
 
-/// Hash a query blob for the byte read path and leave \p Query viewing
-/// the bytes the probe must verify with. When the byte driver proves the
-/// blob's binders distinct, that is the blob itself. Otherwise the blob
-/// is canonicalized once -- decoded, binder-uniquified, re-serialized
-/// into \p Canonical, which must outlive the probe -- and the copy takes
-/// the same byte path. Returns std::nullopt for a malformed blob (a
-/// miss); \p Canonical is non-empty exactly when the fallback ran.
+/// Hash a blob for the byte path -- a lookup's query or an ingested
+/// member -- and leave \p Query viewing the proven bytes the probe must
+/// verify with. When the byte driver proves the blob's binders distinct,
+/// that is the blob itself. Otherwise the blob is canonicalized once --
+/// decoded, binder-uniquified, re-serialized into \p Canonical, which
+/// must outlive the probe -- and the copy takes the same byte path.
+/// Returns std::nullopt for a malformed blob; \p Canonical is non-empty
+/// exactly when the fallback ran.
 template <typename H>
 std::optional<H> hashQuery(AlphaHasher<H> &Hasher, std::string_view &Query,
                            std::string &Canonical) {
@@ -241,21 +244,20 @@ public:
   /// O(N) bytes, cheap even through the mapped reader.
   virtual std::vector<ClassSummary<H>> largestClasses(size_t N) const = 0;
 
-  /// Find the class of \p Root, if present. \p Ctx is mutable because
-  /// hashing requires distinct binders, which may force a uniquifying
-  /// rewrite.
-  std::optional<LookupResult<H>> lookup(ExprContext &Ctx, const Expr *Root) {
-    Root = uniquifyBinders(Ctx, Root);
-    AlphaHasher<H> Hasher(Ctx, schema());
-    DecodeScratch Scratch;
-    return lookupHashed(QueryView(Ctx, Root), Hasher.hashRoot(Root), Scratch);
+  /// Find the class of \p Root (owned by \p Ctx), if present: an
+  /// adapter that serializes the term and takes the byte path.
+  std::optional<LookupResult<H>> lookup(const ExprContext &Ctx,
+                                        const Expr *Root) const {
+    return lookupSerialized(serializeExpr(Ctx, Root));
   }
 
   /// The one probe every backend implements: find the class of \p Query,
-  /// whose alpha-hash under \ref schema is \p Hash, verifying candidates
-  /// with \p Scratch (private to the calling thread).
+  /// a blob \ref AlphaHasher::hashSerialized proved (see \ref
+  /// detail::hashQuery) whose alpha-hash under \ref schema is \p Hash,
+  /// verifying candidates with \p Scratch (private to the calling
+  /// thread).
   virtual std::optional<LookupResult<H>>
-  lookupHashed(const QueryView &Query, H Hash,
+  lookupHashed(std::string_view Query, H Hash,
                DecodeScratch &Scratch) const = 0;
 
   /// Membership query in `ast/Serialize` format, on the byte read path:
@@ -285,7 +287,7 @@ public:
     detail::recordCanonicalized(!Canonical.empty());
     if (!Hash)
       return std::nullopt;
-    return lookupHashed(QueryView(Bytes), *Hash, Scratch);
+    return lookupHashed(Bytes, *Hash, Scratch);
   }
 
   /// Aggregate read-side counters of one \ref lookupBatch call: hits and
@@ -311,7 +313,7 @@ public:
     std::mutex TotalMu;
     detail::forEachHashedChunk<H, DecodeScratch>(
         schema(), Blobs.size(), Threads, "query",
-        [&](AlphaHasher<H> &Hasher, ExprContext &, size_t Begin, size_t End,
+        [&](AlphaHasher<H> &Hasher, size_t Begin, size_t End,
             DecodeScratch &Scratch) {
           for (size_t I = Begin; I != End; ++I)
             Results[I] = lookupSerialized(Blobs[I], Hasher, Scratch);

@@ -56,7 +56,6 @@
 #define HMA_INDEX_MAPPEDINDEX_H
 
 #include "ast/Serialize.h"
-#include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
 #include "index/IndexIO.h"
 #include "index/IndexReader.h"
@@ -363,34 +362,30 @@ public:
 
   using IndexReader<H>::lookup;
 
-  /// Fully scratch-reusing lookup: caller owns both the hasher and the
-  /// fallback verify scratch.
-  std::optional<LookupResult> lookup(ExprContext &Ctx, const Expr *Root,
+  /// \ref lookup with a caller-owned hasher and verify scratch: an
+  /// adapter that serializes the term and takes the byte path.
+  std::optional<LookupResult> lookup(const ExprContext &Ctx, const Expr *Root,
                                      AlphaHasher<H> &Hasher,
                                      DecodeScratch &Scratch) const {
-    assert(Hasher.schema().seed() == Schema.seed() &&
-           "hasher seed does not match the index file");
-    Hasher.bindIfNeeded(Ctx);
-    Root = uniquifyBinders(Ctx, Root);
-    return findHashed(QueryView(Ctx, Root), Hasher.hashRoot(Root), Scratch);
+    return this->lookupSerialized(serializeExpr(Ctx, Root), Hasher, Scratch);
   }
 
-  /// Probe this image for an already-hashed query: the per-segment entry
-  /// point of \ref SegmentedIndex, which hashes a query once and then
-  /// probes every segment of a segmented index with the same (query,
-  /// hash) pair. Probe, candidate scan and counters are exactly those of
-  /// \ref lookup.
+  /// Probe this image for an already-hashed, proven query blob: the
+  /// per-segment entry point of \ref SegmentedIndex, which hashes a
+  /// query once and then probes every segment of a segmented index with
+  /// the same (query, hash) pair.
   std::optional<LookupResult>
-  lookupHashed(const QueryView &Query, H Hash,
+  lookupHashed(std::string_view Query, H Hash,
                DecodeScratch &Scratch) const override {
     return findHashed(Query, Hash, Scratch);
   }
 
-  /// \ref lookupHashed for an already-uniquified query tree.
+  /// \ref lookupHashed for an already-uniquified query tree: an adapter
+  /// that serializes it (a proven blob) and takes the byte path.
   std::optional<LookupResult> lookupHashed(const ExprContext &Ctx,
                                            const Expr *Root, H Hash,
                                            DecodeScratch &Scratch) const {
-    return findHashed(QueryView(Ctx, Root), Hash, Scratch);
+    return findHashed(serializeExpr(Ctx, Root), Hash, Scratch);
   }
 
   /// Bulk hash-only probe: Out[i] = number of classes stored under
@@ -577,7 +572,7 @@ private:
   /// the first alpha-equivalent one. Reads the hash column first and the
   /// record tail only on a match, so every field is read exactly once
   /// per candidate.
-  std::optional<LookupResult> resolveAtRank(const QueryView &Query, H Hash,
+  std::optional<LookupResult> resolveAtRank(std::string_view Query, H Hash,
                                             const ShardTable &T, uint64_t Rank,
                                             DecodeScratch &Scratch) const {
     static const obs::Counter Verifies = obs::Counter::get(
@@ -595,7 +590,7 @@ private:
       const iio::RecordTail Tail = recordTail(T, I);
       // An out-of-range blob is an empty view, which the verifier refutes.
       std::string_view Blob = blobRange(Tail.Offset, Tail.Length);
-      if (Query.verify(Blob, Scratch)) {
+      if (verifyCandidateBytes(Query, Blob, Scratch)) {
         Result = LookupResult{Hash, Tail.Count, Blob};
         break;
       }
@@ -622,7 +617,7 @@ private:
   /// Read-path probe: lower-bound the shard's sorted table for \p Hash
   /// (\ref eytzLowerBound), then verify each candidate under it.
   /// Lock-free; \p Scratch must be private to the calling thread.
-  std::optional<LookupResult> findHashed(const QueryView &Query, H Hash,
+  std::optional<LookupResult> findHashed(std::string_view Query, H Hash,
                                          DecodeScratch &Scratch) const {
     static const obs::Histogram FindNs = obs::Histogram::get(
         "hma_mapped_find_ns",

@@ -11,8 +11,9 @@
 /// commits by atomically rewriting the manifest. The existing segments
 /// are never read in bulk -- the only per-existing-index work is one
 /// probe per *delta class* (newest-first through the mapped segments,
-/// O(log classes) each) to reconcile the delta's header stats against
-/// the union:
+/// O(log classes) each, with the staged class's proven bytes as the
+/// query: nothing is decoded or re-hashed) to reconcile the delta's
+/// header stats against the union:
 ///
 ///  - a delta class some older segment already holds is, from the
 ///    union's point of view, not a new class -- every member the delta
@@ -27,7 +28,8 @@
 /// **Compaction restores the single-segment layout.** \ref
 /// compactSegments merges the per-shard sorted tables with a linear
 /// k-way pass (\ref detail::mergeClassSummaries: oldest representative,
-/// saturating counts), rebuilds one index via the no-rehash
+/// saturating counts, byte verifies only inside duplicate-hash runs),
+/// rebuilds one index via the no-rehash
 /// \ref AlphaHashIndex::restore path, writes it as a new segment,
 /// swaps the manifest, and only then deletes the replaced segment
 /// files. Readers that opened the old generation keep serving: their
@@ -46,8 +48,6 @@
 #ifndef HMA_INDEX_SEGMENTCOMPACTOR_H
 #define HMA_INDEX_SEGMENTCOMPACTOR_H
 
-#include "ast/Serialize.h"
-#include "ast/Uniquify.h"
 #include "index/AlphaHashIndex.h"
 #include "index/IndexIO.h"
 #include "index/SegmentManifest.h"
@@ -176,24 +176,16 @@ SegmentAppendResult appendSegment(const std::string &Dir,
   Delta.insertBatch(DeltaBlobs, Opts.Threads);
   R.DeltaClasses = Delta.numClasses();
 
-  // Reconcile against the union: one probe per delta class. The
-  // snapshot's hash is authoritative (no re-hashing); only the decode of
-  // each delta representative is new work (staged representatives were
-  // serialized uniquified, so the decoder proves their binders distinct),
-  // and the probes run the segments' usual branchless engines.
+  // Reconcile against the union: one probe per delta class, with the
+  // staged bytes as the query. They are serializer output of a
+  // distinct-binder term, hence proven, and the snapshot's hash is
+  // authoritative: nothing is re-hashed or decoded.
   IndexStats Stats = Delta.stats();
-  ExprContext Ctx;
   DecodeScratch Scratch;
   for (const auto &C : Delta.snapshot()) {
-    DeserializeResult D = deserializeExpr(Ctx, C.CanonicalBytes);
-    if (!D.ok()) {
-      R.Error = "staged delta produced an undecodable canonical blob";
-      return R;
-    }
-    const Expr *Root = uniquifyDecoded(Ctx, D);
     bool Known = false;
     for (const auto &S : Set.Set->segments())
-      if (S->lookupHashed(Ctx, Root, C.Hash, Scratch)) {
+      if (S->lookupHashed(C.CanonicalBytes, C.Hash, Scratch)) {
         Known = true;
         break;
       }

@@ -34,7 +34,9 @@
 /// aggregate the same way: saturating field-wise sums, and a snapshot
 /// that merges alpha-equivalent classes across segments (oldest
 /// representative, summed counts) so it equals the snapshot of the
-/// equivalent single-file index.
+/// equivalent single-file index. Every probe and every merge check takes
+/// the query as proven bytes (\ref detail::hashQuery), like the rest of
+/// the index layer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +44,7 @@
 #define HMA_INDEX_SEGMENTSET_H
 
 #include "ast/Serialize.h"
-#include "ast/Uniquify.h"
+#include "core/AlphaHasher.h"
 #include "index/IndexIO.h"
 #include "index/IndexReader.h"
 #include "index/MappedIndex.h"
@@ -66,8 +68,11 @@ namespace detail {
 /// the saturating sum of counts. A linear k-way pass over the sorted
 /// streams; the exact-equivalence check runs only inside duplicate-hash
 /// runs (cross-segment repeats and forced collisions), never on the
-/// sorted bulk. Output is sorted by (hash, bytes) -- the canonical
-/// \ref IndexReader::snapshot order.
+/// sorted bulk. There each group's representative is proven once by the
+/// byte path's \ref detail::hashQuery (canonicalized if it must be) and
+/// verified against later entries from its bytes; a representative that
+/// does not decode matches only byte-equal entries. Output is sorted by
+/// (hash, bytes) -- the canonical \ref IndexReader::snapshot order.
 template <typename H>
 std::vector<ClassSummary<H>>
 mergeClassSummaries(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
@@ -82,11 +87,20 @@ mergeClassSummaries(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
   // entry is the representative, later members only add counts.
   struct Group {
     ClassSummary<H> Summary;
-    /// Decoded, binder-uniquified representative (run-local ctx), or null
-    /// for an undecodable blob.
-    const Expr *Root = nullptr;
+    /// The representative as a proven query blob is its own bytes,
+    /// unless it had to be canonicalized into this copy.
+    std::string Canonical;
+    bool Decodes = false; ///< Otherwise it matches only equal bytes.
+
+    std::string_view proven() const {
+      return Canonical.empty() ? std::string_view(Summary.CanonicalBytes)
+                               : std::string_view(Canonical);
+    }
   };
+  std::vector<const ClassSummary<H> *> Run;
   std::vector<Group> Groups;
+  ExprContext Boot;
+  AlphaHasher<H> Prover(Boot); // proves binders; the hash goes unused
   DecodeScratch Scratch;
 
   for (;;) {
@@ -100,36 +114,40 @@ mergeClassSummaries(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
       break;
     const H Hash = *MinHash;
 
-    // Group the run's entries by alpha-equivalence, oldest stream first,
-    // so each group's representative is the oldest occurrence.
+    // The run of entries under this hash, oldest stream first.
+    Run.clear();
+    for (size_t S = 0; S != Streams.size(); ++S)
+      for (; Cur[S] != Streams[S].size() && Streams[S][Cur[S]].Hash == Hash;
+           ++Cur[S])
+        Run.push_back(&Streams[S][Cur[S]]);
+    if (Run.size() == 1) {
+      Out.push_back(*Run.front());
+      continue;
+    }
+
+    // Group the run by alpha-equivalence in age order, so each group's
+    // representative is the oldest occurrence.
     Groups.clear();
-    ExprContext RunCtx; // run-local decode arena; runs are tiny
-    for (size_t S = 0; S != Streams.size(); ++S) {
-      for (; Cur[S] != Streams[S].size() &&
-             Streams[S][Cur[S]].Hash == Hash;
-           ++Cur[S]) {
-        const ClassSummary<H> &E = Streams[S][Cur[S]];
-        Group *Home = nullptr;
-        for (Group &G : Groups) {
-          // Byte-equal spellings are the same class without a check;
-          // different spellings under one hash need the exact one
-          // (alpha-renamed duplicate vs genuine collision).
-          if (G.Summary.CanonicalBytes == E.CanonicalBytes ||
-              (G.Root &&
-               verifyCandidateBytes(RunCtx, G.Root, E.CanonicalBytes,
-                                    Scratch))) {
-            Home = &G;
-            break;
-          }
+    for (const ClassSummary<H> *E : Run) {
+      Group *Home = nullptr;
+      for (Group &G : Groups) {
+        // Byte-equal spellings are the same class without a check;
+        // different spellings under one hash need the exact one
+        // (alpha-renamed duplicate vs genuine collision).
+        if (G.Summary.CanonicalBytes == E->CanonicalBytes ||
+            (G.Decodes &&
+             verifyCandidateBytes(G.proven(), E->CanonicalBytes, Scratch))) {
+          Home = &G;
+          break;
         }
-        if (Home) {
-          Home->Summary.Count = saturatingAdd(Home->Summary.Count, E.Count);
-          continue;
-        }
-        DeserializeResult R = deserializeExpr(RunCtx, E.CanonicalBytes);
-        Groups.push_back(
-            Group{E, R.ok() ? uniquifyDecoded(RunCtx, R) : nullptr});
       }
+      if (Home) {
+        Home->Summary.Count = saturatingAdd(Home->Summary.Count, E->Count);
+        continue;
+      }
+      Group &G = Groups.emplace_back(Group{*E, {}, false});
+      std::string_view Proven = G.Summary.CanonicalBytes;
+      G.Decodes = hashQuery(Prover, Proven, G.Canonical).has_value();
     }
     // Representatives came out in age order, not byte order; restore the
     // canonical (hash, bytes) sort within the run.
@@ -391,14 +409,12 @@ public:
     return Top;
   }
 
-  using IndexReader<H>::lookup;
-
   /// Probe every segment, newest first, for an already-hashed query (the
   /// \ref MappedIndex::lookupHashed shape and the serving path's entry
   /// point): sum counts saturating, answer with the oldest segment's
   /// representative.
   std::optional<LookupResult>
-  lookupHashed(const QueryView &Query, H Hash,
+  lookupHashed(std::string_view Query, H Hash,
                DecodeScratch &Scratch) const override {
     std::optional<LookupResult> Answer;
     for (const auto &S : Set->segments()) {

@@ -4,20 +4,17 @@
 /// \ref verifyCandidateBytes: alpha-equivalence of a query and a
 /// serialized candidate, decided in one pass over the candidate's bytes.
 ///
-/// One candidate walk serves both query forms. It is a visitor of
-/// \ref serial::walkBody over the candidate, and tracks, per name-table
-/// entry, the preorder position of the innermost binder in scope, saving
-/// and restoring it around each binder's scope exactly as the decoder's
-/// tree would nest them. At each candidate node it pulls the query's
-/// next preorder node from a *cursor*: \ref ByteVerifier::ExprCursor
-/// walks a query tree, \ref ByteVerifier::BlobCursor reads a query blob.
+/// The walk is a visitor of \ref serial::walkBody over the candidate,
+/// and tracks, per name-table entry, the preorder position of the
+/// innermost binder in scope, saving and restoring it around each
+/// binder's scope exactly as the decoder's tree would nest them. At each
+/// candidate node it reads the query's next preorder node from
+/// \ref ByteVerifier::QueryCursor.
 ///
-/// The query side needs no scoping at all: its binders are distinct and
-/// no binder name occurs free, so a query variable is bound iff its key
-/// was bound earlier in the walk. A tree query keys by interned name, in
-/// a table sized by the query (so a scratch that serves queries from a
-/// context with millions of names stays small); a blob query keys by
-/// local id, in an array indexed by it.
+/// The query side needs no scoping at all: its binders are proven
+/// distinct and no binder name occurs free, so a query variable is bound
+/// iff its local id was bound earlier in the walk, and its binder
+/// positions live in an array indexed by that id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,21 +31,13 @@ namespace {
 constexpr uint32_t NoBinder = ~0u;
 constexpr uint32_t NoKey = ~0u;
 
-/// Table size, as a power of two, that keeps \p Entries at most half full.
-unsigned bitsFor(uint64_t Entries) {
-  unsigned Bits = 1;
-  while ((uint64_t(1) << Bits) < 2 * Entries)
-    ++Bits;
-  return Bits;
-}
-
 } // namespace
 
-/// The verifier kernel and its two query cursors (friends of
+/// The verifier kernel and its query cursor (friends of
 /// \ref DecodeScratch, whose buffers they reuse).
 class hma::ByteVerifier {
 public:
-  /// One query node in preorder: its kind, its name key (Var, Lam, Let)
+  /// One query node in preorder: its kind, its local id (Var, Lam, Let)
   /// and its value (Const).
   struct QueryNode {
     ExprKind Kind = ExprKind::App;
@@ -56,85 +45,12 @@ public:
     int64_t Value = 0;
   };
 
-  /// A distinct-binder query tree, keyed by interned name.
-  class ExprCursor {
-  public:
-    ExprCursor(const ExprContext &Ctx, const Expr *Root, DecodeScratch &S)
-        : Ctx(Ctx), S(S), Table(S.QueryBinders) {
-      S.QueryStack.clear();
-      S.QueryStack.push_back(Root);
-      // The query's binders, stamped with this walk's epoch, in the first
-      // 2^Bits slots of the table. The tree size bounds the binder count,
-      // so those slots stay at most half full.
-      Mask = (size_t(1) << bitsFor(Root->treeSize())) - 1;
-      if (Table.size() <= Mask)
-        Table.assign(Mask + 1, {InvalidName, 0, 0});
-      if (++S.Epoch == 0) {
-        for (DecodeScratch::QueryBinder &B : Table)
-          B.Stamp = 0;
-        S.Epoch = 1;
-      }
-      Epoch = S.Epoch;
-    }
-
-    bool next(QueryNode &N) {
-      if (S.QueryStack.empty())
-        return false;
-      const Expr *E = S.QueryStack.back();
-      S.QueryStack.pop_back();
-      for (unsigned I = E->numChildren(); I-- > 0;)
-        S.QueryStack.push_back(E->child(I));
-      N.Kind = E->kind();
-      switch (E->kind()) {
-      case ExprKind::Var:
-        N.Key = E->varName();
-        break;
-      case ExprKind::Const:
-        N.Value = E->constValue();
-        break;
-      case ExprKind::Lam:
-      case ExprKind::Let:
-        N.Key = E->binder();
-        break;
-      case ExprKind::App:
-        break;
-      }
-      return true;
-    }
-
-    // Names are dense per context and a query's names are mostly
-    // interned together, so the low bits of the name spread them best.
-    void bind(uint32_t Key, uint32_t Pos) {
-      size_t Slot = Key & Mask;
-      while (Table[Slot].Stamp == Epoch)
-        Slot = (Slot + 1) & Mask;
-      Table[Slot] = {Key, Pos, Epoch};
-    }
-    uint32_t binderPos(uint32_t Key) const {
-      for (size_t Slot = Key & Mask; Table[Slot].Stamp == Epoch;
-           Slot = (Slot + 1) & Mask)
-        if (Table[Slot].N == Key)
-          return Table[Slot].Pos;
-      return NoBinder;
-    }
-    std::string_view spelling(uint32_t Key) const {
-      return Ctx.names().spelling(Key);
-    }
-
-  private:
-    const ExprContext &Ctx;
-    DecodeScratch &S;
-    std::vector<DecodeScratch::QueryBinder> &Table;
-    size_t Mask;
-    uint32_t Epoch;
-  };
-
   /// A proven distinct-binder query blob, keyed by local id. It is read
   /// token by token: the candidate walk has already checked that the two
   /// streams have one shape, so the query needs no frame stack.
-  class BlobCursor {
+  class QueryCursor {
   public:
-    BlobCursor(std::string_view Query, DecodeScratch &S)
+    QueryCursor(std::string_view Query, DecodeScratch &S)
         : In(Query), S(S) {
       Ok = In.getMagic() && serial::getNameTable(In, S.QuerySpellings);
       S.QueryBinderPos.assign(S.QuerySpellings.size(), NoBinder);
@@ -170,8 +86,7 @@ public:
   };
 
   /// The candidate walk, in lockstep with query cursor \p Q.
-  template <typename Cursor>
-  static bool verify(Cursor &Q, std::string_view Candidate,
+  static bool verify(QueryCursor &Q, std::string_view Candidate,
                      DecodeScratch &S) {
     static const obs::Counter VerifiedBytes = obs::Counter::get(
         "hma_fallback_verified_bytes_total",
@@ -189,7 +104,7 @@ public:
     S.SavedPos.clear();
 
     struct Lockstep {
-      Cursor &Q;
+      QueryCursor &Q;
       DecodeScratch &S;
 
       uint32_t &binderPos(uint32_t Local) {
@@ -251,13 +166,6 @@ public:
   }
 };
 
-bool hma::verifyCandidateBytes(const ExprContext &QueryCtx, const Expr *Query,
-                               std::string_view Candidate,
-                               DecodeScratch &Scratch) {
-  ByteVerifier::ExprCursor Q(QueryCtx, Query, Scratch);
-  return ByteVerifier::verify(Q, Candidate, Scratch);
-}
-
 bool hma::verifyCandidateBytes(std::string_view Query,
                                std::string_view Candidate,
                                DecodeScratch &Scratch) {
@@ -269,6 +177,6 @@ bool hma::verifyCandidateBytes(std::string_view Query,
            "a blob query must be proven distinct-binder");
   }
 #endif
-  ByteVerifier::BlobCursor Q(Query, Scratch);
+  ByteVerifier::QueryCursor Q(Query, Scratch);
   return Q.ok() && ByteVerifier::verify(Q, Candidate, Scratch);
 }

@@ -16,8 +16,11 @@
 /// that: classes hold bytes, and the exact-verify fallback,
 /// \ref verifyCandidateBytes, walks a candidate's bytes in lockstep with
 /// the query without decoding them, reusing the buffers of a small
-/// per-thread \ref DecodeScratch. The same verifier serves the mapped
-/// reader (index/MappedIndex.h), so every backend verifies identically.
+/// per-thread \ref DecodeScratch. The query is a blob too: the proven
+/// bytes \ref detail::hashQuery hashed, for ingest and lookups alike,
+/// so the verifier is one relation over two byte streams. The same
+/// verifier serves the mapped reader (index/MappedIndex.h), so every
+/// backend verifies identically.
 ///
 /// Bytes-as-truth is also what makes the store pluggable: the `HMAI`
 /// on-disk format (index/IndexIO.h) is little more than this table with a
@@ -56,8 +59,9 @@ class ByteVerifier;
 /// Its main job is to hold the buffers \ref verifyCandidateBytes reuses
 /// across candidates, so steady-state verification allocates nothing.
 /// It also offers a bounded decode target, \ref decode, for callers that
-/// want a candidate as an \ref Expr (benches and diagnostics; the index
-/// read and write paths never decode). Contexts only ever grow, so the
+/// want a blob as an \ref Expr: benches, diagnostics, and ingest's rare
+/// re-serialize of a proven blob that is not in serializer form (the
+/// read path never decodes). Contexts only ever grow, so the
 /// decode target reuses one context and recycles it (drops and
 /// reconstructs) only when its arena crosses a threshold: retained
 /// scratch memory stays bounded by the threshold plus one expression.
@@ -96,14 +100,7 @@ private:
   /// Per-id state of the candidate's name table during one walk.
   struct CandidateName {
     uint32_t BinderPos; ///< Position of the innermost binder in scope.
-    uint32_t FreeMatch; ///< Query key its free uses matched, if any.
-  };
-  /// One slot of an Expr query's binder table: open addressing keyed by
-  /// name, live only when stamped with the current walk's epoch.
-  struct QueryBinder {
-    Name N;
-    uint32_t Pos;
-    uint32_t Stamp;
+    uint32_t FreeMatch; ///< Query id its free uses matched, if any.
   };
 
   std::unique_ptr<ExprContext> Ctx;
@@ -115,61 +112,25 @@ private:
   std::vector<CandidateName> Names;
   std::vector<uint32_t> SavedPos; ///< Binder positions shadowed by scopes.
   std::vector<serial::WalkFrame> Frames;
-  // An Expr query: its preorder stack and its binder table, sized by the
-  // largest query walked, never by its context's names.
-  std::vector<const Expr *> QueryStack;
-  std::vector<QueryBinder> QueryBinders;
-  uint32_t Epoch = 0;
-  // A blob query: its name table and the binder position of each id.
+  // The query side: its name table and the binder position of each id.
   std::vector<std::string_view> QuerySpellings;
   std::vector<uint32_t> QueryBinderPos;
 };
 
 /// The exact-verify fallback: true iff \p Candidate is a well-formed
-/// `ast/Serialize` blob whose expression is alpha-equivalent to \p Query
-/// (owned by \p QueryCtx, binders distinct as \ref hasDistinctBinders
-/// requires). This is exactly `deserializeExpr(Candidate).ok() &&
-/// alphaEquivalent(...)` (differential-tested), but nothing is decoded:
-/// the bytes are read once, in lockstep with the query's preorder walk,
-/// and two variables correspond when both are bound by binders at the
-/// same preorder position, or both are free with equal spellings. The
-/// candidate may shadow binders and may repeat a spelling in its name
-/// table; repeats are merged exactly as the decoder merges them. Any
-/// malformed byte refutes, as a failed decode does.
-bool verifyCandidateBytes(const ExprContext &QueryCtx, const Expr *Query,
-                          std::string_view Candidate, DecodeScratch &Scratch);
-
-/// The same verifier for a serialized query: \p Query must be a blob
-/// whose binders \ref AlphaHasher::hashSerialized proved distinct (it
-/// succeeded on it). Its binder positions live in an array indexed by
-/// local id and its free spellings come from its own name table, so the
-/// query is never decoded either. Answers exactly as the \ref Expr form
-/// does on the decoded query (differential-tested).
+/// `ast/Serialize` blob whose expression is alpha-equivalent to the one
+/// in \p Query, a blob whose binders \ref AlphaHasher::hashSerialized
+/// proved distinct (it succeeded on it). This is exactly
+/// `deserializeExpr(Candidate).ok() && alphaEquivalent(...)` on the
+/// decoded query (differential-tested), but nothing is decoded: both
+/// streams are read once, in lockstep, and two variables correspond when
+/// both are bound by binders at the same preorder position, or both are
+/// free with equal spellings. The candidate may shadow binders and may
+/// repeat a spelling in its name table; repeats are merged exactly as
+/// the decoder merges them. Any malformed candidate byte refutes, as a
+/// failed decode does.
 bool verifyCandidateBytes(std::string_view Query, std::string_view Candidate,
                           DecodeScratch &Scratch);
-
-/// A lookup query as the exact verifier sees it: a distinct-binder
-/// \ref Expr with its context, or a serialized blob proven to have
-/// distinct binders. Every probe in the index layer takes one, so the
-/// byte read path and the Expr paths (ingest, the segment merge, Expr
-/// lookups) share every line below the hash.
-class QueryView {
-public:
-  /// \p Root is owned by \p Ctx and has distinct binders.
-  QueryView(const ExprContext &Ctx, const Expr *Root) : Ctx(&Ctx), Root(Root) {}
-  /// \p ProvenBytes passed \ref AlphaHasher::hashSerialized.
-  explicit QueryView(std::string_view ProvenBytes) : Bytes(ProvenBytes) {}
-
-  bool verify(std::string_view Candidate, DecodeScratch &Scratch) const {
-    return Root ? verifyCandidateBytes(*Ctx, Root, Candidate, Scratch)
-                : verifyCandidateBytes(Bytes, Candidate, Scratch);
-  }
-
-private:
-  const ExprContext *Ctx = nullptr;
-  const Expr *Root = nullptr;
-  std::string_view Bytes;
-};
 
 /// One shard's classes: a hash-to-entries table over byte-backed
 /// \ref ShardStore::Class records.
@@ -195,8 +156,8 @@ public:
       F(C);
   }
 
-  /// Probe for a class alpha-equivalent to \p Query among the entries
-  /// stored under \p Hash. Each candidate costs one
+  /// Probe for a class alpha-equivalent to the proven query blob \p Query
+  /// among the entries stored under \p Hash. Each candidate costs one
   /// \ref verifyCandidateBytes walk with \p Scratch;
   /// \p Checks counts the checks run and \p Refuted the hash matches the
   /// check rejected (verified collisions). A candidate whose bytes are
@@ -204,7 +165,7 @@ public:
   /// conceivable for a corrupted `HMAI` file loaded unverified -- is
   /// counted as refuted rather than trusted. Returns the class index or
   /// \ref npos.
-  size_t find(const QueryView &Query, H Hash, DecodeScratch &Scratch,
+  size_t find(std::string_view Query, H Hash, DecodeScratch &Scratch,
               uint64_t &Checks, uint64_t &Refuted) const {
     auto It = ByHash.find(Hash);
     if (It == ByHash.end())
@@ -212,7 +173,7 @@ public:
     for (uint32_t Id : It->second) {
       const Class &C = Classes[Id];
       ++Checks;
-      if (Query.verify(C.Bytes, Scratch))
+      if (verifyCandidateBytes(Query, C.Bytes, Scratch))
         return Id;
       ++Refuted;
     }

@@ -8,17 +8,25 @@
 #ifndef HMA_TESTS_TESTUTIL_H
 #define HMA_TESTS_TESTUTIL_H
 
+#include "ast/DeBruijn.h"
 #include "ast/Expr.h"
 #include "ast/Parser.h"
+#include "ast/Serialize.h"
+#include "ast/Uniquify.h"
+#include "core/AlphaHasher.h"
 #include "index/IndexReader.h"
 #include "index/MappedIndex.h"
 #include "support/Random.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace hma {
@@ -125,6 +133,102 @@ void expectSameLookupAnswers(const ResultVec &A, const ResultVec &B,
         << What << " query " << I;
   }
 }
+
+/// The reference model of an index ingested on one thread, built from
+/// the decoder alone and never from the index's byte path. Classes are
+/// keyed by the de Bruijn rendering of each decoded member. Each class
+/// holds its member count, its alpha-hash from the Expr driver, and the
+/// representative the index contract names:
+/// serializeExpr(uniquifyBinders(decode(B))) of its first member B, in a
+/// fresh context.
+template <typename H> class ReferenceIndex {
+public:
+  struct Class {
+    H Hash{};
+    uint64_t Count = 0;
+    std::string Bytes;
+  };
+
+  explicit ReferenceIndex(uint64_t Seed = HashSchema::DefaultSeed)
+      : Schema(Seed) {}
+
+  /// Ingest one blob. False (and nothing changes) if it does not decode.
+  bool insert(std::string_view Blob) {
+    std::optional<Decoded> D = decode(Blob);
+    if (!D)
+      return false;
+    auto [It, Fresh] = ByKey.try_emplace(D->Key);
+    if (Fresh) {
+      It->second = {D->Hash, 0, std::move(D->Bytes)};
+      FirstSeen.push_back(&It->second);
+    }
+    ++It->second.Count;
+    return true;
+  }
+
+  /// The answer a lookup of \p Blob must give: its class, or nullopt for
+  /// a miss or a malformed blob.
+  std::optional<LookupResult<H>> lookup(std::string_view Blob) const {
+    std::optional<Decoded> D = decode(Blob);
+    if (!D)
+      return std::nullopt;
+    auto It = ByKey.find(D->Key);
+    if (It == ByKey.end())
+      return std::nullopt;
+    return LookupResult<H>{It->second.Hash, It->second.Count,
+                           It->second.Bytes};
+  }
+
+  /// The exact checks, and the refuted ones among them, a probe for
+  /// \p Blob runs against a one-thread ingest: one per class stored
+  /// under its hash, in first-seen order, up to and including its own.
+  std::pair<uint64_t, uint64_t> checks(std::string_view Blob) const {
+    std::optional<Decoded> D = decode(Blob);
+    uint64_t Checks = 0;
+    if (!D)
+      return {0, 0};
+    auto Own = ByKey.find(D->Key);
+    for (const Class *C : FirstSeen) {
+      if (C->Hash != D->Hash)
+        continue;
+      ++Checks;
+      if (Own != ByKey.end() && C == &Own->second)
+        return {Checks, Checks - 1};
+    }
+    return {Checks, Checks};
+  }
+
+  /// Every class, sorted by (hash, bytes) like IndexReader::snapshot.
+  std::vector<ClassSummary<H>> snapshot() const {
+    std::vector<ClassSummary<H>> Out;
+    for (const Class *C : FirstSeen)
+      Out.push_back({C->Hash, C->Count, C->Bytes});
+    std::sort(Out.begin(), Out.end(), detail::lessByHashThenBytes<H>);
+    return Out;
+  }
+
+private:
+  struct Decoded {
+    std::string Key;
+    H Hash{};
+    std::string Bytes;
+  };
+
+  std::optional<Decoded> decode(std::string_view Blob) const {
+    ExprContext Ctx;
+    DeserializeResult D = deserializeExpr(Ctx, Blob);
+    if (!D.ok())
+      return std::nullopt;
+    const Expr *U = uniquifyBinders(Ctx, D.E);
+    return Decoded{toDeBruijnString(Ctx, U),
+                   AlphaHasher<H>(Ctx, Schema).hashRoot(U),
+                   serializeExpr(Ctx, U)};
+  }
+
+  HashSchema Schema;
+  std::map<std::string, Class> ByKey; ///< Node-based: pointers stay put.
+  std::vector<const Class *> FirstSeen;
+};
 
 /// A live copy of an `HMAI` image, built the one way a file becomes a
 /// live index: `MappedIndex::openBytes`, `verify`, then

@@ -368,7 +368,7 @@ TYPED_TEST(HashSerializedTest, AgreesWithDecodeThenHashRoot) {
   // that repeat, shadow and clash with free uses; a quarter are
   // uniquified, and some get a repeated-spelling name table. The byte
   // driver must succeed exactly when the decoder proves distinct binders
-  // and then equal hashRoot(uniquifyDecoded(decode)) bit for bit; a blob
+  // and then equal hashRoot(uniquifyBinders(decode)) bit for bit; a blob
   // it refuses must hash, once canonicalized, to that same value. Blobs
   // are decoded into a fresh context and into one that pre-interned
   // every pool name, and one hasher serves every blob, so stale byte
@@ -403,7 +403,7 @@ TYPED_TEST(HashSerializedTest, AgreesWithDecodeThenHashRoot) {
       DeserializeResult D = deserializeExpr(Out, Blob);
       ASSERT_TRUE(D.ok()) << D.Error;
       ASSERT_EQ(Got.has_value(), D.DistinctBinders) << printExpr(Out, D.E);
-      const Expr *Root = uniquifyDecoded(Out, D);
+      const Expr *Root = uniquifyBinders(Out, D.E);
       const H Want = AlphaHasher<H>(Out).hashRoot(Root);
       if (Got) {
         ASSERT_EQ(*Got, Want) << printExpr(Out, D.E);

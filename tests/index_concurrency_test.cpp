@@ -152,7 +152,7 @@ TEST(IndexConcurrency, ConcurrentReadsDuringIngestAreSafe) {
     while (!Done.load(std::memory_order_acquire)) {
       Index.numClasses();
       Index.stats();
-      if (Index.contains(Ctx, Probe))
+      if (Index.lookup(Ctx, Probe))
         ++Hits;
     }
   });
@@ -166,7 +166,8 @@ TEST(IndexConcurrency, ConcurrentReadsDuringIngestAreSafe) {
   Reader.join();
 
   ExprContext Ctx;
-  EXPECT_TRUE(Index.contains(Ctx, parseOrDie(Ctx, "(lam (q) (q q))")));
+  EXPECT_TRUE(
+      Index.lookup(Ctx, parseOrDie(Ctx, "(lam (q) (q q))")).has_value());
   EXPECT_EQ(Index.numClasses(), 201u);
 }
 

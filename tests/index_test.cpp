@@ -69,14 +69,17 @@ TEST(AlphaHashIndex, LookupOfAbsentExpressionFails) {
   AlphaHashIndex<> Index;
   ExprContext Ctx;
   Index.insert(Ctx, parseT(Ctx, "(lam (x) x)"));
-  EXPECT_FALSE(Index.contains(Ctx, parseT(Ctx, "(lam (x) (x x))")));
+  EXPECT_FALSE(Index.lookup(Ctx, parseT(Ctx, "(lam (x) (x x))")).has_value());
   // Free variables compare by spelling: `a` is not `b`.
   Index.insert(Ctx, parseT(Ctx, "(f a)"));
-  EXPECT_TRUE(Index.contains(Ctx, parseT(Ctx, "(f a)")));
-  EXPECT_FALSE(Index.contains(Ctx, parseT(Ctx, "(f b)")));
+  EXPECT_TRUE(Index.lookup(Ctx, parseT(Ctx, "(f a)")).has_value());
+  EXPECT_FALSE(Index.lookup(Ctx, parseT(Ctx, "(f b)")).has_value());
 }
 
 TEST(AlphaHashIndex, SerializedIngestMatchesDirectIngest) {
+  // Every ingest entry point -- the batch, one blob at a time, and the
+  // Expr adapter -- must build the reference model's class table: the
+  // same hashes, counts and representatives, from the decoder alone.
   ExprContext Gen;
   Rng R(101);
   std::vector<std::string> Blobs;
@@ -86,6 +89,24 @@ TEST(AlphaHashIndex, SerializedIngestMatchesDirectIngest) {
     // Every expression also appears alpha-renamed: 50 classes, 100 members.
     Blobs.push_back(serializeExpr(Gen, alphaRename(Gen, R, E)));
   }
+  ReferenceIndex<Hash128> Reference;
+  for (const std::string &B : Blobs)
+    ASSERT_TRUE(Reference.insert(B));
+  const auto Want = Reference.snapshot();
+  ASSERT_EQ(Want.size(), 50u);
+  for (const auto &C : Want)
+    EXPECT_EQ(C.Count, 2u);
+
+  AlphaHashIndex<> Batched;
+  auto Result = Batched.insertBatch(Blobs, /*Threads=*/1);
+  EXPECT_EQ(Result.Ingested, Blobs.size());
+  EXPECT_EQ(Result.DecodeErrors, 0u);
+  expectClassSummariesEq(Batched.snapshot(), Want);
+
+  AlphaHashIndex<> OneByOne;
+  for (const std::string &B : Blobs)
+    ASSERT_TRUE(OneByOne.insertSerialized(B).has_value());
+  expectClassSummariesEq(OneByOne.snapshot(), Want);
 
   AlphaHashIndex<> Direct;
   {
@@ -96,21 +117,7 @@ TEST(AlphaHashIndex, SerializedIngestMatchesDirectIngest) {
       Direct.insert(Ctx, D.E);
     }
   }
-
-  AlphaHashIndex<> Batched;
-  auto Result = Batched.insertBatch(Blobs, /*Threads=*/1);
-  EXPECT_EQ(Result.Ingested, Blobs.size());
-  EXPECT_EQ(Result.DecodeErrors, 0u);
-
-  auto A = Direct.snapshot();
-  auto B = Batched.snapshot();
-  ASSERT_EQ(A.size(), B.size());
-  EXPECT_EQ(A.size(), 50u);
-  for (size_t I = 0; I != A.size(); ++I) {
-    EXPECT_EQ(A[I].Hash, B[I].Hash);
-    EXPECT_EQ(A[I].Count, B[I].Count);
-    EXPECT_EQ(A[I].Count, 2u);
-  }
+  expectClassSummariesEq(Direct.snapshot(), Want);
 }
 
 TEST(AlphaHashIndex, DecodeErrorsAreCountedNotFatal) {
@@ -127,9 +134,8 @@ TEST(AlphaHashIndex, DecodeErrorsAreCountedNotFatal) {
   EXPECT_EQ(Index.numClasses(), 2u);
   EXPECT_EQ(Index.stats().DecodeErrors, 1u);
 
-  std::string Error;
-  EXPECT_FALSE(Index.insertSerialized("more garbage", &Error).has_value());
-  EXPECT_FALSE(Error.empty());
+  EXPECT_FALSE(Index.insertSerialized("more garbage").has_value());
+  EXPECT_EQ(Index.stats().DecodeErrors, 2u);
 }
 
 TEST(AlphaHashIndex, ShardCountRoundsUpAndSpreadsLoad) {
@@ -361,41 +367,6 @@ TEST(AlphaHashIndex, SteadyStateIngestPerformsZeroPoolAllocations) {
   EXPECT_GT(Batch.PoolNodesAllocated, 0u);
 }
 
-TEST(AlphaHashIndex, SharedHasherSurvivesContextRecreationAtSameAddress) {
-  // Regression (ABA): a loop-local ExprContext is typically recreated at
-  // the SAME stack address each iteration. A shared hasher keyed on the
-  // context *pointer* alone would keep iteration 1's name-hash cache and
-  // silently hash iteration 2's names with iteration 1's spellings; the
-  // (address, epoch) identity check must rebind instead.
-  AlphaHashIndex<> Index;
-  ExprContext HasherCtx;
-  AlphaHasher<Hash128> Hasher(HasherCtx, Index.schema());
-
-  const char *Sources[] = {"(g one)", "(g two)", "(g three)"};
-  std::vector<Hash128> Inserted;
-  for (const char *Src : Sources) {
-    ExprContext Ctx; // fresh context, (almost certainly) reused address
-    const Expr *E = parseT(Ctx, Src);
-    Inserted.push_back(Index.insert(Ctx, E, Hasher));
-    auto Hit = Index.lookup(Ctx, E, Hasher);
-    ASSERT_TRUE(Hit.has_value()) << Src << " absent right after insert";
-  }
-
-  // Three distinct free-variable spellings: three classes, three hashes.
-  EXPECT_EQ(Index.numClasses(), 3u);
-  EXPECT_NE(Inserted[0], Inserted[1]);
-  EXPECT_NE(Inserted[1], Inserted[2]);
-  EXPECT_NE(Inserted[0], Inserted[2]);
-  EXPECT_EQ(Index.stats().VerifiedCollisions, 0u);
-
-  // And each hash matches a from-scratch hasher's answer.
-  for (size_t I = 0; I != 3; ++I) {
-    ExprContext Ctx;
-    const Expr *E = uniquifyBinders(Ctx, parseT(Ctx, Sources[I]));
-    EXPECT_EQ(Inserted[I], AlphaHasher<Hash128>(Ctx).hashRoot(E));
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // The exact verifier: the byte walk against decode + alphaEquivalent
 //===----------------------------------------------------------------------===//
@@ -442,18 +413,31 @@ const Expr *mutateOne(ExprContext &Ctx, Rng &R, const Expr *E, int64_t &K,
   return E;
 }
 
+/// The query blob the byte path verifies with for \p E: its serialized
+/// bytes when the byte driver proves them, else their canonicalized copy
+/// (\ref detail::hashQuery).
+std::string provenQuery(const ExprContext &Ctx, const Expr *E) {
+  ExprContext Boot;
+  AlphaHasher<Hash64> Prover(Boot);
+  const std::string Blob = serializeExpr(Ctx, E);
+  std::string Canonical;
+  std::string_view Query = Blob;
+  EXPECT_TRUE(detail::hashQuery(Prover, Query, Canonical).has_value());
+  return std::string(Query);
+}
+
 } // namespace
 
 TEST(VerifyCandidateBytes, AgreesWithDecodeAndOracleOnRandomPairs) {
-  // Queries are uniquified shadow-heavy terms; candidates are the
-  // shadowed original (equivalent), a one-node mutation of it (near
-  // miss), or an unrelated term of the same size. Half the queries live
-  // in a second context whose name ids are skewed, and one scratch
-  // serves every case, so stale per-walk state would show up.
-  Rng R(77);
+  // Query terms are shadow-heavy, so about half of them take the byte
+  // path's canonicalization before they become a query blob. Candidates
+  // are the shadowed original (equivalent), a one-node mutation of it
+  // (near miss), or an unrelated term of the same size. One scratch
+  // serves every pair, so stale per-walk state would show up.
+  Rng R(2105);
   DecodeScratch Scratch;
   uint64_t Accepted = 0, Refuted = 0;
-  for (unsigned I = 0; I != 30000; ++I) {
+  for (unsigned I = 0; I != 32000; ++I) {
     ExprContext Ctx;
     const unsigned Pool = 2 + static_cast<unsigned>(R.below(5));
     const unsigned Size = 1 + static_cast<unsigned>(R.below(24));
@@ -466,32 +450,21 @@ TEST(VerifyCandidateBytes, AgreesWithDecodeAndOracleOnRandomPairs) {
       C = genShadowHeavy(Ctx, R, Size, Pool);
     }
     const std::string Bytes = serializeExpr(Ctx, C);
-
-    ExprContext Skewed;
-    for (unsigned N = 0; N != I % 7; ++N)
-      Skewed.name("w" + std::to_string(N));
-    ExprContext &QCtx = I % 2 ? Skewed : Ctx;
-    const Expr *Q = uniquifyBinders(Ctx, T);
-    if (&QCtx != &Ctx) {
-      DeserializeResult D = deserializeExpr(QCtx, serializeExpr(Ctx, Q));
-      ASSERT_TRUE(D.ok());
-      Q = uniquifyDecoded(QCtx, D);
-    }
-    const bool Want = decodeThenOracle(QCtx, Q, Bytes);
-    ASSERT_EQ(verifyCandidateBytes(QCtx, Q, Bytes, Scratch), Want)
-        << printExpr(QCtx, Q) << " vs " << printExpr(Ctx, C);
+    const bool Want = decodeThenOracle(Ctx, T, Bytes);
+    ASSERT_EQ(verifyCandidateBytes(provenQuery(Ctx, T), Bytes, Scratch), Want)
+        << printExpr(Ctx, T) << " vs " << printExpr(Ctx, C);
     (Want ? Accepted : Refuted) += 1;
   }
   EXPECT_GT(Accepted, 10000u);
   EXPECT_GT(Refuted, 10000u);
 }
 
-TEST(VerifyCandidateBytes, LetScopingAndShadowing) {
+TEST(VerifyCandidateBytes, LetScopingSpellingsAndMalformedBytes) {
   const std::pair<const char *, const char *> Pairs[] = {
-      {"(let (y x) y)", "(let (x x) x)"},       // bound x is the free x
-      {"(let (y x) x)", "(let (x x) x)"},       // body x is the binder
+      {"(let (y x) y)", "(let (x x) x)"}, // bound x is the free x
+      {"(let (y x) x)", "(let (x x) x)"}, // body x is the binder
       {"(let (y (f y0)) y)", "(let (x (f x)) x)"},
-      {"(lam (a b) b)", "(lam (x x) x)"},       // inner binder wins
+      {"(lam (a b) b)", "(lam (x x) x)"}, // inner binder wins
       {"(lam (a b) a)", "(lam (x x) x)"},
       {"(lam (a) (f (lam (b) b) a))", "(lam (x) (f (lam (x) x) x))"},
       {"(lam (a) (f (lam (b) a) a))", "(lam (x) (f (lam (x) x) x))"},
@@ -499,70 +472,65 @@ TEST(VerifyCandidateBytes, LetScopingAndShadowing) {
       {"(f (lam (a) a) a)", "(f (lam (x) x) x)"},
       {"(let (a 1) (let (b a) b))", "(let (x 1) (let (x x) x))"},
       {"(let (a 1) (let (b a) a))", "(let (x 1) (let (x x) x))"},
+      {"(f f)", "(f g)"},
+      {"(lam (p) (p 3))", "(lam (q) (q -3))"},
   };
   DecodeScratch Scratch;
   for (const auto &[QSrc, CSrc] : Pairs) {
     ExprContext Ctx;
-    const Expr *Q = uniquifyBinders(Ctx, parseT(Ctx, QSrc));
+    const Expr *Q = parseT(Ctx, QSrc);
     const std::string Bytes = serializeExpr(Ctx, parseT(Ctx, CSrc));
-    EXPECT_EQ(verifyCandidateBytes(Ctx, Q, Bytes, Scratch),
+    EXPECT_EQ(verifyCandidateBytes(provenQuery(Ctx, Q), Bytes, Scratch),
               decodeThenOracle(Ctx, Q, Bytes))
         << QSrc << " vs " << CSrc;
   }
+  ExprContext Ctx;
+  auto Blob = [&](const char *Src) {
+    return provenQuery(Ctx, parseT(Ctx, Src));
+  };
   // Spot-check the oracle's verdicts themselves on the tricky rows.
-  ExprContext Ctx;
   EXPECT_TRUE(verifyCandidateBytes(
-      Ctx, parseT(Ctx, "(let (y x) y)"),
-      serializeExpr(Ctx, parseT(Ctx, "(let (x x) x)")), Scratch));
+      Blob("(let (y x) y)"), serializeExpr(Ctx, parseT(Ctx, "(let (x x) x)")),
+      Scratch));
   EXPECT_FALSE(verifyCandidateBytes(
-      Ctx, parseT(Ctx, "(lam (a b) a)"),
-      serializeExpr(Ctx, parseT(Ctx, "(lam (x x) x)")), Scratch));
-}
+      Blob("(lam (a b) a)"), serializeExpr(Ctx, parseT(Ctx, "(lam (x x) x)")),
+      Scratch));
 
-TEST(VerifyCandidateBytes, RepeatedSpellingsMergeAsTheDecoderMerges) {
-  // Names {a, a}: both ids are one name, so `lam 0 (lam 1 (var 0))` is
+  // Repeated candidate spellings merge as the decoder merges them. Names
+  // {a, a}: both ids are one name, so `lam 0 (lam 1 (var 0))` is
   // (lam (a) (lam (a) a)) -- the variable is the *inner* binder's.
-  DecodeScratch Scratch;
-  ExprContext Ctx;
   const std::string Nested =
       handBlob({"a", "a"}, {TagLam, 0, TagLam, 1, TagVar, 0});
-  EXPECT_TRUE(
-      verifyCandidateBytes(Ctx, parseT(Ctx, "(lam (p q) q)"), Nested, Scratch));
-  EXPECT_FALSE(
-      verifyCandidateBytes(Ctx, parseT(Ctx, "(lam (p q) p)"), Nested, Scratch));
+  EXPECT_TRUE(verifyCandidateBytes(Blob("(lam (p q) q)"), Nested, Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(Blob("(lam (p q) p)"), Nested, Scratch));
   // Free uses of two ids with one spelling are one free variable.
   const std::string Free = handBlob({"f", "f"}, {TagApp, TagVar, 0, TagVar, 1});
-  EXPECT_TRUE(verifyCandidateBytes(Ctx, parseT(Ctx, "(f f)"), Free, Scratch));
-  EXPECT_FALSE(verifyCandidateBytes(Ctx, parseT(Ctx, "(f g)"), Free, Scratch));
+  EXPECT_TRUE(verifyCandidateBytes(Blob("(f f)"), Free, Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(Blob("(f g)"), Free, Scratch));
   // A binder on one id captures uses of the other.
   const std::string Capture =
       handBlob({"x", "x"}, {TagApp, TagLam, 0, TagVar, 1, TagVar, 1});
-  EXPECT_TRUE(verifyCandidateBytes(Ctx, parseT(Ctx, "((lam (p) p) x)"),
-                                   Capture, Scratch));
-  EXPECT_FALSE(verifyCandidateBytes(Ctx, parseT(Ctx, "((lam (p) x) x)"),
-                                    Capture, Scratch));
+  EXPECT_TRUE(verifyCandidateBytes(Blob("((lam (p) p) x)"), Capture, Scratch));
+  EXPECT_FALSE(
+      verifyCandidateBytes(Blob("((lam (p) x) x)"), Capture, Scratch));
   for (const char *Src : {"(lam (p q) q)", "(lam (p q) p)", "(f f)", "(f g)",
                           "((lam (p) p) x)", "((lam (p) x) x)"}) {
     const Expr *Q = parseT(Ctx, Src);
-    for (const std::string *Blob : {&Nested, &Free, &Capture})
-      EXPECT_EQ(verifyCandidateBytes(Ctx, Q, *Blob, Scratch),
-                decodeThenOracle(Ctx, Q, *Blob))
+    for (const std::string *Candidate : {&Nested, &Free, &Capture})
+      EXPECT_EQ(verifyCandidateBytes(provenQuery(Ctx, Q), *Candidate, Scratch),
+                decodeThenOracle(Ctx, Q, *Candidate))
           << Src;
   }
-}
 
-TEST(VerifyCandidateBytes, MalformedCandidatesAreRefuted) {
-  ExprContext Ctx;
-  const Expr *Q =
-      uniquifyBinders(Ctx, parseT(Ctx, "(let (k 7) (lam (x y) (f x k y)))"));
-  const std::string Good = serializeExpr(Ctx, Q);
-  DecodeScratch Scratch;
-  ASSERT_TRUE(verifyCandidateBytes(Ctx, Q, Good, Scratch));
-
+  // Malformed candidates refute against a query they would otherwise
+  // match, as a failed decode does.
+  const std::string Query = Blob("(let (k 7) (lam (x y) (f x k y)))");
+  ASSERT_TRUE(verifyCandidateBytes(Query, Query, Scratch));
   std::vector<std::pair<std::string, std::string>> Bad;
-  for (size_t Len = 0; Len != Good.size(); ++Len)
-    Bad.push_back({"truncated to " + std::to_string(Len), Good.substr(0, Len)});
-  Bad.push_back({"trailing byte", Good + '\0'});
+  for (size_t Len = 0; Len != Query.size(); ++Len)
+    Bad.push_back(
+        {"truncated to " + std::to_string(Len), Query.substr(0, Len)});
+  Bad.push_back({"trailing byte", Query + '\0'});
   Bad.push_back({"empty view", std::string()});
   // Out-of-range id and bad tag, on a blob whose only other defect they
   // are: (lam 0 (var 0)) with one name.
@@ -578,127 +546,31 @@ TEST(VerifyCandidateBytes, MalformedCandidatesAreRefuted) {
   for (const auto &[What, Bytes] : Bad) {
     ExprContext D;
     EXPECT_FALSE(deserializeExpr(D, Bytes).ok()) << What;
-    EXPECT_FALSE(verifyCandidateBytes(Ctx, Q, Bytes, Scratch)) << What;
+    EXPECT_FALSE(verifyCandidateBytes(Query, Bytes, Scratch)) << What;
   }
   // The same malformed ids refute against a query they would otherwise
   // match: (lam (p) p) vs lam 0 (var 1) with one name.
-  const Expr *Id = parseT(Ctx, "(lam (p) p)");
-  EXPECT_TRUE(verifyCandidateBytes(
-      Ctx, Id, handBlob({"x"}, {TagLam, 0, TagVar, 0}), Scratch));
-  EXPECT_FALSE(verifyCandidateBytes(
-      Ctx, Id, handBlob({"x"}, {TagLam, 0, TagVar, 1}), Scratch));
-  EXPECT_FALSE(verifyCandidateBytes(
-      Ctx, Id, handBlob({"x"}, {TagLam, 0, TagVar, 0, TagVar}), Scratch));
-}
-
-//===----------------------------------------------------------------------===//
-// The blob-query verifier against the Expr-query verifier and the oracle
-//===----------------------------------------------------------------------===//
-
-TEST(VerifyCandidateBytes, BlobQueryAgreesWithExprQueryAndOracle) {
-  // The random-pair battery above, with every query also given as the
-  // proven blob the byte read path verifies with. Both query forms must
-  // agree with each other and with decode + alphaEquivalent on every
-  // pair; one scratch serves both forms, so state leaking from one form
-  // into the other would show.
-  Rng R(2105);
-  DecodeScratch Scratch;
-  ExprContext Boot;
-  AlphaHasher<Hash64> Prover(Boot);
-  uint64_t Accepted = 0, Refuted = 0;
-  for (unsigned I = 0; I != 32000; ++I) {
-    ExprContext Ctx;
-    const unsigned Pool = 2 + static_cast<unsigned>(R.below(5));
-    const unsigned Size = 1 + static_cast<unsigned>(R.below(24));
-    const Expr *T = genShadowHeavy(Ctx, R, Size, Pool);
-    const Expr *C = T;
-    if (I % 3 == 1) {
-      int64_t K = static_cast<int64_t>(R.below(T->treeSize()));
-      C = mutateOne(Ctx, R, T, K, Pool);
-    } else if (I % 3 == 2) {
-      C = genShadowHeavy(Ctx, R, Size, Pool);
-    }
-    const std::string Bytes = serializeExpr(Ctx, C);
-    const Expr *Q = uniquifyBinders(Ctx, T);
-    const std::string QueryBlob = serializeExpr(Ctx, Q);
-    ASSERT_TRUE(Prover.hashSerialized(QueryBlob).has_value());
-
-    const bool Want = decodeThenOracle(Ctx, Q, Bytes);
-    ASSERT_EQ(verifyCandidateBytes(Ctx, Q, Bytes, Scratch), Want)
-        << printExpr(Ctx, Q) << " vs " << printExpr(Ctx, C);
-    ASSERT_EQ(verifyCandidateBytes(QueryBlob, Bytes, Scratch), Want)
-        << printExpr(Ctx, Q) << " vs " << printExpr(Ctx, C);
-    ASSERT_EQ(QueryView(QueryBlob).verify(Bytes, Scratch), Want);
-    (Want ? Accepted : Refuted) += 1;
-  }
-  EXPECT_GT(Accepted, 10000u);
-  EXPECT_GT(Refuted, 10000u);
-}
-
-TEST(VerifyCandidateBytes, BlobQueryLetScopingSpellingsAndMalformedBytes) {
-  const std::pair<const char *, const char *> Pairs[] = {
-      {"(let (y x) y)", "(let (x x) x)"},
-      {"(let (y x) x)", "(let (x x) x)"},
-      {"(let (y (f y0)) y)", "(let (x (f x)) x)"},
-      {"(lam (a b) b)", "(lam (x x) x)"},
-      {"(lam (a b) a)", "(lam (x x) x)"},
-      {"(f (lam (a) a) x)", "(f (lam (x) x) x)"},
-      {"(f (lam (a) a) a)", "(f (lam (x) x) x)"},
-      {"(let (a 1) (let (b a) b))", "(let (x 1) (let (x x) x))"},
-      {"(let (a 1) (let (b a) a))", "(let (x 1) (let (x x) x))"},
-      {"(f f)", "(f g)"},
-      {"(lam (p) (p 3))", "(lam (q) (q -3))"},
-  };
-  DecodeScratch Scratch;
-  for (const auto &[QSrc, CSrc] : Pairs) {
-    ExprContext Ctx;
-    const Expr *Q = uniquifyBinders(Ctx, parseT(Ctx, QSrc));
-    const std::string QueryBlob = serializeExpr(Ctx, Q);
-    const std::string Bytes = serializeExpr(Ctx, parseT(Ctx, CSrc));
-    EXPECT_EQ(verifyCandidateBytes(QueryBlob, Bytes, Scratch),
-              decodeThenOracle(Ctx, Q, Bytes))
-        << QSrc << " vs " << CSrc;
-  }
-  // Repeated candidate spellings merge as the decoder merges them.
-  ExprContext Ctx;
-  auto Blob = [&](const char *Src) {
-    return serializeExpr(Ctx, uniquifyBinders(Ctx, parseT(Ctx, Src)));
-  };
-  const std::string Nested =
-      handBlob({"a", "a"}, {TagLam, 0, TagLam, 1, TagVar, 0});
-  EXPECT_TRUE(verifyCandidateBytes(Blob("(lam (p q) q)"), Nested, Scratch));
-  EXPECT_FALSE(verifyCandidateBytes(Blob("(lam (p q) p)"), Nested, Scratch));
-  const std::string Free = handBlob({"f", "f"}, {TagApp, TagVar, 0, TagVar, 1});
-  EXPECT_TRUE(verifyCandidateBytes(Blob("(f f)"), Free, Scratch));
-  EXPECT_FALSE(verifyCandidateBytes(Blob("(f g)"), Free, Scratch));
-
-  // Malformed candidates refute against a query they would otherwise
-  // match.
-  const std::string Query = Blob("(let (k 7) (lam (x y) (f x k y)))");
-  ASSERT_TRUE(verifyCandidateBytes(Query, Query, Scratch));
-  for (size_t Len = 0; Len != Query.size(); ++Len)
-    EXPECT_FALSE(verifyCandidateBytes(Query, Query.substr(0, Len), Scratch))
-        << "truncated to " << Len;
-  EXPECT_FALSE(verifyCandidateBytes(Query, Query + '\0', Scratch));
   const std::string Id = Blob("(lam (p) p)");
   EXPECT_TRUE(verifyCandidateBytes(
       Id, handBlob({"x"}, {TagLam, 0, TagVar, 0}), Scratch));
   EXPECT_FALSE(verifyCandidateBytes(
       Id, handBlob({"x"}, {TagLam, 0, TagVar, 1}), Scratch));
   EXPECT_FALSE(verifyCandidateBytes(
+      Id, handBlob({"x"}, {TagLam, 0, TagVar, 0, TagVar}), Scratch));
+  EXPECT_FALSE(verifyCandidateBytes(
       Id, handBlob({"x"}, {TagLam, 0, 0x7F}), Scratch));
 }
 
 //===----------------------------------------------------------------------===//
-// The byte read path at b=16: same verdicts, same counters
+// The byte path at b=16 against the reference model
 //===----------------------------------------------------------------------===//
 
-TEST(AlphaHashIndex16, ByteReadPathRunsTheSameChecksAsTheExprPath) {
+TEST(AlphaHashIndex16, ByteReadPathAnswersAndChecksLikeTheReference) {
   // Buckets genuinely collide at 16 bits, so many queries verify several
-  // candidates. The byte path (lookupBatch, lookupSerialized) must answer
-  // each query as the Expr path (per-query lookup on the decoded root)
-  // does, and run exactly as many fallback checks with exactly as many
-  // verified collisions -- including for queries it canonicalized.
+  // candidates. The byte path (lookupBatch, lookupSerialized) must give
+  // each query the reference model's answer, and run exactly the checks
+  // the model counts -- one per class stored under the query's hash
+  // before its own -- including for queries it canonicalized.
   ExprContext Ctx;
   Rng R(1729);
   std::vector<std::string> Corpus, Queries;
@@ -715,37 +587,38 @@ TEST(AlphaHashIndex16, ByteReadPathRunsTheSameChecksAsTheExprPath) {
   for (int I = 0; I != 500; ++I)
     Queries.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 40)));
 
-  auto Build = [&] {
-    auto Index = std::make_unique<AlphaHashIndex<Hash16>>(
-        AlphaHashIndex<Hash16>::Options{4, HashSchema::DefaultSeed});
-    Index->insertBatch(Corpus, 1);
-    return Index;
-  };
-  auto ByBytes = Build();
-  auto ByExpr = Build();
-  const IndexStats Before = ByBytes->stats();
-  expectStatsEq(Before, ByExpr->stats());
+  AlphaHashIndex<Hash16> Index({4, HashSchema::DefaultSeed});
+  Index.insertBatch(Corpus, 1);
+  ReferenceIndex<Hash16> Reference;
+  for (const std::string &B : Corpus)
+    ASSERT_TRUE(Reference.insert(B));
+  expectClassSummariesEq(Index.snapshot(), Reference.snapshot());
 
-  // Two passes on each side: batch and single lookups on the byte path,
-  // two per-query Expr lookups on the reference.
-  auto Batch = ByBytes->lookupBatch(Queries, 3);
-  std::vector<std::optional<LookupResult<Hash16>>> Single, Reference;
-  for (int Pass = 0; Pass != 2; ++Pass) {
-    Reference.clear();
-    for (const std::string &Q : Queries) {
-      ExprContext QCtx;
-      DeserializeResult D = deserializeExpr(QCtx, Q);
-      ASSERT_TRUE(D.ok());
-      Reference.push_back(ByExpr->lookup(QCtx, D.E));
-    }
+  std::vector<std::optional<LookupResult<Hash16>>> Want, Single;
+  uint64_t WantChecks = 0, WantRefuted = 0;
+  for (const std::string &Q : Queries) {
+    Want.push_back(Reference.lookup(Q));
+    const auto [Checks, Refuted] = Reference.checks(Q);
+    WantChecks += Checks;
+    WantRefuted += Refuted;
   }
+  EXPECT_GT(WantChecks, Queries.size() / 2);
+  EXPECT_GT(WantRefuted, 0u);
+
+  // Each pass must add exactly the model's checks to the counters.
+  const IndexStats Before = Index.stats();
+  auto Batch = Index.lookupBatch(Queries, 3);
+  const IndexStats AfterBatch = Index.stats();
   for (const std::string &Q : Queries)
-    Single.push_back(ByBytes->lookupSerialized(Q));
-  expectSameLookupAnswers(Batch, Reference, "batch vs expr");
-  expectSameLookupAnswers(Single, Reference, "single vs expr");
-  const IndexStats A = ByBytes->stats(), B = ByExpr->stats();
-  EXPECT_GT(B.FallbackChecks - Before.FallbackChecks, Queries.size() / 2);
-  EXPECT_GT(B.VerifiedCollisions - Before.VerifiedCollisions, 0u);
-  EXPECT_EQ(A.FallbackChecks, B.FallbackChecks);
-  EXPECT_EQ(A.VerifiedCollisions, B.VerifiedCollisions);
+    Single.push_back(Index.lookupSerialized(Q));
+  const IndexStats AfterSingle = Index.stats();
+  expectSameLookupAnswers(Batch, Want, "batch vs reference");
+  expectSameLookupAnswers(Single, Want, "single vs reference");
+  EXPECT_EQ(AfterBatch.FallbackChecks - Before.FallbackChecks, WantChecks);
+  EXPECT_EQ(AfterBatch.VerifiedCollisions - Before.VerifiedCollisions,
+            WantRefuted);
+  EXPECT_EQ(AfterSingle.FallbackChecks - AfterBatch.FallbackChecks,
+            WantChecks);
+  EXPECT_EQ(AfterSingle.VerifiedCollisions - AfterBatch.VerifiedCollisions,
+            WantRefuted);
 }

@@ -890,9 +890,9 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
   // used free, repeated name-table spellings) and malformed. The byte
   // read path proves the first kind and canonicalizes the second; every
   // backend and the wire must answer each query byte-identically to the
-  // Expr path -- per-query lookup(Ctx, Root) on the decoded query -- with
-  // malformed blobs as misses. Every backend's batch also reports
-  // ReadBatchStats on the one batch read path.
+  // reference model built from the decoder alone, with malformed blobs as
+  // misses, and so must every backend's Expr adapter. Every backend's
+  // batch also reports ReadBatchStats on the one batch read path.
   ExprContext Ctx;
   Rng R(2026);
   std::vector<std::string> Base, Delta;
@@ -952,9 +952,16 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
                    serializeExpr(Ctx, genBalanced(Ctx, Big, 400)));
   }
 
-  // The reference on each backend: the Expr path, per query.
+  // The reference: the model of a one-thread ingest of the corpus.
   using Answers = std::vector<std::optional<LookupResult<Hash128>>>;
-  auto ExprPath = [&](IndexReader<Hash128> &Index) {
+  ReferenceIndex<Hash128> Reference;
+  for (const std::string &B : All)
+    ASSERT_TRUE(Reference.insert(B));
+  Answers Expect;
+  for (const std::string &Q : Queries)
+    Expect.push_back(Reference.lookup(Q));
+  // A backend's Expr adapter, per decodable query.
+  auto ExprPath = [&](const IndexReader<Hash128> &Index) {
     Answers Out;
     for (const std::string &Q : Queries) {
       ExprContext QCtx;
@@ -965,7 +972,7 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
   };
   AlphaHashIndex<> Live({8, HashSchema::DefaultSeed});
   Live.insertBatch(All, 1);
-  const Answers Expect = ExprPath(Live);
+  expectSameLookupAnswers(ExprPath(Live), Expect, "live expr");
   size_t NonProven = 0, NonProvenHits = 0, Malformed = 0, Hits = 0;
   for (size_t I = 0; I != Queries.size(); ++I) {
     ExprContext QCtx;
@@ -1043,18 +1050,16 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
     AOpts.Shards = 4;
     ASSERT_TRUE(appendSegment<Hash128>(Dir, Delta, AOpts).Ok);
   }
-  // The delta was uniquified in its own staging context, so a class it
-  // introduced may carry other fresh binder names than the live index's
-  // representative: the segmented reference is its own Expr path.
+  // Each blob is canonicalized on its own, so the delta's
+  // representatives are the ones a single ingest of the corpus keeps.
   auto Seg = SegmentedIndex<Hash128>::open(Dir);
   ASSERT_TRUE(Seg.ok()) << Seg.Error;
   ASSERT_EQ(Seg.Reader->set().numSegments(), 2u);
-  const Answers SegExpect = ExprPath(*Seg.Reader);
-  ExpectBatch(*Seg.Reader, SegExpect, "segmented");
+  expectSameLookupAnswers(ExprPath(*Seg.Reader), Expect, "segmented expr");
+  ExpectBatch(*Seg.Reader, Expect, "segmented");
 
   // Over the wire, from both the file and the directory.
   for (const std::string &Served : {Path, Dir}) {
-    const Answers &Want = Served == Path ? Expect : SegExpect;
     const std::string Sock = "indexd_test_fallback.sock";
     DaemonGuard D(testOpts(Served, Sock));
     ASSERT_TRUE(D.Started);
@@ -1067,12 +1072,12 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
       WireLookup One;
       ASSERT_TRUE(C.lookup(Queries[I], One, &Error)) << Error;
       for (const WireLookup &W : {Got[I], One}) {
-        ASSERT_EQ(W.Present, Want[I].has_value()) << Served << " query " << I;
+        ASSERT_EQ(W.Present, Expect[I].has_value()) << Served << " query " << I;
         if (!W.Present)
           continue;
-        EXPECT_EQ(W.Hash, Want[I]->Hash) << Served << " query " << I;
-        EXPECT_EQ(W.Count, Want[I]->Count) << Served << " query " << I;
-        EXPECT_EQ(W.CanonicalBytes, std::string(Want[I]->CanonicalBytes))
+        EXPECT_EQ(W.Hash, Expect[I]->Hash) << Served << " query " << I;
+        EXPECT_EQ(W.Count, Expect[I]->Count) << Served << " query " << I;
+        EXPECT_EQ(W.CanonicalBytes, std::string(Expect[I]->CanonicalBytes))
             << Served << " query " << I;
       }
     }

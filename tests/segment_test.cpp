@@ -657,7 +657,6 @@ TEST(SegmentedIndex, CrossSegmentCountsSaturateInsteadOfWrapping) {
   Rng R(31);
   const Expr *Root = uniquifyBinders(Ctx, genBalanced(Ctx, R, 20));
   AlphaHasher<Hash128> H(Ctx, HashSchema(HashSchema::DefaultSeed));
-  H.bindIfNeeded(Ctx);
   const Hash128 Hash = H.hashRoot(Root);
   const std::string Bytes = serializeExpr(Ctx, Root);
 
@@ -751,4 +750,117 @@ TEST(SegmentCompactor, BackgroundMergeUnderALiveReader) {
                           AnswersBefore, "compacted-vs-pinned");
   expectClassSummariesEq<Hash128>(After.Reader->snapshot(),
                                   Pinned.Reader->snapshot());
+}
+
+//===----------------------------------------------------------------------===//
+// Every ingest path stores the same representative
+//===----------------------------------------------------------------------===//
+
+TEST(IngestRepresentative, EveryPathStoresTheSerializerFormOfTheFirstMember) {
+  // One member per class, so the first member does not depend on the
+  // thread count. Each class must store
+  // serializeExpr(uniquifyBinders(decode(B))), whatever the form of B.
+  ExprContext Ctx;
+  auto Ser = [&](const char *Src) {
+    return serializeExpr(Ctx, parseT(Ctx, Src));
+  };
+  // Proven by the byte driver, but not what the serializer writes.
+  const std::vector<std::string> ProvenReshaped = {
+      // Name table not in first-use order: (lam (x) (x y)).
+      handBlob({"y", "x"}, {TagLam, 1, TagApp, TagVar, 1, TagVar, 0}),
+      // An unused name-table entry: (lam (x) (x 2)).
+      handBlob({"x", "unused"}, {TagLam, 0, TagApp, TagVar, 0, TagConst, 4}),
+      // An over-long varint for binder id 0: (lam (x) (x x)).
+      handBlob({"x"}, {TagLam, 0x80, 0x00, TagApp, TagVar, 0, TagVar, 0}),
+  };
+  // Not proven: the byte path canonicalizes them.
+  const std::vector<std::string> Canonicalized = {
+      handBlob({"a", "a"}, {TagLam, 0, TagVar, 1}), // repeated spelling
+      Ser("(lam (x) (lam (x) (x 5)))"),             // shadowed binder
+      Ser("(let (x (f x)) (x 7))"), // let binder reused in its bound expr
+  };
+  const std::string Malformed = handBlob({"x"}, {TagLam, 0, TagVar, 1});
+
+  ExprContext Boot;
+  AlphaHasher<Hash128> Prover(Boot);
+  for (const std::string &B : ProvenReshaped) {
+    ExprContext D;
+    EXPECT_TRUE(Prover.hashSerialized(B).has_value());
+    EXPECT_NE(serializeExpr(D, deserializeExpr(D, B).E), B);
+  }
+  for (const std::string &B : Canonicalized)
+    EXPECT_FALSE(Prover.hashSerialized(B).has_value());
+
+  std::vector<std::string> Blobs = ProvenReshaped;
+  Blobs.insert(Blobs.end(), Canonicalized.begin(), Canonicalized.end());
+  Blobs.push_back(Ser("(lam (p q) (q p))")); // already in serializer form
+  Blobs.push_back(Malformed);
+  ReferenceIndex<Hash128> Reference;
+  for (const std::string &B : Blobs)
+    Reference.insert(B);
+  const auto Want = Reference.snapshot();
+  ASSERT_EQ(Want.size(), Blobs.size() - 1);
+
+  auto Expect = [&](const IndexReader<Hash128> &Index, uint64_t DecodeErrors,
+                    const std::string &What) {
+    SCOPED_TRACE(What);
+    expectClassSummariesEq(Index.snapshot(), Want);
+    EXPECT_EQ(Index.stats().DecodeErrors, DecodeErrors);
+  };
+  for (unsigned Threads : {1u, 8u}) {
+    AlphaHashIndex<> Index({4, HashSchema::DefaultSeed});
+    const auto R = Index.insertBatch(Blobs, Threads);
+    EXPECT_EQ(R.DecodeErrors, 1u);
+    Expect(Index, 1, "insertBatch, threads=" + std::to_string(Threads));
+  }
+  {
+    AlphaHashIndex<> Index({4, HashSchema::DefaultSeed});
+    for (const std::string &B : Blobs)
+      EXPECT_EQ(Index.insertSerialized(B).has_value(), B != Malformed);
+    Expect(Index, 1, "insertSerialized");
+  }
+  {
+    AlphaHashIndex<> Index({4, HashSchema::DefaultSeed});
+    for (const std::string &B : Blobs) {
+      DeserializeResult D = deserializeExpr(Ctx, B);
+      if (D.ok())
+        Index.insert(Ctx, D.E);
+    }
+    Expect(Index, 0, "insert(Ctx, E)");
+  }
+  TempSegmentDir D("segment_test.representative.tmp");
+  ASSERT_TRUE(createSegmentDir(D.Dir, AlphaHashIndex<>()).Ok);
+  ASSERT_TRUE(appendSegment<Hash128>(D.Dir, Blobs).Ok);
+  auto Seg = SegmentedIndex<Hash128>::open(D.Dir);
+  ASSERT_TRUE(Seg.ok()) << Seg.Error;
+  Expect(*Seg.Reader, 1, "appendSegment");
+}
+
+TEST(SegmentMerge, UnprovenAndUndecodableRepresentativesGroupExactly) {
+  // Stored representatives need not be proven: a hand-written segment may
+  // hold a shadowed blob. The merge canonicalizes it once to verify later
+  // entries against it, and keeps the stored bytes as the
+  // representative. A blob that does not decode matches only byte-equal
+  // entries.
+  ExprContext Ctx;
+  auto Ser = [&](const char *Src) {
+    return serializeExpr(Ctx, parseT(Ctx, Src));
+  };
+  const std::string Shadowed = Ser("(lam (x) (lam (x) (x 1)))");
+  const std::string Renamed = Ser("(lam (a) (lam (b) (b 1)))");
+  const std::string Other = Ser("(lam (a) (lam (b) (a 1)))");
+  const std::string Malformed = handBlob({"x"}, {TagLam, 0, TagVar, 1});
+  const Hash128 H(7, 7); // one duplicate-hash run holds them all
+  auto Sorted = [](std::vector<ClassSummary<Hash128>> V) {
+    std::sort(V.begin(), V.end(), detail::lessByHashThenBytes<Hash128>);
+    return V;
+  };
+  const std::vector<std::vector<ClassSummary<Hash128>>> Streams = {
+      Sorted({{H, 1, Shadowed}, {H, 2, Malformed}}), // oldest
+      Sorted({{H, 10, Renamed}, {H, 20, Malformed}, {H, 40, Other}}),
+  };
+  const auto Merged = detail::mergeClassSummaries<Hash128>(Streams);
+  const auto Want = Sorted({{H, 11, Shadowed}, {H, 22, Malformed},
+                            {H, 40, Other}});
+  expectClassSummariesEq(Merged, Want);
 }

@@ -322,6 +322,60 @@ TEST(SerializeWalk, FirstSpellingsMergesRepeatsOntoTheFirstEntry) {
   EXPECT_TRUE(Canon.empty());
 }
 
+TEST(SerializeWalk, InSerializerFormIffReserializingGivesTheSameBytes) {
+  // The judgement must equal decode + serializeExpr + compare on every
+  // blob: what the serializer writes, hand-made variants of it, and
+  // random corruption of shadow-heavy terms.
+  auto Reserializes = [](const std::string &Blob) {
+    ExprContext D;
+    DeserializeResult R = deserializeExpr(D, Blob);
+    return R.ok() && serializeExpr(D, R.E) == Blob;
+  };
+  // "HMA1" followed by raw bytes (name count, table and body).
+  auto Raw = [](const std::vector<uint8_t> &Bytes) {
+    std::string Blob = "HMA1";
+    for (uint8_t B : Bytes)
+      Blob.push_back(static_cast<char>(B));
+    return Blob;
+  };
+  const std::vector<std::pair<const char *, std::string>> Hand = {
+      {"serializer output", handBlob({"x"}, {TagLam, 0, TagVar, 0})},
+      {"no names", handBlob({}, {TagConst, 3})},
+      {"table out of first-use order",
+       handBlob({"y", "x"}, {TagLam, 1, TagApp, TagVar, 1, TagVar, 0})},
+      {"unused entry", handBlob({"x", "u"}, {TagLam, 0, TagVar, 0})},
+      {"repeated spelling",
+       handBlob({"f", "f"}, {TagApp, TagVar, 0, TagVar, 1})},
+      {"over-long id", handBlob({"x"}, {TagLam, 0x80, 0x00, TagVar, 0})},
+      {"over-long constant", handBlob({}, {TagConst, 0x82, 0x00})},
+      {"over-long name count", Raw({0x81, 0x00, 1, 'x', TagVar, 0})},
+      {"over-long name length", Raw({1, 0x81, 0x00, 'x', TagVar, 0})},
+      {"malformed", handBlob({"x"}, {TagLam, 0, TagVar, 1})},
+      {"trailing byte", handBlob({"x"}, {TagVar, 0, 0})},
+  };
+  for (const auto &[What, Blob] : Hand)
+    EXPECT_EQ(serial::inSerializerForm(Blob), Reserializes(Blob)) << What;
+  EXPECT_TRUE(serial::inSerializerForm(Hand[0].second));
+  EXPECT_FALSE(serial::inSerializerForm(Hand[2].second));
+
+  Rng R(4242);
+  uint64_t InForm = 0, OutOfForm = 0;
+  for (unsigned I = 0; I != 5000; ++I) {
+    ExprContext Ctx;
+    std::string Blob = serializeExpr(
+        Ctx, genShadowHeavy(Ctx, R, 1 + static_cast<unsigned>(R.below(16)),
+                            2 + static_cast<unsigned>(R.below(4))));
+    ASSERT_TRUE(serial::inSerializerForm(Blob));
+    if (I % 2)
+      Blob[R.below(Blob.size())] = static_cast<char>(R.below(256));
+    const bool Want = Reserializes(Blob);
+    ASSERT_EQ(serial::inSerializerForm(Blob), Want);
+    (Want ? InForm : OutOfForm) += 1;
+  }
+  EXPECT_GE(InForm, 2500u);
+  EXPECT_GT(OutOfForm, 1000u);
+}
+
 TEST(SerializeWalk, FramesCloseInPostorderWithSubtreeSizes) {
   // (let (k 7) (lam (x) (f x k))): every interior node closes after its
   // children, with its subtree's node count.
