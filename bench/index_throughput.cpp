@@ -45,9 +45,7 @@
 #include <thread>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
-#endif
 
 using namespace hma;
 using namespace hma::bench;
@@ -256,9 +254,7 @@ void runSegmentUpdate() {
         std::remove((Dir + "/" + E.Name).c_str());
     gcSegmentDir(Dir);
     std::remove(manifestPathFor(Dir).c_str());
-#if defined(__unix__) || defined(__APPLE__)
     ::rmdir(Dir.c_str());
-#endif
     std::remove(File.c_str());
   }
 }

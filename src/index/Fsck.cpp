@@ -10,10 +10,7 @@
 #include <cerrno>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
-#define HMA_HAVE_STAT 1
-#endif
 
 using namespace hma;
 
@@ -80,14 +77,12 @@ struct Checker {
                Name, Error);
       return false;
     }
-    if (Opts.Deep) {
-      Error = deepValidateAtWidth(Info.HashBits, Bytes);
-      if (!Error.empty()) {
-        addIssue(looksTruncated(Error) ? FsckIssueKind::TruncatedTail
-                                       : FsckIssueKind::CorruptSegment,
-                 Name, Error);
-        return false;
-      }
+    Error = deepValidateAtWidth(Info.HashBits, Bytes);
+    if (!Error.empty()) {
+      addIssue(looksTruncated(Error) ? FsckIssueKind::TruncatedTail
+                                     : FsckIssueKind::CorruptSegment,
+               Name, Error);
+      return false;
     }
     return true;
   }
@@ -264,14 +259,8 @@ FsckReport hma::fsckIndex(const std::string &Path, const FsckOptions &Opts) {
   IoEnv &Env = Opts.Env ? *Opts.Env : IoEnv::system();
   Checker C{Opts, Env, FsckReport()};
 
-  bool IsDir = false;
-#ifdef HMA_HAVE_STAT
   struct stat St;
-  IsDir = ::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode);
-#else
-  IsDir = isSegmentDir(Path);
-#endif
-  if (IsDir)
+  if (::stat(Path.c_str(), &St) == 0 && S_ISDIR(St.st_mode))
     C.checkSegmentDir(Path);
   else
     C.checkSingleFile(Path);

@@ -65,10 +65,6 @@ struct FsckOptions {
   /// Delete repairable debris (orphan tmp files, unreferenced
   /// segments). Damage is never repaired.
   bool Repair = false;
-  /// Fully validate every record and sidecar block (`MappedIndex::verify`
-  /// over the file's bytes) rather than stopping at the header envelope.
-  /// Costs an O(classes) pass per segment; fsck is offline, so default on.
-  bool Deep = true;
   /// I/O environment; null means the production passthrough.
   IoEnv *Env = nullptr;
 };

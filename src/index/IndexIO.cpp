@@ -7,6 +7,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
+
 using namespace hma;
 
 //===----------------------------------------------------------------------===//
@@ -176,7 +178,7 @@ bool hma::probeIndexBytes(std::string_view Bytes, IndexFileInfo &Info,
 
 bool hma::readFileBytes(const std::string &Path, std::string &Out,
                         std::string *Error, IoEnv &Env) {
-  int Fd = Env.open(Path.c_str(), openFlagsRead(), 0);
+  int Fd = Env.open(Path.c_str(), O_RDONLY, 0);
   if (Fd < 0) {
     if (Error)
       *Error = "cannot open '" + Path + "': " + std::strerror(-Fd);
@@ -224,7 +226,7 @@ bool hma::writeFileReplacing(const std::string &Path, std::string_view Bytes,
   // unlink also clears odd leftovers (wrong permissions; a directory
   // would still fail below with a clear error).
   (void)Env.unlink(Tmp.c_str());
-  int Fd = Env.open(Tmp.c_str(), openFlagsWriteTrunc(), 0666);
+  int Fd = Env.open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
   if (Fd < 0)
     return Fail("cannot open '" + Tmp + "' for writing", -Fd, false);
 

@@ -89,36 +89,28 @@
 
 namespace hma {
 
-/// RAII owner of an `HMAI` image's backing bytes: an mmap'd file where
-/// the platform provides one, else a buffered read of the whole file
-/// (the graceful-fallback path; same bytes, no page-cache sharing).
+/// RAII owner of an `HMAI` file's read-only mapping.
 class MappedBytes {
 public:
-  /// Map (or, with \p ForceBuffered or where mmap is unavailable, read)
-  /// \p Path. Returns nullptr with \p Error set on I/O failure.
+  /// Map \p Path read-only. Returns nullptr with \p Error set when the
+  /// file cannot be opened, is empty or not a regular file, or cannot be
+  /// mapped; the diagnostic names the reason or the errno.
   static std::unique_ptr<MappedBytes> openFile(const std::string &Path,
-                                               bool ForceBuffered,
                                                std::string *Error);
-
-  /// Wrap an in-memory image (ownership taken). Lets tests and benches
-  /// run the mapped read path without touching the filesystem.
-  static std::unique_ptr<MappedBytes> fromBuffer(std::string Buffer);
 
   MappedBytes(const MappedBytes &) = delete;
   MappedBytes &operator=(const MappedBytes &) = delete;
   ~MappedBytes();
 
-  std::string_view bytes() const { return View; }
-  /// True when the bytes come from an actual mmap (false: buffered).
-  bool isMapped() const { return Map != nullptr; }
+  std::string_view bytes() const {
+    return std::string_view(static_cast<const char *>(Map), MapLen);
+  }
 
 private:
-  MappedBytes() = default;
+  MappedBytes(void *Map, size_t MapLen) : Map(Map), MapLen(MapLen) {}
 
-  void *Map = nullptr; ///< mmap base, or nullptr in buffered mode.
-  size_t MapLen = 0;
-  std::string Buffer; ///< Buffered-mode storage.
-  std::string_view View;
+  void *Map;
+  size_t MapLen;
 };
 
 /// Read-only, zero-copy index reader over an `HMAI` image.
@@ -136,10 +128,9 @@ public:
     bool ok() const { return Reader != nullptr; }
   };
 
-  /// Open \p Path: mmap where available, buffered read otherwise (or
-  /// when \p ForceBuffered). O(shards): no per-class work, no blob
-  /// reads.
-  static OpenResult open(const std::string &Path, bool ForceBuffered = false) {
+  /// Open \p Path over a read-only mmap. O(shards): no per-class work,
+  /// no blob reads.
+  static OpenResult open(const std::string &Path) {
     static const obs::Histogram OpenNs = obs::Histogram::get(
         "hma_mapped_open_ns",
         "Latency of opening an HMAI file for mapped reads (O(shards)), ns");
@@ -147,7 +138,7 @@ public:
     obs::ScopedTimer Timer(OpenNs);
     std::string Error;
     std::unique_ptr<MappedBytes> Storage =
-        MappedBytes::openFile(Path, ForceBuffered, &Error);
+        MappedBytes::openFile(Path, &Error);
     if (!Storage) {
       OpenResult R;
       R.Error = std::move(Error);
@@ -161,18 +152,6 @@ public:
   static OpenResult openBytes(std::string_view Bytes) {
     return fromView(Bytes, nullptr);
   }
-
-  /// Open over an owned in-memory image.
-  static OpenResult openBuffer(std::string Bytes) {
-    std::unique_ptr<MappedBytes> Storage =
-        MappedBytes::fromBuffer(std::move(Bytes));
-    std::string_view View = Storage->bytes();
-    return fromView(View, std::move(Storage));
-  }
-
-  /// True when the image is served from an actual mmap (false for the
-  /// buffered fallback and the in-memory open variants).
-  bool isFileMapped() const { return Storage && Storage->isMapped(); }
 
   /// The raw image this reader serves from (tests assert lookup results
   /// view into it).
@@ -278,9 +257,7 @@ public:
   // IndexReader surface
   //===--------------------------------------------------------------------===//
 
-  const char *backendName() const override {
-    return isFileMapped() ? "mapped" : "mapped (buffered)";
-  }
+  const char *backendName() const override { return "mapped"; }
   const HashSchema &schema() const override { return Schema; }
   unsigned numShards() const override { return Info.Shards; }
   size_t numClasses() const override {

@@ -5,11 +5,8 @@
 #include <algorithm>
 #include <ctime>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
 #include <sys/stat.h>
-#define HMA_HAVE_DIRENT 1
-#endif
 
 using namespace hma;
 
@@ -19,23 +16,17 @@ namespace {
 /// reads as 0 -- "brand new" -- which errs on the side of never
 /// deleting a file gc cannot date.
 uint64_t fileAgeSeconds(const std::string &Path) {
-#ifdef HMA_HAVE_DIRENT
   struct stat St;
   if (::stat(Path.c_str(), &St) != 0)
     return 0;
   time_t Now = ::time(nullptr);
   return Now > St.st_mtime ? static_cast<uint64_t>(Now - St.st_mtime) : 0;
-#else
-  (void)Path;
-  return 0;
-#endif
 }
 
 } // namespace
 
 std::vector<std::string> hma::listTmpFiles(const std::string &Dir) {
   std::vector<std::string> Tmps;
-#ifdef HMA_HAVE_DIRENT
   DIR *D = ::opendir(Dir.c_str());
   if (!D)
     return Tmps;
@@ -46,9 +37,6 @@ std::vector<std::string> hma::listTmpFiles(const std::string &Dir) {
   }
   ::closedir(D);
   std::sort(Tmps.begin(), Tmps.end());
-#else
-  (void)Dir;
-#endif
   return Tmps;
 }
 
@@ -65,9 +53,8 @@ std::vector<std::string> hma::gcSegmentDir(const std::string &Dir,
     return Removed;
 
   std::vector<std::string> Victims = listUnreferencedSegments(Dir, M);
-  if (Opts.CollectTmp)
-    for (std::string &Name : listTmpFiles(Dir))
-      Victims.push_back(std::move(Name));
+  for (std::string &Name : listTmpFiles(Dir))
+    Victims.push_back(std::move(Name));
 
   for (const std::string &Name : Victims) {
     const std::string Path = Dir + "/" + Name;

@@ -26,10 +26,10 @@
 ///    \ref SegmentedIndex::numClasses O(1).
 ///
 /// **Compaction restores the single-segment layout.** \ref
-/// compactSegments merges the per-shard sorted tables with a linear
-/// k-way pass (\ref detail::mergeClassSummaries: oldest representative,
-/// saturating counts, byte verifies only inside duplicate-hash runs),
-/// rebuilds one index via the no-rehash
+/// compactSegments takes the union table from the segmented reader
+/// (\ref SegmentedIndex::snapshot, a linear k-way merge: oldest
+/// representative, saturating counts, byte verifies only inside
+/// duplicate-hash runs), rebuilds one index via the no-rehash
 /// \ref AlphaHashIndex::restore path, writes it as a new segment,
 /// swaps the manifest, and only then deletes the replaced segment
 /// files. Readers that opened the old generation keep serving: their
@@ -57,15 +57,10 @@
 
 #include "support/IoEnv.h"
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace hma {
@@ -254,12 +249,13 @@ SegmentCompactResult compactSegments(const std::string &Dir,
   obs::ScopedTimer Timer(CompactNs);
 
   SegmentCompactResult R;
-  typename SegmentSet<H>::OpenResult Set = SegmentSet<H>::open(Dir);
+  typename SegmentedIndex<H>::OpenResult Set = SegmentedIndex<H>::open(Dir);
   if (!Set.ok()) {
     R.Error = std::move(Set.Error);
     return R;
   }
-  const SegmentManifest &Old = Set.Set->manifest();
+  const SegmentedIndex<H> &Union = *Set.Reader;
+  const SegmentManifest &Old = Union.set().manifest();
   R.SegmentsBefore = Old.Segments.size();
   R.Classes = Old.totalClasses();
   if (Old.Segments.size() < 2) {
@@ -268,33 +264,12 @@ SegmentCompactResult compactSegments(const std::string &Dir,
     return R;
   }
 
-  // Linear k-way merge of the per-segment sorted tables (oldest
-  // representative wins, counts sum saturating), then the no-rehash
-  // restore path rebuilds a live index around the merged table.
-  std::vector<std::vector<ClassSummary<H>>> Streams;
-  Streams.reserve(Set.Set->numSegments());
-  const auto &Segments = Set.Set->segments();
-  for (size_t I = Segments.size(); I != 0; --I) // oldest first
-    Streams.push_back(Segments[I - 1]->snapshot());
-  std::vector<ClassSummary<H>> Merged =
-      detail::mergeClassSummaries<H>(Streams);
-  Streams.clear();
-
-  // Header stats of the compacted segment: the saturating union of the
-  // inputs' headers, same aggregation the segmented reader reports.
-  IndexStats Sum;
-  for (const auto &S : Segments) {
-    const IndexStats SS = S->stats();
-    Sum.Inserted = saturatingAdd(Sum.Inserted, SS.Inserted);
-    Sum.NewClasses = saturatingAdd(Sum.NewClasses, SS.NewClasses);
-    Sum.Duplicates = saturatingAdd(Sum.Duplicates, SS.Duplicates);
-    Sum.FallbackChecks = saturatingAdd(Sum.FallbackChecks, SS.FallbackChecks);
-    Sum.VerifiedCollisions =
-        saturatingAdd(Sum.VerifiedCollisions, SS.VerifiedCollisions);
-    Sum.DecodeErrors = saturatingAdd(Sum.DecodeErrors, SS.DecodeErrors);
-  }
+  // The segmented reader's union view is the compacted table: its
+  // snapshot is the linear k-way merge (oldest representative, counts
+  // summed saturating) and its stats the saturating sum of the header
+  // stats. The no-rehash restore path rebuilds a live index around them.
   std::unique_ptr<AlphaHashIndex<H>> Compacted = AlphaHashIndex<H>::restore(
-      {Segments.front()->numShards(), Old.Seed}, std::move(Merged), Sum);
+      {Union.numShards(), Old.Seed}, Union.snapshot(), Union.stats());
 
   SegmentManifest New;
   New.Seed = Old.Seed;
@@ -336,9 +311,6 @@ struct GcOptions {
   /// the guard -- safe only when no writer can be running (offline
   /// maintenance, `hma index fsck --repair`, tests).
   uint64_t MinAgeSeconds = 60;
-  /// Also delete aged `*.tmp` leftovers (a writer that died between
-  /// creating its tmp and renaming it). Subject to the same age guard.
-  bool CollectTmp = true;
   IoEnv *Env = nullptr; ///< I/O environment (null: the system env).
 };
 
@@ -353,86 +325,8 @@ std::vector<std::string> gcSegmentDir(const std::string &Dir,
 
 /// `*.tmp` leftovers in \p Dir: a writer that died between creating its
 /// tmp and renaming it. Never data -- every committed file was renamed
-/// away from its tmp name. Shared by gc and `hma index fsck`. (Platforms
-/// without directory enumeration return an empty list.)
+/// away from its tmp name. Shared by gc and `hma index fsck`.
 std::vector<std::string> listTmpFiles(const std::string &Dir);
-
-/// Background compaction: a thread that watches one segmented-index
-/// directory and runs \ref compactSegments whenever the manifest lists
-/// at least \ref Options::TriggerSegments segments. Appenders and the
-/// compactor may interleave freely -- every writer goes through the
-/// same atomic manifest swap -- but there must be at most one compactor
-/// per directory (writers do not lock each other out).
-template <typename H = Hash128> class SegmentCompactor {
-public:
-  struct Options {
-    unsigned TriggerSegments = 4; ///< Compact at this many segments.
-    unsigned PollMs = 50;         ///< Manifest re-check interval.
-  };
-
-  explicit SegmentCompactor(std::string Dir, Options Opts = {})
-      : Dir(std::move(Dir)), Opts(Opts), Worker([this] { run(); }) {}
-
-  ~SegmentCompactor() { stop(); }
-
-  /// Stop watching and join the thread (idempotent).
-  void stop() {
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      if (Stopped)
-        return;
-      Stopped = true;
-    }
-    Cv.notify_all();
-    Worker.join();
-  }
-
-  uint64_t compactions() const {
-    return Done.load(std::memory_order_relaxed);
-  }
-
-  std::string lastError() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return LastError;
-  }
-
-private:
-  void run() {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> Lock(Mu);
-        Cv.wait_for(Lock, std::chrono::milliseconds(Opts.PollMs),
-                    [this] { return Stopped; });
-        if (Stopped)
-          return;
-      }
-      // Peek at the manifest without opening segments: decode is O(entries).
-      std::string Bytes;
-      SegmentManifest M;
-      if (!readFileBytes(manifestPathFor(Dir), Bytes, nullptr) ||
-          !SegmentManifest::decode(Bytes, M))
-        continue;
-      if (M.Segments.size() < Opts.TriggerSegments)
-        continue;
-      SegmentCompactResult R = compactSegments<H>(Dir);
-      if (R.Ok) {
-        Done.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        std::lock_guard<std::mutex> Lock(Mu);
-        LastError = std::move(R.Error);
-      }
-    }
-  }
-
-  std::string Dir;
-  Options Opts;
-  mutable std::mutex Mu;
-  std::condition_variable Cv;
-  bool Stopped = false;
-  std::string LastError;
-  std::atomic<uint64_t> Done{0};
-  std::thread Worker;
-};
 
 } // namespace hma
 

@@ -7,11 +7,8 @@
 #include <algorithm>
 #include <cstdio>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
 #include <sys/stat.h>
-#define HMA_HAVE_DIRENT 1
-#endif
 
 using namespace hma;
 
@@ -149,21 +146,12 @@ std::string hma::segmentFileName(uint64_t Id) {
 }
 
 bool hma::isSegmentDir(const std::string &Path) {
-#ifdef HMA_HAVE_DIRENT
   struct stat St;
   if (::stat(Path.c_str(), &St) != 0 || !S_ISDIR(St.st_mode))
     return false;
   struct stat MSt;
   return ::stat(manifestPathFor(Path).c_str(), &MSt) == 0 &&
          S_ISREG(MSt.st_mode);
-#else
-  // Without directory metadata, probe for the manifest file directly.
-  std::FILE *F = std::fopen(manifestPathFor(Path).c_str(), "rb");
-  if (!F)
-    return false;
-  std::fclose(F);
-  return true;
-#endif
 }
 
 bool hma::writeManifestReplacing(const std::string &Dir,
@@ -176,7 +164,6 @@ std::vector<std::string>
 hma::listUnreferencedSegments(const std::string &Dir,
                               const SegmentManifest &M) {
   std::vector<std::string> Orphans;
-#ifdef HMA_HAVE_DIRENT
   DIR *D = ::opendir(Dir.c_str());
   if (!D)
     return Orphans;
@@ -196,9 +183,5 @@ hma::listUnreferencedSegments(const std::string &Dir,
   }
   ::closedir(D);
   std::sort(Orphans.begin(), Orphans.end());
-#else
-  (void)Dir;
-  (void)M;
-#endif
   return Orphans;
 }

@@ -6,6 +6,12 @@
 /// validates everything the manifest names, and \ref SegmentedIndex
 /// serves the \ref IndexReader surface over it.
 ///
+/// \ref openIndex is the one admission gate of every index that serves
+/// answers: a segment directory or a single `HMAI` file, opened and
+/// deep-verified (\ref MappedIndex::verify on every file), or refused
+/// with the diagnostic. `hma index open` and the daemon's loads and
+/// reloads (serve/Generation.h) both go through it.
+///
 /// A segmented index is observably *one* class table, stored as the
 /// union of several immutable `HMAI` segments. The same alpha-class may
 /// appear in more than one segment -- an `update` ingests its delta
@@ -248,10 +254,9 @@ public:
     return R;
   }
 
-  /// Deep integrity check: \ref MappedIndex::verify on every segment --
-  /// the one admission gate behind which `hma indexd` accepts a whole
-  /// segmented generation. O(total classes); diagnostics name the
-  /// failing segment.
+  /// Deep integrity check: \ref MappedIndex::verify on every segment,
+  /// so \ref openIndex admits a segment directory whole or not at all.
+  /// O(total classes); diagnostics name the failing segment.
   bool verify(std::string *Error = nullptr, size_t *ErrorPos = nullptr) const {
     for (size_t I = 0; I != Segments.size(); ++I) {
       std::string SegError;
@@ -449,6 +454,45 @@ private:
   std::unique_ptr<SegmentSet<H>> Set;
   HashSchema Schema;
 };
+
+/// Outcome of \ref openIndex: a verified reader or the diagnostic.
+template <typename H> struct OpenedIndex {
+  std::unique_ptr<IndexReader<H>> Reader;
+  std::string Error;   ///< Empty on success.
+  size_t ErrorPos = 0; ///< Byte offset into whichever file Error names.
+  /// Segment files the manifest does not list (crash-window leftovers;
+  /// see `hma index gc`). Always empty for a single file.
+  std::vector<std::string> Orphans;
+
+  bool ok() const { return Reader != nullptr; }
+};
+
+/// Open the index at \p Path and admit it only if it passes the deep
+/// check: a segment directory (\ref isSegmentDir) through \ref
+/// SegmentedIndex::open + \ref SegmentedIndex::verify, anything else
+/// through \ref MappedIndex::open + \ref MappedIndex::verify. The one
+/// way code that serves answers turns a path into an index.
+template <typename H = Hash128>
+OpenedIndex<H> openIndex(const std::string &Path) {
+  OpenedIndex<H> R;
+  auto Admit = [&R](auto Opened) {
+    if (!Opened.ok()) {
+      R.Error = std::move(Opened.Error);
+      R.ErrorPos = Opened.ErrorPos;
+    } else if (Opened.Reader->verify(&R.Error, &R.ErrorPos)) {
+      R.Reader = std::move(Opened.Reader);
+    }
+  };
+  if (isSegmentDir(Path)) {
+    typename SegmentedIndex<H>::OpenResult S = SegmentedIndex<H>::open(Path);
+    if (S.ok())
+      R.Orphans = S.Reader->set().orphans();
+    Admit(std::move(S));
+  } else {
+    Admit(MappedIndex<H>::open(Path));
+  }
+  return R;
+}
 
 } // namespace hma
 

@@ -2,15 +2,10 @@
 
 #include "serve/Client.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define HMA_HAVE_SOCKETS 1
-#endif
-
 #include <cstring>
 #include <random>
 #include <thread>
 
-#if HMA_HAVE_SOCKETS
 #include <arpa/inet.h>
 #include <cerrno>
 #include <csignal>
@@ -20,12 +15,9 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 using namespace hma;
 using namespace hma::serve;
-
-#if HMA_HAVE_SOCKETS
 
 namespace {
 
@@ -618,40 +610,3 @@ int hma::serve::runChaos(const ClientOptions &Opts, const std::string &Script,
   }
   return X.Failures;
 }
-
-#else // !HMA_HAVE_SOCKETS
-
-Client::Client(ClientOptions O) : Opts(std::move(O)) {}
-Client::~Client() = default;
-void Client::close() {}
-bool Client::connect(std::string *Error) {
-  if (Error)
-    *Error = "sockets are not supported on this platform";
-  return false;
-}
-bool Client::call(Op, std::string_view, Reply &, std::string *Error) {
-  return connect(Error);
-}
-bool Client::ping(std::string *Error) { return connect(Error); }
-bool Client::lookup(std::string_view, WireLookup &, std::string *Error) {
-  return connect(Error);
-}
-bool Client::lookupBatch(const std::vector<std::string> &,
-                         std::vector<WireLookup> &, std::string *Error) {
-  return connect(Error);
-}
-bool Client::stats(StatsFormat, std::string &, std::string *Error) {
-  return connect(Error);
-}
-bool Client::reload(std::string_view, Reply &, std::string *Error) {
-  return connect(Error);
-}
-bool Client::shutdownServer(std::string *Error) { return connect(Error); }
-
-int hma::serve::runChaos(const ClientOptions &, const std::string &, int,
-                         std::string &Log) {
-  Log += "FAIL all: sockets are not supported on this platform\n";
-  return 1;
-}
-
-#endif // HMA_HAVE_SOCKETS

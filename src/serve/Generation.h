@@ -7,18 +7,19 @@
 /// on.
 ///
 /// Why refcounting is *the* correctness mechanism here: \ref MappedIndex
-/// lookup results are `string_view`s into the mapping (the PR 4 lifetime
-/// rule), so an index file must stay mapped until the last request served
-/// from it has finished serialising its reply. A generation is therefore
-/// an immutable (MappedIndex, number, path) triple owned by a
-/// `shared_ptr<const Generation>`:
+/// lookup results are `string_view`s into the mapping (the lifetime rule
+/// of index/IndexReader.h), so an index must stay mapped until the last
+/// request served from it has finished serialising its reply. A
+/// generation is therefore an immutable (reader, number, path) triple
+/// owned by a `shared_ptr<const Generation>`:
 ///
 ///  - request handlers \ref GenerationCell::acquire a reference for the
 ///    duration of one request -- the only lock is a microseconds-scale
 ///    mutex around the pointer copy, never around I/O or lookups;
-///  - \ref GenerationCell::load opens and deep-verifies the candidate
-///    file *outside* the lock (the admission gate: a corrupt or truncated
-///    file is rejected with a diagnostic and the old generation keeps
+///  - \ref GenerationCell::load admits the candidate -- a single `HMAI`
+///    file or a segment directory -- through \ref openIndex *outside*
+///    the lock (open + deep verify: a corrupt or truncated candidate is
+///    rejected with openIndex's diagnostic and the old generation keeps
 ///    serving), then swaps the pointer under the lock;
 ///  - the old generation's mapping is unmapped exactly when its last
 ///    holder drops it -- a custom deleter counts these retirements, so
@@ -35,8 +36,6 @@
 #ifndef HMA_SERVE_GENERATION_H
 #define HMA_SERVE_GENERATION_H
 
-#include "index/MappedIndex.h"
-#include "index/SegmentManifest.h"
 #include "index/SegmentSet.h"
 #include "obs/Metrics.h"
 
@@ -50,20 +49,14 @@
 
 namespace hma::serve {
 
-/// One immutable serving generation: either a single mapped `HMAI` file
-/// or a whole segmented-index directory (\ref SegmentedIndex), admitted
-/// behind the same verify gate. Holders may use `Index` freely from any
-/// thread (both read paths are lock-free); nothing here mutates after
-/// publication.
+/// One immutable serving generation: a verified single `HMAI` file or
+/// segment directory, as \ref openIndex admitted it. Holders may use
+/// `Index` freely from any thread (every read path is lock-free);
+/// nothing here mutates after publication.
 struct Generation {
-  std::unique_ptr<MappedIndex<Hash128>> Mapped;
-  std::unique_ptr<SegmentedIndex<Hash128>> Segmented;
-  /// The live backend, whichever of the two is set: every interface use
-  /// (stats rendering, schema, counts) goes through this one pointer.
-  IndexReader<Hash128> *Index = nullptr;
-  uint64_t Number = 0;  ///< Strictly monotonic across swaps.
-  std::string Path;     ///< File or directory this generation came from.
-
+  std::unique_ptr<IndexReader<Hash128>> Index;
+  uint64_t Number = 0; ///< Strictly monotonic across swaps.
+  std::string Path;    ///< File or directory this generation came from.
 };
 
 using GenerationRef = std::shared_ptr<const Generation>;
@@ -89,15 +82,11 @@ public:
     return Cur;
   }
 
-  /// Open \p Path, run the admission gate, and -- only if it passes --
+  /// Admit \p Path through \ref openIndex and -- only if it passes --
   /// publish it as the next generation. On rejection the current
-  /// generation is untouched and keeps serving.
-  ///
-  /// The gate is `MappedIndex::open` (header/envelope/width) plus the
-  /// deep O(classes) `verify()` table check when \p Verify is set: the
-  /// same acceptance every other file open applies, so an unverified
-  /// corrupt file can never become the serving generation.
-  LoadOutcome load(const std::string &Path, bool Verify = true) {
+  /// generation is untouched and keeps serving, and the outcome carries
+  /// openIndex's diagnostic.
+  LoadOutcome load(const std::string &Path) {
     static const obs::Counter Success = obs::Counter::get(
         "hma_indexd_reload_success_total",
         "Index generations admitted and published by reloads");
@@ -113,57 +102,16 @@ public:
     obs::ScopedTimer Timer(LoadNs);
 
     LoadOutcome Out;
-    auto Reject = [&](const std::string &Error, size_t ErrorPos) {
+    OpenedIndex<Hash128> Opened = openIndex<Hash128>(Path);
+    if (!Opened.ok()) {
       Rejected.add(1);
       LoadsRejected.fetch_add(1, std::memory_order_relaxed);
-      Out.Message = "reload rejected: " + Error + " (byte " +
-                    std::to_string(ErrorPos) + ") in '" + Path + "'";
-    };
-
-    auto *G = new Generation();
-    if (isSegmentDir(Path)) {
-      // A segmented index is admitted whole: manifest decode, every
-      // segment opened and cross-checked, and (with \p Verify) the deep
-      // table check on each -- one gate for the entire SegmentSet, so a
-      // torn manifest or one corrupt segment rejects the directory and
-      // the old generation keeps serving.
-      SegmentedIndex<Hash128>::OpenResult R =
-          SegmentedIndex<Hash128>::open(Path);
-      if (!R.ok()) {
-        delete G;
-        Reject(R.Error, R.ErrorPos);
-        return Out;
-      }
-      if (Verify) {
-        std::string Error;
-        size_t ErrorPos = 0;
-        if (!R.Reader->verify(&Error, &ErrorPos)) {
-          delete G;
-          Reject(Error, ErrorPos);
-          return Out;
-        }
-      }
-      G->Segmented = std::move(R.Reader);
-      G->Index = G->Segmented.get();
-    } else {
-      MappedIndex<Hash128>::OpenResult R = MappedIndex<Hash128>::open(Path);
-      if (!R.ok()) {
-        delete G;
-        Reject(R.Error, R.ErrorPos);
-        return Out;
-      }
-      if (Verify) {
-        std::string Error;
-        size_t ErrorPos = 0;
-        if (!R.Reader->verify(&Error, &ErrorPos)) {
-          delete G;
-          Reject(Error, ErrorPos);
-          return Out;
-        }
-      }
-      G->Mapped = std::move(R.Reader);
-      G->Index = G->Mapped.get();
+      Out.Message = "reload rejected: " + Opened.Error + " (byte " +
+                    std::to_string(Opened.ErrorPos) + ") in '" + Path + "'";
+      return Out;
     }
+    auto *G = new Generation();
+    G->Index = std::move(Opened.Reader);
     G->Path = Path;
     Out.Classes = G->Index->numClasses();
     // The deleter runs when the last in-flight holder drains: retirement

@@ -21,10 +21,6 @@
 
 #include "serve/Server.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define HMA_HAVE_SOCKETS 1
-#endif
-
 #include "ast/Serialize.h"
 #include "core/AlphaHasher.h"
 #include "index/ShardStore.h"
@@ -42,7 +38,6 @@
 #include <thread>
 #include <vector>
 
-#if HMA_HAVE_SOCKETS
 #include <arpa/inet.h>
 #include <cerrno>
 #include <csignal>
@@ -50,22 +45,14 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 using namespace hma;
 using namespace hma::serve;
 
-bool hma::serve::serverSupported() {
-#if HMA_HAVE_SOCKETS
-  return true;
-#else
-  return false;
-#endif
-}
-
-#if HMA_HAVE_SOCKETS
+bool hma::serve::serverSupported() { return true; }
 
 namespace {
 
@@ -255,14 +242,12 @@ struct Server::Impl {
       return false;
     };
 
-    if (!serverSupported())
-      return Fail("indexd is not supported on this platform (no sockets)");
     if (Opts.UnixSocketPath.empty())
       return Fail("indexd requires a --socket path");
 
     // Admission-gate the initial index exactly like a reload: a daemon
     // must never come up serving a file it would reject on SIGHUP.
-    LoadOutcome Boot = Cell.load(Opts.IndexPath, Opts.VerifyOnLoad);
+    LoadOutcome Boot = Cell.load(Opts.IndexPath);
     if (!Boot.Ok)
       return Fail(Boot.Message);
 
@@ -279,16 +264,23 @@ struct Server::Impl {
     if (!setNonBlocking(SignalRead) || !setNonBlocking(SignalWrite))
       return Fail("indexd: could not configure the signal pipe");
 
-    // Unix listener. Unlink any stale socket first: a daemon that
-    // crashed leaves the inode behind, and refusing to restart over it
-    // would turn one crash into a permanent outage.
+    // Unix listener. Unlink a stale socket first: a daemon that crashed
+    // leaves the inode behind, and refusing to restart over it would
+    // turn one crash into a permanent outage. Anything else at the path
+    // is not ours to delete.
     sockaddr_un Addr{};
     Addr.sun_family = AF_UNIX;
     if (Opts.UnixSocketPath.size() >= sizeof(Addr.sun_path))
       return Fail("indexd: socket path too long: " + Opts.UnixSocketPath);
     std::memcpy(Addr.sun_path, Opts.UnixSocketPath.c_str(),
                 Opts.UnixSocketPath.size() + 1);
-    ::unlink(Opts.UnixSocketPath.c_str());
+    struct stat St;
+    if (::lstat(Opts.UnixSocketPath.c_str(), &St) == 0) {
+      if (!S_ISSOCK(St.st_mode))
+        return Fail("indexd: '" + Opts.UnixSocketPath +
+                    "' exists and is not a socket; refusing to replace it");
+      ::unlink(Opts.UnixSocketPath.c_str());
+    }
     UnixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (UnixFd < 0)
       return Fail("indexd: socket() failed: " + std::string(strerror(errno)));
@@ -478,7 +470,7 @@ struct Server::Impl {
       Path = Cell.currentPath();
     if (Path.empty())
       return;
-    LoadOutcome R = Cell.load(Path, Opts.VerifyOnLoad);
+    LoadOutcome R = Cell.load(Path);
     std::fprintf(stderr, "hma indexd: %s\n", R.Message.c_str());
     noteReloadOutcome(Path, R.Ok, R.Message, /*FromRetry=*/false);
   }
@@ -547,7 +539,7 @@ struct Server::Impl {
       return;
     ReloadRetriesTotal.fetch_add(1, std::memory_order_relaxed);
     ServerMetrics::get().ReloadRetries.add(1);
-    LoadOutcome R = Cell.load(Path, Opts.VerifyOnLoad);
+    LoadOutcome R = Cell.load(Path);
     std::fprintf(stderr, "hma indexd: reload retry: %s\n", R.Message.c_str());
     noteReloadOutcome(Path, R.Ok, R.Message, /*FromRetry=*/true);
   }
@@ -911,7 +903,7 @@ struct Server::Impl {
       // The load (open + deep verify) runs right here on the worker:
       // other workers keep serving off the pinned old generation, and a
       // rejection leaves everything exactly as it was.
-      LoadOutcome R = Cell.load(Path, Opts.VerifyOnLoad);
+      LoadOutcome R = Cell.load(Path);
       noteReloadOutcome(Path, R.Ok, R.Message, /*FromRetry=*/false);
       C.Out += encodeResponse(R.Ok ? Status::Ok : Status::ReloadRejected,
                               R.Message);
@@ -981,32 +973,6 @@ struct Server::Impl {
   }
 };
 
-#else // !HMA_HAVE_SOCKETS
-
-// Socketless platforms get a stub Impl; start() reports the gap.
-struct Server::Impl {
-  ServerOptions Opts;
-  GenerationCell Cell;
-  std::atomic<uint64_t> Requests{0};
-  std::atomic<bool> Degraded{false};
-  std::atomic<uint64_t> ReloadRetriesTotal{0};
-  std::mutex ReloadMu;
-  std::string LastReloadError;
-  explicit Impl(ServerOptions O) : Opts(std::move(O)) {}
-  bool start(std::string *Error) {
-    if (Error)
-      *Error = "indexd is not supported on this platform (no sockets)";
-    return false;
-  }
-  void notifySignal(int) {}
-  int waitForExit() { return 0; }
-  void requestStopInternal() {}
-  void reloadCurrent() {}
-  std::atomic<bool> Started{false};
-  std::atomic<bool> Exited{true};
-};
-
-#endif // HMA_HAVE_SOCKETS
 
 //===----------------------------------------------------------------------===//
 // Server facade
@@ -1019,11 +985,9 @@ bool Server::start(std::string *Error) { return I->start(Error); }
 void Server::notifySignal(int Signo) { I->notifySignal(Signo); }
 void Server::requestStop() { I->requestStopInternal(); }
 void Server::requestReload() {
-#if HMA_HAVE_SOCKETS
   char B = 'H';
   if (I->SignalWrite >= 0)
     (void)::write(I->SignalWrite, &B, 1);
-#endif
 }
 int Server::waitForExit() { return I->waitForExit(); }
 bool Server::running() const {

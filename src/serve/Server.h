@@ -41,16 +41,21 @@
 ///    (\ref ServerOptions::MaxWriteBufferBytes): a peer that stops
 ///    reading stops being read from (backpressure), and is closed if the
 ///    cap is exceeded outright;
-///  - reloads (SIGHUP or the `Reload` op) run the deep-verify admission
-///    gate; rejection keeps the old generation serving and counts
+///  - the index served at startup and every reload (SIGHUP or the
+///    `Reload` op) pass the one admission gate, \ref openIndex (open +
+///    deep verify; there is no way to serve an unverified file);
+///    rejection keeps the old generation serving and counts
 ///    `hma_indexd_reload_rejected_total`;
+///  - the socket path is replaced only when it holds a stale socket; a
+///    regular file (or anything else) there is refused and left alone;
 ///  - shutdown (SIGTERM/SIGINT or the `Shutdown` op) stops accepting,
 ///    answers everything already received, flushes, and exits 0 --
 ///    bounded by \ref ServerOptions::DrainTimeoutMs.
 ///
 /// The class is a library object (the fault-injection harness in
 /// tests/indexd_test.cpp runs it in-process); `tools/hma.cpp` wires it
-/// to the `hma indexd` command and OS signals.
+/// to the `hma indexd` command and OS signals. POSIX only, like the
+/// whole build.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,14 +72,15 @@
 
 namespace hma::serve {
 
-/// True when this platform has the socket layer the daemon needs
-/// (POSIX). On other platforms \ref Server::start fails with a
-/// diagnostic instead of failing to compile.
+/// Always true: the build requires POSIX, whose sockets the daemon
+/// needs. Kept so callers that probe for the daemon still compile.
 bool serverSupported();
 
 struct ServerOptions {
-  std::string IndexPath;      ///< HMAI file served at startup.
-  std::string UnixSocketPath; ///< Required; the daemon owns this path.
+  std::string IndexPath; ///< HMAI file or segment dir served at startup.
+  /// Required. The daemon binds a socket here, replacing only a stale
+  /// socket; any other file at the path makes \ref Server::start fail.
+  std::string UnixSocketPath;
   uint16_t TcpPort = 0;       ///< Optional loopback TCP listener (0: off).
   unsigned Threads = 2;       ///< Worker pool size (>= 1).
   size_t MaxFrameBytes = DefaultMaxFrameBytes;
@@ -82,7 +88,6 @@ struct ServerOptions {
   int IdleTimeoutMs = 60000;      ///< Close connections idle this long.
   int DrainTimeoutMs = 5000;      ///< Shutdown drain bound.
   size_t MaxWriteBufferBytes = size_t(32) << 20; ///< Backpressure cap.
-  bool VerifyOnLoad = true; ///< Deep-verify admission gate (keep on).
 
   /// Degraded-mode retry schedule. A rejected reload never takes the
   /// daemon down: the old generation keeps serving (state `degraded`)

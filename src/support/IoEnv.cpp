@@ -3,23 +3,17 @@
 #include "support/IoEnv.h"
 
 #include <cerrno>
-#include <cstdio>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
-#define HMA_HAVE_POSIX_IO 1
-#endif
 
 using namespace hma;
 
 //===----------------------------------------------------------------------===//
 // Passthrough backend
 //===----------------------------------------------------------------------===//
-
-#ifdef HMA_HAVE_POSIX_IO
 
 int IoEnv::open(const char *Path, int Flags, int Mode) {
   for (;;) {
@@ -66,123 +60,19 @@ int IoEnv::fsyncDir(const char *Path) {
   return R;
 }
 
-#else // !HMA_HAVE_POSIX_IO
-
-// Portable fallback on C stdio: no real fds, no durability control. The
-// write paths still function (write + rename) -- they just lose the
-// fsync guarantees, which is the best the platform offers anyway.
-
-namespace {
-constexpr int MaxStdioFiles = 64;
-std::FILE *StdioFiles[MaxStdioFiles];
-
-int stdioAlloc(std::FILE *F) {
-  for (int I = 0; I != MaxStdioFiles; ++I)
-    if (!StdioFiles[I]) {
-      StdioFiles[I] = F;
-      return I + 1; // fd 0 stays invalid
-    }
-  std::fclose(F);
-  return -EMFILE;
-}
-
-std::FILE *stdioAt(int Fd) {
-  return Fd >= 1 && Fd <= MaxStdioFiles ? StdioFiles[Fd - 1] : nullptr;
-}
-} // namespace
-
-int IoEnv::open(const char *Path, int Flags, int Mode) {
-  (void)Mode;
-  // The writers use O_WRONLY|O_CREAT|O_TRUNC or O_RDONLY; map just those.
-  const bool Writing = (Flags & 0x3) != 0;
-  std::FILE *F = std::fopen(Path, Writing ? "wb" : "rb");
-  if (!F)
-    return -(errno ? errno : EIO);
-  return stdioAlloc(F);
-}
-
-long IoEnv::read(int Fd, void *Buf, unsigned long N) {
-  std::FILE *F = stdioAt(Fd);
-  if (!F)
-    return -EBADF;
-  size_t R = std::fread(Buf, 1, N, F);
-  if (R < N && std::ferror(F))
-    return -EIO;
-  return static_cast<long>(R);
-}
-
-long IoEnv::write(int Fd, const void *Buf, unsigned long N) {
-  std::FILE *F = stdioAt(Fd);
-  if (!F)
-    return -EBADF;
-  size_t R = std::fwrite(Buf, 1, N, F);
-  if (R < N)
-    return -EIO;
-  return static_cast<long>(R);
-}
-
-int IoEnv::fsync(int Fd) {
-  std::FILE *F = stdioAt(Fd);
-  if (!F)
-    return -EBADF;
-  return std::fflush(F) == 0 ? 0 : -EIO;
-}
-
-int IoEnv::close(int Fd) {
-  std::FILE *F = stdioAt(Fd);
-  if (!F)
-    return -EBADF;
-  StdioFiles[Fd - 1] = nullptr;
-  return std::fclose(F) == 0 ? 0 : -EIO;
-}
-
-int IoEnv::rename(const char *From, const char *To) {
-  // C rename may refuse to replace an existing target on some
-  // platforms; clear the way first (non-atomic, but this fallback has
-  // no atomicity to offer anyway).
-  std::remove(To);
-  return std::rename(From, To) == 0 ? 0 : -EIO;
-}
-
-int IoEnv::unlink(const char *Path) {
-  return std::remove(Path) == 0 ? 0 : -EIO;
-}
-
-int IoEnv::mkdir(const char *Path, int Mode) {
-  (void)Path;
-  (void)Mode;
-  return -EEXIST; // "already there": callers proceed and fail usefully.
-}
-
-int IoEnv::fsyncDir(const char *Path) {
-  (void)Path;
-  return 0;
-}
-
-#endif // HMA_HAVE_POSIX_IO
 
 IoEnv &IoEnv::system() {
   static IoEnv E;
   return E;
 }
 
-#ifdef HMA_HAVE_POSIX_IO
-int hma::openFlagsRead() { return O_RDONLY; }
-int hma::openFlagsWriteTrunc() { return O_WRONLY | O_CREAT | O_TRUNC; }
-#else
-int hma::openFlagsRead() { return 0; }
-int hma::openFlagsWriteTrunc() { return 1; } // bit 0: writing
-#endif
-
 //===----------------------------------------------------------------------===//
 // Fault-injection backend
 //===----------------------------------------------------------------------===//
 
 FaultIoEnv::~FaultIoEnv() {
-#ifdef HMA_HAVE_POSIX_IO
   for (auto &[Fd, F] : Files)
     ::close(Fd);
-#endif
 }
 
 bool FaultIoEnv::tick() {
@@ -195,7 +85,6 @@ bool FaultIoEnv::tick() {
 
 void FaultIoEnv::powerCut() {
   Dead = true;
-#ifdef HMA_HAVE_POSIX_IO
   // Un-fsynced bytes never reached the platter: roll every file back to
   // its durable prefix.
   for (auto &[Fd, F] : Files) {
@@ -205,12 +94,10 @@ void FaultIoEnv::powerCut() {
   }
   for (const auto &[Path, Synced] : UnsyncedTails)
     (void)::truncate(Path.c_str(), static_cast<off_t>(Synced));
-#endif
   UnsyncedTails.clear();
 }
 
 long FaultIoEnv::flushPending(int Fd, OpenFile &F) {
-#ifdef HMA_HAVE_POSIX_IO
   size_t Off = 0;
   while (Off < F.Pending.size()) {
     ssize_t R = ::pwrite(Fd, F.Pending.data() + Off, F.Pending.size() - Off,
@@ -222,9 +109,6 @@ long FaultIoEnv::flushPending(int Fd, OpenFile &F) {
     }
     Off += static_cast<size_t>(R);
   }
-#else
-  (void)Fd;
-#endif
   F.SyncedBytes += F.Pending.size();
   F.Pending.clear();
   return 0;
@@ -248,7 +132,6 @@ int FaultIoEnv::open(const char *Path, int Flags, int Mode) {
     return Fd;
   OpenFile F;
   F.Path = Path;
-#ifdef HMA_HAVE_POSIX_IO
   F.Tracked = (Flags & O_ACCMODE) != O_RDONLY;
   if ((Flags & O_TRUNC) != 0) {
     UnsyncedTails.erase(F.Path);
@@ -257,7 +140,6 @@ int FaultIoEnv::open(const char *Path, int Flags, int Mode) {
     if (::fstat(Fd, &St) == 0)
       F.SyncedBytes = static_cast<uint64_t>(St.st_size);
   }
-#endif
   Files.emplace(Fd, std::move(F));
   return Fd;
 }

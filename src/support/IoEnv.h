@@ -81,12 +81,6 @@ public:
   static IoEnv &system();
 };
 
-/// Open-flag values for \ref IoEnv::open, so callers need not include
-/// <fcntl.h> themselves (and so the non-POSIX stdio fallback can define
-/// its own encoding).
-int openFlagsRead();       ///< O_RDONLY
-int openFlagsWriteTrunc(); ///< O_WRONLY | O_CREAT | O_TRUNC
-
 /// One deterministic failure, described ahead of time.
 struct FaultPlan {
   /// 1-based index of the environment call the fault fires at; 0 means

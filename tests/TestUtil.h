@@ -16,16 +16,21 @@
 #include "core/AlphaHasher.h"
 #include "index/IndexReader.h"
 #include "index/MappedIndex.h"
+#include "index/SegmentCompactor.h"
 #include "support/Random.h"
 
 #include "gtest/gtest.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -248,6 +253,49 @@ std::unique_ptr<AlphaHashIndex<H>> restoreVerified(std::string_view Image,
       {Shards ? Shards : M.Reader->numShards(), M.Reader->schema().seed()},
       M.Reader->snapshot(), M.Reader->stats());
 }
+
+/// A compactor racing the test: a thread that runs \ref compactSegments
+/// on \p Dir every \p PollMs until stopped (or destroyed), counting the
+/// merges it committed. What a long-running maintenance process would
+/// do; at most one per directory, like any compactor.
+template <typename H> class CompactorThread {
+public:
+  CompactorThread(std::string Dir, unsigned PollMs)
+      : Dir(std::move(Dir)), PollMs(PollMs), Thread([this] { run(); }) {}
+  ~CompactorThread() { stop(); }
+
+  void stop() {
+    if (!Stop.exchange(true))
+      Thread.join();
+  }
+  uint64_t compactions() const { return Merges.load(); }
+  std::string lastError() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return LastError;
+  }
+
+private:
+  void run() {
+    while (!Stop.load()) {
+      SegmentCompactResult R = compactSegments<H>(Dir);
+      if (!R.Ok) {
+        std::lock_guard<std::mutex> Lock(Mu);
+        LastError = R.Error;
+      } else if (R.SegmentsAfter < R.SegmentsBefore) {
+        Merges.fetch_add(1);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(PollMs));
+    }
+  }
+
+  const std::string Dir;
+  const unsigned PollMs;
+  std::atomic<bool> Stop{false};
+  std::atomic<uint64_t> Merges{0};
+  mutable std::mutex Mu;
+  std::string LastError;
+  std::thread Thread; ///< Last: starts once every field above exists.
+};
 
 } // namespace hma
 

@@ -8,7 +8,8 @@
 # not entirely digits must fail with that flag's error instead of being
 # read as 0 or as its numeric prefix. The costly case: `index gc
 # --min-age-seconds abc` once parsed as 0, which disabled gc's in-flight
-# guard and deleted a just-written segment.
+# guard and deleted a just-written segment. The retired `--no-verify`
+# flags of `index open` and `indexd` are usage errors (exit 2).
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -105,6 +106,16 @@ expect_rc(0 index gc seg.idx --min-age-seconds 0)
 list_segdir(AFTER_ZERO_GC)
 if(AFTER_ZERO_GC STREQUAL WITH_ORPHAN)
   message(FATAL_ERROR "gc --min-age-seconds 0 left the orphan in place")
+endif()
+
+# Nothing serves an unverified index: --no-verify is refused by `index
+# open` and by `indexd` (at parse time: nothing is written, no daemon
+# starts).
+expect_rc(0 index build base.txt --threads 2 --out single.hmai)
+expect_rc(2 index open single.hmai --no-verify --out copy.hmai)
+expect_rc(2 indexd single.hmai --socket indexd.sock --no-verify)
+if(EXISTS "${WORK}/copy.hmai" OR EXISTS "${WORK}/indexd.sock")
+  message(FATAL_ERROR "a refused command still wrote copy.hmai or indexd.sock")
 endif()
 
 file(REMOVE_RECURSE "${WORK}")

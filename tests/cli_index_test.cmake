@@ -10,7 +10,9 @@
 # --out G`) and the byte-identical re-save (`open F --out F`) -- and
 # that a single file is read-only: `update` refuses it. Every `open`
 # serves the mapped reader; the retired `--load` and `--mmap` flags must
-# be refused.
+# be refused. The admission battery: every
+# candidate `openIndex` rejects -- including the two that fail only the
+# deep verify -- makes `open PATH stats` exit 1.
 
 cmake_minimum_required(VERSION 3.16)
 include("${CMAKE_CURRENT_LIST_DIR}/cli_util.cmake")
@@ -28,7 +30,7 @@ file(WRITE "${WORK}/queries.txt" "${QUERIES}\n")
 expect_ok(OUT index build corpus.txt --threads 2 --out index.hmai)
 expect_ok(OUT index stats corpus.txt --threads 2)
 expect_ok(OUT index open index.hmai stats)
-expect_ok(OUT index open index.hmai stats --no-verify)
+expect_contains("${OUT}" "tables verified" "open summary of index.hmai")
 # (`index query` exits 1 when the expression is absent; either answer
 # is fine here, a crash is not.)
 run_hma(RC OUT ERR index query corpus.txt --expr "(lam (x) x)")
@@ -63,15 +65,10 @@ if(NOT BEFORE STREQUAL AFTER)
   message(FATAL_ERROR "open F --out F changed F")
 endif()
 
-# One read path: the retired flags are refused, --shards needs --out,
-# and a rebuild never skips the verify.
+# One read path: the retired flags are refused and --shards needs --out.
 expect_fail("usage:" index open index.hmai --load)
 expect_fail("usage:" index open index.hmai --mmap)
 expect_fail("--out" index open index.hmai --shards 4)
-expect_fail("--no-verify" index open index.hmai --no-verify --out copy.hmai)
-if(EXISTS "${WORK}/copy.hmai")
-  message(FATAL_ERROR "a refused open still wrote copy.hmai")
-endif()
 # A missing file's error carries the reason, not just the name.
 expect_fail("cannot open 'missing.hmai': No such file or directory"
             index open missing.hmai)
@@ -96,5 +93,52 @@ endif()
 # fsck's deep check (open + verify) calls the file healthy.
 expect_ok(OUT index fsck index.hmai)
 expect_contains("${OUT}" "state: healthy" "fsck of index.hmai")
+
+# The admission battery. Every bad candidate fails `openIndex`, so `open
+# PATH stats` exits 1 with its diagnostic; the two marked "verify" open
+# fine and fail only the deep check.
+expect_ok(OUT index build corpus.txt --threads 1 --shards 4 --out small.hmai)
+expect_ok(OUT index build corpus.txt --threads 1 --shards 4 --out flipped.hmai)
+expect_ok(OUT index build corpus.txt --threads 1 --shards 4 --out seg_verify.idx --segmented)
+expect_ok(OUT index build corpus.txt --threads 1 --shards 4 --out seg_missing.idx --segmented)
+# Flip a byte of FILE at byte OFFSET (POSIX printf + dd; CMake cannot
+# write arbitrary bytes).
+function(flip_byte FILE OFFSET)
+  file(READ "${WORK}/${FILE}" BYTE OFFSET ${OFFSET} LIMIT 1 HEX)
+  math(EXPR FLIPPED "0x${BYTE} ^ 1" OUTPUT_FORMAT DECIMAL)
+  math(EXPR D2 "${FLIPPED} / 64")
+  math(EXPR D1 "(${FLIPPED} / 8) % 8")
+  math(EXPR D0 "${FLIPPED} % 8")
+  execute_process(
+    COMMAND sh -c "printf '\\${D2}${D1}${D0}' | dd of='${FILE}' bs=1 seek=${OFFSET} count=1 conv=notrunc 2>/dev/null"
+    WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE RC)
+  if(NOT RC EQUAL 0)
+    message(FATAL_ERROR "could not flip byte ${OFFSET} of ${FILE}")
+  endif()
+endfunction()
+# The first record's hash (header 96 bytes + 4 directory entries of 16).
+set(FIRST_RECORD 160)
+file(SIZE "${WORK}/small.hmai" SIZE)
+math(EXPR HALF "${SIZE} / 2")
+execute_process(COMMAND sh -c "head -c ${HALF} small.hmai > truncated.hmai"
+                WORKING_DIRECTORY "${WORK}")
+flip_byte(flipped.hmai ${FIRST_RECORD})
+file(TOUCH "${WORK}/empty.hmai")
+file(MAKE_DIRECTORY "${WORK}/no_manifest.idx")
+flip_byte(seg_verify.idx/seg-000001.hmai ${FIRST_RECORD})
+file(REMOVE "${WORK}/seg_missing.idx/seg-000001.hmai")
+foreach(CASE truncated.hmai flipped.hmai empty.hmai no_manifest.idx
+             seg_verify.idx seg_missing.idx)
+  run_hma(RC OUT ERR index open ${CASE} stats)
+  if(NOT RC EQUAL 1)
+    message(FATAL_ERROR "open ${CASE} stats: exit ${RC}, expected 1:\n${ERR}")
+  endif()
+  expect_contains("${ERR}" "index error: " "stderr of open ${CASE}")
+endforeach()
+expect_contains("${ERR}" "seg-000001.hmai" "stderr of open seg_missing.idx")
+run_hma(RC OUT ERR index open empty.hmai stats)
+expect_contains("${ERR}" "file is empty" "stderr of open empty.hmai")
+run_hma(RC OUT ERR index open no_manifest.idx stats)
+expect_contains("${ERR}" "not a regular file" "stderr of open no_manifest.idx")
 
 file(REMOVE_RECURSE "${WORK}")

@@ -52,14 +52,9 @@
 #include <string>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#define HMA_CRASH_MATRIX 1
-#endif
-
-#ifdef HMA_CRASH_MATRIX
 
 using namespace hma;
 
@@ -459,4 +454,3 @@ TEST(CrashMatrix, FailedWriteUnlinksPartialTmpAndNamesErrno) {
   }
 }
 
-#endif // HMA_CRASH_MATRIX

@@ -214,7 +214,8 @@ TEST(MappedIndexConcurrency, MixedFindAndBatchAnswersMatchSingleThreaded) {
   std::vector<std::string> Corpus = makeCorpus(150, 321);
   AlphaHashIndex<> Live;
   Live.insertBatch(Corpus, 1);
-  auto Open = MappedIndex<Hash128>::openBuffer(saveIndexBytes(Live));
+  const std::string Image = saveIndexBytes(Live);
+  auto Open = MappedIndex<Hash128>::openBytes(Image);
   ASSERT_TRUE(Open.ok()) << Open.Error;
   MappedIndex<Hash128> &Mapped = *Open.Reader;
 

@@ -44,6 +44,7 @@
 #include "index/MappedIndex.h"
 #include "index/SegmentCompactor.h"
 #include "index/SegmentManifest.h"
+#include "index/SegmentSet.h"
 #include "obs/Metrics.h"
 
 #include "TestUtil.h"
@@ -56,20 +57,18 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
-#endif
 
 using namespace hma;
 using namespace hma::serve;
-
-#if !defined(__unix__) && !defined(__APPLE__)
-TEST(Indexd, SkippedOnThisPlatform) { GTEST_SKIP() << "no sockets"; }
-#else
 
 namespace {
 
@@ -627,13 +626,22 @@ TEST(Indexd, RestartOverStaleSocketFileServesAgain) {
   const std::string Sock = "indexd_test_restart.sock";
   writeIndexFileFor(Corpus, Path);
 
-  // First life: serve, then die *without* graceful cleanup (simulated
-  // kill -9: we skip the drain and just leak the socket inode).
+  // First life: a socket bound at the path and closed *without*
+  // unlinking it -- the inode a daemon killed with -9 leaves behind.
+  std::remove(Sock.c_str());
   {
-    std::string Error;
-    ASSERT_TRUE(writeFileReplacing(Sock, "stale socket placeholder", &Error))
-        << Error; // Any leftover inode at the path.
+    int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(Fd, 0);
+    sockaddr_un Addr{};
+    Addr.sun_family = AF_UNIX;
+    std::memcpy(Addr.sun_path, Sock.c_str(), Sock.size() + 1);
+    ASSERT_EQ(::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+              0);
+    ::close(Fd);
   }
+  struct stat St;
+  ASSERT_EQ(::lstat(Sock.c_str(), &St), 0);
+  ASSERT_TRUE(S_ISSOCK(St.st_mode));
 
   // Second life: must bind over the stale path and serve.
   DaemonGuard D(testOpts(Path, Sock));
@@ -645,6 +653,27 @@ TEST(Indexd, RestartOverStaleSocketFileServesAgain) {
   EXPECT_TRUE(R.Present);
 
   std::remove(Path.c_str());
+}
+
+TEST(Indexd, RegularFileAtTheSocketPathIsRefusedAndKept) {
+  std::vector<std::string> Corpus = makeCorpus(15, 4);
+  const std::string Path = "indexd_test_notsock.hmai";
+  const std::string Sock = "indexd_test_notsock.txt";
+  writeIndexFileFor(Corpus, Path);
+  const std::string Notes = "an operator's notes, not a socket\n";
+  std::string Error;
+  ASSERT_TRUE(writeFileReplacing(Sock, Notes, &Error)) << Error;
+
+  Server Srv(testOpts(Path, Sock));
+  EXPECT_FALSE(Srv.start(&Error));
+  EXPECT_NE(Error.find("is not a socket"), std::string::npos) << Error;
+  EXPECT_FALSE(Srv.running());
+  std::string After;
+  ASSERT_TRUE(readFileBytes(Sock, After, &Error)) << Error;
+  EXPECT_EQ(After, Notes);
+
+  std::remove(Path.c_str());
+  std::remove(Sock.c_str());
 }
 
 TEST(Indexd, RequestsDuringDrainAreAnsweredThenConnectionCloses) {
@@ -821,18 +850,15 @@ TEST(Indexd, SighupReloadRacesCompactorManifestSwap) {
     return M.Segments.size();
   };
 
-  // A live compactor (poll 1ms, trigger at 2 segments) swaps the
-  // manifest out from under SIGHUP reloads. Each round appends one
+  // A live compactor (a thread running compactSegments every 1 ms) swaps
+  // the manifest out from under SIGHUP reloads. Each round appends one
   // delta -- only ever while a single segment is listed, so the
   // append's read-modify-write cannot interleave with a compaction --
   // then hammers reloads while the compactor merges 2 -> 1. A reload
   // that catches the window where the old manifest's segments are
   // already deleted is *rejected* (and retried); what it must never do
   // is serve a torn view or wrong bytes.
-  SegmentCompactor<Hash128>::Options COpts;
-  COpts.TriggerSegments = 2;
-  COpts.PollMs = 1;
-  SegmentCompactor<Hash128> Compactor(Dir, COpts);
+  CompactorThread<Hash128> Compactor(Dir, /*PollMs=*/1);
 
   ExprContext Ctx;
   Rng R(99);
@@ -878,6 +904,99 @@ TEST(Indexd, SighupReloadRacesCompactorManifestSwap) {
   }
 
   removeDirTree(Dir);
+}
+
+//===----------------------------------------------------------------------===//
+// The one admission gate: openIndex, and every GenerationCell::load
+//===----------------------------------------------------------------------===//
+
+TEST(OpenIndex, EveryBadCandidateFailsOpenIndexAndTheLoad) {
+  std::vector<std::string> Corpus = makeCorpus(40, 17);
+  const std::string Good = "indexd_test_admit.hmai";
+  const std::string Bad = "indexd_test_admit_bad.hmai";
+  const std::string NoManifest = "indexd_test_admit_nomanifest.d";
+  const std::string SegBad = "indexd_test_admit_verify.segidx";
+  const std::string SegMissing = "indexd_test_admit_missing.segidx";
+  writeIndexFileFor(Corpus, Good, /*Shards=*/4);
+  std::string Image, Error;
+  ASSERT_TRUE(readFileBytes(Good, Image, &Error)) << Error;
+
+  // Flip one byte of the first record's hash: the O(shards) open cannot
+  // see it, verify can (the probe sidecar no longer matches the table).
+  const size_t FirstRecord = iio::HeaderSize + 4 * iio::DirEntrySize;
+  auto FlipRecordByte = [&](std::string Bytes) {
+    Bytes[FirstRecord] ^= 0x01;
+    return Bytes;
+  };
+
+  // Two segment dirs: one whose only segment carries that flip, one whose
+  // manifest names a segment that is gone.
+  const std::string SegFile = "/" + segmentFileName(1);
+  for (const std::string &Dir : {SegBad, SegMissing}) {
+    removeDirTree(Dir);
+    AlphaHashIndex<> Idx({/*Shards=*/4, HashSchema::DefaultSeed});
+    Idx.insertBatch(Corpus, 1);
+    ASSERT_TRUE(createSegmentDir(Dir, Idx).Ok);
+  }
+  std::string Segment;
+  ASSERT_TRUE(readFileBytes(SegBad + SegFile, Segment, &Error)) << Error;
+  ASSERT_TRUE(
+      writeFileReplacing(SegBad + SegFile, FlipRecordByte(Segment), &Error))
+      << Error;
+  ASSERT_EQ(std::remove((SegMissing + SegFile).c_str()), 0);
+  removeDirTree(NoManifest);
+  ASSERT_EQ(::mkdir(NoManifest.c_str(), 0777), 0);
+
+  struct Case {
+    const char *What;
+    std::string Path;
+    std::optional<std::string> Bytes; ///< Written to Path first, if set.
+    bool VerifyOnly;                  ///< `open` succeeds, `verify` fails.
+  };
+  const Case Cases[] = {
+      {"truncated file", Bad, Image.substr(0, Image.size() / 2), false},
+      {"record byte flipped", Bad, FlipRecordByte(Image), true},
+      {"empty file", Bad, std::string(), false},
+      {"directory without a MANIFEST", NoManifest, std::nullopt, false},
+      {"segment that fails only verify", SegBad, std::nullopt, true},
+      {"manifest naming a missing segment", SegMissing, std::nullopt, false},
+  };
+
+  GenerationCell Cell;
+  ASSERT_TRUE(Cell.load(Good).Ok);
+  ASSERT_TRUE(openIndex<Hash128>(Good).ok());
+  for (const Case &C : Cases) {
+    if (C.Bytes) {
+      ASSERT_TRUE(writeFileReplacing(C.Path, *C.Bytes, &Error)) << Error;
+    }
+    if (C.VerifyOnly) {
+      // Open alone admits these; only the deep verify refuses them.
+      if (isSegmentDir(C.Path)) {
+        auto S = SegmentedIndex<Hash128>::open(C.Path);
+        ASSERT_TRUE(S.ok()) << C.What << ": " << S.Error;
+        EXPECT_FALSE(S.Reader->verify()) << C.What;
+      } else {
+        auto M = MappedIndex<Hash128>::open(C.Path);
+        ASSERT_TRUE(M.ok()) << C.What << ": " << M.Error;
+        EXPECT_FALSE(M.Reader->verify()) << C.What;
+      }
+    }
+    OpenedIndex<Hash128> R = openIndex<Hash128>(C.Path);
+    EXPECT_FALSE(R.ok()) << C.What;
+    ASSERT_FALSE(R.Error.empty()) << C.What;
+    LoadOutcome L = Cell.load(C.Path);
+    EXPECT_FALSE(L.Ok) << C.What;
+    EXPECT_NE(L.Message.find(R.Error), std::string::npos)
+        << C.What << ": " << L.Message;
+    EXPECT_EQ(Cell.currentPath(), Good) << C.What;
+  }
+  EXPECT_EQ(Cell.loadsRejected(), std::size(Cases));
+
+  std::remove(Good.c_str());
+  std::remove(Bad.c_str());
+  removeDirTree(NoManifest);
+  removeDirTree(SegBad);
+  removeDirTree(SegMissing);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1085,5 +1204,3 @@ TEST(ByteReadPath, MixedBlobsAnswerIdenticallyOnEveryBackendAndTheWire) {
   std::remove(Path.c_str());
   removeDirTree(Dir);
 }
-
-#endif // sockets

@@ -273,7 +273,7 @@ TEST(MappedIndex, ResultsViewTheImageAndBatchReadsVerifyOncePerHit) {
   // warm-up needs the pool.)
 }
 
-TEST(MappedIndex, FileOpenMmapAndBufferedFallbackAnswerIdentically) {
+TEST(MappedIndex, FileMmapAndInMemoryImageAnswerIdentically) {
   AlphaHashIndex<> Live;
   std::vector<std::string> Corpus = dupCorpus(30, 5);
   Live.insertBatch(Corpus, 1);
@@ -284,22 +284,29 @@ TEST(MappedIndex, FileOpenMmapAndBufferedFallbackAnswerIdentically) {
   ASSERT_TRUE(writeFileReplacing(Path, Image, &Error)) << Error;
 
   auto ViaMmap = MappedIndex<Hash128>::open(Path);
-  auto ViaBuffer = MappedIndex<Hash128>::open(Path, /*ForceBuffered=*/true);
+  auto ViaImage = MappedIndex<Hash128>::openBytes(Image);
   ASSERT_TRUE(ViaMmap.ok()) << ViaMmap.Error;
-  ASSERT_TRUE(ViaBuffer.ok()) << ViaBuffer.Error;
-#if defined(__unix__) || defined(__APPLE__)
-  EXPECT_TRUE(ViaMmap.Reader->isFileMapped());
+  ASSERT_TRUE(ViaImage.ok()) << ViaImage.Error;
   EXPECT_STREQ(ViaMmap.Reader->backendName(), "mapped");
-#endif
-  EXPECT_FALSE(ViaBuffer.Reader->isFileMapped());
-  EXPECT_STREQ(ViaBuffer.Reader->backendName(), "mapped (buffered)");
 
   std::vector<std::string> Queries = queriesOver(Corpus, 3);
   expectSameLookupAnswers(ViaMmap.Reader->lookupBatch(Queries, 2),
-                             ViaBuffer.Reader->lookupBatch(Queries, 2),
-                             "mmap-vs-buffered");
+                             ViaImage.Reader->lookupBatch(Queries, 2),
+                             "mmap-vs-image");
   expectSameLookupAnswers(ViaMmap.Reader->lookupBatch(Queries, 2),
                              Live.lookupBatch(Queries, 2), "mmap-vs-live");
+
+  // The reader only maps: an empty file or a directory fails to open,
+  // and the diagnostic names the reason.
+  ASSERT_TRUE(writeFileReplacing(Path, "", &Error)) << Error;
+  auto Empty = MappedIndex<Hash128>::open(Path);
+  EXPECT_FALSE(Empty.ok());
+  EXPECT_NE(Empty.Error.find("file is empty"), std::string::npos)
+      << Empty.Error;
+  auto Dir = MappedIndex<Hash128>::open(".");
+  EXPECT_FALSE(Dir.ok());
+  EXPECT_NE(Dir.Error.find("not a regular file"), std::string::npos)
+      << Dir.Error;
 
   std::remove(Path.c_str());
   // A missing file's diagnostic carries the errno text, not just the name.

@@ -17,12 +17,13 @@
 ///     batch lookups, snapshots, stats -- to a single `HMAI` file built
 ///     from the same corpus in the same order, at b=128 and under
 ///     forced b=16 collisions, both before and after compaction.
-///  4. **Crash-window + saturation + background compaction**: the
+///  4. **Crash-window + saturation + concurrent compaction**: the
 ///     simulated crash between segment write and manifest swap leaves a
 ///     servable old index plus one collectable orphan; cross-segment
-///     count sums clamp at u64 instead of wrapping; and a background
-///     \ref SegmentCompactor merges under a live reader whose pinned
-///     mappings keep answering after the old files are unlinked.
+///     count sums clamp at u64 instead of wrapping; and \ref
+///     compactSegments, run from another thread, merges under a live
+///     reader whose pinned mappings keep answering after the old files
+///     are unlinked.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +45,9 @@
 #include <map>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <ctime>
 #include <sys/time.h>
 #include <unistd.h>
-#endif
 
 using namespace hma;
 
@@ -73,9 +72,7 @@ struct TempSegmentDir {
     Now.MinAgeSeconds = 0; // cleanup: no writer can be in flight here
     gcSegmentDir(Dir, nullptr, Now);
     std::remove(manifestPathFor(Dir).c_str());
-#if defined(__unix__) || defined(__APPLE__)
     ::rmdir(Dir.c_str());
-#endif
   }
 };
 
@@ -635,7 +632,6 @@ TEST(SegmentedIndex, GcAgeGuardLeavesInFlightAppendSegmentsAlone) {
   EXPECT_TRUE(After.Reader->set().orphans().empty());
   EXPECT_TRUE(After.Reader->verify());
 
-#if defined(__unix__) || defined(__APPLE__)
   // An *aged* orphan (a real crash leftover) is exactly what the default
   // gc exists to collect: backdate one past the guard and re-run.
   const std::string Orphan = D.Dir + "/" + segmentFileName(99);
@@ -648,7 +644,6 @@ TEST(SegmentedIndex, GcAgeGuardLeavesInFlightAppendSegmentsAlone) {
   EXPECT_TRUE(Error.empty()) << Error;
   ASSERT_EQ(Removed.size(), 1u);
   EXPECT_EQ(Removed[0], segmentFileName(99));
-#endif
 }
 
 TEST(SegmentedIndex, CrossSegmentCountsSaturateInsteadOfWrapping) {
@@ -727,10 +722,7 @@ TEST(SegmentCompactor, BackgroundMergeUnderALiveReader) {
   auto AnswersBefore = Pinned.Reader->lookupBatch(Queries, 1);
 
   {
-    SegmentCompactor<Hash128>::Options COpts;
-    COpts.TriggerSegments = 2;
-    COpts.PollMs = 2;
-    SegmentCompactor<Hash128> Compactor(D.Dir, COpts);
+    CompactorThread<Hash128> Compactor(D.Dir, /*PollMs=*/2);
     for (int Waited = 0; Compactor.compactions() == 0 && Waited < 5000;
          ++Waited)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));

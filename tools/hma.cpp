@@ -14,7 +14,7 @@
 ///   hma index build <corpus> [--threads T] [--shards S] [--out FILE]
 ///   hma index query <corpus> [--expr E | --expr-file F | --batch FILE]
 ///   hma index stats <corpus> [--threads T] [--shards S]
-///   hma index open <file> [stats | query ...] [--out FILE [--shards S]]
+///   hma index open <path> [stats | query ...] [--out FILE [--shards S]]
 ///   hma index update <dir> <corpus> [--threads T] [--shards S]
 ///   hma index compact <dir>
 ///   hma index gc <dir> [--min-age-seconds N]
@@ -23,12 +23,12 @@
 /// Expressions are read from the file argument or stdin. A corpus is
 /// either a text file with one expression per line or a binary "HMAC"
 /// container. `index build --out` writes a binary "HMAI" *index* file
-/// (classes + counts + stats); `index open` serves queries from it
-/// without re-ingesting anything, over the zero-copy mmap'd reader
-/// (`MappedIndex`, tables verified up front). A single file is a
-/// read-only build output; an index that grows is a segment directory
-/// (`index build --segmented`), which `index update` appends to and
-/// `index compact` merges. Exit status is non-zero on parse/usage
+/// (classes + counts + stats); `index open` serves queries from it, or
+/// from a segment directory, without re-ingesting anything, over the
+/// zero-copy mmap'd readers (`openIndex`: tables verified up front). A
+/// single file is a read-only build output; an index that grows is a
+/// segment directory (`index build --segmented`), which `index update`
+/// appends to and `index compact` merges. Exit status is non-zero on parse/usage
 /// errors, with a byte-offset diagnostic.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,7 +51,6 @@
 #include "index/Fsck.h"
 #include "index/IndexIO.h"
 #include "index/IndexReader.h"
-#include "index/MappedIndex.h"
 #include "index/SegmentCompactor.h"
 #include "index/SegmentManifest.h"
 #include "index/SegmentSet.h"
@@ -115,15 +114,13 @@ int usage() {
       "             totals and obs metrics; --prom: Prometheus text\n"
       "             exposition; both also work after `index open <file>\n"
       "             stats`)\n"
-      "  index open <file> [stats | query [--expr E | --expr-file F |\n"
-      "             --batch FILE]] [--no-verify] [--out FILE [--shards S]]\n"
-      "             reopen an HMAI index file (no re-ingest) and print\n"
-      "             its summary, full stats, or serve queries from it\n"
-      "             over the zero-copy mmap'd reader, table integrity\n"
-      "             checked up front (--no-verify skips the check for an\n"
-      "             open independent of index size; reads stay\n"
-      "             bounds-checked). --out rebuilds the verified file at\n"
-      "             FILE first (--shards re-stripes it)\n"
+      "  index open <path> [stats | query [--expr E | --expr-file F |\n"
+      "             --batch FILE]] [--out FILE [--shards S]]\n"
+      "             reopen an HMAI file or segment directory (no\n"
+      "             re-ingest), deep-verify it, and print its summary,\n"
+      "             full stats, or serve queries from it over the\n"
+      "             zero-copy mmap'd reader. --out rebuilds a verified\n"
+      "             single file at FILE first (--shards re-stripes it)\n"
       "  index update <dir> <corpus> [--threads T] [--shards S]\n"
       "             [--json] [--auto-compact N] [--crash-after-segment]\n"
       "             append the corpus to a segment directory as one new\n"
@@ -161,11 +158,13 @@ int usage() {
       "             [--request-timeout-ms N] [--idle-timeout-ms N]\n"
       "             [--drain-timeout-ms N] [--max-frame-bytes N]\n"
       "             [--reload-retry-base-ms N] [--reload-retry-max-ms N]\n"
-      "             [--reload-retry-limit N] [--no-verify]\n"
-      "             serve an HMAI file over a Unix-domain socket (and\n"
-      "             optional loopback TCP port) until SIGTERM. SIGHUP\n"
-      "             or `index ctl reload` hot-swaps the index through\n"
-      "             the deep-verify admission gate; a rejected file\n"
+      "             [--reload-retry-limit N]\n"
+      "             serve an HMAI file or segment directory over a\n"
+      "             Unix-domain socket (and optional loopback TCP port)\n"
+      "             until SIGTERM; only a stale socket at PATH is\n"
+      "             replaced. The index and every SIGHUP or\n"
+      "             `index ctl reload` pass the deep-verify admission\n"
+      "             gate before they serve; a rejected file\n"
       "             keeps the old generation serving (degraded mode,\n"
       "             `hma_indexd_degraded` = 1) while the daemon retries\n"
       "             the candidate with jittered exponential backoff\n"
@@ -368,7 +367,6 @@ struct IndexArgs {
   unsigned Shards = 64;
   bool ShardsSet = false; ///< --shards given explicitly (open --out and
                           ///< update re-stripe only on request).
-  bool NoVerify = false;  ///< --no-verify: skip the mapped table check.
   bool Segmented = false; ///< --segmented: build a segment directory.
   unsigned AutoCompact = 0; ///< --auto-compact: compact at N segments.
   bool CrashAfterSegment = false; ///< --crash-after-segment: stop an
@@ -414,9 +412,7 @@ bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
                     AlphaHashIndex<Hash128>::MaxShards, A.Shards))
         return false;
       A.ShardsSet = true;
-    } else if (std::strcmp(Argv[I], "--no-verify") == 0)
-      A.NoVerify = true;
-    else if (std::strcmp(Argv[I], "--segmented") == 0)
+    } else if (std::strcmp(Argv[I], "--segmented") == 0)
       A.Segmented = true;
     else if (Want("--auto-compact")) {
       if (!Positive("--auto-compact", Argv[++I], 1 << 20, A.AutoCompact))
@@ -750,85 +746,40 @@ int cmdIndexStats(const IndexArgs &A) {
   return 0;
 }
 
-/// Open \p A.Path over the zero-copy mapped reader, printing the
-/// one-line open summary. The CLI runs the O(classes) `verify()` table
-/// check by default so a corrupt file is rejected up front; `--no-verify`
-/// skips it for the O(shards) open the serving path uses (reads stay
-/// bounds-checked either way).
-std::unique_ptr<MappedIndex<Hash128>> openMappedIndex(const IndexArgs &A) {
+/// Admit \p A.Path through \ref openIndex (open + deep verify), printing
+/// the one-line open summary and a warning per orphan segment file.
+std::unique_ptr<IndexReader<Hash128>> openVerifiedIndex(const IndexArgs &A) {
   auto Start = std::chrono::steady_clock::now();
-  MappedIndex<Hash128>::OpenResult R = MappedIndex<Hash128>::open(A.Path);
+  OpenedIndex<Hash128> R = openIndex<Hash128>(A.Path);
   if (!R.ok()) {
     std::fprintf(stderr, "index error: %s (byte %zu)\n", R.Error.c_str(),
                  R.ErrorPos);
     return nullptr;
-  }
-  if (!A.NoVerify) {
-    std::string Error;
-    size_t ErrorPos = 0;
-    if (!R.Reader->verify(&Error, &ErrorPos)) {
-      std::fprintf(stderr, "index error: %s (byte %zu)\n", Error.c_str(),
-                   ErrorPos);
-      return nullptr;
-    }
   }
   auto End = std::chrono::steady_clock::now();
   std::fprintf(A.narrate(),
                "opened %s (%s): %zu classes, %llu members, %u shards, "
-               "%.6f s (%s, %s)\n",
+               "%.6f s (zero-copy, tables verified)\n",
                A.Path, R.Reader->backendName(), R.Reader->numClasses(),
                static_cast<unsigned long long>(R.Reader->stats().Inserted),
                R.Reader->numShards(),
-               std::chrono::duration<double>(End - Start).count(),
-               R.Reader->isFileMapped() ? "zero-copy" : "buffered copy",
-               A.NoVerify ? "tables unverified" : "tables verified");
-  return std::move(R.Reader);
-}
-
-/// Rebuild a live index from a verified mapped reader, re-striped over
-/// `--shards` if given explicitly (placement is a pure function of the
-/// hash, so that is always safe): how `open --out` re-saves a file.
-std::unique_ptr<AlphaHashIndex<Hash128>>
-restoreIndex(const IndexArgs &A, const MappedIndex<Hash128> &Reader) {
-  return AlphaHashIndex<Hash128>::restore(
-      {A.ShardsSet ? A.Shards : Reader.numShards(), Reader.schema().seed()},
-      Reader.snapshot(), Reader.stats());
-}
-
-/// Open a segment directory over \ref SegmentedIndex, mirroring \ref
-/// openMappedIndex: deep-verify by default, one open summary line,
-/// orphans reported (never silently).
-std::unique_ptr<SegmentedIndex<Hash128>>
-openSegmentedIndex(const IndexArgs &A) {
-  auto Start = std::chrono::steady_clock::now();
-  SegmentedIndex<Hash128>::OpenResult R = SegmentedIndex<Hash128>::open(A.Path);
-  if (!R.ok()) {
-    std::fprintf(stderr, "index error: %s (byte %zu)\n", R.Error.c_str(),
-                 R.ErrorPos);
-    return nullptr;
-  }
-  if (!A.NoVerify) {
-    std::string Error;
-    size_t ErrorPos = 0;
-    if (!R.Reader->verify(&Error, &ErrorPos)) {
-      std::fprintf(stderr, "index error: %s (byte %zu)\n", Error.c_str(),
-                   ErrorPos);
-      return nullptr;
-    }
-  }
-  auto End = std::chrono::steady_clock::now();
-  std::fprintf(A.narrate(),
-               "opened %s (%s): %zu classes, %zu segments, %.6f s (%s)\n",
-               A.Path, R.Reader->backendName(), R.Reader->numClasses(),
-               R.Reader->set().numSegments(),
-               std::chrono::duration<double>(End - Start).count(),
-               A.NoVerify ? "tables unverified" : "tables verified");
-  for (const std::string &Orphan : R.Reader->set().orphans())
+               std::chrono::duration<double>(End - Start).count());
+  for (const std::string &Orphan : R.Orphans)
     std::fprintf(stderr,
                  "warning: unreferenced segment file '%s' (crash "
                  "leftover; `hma index gc %s` removes it)\n",
                  Orphan.c_str(), A.Path);
   return std::move(R.Reader);
+}
+
+/// Rebuild a live index from a verified reader, re-striped over
+/// `--shards` if given explicitly (placement is a pure function of the
+/// hash, so that is always safe): how `open --out` re-saves a file.
+std::unique_ptr<AlphaHashIndex<Hash128>>
+restoreIndex(const IndexArgs &A, const IndexReader<Hash128> &Reader) {
+  return AlphaHashIndex<Hash128>::restore(
+      {A.ShardsSet ? A.Shards : Reader.numShards(), Reader.schema().seed()},
+      Reader.snapshot(), Reader.stats());
 }
 
 int cmdIndexOpen(const IndexArgs &A) {
@@ -851,11 +802,6 @@ int cmdIndexOpen(const IndexArgs &A) {
                          "--out; give --out FILE\n");
     return 2;
   }
-  if (A.NoVerify && A.OutPath) {
-    std::fprintf(stderr, "error: --out rebuilds from the verified reader "
-                         "and cannot be combined with --no-verify\n");
-    return 2;
-  }
   auto Serve = [&](IndexReader<Hash128> &Index) {
     if (IsStats)
       emitStatsReport(A, Index);
@@ -865,26 +811,22 @@ int cmdIndexOpen(const IndexArgs &A) {
       printSchema(Index);
     return 0;
   };
-  if (isSegmentDir(A.Path)) {
-    // Re-saving is a single-file operation (compact first to get one).
-    if (A.OutPath) {
-      std::fprintf(stderr,
-                   "error: --shards/--out do not apply to a segmented "
-                   "index; `hma index compact %s` first\n",
-                   A.Path);
-      return 2;
-    }
-    auto Seg = openSegmentedIndex(A);
-    return Seg ? Serve(*Seg) : 1;
+  // Re-saving is a single-file operation (compact first to get one).
+  if (A.OutPath && isSegmentDir(A.Path)) {
+    std::fprintf(stderr,
+                 "error: --shards/--out do not apply to a segmented "
+                 "index; `hma index compact %s` first\n",
+                 A.Path);
+    return 2;
   }
-  auto Mapped = openMappedIndex(A);
-  if (!Mapped)
+  auto Index = openVerifiedIndex(A);
+  if (!Index)
     return 1;
   // `open F --shards 8 --out G` is the re-shard tool: rebuild from the
   // verified reader and persist, then serve F as usual.
-  if (A.OutPath && !writeIndexFile(A, *restoreIndex(A, *Mapped), A.OutPath))
+  if (A.OutPath && !writeIndexFile(A, *restoreIndex(A, *Index), A.OutPath))
     return 1;
-  return Serve(*Mapped);
+  return Serve(*Index);
 }
 
 /// `update --json`'s machine summary: one JSON object on stdout (all
@@ -962,8 +904,7 @@ int cmdIndexUpdate(const IndexArgs &A) {
   return 0;
 }
 
-/// `hma index compact <dir>`: merge every segment into one (foreground;
-/// the same routine \ref SegmentCompactor runs in the background).
+/// `hma index compact <dir>`: merge every segment into one.
 int cmdIndexCompact(const IndexArgs &A) {
   auto Start = std::chrono::steady_clock::now();
   SegmentCompactResult R = compactSegments<Hash128>(A.Path);
@@ -1230,9 +1171,7 @@ int cmdIndexd(int Argc, char **Argv) {
       if (!parseUnsigned("--reload-retry-limit", Argv[++I], 0, 1000000, V))
         return 2;
       O.ReloadRetryLimit = static_cast<unsigned>(V);
-    } else if (std::strcmp(Argv[I], "--no-verify") == 0)
-      O.VerifyOnLoad = false;
-    else
+    } else
       return usage();
   }
   if (O.UnixSocketPath.empty()) {
@@ -1249,9 +1188,7 @@ int cmdIndexd(int Argc, char **Argv) {
   ActiveServer = &Srv;
   std::signal(SIGTERM, indexdSignalHandler);
   std::signal(SIGINT, indexdSignalHandler);
-#ifdef SIGHUP
   std::signal(SIGHUP, indexdSignalHandler);
-#endif
   std::fprintf(stderr, "hma indexd: serving generation %llu on '%s'\n",
                static_cast<unsigned long long>(
                    Srv.generations().currentNumber()),
@@ -1283,12 +1220,6 @@ int cmdIndex(int Argc, char **Argv) {
   if ((A.Connect || A.ConnectPort) && !IsNetworked) {
     std::fprintf(stderr, "error: --connect/--port apply to `index query`, "
                          "`index ctl`, and `index chaos` only\n");
-    return 2;
-  }
-  // --no-verify only means something to `open`; anywhere else it must
-  // not be silently swallowed.
-  if (A.NoVerify && std::strcmp(A.Sub, "open") != 0) {
-    std::fprintf(stderr, "error: --no-verify applies to `index open` only\n");
     return 2;
   }
   // Only `build` and `open` write a file; a segmented `update` appends
