@@ -24,10 +24,9 @@ static void report(ExprContext &Ctx, const char *Name, const Expr *E) {
   std::vector<Hash128> Hashes = Hasher.hashAll(E);
   PartitionStats S = partitionStats(E, Hashes);
 
-  // Storage sharing: keeping one tree per class, how many nodes would a
-  // fully shared (hash-consed modulo alpha) representation need?
-  size_t SharedNodes = groupSubexpressionsByHash(E, Hashes).size();
-  double Ratio = double(S.NumSubexpressions) / double(SharedNodes);
+  // Storage sharing: a fully shared (hash-consed modulo alpha)
+  // representation keeps one node per class.
+  double Ratio = double(S.NumSubexpressions) / double(S.NumClasses);
 
   std::printf("%-10s %7zu subexprs %7zu classes  %5zu repeated  largest "
               "x%-4zu  dedup %4.1fx\n",

@@ -100,7 +100,7 @@ private:
   const CSEOptions &Opts;
   CSEResult &Totals;
 
-  static uint64_t savings(const std::vector<const Expr *> &Class) {
+  static uint64_t savings(ClassView Class) {
     return static_cast<uint64_t>(Class.size() - 1) *
            (Class.front()->treeSize() - 1);
   }

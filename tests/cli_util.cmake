@@ -1,6 +1,6 @@
 # tests/cli_util.cmake - helpers for the CLI test scripts that drive the
-# `hma` binary as a process (included by cli_index_test.cmake and
-# cli_segment_test.cmake). Expects HMA (the binary) and WORK (a scratch
+# `hma` binary as a process (included by every cli_*_test.cmake but
+# cli_flags_test.cmake). Expects HMA (the binary) and WORK (a scratch
 # directory, recreated empty here).
 
 if(NOT HMA OR NOT WORK)

@@ -11,9 +11,12 @@
 #include "core/AlphaHasher.h"
 #include "gen/RandomExpr.h"
 
+#include "ast/Traversal.h"
 #include "ast/Uniquify.h"
 #include "TestUtil.h"
 #include "gtest/gtest.h"
+
+#include <unordered_map>
 
 using namespace hma;
 
@@ -92,4 +95,81 @@ TEST(EquivClasses, ClassesMatchOracleDetectsViolations) {
   EXPECT_FALSE(classesMatchOracle(Ctx, {{A}, {C}}));
   // Correct partition passes.
   EXPECT_TRUE(classesMatchOracle(Ctx, {{A, C}, {B}}));
+}
+
+namespace {
+
+/// The grouping as it was before the flat list: a node-based hash map to
+/// a class index plus one vector per class. The reference the flat
+/// grouping must reproduce class for class and member for member.
+template <typename H>
+std::vector<std::vector<const Expr *>>
+referenceGrouping(const Expr *Root, const std::vector<H> &Hashes) {
+  std::vector<std::vector<const Expr *>> Classes;
+  std::unordered_map<H, size_t, HashCodeHasher> Index;
+  preorder(Root, [&](const Expr *E) {
+    auto [It, Inserted] = Index.try_emplace(Hashes[E->id()], Classes.size());
+    if (Inserted)
+      Classes.emplace_back();
+    Classes[It->second].push_back(E);
+  });
+  return Classes;
+}
+
+/// Build a term in a fresh context with \p Gen and compare the flat
+/// grouping of its width-H hashes against the reference.
+template <typename H, typename Build>
+void expectFlatMatchesReference(Build Gen) {
+  ExprContext Ctx;
+  const Expr *Root = Gen(Ctx);
+  AlphaHasher<H> Hasher(Ctx);
+  const std::vector<H> Hashes = Root ? Hasher.hashAll(Root) : std::vector<H>();
+  const auto Want = referenceGrouping(Root, Hashes);
+  const EquivClassList Got = groupSubexpressionsByHash(Root, Hashes);
+  ASSERT_EQ(Got.size(), Want.size());
+  std::unordered_map<const Expr *, uint32_t> ClassOf;
+  size_t C = 0;
+  for (ClassView Class : Got) {
+    ASSERT_EQ(std::vector<const Expr *>(Class.begin(), Class.end()), Want[C])
+        << "class " << C;
+    for (const Expr *E : Class)
+      ClassOf[E] = static_cast<uint32_t>(C);
+    ++C;
+  }
+  EXPECT_EQ(C, Got.size());
+  std::vector<uint32_t> IdsOffList;
+  preorder(Root, [&](const Expr *E) { IdsOffList.push_back(ClassOf.at(E)); });
+  EXPECT_EQ(partitionIds(Root, Hashes), IdsOffList);
+}
+
+template <typename H> void expectFlatMatchesReferenceOnAllInputs() {
+  Rng R(0x666C6174);
+  for (int Rep = 0; Rep != 100; ++Rep) {
+    const uint32_t Size = 1 + static_cast<uint32_t>(R.below(5000));
+    expectFlatMatchesReference<H>(
+        [&](ExprContext &C) { return genBalanced(C, R, Size); });
+    expectFlatMatchesReference<H>(
+        [&](ExprContext &C) { return genUnbalanced(C, R, Size); });
+  }
+  expectFlatMatchesReference<H>(
+      [&](ExprContext &C) { return genBalanced(C, R, 1u << 16); });
+  expectFlatMatchesReference<H>(
+      [](ExprContext &C) { return parseT(C, "x"); });
+  expectFlatMatchesReference<H>(
+      [](ExprContext &) -> const Expr * { return nullptr; });
+}
+
+} // namespace
+
+TEST(EquivClasses, FlatGroupingMatchesReferenceGrouping) {
+  // Hash16 makes distinct classes share slots: long probe chains.
+  expectFlatMatchesReferenceOnAllInputs<Hash16>();
+  expectFlatMatchesReferenceOnAllInputs<Hash32>();
+  expectFlatMatchesReferenceOnAllInputs<Hash128>();
+
+  const EquivClassList Empty = groupSubexpressionsByHash(
+      static_cast<const Expr *>(nullptr), std::vector<Hash128>());
+  EXPECT_EQ(Empty.size(), 0u);
+  EXPECT_TRUE(Empty.begin() == Empty.end());
+  EXPECT_EQ(partitionStats(Empty).NumSubexpressions, 0u);
 }

@@ -250,7 +250,7 @@ int cmdHash(ExprContext &Ctx, const Expr *E) {
   std::vector<Hash128> Hashes = Hasher.hashAll(E);
   std::printf("%s  %s\n", Hashes[E->id()].toHex().c_str(),
               printExpr(Ctx, E).c_str());
-  for (const auto &Class : groupSubexpressionsByHash(E, Hashes)) {
+  for (ClassView Class : groupSubexpressionsByHash(E, Hashes)) {
     if (Class.size() < 2 || Class.front() == E)
       continue;
     std::printf("%s  %zux  %s\n",
@@ -264,11 +264,12 @@ int cmdClasses(ExprContext &Ctx, const Expr *E) {
   E = uniquifyBinders(Ctx, E);
   AlphaHasher<Hash128> Hasher(Ctx);
   std::vector<Hash128> Hashes = Hasher.hashAll(E);
-  PartitionStats Stats = partitionStats(E, Hashes);
+  EquivClassList Classes = groupSubexpressionsByHash(E, Hashes);
+  PartitionStats Stats = partitionStats(Classes);
   std::printf("%zu subexpressions, %zu classes, %zu repeated\n",
               Stats.NumSubexpressions, Stats.NumClasses,
               Stats.NumRepeatedClasses);
-  for (const auto &Class : groupSubexpressionsByHash(E, Hashes)) {
+  for (ClassView Class : Classes) {
     if (Class.size() < 2)
       continue;
     std::printf("  %zux  %s\n", Class.size(),
