@@ -30,7 +30,7 @@ template <typename H> static void BM_Combine2(benchmark::State &State) {
   H A{}, B{};
   uint64_t I = 0;
   for (auto _ : State) {
-    MixEngine E(Schema.salt(CombinerTag::StructApp));
+    MixEngine E = Schema.engine(CombinerTag::StructApp);
     E.addWord(I++);
     E.add(A);
     E.add(B);

@@ -12,7 +12,7 @@
 ///    (Section 5.1): the datatype constructors become O(1) salted hash
 ///    combiners and no tree is ever materialised.
 ///  - The variable map is an ordered map from free variable to the hash
-///    code of its position tree, paired with the XOR of its entry hashes
+///    code of its position tree; its hash is the XOR of its entry hashes
 ///    (Section 5.2). XOR's commutativity/invertibility makes insertion,
 ///    alteration and removal O(1) on the aggregate; Lemma 6.5/6.6 and
 ///    Theorem 6.7 bound the collision cost of this one weak combiner.
@@ -52,13 +52,24 @@
 ///  - the *byte driver* (\ref hashSerialized) walks an `ast/Serialize`
 ///    blob's preorder stream with \ref serial::walkBody, which closes
 ///    each interior node once its children are done (postorder again) and
-///    counts its size. Keys are the blob's local name ids, and each
-///    name-table spelling is hashed once per call. Nothing is decoded: no
-///    \ref ExprContext, no interning, no \ref Expr nodes.
+///    counts its size. Keys are the blob's local name ids. Nothing is
+///    decoded: no \ref ExprContext, no interning, no \ref Expr nodes.
 ///
 /// Both produce bit-identical hashes for the same term. Both compute the
 /// top-level summary pair only where it is observed: at every node when
 /// \ref hashAll asks for per-node output, otherwise at the root only.
+///
+/// **The aggregate is kept only where it is read.** Only a node's summary
+/// reads its map's XOR aggregate. Per-node output (\ref hashAll,
+/// \ref hashAllInto) maintains it at every node, as Section 5.2 does.
+/// The root-only drivers (\ref hashRoot, \ref hashSerialized) run the
+/// same map operations without it and XOR the entry hashes of the root
+/// map once, at the end. The invariant `Agg == XOR of entryHash(v, pos)
+/// over the map` makes the two bit-identical. A name's spelling is then
+/// hashed only if it is still free at the root: the Expr driver through
+/// its per-context cache, the byte driver on demand. The mode is a
+/// compile-time constant of the name-key functor (`Track`), so there is
+/// one copy of the step functions.
 ///
 /// A hasher owns reusable scratch -- the map-node pool, the postorder
 /// worklist, the value stack and the byte driver's name table and frame
@@ -150,7 +161,7 @@ public:
   /// node id (size = Ctx.numNodes(); ids outside \p Root keep H{}).
   std::vector<H> hashAll(const Expr *Root) {
     std::vector<H> Out(Ctx->numNodes());
-    run(Root, &Out);
+    run<true>(Root, &Out);
     return Out;
   }
 
@@ -158,11 +169,12 @@ public:
   /// capacity: the steady-state-zero-allocation variant of the API.
   void hashAllInto(const Expr *Root, std::vector<H> &Out) {
     Out.assign(Ctx->numNodes(), H{});
-    run(Root, &Out);
+    run<true>(Root, &Out);
   }
 
-  /// Hash \p Root only (same pass, no per-node output vector).
-  H hashRoot(const Expr *Root) { return run(Root, nullptr); }
+  /// Hash \p Root only: the same map operations with no per-node
+  /// aggregate, which is folded from the root map once at the end.
+  H hashRoot(const Expr *Root) { return run<false>(Root, nullptr); }
 
   /// The byte driver: hash the term serialized in \p Bytes
   /// (`ast/Serialize` format) without decoding it. Equal to \ref hashRoot
@@ -215,7 +227,8 @@ private:
   using Pool = typename Map::Pool;
 
   /// A hashed variable map: the paper's `VM (Map Name PosTree) HashCode`
-  /// with the hash maintained as the XOR of entry hashes.
+  /// with the hash as the XOR of entry hashes. A root-only fold leaves
+  /// Agg at H{} until finish().
   struct VM {
     Map M;
     H Agg{};
@@ -231,17 +244,27 @@ private:
     Entry(H Struct, Pool &P) : Struct(Struct), Vars(P) {}
   };
 
-  /// Name-key hashing of the Expr driver: keys are interned names,
-  /// their spelling hashes cached per context.
-  struct ContextNames {
+  // A name-key functor maps a key to its spelling hash. Its `Track`
+  // constant says whether the fold maintains every node's aggregate
+  // (per-node output) or leaves it to finish() (root only).
+
+  /// The Expr driver's keys: interned names, their spelling hashes cached
+  /// per context.
+  template <bool TrackAgg> struct ContextNames {
+    static constexpr bool Track = TrackAgg;
     AlphaHasher *A;
     H operator()(Name N) const { return A->nameHash(N); }
   };
-  /// Name-key hashing of the byte driver: keys are the blob's local ids,
-  /// their spelling hashes computed once per call.
+  /// The byte driver's keys: the blob's local ids. It only hashes roots,
+  /// so a spelling is hashed on demand, once per name free at the root.
   struct LocalNames {
-    const H *Hashes;
-    H operator()(Name Id) const { return Hashes[Id]; }
+    static constexpr bool Track = false;
+    const HashSchema *Schema;
+    const std::string_view *Spellings;
+    H operator()(Name Id) const {
+      return Schema->hashBytes<H>(CombinerTag::NameLeaf, Spellings[Id].data(),
+                                  Spellings[Id].size());
+    }
   };
 
   const ExprContext *Ctx;
@@ -258,10 +281,9 @@ private:
   Pool P;
   std::vector<Entry> Values;
   PostorderWorklist Work;
-  /// The byte driver's scratch: the blob's name table, the spelling hash
-  /// of each local id, the walk's frame stack and its binder proof.
+  /// The byte driver's scratch: the blob's name table, the walk's frame
+  /// stack and its binder proof.
   std::vector<std::string_view> BlobSpellings;
-  std::vector<H> BlobNameHashes;
   std::vector<serial::WalkFrame> BlobFrames;
   serial::BinderProof BlobProof;
 
@@ -280,15 +302,15 @@ private:
     NameHashValid.resize(Cap, false);
   }
 
-  /// The Expr driver: a postorder walk of \p Root feeding the kernel,
-  /// writing every node's hash into \p Out when it is non-null.
-  H run(const Expr *Root, std::vector<H> *Out) {
+  /// The Expr driver: a postorder walk of \p Root feeding the kernel.
+  /// With \p Track it writes every node's hash into \p Out.
+  template <bool Track> H run(const Expr *Root, std::vector<H> *Out) {
     assert(Root && "nothing to hash");
     assert(hasDistinctBinders(*Ctx, Root) &&
            "hashing requires distinct binders; run uniquifyBinders first");
     assert(Values.empty() && "hasher is not reentrant");
 
-    const ContextNames Keys{this};
+    const ContextNames<Track> Keys{this};
     Work.reset(Root);
     while (const Expr *E = Work.next()) {
       switch (E->kind()) {
@@ -308,10 +330,10 @@ private:
         stepLet(E->letBinder(), E->treeSize(), Keys);
         break;
       }
-      if (Out)
+      if constexpr (Track)
         (*Out)[E->id()] = summary(Values.back());
     }
-    return finish();
+    return finish(Keys);
   }
 
   /// The byte driver: \ref serial::walkBody over \p Bytes feeding the
@@ -324,14 +346,11 @@ private:
     BlobProof.reset(BlobSpellings);
     if (!BlobProof.holds())
       return std::nullopt;
-    BlobNameHashes.clear();
-    for (std::string_view S : BlobSpellings)
-      BlobNameHashes.push_back(
-          Schema.hashBytes<H>(CombinerTag::NameLeaf, S.data(), S.size()));
 
+    const LocalNames Keys{&Schema, BlobSpellings.data()};
     struct Fold {
       AlphaHasher &A;
-      const LocalNames Keys;
+      const LocalNames &Keys;
 
       bool var(uint32_t Id) {
         if (!A.BlobProof.holds())
@@ -362,19 +381,21 @@ private:
         }
         return true;
       }
-    } V{*this, LocalNames{BlobNameHashes.data()}};
+    } V{*this, Keys};
     if (serial::walkBody(In, BlobSpellings.size(), BlobFrames, &BlobProof,
                          V) ||
         !BlobProof.holds()) {
       Values.clear(); // recycle the partial fold's map nodes
       return std::nullopt;
     }
-    return finish();
+    return finish(Keys);
   }
 
 #ifndef NDEBUG
   /// The byte driver must succeed exactly when the decoder proves
-  /// distinct binders, and then agree with the Expr driver bit for bit.
+  /// distinct binders, and then agree bit for bit with the Expr driver's
+  /// per-node fold, which maintains the aggregate at every node -- so
+  /// this also checks the root-only fold of the aggregate.
   void crossCheckSerialized(std::string_view Bytes,
                             const std::optional<H> &Hash) const {
     ExprContext DecodeCtx;
@@ -383,8 +404,8 @@ private:
            "byte driver and decoder disagree on the binder proof");
     if (Hash) {
       AlphaHasher<H, MapPolicy> Reference(DecodeCtx, Schema);
-      assert(*Hash == Reference.hashRoot(D.E) &&
-             "byte driver and Expr driver disagree");
+      assert(*Hash == Reference.hashAll(D.E)[D.E->id()] &&
+             "byte driver and per-node Expr driver disagree");
     }
   }
 #endif
@@ -394,9 +415,15 @@ private:
     return Schema.combine<H>(CombinerTag::SummaryPair, E.Struct, E.Vars.Agg);
   }
 
-  /// The root's summary, after a driver's last step.
-  H finish() {
+  /// The root's summary, after a driver's last step. A root-only fold
+  /// kept no aggregate, so it XORs the root map's entry hashes here, once.
+  template <typename KeyHash> H finish(const KeyHash &Keys) {
     assert(Values.size() == 1 && "postorder fold must yield one summary");
+    VM &Vars = Values.back().Vars;
+    if constexpr (!KeyHash::Track)
+      Vars.M.forEach([&](Name V, const H &Pos) {
+        Vars.Agg ^= entryHash(Keys(V), Pos);
+      });
     const H Root = summary(Values.back());
     // Recycle the root summary's map nodes (the root's free variables)
     // into the pool; the stack keeps its capacity for the next call.
@@ -410,14 +437,16 @@ private:
   // folds the top slot into the one below and pops. Entries (which embed
   // the inline small-map storage) are never shuffled through temporaries
   // -- on small expressions the stack traffic, not the map operations, is
-  // the dominant cost. \p Keys maps a name key to its spelling hash.
+  // the dominant cost. \p Keys maps a name key to its spelling hash;
+  // the aggregate is kept only if `KeyHash::Track`.
   //===--------------------------------------------------------------------===//
 
   /// summariseExpr (Var v) = ESummary mkSVar (singletonVM v mkPTHere)
   template <typename KeyHash> void stepVar(Name V, const KeyHash &Keys) {
     Entry &Slot = Values.emplace_back(VarStruct, P);
     Slot.Vars.M.set(V, HereHash);
-    Slot.Vars.Agg = entryHash(Keys(V), HereHash);
+    if constexpr (KeyHash::Track)
+      Slot.Vars.Agg = entryHash(Keys(V), HereHash);
     ++Stats.MapSingletons;
   }
 
@@ -509,7 +538,7 @@ private:
     // wrapping it in a tagged PTJoin hash. Work here is proportional to
     // the *smaller* map only -- the crux of Lemma 6.1.
     Small.M.forEach([&](Name V, const H &SmallPos) {
-      vmAlter(Big, V, Keys(V), [&](const H *BigPos) {
+      vmAlter(Big, V, Keys, [&](const H *BigPos) {
         return BigPos ? Schema.combine<H>(CombinerTag::PosJoinSome,
                                           hashFromWord(Tag), *BigPos,
                                           SmallPos)
@@ -524,27 +553,30 @@ private:
     Left.Struct = St;
   }
 
-  /// alterVM with XOR bookkeeping (Section 5.2).
-  /// \p NameH is \p V's spelling hash.
-  template <typename F>
-  void vmAlter(VM &Vars, Name V, H NameH, F &&MakeNew) {
+  /// alterVM with XOR bookkeeping (Section 5.2) when tracked.
+  template <typename KeyHash, typename F>
+  void vmAlter(VM &Vars, Name V, const KeyHash &Keys, F &&MakeNew) {
     ++Stats.MapAlters;
     Vars.M.alter(V, [&](H *Old) {
       H NewPos = MakeNew(static_cast<const H *>(Old));
-      if (Old)
-        Vars.Agg ^= entryHash(NameH, *Old);
-      Vars.Agg ^= entryHash(NameH, NewPos);
+      if constexpr (KeyHash::Track) {
+        const H NameH = Keys(V);
+        if (Old)
+          Vars.Agg ^= entryHash(NameH, *Old);
+        Vars.Agg ^= entryHash(NameH, NewPos);
+      }
       return NewPos;
     });
   }
 
-  /// removeFromVM with XOR bookkeeping (Section 5.2).
+  /// removeFromVM with XOR bookkeeping (Section 5.2) when tracked.
   template <typename KeyHash>
   std::optional<H> vmRemove(VM &Vars, Name V, const KeyHash &Keys) {
     ++Stats.MapRemoves;
     std::optional<H> Old = Vars.M.remove(V);
-    if (Old)
-      Vars.Agg ^= entryHash(Keys(V), *Old);
+    if constexpr (KeyHash::Track)
+      if (Old)
+        Vars.Agg ^= entryHash(Keys(V), *Old);
     return Old;
   }
 };

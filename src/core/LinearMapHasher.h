@@ -212,7 +212,7 @@ private:
   }
 
   H mapHash(const VM &Vars) const {
-    MixEngine E(Schema.salt(CombinerTag::LinearMapHash));
+    MixEngine E = Schema.engine(CombinerTag::LinearMapHash);
     T::addToEngine(E, Vars.F.A);
     T::addToEngine(E, Vars.F.B);
     E.add(Vars.Agg);

@@ -169,6 +169,10 @@ struct Hash16 {
 /// combine(b, a). Commutativity is introduced at exactly one place in the
 /// algorithm -- the XOR aggregation of variable-map entries -- as the
 /// paper prescribes.
+///
+/// The salt sets the start state (A, B) through two dependent splitmix64
+/// rounds; \ref HashSchema::engine hands out copies of start states it
+/// built once, so combiner calls skip those rounds.
 class MixEngine {
 public:
   explicit MixEngine(uint64_t Salt) {

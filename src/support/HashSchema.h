@@ -15,6 +15,10 @@
 ///    from fresh seeds, which is exactly what "no adversarial pair
 ///    collides reliably across seeds" quantifies over.
 ///
+/// Every combiner is a \ref MixEngine started from its role's salt. The
+/// schema builds those start states once, at construction, so a combiner
+/// call begins mixing at its first word (\ref HashSchema::engine).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef HMA_SUPPORT_HASHSCHEMA_H
@@ -22,7 +26,9 @@
 
 #include "support/HashCode.h"
 
+#include <array>
 #include <cstdint>
+#include <utility>
 
 namespace hma {
 
@@ -72,22 +78,27 @@ enum class CombinerTag : unsigned {
   NumTags
 };
 
-/// Derives and caches one salt per \ref CombinerTag from a single seed.
+/// Derives one salt per \ref CombinerTag from a single seed and keeps
+/// the \ref MixEngine start state of each.
 class HashSchema {
 public:
   /// Fixed default seed: deterministic hashing out of the box.
   static constexpr uint64_t DefaultSeed = 0x48'4D'41'2D'50'4C'44'49ULL;
 
-  explicit HashSchema(uint64_t Seed = DefaultSeed) : Seed(Seed) {
-    for (unsigned I = 0; I != unsigned(CombinerTag::NumTags); ++I)
-      Salts[I] = detail::splitmix64(detail::splitmix64(Seed) ^
-                                    (0x9E3779B97F4A7C15ULL * (I + 1)));
-  }
+  explicit HashSchema(uint64_t Seed = DefaultSeed)
+      : Seed(Seed), Engines(makeEngines(Seed, std::make_index_sequence<
+                                                  NumEngines>())) {}
 
   uint64_t seed() const { return Seed; }
 
   uint64_t salt(CombinerTag Tag) const {
-    return Salts[static_cast<unsigned>(Tag)];
+    return saltFor(Seed, static_cast<unsigned>(Tag));
+  }
+
+  /// A mixer started under the salt for \p Tag: equal to
+  /// `MixEngine(salt(Tag))`, without recomputing its start state.
+  MixEngine engine(CombinerTag Tag) const {
+    return Engines[static_cast<unsigned>(Tag)];
   }
 
   /// Combine a fixed arity of hash codes under the salt for \p Tag.
@@ -96,7 +107,7 @@ public:
   /// lemma's proof salts with `|d|`.
   template <typename H, typename... Parts>
   H combine(CombinerTag Tag, Parts... P) const {
-    MixEngine E(salt(Tag));
+    MixEngine E = engine(Tag);
     (E.add(P), ...);
     return E.finish<H>();
   }
@@ -104,7 +115,7 @@ public:
   /// Combine raw 64-bit words under the salt for \p Tag.
   template <typename H, typename... Words>
   H combineWords(CombinerTag Tag, Words... W) const {
-    MixEngine E(salt(Tag));
+    MixEngine E = engine(Tag);
     (E.addWord(static_cast<uint64_t>(W)), ...);
     return E.finish<H>();
   }
@@ -113,7 +124,7 @@ public:
   /// for \p Tag.
   template <typename H>
   H hashBytes(CombinerTag Tag, const char *Data, size_t Len) const {
-    MixEngine E(salt(Tag));
+    MixEngine E = engine(Tag);
     size_t I = 0;
     for (; I + 8 <= Len; I += 8) {
       uint64_t W = 0;
@@ -132,8 +143,22 @@ public:
   }
 
 private:
+  static constexpr size_t NumEngines =
+      static_cast<size_t>(CombinerTag::NumTags);
+
+  static uint64_t saltFor(uint64_t Seed, unsigned Tag) {
+    return detail::splitmix64(detail::splitmix64(Seed) ^
+                              (0x9E3779B97F4A7C15ULL * (Tag + 1)));
+  }
+
+  template <size_t... Tags>
+  static std::array<MixEngine, NumEngines>
+  makeEngines(uint64_t Seed, std::index_sequence<Tags...>) {
+    return {MixEngine(saltFor(Seed, Tags))...};
+  }
+
   uint64_t Seed;
-  uint64_t Salts[static_cast<unsigned>(CombinerTag::NumTags)];
+  std::array<MixEngine, NumEngines> Engines;
 };
 
 } // namespace hma

@@ -458,3 +458,144 @@ TEST(HashSerialized, ScratchIsReusedWithoutPoolGrowth) {
   EXPECT_EQ(Bytes.poolAllocatedNodes(), Warm);
   EXPECT_EQ(Bytes.poolLiveNodes(), 0u);
 }
+
+//===----------------------------------------------------------------------===//
+// Golden root hashes and the root-only vs per-node differential
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One pinned root hash: \p Src parsed and uniquified, hashed under
+/// HashSchema(\p Seed). The hex values were recorded from the per-node
+/// fold that maintains the XOR aggregate at every node; HMAI files store
+/// these hashes, so any drift would turn every lookup into a miss.
+struct GoldenRoot {
+  const char *Src;
+  uint64_t Seed;
+  const char *Hex128;
+  const char *Hex16;
+};
+
+constexpr uint64_t OtherSeed = 0x0123456789ABCDEFULL;
+
+const char *const Closed = "(lam (x y) (x (y x)))";
+const char *const OneFree = "(lam (x) (add x free))";
+/// Ten free variables at the root: a spilled root map.
+const char *const Spilled =
+    "(lam (x) (f0 (f1 (f2 x) (f3 f4)) (f5 (f6 f7) (f8 (f9 x)))))";
+/// Let with used and unused binders, and constants.
+const char *const LetConst =
+    "(let (x (mul 3 y)) (add x (let (z 7) (let (u -2) (mul z x)))))";
+
+const GoldenRoot GoldenRoots[] = {
+    {Closed, HashSchema::DefaultSeed, "135649a8aed24b1fb07e4da43024a420",
+     "9324"},
+    {Closed, OtherSeed, "51879c12c3a9904debf6a377a1c2abe5", "5e92"},
+    {OneFree, HashSchema::DefaultSeed, "3265191586f080f360f1aed79f2d6674",
+     "7d7e"},
+    {OneFree, OtherSeed, "4f1b2a05e4aed870874d81ca918db63b", "14d8"},
+    {Spilled, HashSchema::DefaultSeed, "a8b24036fb47d82b6d86303059d33317",
+     "2c6a"},
+    {Spilled, OtherSeed, "0df9df4be3728fa19a772e8f902ebc8d", "2362"},
+    {LetConst, HashSchema::DefaultSeed, "f42b0400675324799efa64f96ea9598b",
+     "010e"},
+    {LetConst, OtherSeed, "28c757da90f9fe332706a5b89f0edaf0", "e715"},
+};
+
+/// The root hash of \p E three ways: the byte driver, the root-only
+/// Expr driver and the per-node Expr driver.
+template <typename H> struct RootHashes {
+  std::optional<H> Serialized;
+  H Root;
+  H AllAtRoot;
+};
+
+template <typename H>
+RootHashes<H> rootHashes(ExprContext &Ctx, const Expr *E,
+                         const HashSchema &Schema = HashSchema()) {
+  AlphaHasher<H> A(Ctx, Schema);
+  ExprContext Boot;
+  AlphaHasher<H> Bytes(Boot, Schema);
+  RootHashes<H> R;
+  R.Serialized = Bytes.hashSerialized(serializeExpr(Ctx, E));
+  R.Root = A.hashRoot(E);
+  R.AllAtRoot = A.hashAll(E)[E->id()];
+  return R;
+}
+
+template <typename H> void expectGolden(const GoldenRoot &G, const char *Hex) {
+  ExprContext Ctx;
+  const Expr *E = prep(Ctx, G.Src);
+  const RootHashes<H> R = rootHashes<H>(Ctx, E, HashSchema(G.Seed));
+  ASSERT_TRUE(R.Serialized.has_value()) << G.Src;
+  EXPECT_EQ(R.Serialized->toHex(), Hex)
+      << "hashSerialized, " << HashWidth<H>::Name << ", seed " << G.Seed
+      << ": " << G.Src;
+  EXPECT_EQ(R.Root.toHex(), Hex)
+      << "hashRoot, " << HashWidth<H>::Name << ", seed " << G.Seed << ": "
+      << G.Src;
+  EXPECT_EQ(R.AllAtRoot.toHex(), Hex)
+      << "hashAll, " << HashWidth<H>::Name << ", seed " << G.Seed << ": "
+      << G.Src;
+}
+
+/// Apply \p E to \p Count fresh free variables, one after another.
+const Expr *withFreeVars(ExprContext &Ctx, const Expr *E, unsigned Count) {
+  for (unsigned I = 0; I != Count; ++I)
+    E = Ctx.app(E, Ctx.var("extra_free_" + std::to_string(I)));
+  return E;
+}
+
+} // namespace
+
+TEST(AlphaHasherGolden, RootHashesArePinned) {
+  for (const GoldenRoot &G : GoldenRoots) {
+    expectGolden<Hash128>(G, G.Hex128);
+    expectGolden<Hash16>(G, G.Hex16);
+  }
+}
+
+template <typename H> class RootOnlyDifferentialTest : public ::testing::Test {};
+using AllWidths = ::testing::Types<Hash16, Hash32, Hash64, Hash128>;
+TYPED_TEST_SUITE(RootOnlyDifferentialTest, AllWidths);
+
+TYPED_TEST(RootOnlyDifferentialTest, RootOnlyDriversMatchPerNodeFold) {
+  // hashSerialized and hashRoot skip the per-node aggregate and fold the
+  // root map once; hashAll maintains it at every node. They must agree
+  // bit for bit on balanced, unbalanced, arithmetic and adversarial
+  // terms, with no, one and more than a small map's worth of extra free
+  // variables at the root.
+  using H = TypeParam;
+  Rng R(20210502);
+  for (unsigned I = 0; I != 60; ++I) {
+    ExprContext Ctx;
+    const uint32_t Size = 1 + static_cast<uint32_t>(R.below(400));
+    std::vector<const Expr *> Terms;
+    switch (I % 4) {
+    case 0:
+      Terms.push_back(genBalanced(Ctx, R, Size));
+      break;
+    case 1:
+      Terms.push_back(genUnbalanced(Ctx, R, Size));
+      break;
+    case 2:
+      Terms.push_back(uniquifyBinders(Ctx, genArithmetic(Ctx, R, Size)));
+      break;
+    case 3: {
+      auto [A, B] = genAdversarialPair(Ctx, R, 8 + Size);
+      Terms = {A, B};
+      break;
+    }
+    }
+    for (const Expr *T : Terms)
+      for (unsigned Extra : {0u, 1u, 12u}) {
+        const Expr *E = withFreeVars(Ctx, T, Extra);
+        const RootHashes<H> Got = rootHashes<H>(Ctx, E);
+        ASSERT_TRUE(Got.Serialized.has_value());
+        EXPECT_EQ(*Got.Serialized, Got.AllAtRoot)
+            << "term " << I << " extra " << Extra;
+        EXPECT_EQ(Got.Root, Got.AllAtRoot)
+            << "term " << I << " extra " << Extra;
+      }
+  }
+}
