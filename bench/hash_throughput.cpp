@@ -10,7 +10,8 @@
 ///       avl_fresh       AVL-only maps, new hasher per expression
 ///                       (the pre-optimisation baseline)
 ///       avl_reuse       AVL-only maps, one hasher reused across calls
-///       adaptive_fresh  SmallVarMap maps, new hasher per expression
+///       adaptive_fresh  SmallVarMap maps (inline array, then a hashed
+///                       spill table), new hasher per expression
 ///       adaptive_reuse  SmallVarMap maps + persistent scratch
 ///                       (the production pipeline)
 ///     All four produce identical hash values (asserted).

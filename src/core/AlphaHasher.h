@@ -11,8 +11,8 @@
 ///  - Structures and position trees are represented *by their hash codes*
 ///    (Section 5.1): the datatype constructors become O(1) salted hash
 ///    combiners and no tree is ever materialised.
-///  - The variable map is an ordered map from free variable to the hash
-///    code of its position tree; its hash is the XOR of its entry hashes
+///  - The variable map is a map from free variable to the hash code of
+///    its position tree; its hash is the XOR of its entry hashes
 ///    (Section 5.2). XOR's commutativity/invertibility makes insertion,
 ///    alteration and removal O(1) on the aggregate; Lemma 6.5/6.6 and
 ///    Theorem 6.7 bound the collision cost of this one weak combiner.
@@ -33,12 +33,16 @@
 /// *map policy* selecting the variable-map representation:
 ///
 ///  - \ref AdaptiveVarMapPolicy (default): \ref SmallVarMap, which keeps
-///    small maps in a sorted inline array and spills to the pooled AVL
-///    tree past the threshold. Hash values are identical to the AVL-only
-///    configuration -- the map representation is unobservable through the
-///    algorithm (asserted by tests/smallvarmap_test.cpp).
-///  - \ref AvlVarMapPolicy: the paper's plain balanced-tree maps, kept
-///    for ablation benchmarks (bench/hash_throughput.cpp).
+///    small maps in a sorted inline array and spills to a pooled
+///    open-addressing hash table past the threshold. No step reads a map
+///    in key order (a merge alters each moved entry by its own key, and
+///    the map hash is an XOR), so a spilled map operation costs expected
+///    O(1) instead of a tree's O(log n). Hash values are identical to the
+///    AVL-only configuration -- the map representation is unobservable
+///    through the algorithm (asserted by tests/smallvarmap_test.cpp).
+///  - \ref AvlVarMapPolicy: the paper's plain balanced-tree maps, kept as
+///    the reference for tests and ablation benchmarks
+///    (bench/hash_throughput.cpp).
 ///
 /// **One fold kernel, two drivers.** The paper's hash is one bottom-up
 /// fold. Per node it needs only the kind, the binder or variable key,
@@ -71,7 +75,7 @@
 /// compile-time constant of the name-key functor (`Track`), so there is
 /// one copy of the step functions.
 ///
-/// A hasher owns reusable scratch -- the map-node pool, the postorder
+/// A hasher owns reusable scratch -- the map pool, the postorder
 /// worklist, the value stack and the byte driver's name table and frame
 /// stack persist across calls -- so a long-lived hasher reaches a steady
 /// state where hashing an expression performs *zero* heap allocations
@@ -137,7 +141,7 @@ public:
             CombinerTag::StructVar, 1)) {} // |d| salt
 
   /// Point the hasher at a different context, keeping the reusable
-  /// scratch (map-node pool, worklist, value stack) warm. The per-name
+  /// scratch (map pool, worklist, value stack) warm. The per-name
   /// spelling-hash cache is invalidated -- name ids are context-local --
   /// but its capacity is retained, so a worker that recycles contexts
   /// every chunk stays allocation-free once warmed up.
@@ -197,12 +201,13 @@ public:
   const AlphaHashStats &stats() const { return Stats; }
   void resetStats() { Stats = AlphaHashStats(); }
 
-  /// Map nodes currently checked out of the pool (0 between calls).
+  /// Map storage units (AVL nodes, or spilled-table slots) currently
+  /// checked out of the pool (0 between calls).
   size_t poolLiveNodes() const { return P.liveNodes(); }
 
-  /// Map nodes ever carved out of the pool's arena. Once the hasher has
+  /// Map storage units the pool ever allocated. Once the hasher has
   /// warmed up on the largest expression of a workload, this stops
-  /// growing: hashing further expressions recycles pooled nodes and
+  /// growing: hashing further expressions recycles pooled storage and
   /// performs no heap allocation at all.
   size_t poolAllocatedNodes() const { return P.allocatedNodes(); }
 
@@ -255,8 +260,10 @@ private:
     AlphaHasher *A;
     H operator()(Name N) const { return A->nameHash(N); }
   };
-  /// The byte driver's keys: the blob's local ids. It only hashes roots,
-  /// so a spelling is hashed on demand, once per name free at the root.
+  /// The byte driver's keys: the blob's local ids, all below the name
+  /// count's UINT32_MAX cap and so never the maps' empty key. It only
+  /// hashes roots, so a spelling is hashed on demand, once per name free
+  /// at the root.
   struct LocalNames {
     static constexpr bool Track = false;
     const HashSchema *Schema;

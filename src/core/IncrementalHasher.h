@@ -13,11 +13,11 @@
 ///
 /// To re-merge an ancestor's map without touching its unchanged child's
 /// subtree, every node's variable map must *survive* being merged into
-/// its parent. The mutable \ref AvlMap of the batch hasher destroys child
-/// maps, so this class uses the persistent \ref PersistentMap: merging
-/// into a parent creates new versions and leaves the children's maps
-/// intact (O(log n) extra memory per moved entry -- the classic
-/// persistence trade).
+/// its parent. The batch hasher's mutable \ref SmallVarMap (an inline
+/// array, then a hash table) destroys child maps, so this class uses the
+/// persistent \ref PersistentMap: merging into a parent creates new
+/// versions and leaves the children's maps intact (O(log n) extra memory
+/// per moved entry -- the classic persistence trade).
 ///
 /// Hash codes produced here are bit-identical to \ref AlphaHasher with
 /// the same schema (tested), since both implement the same combiner

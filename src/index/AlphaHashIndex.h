@@ -120,8 +120,9 @@ public:
   struct BatchResult {
     uint64_t Ingested = 0;     ///< Blobs successfully hashed and inserted.
     uint64_t DecodeErrors = 0; ///< Blobs rejected by the deserialiser.
-    /// Map nodes carved out of worker hashers' pool arenas over the whole
-    /// batch (the warm-up cost of the scratch-reuse design).
+    /// Map-pool storage (spilled-table slots) allocated by worker hashers
+    /// over the whole batch (the warm-up cost of the scratch-reuse
+    /// design).
     uint64_t PoolNodesAllocated = 0;
     /// The subset of PoolNodesAllocated incurred *after* each worker's
     /// first chunk. On a corpus whose largest expression appears early,

@@ -10,7 +10,7 @@
 ///  - split [0, Count) into chunks; workers pull chunk indices from an
 ///    atomic counter (work stealing without a queue);
 ///  - each worker owns ONE long-lived \ref AlphaHasher for the whole
-///    batch, so its scratch (map-node pool, value stack, the byte
+///    batch, so its scratch (map pool, value stack, the byte
 ///    driver's name table and frame stack) stays warm across chunks --
 ///    the zero-allocation pipeline. Both bodies hash each blob from its
 ///    bytes (\ref detail::hashQuery), which reads no \ref ExprContext,
@@ -73,10 +73,10 @@ void forEachHashedChunk(const HashSchema &Schema, size_t Count,
       "hma_batch_chunks_total", "Batch-worker chunks processed");
   static const obs::Counter PoolNodes = obs::Counter::get(
       "hma_hasher_pool_nodes_total",
-      "Map nodes carved out of worker hashers' pool arenas (warm-up cost)");
+      "Map-pool slots allocated by worker hashers (warm-up cost)");
   static const obs::Counter SteadyPoolNodes = obs::Counter::get(
       "hma_hasher_steady_pool_nodes_total",
-      "Pool nodes allocated after a worker's first chunk (steady state; "
+      "Map-pool slots allocated after a worker's first chunk (steady state; "
       "~0 is the zero-allocation claim)");
   // Hashing parallelism is useful regardless of backend, but an absurd
   // caller value must not translate into thousands of threads (or

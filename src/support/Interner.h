@@ -48,6 +48,9 @@ public:
     auto It = Table.find(S);
     if (It != Table.end())
       return It->second;
+    // InvalidName doubles as the variable maps' empty-slot key, so no
+    // interned name may reach it.
+    assert(Spellings.size() < InvalidName && "name ids exhausted");
     std::string_view Stored = Storage.copyString(S);
     Name Id = static_cast<Name>(Spellings.size());
     Spellings.push_back(Stored);

@@ -1,12 +1,15 @@
 //===- tests/smallvarmap_test.cpp - Adaptive small-map differential tests ----===//
 ///
 /// \file
-/// SmallVarMap must be observationally identical to AvlMap: same
-/// contents, same iteration order, same alter/remove results -- through
-/// randomized operation sequences, across the inline->AVL spill boundary,
-/// and (the property that actually matters) through the whole AlphaHasher
+/// SmallVarMap must hold the same contents as AvlMap and give the same
+/// alter/remove results -- through randomized operation sequences, across
+/// the inline->table spill boundary, through table growth, wrap-around
+/// and backward-shift deletion (forced with fixed hash multipliers), and
+/// (the property that actually matters) through the whole AlphaHasher
 /// data flow: the adaptive and AVL-only map policies must produce
-/// bit-identical hashes at every width b in {16, 32, 64, 128}.
+/// bit-identical hashes at every width b in {16, 32, 64, 128}. Only the
+/// inline representation iterates in key order; a spilled table iterates
+/// in slot order, so differentials compare sorted contents.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,13 +17,14 @@
 
 #include "ast/Uniquify.h"
 #include "core/AlphaHasher.h"
+#include "gen/MLModels.h"
 #include "gen/RandomExpr.h"
 #include "support/Random.h"
 
 #include "TestUtil.h"
 #include "gtest/gtest.h"
 
-#include <map>
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -31,14 +35,32 @@ using AMap = AvlMap<uint32_t, uint64_t>;
 
 namespace {
 
-/// Assert \p S and \p A hold identical entries in identical order.
+using Entries = std::vector<std::pair<uint32_t, uint64_t>>;
+
+/// \p M's entries, sorted by key.
+template <typename MapT> Entries sortedEntries(const MapT &M) {
+  Entries Out;
+  M.forEach([&](uint32_t K, uint64_t V) { Out.push_back({K, V}); });
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+/// Assert \p S and \p A hold identical entries (in any order), each key
+/// once.
 void expectSameContents(const SMap &S, const AMap &A) {
   ASSERT_EQ(S.size(), A.size());
-  std::vector<std::pair<uint32_t, uint64_t>> SE, AE;
-  S.forEach([&](uint32_t K, uint64_t V) { SE.push_back({K, V}); });
-  A.forEach([&](uint32_t K, uint64_t V) { AE.push_back({K, V}); });
-  EXPECT_EQ(SE, AE);
+  Entries SE = sortedEntries(S);
+  EXPECT_EQ(SE, sortedEntries(A));
+  EXPECT_EQ(SE.size(), S.size()) << "forEach must visit each entry once";
 }
+
+/// Multiply-shift multipliers that make home slots predictable. With
+/// 2^59 + 1 and a 32-slot table (the size a map spills into), a key
+/// below 2^59 homes at `Key % 32`. With 1, every 32-bit key homes at
+/// slot 0 of any table up to 2^32 slots.
+constexpr uint64_t ModuloMultiplier = (uint64_t(1) << 59) + 1;
+constexpr uint64_t OneHomeMultiplier = 1;
+constexpr unsigned SpillLogCap = 5;
 
 } // namespace
 
@@ -96,7 +118,7 @@ TEST(SmallVarMap, AlterSeesOldValue) {
 
 TEST(SmallVarMap, SpillBoundary) {
   // Fill to N-1, N, N+1 entries: the map must spill exactly when the
-  // (N+1)-th distinct key arrives, preserving contents and order.
+  // (N+1)-th distinct key arrives, preserving contents.
   constexpr unsigned N = SMap::InlineCapacity;
   SMap::Pool P;
   SMap M(P);
@@ -118,13 +140,16 @@ TEST(SmallVarMap, SpillBoundary) {
   EXPECT_EQ(M.size(), N);
   EXPECT_FALSE(M.spilled());
 
-  M.set(N * 3 + 1, N); // (N+1)-th entry: spills to the AVL tree
+  M.set(N * 3 + 1, N); // (N+1)-th entry: spills to the table
   EXPECT_EQ(M.size(), N + 1);
   EXPECT_TRUE(M.spilled());
-  EXPECT_EQ(P.liveNodes(), size_t(N) + 1);
+  // One table at load <= 1/2, below 4x the entry count.
+  EXPECT_GE(P.liveNodes(), 2 * (size_t(N) + 1));
+  EXPECT_LT(P.liveNodes(), 4 * (size_t(N) + 1));
   EXPECT_TRUE(M.checkInvariants());
 
-  // Everything survived the spill, in order, including the overwrite.
+  // Everything survived the spill, each key once, including the
+  // overwrite.
   std::vector<uint32_t> Keys;
   M.forEach([&](uint32_t K, uint64_t V) {
     Keys.push_back(K);
@@ -133,8 +158,12 @@ TEST(SmallVarMap, SpillBoundary) {
     }
   });
   ASSERT_EQ(Keys.size(), size_t(N) + 1);
+  std::sort(Keys.begin(), Keys.end());
   for (size_t I = 1; I != Keys.size(); ++I)
     EXPECT_LT(Keys[I - 1], Keys[I]);
+  for (unsigned I = 0; I != N; ++I)
+    EXPECT_EQ(Keys[I], I * 3);
+  EXPECT_EQ(Keys[N], N * 3 + 1);
 
   // Removals below the threshold do not un-spill (no representation
   // thrash at the boundary)...
@@ -176,16 +205,19 @@ TEST(SmallVarMap, MoveTransfersBothRepresentations) {
   EXPECT_EQ(P.liveNodes(), 0u);
 }
 
-TEST(SmallVarMap, RandomizedDifferentialVsAvlMap) {
-  Rng R(31337);
-  SMap::Pool SP;
+namespace {
+
+/// Drive \p S (over \p SP) and a fresh AvlMap through \p Steps random
+/// alter/remove/find/clear operations on keys below \p KeyRange,
+/// checking every result and, periodically, the full contents.
+void runRandomizedDifferential(SMap::Pool &SP, uint64_t Seed,
+                               uint32_t KeyRange, int Steps) {
+  Rng R(Seed);
   AMap::Pool AP;
   SMap S(SP);
   AMap A(AP);
-  // Key range 0..24 with inline capacity 8: the map crosses the spill
-  // boundary back (via clear) and forth many times over the run.
-  for (int Step = 0; Step != 30000; ++Step) {
-    uint32_t Key = static_cast<uint32_t>(R.below(25));
+  for (int Step = 0; Step != Steps; ++Step) {
+    uint32_t Key = static_cast<uint32_t>(R.below(KeyRange));
     switch (R.below(5)) {
     case 0:
     case 1: { // insert/overwrite via alter, checking the old value agrees
@@ -235,6 +267,182 @@ TEST(SmallVarMap, RandomizedDifferentialVsAvlMap) {
   A.clear();
   EXPECT_EQ(SP.liveNodes(), 0u);
   EXPECT_EQ(AP.liveNodes(), 0u);
+}
+
+} // namespace
+
+TEST(SmallVarMap, RandomizedDifferentialVsAvlMap) {
+  // Key range 0..24 with inline capacity 8: the map crosses the spill
+  // boundary back (via clear) and forth many times over the run.
+  SMap::Pool SP;
+  runRandomizedDifferential(SP, 31337, 25, 30000);
+}
+
+TEST(SmallVarMap, RandomizedDifferentialGrowsAndShrinksTables) {
+  // Wide key ranges grow tables to hundreds of slots between clears, and
+  // removals backward-shift through long clusters. The fixed multipliers
+  // force heavy collisions: every key on one home, or homes that wrap.
+  {
+    SMap::Pool SP;
+    runRandomizedDifferential(SP, 7, 1000, 30000);
+  }
+  {
+    SMap::Pool SP(OneHomeMultiplier);
+    runRandomizedDifferential(SP, 8, 300, 20000);
+  }
+  {
+    SMap::Pool SP(ModuloMultiplier);
+    runRandomizedDifferential(SP, 9, 1000, 30000);
+  }
+  {
+    SMap::Pool SP(~uint64_t(0)); // small keys home at the last slot
+    runRandomizedDifferential(SP, 10, 300, 20000);
+  }
+}
+
+namespace {
+
+/// The keys of spilled map \p M whose home slot is below \p Limit, in
+/// slot order.
+std::vector<uint32_t> keysHomedBelow(const SMap &M, size_t Limit) {
+  std::vector<uint32_t> Out;
+  M.forEach([&](uint32_t K, uint64_t) {
+    if (M.pool().home(K, SpillLogCap) < Limit)
+      Out.push_back(K);
+  });
+  return Out;
+}
+
+} // namespace
+
+TEST(SmallVarMap, ProbeRunWrapsAroundTheTableEnd) {
+  SMap::Pool P(ModuloMultiplier);
+  SMap M(P);
+  AMap::Pool AP;
+  AMap A(AP);
+  // Filler keys home at 10..16, far from the cluster under test.
+  for (uint32_t K = 10; K != 17; ++K) {
+    M.set(K, K);
+    A.set(K, K);
+  }
+  // 31, 63 and 95 all home at slot 31, the last one; 0 homes at 0. The
+  // run 31, 0, 1, 2 wraps past the table end.
+  for (uint32_t K : {31u, 63u, 95u, 0u}) {
+    ASSERT_EQ(P.home(K, SpillLogCap), K % 32);
+    M.set(K, 100 + K);
+    A.set(K, 100 + K);
+  }
+  ASSERT_TRUE(M.spilled());
+  ASSERT_EQ(P.liveNodes(), size_t(1) << SpillLogCap);
+  ASSERT_TRUE(M.checkInvariants());
+  expectSameContents(M, A);
+  for (uint32_t K : {31u, 63u, 95u, 0u})
+    ASSERT_NE(M.find(K), nullptr);
+
+  // Removing the run's head shifts each wrapped entry back one slot,
+  // across the end again: 63 to the last slot, 95 and 0 down by one.
+  ASSERT_EQ(M.remove(31), std::optional<uint64_t>(131));
+  A.remove(31);
+  ASSERT_TRUE(M.checkInvariants());
+  expectSameContents(M, A);
+  EXPECT_EQ(M.find(31), nullptr);
+  EXPECT_EQ(*M.find(63), 163u);
+  EXPECT_EQ(*M.find(95), 195u);
+  EXPECT_EQ(*M.find(0), 100u);
+
+  // Drain the rest of the cluster from the middle out.
+  for (uint32_t K : {95u, 63u, 0u}) {
+    ASSERT_EQ(M.remove(K), std::optional<uint64_t>(100 + K));
+    A.remove(K);
+    ASSERT_TRUE(M.checkInvariants());
+    expectSameContents(M, A);
+  }
+}
+
+TEST(SmallVarMap, BackwardShiftSkipsEntriesAtTheirHome) {
+  SMap::Pool P(ModuloMultiplier);
+  SMap M(P);
+  AMap::Pool AP;
+  AMap A(AP);
+  for (uint32_t K = 16; K != 23; ++K) { // filler, homes 16..22
+    M.set(K, K);
+    A.set(K, K);
+  }
+  // 3 takes slot 3 and 4 its home, slot 4; 35 (home 3) lands at 5 and
+  // 67 (home 3) at 6; 7 sits at its home.
+  for (uint32_t K : {3u, 4u, 35u, 67u, 7u}) {
+    M.set(K, 100 + K);
+    A.set(K, 100 + K);
+  }
+  ASSERT_TRUE(M.spilled());
+  ASSERT_TRUE(M.checkInvariants());
+  EXPECT_EQ(keysHomedBelow(M, 16), (std::vector<uint32_t>{3, 4, 35, 67, 7}));
+
+  // Removing 3 leaves 4 where it is (its home is past the hole), moves 35
+  // back to slot 3, then 67 to slot 5 and keeps 7 at home.
+  ASSERT_EQ(M.remove(3), std::optional<uint64_t>(103));
+  A.remove(3);
+  ASSERT_TRUE(M.checkInvariants());
+  expectSameContents(M, A);
+  EXPECT_EQ(keysHomedBelow(M, 16), (std::vector<uint32_t>{35, 4, 67, 7}));
+  for (uint32_t K : {4u, 35u, 67u, 7u})
+    EXPECT_EQ(*M.find(K), 100u + K);
+
+  // Removing 4 (at home, mid-cluster) pulls 67 into its slot.
+  ASSERT_EQ(M.remove(4), std::optional<uint64_t>(104));
+  A.remove(4);
+  ASSERT_TRUE(M.checkInvariants());
+  expectSameContents(M, A);
+  EXPECT_EQ(keysHomedBelow(M, 16), (std::vector<uint32_t>{35, 67, 7}));
+}
+
+TEST(SmallVarMap, TableGrowsDuringAMerge) {
+  // A big map at the edge of load 1/2 takes a spilled source's entries:
+  // it must rehash mid-merge without losing or duplicating an entry. One
+  // home for every key makes the probe runs as long as they get.
+  for (uint64_t Mult :
+       {OneHomeMultiplier, ModuloMultiplier, uint64_t(0x9E3779B97F4A7C15)}) {
+    SMap::Pool SP(Mult);
+    AMap::Pool AP;
+    SMap SBig(SP), SSmall(SP);
+    AMap ABig(AP), ASmall(AP);
+    const size_t Spill = size_t(1) << SpillLogCap;
+    for (uint32_t I = 0; I != Spill / 2; ++I) { // exactly load 1/2
+      SBig.set(2 * I, I);
+      ABig.set(2 * I, I);
+    }
+    for (uint32_t I = 0; I != 12; ++I) { // every third key is shared
+      SSmall.set(3 * I, 1000 + I);
+      ASmall.set(3 * I, 1000 + I);
+    }
+    ASSERT_TRUE(SBig.spilled());
+    ASSERT_TRUE(SSmall.spilled());
+    ASSERT_EQ(SP.liveNodes(), 2 * Spill);
+
+    auto Join = [](const uint64_t *Old, uint64_t New) {
+      return Old ? *Old * 31 + New : New;
+    };
+    SSmall.forEach([&](uint32_t K, const uint64_t &V) {
+      SBig.alter(K, [&](uint64_t *Old) { return Join(Old, V); });
+      ASSERT_TRUE(SBig.checkInvariants());
+    });
+    ASmall.forEach([&](uint32_t K, const uint64_t &V) {
+      ABig.alter(K, [&](uint64_t *Old) { return Join(Old, V); });
+    });
+    SSmall.clear();
+    ASmall.clear();
+    EXPECT_EQ(SP.liveNodes(), 2 * Spill) << "one doubled table is live";
+    ASSERT_TRUE(SBig.checkInvariants());
+    expectSameContents(SBig, ABig);
+
+    // The freed blocks are reused: a second round allocates nothing.
+    const size_t Allocated = SP.allocatedNodes();
+    SBig.clear();
+    SMap Again(SP);
+    for (uint32_t I = 0; I != Spill; ++I) // one 32-slot, then a 64-slot table
+      Again.set(I, I);
+    EXPECT_EQ(SP.allocatedNodes(), Allocated);
+  }
 }
 
 TEST(SmallVarMap, MergeSmallerIntoBiggerMatchesAvl) {
@@ -289,22 +497,37 @@ TYPED_TEST(SmallVarMapHasherTest, AdaptiveAndAvlPoliciesAgreeOnAllNodes) {
   AlphaHasher<TypeParam, AvlVarMapPolicy> Avl(Ctx);
   AlphaHasher<TypeParam, AdaptiveVarMapPolicy> Adaptive(Ctx);
 
-  for (int Trial = 0; Trial != 30; ++Trial) {
-    // Balanced and unbalanced families; sizes chosen so per-node maps
-    // range from empty through well past the spill threshold.
-    uint32_t Size = 1 + static_cast<uint32_t>(R.below(400));
-    const Expr *E = Trial % 2 ? genBalanced(Ctx, R, Size)
-                              : genUnbalanced(Ctx, R, Size);
+  auto ExpectAgree = [&](const Expr *E) {
     std::vector<TypeParam> HA = Avl.hashAll(E);
     std::vector<TypeParam> HB = Adaptive.hashAll(E);
     ASSERT_EQ(HA.size(), HB.size());
     preorder(E, [&](const Expr *N) { EXPECT_EQ(HA[N->id()], HB[N->id()]); });
     EXPECT_EQ(Avl.hashRoot(E), Adaptive.hashRoot(E));
+  };
+
+  for (int Trial = 0; Trial != 30; ++Trial) {
+    // Balanced and unbalanced families; sizes chosen so per-node maps
+    // range from empty through well past the spill threshold.
+    uint32_t Size = 1 + static_cast<uint32_t>(R.below(400));
+    ExpectAgree(Trial % 2 ? genBalanced(Ctx, R, Size)
+                          : genUnbalanced(Ctx, R, Size));
   }
+  // A deep term whose maps grow tables to thousands of slots, and the
+  // paper's let-chain models.
+  ExpectAgree(genUnbalanced(Ctx, R, 1u << 14));
+  ExpectAgree(buildMnistCnn(Ctx));
+  ExpectAgree(buildGmm(Ctx));
+  ExpectAgree(buildBert(Ctx, 12));
 
   // The operation counters (Lemma 6.1's currency) must agree too: the
   // adaptive map changes representation, not the algorithm.
   EXPECT_EQ(Avl.stats().totalMapOps(), Adaptive.stats().totalMapOps());
+}
+
+TEST(SmallVarMapHasher, SpilledFieldsDoNotGrowTheValueStack) {
+  // The hasher's value stack holds one map per entry; the table's count
+  // and capacity are packed into what the AVL spill used to occupy.
+  static_assert(sizeof(SmallVarMap<Name, Hash128>) <= 192);
 }
 
 TEST(SmallVarMapHasher, ScratchReuseAllocatesNothingInSteadyState) {
@@ -312,26 +535,34 @@ TEST(SmallVarMapHasher, ScratchReuseAllocatesNothingInSteadyState) {
   Rng R(99);
   AlphaHasher<Hash128> Hasher(Ctx);
 
-  // Warm up on the biggest expression of the workload...
+  // Warm up on the biggest expressions of the workload: a wide one and a
+  // deep one, whose root-bound map grows its table through every size...
   const Expr *Big = genBalanced(Ctx, R, 2000);
-  Hasher.hashRoot(Big);
+  const Expr *Deep = genUnbalanced(Ctx, R, 1u << 14);
+  std::vector<Hash128> Out;
+  for (const Expr *E : {Big, Deep}) {
+    Hasher.hashRoot(E);
+    Hasher.hashAllInto(E, Out);
+  }
   EXPECT_EQ(Hasher.poolLiveNodes(), 0u) << "nodes must return to the pool";
   size_t Warm = Hasher.poolAllocatedNodes();
 
   // ...then hash a stream of smaller ones: zero new pool allocations.
-  std::vector<Hash128> Out;
   for (int I = 0; I != 200; ++I) {
-    const Expr *E = genBalanced(Ctx, R, 100);
+    const Expr *E = I % 2 ? genBalanced(Ctx, R, 100)
+                          : genUnbalanced(Ctx, R, 1000);
     Hasher.hashRoot(E);
     Hasher.hashAllInto(E, Out);
   }
   EXPECT_EQ(Hasher.poolAllocatedNodes(), Warm);
   EXPECT_EQ(Hasher.poolLiveNodes(), 0u);
 
-  // Re-hashing the big one is also free now.
+  // Re-hashing the big ones is also free now.
   Hash128 Again = Hasher.hashRoot(Big);
+  Hash128 DeepAgain = Hasher.hashRoot(Deep);
   EXPECT_EQ(Hasher.poolAllocatedNodes(), Warm);
   EXPECT_EQ(Again, AlphaHasher<Hash128>(Ctx).hashRoot(Big));
+  EXPECT_EQ(DeepAgain, AlphaHasher<Hash128>(Ctx).hashRoot(Deep));
 }
 
 TEST(SmallVarMapHasher, HashAllIntoMatchesHashAll) {
