@@ -115,6 +115,8 @@ public:
 
   /// One equivalence class, as exported by \ref snapshot (owning).
   using ClassSummary = hma::ClassSummary<H>;
+  /// One equivalence class as a view, as exported by \ref classRefs.
+  using ClassRef = hma::ClassRef<H>;
 
   /// Outcome of a batch ingest.
   struct BatchResult {
@@ -307,14 +309,23 @@ public:
   /// Export every class, sorted by (hash, canonical bytes) so the result
   /// is a canonical value suitable for equality comparison across runs.
   std::vector<ClassSummary> snapshot() const override {
-    std::vector<ClassSummary> Out;
+    return detail::materialize(classRefs());
+  }
+
+  /// \ref snapshot as views into the shard stores, in the same order:
+  /// what the `HMAI` writer lays out (index/IndexIO.h). Class bytes never
+  /// move, so the views stay valid while the index lives; the counts are
+  /// those at the call.
+  std::vector<ClassRef> classRefs() const {
+    std::vector<ClassRef> Out;
+    Out.reserve(numClasses());
     for (unsigned I = 0; I != numShards(); ++I) {
       std::shared_lock<std::shared_mutex> Lock(ShardsArr[I].Mu);
       ShardsArr[I].Store.forEach([&Out](const auto &C) {
-        Out.push_back(ClassSummary{C.Hash, C.Count, C.Bytes});
+        Out.push_back(ClassRef{C.Hash, C.Count, C.Bytes});
       });
     }
-    std::sort(Out.begin(), Out.end(), detail::lessByHashThenBytes<H>);
+    std::sort(Out.begin(), Out.end(), detail::lessByHashThenBytes<ClassRef>);
     return Out;
   }
 
@@ -348,19 +359,13 @@ public:
     return N;
   }
 
-  /// Which shard \p Hash maps to (stable for a fixed shard count). Lets
-  /// the `HMAI` writer group classes exactly as the in-memory index does.
-  unsigned shardIndexFor(H Hash) const {
-    return static_cast<unsigned>(&shardFor(Hash) - ShardsArr.get());
-  }
-
   /// Rebuild an index from a class table exactly as exported by \ref
   /// snapshot (any order) plus the aggregate counters saved alongside it
   /// -- no hashing, no equivalence probe. Trusted input: each class's
   /// bytes must be the valid `ast/Serialize` form of an expression whose
   /// alpha-hash under \p Opts' schema is its hash, and no two classes may
-  /// be alpha-equivalent; a verified \ref MappedIndex (its snapshot and
-  /// stats) and a segment merge are the intended sources. Placement is a
+  /// be alpha-equivalent; a verified reader's snapshot and stats are the
+  /// intended source (`hma index open --out`). Placement is a
   /// pure function of the hash, so \p Opts may re-stripe the classes over
   /// any shard count. The stats are folded into one shard (per-shard
   /// attribution is not observable through the public API), so the

@@ -1,6 +1,8 @@
 //===- index/IndexIO.cpp - HMAI on-disk index format -------------------------===//
 
 #include "index/IndexIO.h"
+#include "obs/Metrics.h"
+#include "obs/Trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -68,6 +70,108 @@ std::vector<uint32_t> hma::iio::eytzingerRanks(uint64_t Count) {
   Fill(Fill, 1);
   return Ranks;
 }
+
+//===----------------------------------------------------------------------===//
+// Image writer
+//===----------------------------------------------------------------------===//
+
+template <typename H>
+std::string hma::writeIndexImage(const std::vector<ClassRef<H>> &Classes,
+                                 unsigned Shards, uint64_t Seed,
+                                 const IndexStats &Stats) {
+  static const obs::Histogram SaveNs = obs::Histogram::get(
+      "hma_index_save_ns",
+      "Latency of laying out one HMAI image (a save or a compaction), ns");
+  static const obs::Counter SavedBytes = obs::Counter::get(
+      "hma_index_saved_bytes_total", "HMAI image bytes produced by saves");
+  obs::ScopedTrace Span("index_save", "io");
+  obs::ScopedTimer Timer(SaveNs);
+  assert(Shards != 0 && (Shards & (Shards - 1)) == 0 &&
+         "shard count must be a power of two");
+  assert(std::is_sorted(Classes.begin(), Classes.end(),
+                        detail::lessByHashThenBytes<ClassRef<H>>) &&
+         "classes must arrive sorted by (hash, bytes)");
+
+  // Group into per-shard tables exactly as the live index stripes them;
+  // the global sort order is preserved within each group.
+  std::vector<std::vector<const ClassRef<H> *>> PerShard(Shards);
+  size_t TotalBlobBytes = 0;
+  for (const ClassRef<H> &C : Classes) {
+    PerShard[detail::shardIndexForHash(C.Hash, Shards - 1)].push_back(&C);
+    TotalBlobBytes += C.CanonicalBytes.size();
+  }
+  const size_t N = Classes.size();
+
+  IndexFileInfo Info;
+  Info.Version = iio::Version;
+  Info.Seed = Seed;
+  Info.HashBits = HashWidth<H>::Bits;
+  Info.Shards = Shards;
+  Info.NumClasses = N;
+  Info.Stats = Stats;
+  const size_t RecSize = iio::recordSize<H>();
+  const size_t TablesStart =
+      iio::HeaderSize + size_t(Shards) * iio::DirEntrySize;
+  const size_t BytesStart = TablesStart + N * RecSize;
+  Info.SidecarOffset = BytesStart + TotalBlobBytes;
+  Info.SidecarLength = N * iio::sidecarEntrySize(HashWidth<H>::Bits);
+
+  std::string Out = iio::encodeHeader(Info);
+  // The whole image, one allocation.
+  Out.reserve(Info.SidecarOffset + Info.SidecarLength);
+
+  // Directory.
+  size_t TableOffset = TablesStart;
+  for (const auto &Table : PerShard) {
+    iio::putWordLE(Out, TableOffset, 8);
+    iio::putWordLE(Out, Table.size(), 8);
+    TableOffset += Table.size() * RecSize;
+  }
+
+  // Tables (blob offsets assigned in table order).
+  uint64_t BlobOffset = BytesStart;
+  for (const auto &Table : PerShard)
+    for (const ClassRef<H> *C : Table) {
+      iio::putHashLE(Out, C->Hash);
+      iio::putWordLE(Out, BlobOffset, 8);
+      iio::putWordLE(Out, C->CanonicalBytes.size(), 8);
+      iio::putWordLE(Out, C->Count, 8);
+      BlobOffset += C->CanonicalBytes.size();
+    }
+
+  // Bytes region.
+  for (const auto &Table : PerShard)
+    for (const ClassRef<H> *C : Table)
+      Out += C->CanonicalBytes;
+
+  // Probe sidecar: per shard, the hashes rewritten in Eytzinger (BFS)
+  // order followed by each slot's sorted rank. Derived purely from the
+  // (already deterministic) shard tables.
+  for (const auto &Table : PerShard) {
+    const std::vector<uint32_t> Ranks = iio::eytzingerRanks(Table.size());
+    for (uint32_t Rank : Ranks)
+      iio::putHashLE(Out, Table[Rank]->Hash);
+    for (uint32_t Rank : Ranks)
+      iio::putWordLE(Out, Rank, iio::RankEntrySize);
+  }
+  assert(Out.size() == Info.SidecarOffset + Info.SidecarLength &&
+         "image layout drifted");
+  SavedBytes.add(Out.size());
+  return Out;
+}
+
+template std::string hma::writeIndexImage(const std::vector<ClassRef<Hash16>> &,
+                                          unsigned, uint64_t,
+                                          const IndexStats &);
+template std::string hma::writeIndexImage(const std::vector<ClassRef<Hash32>> &,
+                                          unsigned, uint64_t,
+                                          const IndexStats &);
+template std::string hma::writeIndexImage(const std::vector<ClassRef<Hash64>> &,
+                                          unsigned, uint64_t,
+                                          const IndexStats &);
+template std::string
+hma::writeIndexImage(const std::vector<ClassRef<Hash128>> &, unsigned,
+                     uint64_t, const IndexStats &);
 
 bool hma::isIndexFile(std::string_view Bytes) {
   return Bytes.size() >= sizeof(iio::Magic) &&

@@ -50,6 +50,11 @@
 /// to let \ref MappedIndex probe a shard with the branchless Eytzinger
 /// descent; \ref MappedIndex::verify checks it against the tables.
 ///
+/// Writing: one function, \ref writeIndexImage, lays out every image from
+/// a sorted list of class views (\ref ClassRef) -- a live index's shard
+/// stores for a save, the mapped segments for a compaction -- so there
+/// is one writer as there is one validator.
+///
 /// Validation: this header owns the format's layout and the O(shards)
 /// envelope check (\ref probeIndexBytes). The per-record checks -- sort
 /// order, blob ranges, sidecar content -- live in one place, \ref
@@ -77,8 +82,6 @@
 #define HMA_INDEX_INDEXIO_H
 
 #include "index/AlphaHashIndex.h"
-#include "obs/Metrics.h"
-#include "obs/Trace.h"
 #include "support/HashCode.h"
 #include "support/IoEnv.h"
 
@@ -212,105 +215,35 @@ std::vector<uint32_t> eytzingerRanks(uint64_t Count);
 
 } // namespace iio
 
-/// Serialise \p Index to the `HMAI` byte format. The result is a
-/// deterministic function of the index's class table, stats and shard
-/// count (canonical tie-breaks aside, the same corpus yields the same
-/// file regardless of ingest thread count).
+/// Lay out the `HMAI` image of a class table: \p Classes, sorted by
+/// (hash, bytes) and holding no two alpha-equivalent classes, striped
+/// over \p Shards (a power of two) by \ref detail::shardIndexForHash
+/// with the global order kept inside each shard, with \p Seed and
+/// \p Stats stamped into the header. The one writer of the format: a
+/// live index's save (\ref saveIndexBytes) and segment compaction
+/// (index/SegmentCompactor.h, straight from the mapped segments) both
+/// come through here. The image is a pure function of its arguments.
+template <typename H>
+std::string writeIndexImage(const std::vector<ClassRef<H>> &Classes,
+                            unsigned Shards, uint64_t Seed,
+                            const IndexStats &Stats);
+
+/// Serialise \p Index to the `HMAI` byte format: \ref writeIndexImage
+/// over the index's sorted class views (\ref AlphaHashIndex::classRefs)
+/// with its shard count and schema seed. The result is a deterministic
+/// function of the index's class table, stats and shard count (canonical
+/// tie-breaks aside, the same corpus yields the same file regardless of
+/// ingest thread count).
 ///
 /// The index must be quiescent (no concurrent ingest) for the duration
 /// of the call: the class table and the stats are read under separate
 /// per-shard locks, so a save racing an insertBatch yields a readable
 /// image whose stats may not correspond to exactly the captured class
 /// set.
-///
-/// \p StatsOverride, if non-null, is stamped into the header in place of
-/// \ref AlphaHashIndex::stats. Segmented-index writers need this: a
-/// delta segment's header must record the delta's contribution *to the
-/// union* (reconciled against older segments -- see
-/// index/SegmentCompactor.h), not the raw counters of the scratch index
-/// the delta was staged in.
 template <typename H>
-std::string saveIndexBytes(const AlphaHashIndex<H> &Index,
-                           const IndexStats *StatsOverride = nullptr) {
-  static const obs::Histogram SaveNs = obs::Histogram::get(
-      "hma_index_save_ns", "Latency of serialising an index to HMAI, ns");
-  static const obs::Counter SavedBytes = obs::Counter::get(
-      "hma_index_saved_bytes_total", "HMAI image bytes produced by saves");
-  obs::ScopedTrace Span("index_save", "io");
-  obs::ScopedTimer Timer(SaveNs);
-  using Summary = typename AlphaHashIndex<H>::ClassSummary;
-  std::vector<Summary> Classes = Index.snapshot(); // sorted (hash, bytes)
-  const unsigned Shards = Index.numShards();
-
-  // Group into per-shard tables exactly as the live index stripes them;
-  // the global sort order is preserved within each group.
-  std::vector<std::vector<const Summary *>> PerShard(Shards);
-  size_t TotalBlobBytes = 0;
-  for (const Summary &C : Classes) {
-    PerShard[Index.shardIndexFor(C.Hash)].push_back(&C);
-    TotalBlobBytes += C.CanonicalBytes.size();
-  }
-
-  IndexFileInfo Info;
-  Info.Version = iio::Version;
-  Info.Seed = Index.schema().seed();
-  Info.HashBits = HashWidth<H>::Bits;
-  Info.Shards = Shards;
-  Info.NumClasses = Classes.size();
-  Info.Stats = StatsOverride ? *StatsOverride : Index.stats();
-
-  const size_t RecSize = iio::recordSize<H>();
-  const size_t TablesStart =
-      iio::HeaderSize + size_t(Shards) * iio::DirEntrySize;
-  const size_t BytesStart = TablesStart + Classes.size() * RecSize;
-  Info.SidecarOffset = BytesStart + TotalBlobBytes;
-  Info.SidecarLength =
-      Classes.size() * iio::sidecarEntrySize(HashWidth<H>::Bits);
-
-  std::string Out = iio::encodeHeader(Info);
-  // The whole image, one allocation.
-  Out.reserve(Info.SidecarOffset + Info.SidecarLength);
-
-  // Directory.
-  size_t TableOffset = TablesStart;
-  for (unsigned S = 0; S != Shards; ++S) {
-    iio::putWordLE(Out, TableOffset, 8);
-    iio::putWordLE(Out, PerShard[S].size(), 8);
-    TableOffset += PerShard[S].size() * RecSize;
-  }
-
-  // Tables (blob offsets assigned in table order).
-  uint64_t BlobOffset = BytesStart;
-  for (unsigned S = 0; S != Shards; ++S) {
-    for (const Summary *C : PerShard[S]) {
-      iio::putHashLE(Out, C->Hash);
-      iio::putWordLE(Out, BlobOffset, 8);
-      iio::putWordLE(Out, C->CanonicalBytes.size(), 8);
-      iio::putWordLE(Out, C->Count, 8);
-      BlobOffset += C->CanonicalBytes.size();
-    }
-  }
-
-  // Bytes region.
-  for (unsigned S = 0; S != Shards; ++S)
-    for (const Summary *C : PerShard[S])
-      Out += C->CanonicalBytes;
-
-  // Probe sidecar: per shard, the hashes rewritten in Eytzinger (BFS)
-  // order followed by each slot's sorted rank. Derived purely from the
-  // (already deterministic) shard tables.
-  for (unsigned S = 0; S != Shards; ++S) {
-    const std::vector<uint32_t> Ranks =
-        iio::eytzingerRanks(PerShard[S].size());
-    for (uint32_t Rank : Ranks)
-      iio::putHashLE(Out, PerShard[S][Rank]->Hash);
-    for (uint32_t Rank : Ranks)
-      iio::putWordLE(Out, Rank, iio::RankEntrySize);
-  }
-  assert(Out.size() == Info.SidecarOffset + Info.SidecarLength &&
-         "sidecar layout drifted");
-  SavedBytes.add(Out.size());
-  return Out;
+std::string saveIndexBytes(const AlphaHashIndex<H> &Index) {
+  return writeIndexImage(Index.classRefs(), Index.numShards(),
+                         Index.schema().seed(), Index.stats());
 }
 
 /// Write \p Index to \p Path (via a sibling temporary file renamed into

@@ -142,15 +142,38 @@ template <typename H> struct ClassSummary {
   std::string CanonicalBytes;
 };
 
+/// One equivalence class as a view: what the `HMAI` writer
+/// (index/IndexIO.h) lays out and what the segment merge
+/// (index/SegmentSet.h) groups. The bytes view a live shard store or a
+/// mapping, which must outlive the ref.
+template <typename H> struct ClassRef {
+  H Hash{};
+  uint64_t Count = 0;
+  std::string_view CanonicalBytes;
+};
+
 namespace detail {
 
-/// Canonical \ref IndexReader::snapshot order: ascending (hash, bytes).
-/// Shared by every backend so snapshots are equality-comparable values.
-template <typename H>
-bool lessByHashThenBytes(const ClassSummary<H> &A, const ClassSummary<H> &B) {
+/// Canonical \ref IndexReader::snapshot order: ascending (hash, bytes),
+/// over \ref ClassSummary or \ref ClassRef. Shared by every backend so
+/// snapshots are equality-comparable values, and the order the `HMAI`
+/// writer takes.
+template <typename Class>
+bool lessByHashThenBytes(const Class &A, const Class &B) {
   if (A.Hash != B.Hash)
     return A.Hash < B.Hash;
   return A.CanonicalBytes < B.CanonicalBytes;
+}
+
+/// Copy sorted views out into an owning snapshot.
+template <typename H>
+std::vector<ClassSummary<H>> materialize(const std::vector<ClassRef<H>> &Refs) {
+  std::vector<ClassSummary<H>> Out;
+  Out.reserve(Refs.size());
+  for (const ClassRef<H> &C : Refs)
+    Out.push_back(
+        ClassSummary<H>{C.Hash, C.Count, std::string(C.CanonicalBytes)});
+  return Out;
 }
 
 /// Ordering of "largest classes" reports: descending member count, ties

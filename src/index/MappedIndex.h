@@ -118,6 +118,7 @@ template <typename H = Hash128> class MappedIndex : public IndexReader<H> {
 public:
   using LookupResult = hma::LookupResult<H>;
   using ClassSummary = hma::ClassSummary<H>;
+  using ClassRef = hma::ClassRef<H>;
 
   /// Outcome of opening an image: the reader or a diagnostic.
   struct OpenResult {
@@ -307,34 +308,35 @@ public:
   /// Owning export of every class, sorted by (hash, bytes) -- the one
   /// deliberately materializing operation (snapshots outlive backends).
   std::vector<ClassSummary> snapshot() const override {
-    std::vector<ClassSummary> Out;
-    Out.reserve(numClasses());
-    for (const ShardTable &T : Tables) {
-      for (uint64_t I = 0; I != T.Count; ++I) {
-        iio::Record<H> R = record(T, I);
-        std::string_view Blob = blobRange(R.Offset, R.Length);
-        Out.push_back(ClassSummary{
-            R.Hash, R.Count,
-            std::string(Blob.data() ? Blob : std::string_view())});
-      }
-    }
-    std::sort(Out.begin(), Out.end(), detail::lessByHashThenBytes<H>);
-    return Out;
+    std::vector<ClassRef> Refs;
+    Refs.reserve(numClasses());
+    forEachClass([&Refs](const ClassRef &C) { Refs.push_back(C); });
+    std::sort(Refs.begin(), Refs.end(), detail::lessByHashThenBytes<ClassRef>);
+    return detail::materialize(Refs);
   }
 
   std::vector<ClassSummary> largestClasses(size_t N) const override {
     std::vector<ClassSummary> Top;
     if (N == 0)
       return Top;
-    for (const ShardTable &T : Tables) {
-      for (uint64_t I = 0; I != T.Count; ++I) {
-        iio::Record<H> R = record(T, I);
-        std::string_view Blob = blobRange(R.Offset, R.Length);
-        detail::considerLargest<H>(Top, N, R.Hash, R.Count,
-                                   Blob.data() ? Blob : std::string_view());
-      }
-    }
+    forEachClass([&](const ClassRef &C) {
+      detail::considerLargest<H>(Top, N, C.Hash, C.Count, C.CanonicalBytes);
+    });
     return Top;
+  }
+
+  /// Visit every record as a \ref ClassRef viewing the mapping, shard by
+  /// shard in table order (sorted within a shard, not across shards): the
+  /// one bulk read of the tables, under \ref snapshot,
+  /// \ref largestClasses and the segment merge
+  /// (\ref SegmentedIndex::mergedClasses). A blob whose range lies outside
+  /// the bytes region (a corrupt, unverified file) reads as empty.
+  template <typename Fn> void forEachClass(Fn F) const {
+    for (const ShardTable &T : Tables)
+      for (uint64_t I = 0; I != T.Count; ++I) {
+        const iio::Record<H> R = record(T, I);
+        F(ClassRef{R.Hash, R.Count, blobRange(R.Offset, R.Length)});
+      }
   }
 
   using IndexReader<H>::lookup;

@@ -7,13 +7,14 @@
 /// and the crash rules; index/SegmentSet.h is the read side.)
 ///
 /// **Append is O(delta).** \ref appendSegment stages the delta corpus in
-/// a scratch \ref AlphaHashIndex, writes it as one new segment file, and
-/// commits by atomically rewriting the manifest. The existing segments
-/// are never read in bulk -- the only per-existing-index work is one
-/// probe per *delta class* (newest-first through the mapped segments,
-/// O(log classes) each, with the staged class's proven bytes as the
-/// query: nothing is decoded or re-hashed) to reconcile the delta's
-/// header stats against the union:
+/// a scratch \ref AlphaHashIndex, takes its classes once as sorted views
+/// (\ref AlphaHashIndex::classRefs), writes them as one new segment file
+/// (\ref writeIndexImage), and commits by atomically rewriting the
+/// manifest. The existing segments are never read in bulk -- the only
+/// per-existing-index work is one probe per *delta class* (newest-first
+/// through the mapped segments, O(log classes) each, with the staged
+/// class's proven bytes as the query: nothing is decoded or re-hashed)
+/// to reconcile the delta's header stats against the union:
 ///
 ///  - a delta class some older segment already holds is, from the
 ///    union's point of view, not a new class -- every member the delta
@@ -25,16 +26,19 @@
 ///    from every older segment), which is what keeps
 ///    \ref SegmentedIndex::numClasses O(1).
 ///
-/// **Compaction restores the single-segment layout.** \ref
-/// compactSegments takes the union table from the segmented reader
-/// (\ref SegmentedIndex::snapshot, a linear k-way merge: oldest
-/// representative, saturating counts, byte verifies only inside
-/// duplicate-hash runs), rebuilds one index via the no-rehash
-/// \ref AlphaHashIndex::restore path, writes it as a new segment,
-/// swaps the manifest, and only then deletes the replaced segment
-/// files. Readers that opened the old generation keep serving: their
-/// mappings pin the deleted files' bytes until they close (POSIX unlink
-/// semantics -- asserted by tests/segment_test.cpp).
+/// **Compaction streams the mapped segments into one image.** \ref
+/// compactSegments takes the union table from the segmented reader as
+/// views into the segment mappings (\ref SegmentedIndex::mergedClasses:
+/// one sort of every segment's records, oldest representative,
+/// saturating counts, byte verifies only inside duplicate-hash runs) and
+/// hands them, while the segments are still mapped, straight to \ref
+/// writeIndexImage at the newest segment's shard count. No class is
+/// copied or rebuilt into a live index on the way, and the image is
+/// byte-identical to restoring the merge and saving it. It writes that
+/// image as a new segment, swaps the manifest, and only then deletes the
+/// replaced segment files. Readers that opened the old generation keep
+/// serving: their mappings pin the deleted files' bytes until they close
+/// (POSIX unlink semantics -- asserted by tests/segment_test.cpp).
 ///
 /// Both writers follow the same commit discipline: new bytes first,
 /// manifest rename second, deletions last. A crash at any point leaves
@@ -173,11 +177,13 @@ SegmentAppendResult appendSegment(const std::string &Dir,
 
   // Reconcile against the union: one probe per delta class, with the
   // staged bytes as the query. They are serializer output of a
-  // distinct-binder term, hence proven, and the snapshot's hash is
-  // authoritative: nothing is re-hashed or decoded.
+  // distinct-binder term, hence proven, and the stored hash is
+  // authoritative: nothing is re-hashed or decoded. The same sorted views
+  // are then laid out as the segment image.
   IndexStats Stats = Delta.stats();
+  const std::vector<ClassRef<H>> Classes = Delta.classRefs();
   DecodeScratch Scratch;
-  for (const auto &C : Delta.snapshot()) {
+  for (const ClassRef<H> &C : Classes) {
     bool Known = false;
     for (const auto &S : Set.Set->segments())
       if (S->lookupHashed(C.CanonicalBytes, C.Hash, Scratch)) {
@@ -196,7 +202,8 @@ SegmentAppendResult appendSegment(const std::string &Dir,
 
   IoEnv &Env = Opts.Env ? *Opts.Env : IoEnv::system();
   R.SegmentName = segmentFileName(M.NextId);
-  const std::string Image = saveIndexBytes(Delta, &Stats);
+  const std::string Image =
+      writeIndexImage(Classes, Delta.numShards(), M.Seed, Stats);
   if (!writeFileReplacing(Dir + "/" + R.SegmentName, Image, &R.Error, Env))
     return R;
   if (Opts.AbortAfterSegmentWrite) {
@@ -264,12 +271,13 @@ SegmentCompactResult compactSegments(const std::string &Dir,
     return R;
   }
 
-  // The segmented reader's union view is the compacted table: its
-  // snapshot is the linear k-way merge (oldest representative, counts
-  // summed saturating) and its stats the saturating sum of the header
-  // stats. The no-rehash restore path rebuilds a live index around them.
-  std::unique_ptr<AlphaHashIndex<H>> Compacted = AlphaHashIndex<H>::restore(
-      {Union.numShards(), Old.Seed}, Union.snapshot(), Union.stats());
+  // The segmented reader's union view is the compacted table: its merged
+  // class views (oldest representative, counts summed saturating) go
+  // straight from the mappings into the image, striped like the newest
+  // segment, with the saturating sum of the header stats.
+  const std::vector<ClassRef<H>> Classes = Union.mergedClasses();
+  const std::string Image =
+      writeIndexImage(Classes, Union.numShards(), Old.Seed, Union.stats());
 
   SegmentManifest New;
   New.Seed = Old.Seed;
@@ -277,12 +285,11 @@ SegmentCompactResult compactSegments(const std::string &Dir,
   New.NextId = Old.NextId + 1;
   SegmentEntry E;
   E.Name = segmentFileName(Old.NextId);
-  const std::string Image = saveIndexBytes(*Compacted);
   if (!writeFileReplacing(Dir + "/" + E.Name, Image, &R.Error, Env))
     return R;
   E.FileBytes = Image.size();
-  E.Classes = Compacted->numClasses();
-  E.Fresh = Compacted->numClasses(); // sole segment: everything is fresh
+  E.Classes = Classes.size();
+  E.Fresh = Classes.size(); // sole segment: everything is fresh
   New.Segments.push_back(std::move(E));
   if (!writeManifestReplacing(Dir, New, &R.Error, Env))
     return R;

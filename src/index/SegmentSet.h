@@ -68,101 +68,100 @@ namespace hma {
 
 namespace detail {
 
-/// Merge per-segment snapshots (given oldest segment first, each sorted
-/// by (hash, bytes)) into the union class table: alpha-equivalent
-/// classes collapse to one summary with the *oldest* representative and
-/// the saturating sum of counts. A linear k-way pass over the sorted
-/// streams; the exact-equivalence check runs only inside duplicate-hash
-/// runs (cross-segment repeats and forced collisions), never on the
+/// One class of one segment, tagged with the segment's age (0 = oldest).
+template <typename H> struct SegmentClassRef {
+  ClassRef<H> Class;
+  uint32_t Age = 0;
+};
+
+/// Merge the classes of several segments (any order) into the union
+/// class table: alpha-equivalent classes collapse to one ref with the
+/// *oldest* representative and the saturating sum of counts. One sort
+/// puts every duplicate-hash run together, oldest segment first and by
+/// bytes within a segment; the exact-equivalence check runs only inside
+/// those runs (cross-segment repeats and forced collisions), never on the
 /// sorted bulk. There each group's representative is proven once by the
 /// byte path's \ref detail::hashQuery (canonicalized if it must be) and
 /// verified against later entries from its bytes; a representative that
 /// does not decode matches only byte-equal entries. Output is sorted by
-/// (hash, bytes) -- the canonical \ref IndexReader::snapshot order.
+/// (hash, bytes) -- the canonical \ref IndexReader::snapshot order --
+/// and views the same bytes as the input.
 template <typename H>
-std::vector<ClassSummary<H>>
-mergeClassSummaries(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
-  std::vector<ClassSummary<H>> Out;
-  std::vector<size_t> Cur(Streams.size(), 0);
-  size_t Total = 0;
-  for (const auto &S : Streams)
-    Total += S.size();
-  Out.reserve(Total);
+std::vector<ClassRef<H>>
+mergeSegmentClasses(std::vector<SegmentClassRef<H>> Refs) {
+  std::sort(Refs.begin(), Refs.end(),
+            [](const SegmentClassRef<H> &A, const SegmentClassRef<H> &B) {
+              if (A.Class.Hash != B.Class.Hash)
+                return A.Class.Hash < B.Class.Hash;
+              if (A.Age != B.Age)
+                return A.Age < B.Age;
+              return A.Class.CanonicalBytes < B.Class.CanonicalBytes;
+            });
+  std::vector<ClassRef<H>> Out;
+  Out.reserve(Refs.size());
 
   // One alpha-equivalence group within a duplicate-hash run: the oldest
   // entry is the representative, later members only add counts.
   struct Group {
-    ClassSummary<H> Summary;
+    ClassRef<H> Rep;
     /// The representative as a proven query blob is its own bytes,
     /// unless it had to be canonicalized into this copy.
     std::string Canonical;
     bool Decodes = false; ///< Otherwise it matches only equal bytes.
 
     std::string_view proven() const {
-      return Canonical.empty() ? std::string_view(Summary.CanonicalBytes)
+      return Canonical.empty() ? Rep.CanonicalBytes
                                : std::string_view(Canonical);
     }
   };
-  std::vector<const ClassSummary<H> *> Run;
   std::vector<Group> Groups;
   ExprContext Boot;
   AlphaHasher<H> Prover(Boot); // proves binders; the hash goes unused
   DecodeScratch Scratch;
 
-  for (;;) {
-    // The smallest unconsumed hash across all streams.
-    const H *MinHash = nullptr;
-    for (size_t S = 0; S != Streams.size(); ++S)
-      if (Cur[S] != Streams[S].size() &&
-          (!MinHash || Streams[S][Cur[S]].Hash < *MinHash))
-        MinHash = &Streams[S][Cur[S]].Hash;
-    if (!MinHash)
-      break;
-    const H Hash = *MinHash;
-
-    // The run of entries under this hash, oldest stream first.
-    Run.clear();
-    for (size_t S = 0; S != Streams.size(); ++S)
-      for (; Cur[S] != Streams[S].size() && Streams[S][Cur[S]].Hash == Hash;
-           ++Cur[S])
-        Run.push_back(&Streams[S][Cur[S]]);
-    if (Run.size() == 1) {
-      Out.push_back(*Run.front());
+  for (size_t Begin = 0, End = 0; Begin != Refs.size(); Begin = End) {
+    const H Hash = Refs[Begin].Class.Hash;
+    End = Begin + 1;
+    while (End != Refs.size() && Refs[End].Class.Hash == Hash)
+      ++End;
+    if (End - Begin == 1) {
+      Out.push_back(Refs[Begin].Class);
       continue;
     }
 
     // Group the run by alpha-equivalence in age order, so each group's
     // representative is the oldest occurrence.
     Groups.clear();
-    for (const ClassSummary<H> *E : Run) {
+    for (size_t I = Begin; I != End; ++I) {
+      const ClassRef<H> &E = Refs[I].Class;
       Group *Home = nullptr;
       for (Group &G : Groups) {
         // Byte-equal spellings are the same class without a check;
         // different spellings under one hash need the exact one
         // (alpha-renamed duplicate vs genuine collision).
-        if (G.Summary.CanonicalBytes == E->CanonicalBytes ||
+        if (G.Rep.CanonicalBytes == E.CanonicalBytes ||
             (G.Decodes &&
-             verifyCandidateBytes(G.proven(), E->CanonicalBytes, Scratch))) {
+             verifyCandidateBytes(G.proven(), E.CanonicalBytes, Scratch))) {
           Home = &G;
           break;
         }
       }
       if (Home) {
-        Home->Summary.Count = saturatingAdd(Home->Summary.Count, E->Count);
+        Home->Rep.Count = saturatingAdd(Home->Rep.Count, E.Count);
         continue;
       }
-      Group &G = Groups.emplace_back(Group{*E, {}, false});
-      std::string_view Proven = G.Summary.CanonicalBytes;
+      Group &G = Groups.emplace_back(Group{E, {}, false});
+      std::string_view Proven = G.Rep.CanonicalBytes;
       G.Decodes = hashQuery(Prover, Proven, G.Canonical).has_value();
     }
     // Representatives came out in age order, not byte order; restore the
     // canonical (hash, bytes) sort within the run.
-    std::sort(Groups.begin(), Groups.end(), [](const Group &A,
-                                               const Group &B) {
-      return A.Summary.CanonicalBytes < B.Summary.CanonicalBytes;
-    });
-    for (Group &G : Groups)
-      Out.push_back(std::move(G.Summary));
+    std::sort(Groups.begin(), Groups.end(),
+              [](const Group &A, const Group &B) {
+                return A.Rep.CanonicalBytes < B.Rep.CanonicalBytes;
+              });
+    for (const Group &G : Groups)
+      Out.push_back(G.Rep);
   }
   return Out;
 }
@@ -299,6 +298,7 @@ template <typename H = Hash128> class SegmentedIndex : public IndexReader<H> {
 public:
   using LookupResult = hma::LookupResult<H>;
   using ClassSummary = hma::ClassSummary<H>;
+  using ClassRef = hma::ClassRef<H>;
 
   struct OpenResult {
     std::unique_ptr<SegmentedIndex> Reader;
@@ -393,25 +393,37 @@ public:
   /// representative, saturating counts): equal to the snapshot of the
   /// single-file index built from the same corpus in the same order.
   std::vector<ClassSummary> snapshot() const override {
-    std::vector<std::vector<ClassSummary>> Streams;
-    Streams.reserve(Set->numSegments());
-    // Oldest first: manifest order is newest first, so walk backwards.
-    const auto &Segments = Set->segments();
-    for (size_t I = Segments.size(); I != 0; --I)
-      Streams.push_back(Segments[I - 1]->snapshot());
-    return detail::mergeClassSummaries<H>(Streams);
+    return detail::materialize(mergedClasses());
   }
 
+  /// Counts must be union counts, so the selection runs over the merged
+  /// views; only the winners are copied.
   std::vector<ClassSummary> largestClasses(size_t N) const override {
     std::vector<ClassSummary> Top;
     if (N == 0)
       return Top;
-    // Counts must be union counts, so the selection runs over the merged
-    // table (materializing, unlike the single-segment scan -- acceptable
-    // for a diagnostics report; the compactor restores the cheap path).
-    for (const ClassSummary &C : snapshot())
+    for (const ClassRef &C : mergedClasses())
       detail::considerLargest<H>(Top, N, C.Hash, C.Count, C.CanonicalBytes);
     return Top;
+  }
+
+  /// \ref snapshot as views into the segment mappings, in the same order
+  /// (\ref detail::mergeSegmentClasses over every segment's records): what
+  /// compaction hands the `HMAI` writer. Valid while this reader lives.
+  std::vector<ClassRef> mergedClasses() const {
+    const auto &Segments = Set->segments();
+    std::vector<detail::SegmentClassRef<H>> Refs;
+    size_t Total = 0;
+    for (const auto &S : Segments)
+      Total += S->numClasses();
+    Refs.reserve(Total);
+    // Oldest first: manifest order is newest first, so walk backwards.
+    for (size_t I = Segments.size(); I != 0; --I) {
+      const uint32_t Age = static_cast<uint32_t>(Segments.size() - I);
+      Segments[I - 1]->forEachClass(
+          [&](const ClassRef &C) { Refs.push_back({C, Age}); });
+    }
+    return detail::mergeSegmentClasses<H>(std::move(Refs));
   }
 
   /// Probe every segment, newest first, for an already-hashed query (the

@@ -93,7 +93,10 @@ private:
     // pay a syscall per node, small tests should not reserve megabytes.
     if (NextSlabSize < (16u << 20))
       NextSlabSize *= 2;
-    Slabs.push_back(std::make_unique<char[]>(Size));
+    // Not make_unique<char[]>: that zero-fills the slab and makes all of
+    // it resident up front. Every object is constructed (and every copied
+    // string written) before it is read, so the slab needs no fill.
+    Slabs.push_back(std::unique_ptr<char[]>(new char[Size]));
     Cur = Slabs.back().get();
     End = Cur + Size;
   }

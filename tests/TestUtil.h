@@ -208,7 +208,8 @@ public:
     std::vector<ClassSummary<H>> Out;
     for (const Class *C : FirstSeen)
       Out.push_back({C->Hash, C->Count, C->Bytes});
-    std::sort(Out.begin(), Out.end(), detail::lessByHashThenBytes<H>);
+    std::sort(Out.begin(), Out.end(),
+              detail::lessByHashThenBytes<ClassSummary<H>>);
     return Out;
   }
 

@@ -181,16 +181,11 @@ template <typename ClassVec> std::string fingerprintClasses(const ClassVec &Clas
 /// canonical order, loaded through the normal read paths.
 std::string batteryString(const std::string &Path) {
   if (isSegmentDir(Path)) {
-    typename SegmentSet<Hash128>::OpenResult Set =
-        SegmentSet<Hash128>::open(Path);
+    typename SegmentedIndex<Hash128>::OpenResult Set =
+        SegmentedIndex<Hash128>::open(Path);
     if (!Set.ok())
       return "<unopenable: " + Set.Error + ">";
-    std::vector<std::vector<ClassSummary<Hash128>>> Streams;
-    const auto &Segments = Set.Set->segments();
-    for (size_t I = Segments.size(); I != 0; --I)
-      Streams.push_back(Segments[I - 1]->snapshot());
-    return fingerprintClasses(
-        detail::mergeClassSummaries<Hash128>(Streams));
+    return fingerprintClasses(Set.Reader->mergedClasses());
   }
   auto R = MappedIndex<Hash128>::open(Path);
   std::string Error = R.Error;

@@ -24,6 +24,10 @@
 ///     compactSegments, run from another thread, merges under a live
 ///     reader whose pinned mappings keep answering after the old files
 ///     are unlinked.
+///  5. **Compaction byte identity**: the compacted segment's file equals
+///     the image of the old materializing merge (restored and saved) on
+///     alpha-renamed duplicates, b=16 collisions, a representative that
+///     needs canonicalizing, a malformed entry and mixed shard counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -844,15 +848,314 @@ TEST(SegmentMerge, UnprovenAndUndecodableRepresentativesGroupExactly) {
   const std::string Malformed = handBlob({"x"}, {TagLam, 0, TagVar, 1});
   const Hash128 H(7, 7); // one duplicate-hash run holds them all
   auto Sorted = [](std::vector<ClassSummary<Hash128>> V) {
-    std::sort(V.begin(), V.end(), detail::lessByHashThenBytes<Hash128>);
+    std::sort(V.begin(), V.end(),
+              detail::lessByHashThenBytes<ClassSummary<Hash128>>);
     return V;
   };
   const std::vector<std::vector<ClassSummary<Hash128>>> Streams = {
       Sorted({{H, 1, Shadowed}, {H, 2, Malformed}}), // oldest
       Sorted({{H, 10, Renamed}, {H, 20, Malformed}, {H, 40, Other}}),
   };
-  const auto Merged = detail::mergeClassSummaries<Hash128>(Streams);
+  std::vector<detail::SegmentClassRef<Hash128>> Refs;
+  for (uint32_t Age = 0; Age != Streams.size(); ++Age)
+    for (const ClassSummary<Hash128> &C : Streams[Age])
+      Refs.push_back({{C.Hash, C.Count, C.CanonicalBytes}, Age});
+  const auto Merged =
+      detail::materialize(detail::mergeSegmentClasses<Hash128>(Refs));
   const auto Want = Sorted({{H, 11, Shadowed}, {H, 22, Malformed},
                             {H, 40, Other}});
   expectClassSummariesEq(Merged, Want);
+}
+
+//===----------------------------------------------------------------------===//
+// 5. Compaction byte identity against the materializing merge
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The segment merge as compaction ran it before it streamed from the
+/// mappings: owning per-segment snapshots (oldest first, each sorted by
+/// (hash, bytes)) merged k-way, grouped inside duplicate-hash runs only.
+/// Kept as the reference the streaming merge must reproduce byte for
+/// byte.
+template <typename H>
+std::vector<ClassSummary<H>>
+referenceMerge(const std::vector<std::vector<ClassSummary<H>>> &Streams) {
+  std::vector<ClassSummary<H>> Out;
+  std::vector<size_t> Cur(Streams.size(), 0);
+  struct Group {
+    ClassSummary<H> Summary;
+    std::string Canonical;
+    bool Decodes = false;
+  };
+  std::vector<const ClassSummary<H> *> Run;
+  std::vector<Group> Groups;
+  ExprContext Boot;
+  AlphaHasher<H> Prover(Boot);
+  DecodeScratch Scratch;
+  for (;;) {
+    const H *MinHash = nullptr;
+    for (size_t S = 0; S != Streams.size(); ++S)
+      if (Cur[S] != Streams[S].size() &&
+          (!MinHash || Streams[S][Cur[S]].Hash < *MinHash))
+        MinHash = &Streams[S][Cur[S]].Hash;
+    if (!MinHash)
+      break;
+    const H Hash = *MinHash;
+    Run.clear();
+    for (size_t S = 0; S != Streams.size(); ++S)
+      for (; Cur[S] != Streams[S].size() && Streams[S][Cur[S]].Hash == Hash;
+           ++Cur[S])
+        Run.push_back(&Streams[S][Cur[S]]);
+    Groups.clear();
+    for (const ClassSummary<H> *E : Run) {
+      Group *Home = nullptr;
+      for (Group &G : Groups) {
+        std::string_view Proven = G.Summary.CanonicalBytes;
+        if (!G.Canonical.empty())
+          Proven = G.Canonical;
+        if (G.Summary.CanonicalBytes == E->CanonicalBytes ||
+            (G.Decodes &&
+             verifyCandidateBytes(Proven, E->CanonicalBytes, Scratch))) {
+          Home = &G;
+          break;
+        }
+      }
+      if (Home) {
+        Home->Summary.Count = saturatingAdd(Home->Summary.Count, E->Count);
+        continue;
+      }
+      Group &G = Groups.emplace_back(Group{*E, {}, false});
+      std::string_view Proven = G.Summary.CanonicalBytes;
+      G.Decodes = detail::hashQuery(Prover, Proven, G.Canonical).has_value();
+    }
+    std::sort(Groups.begin(), Groups.end(),
+              [](const Group &A, const Group &B) {
+                return A.Summary.CanonicalBytes < B.Summary.CanonicalBytes;
+              });
+    for (Group &G : Groups)
+      Out.push_back(std::move(G.Summary));
+  }
+  return Out;
+}
+
+/// What merging `Dir` does to its records: how many collapse into an
+/// older class, and how many distinct classes share a hash with another.
+struct MergeShape {
+  size_t Collapsed = 0;
+  size_t CollidingClasses = 0;
+};
+
+/// Compact `Dir` and assert the new segment's file bytes equal the image
+/// the old path wrote: \ref referenceMerge over the segments' snapshots,
+/// rebuilt through \ref AlphaHashIndex::restore (striped like the newest
+/// segment, with the union's stats) and saved.
+template <typename H>
+void expectCompactionMatchesOldMerge(const std::string &Dir,
+                                     MergeShape &Shape) {
+  std::string Want;
+  {
+    auto Seg = SegmentedIndex<H>::open(Dir);
+    ASSERT_TRUE(Seg.ok()) << Seg.Error;
+    ASSERT_GE(Seg.Reader->set().numSegments(), 2u);
+    std::vector<std::vector<ClassSummary<H>>> Streams;
+    size_t Records = 0;
+    const auto &Segments = Seg.Reader->set().segments();
+    for (size_t I = Segments.size(); I != 0; --I) {
+      Streams.push_back(Segments[I - 1]->snapshot());
+      Records += Streams.back().size();
+    }
+    std::vector<ClassSummary<H>> Merged = referenceMerge<H>(Streams);
+    Shape.Collapsed = Records - Merged.size();
+    for (size_t I = 0; I != Merged.size(); ++I)
+      if ((I != 0 && Merged[I - 1].Hash == Merged[I].Hash) ||
+          (I + 1 != Merged.size() && Merged[I + 1].Hash == Merged[I].Hash))
+        ++Shape.CollidingClasses;
+    Want = saveIndexBytes(*AlphaHashIndex<H>::restore(
+        {Seg.Reader->numShards(), Seg.Reader->schema().seed()},
+        std::move(Merged), Seg.Reader->stats()));
+  }
+  SegmentCompactResult C = compactSegments<H>(Dir);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  std::string MBytes;
+  SegmentManifest M;
+  ASSERT_TRUE(readFileBytes(manifestPathFor(Dir), MBytes, nullptr));
+  ASSERT_TRUE(SegmentManifest::decode(MBytes, M));
+  ASSERT_EQ(M.Segments.size(), 1u);
+  std::string Got;
+  ASSERT_TRUE(readFileBytes(Dir + "/" + M.Segments[0].Name, Got, nullptr));
+  ASSERT_EQ(Got.size(), Want.size());
+  EXPECT_TRUE(Got == Want) << "compacted image differs from the old merge's";
+}
+
+/// Add a hand-written segment holding exactly \p Classes (trusted hashes,
+/// any bytes) as the newest segment of `Dir`, creating the directory if
+/// it holds no index yet.
+template <typename H>
+void addHandSegment(const std::string &Dir,
+                    std::vector<ClassSummary<H>> Classes, unsigned Shards) {
+  auto Index = AlphaHashIndex<H>::restore({Shards, HashSchema::DefaultSeed},
+                                          std::move(Classes), {});
+  if (!isSegmentDir(Dir)) {
+    ASSERT_TRUE(createSegmentDir(Dir, *Index).Ok);
+    return;
+  }
+  std::string MBytes;
+  SegmentManifest M;
+  ASSERT_TRUE(readFileBytes(manifestPathFor(Dir), MBytes, nullptr));
+  ASSERT_TRUE(SegmentManifest::decode(MBytes, M));
+  const std::string Image = saveIndexBytes(*Index);
+  const std::string Name = segmentFileName(M.NextId);
+  ASSERT_TRUE(writeFileReplacing(Dir + "/" + Name, Image, nullptr));
+  M.Segments.insert(M.Segments.begin(),
+                    SegmentEntry{Name, Image.size(), Index->numClasses(), 0});
+  M.NextId += 1;
+  ASSERT_TRUE(writeManifestReplacing(Dir, M));
+}
+
+/// Alpha-renamed copies of every \p Step-th blob of \p From.
+std::vector<std::string> renamedCopies(ExprContext &Ctx, Rng &R,
+                                       const std::vector<std::string> &From,
+                                       size_t Step) {
+  std::vector<std::string> Out;
+  for (size_t I = 0; I < From.size(); I += Step) {
+    DeserializeResult D = deserializeExpr(Ctx, From[I]);
+    EXPECT_TRUE(D.ok());
+    Out.push_back(serializeExpr(Ctx, alphaRename(Ctx, R, D.E)));
+  }
+  return Out;
+}
+
+/// The hash of the class \p Blob belongs to, as ingest computes it.
+template <typename H> H classHash(std::string_view Blob) {
+  ExprContext Boot;
+  AlphaHasher<H> Hasher(Boot, HashSchema(HashSchema::DefaultSeed));
+  std::string Canonical;
+  std::optional<H> Hash = detail::hashQuery(Hasher, Blob, Canonical);
+  EXPECT_TRUE(Hash.has_value());
+  return Hash.value_or(H{});
+}
+
+} // namespace
+
+TEST(CompactionBytes, CrossSegmentAlphaRenamedDuplicates) {
+  TempSegmentDir D("segment_test.bytes_renamed.tmp");
+  ExprContext Ctx;
+  Rng R(2207);
+  std::vector<std::string> Base = corpus(Ctx, R, 300);
+  std::vector<std::string> Delta1 = renamedCopies(Ctx, R, Base, 3);
+  for (std::string &B : corpus(Ctx, R, 60))
+    Delta1.push_back(std::move(B));
+  std::vector<std::string> Delta2 = renamedCopies(Ctx, R, Delta1, 2);
+  for (size_t I = 0; I < Base.size(); I += 7)
+    Delta2.push_back(Base[I]); // byte-equal to the oldest representative
+  buildBoth<Hash128>(D.Dir, Base, Delta1, Delta2, /*Shards=*/8);
+  MergeShape Shape;
+  expectCompactionMatchesOldMerge<Hash128>(D.Dir, Shape);
+  EXPECT_GT(Shape.Collapsed, 100u);
+}
+
+TEST(CompactionBytes, ForcedB16CollisionsKeepInequivalentClassesApart) {
+  TempSegmentDir D("segment_test.bytes_b16.tmp");
+  ExprContext Ctx;
+  Rng R(5150);
+  AlphaHasher<Hash16> H(Ctx, HashSchema(HashSchema::DefaultSeed));
+  auto [A, B] = findColliding16(Ctx, R, H);
+  ASSERT_NE(A, nullptr) << "no 16-bit collision found -- width suspect";
+  // About 2,000 classes over 2^16 hashes: dozens of birthday collisions
+  // on top of the forced pair, spread across the three segments.
+  std::vector<std::string> Base = corpus(Ctx, R, 1400);
+  Base.push_back(serializeExpr(Ctx, A));
+  std::vector<std::string> Delta1 = renamedCopies(Ctx, R, Base, 4);
+  Delta1.push_back(serializeExpr(Ctx, B)); // collides with base's A
+  for (std::string &Blob : corpus(Ctx, R, 500))
+    Delta1.push_back(std::move(Blob));
+  std::vector<std::string> Delta2 = renamedCopies(Ctx, R, Delta1, 3);
+  Delta2.push_back(serializeExpr(Ctx, alphaRename(Ctx, R, A)));
+  Delta2.push_back(serializeExpr(Ctx, alphaRename(Ctx, R, B)));
+  buildBoth<Hash16>(D.Dir, Base, Delta1, Delta2, /*Shards=*/4);
+  MergeShape Shape;
+  expectCompactionMatchesOldMerge<Hash16>(D.Dir, Shape);
+  EXPECT_GT(Shape.Collapsed, 100u);
+  EXPECT_GE(Shape.CollidingClasses, 10u);
+}
+
+TEST(CompactionBytes, RepresentativeThatNeedsCanonicalizing) {
+  // The oldest segment stores a shadowed spelling; the merge proves it by
+  // canonicalizing a copy and verifies the newer renamed spelling against
+  // that, keeping the stored bytes as the representative.
+  TempSegmentDir D("segment_test.bytes_shadowed.tmp");
+  ExprContext Ctx;
+  Rng R(61);
+  auto Ser = [&](const char *Src) {
+    return serializeExpr(Ctx, parseT(Ctx, Src));
+  };
+  const std::string Shadowed = Ser("(lam (x) (lam (x) (x 1)))");
+  const std::string Renamed = Ser("(lam (a) (lam (b) (b 1)))");
+  const std::string Other = Ser("(lam (a) (lam (b) (a 1)))");
+  std::vector<ClassSummary<Hash128>> Oldest = {
+      {classHash<Hash128>(Shadowed), 3, Shadowed}};
+  AlphaHashIndex<Hash128> Filler({4, HashSchema::DefaultSeed});
+  Filler.insertBatch(corpus(Ctx, R, 80), 1);
+  for (ClassSummary<Hash128> &C : Filler.snapshot())
+    Oldest.push_back(std::move(C));
+  addHandSegment<Hash128>(D.Dir, std::move(Oldest), /*Shards=*/4);
+  ASSERT_TRUE(appendSegment<Hash128>(D.Dir, {Renamed, Other, Renamed}).Ok);
+  ASSERT_TRUE(appendSegment<Hash128>(D.Dir, {Shadowed, Renamed}).Ok);
+  MergeShape Shape;
+  expectCompactionMatchesOldMerge<Hash128>(D.Dir, Shape);
+  EXPECT_EQ(Shape.Collapsed, 2u);
+
+  auto Seg = SegmentedIndex<Hash128>::open(D.Dir);
+  ASSERT_TRUE(Seg.ok()) << Seg.Error;
+  auto Hit = Seg.Reader->lookupSerialized(Renamed);
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(Hit->Count, 3u + 2u + 2u);
+  EXPECT_EQ(Hit->CanonicalBytes, Shadowed);
+}
+
+TEST(CompactionBytes, MalformedEntryMatchesOnlyEqualBytes) {
+  TempSegmentDir D("segment_test.bytes_malformed.tmp");
+  ExprContext Ctx;
+  Rng R(88);
+  const std::string Malformed = handBlob({"x"}, {TagLam, 0, TagVar, 1});
+  const std::string Good = serializeExpr(Ctx, parseT(Ctx, "(lam (a) a)"));
+  const Hash128 H(7, 7); // one duplicate-hash run holds them all
+  AlphaHashIndex<Hash128> Filler({8, HashSchema::DefaultSeed});
+  Filler.insertBatch(corpus(Ctx, R, 60), 1);
+  std::vector<ClassSummary<Hash128>> Oldest = Filler.snapshot();
+  Oldest.push_back({H, 2, Malformed});
+  addHandSegment<Hash128>(D.Dir, std::move(Oldest), /*Shards=*/8);
+  addHandSegment<Hash128>(D.Dir, {{H, 20, Malformed}, {H, 40, Good}},
+                          /*Shards=*/8);
+  addHandSegment<Hash128>(D.Dir, {{H, 5, Good}, {H, 1, Malformed}},
+                          /*Shards=*/2);
+  MergeShape Shape;
+  expectCompactionMatchesOldMerge<Hash128>(D.Dir, Shape);
+  EXPECT_EQ(Shape.Collapsed, 3u);
+  EXPECT_EQ(Shape.CollidingClasses, 2u);
+}
+
+TEST(CompactionBytes, SegmentsAppendedWithDifferentShardCounts) {
+  TempSegmentDir D("segment_test.bytes_shards.tmp");
+  ExprContext Ctx;
+  Rng R(404);
+  std::vector<std::string> Base = corpus(Ctx, R, 200);
+  AlphaHashIndex<Hash128> BaseIdx({4, HashSchema::DefaultSeed});
+  BaseIdx.insertBatch(Base, 1);
+  ASSERT_TRUE(createSegmentDir(D.Dir, BaseIdx).Ok);
+  for (unsigned Shards : {2u, 1u, 16u}) {
+    std::vector<std::string> Delta = renamedCopies(Ctx, R, Base, 5);
+    for (std::string &B : corpus(Ctx, R, 40))
+      Delta.push_back(std::move(B));
+    SegmentAppendOptions Opts;
+    Opts.Shards = Shards;
+    ASSERT_TRUE(appendSegment<Hash128>(D.Dir, Delta, Opts).Ok);
+  }
+  MergeShape Shape;
+  expectCompactionMatchesOldMerge<Hash128>(D.Dir, Shape);
+  EXPECT_GT(Shape.Collapsed, 100u);
+  auto Seg = SegmentedIndex<Hash128>::open(D.Dir);
+  ASSERT_TRUE(Seg.ok()) << Seg.Error;
+  EXPECT_EQ(Seg.Reader->numShards(), 16u); // the newest segment's striping
 }
