@@ -172,7 +172,7 @@ void runSegmentUpdate() {
   std::string WriteError;
   SegmentAppendResult Created = createSegmentDir(Dir, BaseIdx);
   if (!Created.Ok ||
-      !writeFileReplacing(File, saveIndexBytes(BaseIdx), &WriteError)) {
+      saveIndexFile(BaseIdx, File, &WriteError) == 0) {
     std::printf("ERROR: cannot seed segment bench: %s\n",
                 (Created.Ok ? WriteError : Created.Error).c_str());
     return;

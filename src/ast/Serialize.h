@@ -344,6 +344,37 @@ const char *walkBody(Reader &In, uint64_t NameCount,
   }
 }
 
+/// The byte driver's admission check without the hash: true iff \p Bytes
+/// is a well-formed blob on which \ref BinderProof holds -- exactly the
+/// blobs `AlphaHasher::hashSerialized` hashes. The walk stops at the
+/// first refuting node. Keeps its scratch across calls.
+class BinderProver {
+public:
+  bool proves(std::string_view Bytes) {
+    Reader In(Bytes);
+    if (!In.getMagic() || !getNameTable(In, Spellings))
+      return false;
+    Proof.reset(Spellings);
+    if (!Proof.holds())
+      return false;
+    struct UntilRefuted {
+      const BinderProof &P;
+      bool var(uint32_t) { return P.holds(); }
+      bool constant(int64_t) { return true; }
+      bool open(const WalkFrame &) { return P.holds(); }
+      void letBody(const WalkFrame &) {}
+      bool close(const WalkFrame &, uint64_t) { return true; }
+    } V{Proof};
+    return walkBody(In, Spellings.size(), Frames, &Proof, V) == nullptr &&
+           Proof.holds();
+  }
+
+private:
+  std::vector<std::string_view> Spellings;
+  std::vector<WalkFrame> Frames;
+  BinderProof Proof;
+};
+
 } // namespace serial
 
 } // namespace hma

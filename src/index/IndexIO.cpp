@@ -8,6 +8,7 @@
 #include <cassert>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 #include <fcntl.h>
 
@@ -75,15 +76,103 @@ std::vector<uint32_t> hma::iio::eytzingerRanks(uint64_t Count) {
 // Image writer
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Store \p V little-endian into the 8 bytes at \p P.
+inline void storeWordLE(char *P, uint64_t V) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::memcpy(P, &V, sizeof(V));
+#else
+  for (unsigned I = 0; I != 8; ++I)
+    P[I] = static_cast<char>(V >> (8 * I));
+#endif
+}
+
+/// The image writer's staging buffer. Fixed-width fields go in as whole
+/// word stores, byte runs as copies, and every time the buffer fills it
+/// is handed to the sink as one chunk of exactly \ref
+/// iio::WriteBufferBytes. Once the sink refuses, later chunks are
+/// dropped and \ref ok stays false.
+class StagingBuffer {
+public:
+  static constexpr size_t Size = iio::WriteBufferBytes;
+
+  explicit StagingBuffer(const ByteSink &Sink)
+      // Slack past Size lets a word store land whole before the flush.
+      : Sink(Sink), Buf(new char[Size + sizeof(uint64_t)]) {}
+
+  /// Append the low \p NumBytes (at most 8) of \p V, little-endian.
+  void word(uint64_t V, unsigned NumBytes) {
+    storeWordLE(Buf.get() + Used, V);
+    Used += NumBytes;
+    if (Used >= Size) {
+      emit();
+      // Carry the spill past the chunk to the front.
+      Used -= Size;
+      std::memcpy(Buf.get(), Buf.get() + Size, Used);
+    }
+  }
+  void hash(Hash16 V) { word(V.V, 2); }
+  void hash(Hash32 V) { word(V.V, 4); }
+  void hash(Hash64 V) { word(V.V, 8); }
+  void hash(Hash128 V) {
+    word(V.Lo, 8);
+    word(V.Hi, 8);
+  }
+
+  void bytes(std::string_view B) {
+    while (!B.empty()) {
+      const size_t N = std::min(B.size(), Size - Used);
+      std::memcpy(Buf.get() + Used, B.data(), N);
+      Used += N;
+      B.remove_prefix(N);
+      if (Used == Size) {
+        emit();
+        Used = 0;
+      }
+    }
+  }
+
+  /// Hand over the partial last chunk. Returns the bytes written, or 0
+  /// if the sink refused any chunk.
+  uint64_t finish() {
+    if (Used != 0)
+      emit(Used);
+    Used = 0;
+    return Ok ? Total : 0;
+  }
+
+  bool ok() const { return Ok; }
+
+private:
+  /// Hand the first \p N staged bytes to the sink.
+  void emit(size_t N = Size) {
+    if (Ok)
+      Ok = Sink(std::string_view(Buf.get(), N));
+    Total += N;
+  }
+
+  const ByteSink &Sink;
+  std::unique_ptr<char[]> Buf;
+  size_t Used = 0; ///< Staged bytes; below Size between calls.
+  uint64_t Total = 0;
+  bool Ok = true;
+};
+
+} // namespace
+
 template <typename H>
-std::string hma::writeIndexImage(const std::vector<ClassRef<H>> &Classes,
-                                 unsigned Shards, uint64_t Seed,
-                                 const IndexStats &Stats) {
+uint64_t hma::writeIndexImage(const std::vector<ClassRef<H>> &Classes,
+                              unsigned Shards, uint64_t Seed,
+                              const IndexStats &Stats, const ByteSink &Sink) {
   static const obs::Histogram SaveNs = obs::Histogram::get(
       "hma_index_save_ns",
-      "Latency of laying out one HMAI image (a save or a compaction), ns");
+      "Latency of writing one HMAI image into its sink (a save, a segment "
+      "append or a compaction, file writes included when streamed), ns");
   static const obs::Counter SavedBytes = obs::Counter::get(
-      "hma_index_saved_bytes_total", "HMAI image bytes produced by saves");
+      "hma_index_saved_bytes_total",
+      "Bytes of the HMAI images the writer completed (saves, appends, "
+      "compactions)");
   obs::ScopedTrace Span("index_save", "io");
   obs::ScopedTimer Timer(SaveNs);
   assert(Shards != 0 && (Shards & (Shards - 1)) == 0 &&
@@ -92,15 +181,25 @@ std::string hma::writeIndexImage(const std::vector<ClassRef<H>> &Classes,
                         detail::lessByHashThenBytes<ClassRef<H>>) &&
          "classes must arrive sorted by (hash, bytes)");
 
-  // Group into per-shard tables exactly as the live index stripes them;
-  // the global sort order is preserved within each group.
-  std::vector<std::vector<const ClassRef<H> *>> PerShard(Shards);
+  // Group into per-shard tables exactly as the live index stripes them,
+  // keeping the global sort order within each: a counting sort of the
+  // classes by shard into one exactly-sized array, shard S's table being
+  // Order[TableStart[S], TableStart[S + 1]).
+  const size_t N = Classes.size();
+  std::vector<size_t> TableStart(size_t(Shards) + 1, 0);
   size_t TotalBlobBytes = 0;
   for (const ClassRef<H> &C : Classes) {
-    PerShard[detail::shardIndexForHash(C.Hash, Shards - 1)].push_back(&C);
+    ++TableStart[detail::shardIndexForHash(C.Hash, Shards - 1) + 1];
     TotalBlobBytes += C.CanonicalBytes.size();
   }
-  const size_t N = Classes.size();
+  for (unsigned S = 0; S != Shards; ++S)
+    TableStart[S + 1] += TableStart[S];
+  std::vector<const ClassRef<H> *> Order(N);
+  {
+    std::vector<size_t> Next(TableStart.begin(), TableStart.end() - 1);
+    for (const ClassRef<H> &C : Classes)
+      Order[Next[detail::shardIndexForHash(C.Hash, Shards - 1)]++] = &C;
+  }
 
   IndexFileInfo Info;
   Info.Version = iio::Version;
@@ -116,62 +215,66 @@ std::string hma::writeIndexImage(const std::vector<ClassRef<H>> &Classes,
   Info.SidecarOffset = BytesStart + TotalBlobBytes;
   Info.SidecarLength = N * iio::sidecarEntrySize(HashWidth<H>::Bits);
 
-  std::string Out = iio::encodeHeader(Info);
-  // The whole image, one allocation.
-  Out.reserve(Info.SidecarOffset + Info.SidecarLength);
+  StagingBuffer Out(Sink);
+  Out.bytes(iio::encodeHeader(Info));
 
   // Directory.
-  size_t TableOffset = TablesStart;
-  for (const auto &Table : PerShard) {
-    iio::putWordLE(Out, TableOffset, 8);
-    iio::putWordLE(Out, Table.size(), 8);
-    TableOffset += Table.size() * RecSize;
+  for (unsigned S = 0; S != Shards; ++S) {
+    Out.word(TablesStart + TableStart[S] * RecSize, 8);
+    Out.word(TableStart[S + 1] - TableStart[S], 8);
   }
 
-  // Tables (blob offsets assigned in table order).
+  // Tables, back to back in shard order (blob offsets assigned in table
+  // order).
   uint64_t BlobOffset = BytesStart;
-  for (const auto &Table : PerShard)
-    for (const ClassRef<H> *C : Table) {
-      iio::putHashLE(Out, C->Hash);
-      iio::putWordLE(Out, BlobOffset, 8);
-      iio::putWordLE(Out, C->CanonicalBytes.size(), 8);
-      iio::putWordLE(Out, C->Count, 8);
-      BlobOffset += C->CanonicalBytes.size();
-    }
+  for (const ClassRef<H> *C : Order) {
+    Out.hash(C->Hash);
+    Out.word(BlobOffset, 8);
+    Out.word(C->CanonicalBytes.size(), 8);
+    Out.word(C->Count, 8);
+    BlobOffset += C->CanonicalBytes.size();
+  }
+  if (!Out.ok())
+    return 0;
 
   // Bytes region.
-  for (const auto &Table : PerShard)
-    for (const ClassRef<H> *C : Table)
-      Out += C->CanonicalBytes;
+  for (const ClassRef<H> *C : Order)
+    Out.bytes(C->CanonicalBytes);
+  if (!Out.ok())
+    return 0;
 
   // Probe sidecar: per shard, the hashes rewritten in Eytzinger (BFS)
   // order followed by each slot's sorted rank. Derived purely from the
   // (already deterministic) shard tables.
-  for (const auto &Table : PerShard) {
-    const std::vector<uint32_t> Ranks = iio::eytzingerRanks(Table.size());
+  for (unsigned S = 0; S != Shards; ++S) {
+    const ClassRef<H> *const *Table = Order.data() + TableStart[S];
+    const std::vector<uint32_t> Ranks =
+        iio::eytzingerRanks(TableStart[S + 1] - TableStart[S]);
     for (uint32_t Rank : Ranks)
-      iio::putHashLE(Out, Table[Rank]->Hash);
+      Out.hash(Table[Rank]->Hash);
     for (uint32_t Rank : Ranks)
-      iio::putWordLE(Out, Rank, iio::RankEntrySize);
+      Out.word(Rank, iio::RankEntrySize);
   }
-  assert(Out.size() == Info.SidecarOffset + Info.SidecarLength &&
+  const uint64_t Written = Out.finish();
+  assert((Written == 0 ||
+          Written == Info.SidecarOffset + Info.SidecarLength) &&
          "image layout drifted");
-  SavedBytes.add(Out.size());
-  return Out;
+  SavedBytes.add(Written);
+  return Written;
 }
 
-template std::string hma::writeIndexImage(const std::vector<ClassRef<Hash16>> &,
-                                          unsigned, uint64_t,
-                                          const IndexStats &);
-template std::string hma::writeIndexImage(const std::vector<ClassRef<Hash32>> &,
-                                          unsigned, uint64_t,
-                                          const IndexStats &);
-template std::string hma::writeIndexImage(const std::vector<ClassRef<Hash64>> &,
-                                          unsigned, uint64_t,
-                                          const IndexStats &);
-template std::string
-hma::writeIndexImage(const std::vector<ClassRef<Hash128>> &, unsigned,
-                     uint64_t, const IndexStats &);
+template uint64_t hma::writeIndexImage(const std::vector<ClassRef<Hash16>> &,
+                                       unsigned, uint64_t, const IndexStats &,
+                                       const ByteSink &);
+template uint64_t hma::writeIndexImage(const std::vector<ClassRef<Hash32>> &,
+                                       unsigned, uint64_t, const IndexStats &,
+                                       const ByteSink &);
+template uint64_t hma::writeIndexImage(const std::vector<ClassRef<Hash64>> &,
+                                       unsigned, uint64_t, const IndexStats &,
+                                       const ByteSink &);
+template uint64_t hma::writeIndexImage(const std::vector<ClassRef<Hash128>> &,
+                                       unsigned, uint64_t, const IndexStats &,
+                                       const ByteSink &);
 
 bool hma::isIndexFile(std::string_view Bytes) {
   return Bytes.size() >= sizeof(iio::Magic) &&
@@ -308,8 +411,9 @@ bool hma::readFileBytes(const std::string &Path, std::string &Out,
   return true;
 }
 
-bool hma::writeFileReplacing(const std::string &Path, std::string_view Bytes,
-                             std::string *Error, IoEnv &Env) {
+bool hma::writeFileReplacing(const std::string &Path,
+                             const ByteProducer &Produce, std::string *Error,
+                             IoEnv &Env) {
   const std::string Tmp = Path + ".tmp";
   // Every failure exit unlinks the partial tmp: an ENOSPC mid-write must
   // not strand a large dead file that then blocks the retry on an
@@ -334,20 +438,26 @@ bool hma::writeFileReplacing(const std::string &Path, std::string_view Bytes,
   if (Fd < 0)
     return Fail("cannot open '" + Tmp + "' for writing", -Fd, false);
 
-  size_t Off = 0;
-  while (Off < Bytes.size()) {
-    long R = Env.write(Fd, Bytes.data() + Off, Bytes.size() - Off);
-    if (R < 0) {
+  // The write loop, run once per chunk as the producer emits it. The
+  // first failure's errno is kept for the message.
+  int WriteErr = 0;
+  const ByteSink Sink = [&](std::string_view Chunk) {
+    size_t Off = 0;
+    while (Off < Chunk.size()) {
+      long R = Env.write(Fd, Chunk.data() + Off, Chunk.size() - Off);
       if (R == -EINTR)
         continue;
-      (void)Env.close(Fd);
-      return Fail("cannot write '" + Tmp + "'", int(-R), true);
+      if (R <= 0) {
+        WriteErr = R < 0 ? int(-R) : EIO;
+        return false;
+      }
+      Off += static_cast<size_t>(R);
     }
-    if (R == 0) {
-      (void)Env.close(Fd);
-      return Fail("cannot write '" + Tmp + "'", EIO, true);
-    }
-    Off += static_cast<size_t>(R);
+    return true;
+  };
+  if (!Produce(Sink)) {
+    (void)Env.close(Fd);
+    return Fail("cannot write '" + Tmp + "'", WriteErr, true);
   }
 
   // The rename below is atomic, but on journaled filesystems it can be
@@ -377,4 +487,10 @@ bool hma::writeFileReplacing(const std::string &Path, std::string_view Bytes,
     Dir = "/";
   (void)Env.fsyncDir(Dir.c_str());
   return true;
+}
+
+bool hma::writeFileReplacing(const std::string &Path, std::string_view Bytes,
+                             std::string *Error, IoEnv &Env) {
+  return writeFileReplacing(
+      Path, [Bytes](const ByteSink &Sink) { return Sink(Bytes); }, Error, Env);
 }

@@ -53,7 +53,12 @@
 /// Writing: one function, \ref writeIndexImage, lays out every image from
 /// a sorted list of class views (\ref ClassRef) -- a live index's shard
 /// stores for a save, the mapped segments for a compaction -- so there
-/// is one writer as there is one validator.
+/// is one writer as there is one validator. It emits the image in file
+/// order through a staging buffer of \ref iio::WriteBufferBytes, handing
+/// each full buffer to a \ref ByteSink: a file write (\ref
+/// writeIndexFile, through the one durable-write routine \ref
+/// writeFileReplacing) or a string (\ref saveIndexBytes). No write path
+/// holds a whole image in memory.
 ///
 /// Validation: this header owns the format's layout and the O(shards)
 /// envelope check (\ref probeIndexBytes). The per-record checks -- sort
@@ -85,7 +90,9 @@
 #include "support/HashCode.h"
 #include "support/IoEnv.h"
 
+#include <cassert>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -119,12 +126,27 @@ bool probeIndexBytes(std::string_view Bytes, IndexFileInfo &Info,
 bool readFileBytes(const std::string &Path, std::string &Out,
                    std::string *Error, IoEnv &Env = IoEnv::system());
 
-/// Write \p Bytes to \p Path atomically-ish: a sibling `.tmp` file is
-/// written, fsynced and renamed over \p Path (parent directory synced
-/// after), so a crash mid-write never leaves a torn file behind the
-/// original name. On *any* failure the partial `.tmp` is unlinked and
-/// \p Error carries the errno text. All I/O runs through \p Env, which
-/// is how the crash matrix injects ENOSPC/EIO/power-cut at every call.
+/// Where produced bytes go, in order: a chunk per call. Returns false once
+/// the destination cannot take more; the producer then stops, and the
+/// sink's owner keeps the reason.
+using ByteSink = std::function<bool(std::string_view Chunk)>;
+
+/// Writes a file's bytes, in order, into the sink it is handed. Returns
+/// false as soon as the sink refuses a chunk.
+using ByteProducer = std::function<bool(const ByteSink &Sink)>;
+
+/// Write the bytes \p Produce emits to \p Path atomically-ish: a sibling
+/// `.tmp` file is written chunk by chunk as they are produced, fsynced
+/// and renamed over \p Path (parent directory synced after), so a crash
+/// mid-write never leaves a torn file behind the original name. On *any*
+/// failure the partial `.tmp` is unlinked and \p Error carries the errno
+/// text. All I/O runs through \p Env, which is how the crash matrix
+/// injects ENOSPC/EIO/power-cut at every call. The one durable-write
+/// routine: every file the index commits comes through here.
+bool writeFileReplacing(const std::string &Path, const ByteProducer &Produce,
+                        std::string *Error, IoEnv &Env = IoEnv::system());
+
+/// \ref writeFileReplacing of bytes already in memory, as one chunk.
 bool writeFileReplacing(const std::string &Path, std::string_view Bytes,
                         std::string *Error, IoEnv &Env = IoEnv::system());
 
@@ -135,6 +157,10 @@ constexpr uint32_t Version = 2;   ///< The one version read and written.
 constexpr size_t HeaderSize = 96; ///< Directory start.
 constexpr size_t DirEntrySize = 16;
 constexpr size_t RankEntrySize = 4; ///< Sidecar rank width (u32).
+/// The image writer's staging buffer: every chunk it hands a sink but
+/// the last is exactly this long, and it is all the memory a write path
+/// spends on the image beyond the class views.
+constexpr size_t WriteBufferBytes = size_t(1) << 20;
 
 /// Bytes one class contributes to the sidecar (BFS hash + sorted rank).
 constexpr size_t sidecarEntrySize(unsigned HashBits) {
@@ -163,6 +189,13 @@ inline void getHashLE(const char *P, Hash128 &V) {
 }
 
 std::string encodeHeader(const IndexFileInfo &Info);
+
+/// The image size a header declares: the end of its sidecar, the file's
+/// final region. \p Header starts with a whole header.
+inline uint64_t declaredImageBytes(std::string_view Header) {
+  assert(Header.size() >= HeaderSize && "not a whole header");
+  return getWordLE(Header.data() + 80, 8) + getWordLE(Header.data() + 88, 8);
+}
 
 template <typename H> constexpr size_t recordSize() {
   return HashWidth<H>::Bits / 8 + 24; // hash + offset + length + count
@@ -219,21 +252,44 @@ std::vector<uint32_t> eytzingerRanks(uint64_t Count);
 /// (hash, bytes) and holding no two alpha-equivalent classes, striped
 /// over \p Shards (a power of two) by \ref detail::shardIndexForHash
 /// with the global order kept inside each shard, with \p Seed and
-/// \p Stats stamped into the header. The one writer of the format: a
-/// live index's save (\ref saveIndexBytes) and segment compaction
-/// (index/SegmentCompactor.h, straight from the mapped segments) both
-/// come through here. The image is a pure function of its arguments.
+/// \p Stats stamped into the header. The image goes to \p Sink in file
+/// order (header, directory, tables, bytes region, sidecar), in chunks of
+/// \ref iio::WriteBufferBytes but the last; the first chunk holds at
+/// least the whole header. Returns the image's byte count, or 0 when the
+/// sink refused a chunk (no image is shorter than its header). The one
+/// writer of the format: saves, segment appends and compactions
+/// (index/SegmentCompactor.h, straight from the mapped segments) all come
+/// through here. The image is a pure function of its arguments.
 template <typename H>
-std::string writeIndexImage(const std::vector<ClassRef<H>> &Classes,
-                            unsigned Shards, uint64_t Seed,
-                            const IndexStats &Stats);
+uint64_t writeIndexImage(const std::vector<ClassRef<H>> &Classes,
+                         unsigned Shards, uint64_t Seed,
+                         const IndexStats &Stats, const ByteSink &Sink);
+
+/// Stream the image \ref writeIndexImage lays out into \p Path through
+/// \ref writeFileReplacing. Returns the file's byte count (what a
+/// manifest records), or 0 with \p Error set (errno text included); the
+/// partial `.tmp` never survives a failure.
+template <typename H>
+uint64_t writeIndexFile(const std::string &Path,
+                        const std::vector<ClassRef<H>> &Classes,
+                        unsigned Shards, uint64_t Seed,
+                        const IndexStats &Stats, std::string *Error,
+                        IoEnv &Env = IoEnv::system()) {
+  uint64_t Bytes = 0;
+  auto Produce = [&](const ByteSink &Sink) {
+    Bytes = writeIndexImage(Classes, Shards, Seed, Stats, Sink);
+    return Bytes != 0;
+  };
+  return writeFileReplacing(Path, Produce, Error, Env) ? Bytes : 0;
+}
 
 /// Serialise \p Index to the `HMAI` byte format: \ref writeIndexImage
 /// over the index's sorted class views (\ref AlphaHashIndex::classRefs)
-/// with its shard count and schema seed. The result is a deterministic
-/// function of the index's class table, stats and shard count (canonical
-/// tie-breaks aside, the same corpus yields the same file regardless of
-/// ingest thread count).
+/// with its shard count and schema seed, into a string. The result is a
+/// deterministic function of the index's class table, stats and shard
+/// count (canonical tie-breaks aside, the same corpus yields the same
+/// file regardless of ingest thread count). The same bytes \ref
+/// saveIndexFile streams to disk.
 ///
 /// The index must be quiescent (no concurrent ingest) for the duration
 /// of the call: the class table and the stats are read under separate
@@ -242,19 +298,30 @@ std::string writeIndexImage(const std::vector<ClassRef<H>> &Classes,
 /// set.
 template <typename H>
 std::string saveIndexBytes(const AlphaHashIndex<H> &Index) {
-  return writeIndexImage(Index.classRefs(), Index.numShards(),
-                         Index.schema().seed(), Index.stats());
+  std::string Out;
+  writeIndexImage(Index.classRefs(), Index.numShards(), Index.schema().seed(),
+                  Index.stats(), [&Out](std::string_view Chunk) {
+                    // Reserve the declared size once: a growing string
+                    // would hold up to twice the image.
+                    if (Out.empty())
+                      Out.reserve(iio::declaredImageBytes(Chunk));
+                    Out.append(Chunk);
+                    return true;
+                  });
+  return Out;
 }
 
-/// Write \p Index to \p Path (via a sibling temporary file renamed into
-/// place, so a crash mid-write never leaves a torn index). Returns false
-/// with \p Error set (errno text included) on I/O failure; the partial
-/// `.tmp` never survives a failure.
+/// Stream \p Index's image (\ref saveIndexBytes' bytes) to \p Path via
+/// \ref writeIndexFile, so a crash mid-write never leaves a torn index
+/// and no copy of the image is held in memory. Returns the file's byte
+/// count, or 0 with \p Error set (errno text included) on I/O failure;
+/// the partial `.tmp` never survives a failure.
 template <typename H>
-bool saveIndexFile(const AlphaHashIndex<H> &Index, const std::string &Path,
-                   std::string *Error = nullptr,
-                   IoEnv &Env = IoEnv::system()) {
-  return writeFileReplacing(Path, saveIndexBytes(Index), Error, Env);
+uint64_t saveIndexFile(const AlphaHashIndex<H> &Index, const std::string &Path,
+                       std::string *Error = nullptr,
+                       IoEnv &Env = IoEnv::system()) {
+  return writeIndexFile(Path, Index.classRefs(), Index.numShards(),
+                        Index.schema().seed(), Index.stats(), Error, Env);
 }
 
 } // namespace hma

@@ -79,6 +79,20 @@ inline void recordCanonicalized(uint64_t N) {
     Canonicalized.add(N);
 }
 
+/// The byte path's fallback for a blob whose binders it cannot prove
+/// distinct: decode it, uniquify its binders and re-serialize the result
+/// into \p Canonical, a proven blob of the same alpha-class. False (and
+/// \p Canonical empty) for a malformed blob.
+inline bool canonicalizeBlob(std::string_view Blob, std::string &Canonical) {
+  Canonical.clear();
+  ExprContext Ctx;
+  DeserializeResult R = deserializeExpr(Ctx, Blob);
+  if (!R.ok())
+    return false;
+  Canonical = serializeExpr(Ctx, uniquifyBinders(Ctx, R.E));
+  return true;
+}
+
 /// Hash a blob for the byte path -- a lookup's query or an ingested
 /// member -- and leave \p Query viewing the proven bytes the probe must
 /// verify with. When the byte driver proves the blob's binders distinct,
@@ -93,11 +107,8 @@ std::optional<H> hashQuery(AlphaHasher<H> &Hasher, std::string_view &Query,
   Canonical.clear();
   if (std::optional<H> Hash = Hasher.hashSerialized(Query))
     return Hash;
-  ExprContext Ctx;
-  DeserializeResult R = deserializeExpr(Ctx, Query);
-  if (!R.ok())
+  if (!canonicalizeBlob(Query, Canonical))
     return std::nullopt;
-  Canonical = serializeExpr(Ctx, uniquifyBinders(Ctx, R.E));
   Query = Canonical;
   std::optional<H> Hash = Hasher.hashSerialized(Query);
   assert(Hash && "a uniquified term must serialize to a proven blob");

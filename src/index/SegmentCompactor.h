@@ -8,8 +8,8 @@
 ///
 /// **Append is O(delta).** \ref appendSegment stages the delta corpus in
 /// a scratch \ref AlphaHashIndex, takes its classes once as sorted views
-/// (\ref AlphaHashIndex::classRefs), writes them as one new segment file
-/// (\ref writeIndexImage), and commits by atomically rewriting the
+/// (\ref AlphaHashIndex::classRefs), streams them into one new segment
+/// file (\ref writeIndexFile), and commits by atomically rewriting the
 /// manifest. The existing segments are never read in bulk -- the only
 /// per-existing-index work is one probe per *delta class* (newest-first
 /// through the mapped segments, O(log classes) each, with the staged
@@ -32,13 +32,21 @@
 /// one sort of every segment's records, oldest representative,
 /// saturating counts, byte verifies only inside duplicate-hash runs) and
 /// hands them, while the segments are still mapped, straight to \ref
-/// writeIndexImage at the newest segment's shard count. No class is
+/// writeIndexFile at the newest segment's shard count. No class is
 /// copied or rebuilt into a live index on the way, and the image is
-/// byte-identical to restoring the merge and saving it. It writes that
-/// image as a new segment, swaps the manifest, and only then deletes the
-/// replaced segment files. Readers that opened the old generation keep
-/// serving: their mappings pin the deleted files' bytes until they close
-/// (POSIX unlink semantics -- asserted by tests/segment_test.cpp).
+/// byte-identical to restoring the merge and saving it.
+///
+/// **No write path holds an image.** Create, append and compaction all
+/// stream their image through the writer's fixed staging buffer (\ref
+/// iio::WriteBufferBytes) into the new segment's `.tmp` file: beyond the
+/// class views, a write costs that buffer, not a copy of the segment.
+/// The manifest records the byte count the stream returned.
+///
+/// Compaction writes the new segment, swaps the manifest, and only then
+/// deletes the replaced segment files. Readers that opened the old
+/// generation keep serving: their mappings pin the deleted files' bytes
+/// until they close (POSIX unlink semantics -- asserted by
+/// tests/segment_test.cpp).
 ///
 /// Both writers follow the same commit discipline: new bytes first,
 /// manifest rename second, deletions last. A crash at any point leaves
@@ -121,12 +129,12 @@ SegmentAppendResult createSegmentDir(const std::string &Dir,
   M.Seed = Index.schema().seed();
   M.HashBits = HashWidth<H>::Bits;
   R.SegmentName = segmentFileName(M.NextId);
-  const std::string Image = saveIndexBytes(Index);
-  if (!writeFileReplacing(Dir + "/" + R.SegmentName, Image, &R.Error, Env))
-    return R;
   SegmentEntry E;
   E.Name = R.SegmentName;
-  E.FileBytes = Image.size();
+  E.FileBytes =
+      saveIndexFile(Index, Dir + "/" + R.SegmentName, &R.Error, Env);
+  if (E.FileBytes == 0)
+    return R;
   E.Classes = Index.numClasses();
   E.Fresh = Index.numClasses(); // no older segment exists
   M.Segments.push_back(std::move(E));
@@ -202,9 +210,10 @@ SegmentAppendResult appendSegment(const std::string &Dir,
 
   IoEnv &Env = Opts.Env ? *Opts.Env : IoEnv::system();
   R.SegmentName = segmentFileName(M.NextId);
-  const std::string Image =
-      writeIndexImage(Classes, Delta.numShards(), M.Seed, Stats);
-  if (!writeFileReplacing(Dir + "/" + R.SegmentName, Image, &R.Error, Env))
+  const uint64_t FileBytes =
+      writeIndexFile(Dir + "/" + R.SegmentName, Classes, Delta.numShards(),
+                     M.Seed, Stats, &R.Error, Env);
+  if (FileBytes == 0)
     return R;
   if (Opts.AbortAfterSegmentWrite) {
     // Crash-window simulation: the segment exists, the manifest does not
@@ -217,7 +226,7 @@ SegmentAppendResult appendSegment(const std::string &Dir,
 
   SegmentEntry E;
   E.Name = R.SegmentName;
-  E.FileBytes = Image.size();
+  E.FileBytes = FileBytes;
   E.Classes = R.DeltaClasses;
   E.Fresh = R.Fresh;
   M.Segments.insert(M.Segments.begin(), std::move(E)); // newest first
@@ -272,12 +281,10 @@ SegmentCompactResult compactSegments(const std::string &Dir,
   }
 
   // The segmented reader's union view is the compacted table: its merged
-  // class views (oldest representative, counts summed saturating) go
-  // straight from the mappings into the image, striped like the newest
-  // segment, with the saturating sum of the header stats.
+  // class views (oldest representative, counts summed saturating) stream
+  // straight from the mappings into the new segment file, striped like
+  // the newest segment, with the saturating sum of the header stats.
   const std::vector<ClassRef<H>> Classes = Union.mergedClasses();
-  const std::string Image =
-      writeIndexImage(Classes, Union.numShards(), Old.Seed, Union.stats());
 
   SegmentManifest New;
   New.Seed = Old.Seed;
@@ -285,9 +292,10 @@ SegmentCompactResult compactSegments(const std::string &Dir,
   New.NextId = Old.NextId + 1;
   SegmentEntry E;
   E.Name = segmentFileName(Old.NextId);
-  if (!writeFileReplacing(Dir + "/" + E.Name, Image, &R.Error, Env))
+  E.FileBytes = writeIndexFile(Dir + "/" + E.Name, Classes, Union.numShards(),
+                               Old.Seed, Union.stats(), &R.Error, Env);
+  if (E.FileBytes == 0)
     return R;
-  E.FileBytes = Image.size();
   E.Classes = Classes.size();
   E.Fresh = Classes.size(); // sole segment: everything is fresh
   New.Segments.push_back(std::move(E));

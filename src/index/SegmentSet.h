@@ -41,8 +41,9 @@
 /// that merges alpha-equivalent classes across segments (oldest
 /// representative, summed counts) so it equals the snapshot of the
 /// equivalent single-file index. Every probe and every merge check takes
-/// the query as proven bytes (\ref detail::hashQuery), like the rest of
-/// the index layer.
+/// the query as proven bytes, like the rest of the index layer: a probe
+/// through \ref detail::hashQuery, a merge's representative through the
+/// distinct-binder proof alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +51,6 @@
 #define HMA_INDEX_SEGMENTSET_H
 
 #include "ast/Serialize.h"
-#include "core/AlphaHasher.h"
 #include "index/IndexIO.h"
 #include "index/IndexReader.h"
 #include "index/MappedIndex.h"
@@ -81,9 +81,11 @@ template <typename H> struct SegmentClassRef {
 /// bytes within a segment; the exact-equivalence check runs only inside
 /// those runs (cross-segment repeats and forced collisions), never on the
 /// sorted bulk. There each group's representative is proven once by the
-/// byte path's \ref detail::hashQuery (canonicalized if it must be) and
-/// verified against later entries from its bytes; a representative that
-/// does not decode matches only byte-equal entries. Output is sorted by
+/// distinct-binder proof (\ref serial::BinderProver; nothing is hashed,
+/// the run already shares one hash), canonicalized only when the proof
+/// fails (\ref detail::canonicalizeBlob), and verified against later
+/// entries from its bytes; a representative that does not decode matches
+/// only byte-equal entries. Output is sorted by
 /// (hash, bytes) -- the canonical \ref IndexReader::snapshot order --
 /// and views the same bytes as the input.
 template <typename H>
@@ -115,8 +117,7 @@ mergeSegmentClasses(std::vector<SegmentClassRef<H>> Refs) {
     }
   };
   std::vector<Group> Groups;
-  ExprContext Boot;
-  AlphaHasher<H> Prover(Boot); // proves binders; the hash goes unused
+  serial::BinderProver Prover;
   DecodeScratch Scratch;
 
   for (size_t Begin = 0, End = 0; Begin != Refs.size(); Begin = End) {
@@ -151,8 +152,8 @@ mergeSegmentClasses(std::vector<SegmentClassRef<H>> Refs) {
         continue;
       }
       Group &G = Groups.emplace_back(Group{E, {}, false});
-      std::string_view Proven = G.Rep.CanonicalBytes;
-      G.Decodes = hashQuery(Prover, Proven, G.Canonical).has_value();
+      G.Decodes = Prover.proves(E.CanonicalBytes) ||
+                  canonicalizeBlob(E.CanonicalBytes, G.Canonical);
     }
     // Representatives came out in age order, not byte order; restore the
     // canonical (hash, bytes) sort within the run.

@@ -93,14 +93,13 @@ struct HistogramData {
   uint64_t Max = 0;
   uint64_t Buckets[NumBuckets] = {};
 
-  /// Which bucket \p V lands in (its bit width).
+  /// Which bucket \p V lands in: its bit width, from one count of
+  /// leading zeros (0 has width 0).
   static unsigned bucketFor(uint64_t V) {
-    unsigned W = 0;
-    while (V) {
-      ++W;
-      V >>= 1;
-    }
-    return W;
+    if (V == 0)
+      return 0;
+    return 64 - static_cast<unsigned>(
+                    __builtin_clzll(static_cast<unsigned long long>(V)));
   }
 
   /// Inclusive lower bound of bucket \p I.

@@ -8,7 +8,8 @@
 # build / stats / open / query flow, the two tools that rebuild a file
 # from the verified mapped reader -- the re-shard (`open F --shards S
 # --out G`) and the byte-identical re-save (`open F --out F`) -- and
-# that a single file is read-only: `update` refuses it. Every `open`
+# that a single file is read-only: `update` refuses it. A directory
+# given as the corpus is refused with its reason. Every `open`
 # serves the mapped reader; the retired `--load` and `--mmap` flags must
 # be refused. The admission battery: every
 # candidate `openIndex` rejects -- including the two that fail only the
@@ -72,6 +73,20 @@ expect_fail("--out" index open index.hmai --shards 4)
 # A missing file's error carries the reason, not just the name.
 expect_fail("cannot open 'missing.hmai': No such file or directory"
             index open missing.hmai)
+# A directory where a corpus belongs (a segment dir passed by mistake)
+# is an input error with the reason and exit 1, not an abort.
+file(MAKE_DIRECTORY "${WORK}/adir")
+foreach(CMD "build;adir;--out;fromdir.hmai" "stats;adir")
+  run_hma(RC OUT ERR index ${CMD})
+  if(NOT RC EQUAL 1)
+    message(FATAL_ERROR "index ${CMD} on a directory: exit ${RC}, expected 1:\n${ERR}")
+  endif()
+  expect_contains("${ERR}" "error: cannot read 'adir': Is a directory"
+                  "stderr of index ${CMD}")
+endforeach()
+if(EXISTS "${WORK}/fromdir.hmai")
+  message(FATAL_ERROR "a build from a directory wrote an index")
+endif()
 
 # A single file is read-only: update exits 2, points at a segment
 # directory, and leaves the file's bytes alone. (--out belongs to build

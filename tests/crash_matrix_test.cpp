@@ -23,10 +23,15 @@
 ///    Not a crash at all -- the operation must simply succeed, which
 ///    proves every read/write loop in the stack actually retries.
 ///
-/// The query battery (every class's hash/count/canonical bytes, via the
-/// same merge the compactor uses) is checked against the pre/post
-/// fingerprints too, so "old or new state" holds semantically, not just
-/// byte-wise.
+/// The query battery (every class's hash/count/canonical bytes) is
+/// checked against the pre/post fingerprints too, so "old or new state"
+/// holds semantically, not just byte-wise. It shares no code with the
+/// compactor's merge: a segment directory's battery groups each
+/// segment's own snapshot by the de Bruijn key of the decoded member,
+/// and the pre and post batteries must equal the de Bruijn-keyed
+/// \ref ReferenceIndex of the corpus ingested so far. A merge that keeps
+/// the wrong representative or leaves alpha-equivalent spellings apart
+/// therefore fails here, not only in tests/segment_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +42,9 @@
 #include "index/SegmentSet.h"
 #include "support/IoEnv.h"
 
+#include "ast/DeBruijn.h"
 #include "ast/Serialize.h"
+#include "ast/Uniquify.h"
 #include "gen/RandomExpr.h"
 
 #include "TestUtil.h"
@@ -49,6 +56,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -177,21 +185,69 @@ template <typename ClassVec> std::string fingerprintClasses(const ClassVec &Clas
   return S;
 }
 
-/// Query battery: every class's (hash, count, canonical bytes) in
-/// canonical order, loaded through the normal read paths.
-std::string batteryString(const std::string &Path) {
-  if (isSegmentDir(Path)) {
-    typename SegmentedIndex<Hash128>::OpenResult Set =
-        SegmentedIndex<Hash128>::open(Path);
-    if (!Set.ok())
-      return "<unopenable: " + Set.Error + ">";
-    return fingerprintClasses(Set.Reader->mergedClasses());
+/// The alpha-class key of stored bytes, from the decoder alone: the de
+/// Bruijn rendering of the uniquified decode. Bytes that do not decode
+/// key as themselves.
+std::string classKey(std::string_view Bytes) {
+  ExprContext Ctx;
+  DeserializeResult D = deserializeExpr(Ctx, Bytes);
+  if (!D.ok())
+    return "raw:" + std::string(Bytes);
+  return toDeBruijnString(Ctx, uniquifyBinders(Ctx, D.E));
+}
+
+/// The union class table of a segment directory without the compactor's
+/// merge: every segment's own snapshot, oldest segment first, grouped by
+/// \ref classKey (the oldest segment's representative, counts summed). A
+/// segment that holds one alpha-class twice breaks the segment invariant
+/// and is named in the result.
+std::string segmentDirBattery(const std::string &Dir) {
+  SegmentSet<Hash128>::OpenResult Set = SegmentSet<Hash128>::open(Dir);
+  if (!Set.ok())
+    return "<unopenable: " + Set.Error + ">";
+  const auto &Segments = Set.Set->segments(); // newest first
+  std::map<std::string, ClassSummary<Hash128>> ByKey;
+  std::string Broken;
+  for (size_t I = Segments.size(); I != 0; --I) {
+    std::set<std::string> InSegment;
+    for (ClassSummary<Hash128> &C : Segments[I - 1]->snapshot()) {
+      std::string Key = classKey(C.CanonicalBytes);
+      if (!InSegment.insert(Key).second)
+        Broken += "<segment " + Set.Set->manifest().Segments[I - 1].Name +
+                  " holds one alpha-class twice>\n";
+      auto [It, Fresh] = ByKey.try_emplace(std::move(Key), C);
+      if (!Fresh)
+        It->second.Count = saturatingAdd(It->second.Count, C.Count);
+    }
   }
+  std::vector<ClassSummary<Hash128>> Union;
+  for (auto &[Key, C] : ByKey)
+    Union.push_back(std::move(C));
+  std::sort(Union.begin(), Union.end(),
+            detail::lessByHashThenBytes<ClassSummary<Hash128>>);
+  return fingerprintClasses(Union) + Broken;
+}
+
+/// Query battery: every class's (hash, count, canonical bytes) in
+/// canonical order, loaded through the normal read paths -- a segment
+/// directory through \ref segmentDirBattery.
+std::string batteryString(const std::string &Path) {
+  if (isSegmentDir(Path))
+    return segmentDirBattery(Path);
   auto R = MappedIndex<Hash128>::open(Path);
   std::string Error = R.Error;
   if (!R.ok() || !R.Reader->verify(&Error))
     return "<unreadable: " + Error + ">";
   return fingerprintClasses(R.Reader->snapshot());
+}
+
+/// The battery an index of \p Blobs, ingested in order on one thread,
+/// must answer: the de Bruijn-keyed reference model's classes.
+std::string referenceBattery(const std::vector<std::string> &Blobs) {
+  ReferenceIndex<Hash128> Ref;
+  for (const std::string &B : Blobs)
+    EXPECT_TRUE(Ref.insert(B));
+  return fingerprintClasses(Ref.snapshot());
 }
 
 //===----------------------------------------------------------------------===//
@@ -204,12 +260,17 @@ using MatrixOp = std::function<bool(IoEnv &, std::string &)>;
 /// every fault shape and assert the old-or-new invariant plus fsck
 /// recovery each time. \p WorkDir is snapshot/restored around every
 /// replay; \p IndexPath (inside it, or equal to it) is what readers
-/// open.
+/// open. \p WantPre and \p WantPost are the batteries the old and the
+/// new state must answer (\ref referenceBattery), so a wrong new state
+/// fails even though every crash lands on it or on the old one.
 void runMatrix(const std::string &WorkDir, const std::string &IndexPath,
-               const MatrixOp &Op, const char *Name) {
+               const MatrixOp &Op, const char *Name,
+               const std::string &WantPre, const std::string &WantPost) {
   const DirImage Pre = captureDir(WorkDir);
   const std::string PreState = committedState(IndexPath);
   const std::string PreBattery = batteryString(IndexPath);
+  EXPECT_TRUE(PreBattery == WantPre)
+      << Name << ": the old state answers unlike the reference";
 
   FaultIoEnv Counter; // FailAtOp = 0: counts, never fires.
   std::string Error;
@@ -220,6 +281,8 @@ void runMatrix(const std::string &WorkDir, const std::string &IndexPath,
   const DirImage Post = captureDir(WorkDir);
   const std::string PostState = committedState(IndexPath);
   const std::string PostBattery = batteryString(IndexPath);
+  EXPECT_TRUE(PostBattery == WantPost)
+      << Name << ": the new state answers unlike the reference";
 
   int ErrnoTextSeen = 0;
   for (uint64_t K = 1; K <= N; ++K) {
@@ -299,6 +362,26 @@ std::vector<std::string> makeBlobs(ExprContext &Ctx, Rng &R, int N,
   return Blobs;
 }
 
+/// Append to \p Blobs an alpha-renamed copy of each of \p Of: a class an
+/// older segment already holds, under a different spelling.
+void addRenamedCopies(ExprContext &Ctx, Rng &R,
+                      const std::vector<std::string> &Of,
+                      std::vector<std::string> &Blobs) {
+  for (const std::string &B : Of) {
+    DeserializeResult D = deserializeExpr(Ctx, B);
+    ASSERT_TRUE(D.ok()) << D.Error;
+    std::string Renamed = serializeExpr(Ctx, alphaRename(Ctx, R, D.E));
+    ASSERT_NE(Renamed, B) << "the rename kept the spelling";
+    Blobs.push_back(std::move(Renamed));
+  }
+}
+
+std::vector<std::string> concat(std::vector<std::string> A,
+                                const std::vector<std::string> &B) {
+  A.insert(A.end(), B.begin(), B.end());
+  return A;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -323,9 +406,10 @@ TEST(CrashMatrix, SaveIndexFileOverExisting) {
   runMatrix(
       WD.Dir, Path,
       [&](IoEnv &Env, std::string &Error) {
-        return saveIndexFile(New, Path, &Error, Env);
+        return saveIndexFile(New, Path, &Error, Env) != 0;
       },
-      "saveIndexFile");
+      "saveIndexFile", referenceBattery({All.begin(), All.begin() + 7}),
+      referenceBattery(All));
 }
 
 TEST(CrashMatrix, AppendSegment) {
@@ -333,7 +417,8 @@ TEST(CrashMatrix, AppendSegment) {
   ExprContext Ctx;
   Rng R(0x5eed02);
   const std::vector<std::string> Base = makeBlobs(Ctx, R, 10, 12);
-  const std::vector<std::string> Delta = makeBlobs(Ctx, R, 8, 14);
+  std::vector<std::string> Delta = makeBlobs(Ctx, R, 8, 14);
+  addRenamedCopies(Ctx, R, {Base.begin(), Base.begin() + 3}, Delta);
 
   typename AlphaHashIndex<Hash128>::Options Opts;
   Opts.Shards = 8;
@@ -353,16 +438,22 @@ TEST(CrashMatrix, AppendSegment) {
         Error = A.Error;
         return A.Ok;
       },
-      "appendSegment");
+      "appendSegment", referenceBattery(Base),
+      referenceBattery(concat(Base, Delta)));
 }
 
 TEST(CrashMatrix, CompactSegments) {
   MatrixDir WD("cm_compact.segdir");
   ExprContext Ctx;
   Rng R(0x5eed03);
+  // Each delta repeats older classes under new spellings, so the merge
+  // must pick the oldest representative and verify across spellings.
   const std::vector<std::string> Base = makeBlobs(Ctx, R, 10, 12);
-  const std::vector<std::string> Delta1 = makeBlobs(Ctx, R, 6, 14);
-  const std::vector<std::string> Delta2 = makeBlobs(Ctx, R, 6, 16);
+  std::vector<std::string> Delta1 = makeBlobs(Ctx, R, 6, 14);
+  addRenamedCopies(Ctx, R, {Base.begin(), Base.begin() + 3}, Delta1);
+  std::vector<std::string> Delta2 = makeBlobs(Ctx, R, 6, 16);
+  addRenamedCopies(Ctx, R, {Base.begin() + 1, Base.begin() + 4}, Delta2);
+  addRenamedCopies(Ctx, R, {Delta1.begin(), Delta1.begin() + 2}, Delta2);
 
   typename AlphaHashIndex<Hash128>::Options Opts;
   Opts.Shards = 8;
@@ -373,6 +464,10 @@ TEST(CrashMatrix, CompactSegments) {
   ASSERT_TRUE(createSegmentDir(WD.Dir, BaseIdx, SOpts).Ok);
   ASSERT_TRUE(appendSegment<Hash128>(WD.Dir, Delta1, SOpts).Ok);
   ASSERT_TRUE(appendSegment<Hash128>(WD.Dir, Delta2, SOpts).Ok);
+  // Compaction changes no answer: before and after, the reference of
+  // the whole corpus.
+  const std::string All =
+      referenceBattery(concat(concat(Base, Delta1), Delta2));
 
   runMatrix(
       WD.Dir, WD.Dir,
@@ -381,7 +476,7 @@ TEST(CrashMatrix, CompactSegments) {
         Error = C.Error;
         return C.Ok;
       },
-      "compactSegments");
+      "compactSegments", All, All);
 }
 
 TEST(CrashMatrix, GcSegmentDir) {
@@ -417,7 +512,7 @@ TEST(CrashMatrix, GcSegmentDir) {
         (void)gcSegmentDir(WD.Dir, &Error, G);
         return Error.empty();
       },
-      "gcSegmentDir");
+      "gcSegmentDir", referenceBattery(Base), referenceBattery(Base));
 }
 
 //===----------------------------------------------------------------------===//

@@ -82,6 +82,35 @@ TEST(HistogramData, BucketBoundaries) {
   EXPECT_EQ(HD::bucketHigh(64), UINT64_MAX);
 }
 
+TEST(HistogramData, BucketIsTheBitWidthAtEveryPowerOfTwoEdge) {
+  using HD = obs::HistogramData;
+  // bucketFor counts leading zeros; pin it to the bit width a shift loop
+  // counts: 0 -> 0, 2^k - 1 -> k, 2^k -> k + 1, UINT64_MAX -> 64.
+  auto ShiftWidth = [](uint64_t V) {
+    unsigned W = 0;
+    for (; V; V >>= 1)
+      ++W;
+    return W;
+  };
+  EXPECT_EQ(HD::bucketFor(0), 0u);
+  EXPECT_EQ(HD::bucketFor(1), 1u);
+  EXPECT_EQ(HD::bucketFor(UINT64_MAX), 64u);
+  for (unsigned K = 1; K != 64; ++K) {
+    const uint64_t P = uint64_t(1) << K;
+    EXPECT_EQ(HD::bucketFor(P - 1), K) << "2^" << K << " - 1";
+    EXPECT_EQ(HD::bucketFor(P), K + 1) << "2^" << K;
+    EXPECT_EQ(HD::bucketFor(P + 1), K + 1) << "2^" << K << " + 1";
+  }
+  uint64_t X = 0x9e3779b97f4a7c15ULL;
+  for (int I = 0; I != 10000; ++I) {
+    X ^= X << 13;
+    X ^= X >> 7;
+    X ^= X << 17;
+    const uint64_t V = X >> (X % 64);
+    ASSERT_EQ(HD::bucketFor(V), ShiftWidth(V)) << V;
+  }
+}
+
 TEST(HistogramData, RecordTracksCountSumMinMax) {
   obs::HistogramData H;
   EXPECT_EQ(H.min(), 0u); // empty histograms read as 0, not UINT64_MAX

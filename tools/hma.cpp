@@ -224,8 +224,16 @@ bool readInput(const char *Path, std::string &Out) {
       std::fprintf(stderr, "error: cannot open '%s'\n", Path);
       return false;
     }
-    Out.assign(std::istreambuf_iterator<char>(In),
-               std::istreambuf_iterator<char>());
+    try {
+      Out.assign(std::istreambuf_iterator<char>(In),
+                 std::istreambuf_iterator<char>());
+    } catch (const std::ios_base::failure &E) {
+      // A directory opens but does not read (EISDIR): report it like any
+      // other unreadable input instead of terminating.
+      std::fprintf(stderr, "error: cannot read '%s': %s\n", Path,
+                   E.code().message().c_str());
+      return false;
+    }
     return true;
   }
   std::ostringstream Buf;
@@ -563,16 +571,17 @@ void printSchema(const IndexReader<Hash128> &Index) {
   std::printf("hash bits:           %u\n", HashWidth<Hash128>::Bits);
 }
 
-bool writeIndexFile(const IndexArgs &A, const AlphaHashIndex<Hash128> &Index,
-                    const char *Path) {
+bool writeOutIndex(const IndexArgs &A, const AlphaHashIndex<Hash128> &Index,
+                   const char *Path) {
   std::string Error;
-  std::string Bytes = saveIndexBytes(Index);
-  if (!writeFileReplacing(Path, Bytes, &Error)) {
+  const uint64_t Bytes = saveIndexFile(Index, Path, &Error);
+  if (Bytes == 0) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return false;
   }
-  std::fprintf(A.narrate(), "wrote index: %zu classes (%zu bytes) to %s\n",
-               Index.numClasses(), Bytes.size(), Path);
+  std::fprintf(A.narrate(), "wrote index: %zu classes (%llu bytes) to %s\n",
+               Index.numClasses(), static_cast<unsigned long long>(Bytes),
+               Path);
   return true;
 }
 
@@ -598,7 +607,7 @@ int cmdIndexBuild(const IndexArgs &A) {
                  R.SegmentName.c_str());
     return 0;
   }
-  if (A.OutPath && !writeIndexFile(A, Index, A.OutPath))
+  if (A.OutPath && !writeOutIndex(A, Index, A.OutPath))
     return 1;
   return 0;
 }
@@ -825,7 +834,7 @@ int cmdIndexOpen(const IndexArgs &A) {
     return 1;
   // `open F --shards 8 --out G` is the re-shard tool: rebuild from the
   // verified reader and persist, then serve F as usual.
-  if (A.OutPath && !writeIndexFile(A, *restoreIndex(A, *Index), A.OutPath))
+  if (A.OutPath && !writeOutIndex(A, *restoreIndex(A, *Index), A.OutPath))
     return 1;
   return Serve(*Index);
 }
