@@ -260,7 +260,7 @@ public:
   virtual std::vector<size_t> shardLoads() const = 0;
 
   /// Canonical-blob bytes per shard: the per-shard split of
-  /// \ref retainedBytes, for skew diagnostics (`hma index stats --json`
+  /// \ref retainedBytes, for skew diagnostics (`index open … stats --json`
   /// reports both per-shard vectors).
   virtual std::vector<size_t> shardBytes() const = 0;
 

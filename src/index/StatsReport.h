@@ -4,7 +4,7 @@
 /// Renders an \ref IndexReader's diagnostics -- schema, class/shard
 /// totals, \ref IndexStats, and the process-wide `hma::obs` registry
 /// snapshot -- as the JSON object and Prometheus text exposition behind
-/// `hma index stats --json | --prom`.
+/// `hma index open <path> stats --json | --prom`.
 ///
 /// Factored out of the CLI so the serving daemon (`hma indexd`, see
 /// serve/Server.h) can answer its `Stats` wire op with byte-identical

@@ -41,7 +41,7 @@
 /// Time values are recorded in nanoseconds (histogram names end in `_ns`
 /// by convention); byte counters end in `_bytes_total`, event counters in
 /// `_total`. See src/obs/README.md for the metric inventory and the
-/// exposition formats (`hma index stats --json | --prom`, Chrome
+/// exposition formats (`hma index open <path> stats --json | --prom`, Chrome
 /// `trace_event` JSON via obs/Trace.h).
 ///
 //===----------------------------------------------------------------------===//

@@ -6,11 +6,9 @@
 #include <random>
 #include <thread>
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <csignal>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -36,47 +34,27 @@ void setError(std::string *Error, std::string Msg) {
 int connectOnce(const ClientOptions &Opts, std::string *Error) {
   // A client process should not die of SIGPIPE either.
   ::signal(SIGPIPE, SIG_IGN);
-  int Fd = -1;
-  if (!Opts.UnixSocketPath.empty()) {
-    sockaddr_un Addr{};
-    Addr.sun_family = AF_UNIX;
-    if (Opts.UnixSocketPath.size() >= sizeof(Addr.sun_path)) {
-      setError(Error, "socket path too long: " + Opts.UnixSocketPath);
-      return -1;
-    }
-    std::memcpy(Addr.sun_path, Opts.UnixSocketPath.c_str(),
-                Opts.UnixSocketPath.size() + 1);
-    Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (Fd < 0) {
-      setError(Error, std::string("socket() failed: ") + strerror(errno));
-      return -1;
-    }
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-        0) {
-      setError(Error, "connect('" + Opts.UnixSocketPath +
-                          "') failed: " + strerror(errno));
-      ::close(Fd);
-      return -1;
-    }
-  } else if (Opts.TcpPort != 0) {
-    Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (Fd < 0) {
-      setError(Error, std::string("socket() failed: ") + strerror(errno));
-      return -1;
-    }
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_port = htons(Opts.TcpPort);
-    Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-        0) {
-      setError(Error, "connect(127.0.0.1:" + std::to_string(Opts.TcpPort) +
-                          ") failed: " + strerror(errno));
-      ::close(Fd);
-      return -1;
-    }
-  } else {
-    setError(Error, "no --connect socket or port given");
+  if (Opts.UnixSocketPath.empty()) {
+    setError(Error, "no --connect socket given");
+    return -1;
+  }
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  if (Opts.UnixSocketPath.size() >= sizeof(Addr.sun_path)) {
+    setError(Error, "socket path too long: " + Opts.UnixSocketPath);
+    return -1;
+  }
+  std::memcpy(Addr.sun_path, Opts.UnixSocketPath.c_str(),
+              Opts.UnixSocketPath.size() + 1);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0) {
+    setError(Error, std::string("socket() failed: ") + strerror(errno));
+    return -1;
+  }
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    setError(Error, "connect('" + Opts.UnixSocketPath +
+                        "') failed: " + strerror(errno));
+    ::close(Fd);
     return -1;
   }
   return Fd;
@@ -140,8 +118,8 @@ size_t recvExact(int Fd, char *Buf, size_t N, int TimeoutMs,
 
 /// Receive one protocol frame. False on EOF / timeout / transport error
 /// or an oversized declared length.
-bool recvFrameFd(int Fd, size_t MaxFrame, int TimeoutMs, uint8_t &Ver,
-                 uint8_t &Kind, std::string &Body, std::string *Error) {
+bool recvFrameFd(int Fd, int TimeoutMs, uint8_t &Ver, uint8_t &Kind,
+                 std::string &Body, std::string *Error) {
   char Hdr[FrameHeaderBytes];
   bool TimedOut = false;
   if (recvExact(Fd, Hdr, sizeof(Hdr), TimeoutMs, &TimedOut) != sizeof(Hdr)) {
@@ -149,9 +127,10 @@ bool recvFrameFd(int Fd, size_t MaxFrame, int TimeoutMs, uint8_t &Ver,
     return false;
   }
   uint64_t Len = iio::getWordLE(Hdr, 4);
-  if (Len < 2 || Len > MaxFrame) {
+  if (Len < 2 || Len > DefaultMaxFrameBytes) {
     setError(Error, "reply frame length " + std::to_string(Len) +
-                        " outside [2, " + std::to_string(MaxFrame) + "]");
+                        " outside [2, " +
+                        std::to_string(DefaultMaxFrameBytes) + "]");
     return false;
   }
   std::string Payload(static_cast<size_t>(Len), '\0');
@@ -234,8 +213,7 @@ bool Client::call(Op O, std::string_view Body, Reply &R, std::string *Error) {
     return false;
   }
   uint8_t Ver = 0, Kind = 0;
-  if (!recvFrameFd(Fd, Opts.MaxFrameBytes, Opts.TimeoutMs, Ver, Kind, R.Body,
-                   Error)) {
+  if (!recvFrameFd(Fd, Opts.TimeoutMs, Ver, Kind, R.Body, Error)) {
     close();
     return false;
   }
@@ -375,8 +353,7 @@ struct ChaosCtx {
   bool expectErrorThenClose(int Fd, Status Want, std::string &Detail) {
     uint8_t Ver = 0, Kind = 0;
     std::string Body, Error;
-    if (!recvFrameFd(Fd, Opts.MaxFrameBytes, reactionMs(), Ver, Kind, Body,
-                     &Error)) {
+    if (!recvFrameFd(Fd, reactionMs(), Ver, Kind, Body, &Error)) {
       Detail = "expected an error reply, got: " + Error;
       return false;
     }
@@ -394,21 +371,26 @@ struct ChaosCtx {
   }
 };
 
-void chaosTorn(ChaosCtx &X) {
+/// The offences whose reaction is one error reply, then a close: send
+/// \p Bytes on a fresh connection, expect \p Want (Status::Internal: any
+/// non-Ok status) and EOF, then a ping on another connection.
+void chaosOffence(ChaosCtx &X, const char *Mode, std::string_view Bytes,
+                  Status Want) {
   std::string Detail;
   int Fd = X.freshConn(Detail);
   if (Fd < 0)
-    return X.report("torn", false, Detail);
-  // Declare 64 bytes, deliver 8, go silent: the slow-loris deadline
-  // must kill this with a Timeout reply.
-  std::string Partial;
-  iio::putWordLE(Partial, 64, 4);
-  Partial.append(8, 'x');
-  bool Ok = sendAllFd(Fd, Partial, X.reactionMs(), nullptr) &&
-            X.expectErrorThenClose(Fd, Status::Timeout, Detail) &&
-            X.daemonAlive(Detail);
+    return X.report(Mode, false, Detail);
+  bool Ok = sendAllFd(Fd, Bytes, X.reactionMs(), nullptr) &&
+            X.expectErrorThenClose(Fd, Want, Detail) && X.daemonAlive(Detail);
   ::close(Fd);
-  X.report("torn", Ok, Detail);
+  X.report(Mode, Ok, Detail);
+}
+
+/// A frame header declaring \p Len payload bytes, then \p Bytes.
+std::string declared(uint64_t Len, std::string Bytes) {
+  std::string Frame;
+  iio::putWordLE(Frame, Len, 4);
+  return Frame + Bytes;
 }
 
 void chaosSlowLoris(ChaosCtx &X) {
@@ -419,15 +401,13 @@ void chaosSlowLoris(ChaosCtx &X) {
   // Drip a large frame slower than it could ever complete: ~10 bytes
   // per deadline's-worth of time means the declared 4096 bytes would
   // take hundreds of deadlines to arrive.
-  std::string Frame;
-  iio::putWordLE(Frame, 4096, 4);
-  Frame.push_back(static_cast<char>(ProtocolVersion));
-  Frame.push_back(static_cast<char>(Op::Ping));
-  Frame.append(64, 'z');
+  std::string Frame = declared(
+      4096, std::string{static_cast<char>(ProtocolVersion),
+                        static_cast<char>(Op::Ping)} +
+                std::string(64, 'z'));
   int StepMs = X.ServerDeadlineMs / 8 + 1;
-  bool Sent = true;
   bool Killed = false;
-  for (size_t I = 0; I != Frame.size() && Sent; ++I) {
+  for (size_t I = 0; I != Frame.size(); ++I) {
     if (!sendAllFd(Fd, std::string_view(Frame.data() + I, 1), 1000,
                    nullptr)) {
       // The server killing us mid-drip is the expected outcome.
@@ -442,92 +422,13 @@ void chaosSlowLoris(ChaosCtx &X) {
   X.report("slowloris", Ok, Detail);
 }
 
-void chaosOversized(ChaosCtx &X) {
-  std::string Detail;
-  int Fd = X.freshConn(Detail);
-  if (Fd < 0)
-    return X.report("oversized", false, Detail);
-  std::string Hdr;
-  iio::putWordLE(Hdr, uint64_t(X.Opts.MaxFrameBytes) + 1, 4);
-  bool Ok = sendAllFd(Fd, Hdr, X.reactionMs(), nullptr) &&
-            X.expectErrorThenClose(Fd, Status::TooLarge, Detail) &&
-            X.daemonAlive(Detail);
-  ::close(Fd);
-  X.report("oversized", Ok, Detail);
-}
-
-void chaosShort(ChaosCtx &X) {
-  std::string Detail;
-  int Fd = X.freshConn(Detail);
-  if (Fd < 0)
-    return X.report("short", false, Detail);
-  std::string Hdr;
-  iio::putWordLE(Hdr, 1, 4); // Too short to hold version + op.
-  Hdr.push_back('?');
-  bool Ok = sendAllFd(Fd, Hdr, X.reactionMs(), nullptr) &&
-            X.expectErrorThenClose(Fd, Status::Malformed, Detail) &&
-            X.daemonAlive(Detail);
-  ::close(Fd);
-  X.report("short", Ok, Detail);
-}
-
-void chaosGarbage(ChaosCtx &X) {
-  std::string Detail;
-  int Fd = X.freshConn(Detail);
-  if (Fd < 0)
-    return X.report("garbage", false, Detail);
-  // Looks nothing like a frame; the first 4 bytes decode to a length
-  // in the gigabytes, which the cap rejects.
-  std::string Junk = "\xde\xad\xbe\xef not a frame at all";
-  bool Ok = sendAllFd(Fd, Junk, X.reactionMs(), nullptr) &&
-            X.expectErrorThenClose(Fd, Status::Internal /* any error */,
-                                   Detail) &&
-            X.daemonAlive(Detail);
-  ::close(Fd);
-  X.report("garbage", Ok, Detail);
-}
-
-void chaosBadVersion(ChaosCtx &X) {
-  std::string Detail;
-  int Fd = X.freshConn(Detail);
-  if (Fd < 0)
-    return X.report("badversion", false, Detail);
-  std::string Frame;
-  iio::putWordLE(Frame, 2, 4);
-  Frame.push_back(static_cast<char>(ProtocolVersion + 41));
-  Frame.push_back(static_cast<char>(Op::Ping));
-  bool Ok = sendAllFd(Fd, Frame, X.reactionMs(), nullptr) &&
-            X.expectErrorThenClose(Fd, Status::BadVersion, Detail) &&
-            X.daemonAlive(Detail);
-  ::close(Fd);
-  X.report("badversion", Ok, Detail);
-}
-
-void chaosBadOp(ChaosCtx &X) {
-  std::string Detail;
-  int Fd = X.freshConn(Detail);
-  if (Fd < 0)
-    return X.report("badop", false, Detail);
-  std::string Frame;
-  iio::putWordLE(Frame, 2, 4);
-  Frame.push_back(static_cast<char>(ProtocolVersion));
-  Frame.push_back(static_cast<char>(0xEE));
-  bool Ok = sendAllFd(Fd, Frame, X.reactionMs(), nullptr) &&
-            X.expectErrorThenClose(Fd, Status::BadOp, Detail) &&
-            X.daemonAlive(Detail);
-  ::close(Fd);
-  X.report("badop", Ok, Detail);
-}
-
 void chaosHangup(ChaosCtx &X) {
   std::string Detail;
   int Fd = X.freshConn(Detail);
   if (Fd < 0)
     return X.report("hangup", false, Detail);
-  std::string Partial;
-  iio::putWordLE(Partial, 1024, 4);
-  Partial.append(16, 'h');
-  bool Ok = sendAllFd(Fd, Partial, X.reactionMs(), nullptr);
+  bool Ok = sendAllFd(Fd, declared(1024, std::string(16, 'h')),
+                      X.reactionMs(), nullptr);
   ::close(Fd); // Abrupt mid-frame hangup.
   Ok = Ok && X.daemonAlive(Detail);
   X.report("hangup", Ok, Detail);
@@ -548,8 +449,7 @@ void chaosFlood(ChaosCtx &X) {
   for (int I = 0; Ok && I != N; ++I) {
     uint8_t Ver = 0, Kind = 0;
     std::string Body, Error;
-    if (!recvFrameFd(Fd, X.Opts.MaxFrameBytes, X.reactionMs(), Ver, Kind,
-                     Body, &Error)) {
+    if (!recvFrameFd(Fd, X.reactionMs(), Ver, Kind, Body, &Error)) {
       Detail = "reply " + std::to_string(I) + " of " + std::to_string(N) +
                ": " + Error;
       Ok = false;
@@ -566,47 +466,29 @@ void chaosFlood(ChaosCtx &X) {
 
 } // namespace
 
-int hma::serve::runChaos(const ClientOptions &Opts, const std::string &Script,
+int hma::serve::runChaos(const ClientOptions &Opts,
                          int ServerRequestTimeoutMs, std::string &Log) {
   ChaosCtx X{Opts, ServerRequestTimeoutMs, Log};
-
-  struct Mode {
-    const char *Name;
-    void (*Run)(ChaosCtx &);
-  };
-  static const Mode Modes[] = {
-      {"torn", chaosTorn},           {"slowloris", chaosSlowLoris},
-      {"oversized", chaosOversized}, {"short", chaosShort},
-      {"garbage", chaosGarbage},     {"badversion", chaosBadVersion},
-      {"badop", chaosBadOp},         {"hangup", chaosHangup},
-      {"flood", chaosFlood},
-  };
-
-  std::string S = Script.empty() ? "all" : Script;
-  size_t Pos = 0;
-  while (Pos <= S.size()) {
-    size_t Comma = S.find(',', Pos);
-    std::string Name = S.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    Pos = Comma == std::string::npos ? S.size() + 1 : Comma + 1;
-    if (Name.empty())
-      continue;
-    if (Name == "all") {
-      for (const Mode &M : Modes)
-        M.Run(X);
-      continue;
-    }
-    bool Found = false;
-    for (const Mode &M : Modes) {
-      if (Name == M.Name) {
-        M.Run(X);
-        Found = true;
-        break;
-      }
-    }
-    if (!Found) {
-      X.report(Name.c_str(), false, "unknown chaos mode");
-    }
-  }
+  // Declare 64 bytes, deliver 8, go silent: the slow-loris deadline
+  // must kill this with a Timeout reply.
+  chaosOffence(X, "torn", declared(64, std::string(8, 'x')), Status::Timeout);
+  chaosSlowLoris(X);
+  chaosOffence(X, "oversized", declared(DefaultMaxFrameBytes + 1, {}),
+               Status::TooLarge);
+  // Too short to hold version + op.
+  chaosOffence(X, "short", declared(1, "?"), Status::Malformed);
+  // Looks nothing like a frame; the first 4 bytes decode to a length in
+  // the gigabytes, which the cap rejects.
+  chaosOffence(X, "garbage", "\xde\xad\xbe\xef not a frame at all",
+               Status::Internal);
+  chaosOffence(X, "badversion",
+               declared(2, {static_cast<char>(ProtocolVersion + 41),
+                            static_cast<char>(Op::Ping)}),
+               Status::BadVersion);
+  chaosOffence(X, "badop",
+               declared(2, {static_cast<char>(ProtocolVersion), '\xEE'}),
+               Status::BadOp);
+  chaosHangup(X);
+  chaosFlood(X);
   return X.Failures;
 }

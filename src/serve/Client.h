@@ -5,13 +5,13 @@
 /// personalities:
 ///
 ///  - \ref Client: the well-behaved one. Connects to `hma indexd` over
-///    the Unix-domain socket (or loopback TCP), with per-operation
-///    deadlines and jittered exponential-backoff connect retries --
+///    its Unix-domain socket, with per-operation deadlines and
+///    jittered exponential-backoff connect retries --
 ///    a daemon mid-restart is an expected condition, not an error.
 ///    Backs `hma index query --connect` and `hma index ctl`.
 ///
-///  - \ref runChaos: the deliberately hostile one. A scriptable
-///    misbehaving client that sends torn frames, oversized
+///  - \ref runChaos: the deliberately hostile one. A misbehaving
+///    client that sends torn frames, oversized
 ///    declarations, wrong-version and unknown-op frames, byte-dripped
 ///    slow-loris requests, pipelined floods, and mid-frame hangups --
 ///    then *verifies the daemon's response to each offence* (correct
@@ -34,12 +34,10 @@
 namespace hma::serve {
 
 struct ClientOptions {
-  std::string UnixSocketPath; ///< Preferred transport.
-  uint16_t TcpPort = 0;       ///< Loopback TCP fallback (0: unused).
+  std::string UnixSocketPath; ///< The daemon's socket.
   int TimeoutMs = 10000;      ///< Per-operation deadline (send + reply).
   int ConnectRetries = 5;     ///< Connect attempts before giving up.
   int RetryBaseMs = 50;       ///< Backoff base; doubles per attempt + jitter.
-  size_t MaxFrameBytes = DefaultMaxFrameBytes; ///< Reply size cap.
 };
 
 /// One decoded response frame.
@@ -84,9 +82,7 @@ private:
   int Fd = -1;
 };
 
-/// Run the scriptable misbehaving client against a live daemon.
-///
-/// \p Script is a comma-separated list of modes (or "all"):
+/// Run the misbehaving client against a live daemon, every mode in turn:
 ///   torn       half a frame, then silence: expect a Timeout kill
 ///   slowloris  a frame dripped slower than the deadline: Timeout kill
 ///   oversized  a declared length above the cap: TooLarge, then close
@@ -103,8 +99,8 @@ private:
 /// the daemon's configured partial-frame deadline (torn/slowloris wait
 /// it out). Appends one PASS/FAIL line per mode to \p Log; returns the
 /// number of failed modes (0: the daemon behaved under every attack).
-int runChaos(const ClientOptions &Opts, const std::string &Script,
-             int ServerRequestTimeoutMs, std::string &Log);
+int runChaos(const ClientOptions &Opts, int ServerRequestTimeoutMs,
+             std::string &Log);
 
 } // namespace hma::serve
 

@@ -2,7 +2,7 @@
 ///
 /// \file
 /// The length-prefixed binary protocol `hma indexd` speaks over its
-/// Unix-domain (and optional TCP) socket. Both endpoints of the
+/// Unix-domain socket. Both endpoints of the
 /// connection -- the serving daemon (serve/Server.h) and the client
 /// (serve/Client.h) -- encode and decode through this header only, so
 /// the wire format cannot drift between them.
@@ -38,10 +38,10 @@
 /// -- for frame-level offences (malformed, oversized, bad version) -- is
 /// followed by the server closing the connection. Hostile inputs are the
 /// expected case, not the exception: every decoder here is bounds-checked
-/// against the declared frame length, a declared length above the
-/// configured cap is rejected from the 4 header bytes alone, and a frame
-/// that never completes is the *transport's* problem (the server kills it
-/// on a deadline; see serve/Server.h).
+/// against the declared frame length, a declared length above
+/// \ref DefaultMaxFrameBytes is rejected from the 4 header bytes alone,
+/// and a frame that never completes is the *transport's* problem (the
+/// server kills it on a deadline; see serve/Server.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,13 +64,10 @@ constexpr uint8_t ProtocolVersion = 1;
 /// Bytes of the frame length prefix.
 constexpr size_t FrameHeaderBytes = 4;
 
-/// Default cap on one frame's payload. Generous for batches, small
-/// enough that a hostile "length = 4 GiB" header never turns into an
-/// allocation.
+/// Cap on one frame's payload, both directions. Generous for batches,
+/// small enough that a hostile "length = 4 GiB" header never turns into
+/// an allocation.
 constexpr size_t DefaultMaxFrameBytes = size_t(16) << 20;
-
-/// Absolute ceiling no endpoint accepts past, regardless of options.
-constexpr size_t FrameBytesCeiling = size_t(1) << 30;
 
 /// Request opcodes.
 enum class Op : uint8_t {

@@ -2,7 +2,7 @@
 //
 // Implementation notes (the design rationale lives in Server.h):
 //
-//  - One accept thread owns the listeners plus the signal self-pipe and
+//  - One accept thread owns the listener plus the signal self-pipe and
 //    hands accepted fds to workers round-robin through small mutexed
 //    queues, waking each worker via its wake pipe.
 //  - Workers are poll(2) loops. Every fd is non-blocking; reads and
@@ -11,9 +11,9 @@
 //    only synchronisation on the request path is the generation pin.
 //  - Timeouts are enforced from the poll tick, not per-syscall: each
 //    connection records when activity last happened and when its current
-//    partial frame started; the tick sweeps both against the configured
-//    deadlines.
-//  - Drain: the accept thread closes the listeners and exits; workers
+//    partial frame started, both on the tick's clock; the tick sweeps
+//    both against the configured deadlines.
+//  - Drain: the accept thread closes the listener and exits; workers
 //    answer every complete frame already buffered, flush, close, and
 //    force-close whatever remains at the drain deadline.
 //
@@ -38,11 +38,9 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
 #include <cerrno>
 #include <csignal>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -55,6 +53,10 @@ using namespace hma::serve;
 bool hma::serve::serverSupported() { return true; }
 
 namespace {
+
+/// Per-connection write-buffer cap: a peer that stops reading its
+/// replies stops having its requests read (backpressure).
+constexpr size_t MaxWriteBufferBytes = size_t(32) << 20;
 
 //===----------------------------------------------------------------------===//
 // EINTR-safe syscall shims
@@ -184,7 +186,7 @@ struct Server::Impl {
   uint64_t JitterState = 0;      ///< xorshift64* state for retry jitter.
 
   int SignalRead = -1, SignalWrite = -1; ///< Self-pipe (handler -> accept).
-  int UnixFd = -1, TcpFd = -1;
+  int ListenFd = -1;
   std::thread AcceptThread;
 
   struct Worker {
@@ -204,8 +206,6 @@ struct Server::Impl {
   explicit Impl(ServerOptions O) : Opts(std::move(O)) {
     if (Opts.Threads < 1)
       Opts.Threads = 1;
-    if (Opts.MaxFrameBytes > FrameBytesCeiling)
-      Opts.MaxFrameBytes = FrameBytesCeiling;
     if (Opts.ReloadRetryBaseMs < 1)
       Opts.ReloadRetryBaseMs = 1;
     if (Opts.ReloadRetryMaxMs < Opts.ReloadRetryBaseMs)
@@ -230,8 +230,7 @@ struct Server::Impl {
     auto Fail = [&](const std::string &Msg) {
       if (Error)
         *Error = Msg;
-      closeFd(UnixFd);
-      closeFd(TcpFd);
+      closeFd(ListenFd);
       closeFd(SignalRead);
       closeFd(SignalWrite);
       for (auto &W : Workers) {
@@ -264,7 +263,7 @@ struct Server::Impl {
     if (!setNonBlocking(SignalRead) || !setNonBlocking(SignalWrite))
       return Fail("indexd: could not configure the signal pipe");
 
-    // Unix listener. Unlink a stale socket first: a daemon that crashed
+    // The listener. Unlink a stale socket first: a daemon that crashed
     // leaves the inode behind, and refusing to restart over it would
     // turn one crash into a permanent outage. Anything else at the path
     // is not ours to delete.
@@ -281,34 +280,15 @@ struct Server::Impl {
                     "' exists and is not a socket; refusing to replace it");
       ::unlink(Opts.UnixSocketPath.c_str());
     }
-    UnixFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (UnixFd < 0)
+    ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (ListenFd < 0)
       return Fail("indexd: socket() failed: " + std::string(strerror(errno)));
-    if (::bind(UnixFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0)
+    if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
+        0)
       return Fail("indexd: bind('" + Opts.UnixSocketPath +
                   "') failed: " + std::string(strerror(errno)));
-    if (::listen(UnixFd, 128) != 0 || !setNonBlocking(UnixFd))
+    if (::listen(ListenFd, 128) != 0 || !setNonBlocking(ListenFd))
       return Fail("indexd: listen failed: " + std::string(strerror(errno)));
-
-    // Optional loopback-only TCP listener.
-    if (Opts.TcpPort != 0) {
-      TcpFd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (TcpFd < 0)
-        return Fail("indexd: tcp socket() failed: " +
-                    std::string(strerror(errno)));
-      int One = 1;
-      ::setsockopt(TcpFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-      sockaddr_in TAddr{};
-      TAddr.sin_family = AF_INET;
-      TAddr.sin_port = htons(Opts.TcpPort);
-      TAddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      if (::bind(TcpFd, reinterpret_cast<sockaddr *>(&TAddr), sizeof(TAddr)) !=
-              0 ||
-          ::listen(TcpFd, 128) != 0 || !setNonBlocking(TcpFd))
-        return Fail("indexd: tcp bind/listen on 127.0.0.1:" +
-                    std::to_string(Opts.TcpPort) +
-                    " failed: " + std::string(strerror(errno)));
-    }
 
     for (unsigned I = 0; I != Opts.Threads; ++I) {
       auto W = std::make_unique<Worker>();
@@ -369,8 +349,7 @@ struct Server::Impl {
       return;
     DrainDeadlineNs.store(obs::nowNanos() +
                           uint64_t(Opts.DrainTimeoutMs) * 1000000u);
-    closeFd(UnixFd);
-    closeFd(TcpFd);
+    closeFd(ListenFd);
     wakeAllWorkers();
   }
 
@@ -393,18 +372,8 @@ struct Server::Impl {
 
   void acceptLoop() {
     for (;;) {
-      pollfd Fds[3];
-      nfds_t N = 0;
-      Fds[N++] = {SignalRead, POLLIN, 0};
-      size_t UnixSlot = 0, TcpSlot = 0;
-      if (UnixFd >= 0) {
-        UnixSlot = N;
-        Fds[N++] = {UnixFd, POLLIN, 0};
-      }
-      if (TcpFd >= 0) {
-        TcpSlot = N;
-        Fds[N++] = {TcpFd, POLLIN, 0};
-      }
+      // The listener is open until beginDrain, which ends this loop.
+      pollfd Fds[2] = {{SignalRead, POLLIN, 0}, {ListenFd, POLLIN, 0}};
       // Poll no longer than the next scheduled reload retry needs.
       int TimeoutMs = 200;
       if (uint64_t Due = NextRetryNs.load()) {
@@ -413,7 +382,7 @@ struct Server::Impl {
                                : static_cast<int>(std::min<uint64_t>(
                                      200, (Due - Now) / 1000000u + 1));
       }
-      if (pollRetry(Fds, N, TimeoutMs) < 0)
+      if (pollRetry(Fds, 2, TimeoutMs) < 0)
         break; // poll itself failing is unrecoverable; drain below.
 
       if (Fds[0].revents & POLLIN) {
@@ -432,29 +401,28 @@ struct Server::Impl {
         break;
       maybeRetryReload();
 
-      auto AcceptAll = [&](int ListenFd) {
-        for (;;) {
-          int CFd = ::accept(ListenFd, nullptr, nullptr);
-          if (CFd < 0) {
-            if (errno == EINTR)
-              continue;
-            return; // EAGAIN or a transient error; next poll retries.
-          }
-          if (!setNonBlocking(CFd)) {
-            ::close(CFd);
-            continue;
-          }
-          ServerMetrics::get().Connections.add(1);
-          ServerMetrics::get().ActiveConnections.add(1);
-          handToWorker(CFd);
-        }
-      };
-      if (UnixFd >= 0 && (Fds[UnixSlot].revents & (POLLIN | POLLERR)))
-        AcceptAll(UnixFd);
-      if (TcpFd >= 0 && (Fds[TcpSlot].revents & (POLLIN | POLLERR)))
-        AcceptAll(TcpFd);
+      if (Fds[1].revents & (POLLIN | POLLERR))
+        acceptAll();
     }
     beginDrain(); // Idempotent; covers the poll-failure exit.
+  }
+
+  void acceptAll() {
+    for (;;) {
+      int CFd = ::accept(ListenFd, nullptr, nullptr);
+      if (CFd < 0) {
+        if (errno == EINTR)
+          continue;
+        return; // EAGAIN or a transient error; next poll retries.
+      }
+      if (!setNonBlocking(CFd)) {
+        ::close(CFd);
+        continue;
+      }
+      ServerMetrics::get().Connections.add(1);
+      ServerMetrics::get().ActiveConnections.add(1);
+      handToWorker(CFd);
+    }
   }
 
   void reloadCurrent() {
@@ -588,7 +556,7 @@ struct Server::Impl {
             continue;
           }
           if (!C.CloseAfterFlush) {
-            processInput(C, Scratch);
+            processInput(C, Scratch, obs::nowNanos());
             C.CloseAfterFlush = true;
           }
           if (C.Out.empty())
@@ -608,7 +576,7 @@ struct Server::Impl {
         // Backpressure: a peer that is not reading its replies does not
         // get more of its requests read.
         if (!C.CloseAfterFlush && !InDrain &&
-            C.Out.size() < Opts.MaxWriteBufferBytes)
+            C.Out.size() < MaxWriteBufferBytes)
           Events |= POLLIN;
         if (!C.Out.empty())
           Events |= POLLOUT;
@@ -638,7 +606,7 @@ struct Server::Impl {
           continue;
         }
         if (Re & POLLIN) {
-          if (!readAvailable(C, Scratch)) {
+          if (!readAvailable(C, Scratch, Now)) {
             closeConn(C);
             continue;
           }
@@ -700,8 +668,9 @@ struct Server::Impl {
   /// Pull whatever the socket has, then handle complete frames. False
   /// means the connection is dead (hard error, or EOF with nothing left
   /// to send). A half-closing client -- full request, shutdown(WR),
-  /// then read the reply -- still gets its answer.
-  bool readAvailable(Conn &C, ReqScratch &Scratch) {
+  /// then read the reply -- still gets its answer. \p Now is the
+  /// worker tick's clock, which the deadline sweep compares against.
+  bool readAvailable(Conn &C, ReqScratch &Scratch, uint64_t Now) {
     bool Eof = false;
     char Buf[64 * 1024];
     for (;;) {
@@ -723,7 +692,7 @@ struct Server::Impl {
         break;
       return false;
     }
-    processInput(C, Scratch);
+    processInput(C, Scratch, Now);
     if (Eof) {
       C.CloseAfterFlush = true;
       if (C.Out.empty())
@@ -753,18 +722,20 @@ struct Server::Impl {
     return true;
   }
 
-  /// Parse and answer every complete frame in C.In. Returns true if the
-  /// connection should live on.
-  bool processInput(Conn &C, ReqScratch &Scratch) {
+  /// Parse and answer every complete frame in C.In. A partial frame
+  /// left over starts its deadline at \p Now, never later: a start
+  /// stamped after the sweep's clock would make its unsigned age wrap
+  /// and kill the frame on arrival.
+  void processInput(Conn &C, ReqScratch &Scratch, uint64_t Now) {
     while (!C.CloseAfterFlush) {
       if (C.In.size() < FrameHeaderBytes) {
         C.FrameStartNs = C.In.empty() ? 0
                          : C.FrameStartNs ? C.FrameStartNs
-                                          : obs::nowNanos();
+                                          : Now;
         break;
       }
       uint64_t Len = iio::getWordLE(C.In.data(), 4);
-      if (Len < 2 || Len > Opts.MaxFrameBytes) {
+      if (Len < 2 || Len > DefaultMaxFrameBytes) {
         // Answered from the header alone: an oversized declaration is
         // never buffered, a sub-minimal one can never hold version+op.
         ServerMetrics::get().Malformed.add(1);
@@ -773,24 +744,23 @@ struct Server::Impl {
             Len < 2 ? "frame too short for version and op bytes"
                     : "declared frame length " + std::to_string(Len) +
                           " exceeds cap " +
-                          std::to_string(Opts.MaxFrameBytes));
+                          std::to_string(DefaultMaxFrameBytes));
         C.CloseAfterFlush = true;
         break;
       }
       if (C.In.size() < FrameHeaderBytes + Len) {
         if (C.FrameStartNs == 0)
-          C.FrameStartNs = obs::nowNanos();
+          C.FrameStartNs = Now;
         break;
       }
       std::string_view Payload(C.In.data() + FrameHeaderBytes,
                                static_cast<size_t>(Len));
       handleFrame(C, Payload, Scratch);
       C.In.erase(0, FrameHeaderBytes + static_cast<size_t>(Len));
-      C.FrameStartNs = C.In.empty() ? 0 : obs::nowNanos();
-      if (C.Out.size() >= Opts.MaxWriteBufferBytes)
+      C.FrameStartNs = C.In.empty() ? 0 : Now;
+      if (C.Out.size() >= MaxWriteBufferBytes)
         break; // Backpressure: flush before handling more.
     }
-    return !C.CloseAfterFlush;
   }
 
   //===--------------------------------------------------------------------===//

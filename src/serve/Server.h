@@ -2,14 +2,13 @@
 ///
 /// \file
 /// The long-lived serving daemon behind `hma indexd`: lookup /
-/// lookupBatch / stats over a Unix-domain (and optional loopback TCP)
-/// socket, speaking the length-prefixed protocol of serve/Protocol.h,
-/// with hot index reload by refcounted generation swap
-/// (serve/Generation.h).
+/// lookupBatch / stats over a Unix-domain socket, speaking the
+/// length-prefixed protocol of serve/Protocol.h, with hot index reload
+/// by refcounted generation swap (serve/Generation.h).
 ///
 /// Architecture:
 ///
-///  - an **accept thread** owns the listening sockets and a self-pipe;
+///  - an **accept thread** owns the listening socket and a self-pipe;
 ///    signal handlers (SIGTERM/SIGINT -> drain, SIGHUP -> reload) write
 ///    one byte to the pipe via \ref notifySignal, the only async-signal-
 ///    safe entry point. Accepted connections are handed round-robin to
@@ -28,7 +27,7 @@
 ///
 /// Robustness posture (the headline, not an afterthought):
 ///
-///  - frames are bounded (\ref ServerOptions::MaxFrameBytes): an
+///  - frames are bounded (\ref DefaultMaxFrameBytes): an
 ///    oversized declaration is answered from the 4 header bytes and the
 ///    connection closed, never buffered;
 ///  - malformed frames (bad version, unknown op, undecodable body) get a
@@ -37,10 +36,8 @@
 ///    \ref ServerOptions::RequestTimeoutMs is a slow-loris: error reply,
 ///    close, `hma_indexd_deadline_kills_total` bumped. Idle connections
 ///    close after \ref ServerOptions::IdleTimeoutMs;
-///  - per-connection write buffers are capped
-///    (\ref ServerOptions::MaxWriteBufferBytes): a peer that stops
-///    reading stops being read from (backpressure), and is closed if the
-///    cap is exceeded outright;
+///  - per-connection write buffers are capped (32 MiB): a peer that
+///    stops reading stops being read from (backpressure);
 ///  - the index served at startup and every reload (SIGHUP or the
 ///    `Reload` op) pass the one admission gate, \ref openIndex (open +
 ///    deep verify; there is no way to serve an unverified file);
@@ -81,13 +78,13 @@ struct ServerOptions {
   /// Required. The daemon binds a socket here, replacing only a stale
   /// socket; any other file at the path makes \ref Server::start fail.
   std::string UnixSocketPath;
-  uint16_t TcpPort = 0;       ///< Optional loopback TCP listener (0: off).
-  unsigned Threads = 2;       ///< Worker pool size (>= 1).
-  size_t MaxFrameBytes = DefaultMaxFrameBytes;
+  unsigned Threads = 2;           ///< Worker pool size (>= 1).
   int RequestTimeoutMs = 10000;   ///< Partial-frame (slow-loris) deadline.
   int IdleTimeoutMs = 60000;      ///< Close connections idle this long.
   int DrainTimeoutMs = 5000;      ///< Shutdown drain bound.
-  size_t MaxWriteBufferBytes = size_t(32) << 20; ///< Backpressure cap.
+  // `hma indexd` sets only the paths, Threads and RequestTimeoutMs; the
+  // other deadlines and the retry schedule below are fields so tests
+  // can shorten them.
 
   /// Degraded-mode retry schedule. A rejected reload never takes the
   /// daemon down: the old generation keeps serving (state `degraded`)

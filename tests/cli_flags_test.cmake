@@ -8,8 +8,10 @@
 # not entirely digits must fail with that flag's error instead of being
 # read as 0 or as its numeric prefix. The costly case: `index gc
 # --min-age-seconds abc` once parsed as 0, which disabled gc's in-flight
-# guard and deleted a just-written segment. The retired `--no-verify`
-# flags of `index open` and `indexd` are usage errors (exit 2).
+# guard and deleted a just-written segment. Retired flags and commands
+# are usage errors (exit 2) that write nothing: `--no-verify`, the TCP
+# `--port`, the daemon and client knobs, `--auto-compact`, `--expr-file`,
+# the corpus forms of `index query` and `index stats`, and `bench-expr`.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -20,9 +22,10 @@ file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
 # Run hma with ARGN in WORK; RC_VAR gets the exit code, ERR_VAR stderr.
+# The timeout only guards against a refused `indexd` that starts serving.
 function(run_hma RC_VAR ERR_VAR)
   execute_process(COMMAND "${HMA}" ${ARGN}
-                  WORKING_DIRECTORY "${WORK}"
+                  WORKING_DIRECTORY "${WORK}" TIMEOUT 60
                   RESULT_VARIABLE RC OUTPUT_QUIET ERROR_VARIABLE ERR)
   set(${RC_VAR} "${RC}" PARENT_SCOPE)
   set(${ERR_VAR} "${ERR}" PARENT_SCOPE)
@@ -108,14 +111,41 @@ if(AFTER_ZERO_GC STREQUAL WITH_ORPHAN)
   message(FATAL_ERROR "gc --min-age-seconds 0 left the orphan in place")
 endif()
 
-# Nothing serves an unverified index: --no-verify is refused by `index
-# open` and by `indexd` (at parse time: nothing is written, no daemon
-# starts).
+# Retired flags and commands are refused at parse time: nothing is
+# written, no segment is appended, no daemon starts. Nothing serves an
+# unverified index (--no-verify); the daemon speaks only its Unix socket
+# (--port) and keeps fixed deadlines, frame cap and retry schedule; an
+# update never compacts (run `index compact`); a query reads --expr or
+# stdin; and a corpus is queried or summarized only through `index
+# build` + `index open FILE query|stats`.
 expect_rc(0 index build base.txt --threads 2 --out single.hmai)
+file(WRITE "${WORK}/expr.txt" "(lam (x) x)\n")
+file(GLOB_RECURSE FILES_BEFORE RELATIVE "${WORK}" "${WORK}/*")
 expect_rc(2 index open single.hmai --no-verify --out copy.hmai)
 expect_rc(2 indexd single.hmai --socket indexd.sock --no-verify)
-if(EXISTS "${WORK}/copy.hmai" OR EXISTS "${WORK}/indexd.sock")
-  message(FATAL_ERROR "a refused command still wrote copy.hmai or indexd.sock")
+foreach(FLAG "--port;7411" "--idle-timeout-ms;1000" "--drain-timeout-ms;1000"
+             "--max-frame-bytes;4096" "--reload-retry-base-ms;10"
+             "--reload-retry-max-ms;100" "--reload-retry-limit;0")
+  expect_rc(2 indexd single.hmai --socket indexd.sock ${FLAG})
+endforeach()
+expect_rc(2 index query --connect indexd.sock --port 7411 --expr "(lam (x) x)")
+expect_rc(2 index query --connect indexd.sock --timeout-ms 100 --expr "(lam (x) x)")
+expect_rc(2 index query --connect indexd.sock --expr-file expr.txt)
+expect_rc(2 index ctl ping --connect indexd.sock --port 7411)
+expect_rc(2 index chaos --connect indexd.sock --script torn)
+expect_rc(2 index chaos --connect indexd.sock --server-timeout-ms 100)
+expect_rc(2 index update seg.idx delta.txt --threads 2 --auto-compact 1)
+expect_rc(2 index open single.hmai query --expr-file expr.txt)
+expect_rc(2 index query base.txt --expr "(lam (x) x)")
+expect_rc(2 index stats base.txt)
+expect_rc(2 bench-expr expr.txt)
+file(GLOB_RECURSE FILES_AFTER RELATIVE "${WORK}" "${WORK}/*")
+if(NOT FILES_AFTER STREQUAL FILES_BEFORE)
+  message(FATAL_ERROR "a refused command wrote files: "
+                      "${FILES_BEFORE} -> ${FILES_AFTER}")
+endif()
+if(EXISTS "${WORK}/indexd.sock")
+  message(FATAL_ERROR "a refused indexd left indexd.sock behind")
 endif()
 
 file(REMOVE_RECURSE "${WORK}")

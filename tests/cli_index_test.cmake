@@ -5,7 +5,7 @@
 #   cmake -DHMA=<path to hma> -DWORK=<scratch dir> -P cli_index_test.cmake
 #
 # (ctest registers it as `cli_index_test`). Covers the single-file
-# build / stats / open / query flow, the two tools that rebuild a file
+# build / open / stats / query flow, the two tools that rebuild a file
 # from the verified mapped reader -- the re-shard (`open F --shards S
 # --out G`) and the byte-identical re-save (`open F --out F`) -- and
 # that a single file is read-only: `update` refuses it. A directory
@@ -27,16 +27,15 @@ list(APPEND CORPUS_LINES ${FRESH_LINES})
 list(JOIN CORPUS_LINES "\n" QUERIES)
 file(WRITE "${WORK}/queries.txt" "${QUERIES}\n")
 
-# The single-file flow: build, stats, open, query.
+# The single-file flow: build, open stats, open query.
 expect_ok(OUT index build corpus.txt --threads 2 --out index.hmai)
-expect_ok(OUT index stats corpus.txt --threads 2)
 expect_ok(OUT index open index.hmai stats)
 expect_contains("${OUT}" "tables verified" "open summary of index.hmai")
-# (`index query` exits 1 when the expression is absent; either answer
-# is fine here, a crash is not.)
-run_hma(RC OUT ERR index query corpus.txt --expr "(lam (x) x)")
+# (`query` exits 1 when the expression is absent; either answer is
+# fine here, a crash is not.)
+run_hma(RC OUT ERR index open index.hmai query --expr "(lam (x) x)")
 if(NOT RC EQUAL 0 AND NOT RC EQUAL 1)
-  message(FATAL_ERROR "index query --expr: exit ${RC}:\n${ERR}")
+  message(FATAL_ERROR "index open query --expr: exit ${RC}:\n${ERR}")
 endif()
 batch_answers(ORIGINAL index.hmai queries.txt)
 list(LENGTH ORIGINAL N)
@@ -76,7 +75,7 @@ expect_fail("cannot open 'missing.hmai': No such file or directory"
 # A directory where a corpus belongs (a segment dir passed by mistake)
 # is an input error with the reason and exit 1, not an abort.
 file(MAKE_DIRECTORY "${WORK}/adir")
-foreach(CMD "build;adir;--out;fromdir.hmai" "stats;adir")
+foreach(CMD "build;adir;--out;fromdir.hmai" "open;index.hmai;query;--batch;adir")
   run_hma(RC OUT ERR index ${CMD})
   if(NOT RC EQUAL 1)
     message(FATAL_ERROR "index ${CMD} on a directory: exit ${RC}, expected 1:\n${ERR}")

@@ -11,7 +11,8 @@
 # generation is kept; degraded mode shows in `ctl stats` and the
 # Prometheus gauges and a good reload clears it; the chaos client's
 # every offence is handled; `ctl shutdown` unlinks the socket; SIGTERM
-# drains to exit 0; and a regular file at `--socket` is refused and kept.
+# drains to exit 0, also when sent the moment the socket appears; and a
+# regular file at `--socket` is refused and kept.
 #
 # The daemon runs detached from ctest's pipes (`sh -c '... &'` with its
 # output in WORK/indexd.log) and is stopped before any failure is raised.
@@ -108,9 +109,8 @@ if(NOT NOTES STREQUAL "an operator's notes\n")
   message(FATAL_ERROR "indexd changed notes.txt: '${NOTES}'")
 endif()
 
-# Start the daemon detached. --request-timeout-ms matches the chaos
-# client's default --server-timeout-ms, so the slow-loris scenario's
-# expectations line up with the daemon's deadline.
+# Start the daemon detached. --request-timeout-ms 2000 is the deadline
+# `index chaos` waits out in its torn and slow-loris modes.
 file(WRITE "${WORK}/indexd.log" "")
 execute_process(
   COMMAND sh -c "'${HMA}' indexd index.hmai --socket ${SOCK} --threads 2 --request-timeout-ms 2000 </dev/null >indexd.log 2>&1 & echo $! > indexd.pid"
@@ -220,6 +220,28 @@ if(NOT RC EQUAL 0)
 endif()
 if(EXISTS "${WORK}/term.sock")
   message(FATAL_ERROR "the SIGTERM'd daemon left term.sock behind")
+endif()
+
+# A SIGTERM sent the moment the socket appears, before any request, also
+# drains to exit 0: the daemon holds its signals until its handler is in
+# place.
+execute_process(
+  COMMAND sh -c "'${HMA}' indexd index.hmai --socket early.sock </dev/null >early.log 2>&1 &
+PID=$!
+N=0
+until [ -S early.sock ]; do
+  N=$((N + 1))
+  test $N -lt 5000000 || exit 91
+done
+kill -TERM $PID
+wait $PID"
+  WORKING_DIRECTORY "${WORK}" TIMEOUT 60 RESULT_VARIABLE RC)
+if(NOT RC EQUAL 0)
+  file(READ "${WORK}/early.log" LOG)
+  message(FATAL_ERROR "daemon SIGTERM'd as its socket appeared: exit ${RC}, expected 0 (91: no socket):\n${LOG}")
+endif()
+if(EXISTS "${WORK}/early.sock")
+  message(FATAL_ERROR "the early-SIGTERM'd daemon left early.sock behind")
 endif()
 
 file(REMOVE_RECURSE "${WORK}")

@@ -17,18 +17,23 @@
 ///  3. **Prometheus**: render -> validate round-trips clean, and the
 ///     format checker actually rejects the failure modes it exists to
 ///     catch (malformed names/labels/values, non-monotone buckets, +Inf
-///     vs _count mismatch, missing series).
+///     vs _count mismatch, missing series). A live index's `--prom`
+///     report, after an ingest and a batch query, validates and carries
+///     the write-lock, batch-chunk and class-count series.
 ///
 ///  4. **Trace**: spans are only collected while enabled, and the JSON
 ///     writer produces a Chrome-loadable document with the fields the
 ///     trace_event format requires.
 ///
-/// Metric names here are prefixed `test_obs_` so they never collide with
-/// the production `hma_*` names registered by code under test elsewhere
-/// in this binary's process.
+/// Metric names made up here are prefixed `test_obs_` so they never
+/// collide with the production `hma_*` names the live index registers.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ast/Serialize.h"
+#include "gen/RandomExpr.h"
+#include "index/AlphaHashIndex.h"
+#include "index/StatsReport.h"
 #include "obs/Metrics.h"
 #include "obs/Prometheus.h"
 #include "obs/Trace.h"
@@ -387,6 +392,32 @@ TEST(Prometheus, CheckerAcceptsForeignButWellFormedDocuments) {
   std::string Error;
   EXPECT_TRUE(obs::validatePrometheusText(Doc, &Error)) << Error;
 }
+
+#ifndef HMA_OBS_OFF
+
+TEST(Prometheus, LiveIndexReportLintsCleanWithItsSeries) {
+  ExprContext Ctx;
+  Rng R(42);
+  std::vector<std::string> Corpus;
+  for (int I = 0; I != 400; ++I)
+    Corpus.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 32)));
+  AlphaHashIndex<Hash128> Index({16, HashSchema::DefaultSeed});
+  Index.insertBatch(Corpus, /*Threads=*/4);
+  std::vector<std::string> Queries(Corpus.begin(), Corpus.begin() + 100);
+  for (int I = 0; I != 25; ++I)
+    Queries.push_back(serializeExpr(Ctx, genBalanced(Ctx, R, 32)));
+  Index.lookupBatch(Queries, /*Threads=*/4);
+
+  const std::string Text = renderIndexStatsProm(Index);
+  std::string Error;
+  EXPECT_TRUE(obs::validatePrometheusText(Text, &Error)) << Error;
+  for (const char *Series : {"\nhma_index_write_lock_hold_ns_bucket",
+                             "\nhma_batch_chunk_ns_count",
+                             "\nhma_index_classes "})
+    EXPECT_NE(Text.find(Series), std::string::npos) << Series << "\n" << Text;
+}
+
+#endif // !HMA_OBS_OFF
 
 //===----------------------------------------------------------------------===//
 // 4. Trace

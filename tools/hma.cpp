@@ -10,15 +10,15 @@
 ///   hma debruijn [file]                 de Bruijn rendering (Section 2.4)
 ///   hma gen --family balanced|unbalanced|arith --size N [--seed S]
 ///           [--count K]                 K expressions, one per line
-///   hma bench-expr [file]               hash with all four algorithms
 ///   hma index build <corpus> [--threads T] [--shards S] [--out FILE]
-///   hma index query <corpus> [--expr E | --expr-file F | --batch FILE]
-///   hma index stats <corpus> [--threads T] [--shards S]
 ///   hma index open <path> [stats | query ...] [--out FILE [--shards S]]
 ///   hma index update <dir> <corpus> [--threads T] [--shards S]
 ///   hma index compact <dir>
 ///   hma index gc <dir> [--min-age-seconds N]
 ///   hma index fsck <path> [--repair]
+///   hma indexd <path> --socket PATH     serve an index over a socket
+///   hma index query|ctl|chaos --connect PATH   talk to a running indexd
+///   hma prom-lint [file]                lint Prometheus text
 ///
 /// Expressions are read from the file argument or stdin. A corpus is
 /// either a text file with one expression per line or a binary "HMAC"
@@ -38,9 +38,6 @@
 #include "ast/Parser.h"
 #include "ast/Printer.h"
 #include "ast/Uniquify.h"
-#include "baselines/DeBruijnHasher.h"
-#include "baselines/LocallyNamelessHasher.h"
-#include "baselines/StructuralHasher.h"
 #include "core/AlphaHasher.h"
 #include "ast/Serialize.h"
 #include "cse/CSE.h"
@@ -62,6 +59,7 @@
 #include "serve/Server.h"
 
 #include <csignal>
+#include <pthread.h>
 
 #include <algorithm>
 #include <cctype>
@@ -76,6 +74,7 @@
 #include <iterator>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -96,7 +95,6 @@ int usage() {
       "  debruijn   print the de Bruijn rendering\n"
       "  gen        --family balanced|unbalanced|arith --size N [--seed S]\n"
       "             [--count K] (K expressions, one per line)\n"
-      "  bench-expr time all four hashing algorithms on the input\n"
       "  index build <corpus> [--threads T] [--shards S] [--out FILE]\n"
       "             [--segmented]\n"
       "             intern a corpus modulo alpha; --out persists the\n"
@@ -104,34 +102,28 @@ int usage() {
       "             --segmented makes --out a *directory* (MANIFEST +\n"
       "             HMAI segment files) whose updates append in\n"
       "             O(delta) instead of rewriting the index\n"
-      "  index query <corpus> [--expr E | --expr-file F | --batch FILE]\n"
-      "             build, then look expressions up (default: stdin).\n"
-      "             --batch FILE bulk-queries a whole corpus of\n"
-      "             expressions on --threads shared-lock readers\n"
-      "  index stats <corpus> [--threads T] [--shards S] [--json | --prom]\n"
-      "             build, then print schema/collision/shard diagnostics\n"
-      "             (--json: machine-readable report incl. per-shard\n"
-      "             totals and obs metrics; --prom: Prometheus text\n"
-      "             exposition; both also work after `index open <file>\n"
-      "             stats`)\n"
-      "  index open <path> [stats | query [--expr E | --expr-file F |\n"
-      "             --batch FILE]] [--out FILE [--shards S]]\n"
+      "  index open <path> [stats [--json | --prom] |\n"
+      "             query [--expr E | --batch FILE [--threads T]]]\n"
+      "             [--out FILE [--shards S]]\n"
       "             reopen an HMAI file or segment directory (no\n"
       "             re-ingest), deep-verify it, and print its summary,\n"
-      "             full stats, or serve queries from it over the\n"
-      "             zero-copy mmap'd reader. --out rebuilds a verified\n"
-      "             single file at FILE first (--shards re-stripes it)\n"
+      "             full stats, or look expressions up (default: stdin)\n"
+      "             over the zero-copy mmap'd reader. stats --json is a\n"
+      "             machine-readable report incl. per-shard totals and\n"
+      "             obs metrics, --prom Prometheus text exposition.\n"
+      "             --batch FILE bulk-queries a whole corpus on --threads\n"
+      "             readers. --out rebuilds a verified single file at\n"
+      "             FILE first (--shards re-stripes it)\n"
       "  index update <dir> <corpus> [--threads T] [--shards S]\n"
-      "             [--json] [--auto-compact N] [--crash-after-segment]\n"
+      "             [--json] [--crash-after-segment]\n"
       "             append the corpus to a segment directory as one new\n"
       "             segment -- O(delta), existing segments untouched;\n"
       "             striped like the newest segment unless --shards is\n"
       "             given. A single HMAI file is read-only: rebuild it\n"
       "             with `index build`, or grow a `build --segmented`\n"
       "             directory instead.\n"
-      "             --auto-compact N compacts when the directory reaches\n"
-      "             N segments; --json emits a machine summary on\n"
-      "             stdout (narrative goes to stderr);\n"
+      "             --json emits a machine summary on stdout\n"
+      "             (narrative goes to stderr);\n"
       "             --crash-after-segment stops after the segment write,\n"
       "             before the manifest swap (torn-append simulation,\n"
       "             exit 3)\n"
@@ -154,39 +146,33 @@ int usage() {
       "             segments); damage is reported, never deleted. Exit 0\n"
       "             healthy (or fully repaired), 1 repairable debris\n"
       "             remains, 2 committed state damaged\n"
-      "  indexd <file> --socket PATH [--port N] [--threads T]\n"
-      "             [--request-timeout-ms N] [--idle-timeout-ms N]\n"
-      "             [--drain-timeout-ms N] [--max-frame-bytes N]\n"
-      "             [--reload-retry-base-ms N] [--reload-retry-max-ms N]\n"
-      "             [--reload-retry-limit N]\n"
+      "  indexd <path> --socket PATH [--threads T]\n"
+      "             [--request-timeout-ms N]\n"
       "             serve an HMAI file or segment directory over a\n"
-      "             Unix-domain socket (and optional loopback TCP port)\n"
-      "             until SIGTERM; only a stale socket at PATH is\n"
-      "             replaced. The index and every SIGHUP or\n"
-      "             `index ctl reload` pass the deep-verify admission\n"
-      "             gate before they serve; a rejected file\n"
+      "             Unix-domain socket until SIGTERM; only a stale\n"
+      "             socket at PATH is replaced. The index and every\n"
+      "             SIGHUP or `index ctl reload` pass the deep-verify\n"
+      "             admission gate before they serve; a rejected file\n"
       "             keeps the old generation serving (degraded mode,\n"
       "             `hma_indexd_degraded` = 1) while the daemon retries\n"
-      "             the candidate with jittered exponential backoff\n"
-      "             (--reload-retry-* tune it; limit 0 disables).\n"
+      "             the candidate with jittered exponential backoff.\n"
       "             Wire protocol: tools/README.md\n"
-      "  index query --connect SOCK [--expr E | --expr-file F |\n"
-      "             --batch FILE] [--timeout-ms N] [--retries N]\n"
-      "             run queries against a live `hma indexd` instead of\n"
-      "             a local file\n"
+      "  index query --connect SOCK [--expr E | --batch FILE]\n"
+      "             [--retries N]\n"
+      "             run queries against a live `hma indexd`\n"
       "  index ctl <ping|stats|reload|shutdown> [file] --connect SOCK\n"
       "             control a live daemon (reload: re-admit [file] or\n"
       "             the currently served file; stats honors --json/\n"
       "             --prom)\n"
-      "  index chaos --connect SOCK [--script M1,M2,...]\n"
-      "             [--server-timeout-ms N]\n"
-      "             hostile-client fault injection against a live\n"
-      "             daemon (torn, slowloris, oversized, short, garbage,\n"
-      "             badversion, badop, hangup, flood; default: all).\n"
-      "             Exit 0 iff the daemon survived every offence\n"
+      "  index chaos --connect SOCK\n"
+      "             hostile-client fault injection against a daemon\n"
+      "             started with --request-timeout-ms 2000 (torn,\n"
+      "             slowloris, oversized, short, garbage, badversion,\n"
+      "             badop, hangup, flood). Exit 0 iff the daemon\n"
+      "             survived every offence\n"
       "  prom-lint  [file]\n"
       "             validate Prometheus text exposition format (reads\n"
-      "             stdin without a file; used by CI on --prom output)\n"
+      "             stdin without a file)\n"
       "Every `index` subcommand also accepts --trace-out FILE: collect\n"
       "Chrome trace_event JSON (chrome://tracing, Perfetto) over the\n"
       "whole command -- batch chunk spans, save/open/verify phases.\n"
@@ -360,24 +346,22 @@ int cmdGen(ExprContext &, int Argc, char **Argv) {
 }
 
 //===----------------------------------------------------------------------===//
-// hma index build|query|stats
+// hma index build|open|update|compact|gc|fsck
 //===----------------------------------------------------------------------===//
 
 struct IndexArgs {
   const char *Sub = nullptr;
-  const char *Path = nullptr;       ///< Corpus (build/query/stats) or HMAI file.
+  const char *Path = nullptr;       ///< Corpus (build) or index path.
   const char *CorpusPath = nullptr; ///< `update`'s second positional.
   const char *OpenSub = nullptr;    ///< `open`'s optional "stats" / "query".
   const char *OutPath = nullptr;
   const char *ExprText = nullptr;
-  const char *ExprFile = nullptr;
   const char *BatchFile = nullptr;
   unsigned Threads = std::max(1u, std::thread::hardware_concurrency());
   unsigned Shards = 64;
   bool ShardsSet = false; ///< --shards given explicitly (open --out and
                           ///< update re-stripe only on request).
   bool Segmented = false; ///< --segmented: build a segment directory.
-  unsigned AutoCompact = 0; ///< --auto-compact: compact at N segments.
   bool CrashAfterSegment = false; ///< --crash-after-segment: stop an
                                   ///< update at the crash window (CI's
                                   ///< torn-append simulation; exit 3).
@@ -388,13 +372,7 @@ struct IndexArgs {
   bool Prom = false;      ///< --prom: Prometheus text exposition.
   const char *TraceOut = nullptr; ///< --trace-out: Chrome trace JSON path.
   const char *Connect = nullptr;  ///< --connect: indexd Unix socket path.
-  unsigned ConnectPort = 0;       ///< --port: indexd loopback TCP port.
-  unsigned TimeoutMs = 10000;     ///< --timeout-ms: client op deadline.
   unsigned Retries = 5;           ///< --retries: client connect attempts.
-  const char *ChaosScript = nullptr;   ///< --script: chaos mode list.
-  unsigned ServerTimeoutMs = 2000;     ///< --server-timeout-ms: the
-                                       ///< daemon's request deadline, so
-                                       ///< chaos knows how long to wait.
 
   /// True when stdout must stay machine-readable (narrative summaries go
   /// to stderr instead).
@@ -402,8 +380,7 @@ struct IndexArgs {
   std::FILE *narrate() const { return machineOutput() ? stderr : stdout; }
 };
 
-/// Parse `--threads/--shards/--out/--expr/--expr-file/--batch` starting
-/// at Argv[\p First].
+/// Parse the `index` flags starting at Argv[\p First].
 bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
   auto Positive = [](const char *Flag, const char *Arg, uint64_t Max,
                      unsigned &Out) {
@@ -423,10 +400,7 @@ bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
       A.ShardsSet = true;
     } else if (std::strcmp(Argv[I], "--segmented") == 0)
       A.Segmented = true;
-    else if (Want("--auto-compact")) {
-      if (!Positive("--auto-compact", Argv[++I], 1 << 20, A.AutoCompact))
-        return false;
-    } else if (std::strcmp(Argv[I], "--crash-after-segment") == 0)
+    else if (std::strcmp(Argv[I], "--crash-after-segment") == 0)
       A.CrashAfterSegment = true;
     else if (std::strcmp(Argv[I], "--repair") == 0)
       A.Repair = true;
@@ -446,27 +420,13 @@ bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
       A.TraceOut = Argv[++I];
     else if (Want("--connect"))
       A.Connect = Argv[++I];
-    else if (Want("--port")) {
-      if (!Positive("--port", Argv[++I], 65535, A.ConnectPort))
-        return false;
-    } else if (Want("--timeout-ms")) {
-      if (!Positive("--timeout-ms", Argv[++I], 3600000, A.TimeoutMs))
-        return false;
-    } else if (Want("--retries")) {
+    else if (Want("--retries")) {
       if (!Positive("--retries", Argv[++I], 1000, A.Retries))
-        return false;
-    } else if (Want("--script"))
-      A.ChaosScript = Argv[++I];
-    else if (Want("--server-timeout-ms")) {
-      if (!Positive("--server-timeout-ms", Argv[++I], 3600000,
-                    A.ServerTimeoutMs))
         return false;
     } else if (Want("--out"))
       A.OutPath = Argv[++I];
     else if (Want("--expr"))
       A.ExprText = Argv[++I];
-    else if (Want("--expr-file"))
-      A.ExprFile = Argv[++I];
     else if (Want("--batch"))
       A.BatchFile = Argv[++I];
     else
@@ -480,8 +440,9 @@ bool parseIndexArgs(int Argc, char **Argv, IndexArgs &A) {
     return false;
   A.Sub = Argv[2];
   int First;
-  if (std::strcmp(A.Sub, "chaos") == 0) {
-    // `index chaos --connect S [--script M]`: flags only.
+  if (std::strcmp(A.Sub, "chaos") == 0 || std::strcmp(A.Sub, "query") == 0) {
+    // `index chaos|query --connect S ...`: flags only; the daemon already
+    // holds the index.
     First = 3;
   } else if (std::strcmp(A.Sub, "ctl") == 0) {
     // `index ctl <ping|stats|reload|shutdown> [file] --connect S`.
@@ -493,11 +454,6 @@ bool parseIndexArgs(int Argc, char **Argv, IndexArgs &A) {
       A.CorpusPath = Argv[4]; // reload's optional index-file argument.
       First = 5;
     }
-  } else if (std::strcmp(A.Sub, "query") == 0 && Argc >= 4 &&
-             Argv[3][0] == '-') {
-    // `index query --connect S ...`: no corpus positional; the daemon
-    // already holds the index.
-    First = 3;
   } else {
     if (Argc < 4)
       return false;
@@ -538,31 +494,6 @@ bool readCorpus(const char *Path, CorpusLoadResult &Corpus) {
   return true;
 }
 
-/// Load + ingest a corpus into a fresh index, printing the one-line
-/// build summary.
-bool buildIndex(const IndexArgs &A, AlphaHashIndex<Hash128> &Index) {
-  CorpusLoadResult Corpus;
-  if (!readCorpus(A.Path, Corpus))
-    return false;
-  auto Start = std::chrono::steady_clock::now();
-  auto Batch = Index.insertBatch(Corpus.Blobs, A.Threads);
-  auto End = std::chrono::steady_clock::now();
-  double Sec = std::chrono::duration<double>(End - Start).count();
-
-  IndexStats S = Index.stats();
-  std::fprintf(A.narrate(),
-               "%zu expressions -> %zu classes (%llu duplicates merged, "
-               "%llu decode errors)\n",
-               Corpus.Blobs.size(), Index.numClasses(),
-               static_cast<unsigned long long>(S.Duplicates),
-               static_cast<unsigned long long>(Batch.DecodeErrors));
-  std::fprintf(A.narrate(),
-               "ingest: %u threads, %u shards, %.3f s, %.0f exprs/sec\n",
-               A.Threads, Index.numShards(), Sec,
-               Sec > 0 ? static_cast<double>(Batch.Ingested) / Sec : 0.0);
-  return true;
-}
-
 /// The compatibility surface of an index: two indexes (or files) can be
 /// compared by hash iff both lines match.
 void printSchema(const IndexReader<Hash128> &Index) {
@@ -585,10 +516,29 @@ bool writeOutIndex(const IndexArgs &A, const AlphaHashIndex<Hash128> &Index,
   return true;
 }
 
+/// `hma index build <corpus>`: load + ingest a corpus into a fresh index,
+/// print the one-line build summary, and persist it with --out.
 int cmdIndexBuild(const IndexArgs &A) {
   AlphaHashIndex<Hash128> Index({A.Shards, HashSchema::DefaultSeed});
-  if (!buildIndex(A, Index))
+  CorpusLoadResult Corpus;
+  if (!readCorpus(A.Path, Corpus))
     return 1;
+  auto Start = std::chrono::steady_clock::now();
+  auto Batch = Index.insertBatch(Corpus.Blobs, A.Threads);
+  auto End = std::chrono::steady_clock::now();
+  double Sec = std::chrono::duration<double>(End - Start).count();
+
+  IndexStats S = Index.stats();
+  std::fprintf(A.narrate(),
+               "%zu expressions -> %zu classes (%llu duplicates merged, "
+               "%llu decode errors)\n",
+               Corpus.Blobs.size(), Index.numClasses(),
+               static_cast<unsigned long long>(S.Duplicates),
+               static_cast<unsigned long long>(Batch.DecodeErrors));
+  std::fprintf(A.narrate(),
+               "ingest: %u threads, %u shards, %.3f s, %.0f exprs/sec\n",
+               A.Threads, Index.numShards(), Sec,
+               Sec > 0 ? static_cast<double>(Batch.Ingested) / Sec : 0.0);
   if (A.Segmented) {
     // `build --segmented --out DIR`: seed a segment directory instead of
     // a single HMAI file; `update` on it is O(delta) from then on.
@@ -612,80 +562,82 @@ int cmdIndexBuild(const IndexArgs &A) {
   return 0;
 }
 
-/// `hma index query <corpus> --batch FILE`: bulk-lookup a whole corpus of
-/// query expressions over the backend's thread-pooled read path.
-int cmdIndexQueryBatch(const IndexArgs &A, IndexReader<Hash128> &Index) {
-  CorpusLoadResult Queries;
-  if (!readCorpus(A.BatchFile, Queries))
-    return 1;
+using Answer = std::optional<LookupResult<Hash128>>;
 
-  auto Start = std::chrono::steady_clock::now();
-  auto Results = Index.lookupBatch(Queries.Blobs, A.Threads);
-  auto End = std::chrono::steady_clock::now();
-  double Sec = std::chrono::duration<double>(End - Start).count();
-
-  uint64_t Hits = 0;
-  for (size_t I = 0; I != Results.size(); ++I) {
-    if (Results[I]) {
-      ++Hits;
-      std::printf("%zu present count=%llu hash=%s\n", I,
-                  static_cast<unsigned long long>(Results[I]->Count),
-                  Results[I]->Hash.toHex().c_str());
-    } else {
+/// One answer: a numbered line of a batch, or a single query's answer
+/// with its canonical rendering.
+void printAnswer(size_t I, const Answer &R, bool Numbered) {
+  if (!R) {
+    if (Numbered)
       std::printf("%zu absent\n", I);
-    }
+    else
+      std::printf("absent\n");
+    return;
   }
-  std::printf("batch query: %zu queries, %llu present, %u threads, "
-              "%.3f s, %.0f queries/sec\n",
-              Results.size(), static_cast<unsigned long long>(Hits),
-              A.Threads, Sec,
-              Sec > 0 ? static_cast<double>(Results.size()) / Sec : 0.0);
-  return 0;
+  if (Numbered) {
+    std::printf("%zu present count=%llu hash=%s\n", I,
+                static_cast<unsigned long long>(R->Count),
+                R->Hash.toHex().c_str());
+    return;
+  }
+  std::printf("present  count=%llu  hash=%s\n",
+              static_cast<unsigned long long>(R->Count),
+              R->Hash.toHex().c_str());
+  ExprContext CanonCtx;
+  DeserializeResult Canon = deserializeExpr(CanonCtx, R->CanonicalBytes);
+  if (Canon.ok())
+    std::printf("canonical: %s\n", printExpr(CanonCtx, Canon.E).c_str());
 }
 
-/// Look one expression (--expr / --expr-file / stdin) or a --batch corpus
-/// up in an already-populated index (live or mapped). Shared by `query`
-/// and `open query`.
-int runQueries(const IndexArgs &A, IndexReader<Hash128> &Index) {
-  if (A.BatchFile)
-    return cmdIndexQueryBatch(A, Index);
+/// The query front end of `open <path> query` and `query --connect`: a
+/// --batch corpus goes to \p Batch (blobs -> answers), one expression
+/// (--expr, or stdin) to \p One; each returns false on an error it has
+/// reported. \p Via names the readers on the batch summary line. Exit 1
+/// when the one expression is absent.
+template <typename BatchFn, typename OneFn>
+int runQueries(const IndexArgs &A, const std::string &Via, BatchFn Batch,
+               OneFn One) {
+  if (A.BatchFile) {
+    CorpusLoadResult Queries;
+    if (!readCorpus(A.BatchFile, Queries))
+      return 1;
+    auto Start = std::chrono::steady_clock::now();
+    std::vector<Answer> Results;
+    if (!Batch(Queries.Blobs, Results))
+      return 1;
+    auto End = std::chrono::steady_clock::now();
+    double Sec = std::chrono::duration<double>(End - Start).count();
+    uint64_t Hits = 0;
+    for (size_t I = 0; I != Results.size(); ++I) {
+      Hits += Results[I].has_value();
+      printAnswer(I, Results[I], /*Numbered=*/true);
+    }
+    std::printf("batch query: %zu queries, %llu present, %s, %.3f s, "
+                "%.0f queries/sec\n",
+                Results.size(), static_cast<unsigned long long>(Hits),
+                Via.c_str(), Sec,
+                Sec > 0 ? static_cast<double>(Results.size()) / Sec : 0.0);
+    return 0;
+  }
 
   std::string QuerySrc;
   if (A.ExprText)
     QuerySrc = A.ExprText;
-  else if (!readInput(A.ExprFile, QuerySrc)) // nullptr reads stdin
+  else if (!readInput(nullptr, QuerySrc)) // stdin
     return 1;
-
   ExprContext Ctx;
   const Expr *Q = parseInput(Ctx, QuerySrc);
   if (!Q)
     return 1;
-
-  auto Hit = Index.lookup(Ctx, Q);
-  if (!Hit) {
-    std::printf("absent\n");
+  Answer R;
+  if (!One(Ctx, Q, R))
     return 1;
-  }
-  std::printf("present  count=%llu  hash=%s\n",
-              static_cast<unsigned long long>(Hit->Count),
-              Hit->Hash.toHex().c_str());
-  ExprContext CanonCtx;
-  DeserializeResult Canon = deserializeExpr(CanonCtx, Hit->CanonicalBytes);
-  if (Canon.ok())
-    std::printf("canonical: %s\n", printExpr(CanonCtx, Canon.E).c_str());
-  return 0;
+  printAnswer(0, R, /*Numbered=*/false);
+  return R ? 0 : 1;
 }
 
-int cmdIndexQuery(const IndexArgs &A) {
-  AlphaHashIndex<Hash128> Index({A.Shards, HashSchema::DefaultSeed});
-  if (!buildIndex(A, Index))
-    return 1;
-  return runQueries(A, Index);
-}
-
-/// Schema, collision, shard-occupancy and largest-class diagnostics.
-/// Shared by `stats` (freshly built) and `open stats` (reopened or
-/// mapped).
+/// Schema, collision, shard-occupancy and largest-class diagnostics:
+/// `open stats`.
 void printStatsReport(const IndexReader<Hash128> &Index) {
   printSchema(Index);
   IndexStats S = Index.stats();
@@ -748,14 +700,6 @@ void emitStatsReport(const IndexArgs &A, const IndexReader<Hash128> &Index) {
   }
 }
 
-int cmdIndexStats(const IndexArgs &A) {
-  AlphaHashIndex<Hash128> Index({A.Shards, HashSchema::DefaultSeed});
-  if (!buildIndex(A, Index))
-    return 1;
-  emitStatsReport(A, Index);
-  return 0;
-}
-
 /// Admit \p A.Path through \ref openIndex (open + deep verify), printing
 /// the one-line open summary and a warning per orphan segment file.
 std::unique_ptr<IndexReader<Hash128>> openVerifiedIndex(const IndexArgs &A) {
@@ -797,12 +741,11 @@ int cmdIndexOpen(const IndexArgs &A) {
   bool IsStats = A.OpenSub && std::strcmp(A.OpenSub, "stats") == 0;
   if (A.OpenSub && !IsQuery && !IsStats)
     return usage(); // reject a bogus subcommand before loading anything
-  if ((A.ExprText || A.ExprFile || A.BatchFile) && !IsQuery) {
+  if ((A.ExprText || A.BatchFile) && !IsQuery) {
     // `open F --batch Q` (without the `query` word) must not silently
     // succeed while ignoring the flags.
-    std::fprintf(stderr,
-                 "error: --expr/--expr-file/--batch require `index open "
-                 "<file> query ...`\n");
+    std::fprintf(stderr, "error: --expr/--batch require `index open <file> "
+                         "query ...`\n");
     return 2;
   }
   if (A.ShardsSet && !A.OutPath) {
@@ -816,7 +759,17 @@ int cmdIndexOpen(const IndexArgs &A) {
     if (IsStats)
       emitStatsReport(A, Index);
     else if (IsQuery)
-      return runQueries(A, Index);
+      return runQueries(
+          A, std::to_string(A.Threads) + " threads",
+          [&](const std::vector<std::string> &Blobs,
+              std::vector<Answer> &Out) {
+            Out = Index.lookupBatch(Blobs, A.Threads);
+            return true;
+          },
+          [&](ExprContext &Ctx, const Expr *Q, Answer &Out) {
+            Out = Index.lookup(Ctx, Q);
+            return true;
+          });
     else
       printSchema(Index);
     return 0;
@@ -896,19 +849,6 @@ int cmdIndexUpdate(const IndexArgs &A) {
                static_cast<unsigned long long>(R.DeltaClasses),
                static_cast<unsigned long long>(R.Fresh),
                std::chrono::duration<double>(End - Start).count());
-  if (A.AutoCompact) {
-    typename SegmentSet<Hash128>::OpenResult Set =
-        SegmentSet<Hash128>::open(A.Path);
-    if (Set.ok() && Set.Set->numSegments() >= A.AutoCompact) {
-      SegmentCompactResult C = compactSegments<Hash128>(A.Path);
-      if (!C.Ok) {
-        std::fprintf(stderr, "error: %s\n", C.Error.c_str());
-        return 1;
-      }
-      std::fprintf(A.narrate(), "compacted: %llu segments -> 1\n",
-                   static_cast<unsigned long long>(C.SegmentsBefore));
-    }
-  }
   if (A.Json)
     emitUpdateJson(R);
   return 0;
@@ -970,83 +910,44 @@ int cmdIndexFsck(const IndexArgs &A) {
 
 serve::ClientOptions clientOptions(const IndexArgs &A) {
   serve::ClientOptions O;
-  O.UnixSocketPath = A.Connect ? A.Connect : "";
-  O.TcpPort = static_cast<uint16_t>(A.ConnectPort);
-  O.TimeoutMs = static_cast<int>(A.TimeoutMs);
+  O.UnixSocketPath = A.Connect;
   O.ConnectRetries = static_cast<int>(A.Retries);
   return O;
 }
 
-void printWireLookup(size_t I, const serve::WireLookup &R, bool Numbered) {
-  if (!R.Present) {
-    if (Numbered)
-      std::printf("%zu absent\n", I);
-    else
-      std::printf("absent\n");
-    return;
-  }
-  if (Numbered) {
-    std::printf("%zu present count=%llu hash=%s\n", I,
-                static_cast<unsigned long long>(R.Count),
-                R.Hash.toHex().c_str());
-    return;
-  }
-  std::printf("present  count=%llu  hash=%s\n",
-              static_cast<unsigned long long>(R.Count),
-              R.Hash.toHex().c_str());
-  ExprContext CanonCtx;
-  DeserializeResult Canon = deserializeExpr(CanonCtx, R.CanonicalBytes);
-  if (Canon.ok())
-    std::printf("canonical: %s\n", printExpr(CanonCtx, Canon.E).c_str());
-}
-
 /// `hma index query --connect SOCK ...`: the daemon-backed twin of
-/// \ref runQueries -- same flags, same output shapes, network transport.
+/// `open <path> query` -- same flags, same output shapes, over the
+/// socket.
 int cmdIndexQueryConnect(const IndexArgs &A) {
   serve::Client C(clientOptions(A));
   std::string Error;
-
-  if (A.BatchFile) {
-    CorpusLoadResult Queries;
-    if (!readCorpus(A.BatchFile, Queries))
-      return 1;
-    auto Start = std::chrono::steady_clock::now();
-    std::vector<serve::WireLookup> Results;
-    if (!C.lookupBatch(Queries.Blobs, Results, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    auto End = std::chrono::steady_clock::now();
-    double Sec = std::chrono::duration<double>(End - Start).count();
-    uint64_t Hits = 0;
-    for (size_t I = 0; I != Results.size(); ++I) {
-      Hits += Results[I].Present;
-      printWireLookup(I, Results[I], /*Numbered=*/true);
-    }
-    std::printf("batch query: %zu queries, %llu present, over %s, %.3f s, "
-                "%.0f queries/sec\n",
-                Results.size(), static_cast<unsigned long long>(Hits),
-                A.Connect ? A.Connect : "tcp", Sec,
-                Sec > 0 ? static_cast<double>(Results.size()) / Sec : 0.0);
-    return 0;
-  }
-
-  std::string QuerySrc;
-  if (A.ExprText)
-    QuerySrc = A.ExprText;
-  else if (!readInput(A.ExprFile, QuerySrc))
-    return 1;
-  ExprContext Ctx;
-  const Expr *Q = parseInput(Ctx, QuerySrc);
-  if (!Q)
-    return 1;
-  serve::WireLookup R;
-  if (!C.lookup(serializeExpr(Ctx, Q), R, &Error)) {
+  // The answers view the owning wire replies, which outlive the printing.
+  std::vector<serve::WireLookup> Wire;
+  auto View = [](const serve::WireLookup &W) -> Answer {
+    if (!W.Present)
+      return std::nullopt;
+    return LookupResult<Hash128>{W.Hash, W.Count, W.CanonicalBytes};
+  };
+  auto Failed = [&] {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  printWireLookup(0, R, /*Numbered=*/false);
-  return R.Present ? 0 : 1;
+    return false;
+  };
+  return runQueries(
+      A, std::string("over ") + A.Connect,
+      [&](const std::vector<std::string> &Blobs, std::vector<Answer> &Out) {
+        if (!C.lookupBatch(Blobs, Wire, &Error))
+          return Failed();
+        for (const serve::WireLookup &W : Wire)
+          Out.push_back(View(W));
+        return true;
+      },
+      [&](ExprContext &Ctx, const Expr *Q, Answer &Out) {
+        Wire.resize(1);
+        if (!C.lookup(serializeExpr(Ctx, Q), Wire[0], &Error))
+          return Failed();
+        Out = View(Wire[0]);
+        return true;
+      });
 }
 
 /// `hma index ctl <ping|stats|reload|shutdown> [file] --connect SOCK`.
@@ -1099,14 +1000,14 @@ int cmdIndexCtl(const IndexArgs &A) {
   return 2;
 }
 
-/// `hma index chaos --connect SOCK [--script MODES]`: the scriptable
-/// misbehaving client. Exit 0 iff the daemon survived every offence with
-/// the right reaction.
+/// `hma index chaos --connect SOCK`: the misbehaving client, against a
+/// daemon started with `--request-timeout-ms 2000` (the deadline chaos
+/// waits out). Exit 0 iff the daemon survived every offence with the
+/// right reaction.
 int cmdIndexChaos(const IndexArgs &A) {
   std::string Log;
-  int Failures =
-      serve::runChaos(clientOptions(A), A.ChaosScript ? A.ChaosScript : "all",
-                      static_cast<int>(A.ServerTimeoutMs), Log);
+  int Failures = serve::runChaos(clientOptions(A),
+                                 /*ServerRequestTimeoutMs=*/2000, Log);
   std::fwrite(Log.data(), 1, Log.size(), stdout);
   if (Failures != 0) {
     std::fprintf(stderr, "chaos: %d mode(s) failed\n", Failures);
@@ -1142,11 +1043,7 @@ int cmdIndexd(int Argc, char **Argv) {
     long long V = 0;
     if (Want("--socket"))
       O.UnixSocketPath = Argv[++I];
-    else if (Want("--port")) {
-      if (!Positive("--port", Argv[++I], 65535, V))
-        return 2;
-      O.TcpPort = static_cast<uint16_t>(V);
-    } else if (Want("--threads")) {
+    else if (Want("--threads")) {
       if (!Positive("--threads", Argv[++I], 1024, V))
         return 2;
       O.Threads = static_cast<unsigned>(V);
@@ -1154,33 +1051,6 @@ int cmdIndexd(int Argc, char **Argv) {
       if (!Positive("--request-timeout-ms", Argv[++I], 3600000, V))
         return 2;
       O.RequestTimeoutMs = static_cast<int>(V);
-    } else if (Want("--idle-timeout-ms")) {
-      if (!Positive("--idle-timeout-ms", Argv[++I], 86400000, V))
-        return 2;
-      O.IdleTimeoutMs = static_cast<int>(V);
-    } else if (Want("--drain-timeout-ms")) {
-      if (!Positive("--drain-timeout-ms", Argv[++I], 3600000, V))
-        return 2;
-      O.DrainTimeoutMs = static_cast<int>(V);
-    } else if (Want("--max-frame-bytes")) {
-      if (!Positive("--max-frame-bytes", Argv[++I],
-                    serve::FrameBytesCeiling, V))
-        return 2;
-      O.MaxFrameBytes = static_cast<size_t>(V);
-    } else if (Want("--reload-retry-base-ms")) {
-      if (!Positive("--reload-retry-base-ms", Argv[++I], 3600000, V))
-        return 2;
-      O.ReloadRetryBaseMs = static_cast<int>(V);
-    } else if (Want("--reload-retry-max-ms")) {
-      if (!Positive("--reload-retry-max-ms", Argv[++I], 86400000, V))
-        return 2;
-      O.ReloadRetryMaxMs = static_cast<int>(V);
-    } else if (Want("--reload-retry-limit")) {
-      // 0 is meaningful: disable automatic retries (degraded mode then
-      // persists until an operator reload succeeds).
-      if (!parseUnsigned("--reload-retry-limit", Argv[++I], 0, 1000000, V))
-        return 2;
-      O.ReloadRetryLimit = static_cast<unsigned>(V);
     } else
       return usage();
   }
@@ -1189,6 +1059,15 @@ int cmdIndexd(int Argc, char **Argv) {
     return 2;
   }
 
+  // Hold the daemon's signals until their handler is in place: a SIGTERM
+  // that lands while the index loads, or just after the socket starts
+  // accepting, must drain the daemon, not kill it. The threads start()
+  // spawns inherit the mask, so only this thread takes the signals.
+  sigset_t Signals;
+  sigemptyset(&Signals);
+  for (int Signo : {SIGTERM, SIGINT, SIGHUP})
+    sigaddset(&Signals, Signo);
+  pthread_sigmask(SIG_BLOCK, &Signals, nullptr);
   serve::Server Srv(std::move(O));
   std::string Error;
   if (!Srv.start(&Error)) {
@@ -1199,6 +1078,7 @@ int cmdIndexd(int Argc, char **Argv) {
   std::signal(SIGTERM, indexdSignalHandler);
   std::signal(SIGINT, indexdSignalHandler);
   std::signal(SIGHUP, indexdSignalHandler);
+  pthread_sigmask(SIG_UNBLOCK, &Signals, nullptr);
   std::fprintf(stderr, "hma indexd: serving generation %llu on '%s'\n",
                static_cast<unsigned long long>(
                    Srv.generations().currentNumber()),
@@ -1214,21 +1094,19 @@ int cmdIndex(int Argc, char **Argv) {
   IndexArgs A;
   if (!parseIndexArgs(Argc, Argv, A))
     return usage();
-  // The networked subcommands and flags pair up strictly: `ctl`/`chaos`
-  // are meaningless without a daemon, and --connect means nothing to the
+  // The daemon's clients and --connect pair up strictly: `query`, `ctl`
+  // and `chaos` talk to a daemon, and --connect means nothing to the
   // in-process subcommands.
-  bool IsNetworked = std::strcmp(A.Sub, "ctl") == 0 ||
-                     std::strcmp(A.Sub, "chaos") == 0 ||
-                     (std::strcmp(A.Sub, "query") == 0 &&
-                      (A.Connect || A.ConnectPort));
-  if (IsNetworked && !A.Connect && !A.ConnectPort) {
-    std::fprintf(stderr, "error: `index %s` requires --connect SOCK (or "
-                         "--port N)\n",
+  bool IsNetworked = std::strcmp(A.Sub, "query") == 0 ||
+                     std::strcmp(A.Sub, "ctl") == 0 ||
+                     std::strcmp(A.Sub, "chaos") == 0;
+  if (IsNetworked && !A.Connect) {
+    std::fprintf(stderr, "error: `index %s` requires --connect SOCK\n",
                  A.Sub);
     return 2;
   }
-  if ((A.Connect || A.ConnectPort) && !IsNetworked) {
-    std::fprintf(stderr, "error: --connect/--port apply to `index query`, "
+  if (A.Connect && !IsNetworked) {
+    std::fprintf(stderr, "error: --connect applies to `index query`, "
                          "`index ctl`, and `index chaos` only\n");
     return 2;
   }
@@ -1244,20 +1122,20 @@ int cmdIndex(int Argc, char **Argv) {
   // --json/--prom reshape the stats report (and `update` emits a --json
   // summary); anywhere else they would be silently swallowed.
   bool IsStatsReport =
-      std::strcmp(A.Sub, "stats") == 0 ||
       (std::strcmp(A.Sub, "open") == 0 && A.OpenSub &&
        std::strcmp(A.OpenSub, "stats") == 0) ||
       (std::strcmp(A.Sub, "ctl") == 0 && A.Path &&
        std::strcmp(A.Path, "stats") == 0);
   bool IsUpdate = std::strcmp(A.Sub, "update") == 0;
   if (A.Prom && !IsStatsReport) {
-    std::fprintf(stderr, "error: --prom applies to `index stats` and "
-                         "`index open <file> stats` only\n");
+    std::fprintf(stderr, "error: --prom applies to `index open <file> "
+                         "stats` and `index ctl stats` only\n");
     return 2;
   }
   if (A.Json && !IsStatsReport && !IsUpdate) {
-    std::fprintf(stderr, "error: --json applies to `index stats`, `index "
-                         "open <file> stats`, and `index update` only\n");
+    std::fprintf(stderr, "error: --json applies to `index open <file> "
+                         "stats`, `index ctl stats`, and `index update` "
+                         "only\n");
     return 2;
   }
   if (A.Json && A.Prom) {
@@ -1270,9 +1148,9 @@ int cmdIndex(int Argc, char **Argv) {
                          "only\n");
     return 2;
   }
-  if ((A.AutoCompact || A.CrashAfterSegment) && !IsUpdate) {
-    std::fprintf(stderr, "error: --auto-compact/--crash-after-segment "
-                         "apply to `index update` only\n");
+  if (A.CrashAfterSegment && !IsUpdate) {
+    std::fprintf(stderr, "error: --crash-after-segment applies to `index "
+                         "update` only\n");
     return 2;
   }
   if (A.Repair && std::strcmp(A.Sub, "fsck") != 0) {
@@ -1291,13 +1169,11 @@ int cmdIndex(int Argc, char **Argv) {
   if (std::strcmp(A.Sub, "build") == 0)
     Rc = cmdIndexBuild(A);
   else if (std::strcmp(A.Sub, "query") == 0)
-    Rc = IsNetworked ? cmdIndexQueryConnect(A) : cmdIndexQuery(A);
+    Rc = cmdIndexQueryConnect(A);
   else if (std::strcmp(A.Sub, "ctl") == 0)
     Rc = cmdIndexCtl(A);
   else if (std::strcmp(A.Sub, "chaos") == 0)
     Rc = cmdIndexChaos(A);
-  else if (std::strcmp(A.Sub, "stats") == 0)
-    Rc = cmdIndexStats(A);
   else if (std::strcmp(A.Sub, "open") == 0)
     Rc = cmdIndexOpen(A);
   else if (std::strcmp(A.Sub, "update") == 0)
@@ -1325,8 +1201,9 @@ int cmdIndex(int Argc, char **Argv) {
 }
 
 /// `hma prom-lint [file]`: validate Prometheus text exposition read from
-/// \p file or stdin. CI lints `hma index stats --prom` output with this,
-/// so exposition bugs fail the pipeline rather than the scrape.
+/// \p file or stdin. CI lints `hma index open <file> stats --prom` output
+/// with this, so exposition bugs fail the pipeline rather than the
+/// scrape.
 int cmdPromLint(int Argc, char **Argv) {
   const char *Path = Argc >= 3 ? Argv[2] : nullptr;
   std::string Text;
@@ -1339,29 +1216,6 @@ int cmdPromLint(int Argc, char **Argv) {
     return 1;
   }
   std::printf("prom-lint: %s: OK\n", Path ? Path : "<stdin>");
-  return 0;
-}
-
-template <typename Hasher>
-double timeHashAll(const ExprContext &Ctx, const Expr *E) {
-  auto Start = std::chrono::steady_clock::now();
-  Hasher H(Ctx);
-  H.hashAll(E);
-  auto End = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(End - Start).count();
-}
-
-int cmdBenchExpr(ExprContext &Ctx, const Expr *E) {
-  E = uniquifyBinders(Ctx, E);
-  std::printf("n = %u nodes\n", E->treeSize());
-  std::printf("%-18s %10.3f ms\n", "Structural*",
-              timeHashAll<StructuralHasher<Hash128>>(Ctx, E) * 1e3);
-  std::printf("%-18s %10.3f ms\n", "De Bruijn*",
-              timeHashAll<DeBruijnHasher<Hash128>>(Ctx, E) * 1e3);
-  std::printf("%-18s %10.3f ms\n", "Locally Nameless",
-              timeHashAll<LocallyNamelessHasher<Hash128>>(Ctx, E) * 1e3);
-  std::printf("%-18s %10.3f ms\n", "Ours",
-              timeHashAll<AlphaHasher<Hash128>>(Ctx, E) * 1e3);
   return 0;
 }
 
@@ -1382,25 +1236,25 @@ int main(int Argc, char **Argv) {
   if (std::strcmp(Cmd, "prom-lint") == 0)
     return cmdPromLint(Argc, Argv);
 
-  const char *Path = Argc >= 3 ? Argv[2] : nullptr;
-  std::string Source;
-  if (!readInput(Path, Source))
-    return 1;
-  const Expr *E = parseInput(Ctx, Source);
-  if (!E)
-    return 1;
-
-  if (std::strcmp(Cmd, "hash") == 0)
-    return cmdHash(Ctx, E);
-  if (std::strcmp(Cmd, "classes") == 0)
-    return cmdClasses(Ctx, E);
-  if (std::strcmp(Cmd, "cse") == 0)
-    return cmdCse(Ctx, E);
-  if (std::strcmp(Cmd, "eval") == 0)
-    return cmdEval(Ctx, E);
-  if (std::strcmp(Cmd, "debruijn") == 0)
-    return cmdDeBruijn(Ctx, E);
-  if (std::strcmp(Cmd, "bench-expr") == 0)
-    return cmdBenchExpr(Ctx, E);
+  // The commands over one expression; anything else is a usage error
+  // before any input is read.
+  static const struct {
+    const char *Name;
+    int (*Run)(ExprContext &, const Expr *);
+  } ExprCmds[] = {{"hash", cmdHash},
+                  {"classes", cmdClasses},
+                  {"cse", cmdCse},
+                  {"eval", cmdEval},
+                  {"debruijn", cmdDeBruijn}};
+  for (const auto &C : ExprCmds) {
+    if (std::strcmp(Cmd, C.Name) != 0)
+      continue;
+    const char *Path = Argc >= 3 ? Argv[2] : nullptr;
+    std::string Source;
+    if (!readInput(Path, Source))
+      return 1;
+    const Expr *E = parseInput(Ctx, Source);
+    return E ? C.Run(Ctx, E) : 1;
+  }
   return usage();
 }
