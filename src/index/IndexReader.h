@@ -17,9 +17,9 @@
 ///
 /// \ref IndexReader is the surface they share: single and batch lookups,
 /// the stats/diagnostics the CLI prints, and the canonical snapshot
-/// export. Serving code (`hma index open`, the future `hma indexd`)
-/// programs against this interface and does not care whether classes are
-/// resident or paged.
+/// export. Serving code (`hma index open`, and `hma indexd`, whose
+/// `answerOne` calls `lookupSerialized`) programs against this interface
+/// and does not care whether classes are resident or paged.
 ///
 /// There is one read path and one query form. A backend implements only
 /// the probe, \ref IndexReader::lookupHashed, which takes a proven query

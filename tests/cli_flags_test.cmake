@@ -12,6 +12,8 @@
 # are usage errors (exit 2) that write nothing: `--no-verify`, the TCP
 # `--port`, the daemon and client knobs, `--auto-compact`, `--expr-file`,
 # the corpus forms of `index query` and `index stats`, and `bench-expr`.
+# So are a known flag on a command that does not take it, `--expr` with
+# `--batch`, and a positional beyond a command's count.
 
 cmake_minimum_required(VERSION 3.16)
 
@@ -147,5 +149,115 @@ endif()
 if(EXISTS "${WORK}/indexd.sock")
   message(FATAL_ERROR "a refused indexd left indexd.sock behind")
 endif()
+
+# Misplaced flags and extra positionals are refused at parse time: exit
+# 2, one message, nothing written, no daemon started.
+file(GLOB_RECURSE FIXTURE RELATIVE "${WORK}" "${WORK}/*")
+
+# hma ARGN must exit 2 with NEEDLE on stderr, leaving WORK as it was.
+function(expect_refused NEEDLE)
+  run_hma(RC ERR ${ARGN})
+  if(NOT RC EQUAL 2)
+    message(FATAL_ERROR "hma ${ARGN}: exit ${RC}, expected 2:\n${ERR}")
+  endif()
+  string(FIND "${ERR}" "${NEEDLE}" POS)
+  if(POS EQUAL -1)
+    message(FATAL_ERROR "hma ${ARGN}: stderr lacks '${NEEDLE}':\n${ERR}")
+  endif()
+  file(GLOB_RECURSE NOW RELATIVE "${WORK}" "${WORK}/*")
+  if(NOT NOW STREQUAL FIXTURE)
+    message(FATAL_ERROR "hma ${ARGN} was refused but wrote files: "
+                        "${FIXTURE} -> ${NOW}")
+  endif()
+  if(EXISTS "${WORK}/indexd.sock")
+    message(FATAL_ERROR "hma ${ARGN} was refused but left indexd.sock")
+  endif()
+endfunction()
+
+# The flags that once ran as if they were absent.
+expect_refused("--threads applies to" index compact seg.idx --threads 4 --shards 8)
+expect_refused("--threads applies to" index fsck single.hmai --threads 3)
+expect_refused("--threads applies to" index gc seg.idx --threads 2)
+expect_refused("--retries applies to" index build base.txt --retries 2)
+expect_refused("--threads applies to" index open single.hmai --threads 2)
+expect_refused("--threads applies to" index open single.hmai stats --threads 2)
+expect_refused("--retries applies to"
+               index open single.hmai query --retries 3 --expr "(lam (x) x)")
+# One query source: --expr and --batch together are refused, not one
+# silently dropped.
+expect_refused("--expr and --batch"
+               index open single.hmai query --expr "(lam (x) x)" --batch expr.txt)
+expect_refused("--expr and --batch"
+               index query --connect indexd.sock --expr "(lam (x) x)" --batch expr.txt)
+# A positional beyond the command's count; only `ctl reload` takes a
+# [file], and an unknown ctl action keeps its own message.
+expect_refused("unexpected argument 'junk'" hash expr.txt junk)
+expect_refused("unexpected argument 'expr.txt'" debruijn expr.txt expr.txt)
+expect_refused("unexpected argument 'expr.txt'" prom-lint expr.txt expr.txt)
+expect_refused("unexpected argument 'junk'"
+               index ctl ping junk --connect indexd.sock)
+expect_refused("unknown ctl action 'bogus'" index ctl bogus --connect indexd.sock)
+
+# The matrix: every command with every flag it does not take. Each row
+# is a valid invocation followed by the flags it accepts, written out
+# here as the spec (not read back from hma).
+set(ALL_FLAGS --family --size --seed --count --threads --shards --out
+    --segmented --crash-after-segment --repair --min-age-seconds --json
+    --prom --trace-out --connect --retries --expr --batch --socket
+    --request-timeout-ms)
+# A value for each flag that takes one: in range, and naming a file the
+# flag would create if it were honored.
+foreach(FLAG --size --seed --count --threads --shards --min-age-seconds
+             --retries --request-timeout-ms)
+  set(VALUE${FLAG} 2)
+endforeach()
+set(VALUE--family balanced)
+set(VALUE--out made.out)
+set(VALUE--trace-out made.trace)
+set(VALUE--connect indexd.sock)
+set(VALUE--socket indexd.sock)
+set(VALUE--expr "(lam (x) x)")
+set(VALUE--batch expr.txt)
+
+# expect_only(<invocation...> ACCEPTS <flags...>)
+function(expect_only)
+  cmake_parse_arguments(ROW "" "" "ACCEPTS" ${ARGN})
+  foreach(FLAG ${ALL_FLAGS})
+    if(NOT FLAG IN_LIST ROW_ACCEPTS)
+      expect_refused("${FLAG} applies to"
+                     ${ROW_UNPARSED_ARGUMENTS} ${FLAG} ${VALUE${FLAG}})
+    endif()
+  endforeach()
+endfunction()
+
+foreach(CMD hash classes cse eval debruijn)
+  expect_only(${CMD} expr.txt ACCEPTS)
+endforeach()
+expect_only(gen ACCEPTS --family --size --seed --count)
+expect_only(index build base.txt
+            ACCEPTS --threads --shards --out --segmented --trace-out)
+expect_only(index open single.hmai ACCEPTS --out --shards --trace-out)
+expect_only(index open single.hmai stats
+            ACCEPTS --json --prom --out --shards --trace-out)
+expect_only(index open single.hmai query
+            ACCEPTS --expr --batch --threads --out --shards --trace-out)
+expect_only(index update seg.idx delta.txt
+            ACCEPTS --threads --shards --json --crash-after-segment --trace-out)
+expect_only(index compact seg.idx ACCEPTS --trace-out)
+expect_only(index gc seg.idx ACCEPTS --min-age-seconds --trace-out)
+expect_only(index fsck seg.idx ACCEPTS --repair --trace-out)
+expect_only(index query --connect indexd.sock
+            ACCEPTS --connect --retries --expr --batch --trace-out)
+foreach(ACTION ping reload shutdown)
+  expect_only(index ctl ${ACTION} --connect indexd.sock
+              ACCEPTS --connect --retries --trace-out)
+endforeach()
+expect_only(index ctl stats --connect indexd.sock
+            ACCEPTS --connect --retries --json --prom --trace-out)
+expect_only(index chaos --connect indexd.sock
+            ACCEPTS --connect --retries --trace-out)
+expect_only(indexd single.hmai --socket indexd.sock
+            ACCEPTS --socket --threads --request-timeout-ms)
+expect_only(prom-lint expr.txt ACCEPTS)
 
 file(REMOVE_RECURSE "${WORK}")

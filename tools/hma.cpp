@@ -20,6 +20,10 @@
 ///   hma index query|ctl|chaos --connect PATH   talk to a running indexd
 ///   hma prom-lint [file]                lint Prometheus text
 ///
+/// Each command's positionals and flags are declared once, in `Commands`
+/// (flags in `Flags`); one parser checks the command line against that
+/// row and refuses anything else with exit 2 before doing any work.
+///
 /// Expressions are read from the file argument or stdin. A corpus is
 /// either a text file with one expression per line or a binary "HMAC"
 /// container. `index build --out` writes a binary "HMAI" *index* file
@@ -70,6 +74,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -103,7 +108,7 @@ int usage() {
       "             HMAI segment files) whose updates append in\n"
       "             O(delta) instead of rewriting the index\n"
       "  index open <path> [stats [--json | --prom] |\n"
-      "             query [--expr E | --batch FILE [--threads T]]]\n"
+      "             query [--expr E | --batch FILE] [--threads T]]\n"
       "             [--out FILE [--shards S]]\n"
       "             reopen an HMAI file or segment directory (no\n"
       "             re-ingest), deep-verify it, and print its summary,\n"
@@ -160,11 +165,12 @@ int usage() {
       "  index query --connect SOCK [--expr E | --batch FILE]\n"
       "             [--retries N]\n"
       "             run queries against a live `hma indexd`\n"
-      "  index ctl <ping|stats|reload|shutdown> [file] --connect SOCK\n"
+      "  index ctl <ping | stats [--json | --prom] | reload [file] |\n"
+      "             shutdown> --connect SOCK [--retries N]\n"
       "             control a live daemon (reload: re-admit [file] or\n"
       "             the currently served file; stats honors --json/\n"
       "             --prom)\n"
-      "  index chaos --connect SOCK\n"
+      "  index chaos --connect SOCK [--retries N]\n"
       "             hostile-client fault injection against a daemon\n"
       "             started with --request-timeout-ms 2000 (torn,\n"
       "             slowloris, oversized, short, garbage, badversion,\n"
@@ -186,9 +192,8 @@ int usage() {
 /// `-1`, empty) is an error, never a silent 0 or numeric prefix: a
 /// misread `--min-age-seconds` would disable gc's in-flight guard.
 /// Prints the flag's error and returns false when \p Arg does not parse.
-template <typename T>
 bool parseUnsigned(const char *Flag, const char *Arg, uint64_t Min,
-                   uint64_t Max, T &Out) {
+                   uint64_t Max, uint64_t &Out) {
   errno = 0;
   char *End = nullptr;
   const unsigned long long V = std::strtoull(Arg, &End, 10);
@@ -199,7 +204,7 @@ bool parseUnsigned(const char *Flag, const char *Arg, uint64_t Min,
                  static_cast<unsigned long long>(Max));
     return false;
   }
-  Out = static_cast<T>(V);
+  Out = V;
   return true;
 }
 
@@ -236,6 +241,91 @@ const Expr *parseInput(ExprContext &Ctx, const std::string &Src) {
     return nullptr;
   }
   return R.E;
+}
+
+//===----------------------------------------------------------------------===//
+// Flags and parsed arguments
+//===----------------------------------------------------------------------===//
+
+/// Every flag `hma` knows, in `Flags` order.
+enum class Opt : unsigned {
+  Family, Size, Seed, Count,
+  Threads, Shards, Out, Segmented, CrashAfterSegment, Repair, MinAgeSeconds,
+  Json, Prom, TraceOut, Connect, Retries, Expr, Batch,
+  Socket, RequestTimeoutMs,
+};
+
+struct FlagSpec {
+  const char *Name;
+  enum Kind { Switch, Text, Number } K; ///< Switch takes no value.
+  uint64_t Min = 0, Max = 0;            ///< A Number's range.
+};
+
+/// Each flag once, in `Opt` order; a Number's value goes through
+/// parseUnsigned.
+constexpr FlagSpec Flags[] = {
+    {"--family", FlagSpec::Text},
+    {"--size", FlagSpec::Number, 0, UINT32_MAX},
+    {"--seed", FlagSpec::Number, 0, UINT64_MAX},
+    {"--count", FlagSpec::Number, 1, INT64_MAX},
+    {"--threads", FlagSpec::Number, 1, 1024},
+    {"--shards", FlagSpec::Number, 1, AlphaHashIndex<Hash128>::MaxShards},
+    {"--out", FlagSpec::Text},
+    {"--segmented", FlagSpec::Switch},
+    {"--crash-after-segment", FlagSpec::Switch},
+    {"--repair", FlagSpec::Switch},
+    // 0 is meaningful here: it disables gc's in-flight guard.
+    {"--min-age-seconds", FlagSpec::Number, 0, 86400 * 365},
+    {"--json", FlagSpec::Switch},
+    {"--prom", FlagSpec::Switch},
+    {"--trace-out", FlagSpec::Text},
+    {"--connect", FlagSpec::Text},
+    {"--retries", FlagSpec::Number, 1, 1000},
+    {"--expr", FlagSpec::Text},
+    {"--batch", FlagSpec::Text},
+    {"--socket", FlagSpec::Text},
+    {"--request-timeout-ms", FlagSpec::Number, 1, 3600000},
+};
+constexpr size_t NumFlags = std::size(Flags);
+static_assert(NumFlags == static_cast<size_t>(Opt::RequestTimeoutMs) + 1,
+              "Flags and Opt disagree");
+
+/// A command line parsed against its row of `Commands`: the positionals
+/// (the words in the row name's `<...>` slots, then the rest) and each
+/// given flag. A flag's default lives with the code that reads it.
+struct Args {
+  std::vector<const char *> Pos;
+  const char *Text[NumFlags] = {}; ///< As given; a switch's is its name.
+  uint64_t Num[NumFlags] = {};     ///< A Number flag's value.
+
+  bool has(Opt O) const { return text(O) != nullptr; }
+  const char *text(Opt O) const { return Text[static_cast<size_t>(O)]; }
+  uint64_t num(Opt O, uint64_t Default) const {
+    return has(O) ? Num[static_cast<size_t>(O)] : Default;
+  }
+  const char *arg(size_t I) const { return I < Pos.size() ? Pos[I] : nullptr; }
+  /// `index` workers: --threads, else every hardware thread.
+  unsigned threads() const {
+    return static_cast<unsigned>(
+        num(Opt::Threads, std::max(1u, std::thread::hardware_concurrency())));
+  }
+
+  /// Narrative summaries go to stderr when stdout must stay
+  /// machine-readable.
+  std::FILE *narrate() const {
+    return has(Opt::Json) || has(Opt::Prom) ? stderr : stdout;
+  }
+};
+
+/// The commands over one expression, read from [file] or stdin.
+template <int (*Run)(ExprContext &, const Expr *)>
+int onExpr(const Args &A) {
+  std::string Source;
+  if (!readInput(A.arg(0), Source))
+    return 1;
+  ExprContext Ctx;
+  const Expr *E = parseInput(Ctx, Source);
+  return E ? Run(Ctx, E) : 1;
 }
 
 int cmdHash(ExprContext &Ctx, const Expr *E) {
@@ -303,30 +393,11 @@ int cmdDeBruijn(ExprContext &Ctx, const Expr *E) {
   return 0;
 }
 
-int cmdGen(ExprContext &, int Argc, char **Argv) {
-  const char *Family = "balanced";
-  uint32_t Size = 100;
-  uint64_t Seed = 0;
-  uint64_t Count = 1;
-  for (int I = 2; I < Argc; ++I) {
-    auto Want = [&](const char *Flag) {
-      return std::strcmp(Argv[I], Flag) == 0 && I + 1 < Argc;
-    };
-    if (Want("--family"))
-      Family = Argv[++I];
-    else if (Want("--size")) {
-      if (!parseUnsigned("--size", Argv[++I], 0, UINT32_MAX, Size))
-        return 2;
-    } else if (Want("--seed")) {
-      if (!parseUnsigned("--seed", Argv[++I], 0, UINT64_MAX, Seed))
-        return 2;
-    } else if (Want("--count")) {
-      if (!parseUnsigned("--count", Argv[++I], 1, INT64_MAX, Count))
-        return 2;
-    } else
-      return usage();
-  }
-  Rng R(Seed);
+int cmdGen(const Args &A) {
+  const char *Family = A.has(Opt::Family) ? A.text(Opt::Family) : "balanced";
+  const auto Size = static_cast<uint32_t>(A.num(Opt::Size, 100));
+  const uint64_t Count = A.num(Opt::Count, 1);
+  Rng R(A.num(Opt::Seed, 0));
   for (uint64_t K = 0; K != Count; ++K) {
     // Fresh context per expression: `--count` corpora can be large, and
     // one line never needs another line's names or ids.
@@ -348,130 +419,6 @@ int cmdGen(ExprContext &, int Argc, char **Argv) {
 //===----------------------------------------------------------------------===//
 // hma index build|open|update|compact|gc|fsck
 //===----------------------------------------------------------------------===//
-
-struct IndexArgs {
-  const char *Sub = nullptr;
-  const char *Path = nullptr;       ///< Corpus (build) or index path.
-  const char *CorpusPath = nullptr; ///< `update`'s second positional.
-  const char *OpenSub = nullptr;    ///< `open`'s optional "stats" / "query".
-  const char *OutPath = nullptr;
-  const char *ExprText = nullptr;
-  const char *BatchFile = nullptr;
-  unsigned Threads = std::max(1u, std::thread::hardware_concurrency());
-  unsigned Shards = 64;
-  bool ShardsSet = false; ///< --shards given explicitly (open --out and
-                          ///< update re-stripe only on request).
-  bool Segmented = false; ///< --segmented: build a segment directory.
-  bool CrashAfterSegment = false; ///< --crash-after-segment: stop an
-                                  ///< update at the crash window (CI's
-                                  ///< torn-append simulation; exit 3).
-  bool Repair = false;    ///< --repair: fsck deletes repairable debris.
-  unsigned GcMinAge = 60; ///< --min-age-seconds: gc's in-flight guard.
-  bool GcMinAgeSet = false; ///< --min-age-seconds given explicitly.
-  bool Json = false;      ///< --json: machine-readable stats report.
-  bool Prom = false;      ///< --prom: Prometheus text exposition.
-  const char *TraceOut = nullptr; ///< --trace-out: Chrome trace JSON path.
-  const char *Connect = nullptr;  ///< --connect: indexd Unix socket path.
-  unsigned Retries = 5;           ///< --retries: client connect attempts.
-
-  /// True when stdout must stay machine-readable (narrative summaries go
-  /// to stderr instead).
-  bool machineOutput() const { return Json || Prom; }
-  std::FILE *narrate() const { return machineOutput() ? stderr : stdout; }
-};
-
-/// Parse the `index` flags starting at Argv[\p First].
-bool parseIndexFlags(int Argc, char **Argv, int First, IndexArgs &A) {
-  auto Positive = [](const char *Flag, const char *Arg, uint64_t Max,
-                     unsigned &Out) {
-    return parseUnsigned(Flag, Arg, 1, Max, Out);
-  };
-  for (int I = First; I < Argc; ++I) {
-    auto Want = [&](const char *Flag) {
-      return std::strcmp(Argv[I], Flag) == 0 && I + 1 < Argc;
-    };
-    if (Want("--threads")) {
-      if (!Positive("--threads", Argv[++I], 1024, A.Threads))
-        return false;
-    } else if (Want("--shards")) {
-      if (!Positive("--shards", Argv[++I],
-                    AlphaHashIndex<Hash128>::MaxShards, A.Shards))
-        return false;
-      A.ShardsSet = true;
-    } else if (std::strcmp(Argv[I], "--segmented") == 0)
-      A.Segmented = true;
-    else if (std::strcmp(Argv[I], "--crash-after-segment") == 0)
-      A.CrashAfterSegment = true;
-    else if (std::strcmp(Argv[I], "--repair") == 0)
-      A.Repair = true;
-    else if (Want("--min-age-seconds")) {
-      // 0 is meaningful here (disable the in-flight guard), so this
-      // flag cannot go through Positive.
-      if (!parseUnsigned("--min-age-seconds", Argv[++I], 0, 86400 * 365,
-                         A.GcMinAge))
-        return false;
-      A.GcMinAgeSet = true;
-    }
-    else if (std::strcmp(Argv[I], "--json") == 0)
-      A.Json = true;
-    else if (std::strcmp(Argv[I], "--prom") == 0)
-      A.Prom = true;
-    else if (Want("--trace-out"))
-      A.TraceOut = Argv[++I];
-    else if (Want("--connect"))
-      A.Connect = Argv[++I];
-    else if (Want("--retries")) {
-      if (!Positive("--retries", Argv[++I], 1000, A.Retries))
-        return false;
-    } else if (Want("--out"))
-      A.OutPath = Argv[++I];
-    else if (Want("--expr"))
-      A.ExprText = Argv[++I];
-    else if (Want("--batch"))
-      A.BatchFile = Argv[++I];
-    else
-      return false;
-  }
-  return true;
-}
-
-bool parseIndexArgs(int Argc, char **Argv, IndexArgs &A) {
-  if (Argc < 3)
-    return false;
-  A.Sub = Argv[2];
-  int First;
-  if (std::strcmp(A.Sub, "chaos") == 0 || std::strcmp(A.Sub, "query") == 0) {
-    // `index chaos|query --connect S ...`: flags only; the daemon already
-    // holds the index.
-    First = 3;
-  } else if (std::strcmp(A.Sub, "ctl") == 0) {
-    // `index ctl <ping|stats|reload|shutdown> [file] --connect S`.
-    if (Argc < 4 || Argv[3][0] == '-')
-      return false;
-    A.Path = Argv[3]; // The control action.
-    First = 4;
-    if (Argc >= 5 && Argv[4][0] != '-') {
-      A.CorpusPath = Argv[4]; // reload's optional index-file argument.
-      First = 5;
-    }
-  } else {
-    if (Argc < 4)
-      return false;
-    A.Path = Argv[3];
-    First = 4;
-    if (std::strcmp(A.Sub, "update") == 0) {
-      if (Argc < 5)
-        return false;
-      A.CorpusPath = Argv[4];
-      First = 5;
-    } else if (std::strcmp(A.Sub, "open") == 0 && Argc >= 5 &&
-               Argv[4][0] != '-') {
-      A.OpenSub = Argv[4];
-      First = 5;
-    }
-  }
-  return parseIndexFlags(Argc, Argv, First, A);
-}
 
 /// Read a corpus file, refusing `HMAI` index files with a pointer to the
 /// right subcommand (their magic makes the mistake cheap to diagnose).
@@ -502,7 +449,7 @@ void printSchema(const IndexReader<Hash128> &Index) {
   std::printf("hash bits:           %u\n", HashWidth<Hash128>::Bits);
 }
 
-bool writeOutIndex(const IndexArgs &A, const AlphaHashIndex<Hash128> &Index,
+bool writeOutIndex(const Args &A, const AlphaHashIndex<Hash128> &Index,
                    const char *Path) {
   std::string Error;
   const uint64_t Bytes = saveIndexFile(Index, Path, &Error);
@@ -518,13 +465,14 @@ bool writeOutIndex(const IndexArgs &A, const AlphaHashIndex<Hash128> &Index,
 
 /// `hma index build <corpus>`: load + ingest a corpus into a fresh index,
 /// print the one-line build summary, and persist it with --out.
-int cmdIndexBuild(const IndexArgs &A) {
-  AlphaHashIndex<Hash128> Index({A.Shards, HashSchema::DefaultSeed});
+int cmdIndexBuild(const Args &A) {
+  AlphaHashIndex<Hash128> Index(
+      {static_cast<unsigned>(A.num(Opt::Shards, 64)), HashSchema::DefaultSeed});
   CorpusLoadResult Corpus;
-  if (!readCorpus(A.Path, Corpus))
+  if (!readCorpus(A.arg(0), Corpus))
     return 1;
   auto Start = std::chrono::steady_clock::now();
-  auto Batch = Index.insertBatch(Corpus.Blobs, A.Threads);
+  auto Batch = Index.insertBatch(Corpus.Blobs, A.threads());
   auto End = std::chrono::steady_clock::now();
   double Sec = std::chrono::duration<double>(End - Start).count();
 
@@ -537,27 +485,24 @@ int cmdIndexBuild(const IndexArgs &A) {
                static_cast<unsigned long long>(Batch.DecodeErrors));
   std::fprintf(A.narrate(),
                "ingest: %u threads, %u shards, %.3f s, %.0f exprs/sec\n",
-               A.Threads, Index.numShards(), Sec,
+               A.threads(), Index.numShards(), Sec,
                Sec > 0 ? static_cast<double>(Batch.Ingested) / Sec : 0.0);
-  if (A.Segmented) {
+  const char *Out = A.text(Opt::Out);
+  if (A.has(Opt::Segmented)) {
     // `build --segmented --out DIR`: seed a segment directory instead of
     // a single HMAI file; `update` on it is O(delta) from then on.
-    if (!A.OutPath) {
-      std::fprintf(stderr, "error: --segmented requires --out DIR\n");
-      return 2;
-    }
-    SegmentAppendResult R = createSegmentDir(A.OutPath, Index);
+    SegmentAppendResult R = createSegmentDir(Out, Index);
     if (!R.Ok) {
       std::fprintf(stderr, "error: %s\n", R.Error.c_str());
       return 1;
     }
     std::fprintf(A.narrate(),
                  "wrote segmented index: %llu classes to %s (segment %s)\n",
-                 static_cast<unsigned long long>(R.ClassesAfter), A.OutPath,
+                 static_cast<unsigned long long>(R.ClassesAfter), Out,
                  R.SegmentName.c_str());
     return 0;
   }
-  if (A.OutPath && !writeOutIndex(A, Index, A.OutPath))
+  if (Out && !writeOutIndex(A, Index, Out))
     return 1;
   return 0;
 }
@@ -595,11 +540,11 @@ void printAnswer(size_t I, const Answer &R, bool Numbered) {
 /// reported. \p Via names the readers on the batch summary line. Exit 1
 /// when the one expression is absent.
 template <typename BatchFn, typename OneFn>
-int runQueries(const IndexArgs &A, const std::string &Via, BatchFn Batch,
+int runQueries(const Args &A, const std::string &Via, BatchFn Batch,
                OneFn One) {
-  if (A.BatchFile) {
+  if (A.has(Opt::Batch)) {
     CorpusLoadResult Queries;
-    if (!readCorpus(A.BatchFile, Queries))
+    if (!readCorpus(A.text(Opt::Batch), Queries))
       return 1;
     auto Start = std::chrono::steady_clock::now();
     std::vector<Answer> Results;
@@ -621,8 +566,8 @@ int runQueries(const IndexArgs &A, const std::string &Via, BatchFn Batch,
   }
 
   std::string QuerySrc;
-  if (A.ExprText)
-    QuerySrc = A.ExprText;
+  if (A.has(Opt::Expr))
+    QuerySrc = A.text(Opt::Expr);
   else if (!readInput(nullptr, QuerySrc)) // stdin
     return 1;
   ExprContext Ctx;
@@ -688,23 +633,25 @@ void printStatsReport(const IndexReader<Hash128> &Index) {
 /// Stats in whichever format the flags chose. The --json/--prom bodies
 /// live in index/StatsReport.{h,cpp} so `hma indexd` serves the exact
 /// same reports over its Stats wire op.
-void emitStatsReport(const IndexArgs &A, const IndexReader<Hash128> &Index) {
-  if (A.Json) {
+int emitStatsReport(const Args &A, const IndexReader<Hash128> &Index) {
+  if (A.has(Opt::Json)) {
     std::string J = renderIndexStatsJson(Index);
     std::fwrite(J.data(), 1, J.size(), stdout);
-  } else if (A.Prom) {
+  } else if (A.has(Opt::Prom)) {
     std::string Text = renderIndexStatsProm(Index);
     std::fwrite(Text.data(), 1, Text.size(), stdout);
   } else {
     printStatsReport(Index);
   }
+  return 0;
 }
 
-/// Admit \p A.Path through \ref openIndex (open + deep verify), printing
-/// the one-line open summary and a warning per orphan segment file.
-std::unique_ptr<IndexReader<Hash128>> openVerifiedIndex(const IndexArgs &A) {
+/// Admit the index at \p A's path through \ref openIndex (open + deep
+/// verify), printing the one-line open summary and a warning per orphan
+/// segment file.
+std::unique_ptr<IndexReader<Hash128>> openVerifiedIndex(const Args &A) {
   auto Start = std::chrono::steady_clock::now();
-  OpenedIndex<Hash128> R = openIndex<Hash128>(A.Path);
+  OpenedIndex<Hash128> R = openIndex<Hash128>(A.arg(0));
   if (!R.ok()) {
     std::fprintf(stderr, "index error: %s (byte %zu)\n", R.Error.c_str(),
                  R.ErrorPos);
@@ -714,7 +661,7 @@ std::unique_ptr<IndexReader<Hash128>> openVerifiedIndex(const IndexArgs &A) {
   std::fprintf(A.narrate(),
                "opened %s (%s): %zu classes, %llu members, %u shards, "
                "%.6f s (zero-copy, tables verified)\n",
-               A.Path, R.Reader->backendName(), R.Reader->numClasses(),
+               A.arg(0), R.Reader->backendName(), R.Reader->numClasses(),
                static_cast<unsigned long long>(R.Reader->stats().Inserted),
                R.Reader->numShards(),
                std::chrono::duration<double>(End - Start).count());
@@ -722,7 +669,7 @@ std::unique_ptr<IndexReader<Hash128>> openVerifiedIndex(const IndexArgs &A) {
     std::fprintf(stderr,
                  "warning: unreferenced segment file '%s' (crash "
                  "leftover; `hma index gc %s` removes it)\n",
-                 Orphan.c_str(), A.Path);
+                 Orphan.c_str(), A.arg(0));
   return std::move(R.Reader);
 }
 
@@ -730,56 +677,24 @@ std::unique_ptr<IndexReader<Hash128>> openVerifiedIndex(const IndexArgs &A) {
 /// `--shards` if given explicitly (placement is a pure function of the
 /// hash, so that is always safe): how `open --out` re-saves a file.
 std::unique_ptr<AlphaHashIndex<Hash128>>
-restoreIndex(const IndexArgs &A, const IndexReader<Hash128> &Reader) {
+restoreIndex(const Args &A, const IndexReader<Hash128> &Reader) {
   return AlphaHashIndex<Hash128>::restore(
-      {A.ShardsSet ? A.Shards : Reader.numShards(), Reader.schema().seed()},
+      {static_cast<unsigned>(A.num(Opt::Shards, Reader.numShards())),
+       Reader.schema().seed()},
       Reader.snapshot(), Reader.stats());
 }
 
-int cmdIndexOpen(const IndexArgs &A) {
-  bool IsQuery = A.OpenSub && std::strcmp(A.OpenSub, "query") == 0;
-  bool IsStats = A.OpenSub && std::strcmp(A.OpenSub, "stats") == 0;
-  if (A.OpenSub && !IsQuery && !IsStats)
-    return usage(); // reject a bogus subcommand before loading anything
-  if ((A.ExprText || A.BatchFile) && !IsQuery) {
-    // `open F --batch Q` (without the `query` word) must not silently
-    // succeed while ignoring the flags.
-    std::fprintf(stderr, "error: --expr/--batch require `index open <file> "
-                         "query ...`\n");
-    return 2;
-  }
-  if (A.ShardsSet && !A.OutPath) {
-    // A served file keeps its own striping; re-striping only means
-    // something for the file --out writes.
-    std::fprintf(stderr, "error: --shards re-stripes the file written by "
-                         "--out; give --out FILE\n");
-    return 2;
-  }
-  auto Serve = [&](IndexReader<Hash128> &Index) {
-    if (IsStats)
-      emitStatsReport(A, Index);
-    else if (IsQuery)
-      return runQueries(
-          A, std::to_string(A.Threads) + " threads",
-          [&](const std::vector<std::string> &Blobs,
-              std::vector<Answer> &Out) {
-            Out = Index.lookupBatch(Blobs, A.Threads);
-            return true;
-          },
-          [&](ExprContext &Ctx, const Expr *Q, Answer &Out) {
-            Out = Index.lookup(Ctx, Q);
-            return true;
-          });
-    else
-      printSchema(Index);
-    return 0;
-  };
+/// The `index open` rows: admit the index at \p A's path, rebuild it at
+/// --out first if asked, then \p Serve it.
+template <int (*Serve)(const Args &, const IndexReader<Hash128> &)>
+int onOpened(const Args &A) {
+  const char *Out = A.text(Opt::Out);
   // Re-saving is a single-file operation (compact first to get one).
-  if (A.OutPath && isSegmentDir(A.Path)) {
+  if (Out && isSegmentDir(A.arg(0))) {
     std::fprintf(stderr,
                  "error: --shards/--out do not apply to a segmented "
                  "index; `hma index compact %s` first\n",
-                 A.Path);
+                 A.arg(0));
     return 2;
   }
   auto Index = openVerifiedIndex(A);
@@ -787,9 +702,27 @@ int cmdIndexOpen(const IndexArgs &A) {
     return 1;
   // `open F --shards 8 --out G` is the re-shard tool: rebuild from the
   // verified reader and persist, then serve F as usual.
-  if (A.OutPath && !writeOutIndex(A, *restoreIndex(A, *Index), A.OutPath))
+  if (Out && !writeOutIndex(A, *restoreIndex(A, *Index), Out))
     return 1;
-  return Serve(*Index);
+  return Serve(A, *Index);
+}
+
+int emitSchema(const Args &, const IndexReader<Hash128> &Index) {
+  printSchema(Index);
+  return 0;
+}
+
+int queryIndex(const Args &A, const IndexReader<Hash128> &Index) {
+  return runQueries(
+      A, std::to_string(A.threads()) + " threads",
+      [&](const std::vector<std::string> &Blobs, std::vector<Answer> &Out) {
+        Out = Index.lookupBatch(Blobs, A.threads());
+        return true;
+      },
+      [&](ExprContext &Ctx, const Expr *Q, Answer &Out) {
+        Out = Index.lookup(Ctx, Q);
+        return true;
+      });
 }
 
 /// `update --json`'s machine summary: one JSON object on stdout (all
@@ -808,25 +741,27 @@ void emitUpdateJson(const SegmentAppendResult &R) {
 
 /// `update` appends to a segment directory: O(delta), never a rewrite.
 /// A single HMAI file is a read-only build output and is refused.
-int cmdIndexUpdate(const IndexArgs &A) {
-  if (!isSegmentDir(A.Path)) {
+int cmdIndexUpdate(const Args &A) {
+  const char *Dir = A.arg(0);
+  if (!isSegmentDir(Dir)) {
     std::fprintf(stderr,
                  "error: '%s' is not a segment directory; a single HMAI "
                  "file is read-only (rebuild it with `hma index build`, or "
                  "create a growable index with `hma index build <corpus> "
                  "--segmented --out DIR`)\n",
-                 A.Path);
+                 Dir);
     return 2;
   }
   CorpusLoadResult Corpus;
-  if (!readCorpus(A.CorpusPath, Corpus))
+  if (!readCorpus(A.arg(1), Corpus))
     return 1;
   SegmentAppendOptions Opts;
-  Opts.Threads = A.Threads;
-  Opts.Shards = A.ShardsSet ? A.Shards : 0; // 0: the newest segment's
-  Opts.AbortAfterSegmentWrite = A.CrashAfterSegment;
+  Opts.Threads = A.threads();
+  // 0: striped like the newest segment.
+  Opts.Shards = static_cast<unsigned>(A.num(Opt::Shards, 0));
+  Opts.AbortAfterSegmentWrite = A.has(Opt::CrashAfterSegment);
   auto Start = std::chrono::steady_clock::now();
-  SegmentAppendResult R = appendSegment<Hash128>(A.Path, Corpus.Blobs, Opts);
+  SegmentAppendResult R = appendSegment<Hash128>(Dir, Corpus.Blobs, Opts);
   auto End = std::chrono::steady_clock::now();
   if (!R.Ok) {
     std::fprintf(stderr, "error: %s\n", R.Error.c_str());
@@ -849,15 +784,15 @@ int cmdIndexUpdate(const IndexArgs &A) {
                static_cast<unsigned long long>(R.DeltaClasses),
                static_cast<unsigned long long>(R.Fresh),
                std::chrono::duration<double>(End - Start).count());
-  if (A.Json)
+  if (A.has(Opt::Json))
     emitUpdateJson(R);
   return 0;
 }
 
 /// `hma index compact <dir>`: merge every segment into one.
-int cmdIndexCompact(const IndexArgs &A) {
+int cmdIndexCompact(const Args &A) {
   auto Start = std::chrono::steady_clock::now();
-  SegmentCompactResult R = compactSegments<Hash128>(A.Path);
+  SegmentCompactResult R = compactSegments<Hash128>(A.arg(0));
   auto End = std::chrono::steady_clock::now();
   if (!R.Ok) {
     std::fprintf(stderr, "error: %s\n", R.Error.c_str());
@@ -865,7 +800,7 @@ int cmdIndexCompact(const IndexArgs &A) {
   }
   std::fprintf(A.narrate(),
                "compacted %s: %llu segments -> %llu (%llu classes, %.3f s)\n",
-               A.Path, static_cast<unsigned long long>(R.SegmentsBefore),
+               A.arg(0), static_cast<unsigned long long>(R.SegmentsBefore),
                static_cast<unsigned long long>(R.SegmentsAfter),
                static_cast<unsigned long long>(R.Classes),
                std::chrono::duration<double>(End - Start).count());
@@ -874,11 +809,11 @@ int cmdIndexCompact(const IndexArgs &A) {
 
 /// `hma index gc <dir>`: delete segment files the manifest does not
 /// reference (crash-window leftovers).
-int cmdIndexGc(const IndexArgs &A) {
+int cmdIndexGc(const Args &A) {
   std::string Error;
   GcOptions Opts;
-  Opts.MinAgeSeconds = A.GcMinAge;
-  std::vector<std::string> Removed = gcSegmentDir(A.Path, &Error, Opts);
+  Opts.MinAgeSeconds = A.num(Opt::MinAgeSeconds, Opts.MinAgeSeconds);
+  std::vector<std::string> Removed = gcSegmentDir(A.arg(0), &Error, Opts);
   if (!Error.empty()) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
@@ -894,11 +829,11 @@ int cmdIndexGc(const IndexArgs &A) {
 /// classify crash debris. Exit 0 when the index is healthy (or --repair
 /// removed all debris), 1 when repairable debris remains, 2 when the
 /// committed state itself is damaged.
-int cmdIndexFsck(const IndexArgs &A) {
+int cmdIndexFsck(const Args &A) {
   FsckOptions Opts;
-  Opts.Repair = A.Repair;
-  FsckReport R = fsckIndex(A.Path, Opts);
-  std::fputs(R.render(A.Path).c_str(), stdout);
+  Opts.Repair = A.has(Opt::Repair);
+  FsckReport R = fsckIndex(A.arg(0), Opts);
+  std::fputs(R.render(A.arg(0)).c_str(), stdout);
   if (!R.Serviceable)
     return 2;
   return R.hasRepairableDebris() ? 1 : 0;
@@ -908,17 +843,17 @@ int cmdIndexFsck(const IndexArgs &A) {
 // Networked mode: `hma indexd` and the `--connect` client commands
 //===----------------------------------------------------------------------===//
 
-serve::ClientOptions clientOptions(const IndexArgs &A) {
+serve::ClientOptions clientOptions(const Args &A) {
   serve::ClientOptions O;
-  O.UnixSocketPath = A.Connect;
-  O.ConnectRetries = static_cast<int>(A.Retries);
+  O.UnixSocketPath = A.text(Opt::Connect);
+  O.ConnectRetries = static_cast<int>(A.num(Opt::Retries, O.ConnectRetries));
   return O;
 }
 
 /// `hma index query --connect SOCK ...`: the daemon-backed twin of
 /// `open <path> query` -- same flags, same output shapes, over the
 /// socket.
-int cmdIndexQueryConnect(const IndexArgs &A) {
+int cmdIndexQueryConnect(const Args &A) {
   serve::Client C(clientOptions(A));
   std::string Error;
   // The answers view the owning wire replies, which outlive the printing.
@@ -933,7 +868,7 @@ int cmdIndexQueryConnect(const IndexArgs &A) {
     return false;
   };
   return runQueries(
-      A, std::string("over ") + A.Connect,
+      A, std::string("over ") + A.text(Opt::Connect),
       [&](const std::vector<std::string> &Blobs, std::vector<Answer> &Out) {
         if (!C.lookupBatch(Blobs, Wire, &Error))
           return Failed();
@@ -950,61 +885,60 @@ int cmdIndexQueryConnect(const IndexArgs &A) {
       });
 }
 
-/// `hma index ctl <ping|stats|reload|shutdown> [file] --connect SOCK`.
-int cmdIndexCtl(const IndexArgs &A) {
-  const char *Action = A.Path;
+/// `hma index ctl ping|stats|reload|shutdown --connect SOCK`: one control
+/// request each; a transport failure exits 1.
+int ctlFailed(const std::string &Error) {
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return 1;
+}
+
+int cmdCtlPing(const Args &A) {
   serve::Client C(clientOptions(A));
   std::string Error;
+  if (!C.ping(&Error))
+    return ctlFailed(Error);
+  std::printf("pong\n");
+  return 0;
+}
 
-  if (std::strcmp(Action, "ping") == 0) {
-    if (!C.ping(&Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::printf("pong\n");
-    return 0;
-  }
-  if (std::strcmp(Action, "stats") == 0) {
-    serve::StatsFormat F = A.Json   ? serve::StatsFormat::Json
-                           : A.Prom ? serve::StatsFormat::Prom
-                                    : serve::StatsFormat::Text;
-    std::string Report;
-    if (!C.stats(F, Report, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::fwrite(Report.data(), 1, Report.size(), stdout);
-    return 0;
-  }
-  if (std::strcmp(Action, "reload") == 0) {
-    serve::Reply R;
-    if (!C.reload(A.CorpusPath ? A.CorpusPath : "", R, &Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::printf("%s\n", R.Body.c_str());
-    return R.ok() ? 0 : 1;
-  }
-  if (std::strcmp(Action, "shutdown") == 0) {
-    if (!C.shutdownServer(&Error)) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::printf("shutdown requested\n");
-    return 0;
-  }
-  std::fprintf(stderr,
-               "error: unknown ctl action '%s' (ping|stats|reload|"
-               "shutdown)\n",
-               Action);
-  return 2;
+int cmdCtlStats(const Args &A) {
+  serve::Client C(clientOptions(A));
+  std::string Error;
+  serve::StatsFormat F = A.has(Opt::Json)   ? serve::StatsFormat::Json
+                         : A.has(Opt::Prom) ? serve::StatsFormat::Prom
+                                            : serve::StatsFormat::Text;
+  std::string Report;
+  if (!C.stats(F, Report, &Error))
+    return ctlFailed(Error);
+  std::fwrite(Report.data(), 1, Report.size(), stdout);
+  return 0;
+}
+
+/// `ctl reload [file]`: re-admit \p file, or the currently served index.
+int cmdCtlReload(const Args &A) {
+  serve::Client C(clientOptions(A));
+  std::string Error;
+  serve::Reply R;
+  if (!C.reload(A.arg(0) ? A.arg(0) : "", R, &Error))
+    return ctlFailed(Error);
+  std::printf("%s\n", R.Body.c_str());
+  return R.ok() ? 0 : 1;
+}
+
+int cmdCtlShutdown(const Args &A) {
+  serve::Client C(clientOptions(A));
+  std::string Error;
+  if (!C.shutdownServer(&Error))
+    return ctlFailed(Error);
+  std::printf("shutdown requested\n");
+  return 0;
 }
 
 /// `hma index chaos --connect SOCK`: the misbehaving client, against a
 /// daemon started with `--request-timeout-ms 2000` (the deadline chaos
 /// waits out). Exit 0 iff the daemon survived every offence with the
 /// right reaction.
-int cmdIndexChaos(const IndexArgs &A) {
+int cmdIndexChaos(const Args &A) {
   std::string Log;
   int Failures = serve::runChaos(clientOptions(A),
                                  /*ServerRequestTimeoutMs=*/2000, Log);
@@ -1027,37 +961,13 @@ extern "C" void indexdSignalHandler(int Signo) {
     ActiveServer->notifySignal(Signo);
 }
 
-int cmdIndexd(int Argc, char **Argv) {
-  if (Argc < 3 || Argv[2][0] == '-')
-    return usage();
+int cmdIndexd(const Args &A) {
   serve::ServerOptions O;
-  O.IndexPath = Argv[2];
-  auto Positive = [](const char *Flag, const char *Arg, uint64_t Max,
-                     long long &Out) {
-    return parseUnsigned(Flag, Arg, 1, Max, Out);
-  };
-  for (int I = 3; I < Argc; ++I) {
-    auto Want = [&](const char *Flag) {
-      return std::strcmp(Argv[I], Flag) == 0 && I + 1 < Argc;
-    };
-    long long V = 0;
-    if (Want("--socket"))
-      O.UnixSocketPath = Argv[++I];
-    else if (Want("--threads")) {
-      if (!Positive("--threads", Argv[++I], 1024, V))
-        return 2;
-      O.Threads = static_cast<unsigned>(V);
-    } else if (Want("--request-timeout-ms")) {
-      if (!Positive("--request-timeout-ms", Argv[++I], 3600000, V))
-        return 2;
-      O.RequestTimeoutMs = static_cast<int>(V);
-    } else
-      return usage();
-  }
-  if (O.UnixSocketPath.empty()) {
-    std::fprintf(stderr, "error: hma indexd requires --socket PATH\n");
-    return 2;
-  }
+  O.IndexPath = A.arg(0);
+  O.UnixSocketPath = A.text(Opt::Socket);
+  O.Threads = static_cast<unsigned>(A.num(Opt::Threads, O.Threads));
+  O.RequestTimeoutMs =
+      static_cast<int>(A.num(Opt::RequestTimeoutMs, O.RequestTimeoutMs));
 
   // Hold the daemon's signals until their handler is in place: a SIGTERM
   // that lands while the index loads, or just after the socket starts
@@ -1082,7 +992,7 @@ int cmdIndexd(int Argc, char **Argv) {
   std::fprintf(stderr, "hma indexd: serving generation %llu on '%s'\n",
                static_cast<unsigned long long>(
                    Srv.generations().currentNumber()),
-               Argv[2]);
+               A.arg(0));
   int Rc = Srv.waitForExit();
   ActiveServer = nullptr;
   std::fprintf(stderr, "hma indexd: drained after %llu requests\n",
@@ -1090,122 +1000,12 @@ int cmdIndexd(int Argc, char **Argv) {
   return Rc;
 }
 
-int cmdIndex(int Argc, char **Argv) {
-  IndexArgs A;
-  if (!parseIndexArgs(Argc, Argv, A))
-    return usage();
-  // The daemon's clients and --connect pair up strictly: `query`, `ctl`
-  // and `chaos` talk to a daemon, and --connect means nothing to the
-  // in-process subcommands.
-  bool IsNetworked = std::strcmp(A.Sub, "query") == 0 ||
-                     std::strcmp(A.Sub, "ctl") == 0 ||
-                     std::strcmp(A.Sub, "chaos") == 0;
-  if (IsNetworked && !A.Connect) {
-    std::fprintf(stderr, "error: `index %s` requires --connect SOCK\n",
-                 A.Sub);
-    return 2;
-  }
-  if (A.Connect && !IsNetworked) {
-    std::fprintf(stderr, "error: --connect applies to `index query`, "
-                         "`index ctl`, and `index chaos` only\n");
-    return 2;
-  }
-  // Only `build` and `open` write a file; a segmented `update` appends
-  // in place, and a single file is never updated.
-  if (A.OutPath && std::strcmp(A.Sub, "build") != 0 &&
-      std::strcmp(A.Sub, "open") != 0) {
-    std::fprintf(stderr,
-                 "error: --out applies to `index build` and `index open` "
-                 "only\n");
-    return 2;
-  }
-  // --json/--prom reshape the stats report (and `update` emits a --json
-  // summary); anywhere else they would be silently swallowed.
-  bool IsStatsReport =
-      (std::strcmp(A.Sub, "open") == 0 && A.OpenSub &&
-       std::strcmp(A.OpenSub, "stats") == 0) ||
-      (std::strcmp(A.Sub, "ctl") == 0 && A.Path &&
-       std::strcmp(A.Path, "stats") == 0);
-  bool IsUpdate = std::strcmp(A.Sub, "update") == 0;
-  if (A.Prom && !IsStatsReport) {
-    std::fprintf(stderr, "error: --prom applies to `index open <file> "
-                         "stats` and `index ctl stats` only\n");
-    return 2;
-  }
-  if (A.Json && !IsStatsReport && !IsUpdate) {
-    std::fprintf(stderr, "error: --json applies to `index open <file> "
-                         "stats`, `index ctl stats`, and `index update` "
-                         "only\n");
-    return 2;
-  }
-  if (A.Json && A.Prom) {
-    std::fprintf(stderr, "error: --json and --prom are mutually exclusive\n");
-    return 2;
-  }
-  // The segment-lifecycle flags pair with their own subcommands.
-  if (A.Segmented && std::strcmp(A.Sub, "build") != 0) {
-    std::fprintf(stderr, "error: --segmented applies to `index build` "
-                         "only\n");
-    return 2;
-  }
-  if (A.CrashAfterSegment && !IsUpdate) {
-    std::fprintf(stderr, "error: --crash-after-segment applies to `index "
-                         "update` only\n");
-    return 2;
-  }
-  if (A.Repair && std::strcmp(A.Sub, "fsck") != 0) {
-    std::fprintf(stderr, "error: --repair applies to `index fsck` only\n");
-    return 2;
-  }
-  if (A.GcMinAgeSet && std::strcmp(A.Sub, "gc") != 0) {
-    std::fprintf(stderr,
-                 "error: --min-age-seconds applies to `index gc` only\n");
-    return 2;
-  }
-
-  if (A.TraceOut)
-    obs::TraceSink::global().enable();
-  int Rc;
-  if (std::strcmp(A.Sub, "build") == 0)
-    Rc = cmdIndexBuild(A);
-  else if (std::strcmp(A.Sub, "query") == 0)
-    Rc = cmdIndexQueryConnect(A);
-  else if (std::strcmp(A.Sub, "ctl") == 0)
-    Rc = cmdIndexCtl(A);
-  else if (std::strcmp(A.Sub, "chaos") == 0)
-    Rc = cmdIndexChaos(A);
-  else if (std::strcmp(A.Sub, "open") == 0)
-    Rc = cmdIndexOpen(A);
-  else if (std::strcmp(A.Sub, "update") == 0)
-    Rc = cmdIndexUpdate(A);
-  else if (std::strcmp(A.Sub, "compact") == 0)
-    Rc = cmdIndexCompact(A);
-  else if (std::strcmp(A.Sub, "gc") == 0)
-    Rc = cmdIndexGc(A);
-  else if (std::strcmp(A.Sub, "fsck") == 0)
-    Rc = cmdIndexFsck(A);
-  else
-    return usage();
-  if (A.TraceOut) {
-    obs::TraceSink &Sink = obs::TraceSink::global();
-    Sink.disable();
-    std::string Error;
-    if (!Sink.writeJson(A.TraceOut, &Error)) {
-      std::fprintf(stderr, "trace error: %s\n", Error.c_str());
-      return Rc ? Rc : 1;
-    }
-    std::fprintf(stderr, "trace: wrote %zu events to %s\n", Sink.numEvents(),
-                 A.TraceOut);
-  }
-  return Rc;
-}
-
 /// `hma prom-lint [file]`: validate Prometheus text exposition read from
 /// \p file or stdin. CI lints `hma index open <file> stats --prom` output
 /// with this, so exposition bugs fail the pipeline rather than the
 /// scrape.
-int cmdPromLint(int Argc, char **Argv) {
-  const char *Path = Argc >= 3 ? Argv[2] : nullptr;
+int cmdPromLint(const Args &A) {
+  const char *Path = A.arg(0);
   std::string Text;
   if (!readInput(Path, Text))
     return 1;
@@ -1219,42 +1019,211 @@ int cmdPromLint(int Argc, char **Argv) {
   return 0;
 }
 
+//===----------------------------------------------------------------------===//
+// The command table and its parser
+//===----------------------------------------------------------------------===//
+
+struct Command {
+  const char *Name;          ///< Its words; a `<...>` word is a positional.
+  unsigned MinArgs, MaxArgs; ///< Positionals, `<...>` words included.
+  const char *Accepts;       ///< The flags it takes.
+  int (*Run)(const Args &);
+};
+
+/// Every command once. Every `index` row takes --trace-out (Chrome trace
+/// JSON over the whole command); a client of `indexd` needs --connect.
+const Command Commands[] = {
+    {"hash", 0, 1, "", onExpr<cmdHash>},
+    {"classes", 0, 1, "", onExpr<cmdClasses>},
+    {"cse", 0, 1, "", onExpr<cmdCse>},
+    {"eval", 0, 1, "", onExpr<cmdEval>},
+    {"debruijn", 0, 1, "", onExpr<cmdDeBruijn>},
+    {"gen", 0, 0, "--family --size --seed --count", cmdGen},
+    {"index build", 1, 1, "--threads --shards --out --segmented --trace-out",
+     cmdIndexBuild},
+    {"index open <path>", 1, 1, "--out --shards --trace-out",
+     onOpened<emitSchema>},
+    {"index open <path> stats", 1, 1,
+     "--json --prom --out --shards --trace-out", onOpened<emitStatsReport>},
+    {"index open <path> query", 1, 1,
+     "--expr --batch --threads --out --shards --trace-out",
+     onOpened<queryIndex>},
+    {"index update", 2, 2,
+     "--threads --shards --json --crash-after-segment --trace-out",
+     cmdIndexUpdate},
+    {"index compact", 1, 1, "--trace-out", cmdIndexCompact},
+    {"index gc", 1, 1, "--min-age-seconds --trace-out", cmdIndexGc},
+    {"index fsck", 1, 1, "--repair --trace-out", cmdIndexFsck},
+    {"index query", 0, 0, "--connect --retries --expr --batch --trace-out",
+     cmdIndexQueryConnect},
+    {"index ctl ping", 0, 0, "--connect --retries --trace-out", cmdCtlPing},
+    {"index ctl stats", 0, 0, "--connect --retries --json --prom --trace-out",
+     cmdCtlStats},
+    {"index ctl reload", 0, 1, "--connect --retries --trace-out", cmdCtlReload},
+    {"index ctl shutdown", 0, 0, "--connect --retries --trace-out",
+     cmdCtlShutdown},
+    {"index chaos", 0, 0, "--connect --retries --trace-out", cmdIndexChaos},
+    {"indexd", 1, 1, "--socket --threads --request-timeout-ms", cmdIndexd},
+    {"prom-lint", 0, 1, "", cmdPromLint},
+};
+
+std::vector<std::string> wordsOf(const char *Text) {
+  std::istringstream In(Text);
+  return {std::istream_iterator<std::string>(In),
+          std::istream_iterator<std::string>()};
+}
+
+bool accepts(const Command &C, Opt O) {
+  std::vector<std::string> Names = wordsOf(C.Accepts);
+  return std::find(Names.begin(), Names.end(),
+                   Flags[static_cast<size_t>(O)].Name) != Names.end();
+}
+
+/// The flag rules beyond "does this row take the flag", all in one place.
+bool checkFlagRules(const Command &Cmd, const Args &A) {
+  const char *Error = nullptr;
+  if (A.has(Opt::Json) && A.has(Opt::Prom))
+    Error = "--json and --prom are mutually exclusive";
+  else if (A.has(Opt::Expr) && A.has(Opt::Batch))
+    Error = "--expr and --batch are mutually exclusive";
+  else if (A.has(Opt::Segmented) && !A.has(Opt::Out))
+    Error = "--segmented requires --out DIR";
+  // A served index keeps its own striping: only the file --out writes
+  // can be re-striped.
+  else if (std::strncmp(Cmd.Name, "index open", 10) == 0 &&
+           A.has(Opt::Shards) && !A.has(Opt::Out))
+    Error = "--shards re-stripes the file written by --out; give --out FILE";
+  if (Error) {
+    std::fprintf(stderr, "error: %s\n", Error);
+    return false;
+  }
+  // A daemon's clients need its socket, and the daemon one to serve on.
+  for (Opt O : {Opt::Connect, Opt::Socket}) {
+    if (accepts(Cmd, O) && (!A.has(O) || !*A.text(O))) {
+      std::fprintf(stderr, "error: `%s` requires %s\n", Cmd.Name,
+                   Flags[static_cast<size_t>(O)].Name);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Parse argv against the tables: the command's words and positionals
+/// first, then flags. Null, with the reason printed, for a line to
+/// refuse (exit 2 before any work).
+const Command *parseCommandLine(int Argc, char **Argv, Args &A) {
+  std::vector<const char *> Words;
+  std::vector<std::pair<size_t, const char *>> Given; // Flag, value.
+  for (int I = 1; I < Argc; ++I) {
+    if (std::strncmp(Argv[I], "--", 2) != 0) {
+      if (!Given.empty()) {
+        std::fprintf(stderr, "error: unexpected argument '%s' after the "
+                             "flags\n",
+                     Argv[I]);
+        return nullptr;
+      }
+      Words.push_back(Argv[I]);
+      continue;
+    }
+    const FlagSpec *F =
+        std::find_if(std::begin(Flags), std::end(Flags),
+                     [&](const FlagSpec &F) {
+                       return std::strcmp(F.Name, Argv[I]) == 0;
+                     });
+    if (F == std::end(Flags) || (F->K != FlagSpec::Switch && I + 1 == Argc)) {
+      usage();
+      return nullptr;
+    }
+    Given.emplace_back(F - Flags,
+                       F->K == FlagSpec::Switch ? F->Name : Argv[++I]);
+  }
+
+  // The row whose whole name the words start with, the longest winning
+  // (`index open F query` is not `index open F` plus a word). Otherwise
+  // name the first unknown word after the deepest known prefix, with the
+  // words that fit there: `unknown ctl action 'x' (ping|stats|...)`.
+  const Command *Cmd = nullptr;
+  size_t Len = 0, Known = 0;
+  std::string Fits, Last;
+  for (const Command &C : Commands) {
+    std::vector<std::string> Name = wordsOf(C.Name);
+    size_t N = 0;
+    while (N != Name.size() && N != Words.size() &&
+           (Name[N][0] == '<' || Name[N] == Words[N]))
+      ++N;
+    if (N == Name.size()) {
+      if (N > Len)
+        Cmd = &C, Len = N;
+    } else if (N != 0 && N >= Known) {
+      if (N > Known)
+        Known = N, Fits.clear(), Last.clear();
+      if (Name[N] != Last)
+        Fits += "|" + (Last = Name[N]);
+    }
+  }
+  if (!Cmd && (Known == 0 || Known == Words.size())) {
+    usage();
+    return nullptr;
+  }
+  if (!Cmd) {
+    std::fprintf(stderr, "error: unknown %s action '%s' (%s)\n",
+                 Words[Known - 1], Words[Known], Fits.c_str() + 1);
+    return nullptr;
+  }
+  std::vector<std::string> Name = wordsOf(Cmd->Name);
+  for (size_t I = 0; I != Words.size(); ++I)
+    if (I >= Name.size() || Name[I][0] == '<')
+      A.Pos.push_back(Words[I]);
+  if (A.Pos.size() < Cmd->MinArgs) {
+    usage();
+    return nullptr;
+  }
+  if (A.Pos.size() > Cmd->MaxArgs) {
+    std::fprintf(stderr, "error: unexpected argument '%s' to `%s`\n",
+                 A.Pos[Cmd->MaxArgs], Cmd->Name);
+    return nullptr;
+  }
+
+  for (auto [Flag, Value] : Given) {
+    const FlagSpec &F = Flags[Flag];
+    if (!accepts(*Cmd, static_cast<Opt>(Flag))) {
+      std::string Rows;
+      for (const Command &C : Commands)
+        if (accepts(C, static_cast<Opt>(Flag)))
+          Rows += (Rows.empty() ? "`" : ", `") + std::string(C.Name) + "`";
+      std::fprintf(stderr, "error: %s applies to %s only\n", F.Name,
+                   Rows.c_str());
+      return nullptr;
+    }
+    if (F.K == FlagSpec::Number &&
+        !parseUnsigned(F.Name, Value, F.Min, F.Max, A.Num[Flag]))
+      return nullptr;
+    A.Text[Flag] = Value;
+  }
+  return checkFlagRules(*Cmd, A) ? Cmd : nullptr;
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
-  if (Argc < 2)
-    return usage();
-  ExprContext Ctx;
-  const char *Cmd = Argv[1];
-
-  if (std::strcmp(Cmd, "gen") == 0)
-    return cmdGen(Ctx, Argc, Argv);
-  if (std::strcmp(Cmd, "index") == 0)
-    return cmdIndex(Argc, Argv);
-  if (std::strcmp(Cmd, "indexd") == 0)
-    return cmdIndexd(Argc, Argv);
-  if (std::strcmp(Cmd, "prom-lint") == 0)
-    return cmdPromLint(Argc, Argv);
-
-  // The commands over one expression; anything else is a usage error
-  // before any input is read.
-  static const struct {
-    const char *Name;
-    int (*Run)(ExprContext &, const Expr *);
-  } ExprCmds[] = {{"hash", cmdHash},
-                  {"classes", cmdClasses},
-                  {"cse", cmdCse},
-                  {"eval", cmdEval},
-                  {"debruijn", cmdDeBruijn}};
-  for (const auto &C : ExprCmds) {
-    if (std::strcmp(Cmd, C.Name) != 0)
-      continue;
-    const char *Path = Argc >= 3 ? Argv[2] : nullptr;
-    std::string Source;
-    if (!readInput(Path, Source))
-      return 1;
-    const Expr *E = parseInput(Ctx, Source);
-    return E ? C.Run(Ctx, E) : 1;
+  Args A;
+  const Command *Cmd = parseCommandLine(Argc, Argv, A);
+  if (!Cmd)
+    return 2;
+  const char *TraceOut = A.text(Opt::TraceOut);
+  if (TraceOut)
+    obs::TraceSink::global().enable();
+  int Rc = Cmd->Run(A);
+  if (!TraceOut)
+    return Rc;
+  obs::TraceSink &Sink = obs::TraceSink::global();
+  Sink.disable();
+  std::string Error;
+  if (!Sink.writeJson(TraceOut, &Error)) {
+    std::fprintf(stderr, "trace error: %s\n", Error.c_str());
+    return Rc ? Rc : 1;
   }
-  return usage();
+  std::fprintf(stderr, "trace: wrote %zu events to %s\n", Sink.numEvents(),
+               TraceOut);
+  return Rc;
 }
