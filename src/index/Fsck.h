@@ -12,24 +12,28 @@
 /// unreferenced segment from an append that never reached its manifest
 /// swap. Fsck's job is to tell those two situations apart:
 ///
-///  - **Damage** (the committed state itself is unreadable): a manifest
-///    that fails its checksum, a referenced segment that is missing,
-///    truncated or fails validation. Never auto-repaired -- fsck
-///    reports what is wrong and the operator restores from a replica or
-///    accepts the loss.
-///  - **Debris** (the committed state is fine, leftovers remain):
-///    orphan `.tmp` files and unreferenced segments. Safely deletable,
-///    and `--repair` deletes exactly these, nothing else.
+///  - **Damage** (the committed state does not load): fsck has no
+///    validator of its own. It asks \ref openIndex at b=128, the gate
+///    `hma index open` and every `hma indexd` load go through, and a
+///    refusal is one \ref FsckIssueKind::Damage issue carrying that
+///    gate's diagnostic (which names the first file that fails). Never
+///    repaired: fsck reports it and the operator restores from a
+///    replica or rebuilds.
+///  - **Debris** (the committed state serves, leftovers remain): the
+///    tmp files writers leave (`MANIFEST.tmp`, `seg-*.hmai.tmp`, or a
+///    single file's sibling `.tmp`) and segments the manifest does not
+///    list. Listed only when the committed state is serviceable, so a
+///    repair can never delete a file the damaged state still needs;
+///    `--repair` deletes exactly these, nothing else.
 ///
 /// The distinction is surfaced as \ref FsckReport::Serviceable: true
-/// iff a reader opening the index right now gets a correct answer.
+/// iff `hma index open` and `hma indexd` would serve the index right
+/// now.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef HMA_INDEX_FSCK_H
 #define HMA_INDEX_FSCK_H
-
-#include "support/IoEnv.h"
 
 #include <cstdint>
 #include <string>
@@ -39,14 +43,9 @@ namespace hma {
 
 /// What fsck found, classified by what an operator should do about it.
 enum class FsckIssueKind {
-  OrphanTmp,           ///< Stale `*.tmp` from a writer that died mid-write.
+  OrphanTmp,           ///< Stale writer tmp from a writer that died mid-write.
   UnreferencedSegment, ///< `seg-*.hmai` present but not in the manifest.
-  MissingSegment,      ///< Manifest references a file that cannot be read.
-  SizeMismatch,        ///< Segment size differs from the manifest record.
-  TruncatedTail,       ///< File ends before its own layout says it should.
-  ChecksumMismatch,    ///< Manifest bytes fail their FNV-1a checksum.
-  BadManifest,         ///< Manifest missing or undecodable.
-  CorruptSegment,      ///< Segment/file fails header or record validation.
+  Damage,              ///< The committed state fails \ref openIndex.
 };
 
 /// Stable kebab-case name for \p K (used in reports and tests).
@@ -55,7 +54,8 @@ const char *fsckIssueKindName(FsckIssueKind K);
 /// One finding: the file it concerns and whether fsck may delete it.
 struct FsckIssue {
   FsckIssueKind Kind;
-  std::string Path;   ///< File name (relative to the index directory).
+  std::string Path;   ///< Debris: file name inside the index directory,
+                      ///< or a single file's tmp path. Damage: the index.
   std::string Detail; ///< Human-readable diagnostic.
   bool Repairable = false; ///< True iff deleting \ref Path is safe.
   bool Repaired = false;   ///< Set when `--repair` actually deleted it.
@@ -65,17 +65,14 @@ struct FsckOptions {
   /// Delete repairable debris (orphan tmp files, unreferenced
   /// segments). Damage is never repaired.
   bool Repair = false;
-  /// I/O environment; null means the production passthrough.
-  IoEnv *Env = nullptr;
 };
 
 /// The outcome of an fsck run.
 struct FsckReport {
-  bool Healthy = false;     ///< No issues at all.
-  bool Serviceable = false; ///< The committed state loads correctly.
-  bool Segmented = false;   ///< Path was a segmented-index directory.
-  uint64_t Segments = 0;    ///< Manifest entry count (segmented only).
-  uint64_t Classes = 0;     ///< Live classes in the committed state.
+  bool Healthy = false;     ///< Serviceable, and no debris left unrepaired.
+  bool Serviceable = false; ///< \ref openIndex admits the committed state.
+  bool Segmented = false;   ///< Path was a directory.
+  uint64_t Classes = 0;     ///< Live classes in a serviceable state.
   std::vector<FsckIssue> Issues;
 
   /// True if any issue is repairable and not yet repaired.
@@ -86,9 +83,9 @@ struct FsckReport {
 };
 
 /// Check the index at \p Path (single `HMAI` file or segmented
-/// directory, auto-detected). Never modifies anything unless
-/// \p Opts.Repair is set, and then deletes only debris whose removal
-/// cannot change what a reader observes.
+/// directory, as \ref openIndex tells them apart). Never modifies
+/// anything unless \p Opts.Repair is set, and then deletes only debris
+/// whose removal cannot change what a reader observes.
 FsckReport fsckIndex(const std::string &Path, const FsckOptions &Opts = {});
 
 } // namespace hma

@@ -36,8 +36,8 @@
 ///    read out of bounds. \ref verify runs the full O(classes) integrity
 ///    check (sort order, blob ranges, sidecar content) on demand for
 ///    untrusted files. It is the format's only deep validator: `hma
-///    index open`, segment opens, fsck's deep check and the daemon's
-///    reload gate all run `open` + `verify` (the adversarial sweep in
+///    index open`, segment opens, fsck and the daemon's reload gate
+///    all run it through \ref openIndex (the adversarial sweep in
 ///    tests/index_io_test.cpp pins what it rejects).
 ///
 /// Concurrency: the mapping is immutable, so any number of threads may

@@ -31,9 +31,12 @@ std::vector<std::string> hma::listTmpFiles(const std::string &Dir) {
   if (!D)
     return Tmps;
   while (struct dirent *Ent = ::readdir(D)) {
-    const std::string Name = Ent->d_name;
-    if (Name.size() > 4 && Name.compare(Name.size() - 4, 4, ".tmp") == 0)
-      Tmps.push_back(Name);
+    const std::string_view Name = Ent->d_name;
+    if (Name.size() <= 4 || Name.substr(Name.size() - 4) != ".tmp")
+      continue;
+    const std::string_view Target = Name.substr(0, Name.size() - 4);
+    if (Target == smf::manifestFileName() || isSegmentFileName(Target))
+      Tmps.emplace_back(Name);
   }
   ::closedir(D);
   std::sort(Tmps.begin(), Tmps.end());

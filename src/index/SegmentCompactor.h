@@ -53,7 +53,11 @@
 /// either the old index (manifest not yet swapped; the new segment is
 /// an ignored orphan) or the new one (swap done; undeleted old files
 /// are orphans) -- never a torn state. \ref gcSegmentDir deletes the
-/// orphans either crash leaves behind.
+/// orphans either crash leaves behind, and the writers' dead tmp files
+/// (\ref listTmpFiles); `hma index fsck --repair` (index/Fsck.h) runs
+/// the same sweep, but only on a directory \ref openIndex admits. The
+/// crash matrix (tests/crash_matrix_test.cpp) proves all of this by
+/// failing every I/O call of each writer through a \ref FaultIoEnv.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,7 +81,7 @@
 
 namespace hma {
 
-/// Tuning and testing knobs for \ref appendSegment.
+/// Tuning knobs for \ref appendSegment.
 struct SegmentAppendOptions {
   unsigned Threads = 1; ///< Ingest parallelism for staging the delta.
   /// Shard count for the new segment (each segment file carries its own
@@ -85,13 +89,6 @@ struct SegmentAppendOptions {
   /// what compaction inherits, so an append never re-stripes the index
   /// by accident.
   unsigned Shards = 0;
-  /// Crash-window simulation: return (successfully, with \ref
-  /// SegmentAppendResult::Aborted set) after the segment file is written
-  /// but *before* the manifest swap -- the exact state a crash between
-  /// the two leaves on disk. The CLI exposes it as
-  /// `--crash-after-segment`; CI reopens the directory afterwards and
-  /// asserts the old index still serves.
-  bool AbortAfterSegmentWrite = false;
   /// I/O environment every durable write runs through (null: the
   /// production passthrough). The crash matrix passes a \ref FaultIoEnv
   /// here to fail / power-cut any call of the append.
@@ -101,7 +98,6 @@ struct SegmentAppendOptions {
 /// What one append (or create) did.
 struct SegmentAppendResult {
   bool Ok = false;
-  bool Aborted = false; ///< Stopped at the crash window (see options).
   std::string Error;
   std::string SegmentName;   ///< File the delta was written to.
   uint64_t DeltaClasses = 0; ///< Classes in the new segment's table.
@@ -215,14 +211,6 @@ SegmentAppendResult appendSegment(const std::string &Dir,
                      M.Seed, Stats, &R.Error, Env);
   if (FileBytes == 0)
     return R;
-  if (Opts.AbortAfterSegmentWrite) {
-    // Crash-window simulation: the segment exists, the manifest does not
-    // know it. NextId was not bumped, so the next successful append
-    // atomically replaces this orphan.
-    R.Ok = R.Aborted = true;
-    R.ClassesAfter = R.ClassesBefore;
-    return R;
-  }
 
   SegmentEntry E;
   E.Name = R.SegmentName;
@@ -330,7 +318,7 @@ struct GcOptions {
 };
 
 /// Delete every segment-shaped file in \p Dir the manifest does not
-/// reference, plus aged `*.tmp` leftovers (crash-window debris). Files
+/// reference, plus aged writer tmp files (\ref listTmpFiles). Files
 /// younger than \ref GcOptions::MinAgeSeconds are left alone -- they may
 /// be a concurrent append's in-flight segment. Returns the names
 /// removed; \p Error is set only if the manifest itself cannot be read.
@@ -338,9 +326,11 @@ std::vector<std::string> gcSegmentDir(const std::string &Dir,
                                       std::string *Error = nullptr,
                                       const GcOptions &Opts = {});
 
-/// `*.tmp` leftovers in \p Dir: a writer that died between creating its
-/// tmp and renaming it. Never data -- every committed file was renamed
-/// away from its tmp name. Shared by gc and `hma index fsck`.
+/// The tmp files a segment directory's writers leave in \p Dir when they
+/// die between creating the tmp and renaming it: `MANIFEST.tmp` and
+/// `seg-*.hmai.tmp`. Never data -- every committed file was renamed away
+/// from its tmp name. Any other `*.tmp` is not the index's and is left
+/// alone. Shared by gc and `hma index fsck`. Sorted by name.
 std::vector<std::string> listTmpFiles(const std::string &Dir);
 
 } // namespace hma

@@ -145,6 +145,11 @@ std::string hma::segmentFileName(uint64_t Id) {
   return Buf;
 }
 
+bool hma::isSegmentFileName(std::string_view Name) {
+  return Name.size() >= 9 && Name.substr(0, 4) == "seg-" &&
+         Name.substr(Name.size() - 5) == ".hmai";
+}
+
 bool hma::isSegmentDir(const std::string &Path) {
   struct stat St;
   if (::stat(Path.c_str(), &St) != 0 || !S_ISDIR(St.st_mode))
@@ -169,11 +174,7 @@ hma::listUnreferencedSegments(const std::string &Dir,
     return Orphans;
   while (struct dirent *Ent = ::readdir(D)) {
     const std::string Name = Ent->d_name;
-    // Segment-shaped names only: "seg-*.hmai". The manifest, tmp files
-    // mid-rename, and anything else a user dropped into the directory
-    // are not ours to report or delete.
-    if (Name.size() < 9 || Name.compare(0, 4, "seg-") != 0 ||
-        Name.compare(Name.size() - 5, 5, ".hmai") != 0)
+    if (!isSegmentFileName(Name))
       continue;
     bool Listed = false;
     for (const SegmentEntry &E : M.Segments)

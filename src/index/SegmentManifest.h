@@ -135,6 +135,11 @@ std::string manifestPathFor(const std::string &Dir);
 /// Canonical segment file name for \p Id ("seg-000042.hmai").
 std::string segmentFileName(uint64_t Id);
 
+/// True for a segment-shaped name ("seg-*.hmai"). Besides `MANIFEST`,
+/// these are the only files a segment directory's writers commit; the
+/// rest of the directory is not the index's to report or delete.
+bool isSegmentFileName(std::string_view Name);
+
 /// True if \p Path is a directory containing a `MANIFEST` file -- how
 /// the CLI and the serving layer tell a segmented index from a
 /// single-file one.

@@ -10,8 +10,9 @@
 # --min-age-seconds abc` once parsed as 0, which disabled gc's in-flight
 # guard and deleted a just-written segment. Retired flags and commands
 # are usage errors (exit 2) that write nothing: `--no-verify`, the TCP
-# `--port`, the daemon and client knobs, `--auto-compact`, `--expr-file`,
-# the corpus forms of `index query` and `index stats`, and `bench-expr`.
+# `--port`, the daemon and client knobs, `--auto-compact`,
+# `--crash-after-segment`, `--expr-file`, the corpus forms of `index
+# query` and `index stats`, and `bench-expr`.
 # So are a known flag on a command that does not take it, `--expr` with
 # `--batch`, and a positional beyond a command's count.
 
@@ -84,11 +85,15 @@ if(EXISTS "${WORK}/bad.idx")
   message(FATAL_ERROR "a rejected build still wrote bad.idx")
 endif()
 
-# A segment dir with a just-written orphan: the update dies after the
-# segment write, before the manifest swap (exit 3 by contract).
+# A segment dir with a just-written orphan: the file an update that died
+# between its segment write and its manifest swap leaves, under the
+# manifest's next id (2 in a freshly built directory).
 expect_rc(0 index build base.txt --threads 2 --out seg.idx --segmented)
-expect_rc(3 index update seg.idx delta.txt --threads 2 --crash-after-segment)
+expect_rc(0 index build delta.txt --threads 2 --out seg.idx/seg-000002.hmai)
 list_segdir(WITH_ORPHAN)
+if(NOT "seg-000002.hmai" IN_LIST WITH_ORPHAN)
+  message(FATAL_ERROR "no orphan planted: ${WITH_ORPHAN}")
+endif()
 
 # gc with a malformed age fails and deletes nothing; the default 60 s
 # guard keeps the fresh orphan too.
@@ -117,7 +122,8 @@ endif()
 # written, no segment is appended, no daemon starts. Nothing serves an
 # unverified index (--no-verify); the daemon speaks only its Unix socket
 # (--port) and keeps fixed deadlines, frame cap and retry schedule; an
-# update never compacts (run `index compact`); a query reads --expr or
+# update never compacts (run `index compact`) and has no crash hook (the
+# crash matrix fails its I/O calls instead); a query reads --expr or
 # stdin; and a corpus is queried or summarized only through `index
 # build` + `index open FILE query|stats`.
 expect_rc(0 index build base.txt --threads 2 --out single.hmai)
@@ -137,6 +143,7 @@ expect_rc(2 index ctl ping --connect indexd.sock --port 7411)
 expect_rc(2 index chaos --connect indexd.sock --script torn)
 expect_rc(2 index chaos --connect indexd.sock --server-timeout-ms 100)
 expect_rc(2 index update seg.idx delta.txt --threads 2 --auto-compact 1)
+expect_rc(2 index update seg.idx delta.txt --threads 2 --crash-after-segment)
 expect_rc(2 index open single.hmai query --expr-file expr.txt)
 expect_rc(2 index query base.txt --expr "(lam (x) x)")
 expect_rc(2 index stats base.txt)
@@ -202,9 +209,8 @@ expect_refused("unknown ctl action 'bogus'" index ctl bogus --connect indexd.soc
 # is a valid invocation followed by the flags it accepts, written out
 # here as the spec (not read back from hma).
 set(ALL_FLAGS --family --size --seed --count --threads --shards --out
-    --segmented --crash-after-segment --repair --min-age-seconds --json
-    --prom --trace-out --connect --retries --expr --batch --socket
-    --request-timeout-ms)
+    --segmented --repair --min-age-seconds --json --prom --trace-out
+    --connect --retries --expr --batch --socket --request-timeout-ms)
 # A value for each flag that takes one: in range, and naming a file the
 # flag would create if it were honored.
 foreach(FLAG --size --seed --count --threads --shards --min-age-seconds
@@ -242,7 +248,7 @@ expect_only(index open single.hmai stats
 expect_only(index open single.hmai query
             ACCEPTS --expr --batch --threads --out --shards --trace-out)
 expect_only(index update seg.idx delta.txt
-            ACCEPTS --threads --shards --json --crash-after-segment --trace-out)
+            ACCEPTS --threads --shards --json --trace-out)
 expect_only(index compact seg.idx ACCEPTS --trace-out)
 expect_only(index gc seg.idx ACCEPTS --min-age-seconds --trace-out)
 expect_only(index fsck seg.idx ACCEPTS --repair --trace-out)

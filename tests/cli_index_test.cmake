@@ -104,13 +104,14 @@ endif()
 if(EXISTS "${WORK}/copy.hmai")
   message(FATAL_ERROR "a refused update still wrote copy.hmai")
 endif()
-# fsck's deep check (open + verify) calls the file healthy.
+# fsck judges with the gate `index open` uses and calls the file healthy.
 expect_ok(OUT index fsck index.hmai)
 expect_contains("${OUT}" "state: healthy" "fsck of index.hmai")
 
 # The admission battery. Every bad candidate fails `openIndex`, so `open
-# PATH stats` exits 1 with its diagnostic; the two marked "verify" open
-# fine and fail only the deep check.
+# PATH stats` exits 1 with its diagnostic, and `fsck PATH` exits 2
+# (damaged) with the same diagnostic; the two marked "verify" open fine
+# and fail only the deep check.
 expect_ok(OUT index build corpus.txt --threads 1 --shards 4 --out small.hmai)
 expect_ok(OUT index build corpus.txt --threads 1 --shards 4 --out flipped.hmai)
 expect_ok(OUT index build corpus.txt --threads 1 --shards 4 --out seg_verify.idx --segmented)
@@ -147,7 +148,16 @@ foreach(CASE truncated.hmai flipped.hmai empty.hmai no_manifest.idx
   if(NOT RC EQUAL 1)
     message(FATAL_ERROR "open ${CASE} stats: exit ${RC}, expected 1:\n${ERR}")
   endif()
-  expect_contains("${ERR}" "index error: " "stderr of open ${CASE}")
+  string(REGEX MATCH "index error: ([^\n]*) \\(byte [0-9]+\\)" LINE "${ERR}")
+  if(NOT LINE)
+    message(FATAL_ERROR "stderr of open ${CASE} lacks 'index error: ... (byte N)':\n${ERR}")
+  endif()
+  set(DIAG "${CMAKE_MATCH_1}")
+  run_hma(RC FSCK FSCK_ERR index fsck ${CASE})
+  if(NOT RC EQUAL 2)
+    message(FATAL_ERROR "fsck ${CASE}: exit ${RC}, expected 2:\n${FSCK}${FSCK_ERR}")
+  endif()
+  expect_contains("${FSCK}" "[damage] ${CASE}: ${DIAG}\n" "fsck of ${CASE}")
 endforeach()
 expect_contains("${ERR}" "seg-000001.hmai" "stderr of open seg_missing.idx")
 run_hma(RC OUT ERR index open empty.hmai stats)

@@ -6,10 +6,11 @@
 #
 # (ctest registers it as `cli_segment_test`). A segment directory is the
 # index that grows: build --segmented, update (O(delta) append, --json
-# summary on stdout), a torn append at the crash window, fsck/gc of the
-# orphan it leaves, the retried append, and compaction. Answers must not
-# change across compaction and must match a single-file build of the
-# same corpus; appends and compaction keep the directory's striping.
+# summary on stdout), the orphan a crash between an append's segment
+# write and its manifest swap leaves, fsck/gc of it, the retried append,
+# and compaction. Answers must not change across compaction and must
+# match a single-file build of the same corpus; appends and compaction
+# keep the directory's striping.
 
 cmake_minimum_required(VERSION 3.19) # string(JSON)
 include("${CMAKE_CURRENT_LIST_DIR}/cli_util.cmake")
@@ -50,12 +51,12 @@ if(NOT MODE STREQUAL "segmented" OR AFTER_N LESS BEFORE_N)
 endif()
 expect_four_shards("after an update")
 
-# Crash window: die after the segment file is written, before the
-# manifest swap (exit 3 by contract).
-run_hma(RC OUT ERR index update seg.idx d2.txt --threads 2 --crash-after-segment)
-if(NOT RC EQUAL 3)
-  message(FATAL_ERROR "--crash-after-segment: exit ${RC}, expected 3:\n${ERR}")
-endif()
+# Crash window: an append that wrote its segment and died before the
+# manifest swap leaves the segment under the manifest's next id: 3, as
+# the build took id 1 and the update id 2 (the retried update below
+# confirms it). Plant that file with a build.
+set(ORPHAN seg-000003.hmai)
+expect_ok(OUT index build d2.txt --threads 2 --out seg.idx/${ORPHAN})
 # The reopened index serves the old state (delta 2 absent) and warns
 # about the orphan.
 run_hma(RC OUT ERR index open seg.idx stats)
@@ -71,15 +72,20 @@ run_hma(RC OUT ERR index fsck seg.idx)
 if(NOT RC EQUAL 1)
   message(FATAL_ERROR "fsck with an orphan: exit ${RC}, expected 1:\n${OUT}${ERR}")
 endif()
-expect_contains("${OUT}" "unreferenced-segment" "fsck with an orphan")
+expect_contains("${OUT}" "[unreferenced-segment] ${ORPHAN}" "fsck with an orphan")
 expect_ok(OUT index gc seg.idx --min-age-seconds 0)
 expect_contains("${OUT}" "removed" "gc of the orphan")
 expect_ok(OUT index fsck seg.idx)
 expect_contains("${OUT}" "state: healthy" "fsck after gc")
 
-# The retried update commits; compaction changes no answer and keeps
-# the striping; the answers match a single-file build of the union.
-expect_ok(OUT index update seg.idx d2.txt --threads 2)
+# The retried update commits under the orphan's id; compaction changes
+# no answer and keeps the striping; the answers match a single-file
+# build of the union.
+expect_ok(OUT index update seg.idx d2.txt --threads 2 --json)
+string(JSON D2_SEGMENT GET "${OUT}" segment)
+if(NOT D2_SEGMENT STREQUAL ORPHAN)
+  message(FATAL_ERROR "the retried update wrote ${D2_SEGMENT}, not ${ORPHAN}")
+endif()
 batch_answers(PRE seg.idx queries.txt)
 expect_ok(OUT index compact seg.idx)
 expect_four_shards("after compaction")

@@ -500,7 +500,8 @@ TEST(CrashMatrix, GcSegmentDir) {
       readFileBytes(WD.Dir + "/" + segmentFileName(1), SegBytes, nullptr));
   ASSERT_TRUE(writeFileReplacing(WD.Dir + "/" + segmentFileName(57), SegBytes,
                                  nullptr));
-  ASSERT_TRUE(writeFileReplacing(WD.Dir + "/stale.tmp", "debris", nullptr));
+  ASSERT_TRUE(writeFileReplacing(WD.Dir + "/" + segmentFileName(58) + ".tmp",
+                                 "debris", nullptr));
 
   runMatrix(
       WD.Dir, WD.Dir,

@@ -723,7 +723,7 @@ TEST(IndexIOAdversarial, SidecarContentCorruptionsReject) {
 }
 
 TEST(IndexIOAdversarial, FsckDeepCheckAndVerifyRejectTheSameSidecarRank) {
-  // fsck's deep check is open + verify over the file's bytes: a file
+  // fsck's verdict is openIndex's (open + verify of the file): a file
   // with one corrupted sidecar rank is damage to both.
   AdversarialFixture F = singleShardFixture();
   const std::string Bad = flipSidecarRank(F, F.NumRecords / 2);
@@ -742,8 +742,8 @@ TEST(IndexIOAdversarial, FsckDeepCheckAndVerifyRejectTheSameSidecarRank) {
   EXPECT_FALSE(R.Serviceable);
   EXPECT_FALSE(R.Healthy);
   ASSERT_EQ(R.Issues.size(), 1u) << R.render(Path);
-  EXPECT_EQ(R.Issues[0].Kind, FsckIssueKind::CorruptSegment);
-  EXPECT_STREQ(fsckIssueKindName(R.Issues[0].Kind), "corrupt-segment");
+  EXPECT_EQ(R.Issues[0].Kind, FsckIssueKind::Damage);
+  EXPECT_STREQ(fsckIssueKindName(R.Issues[0].Kind), "damage");
   EXPECT_EQ(R.Issues[0].Detail, VerifyError);
   EXPECT_NE(R.render(Path).find("damaged"), std::string::npos)
       << R.render(Path);

@@ -17,9 +17,9 @@
 ///     batch lookups, snapshots, stats -- to a single `HMAI` file built
 ///     from the same corpus in the same order, at b=128 and under
 ///     forced b=16 collisions, both before and after compaction.
-///  4. **Crash-window + saturation + concurrent compaction**: the
-///     simulated crash between segment write and manifest swap leaves a
-///     servable old index plus one collectable orphan; cross-segment
+///  4. **Crash-window + saturation + concurrent compaction**: a power
+///     cut (\ref FaultIoEnv) between segment write and manifest swap
+///     leaves a servable old index plus one collectable orphan; cross-segment
 ///     count sums clamp at u64 instead of wrapping; and \ref
 ///     compactSegments, run from another thread, merges under a live
 ///     reader whose pinned mappings keep answering after the old files
@@ -361,8 +361,10 @@ TEST(SegmentSet, UnreferencedSegmentsAreReportedAndGcCollectsThem) {
   // Plant a stray segment-shaped file the manifest does not know.
   ASSERT_TRUE(writeFileReplacing(D.Dir + "/" + segmentFileName(99),
                                  "junk bytes", nullptr));
-  // And one non-segment-shaped file gc must leave alone.
+  // And non-segment-shaped files gc must leave alone: a `*.tmp` is debris
+  // only when a writer's tmp name says so.
   ASSERT_TRUE(writeFileReplacing(D.Dir + "/notes.txt", "keep me", nullptr));
+  ASSERT_TRUE(writeFileReplacing(D.Dir + "/notes.tmp", "keep me", nullptr));
 
   auto R = SegmentSet<>::open(D.Dir);
   ASSERT_TRUE(R.ok()) << R.Error; // orphans never fail the open
@@ -386,10 +388,12 @@ TEST(SegmentSet, UnreferencedSegmentsAreReportedAndGcCollectsThem) {
   auto After = SegmentSet<>::open(D.Dir);
   ASSERT_TRUE(After.ok()) << After.Error;
   EXPECT_TRUE(After.Set->orphans().empty());
-  std::string Kept;
-  EXPECT_TRUE(readFileBytes(D.Dir + "/notes.txt", Kept, nullptr));
-  EXPECT_EQ(Kept, "keep me");
-  std::remove((D.Dir + "/notes.txt").c_str());
+  for (const char *Name : {"/notes.txt", "/notes.tmp"}) {
+    std::string Kept;
+    EXPECT_TRUE(readFileBytes(D.Dir + Name, Kept, nullptr)) << Name;
+    EXPECT_EQ(Kept, "keep me");
+    std::remove((D.Dir + Name).c_str());
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -559,8 +563,43 @@ TEST(SegmentedIndex16, ForcedCollisionsResolveAcrossSegments) {
 // 4. Crash window, saturation, background compaction
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Append \p Delta to \p Dir with a power cut at the first I/O call of
+/// its manifest swap: the segment file is written and durable, and the
+/// manifest never names it -- the state a crash between the two leaves.
+/// The call number comes from counting passes on \p Twin, a directory
+/// in the same state as \p Dir: the append's calls, less those of the
+/// manifest swap that ends it.
+SegmentAppendResult appendCrashingAtManifestSwap(
+    const std::string &Dir, const std::string &Twin,
+    const std::vector<std::string> &Delta, SegmentAppendOptions Opts) {
+  FaultIoEnv Append; // FailAtOp = 0: counts, never fires.
+  Opts.Env = &Append;
+  SegmentAppendResult Counted = appendSegment<Hash128>(Twin, Delta, Opts);
+  EXPECT_TRUE(Counted.Ok) << Counted.Error;
+  std::string Bytes;
+  SegmentManifest M;
+  EXPECT_TRUE(readFileBytes(manifestPathFor(Twin), Bytes, nullptr));
+  EXPECT_TRUE(SegmentManifest::decode(Bytes, M));
+  FaultIoEnv Swap;
+  EXPECT_TRUE(writeManifestReplacing(Twin, M, nullptr, Swap));
+
+  FaultPlan P;
+  P.FailAtOp = Append.opCount() - Swap.opCount() + 1;
+  P.PowerCut = true;
+  FaultIoEnv Crash(P);
+  Opts.Env = &Crash;
+  SegmentAppendResult R = appendSegment<Hash128>(Dir, Delta, Opts);
+  EXPECT_TRUE(Crash.tripped());
+  return R;
+}
+
+} // namespace
+
 TEST(SegmentAppend, CrashWindowLeavesOldIndexServableAndIdIsReused) {
   SmallDir D("segment_test.crash.tmp");
+  SmallDir Twin("segment_test.crash_twin.tmp");
   auto Before = SegmentedIndex<Hash128>::open(D.Dir);
   ASSERT_TRUE(Before.ok()) << Before.Error;
   const size_t ClassesBefore = Before.Reader->numClasses();
@@ -570,13 +609,13 @@ TEST(SegmentAppend, CrashWindowLeavesOldIndexServableAndIdIsReused) {
   Rng R(77);
   std::vector<std::string> Delta = corpus(Ctx, R, 12);
   SegmentAppendOptions Opts;
-  Opts.AbortAfterSegmentWrite = true;
-  SegmentAppendResult A = appendSegment<Hash128>(D.Dir, Delta, Opts);
-  ASSERT_TRUE(A.Ok) << A.Error;
-  EXPECT_TRUE(A.Aborted);
-  EXPECT_EQ(A.ClassesAfter, ClassesBefore);
+  SegmentAppendResult A =
+      appendCrashingAtManifestSwap(D.Dir, Twin.Dir, Delta, Opts);
+  ASSERT_FALSE(A.Ok);
+  EXPECT_FALSE(A.Error.empty());
+  EXPECT_EQ(A.SegmentName, segmentFileName(NextIdBefore));
 
-  // Reopen: the old index serves, the half-written segment is an orphan.
+  // Reopen: the old index serves, the written segment is an orphan.
   auto Crashed = SegmentedIndex<Hash128>::open(D.Dir);
   ASSERT_TRUE(Crashed.ok()) << Crashed.Error;
   EXPECT_EQ(Crashed.Reader->numClasses(), ClassesBefore);
@@ -588,10 +627,8 @@ TEST(SegmentAppend, CrashWindowLeavesOldIndexServableAndIdIsReused) {
 
   // The retried append reuses the orphan's id, atomically replacing it:
   // afterwards the file is referenced and no orphan remains.
-  Opts.AbortAfterSegmentWrite = false;
   SegmentAppendResult Retry = appendSegment<Hash128>(D.Dir, Delta, Opts);
   ASSERT_TRUE(Retry.Ok) << Retry.Error;
-  EXPECT_FALSE(Retry.Aborted);
   EXPECT_EQ(Retry.SegmentName, A.SegmentName);
 
   auto After = SegmentedIndex<Hash128>::open(D.Dir);
@@ -608,6 +645,7 @@ TEST(SegmentAppend, CrashWindowLeavesOldIndexServableAndIdIsReused) {
 // The default age guard is what stands between the two.
 TEST(SegmentedIndex, GcAgeGuardLeavesInFlightAppendSegmentsAlone) {
   SmallDir D("segment_test.gcguard.tmp");
+  SmallDir Twin("segment_test.gcguard_twin.tmp");
   ExprContext Ctx;
   Rng R(88);
   std::vector<std::string> Delta = corpus(Ctx, R, 10);
@@ -616,9 +654,14 @@ TEST(SegmentedIndex, GcAgeGuardLeavesInFlightAppendSegmentsAlone) {
   // yet swapped. This is exactly what a concurrent gc would observe.
   SegmentAppendOptions Opts;
   Opts.Shards = 8;
-  Opts.AbortAfterSegmentWrite = true;
-  SegmentAppendResult A = appendSegment<Hash128>(D.Dir, Delta, Opts);
-  ASSERT_TRUE(A.Ok && A.Aborted) << A.Error;
+  SegmentAppendResult A =
+      appendCrashingAtManifestSwap(D.Dir, Twin.Dir, Delta, Opts);
+  ASSERT_FALSE(A.Ok);
+  {
+    auto Frozen = SegmentSet<>::open(D.Dir);
+    ASSERT_TRUE(Frozen.ok()) << Frozen.Error;
+    ASSERT_EQ(Frozen.Set->orphans(), std::vector<std::string>{A.SegmentName});
+  }
 
   // gc with the production default must leave the seconds-old file be.
   std::string Error;
@@ -627,7 +670,6 @@ TEST(SegmentedIndex, GcAgeGuardLeavesInFlightAppendSegmentsAlone) {
 
   // The append "resumes" (the retry path rewrites the same id) and
   // commits; the segment gc spared is now referenced and serving.
-  Opts.AbortAfterSegmentWrite = false;
   SegmentAppendResult Retry = appendSegment<Hash128>(D.Dir, Delta, Opts);
   ASSERT_TRUE(Retry.Ok) << Retry.Error;
   EXPECT_EQ(Retry.SegmentName, A.SegmentName);

@@ -120,7 +120,7 @@ int usage() {
       "             readers. --out rebuilds a verified single file at\n"
       "             FILE first (--shards re-stripes it)\n"
       "  index update <dir> <corpus> [--threads T] [--shards S]\n"
-      "             [--json] [--crash-after-segment]\n"
+      "             [--json]\n"
       "             append the corpus to a segment directory as one new\n"
       "             segment -- O(delta), existing segments untouched;\n"
       "             striped like the newest segment unless --shards is\n"
@@ -128,26 +128,24 @@ int usage() {
       "             with `index build`, or grow a `build --segmented`\n"
       "             directory instead.\n"
       "             --json emits a machine summary on stdout\n"
-      "             (narrative goes to stderr);\n"
-      "             --crash-after-segment stops after the segment write,\n"
-      "             before the manifest swap (torn-append simulation,\n"
-      "             exit 3)\n"
+      "             (narrative goes to stderr)\n"
       "  index compact <dir>\n"
       "             merge every segment of a segmented index into one\n"
       "             and swap the manifest atomically; old readers keep\n"
       "             serving their generation\n"
       "  index gc <dir> [--min-age-seconds N]\n"
       "             delete segment files the manifest does not reference\n"
-      "             and stale *.tmp files (leftovers of a crash between\n"
-      "             segment write and manifest swap). Files younger than\n"
+      "             and the writers' stale MANIFEST.tmp / seg-*.hmai.tmp\n"
+      "             (leftovers of a crash between segment write and\n"
+      "             manifest swap). Files younger than\n"
       "             --min-age-seconds (default 60) are left alone -- they\n"
       "             may be a concurrent append's in-flight segment; 0\n"
       "             disables the guard (offline maintenance only)\n"
       "  index fsck <path> [--repair]\n"
-      "             check a single-file or segmented index: manifest\n"
-      "             checksum, every referenced segment (full record +\n"
-      "             sidecar validation), debris vs damage. --repair\n"
-      "             deletes *debris only* (stale tmp files, unreferenced\n"
+      "             check a single-file or segmented index: damaged iff\n"
+      "             `index open` refuses it (same gate, same message),\n"
+      "             else list its debris. --repair deletes *debris\n"
+      "             only* (writers' stale tmp files, unreferenced\n"
       "             segments); damage is reported, never deleted. Exit 0\n"
       "             healthy (or fully repaired), 1 repairable debris\n"
       "             remains, 2 committed state damaged\n"
@@ -250,7 +248,7 @@ const Expr *parseInput(ExprContext &Ctx, const std::string &Src) {
 /// Every flag `hma` knows, in `Flags` order.
 enum class Opt : unsigned {
   Family, Size, Seed, Count,
-  Threads, Shards, Out, Segmented, CrashAfterSegment, Repair, MinAgeSeconds,
+  Threads, Shards, Out, Segmented, Repair, MinAgeSeconds,
   Json, Prom, TraceOut, Connect, Retries, Expr, Batch,
   Socket, RequestTimeoutMs,
 };
@@ -272,7 +270,6 @@ constexpr FlagSpec Flags[] = {
     {"--shards", FlagSpec::Number, 1, AlphaHashIndex<Hash128>::MaxShards},
     {"--out", FlagSpec::Text},
     {"--segmented", FlagSpec::Switch},
-    {"--crash-after-segment", FlagSpec::Switch},
     {"--repair", FlagSpec::Switch},
     // 0 is meaningful here: it disables gc's in-flight guard.
     {"--min-age-seconds", FlagSpec::Number, 0, 86400 * 365},
@@ -759,21 +756,12 @@ int cmdIndexUpdate(const Args &A) {
   Opts.Threads = A.threads();
   // 0: striped like the newest segment.
   Opts.Shards = static_cast<unsigned>(A.num(Opt::Shards, 0));
-  Opts.AbortAfterSegmentWrite = A.has(Opt::CrashAfterSegment);
   auto Start = std::chrono::steady_clock::now();
   SegmentAppendResult R = appendSegment<Hash128>(Dir, Corpus.Blobs, Opts);
   auto End = std::chrono::steady_clock::now();
   if (!R.Ok) {
     std::fprintf(stderr, "error: %s\n", R.Error.c_str());
     return 1;
-  }
-  if (R.Aborted) {
-    // The deliberate torn-append state: segment written, manifest not
-    // swapped. Distinct exit status so CI can assert this path ran.
-    std::fprintf(stderr, "update aborted at crash window: segment %s "
-                         "written, manifest not swapped\n",
-                 R.SegmentName.c_str());
-    return 3;
   }
   std::fprintf(A.narrate(),
                "update: %llu -> %llu classes (segment %s: %llu classes, "
@@ -825,8 +813,8 @@ int cmdIndexGc(const Args &A) {
   return 0;
 }
 
-/// `hma index fsck <path> [--repair]`: validate the committed state and
-/// classify crash debris. Exit 0 when the index is healthy (or --repair
+/// `hma index fsck <path> [--repair]`: judge the committed state with
+/// the `index open` gate and classify crash debris. Exit 0 when the index is healthy (or --repair
 /// removed all debris), 1 when repairable debris remains, 2 when the
 /// committed state itself is damaged.
 int cmdIndexFsck(const Args &A) {
@@ -1048,8 +1036,7 @@ const Command Commands[] = {
     {"index open <path> query", 1, 1,
      "--expr --batch --threads --out --shards --trace-out",
      onOpened<queryIndex>},
-    {"index update", 2, 2,
-     "--threads --shards --json --crash-after-segment --trace-out",
+    {"index update", 2, 2, "--threads --shards --json --trace-out",
      cmdIndexUpdate},
     {"index compact", 1, 1, "--trace-out", cmdIndexCompact},
     {"index gc", 1, 1, "--min-age-seconds --trace-out", cmdIndexGc},
